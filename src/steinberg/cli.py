@@ -22,7 +22,7 @@ from .forms import Family, GroupDescriptor, NotInGroup, UnsupportedFamily, build
 from .generators import IllegalToken, evaluate_word, parse_word
 from .harness import EnumerationTooLarge, enumerate_group, random_member
 from .matrix import Matrix
-from .spinor import NotOrthogonalFamily, spinor_norm
+from .spinor import NotOrthogonalFamily, spinor_decomposition
 from .coset import coset_census, coset_label
 
 
@@ -159,8 +159,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spinor(args) -> int:
     g, d = parse_matrix_file(_read(args.matrix))
-    theta = spinor_norm(g, d)
-    dec = decompose(g, d)
+    theta, dec = spinor_decomposition(g, d)
     print(f"theta={theta}")
     print(f"lambda={dec.lam}")
     return 0

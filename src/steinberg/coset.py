@@ -14,9 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import rowops
-from .field import Scalar
-from .forms import Family, GroupDescriptor, NotInGroup, UnsupportedFamily, multiplier
-from .generators import GeneratorToken, Word, derived_w, evaluate_word, token_matrix, x
+from .forms import Family, GroupDescriptor, InternalError, NotInGroup, UnsupportedFamily, multiplier
+from .generators import GeneratorToken, Word, derived_w, evaluate_word, x, x_pattern
 from .harness import Enumeration
 from .matrix import Matrix
 
@@ -64,31 +63,25 @@ _P_LEGAL_PATTERNS = {"pp", "pn", "pnm", "i0"}
 
 
 def _assert_parabolic_token(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
-    from .generators import x_pattern
-
-    assert tok.kind == "x" and x_pattern(tok.i, tok.j, d) in _P_LEGAL_PATTERNS
+    if tok.kind != "x" or x_pattern(tok.i, tok.j, d) not in _P_LEGAL_PATTERNS:
+        raise InternalError(f"witness token {tok} does not lie in P")
     return tok
 
 
-class _Witness:
+class _Witness(rowops.WorkingMatrix):
+    """The working matrix plus the two witness words, parabolic tokens only."""
+
     def __init__(self, g: Matrix, d: GroupDescriptor):
-        self.cur = g
-        self.d = d
-        self.f = d.field
+        super().__init__(g, d)
         self.left: list = []
         self.right: list = []
 
-    def at(self, i: int, j: int) -> Scalar:
-        return self.cur[self.d.pos(i), self.d.pos(j)]
-
     def lmul(self, tok: GeneratorToken) -> None:
-        _assert_parabolic_token(tok, self.d)
-        self.cur = rowops.apply(self.cur, tok, rowops.LEFT, self.d)
+        super().lmul(_assert_parabolic_token(tok, self.d))
         self.left.insert(0, tok)
 
     def rmul(self, tok: GeneratorToken) -> None:
-        _assert_parabolic_token(tok, self.d)
-        self.cur = rowops.apply(self.cur, tok, rowops.RIGHT, self.d)
+        super().rmul(_assert_parabolic_token(tok, self.d))
         self.right.append(tok)
 
 
@@ -152,7 +145,7 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
         for j in idxs:
             assert b.at(i, j) == f.zero  # rows 1..m of A are gone
     omega = omega_matrix(d, m)
-    assert is_in_parabolic(omega.inverse() @ b.cur, d)
+    assert is_in_parabolic(omega.inverse() @ b.matrix(), d)
     return CosetLabel(
         m=m,
         omega=omega,

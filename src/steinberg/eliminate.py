@@ -1,9 +1,11 @@
 """Gaussian elimination inside the group: element -> word * diagonal * word.
 
-Every multiplier applied during elimination is an elementary token whose
-row/column action comes from :mod:`steinberg.rowops`; the inverse tokens are
-collected so that ``evaluate(left) @ diagonal @ evaluate(right)`` equals the
-input exactly.  The flow per family:
+Elimination works in place on one :class:`steinberg.rowops.WorkingMatrix`:
+every multiplier is an elementary token applied to the rows or columns it
+moves, through the same sparse delta that builds its dense matrix.  The
+inverse tokens are collected so that
+``evaluate(left) @ diagonal @ evaluate(right)`` equals the input exactly.
+The flow per family:
 
 * block A is diagonalised by paired row/column additions (with a fixed
   pivot rule: first nonzero scanning rows top-to-bottom inside a column,
@@ -18,7 +20,8 @@ input exactly.  The flow per family:
   the orthogonal families keep it (the spinor norm reads it off).
 
 The optional ``observer(phase, matrix)`` callback fires at phase boundaries
-so tests can pin the intermediate shapes; the phases are "A-diagonalized",
+with a :class:`Matrix` snapshot of the working matrix, so tests can pin the
+intermediate shapes; the phases are "A-diagonalized",
 "X-E-cleared" (odd/twisted), "interchanged" (rank-deficient passes),
 "C-cleared", "B-cleared", "torus-reduced" (GSp), "terminal-block"
 (twisted) and "done".
@@ -31,7 +34,15 @@ from typing import Callable
 
 from . import rowops
 from .field import Scalar
-from .forms import Family, GroupDescriptor, NotInGroup, UnsupportedFamily, build_descriptor, multiplier
+from .forms import (
+    Family,
+    GroupDescriptor,
+    InternalError,
+    NotInGroup,
+    UnsupportedFamily,
+    build_descriptor,
+    multiplier,
+)
 from .generators import (
     GeneratorToken,
     Word,
@@ -79,28 +90,23 @@ class Decomposition:
         return evaluate_word(self.left) @ self.diagonal @ evaluate_word(self.right)
 
 
-class _Bench:
-    """Mutable elimination state: current matrix plus the two inverse words."""
+class _Bench(rowops.WorkingMatrix):
+    """Elimination state: the working matrix plus the two inverse words."""
 
     def __init__(self, g: Matrix, d: GroupDescriptor, observer: Observer | None):
-        self.cur = g
-        self.d = d
-        self.f = d.field
+        super().__init__(g, d)
         self.left: list = []
         self.right: list = []
         self.ops = 0
         self.observer = observer
 
-    def at(self, i: int, j: int) -> Scalar:
-        return self.cur[self.d.pos(i), self.d.pos(j)]
-
     def lmul(self, tok: GeneratorToken) -> None:
-        self.cur = rowops.apply(self.cur, tok, rowops.LEFT, self.d)
+        super().lmul(tok)
         self.left.append(canonical_token(token_inverse(tok), self.d))
         self.ops += 1
 
     def rmul(self, tok: GeneratorToken) -> None:
-        self.cur = rowops.apply(self.cur, tok, rowops.RIGHT, self.d)
+        super().rmul(tok)
         self.right.append(canonical_token(token_inverse(tok), self.d))
         self.ops += 1
 
@@ -110,17 +116,15 @@ class _Bench:
 
     def emit(self, phase: str) -> None:
         if self.observer is not None:
-            self.observer(phase, self.cur)
+            self.observer(phase, self.matrix())
 
     def finish(self, lam: Scalar, mu: Scalar, alpha, block) -> Decomposition:
         d = self.d
-        left = Word(d, self.left)
-        right = Word(d, tuple(reversed(self.right)))
         dec = Decomposition(
             descriptor=d,
-            left=left,
-            right=right,
-            diagonal=self.cur,
+            left=Word(d, self.left),
+            right=Word(d, tuple(reversed(self.right))),
+            diagonal=self.matrix(),
             lam=lam,
             mu=mu,
             alpha=alpha,
@@ -128,7 +132,8 @@ class _Bench:
             op_count=self.ops,
         )
         # the terminal matrix must literally be the claimed torus element
-        assert self.cur == token_matrix(dec.torus_token(), d)
+        if dec.diagonal != token_matrix(dec.torus_token(), d):
+            raise InternalError(f"terminal matrix is not {dec.torus_token()}")
         return dec
 
 

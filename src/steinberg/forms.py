@@ -28,6 +28,14 @@ class UnsupportedFamily(ValueError):
     pass
 
 
+class InternalError(AssertionError):
+    """A load-bearing invariant failed: a bug in the library, not bad input.
+
+    Raised explicitly so the check survives ``python -O``; it subclasses
+    AssertionError so handlers written for the former asserts still apply.
+    """
+
+
 class NotInGroup(ValueError):
     """Raised with the first position where the form equation fails."""
 

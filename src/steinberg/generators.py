@@ -201,40 +201,61 @@ def _validate_torus(tok: GeneratorToken, d: GroupDescriptor) -> None:
 # token -> matrix
 
 
-def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
-    """The exact matrix of a token in the family's fixed basis."""
+def token_delta(tok: GeneratorToken, d: GroupDescriptor) -> list:
+    """Nonzero ``(row, col, value)`` entries of ``token_matrix(tok) - I``.
+
+    Rows and columns are storage positions.  This is the one description of
+    how a token acts: :func:`token_matrix` adds it to I, and
+    :func:`steinberg.rowops.apply` applies it to rows or columns in place.
+    """
     validate_token(tok, d)
     f = d.field
-    if tok.kind == "torus":
-        return _torus_matrix(tok, d)
-    m = Matrix.identity(f, d.n).to_lists()
-    pos = d.pos
+    one = f.one
     if tok.kind == "x":
-        t = f.of(tok.t)
-        for a, b, c in _x_units(tok.i, tok.j, t, d):
-            i, j = pos(a), pos(b)
-            m[i][j] = f.add(m[i][j], c)
-        return Matrix(f, m)
-    if tok.kind == "w":
-        i, ni = pos(tok.i), pos(-tok.i)
-        neg1 = f.neg(f.one)
-        m[i][i] = f.zero
-        m[ni][ni] = f.zero
-        m[i][ni] = neg1
-        m[ni][i] = neg1
-        return Matrix(f, m)
-    if tok.kind == "x1":
-        t, s = f.of(tok.t), f.of(tok.s)
-        p1, n1 = pos(1), pos(-1)
-        m[p1][p1] = t
-        m[n1][n1] = f.neg(t)
-        m[n1][p1] = s
-        m[p1][n1] = f.mul(d.epsilon, s)
-        return Matrix(f, m)
-    # x2
-    p = pos(-1)
-    m[p][p] = f.neg(f.one)
-    return Matrix(f, m)
+        units = _x_units(tok.i, tok.j, f.of(tok.t), d)
+    elif tok.kind == "w":
+        i, m1 = tok.i, f.neg(one)
+        units = [(i, i, m1), (-i, -i, m1), (i, -i, m1), (-i, i, m1)]
+    elif tok.kind == "x1":
+        units = _plane_units(f.of(tok.t), f.of(tok.s), d)
+    elif tok.kind == "x2":
+        units = [(-1, -1, f.of(-2))]
+    elif d.family is Family.GL:
+        units = [(d.n, d.n, f.sub(f.of(tok.lam), one))]
+    else:
+        lam, mu = f.of(tok.lam), f.of(tok.mu)
+        units = []
+        if d.family is Family.GO_ODD:
+            units.append((0, 0, f.sub(f.of(tok.alpha), one)))
+        if tok.t is not None:
+            units += _plane_units(f.of(tok.t), f.of(tok.s), d)
+        block = d.block_indices()
+        for i in block[:-1]:
+            units.append((-i, -i, f.sub(mu, one)))
+        if block:
+            i = block[-1]
+            units += [(i, i, f.sub(lam, one)), (-i, -i, f.sub(f.div(mu, lam), one))]
+    pos = d.pos
+    return [(pos(a), pos(b), c) for a, b, c in units if c != f.zero]
+
+
+def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
+    """The exact matrix of a token in the family's fixed basis: I + delta."""
+    m = Matrix.identity(d.field, d.n).to_lists()
+    for r, c, v in token_delta(tok, d):
+        m[r][c] = d.field.add(m[r][c], v)
+    return Matrix(d.field, m)
+
+
+def _plane_units(t: Scalar, s: Scalar, d: GroupDescriptor) -> list:
+    """[[t, eps*s], [s, -t]] - I on the anisotropic plane e_1, e_-1."""
+    f = d.field
+    return [
+        (1, 1, f.sub(t, f.one)),
+        (1, -1, f.mul(d.epsilon, s)),
+        (-1, 1, s),
+        (-1, -1, f.neg(f.add(t, f.one))),
+    ]
 
 
 def _x_units(i: int, j: int, t: Scalar, d: GroupDescriptor) -> list:
@@ -279,37 +300,6 @@ def _x_units(i: int, j: int, t: Scalar, d: GroupDescriptor) -> list:
             (j, -j, f.neg(f.mul(eps, two_t2))),
         ]
     raise IllegalToken(pat)  # pragma: no cover
-
-
-def _torus_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
-    f = d.field
-    lam, mu = f.of(tok.lam), f.of(tok.mu)
-    fam = d.family
-    if fam is Family.GL:
-        diag = [f.one] * (d.n - 1) + [lam]
-        return Matrix.diagonal(f, diag)
-    entries = {}
-    if fam is Family.GO_ODD:
-        entries[(0, 0)] = f.of(tok.alpha)
-    block = d.block_indices()
-    for k, i in enumerate(block):
-        entries[(i, i)] = lam if k == len(block) - 1 else f.one
-        entries[(-i, -i)] = f.div(mu, lam) if k == len(block) - 1 else mu
-    m = Matrix.zeros(f, d.n, d.n).to_lists()
-    if fam is Family.GO_MINUS:
-        p1, n1 = d.pos(1), d.pos(-1)
-        if tok.t is None:
-            m[p1][p1] = f.one
-            m[n1][n1] = f.one
-        else:
-            t, s = f.of(tok.t), f.of(tok.s)
-            m[p1][p1] = t
-            m[p1][n1] = f.mul(d.epsilon, s)
-            m[n1][p1] = s
-            m[n1][n1] = f.neg(t)
-    for (a, b), v in entries.items():
-        m[d.pos(a)][d.pos(b)] = v
-    return Matrix(f, m)
 
 
 def token_inverse(tok: GeneratorToken) -> GeneratorToken:

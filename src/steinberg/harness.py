@@ -120,12 +120,12 @@ def random_torus_token(d: GroupDescriptor, rng: random.Random) -> GeneratorToken
 def random_member(d: GroupDescriptor, seed: int, word_len: int, with_torus: bool = False) -> Matrix:
     """Deterministic pseudo-random member: a token word, optionally a torus."""
     rng = random.Random(f"{d}#{seed}")
-    out = Matrix.identity(d.field, d.n)
+    rows = Matrix.identity(d.field, d.n).to_lists()
     for _ in range(word_len):
-        out = rowops.apply(out, random_token(d, rng), rowops.RIGHT, d)
+        rowops.apply(rows, random_token(d, rng), rowops.RIGHT, d)
     if with_torus:
-        out = rowops.apply(out, random_torus_token(d, rng), rowops.RIGHT, d)
-    return out
+        rowops.apply(rows, random_torus_token(d, rng), rowops.RIGHT, d)
+    return Matrix(d.field, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,17 @@ def token_spinor_class(tok: GeneratorToken, d: GroupDescriptor) -> SquareClass:
 
 def spinor_norm(g: Matrix, d: GroupDescriptor) -> SquareClass:
     """Spinor norm read off the elimination, multiplicatively over the word."""
+    return spinor_decomposition(g, d)[0]
+
+
+def spinor_decomposition(g: Matrix, d: GroupDescriptor) -> tuple:
+    """(spinor norm, the decomposition it was read from)."""
     _check_orthogonal_isometry(g, d)
     dec = decompose(g, d)
     acc = token_spinor_class(dec.torus_token(), d)
     for tok in dec.left.tokens + dec.right.tokens:
         acc = acc * token_spinor_class(tok, d)
-    return acc
+    return acc, dec
 
 
 # ---------------------------------------------------------------------------
@@ -155,20 +160,6 @@ def reflection_matrix(v, d: GroupDescriptor) -> Matrix:
 
 def _unit(f: Field, n: int, j: int) -> tuple:
     return tuple(f.one if k == j else f.zero for k in range(n))
-
-
-def _anisotropic_in(vectors: list, d: GroupDescriptor):
-    """First anisotropic vector among the spans' generators and their sums."""
-    f = d.field
-    for v in vectors:
-        if _beta_pair(d.beta, v, v) != f.zero:
-            return v
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            v = tuple(f.add(a, b) for a, b in zip(vectors[i], vectors[j]))
-            if _beta_pair(d.beta, v, v) != f.zero:
-                return v
-    return None
 
 
 def _some_anisotropic(d: GroupDescriptor) -> tuple:

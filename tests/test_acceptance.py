@@ -29,7 +29,7 @@ from steinberg.generators import (
 )
 from steinberg.harness import enumerate_group, random_member, random_token
 from steinberg.matrix import Matrix
-from steinberg.rowops import LEFT, RIGHT, apply
+from steinberg.rowops import LEFT, RIGHT
 from steinberg.coset import coset_census, coset_label, verify_label
 from steinberg.spinor import (
     in_commutator_subgroup,
@@ -37,6 +37,8 @@ from steinberg.spinor import (
     spinor_norm,
     wall_spinor_norm,
 )
+
+from rowops_oracle import applied, oracle_apply
 
 F3, F5, F7 = Field(3), Field(5), Field(7)
 FAMILIES = (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
@@ -124,10 +126,11 @@ def test_criterion_2_table_product_equivalence():
                     tok = torus(t, rng.randrange(1, p))
                 g = random_member(d, rng.randrange(10**6), word_len=5, with_torus=True)
                 tm = token_matrix(tok, d)
-                assert apply(g, tok, LEFT, d) == tm @ g, str(tok)
-                assert apply(g, tok, RIGHT, d) == g @ tm, str(tok)
+                left, right = applied(g, tok, LEFT, d), applied(g, tok, RIGHT, d)
+                assert left == tm @ g == oracle_apply(g, tok, LEFT, d), str(tok)
+                assert right == g @ tm == oracle_apply(g, tok, RIGHT, d), str(tok)
                 total += 2
-    report(2, f"table-driven ops equal explicit products, {total} checks")
+    report(2, f"in-place ops equal explicit products and the hand-written oracle, {total} checks")
 
 
 def test_criterion_3_word_identities():
@@ -209,7 +212,7 @@ def test_criterion_5_theta_homomorphism_and_unipotents():
             g = Matrix.identity(F5, d.n)
             for _ in range(rng.randrange(1, 7)):
                 i, j = rng.choice(unipotent_pool)
-                g = apply(g, x(i, j, rng.randrange(1, 5)), RIGHT, d)
+                g = applied(g, x(i, j, rng.randrange(1, 5)), RIGHT, d)
             assert spinor_norm(g, d).is_square
     report(5, f"spinor norm multiplicative on {pairs} pairs, trivial on unipotent words")
 
@@ -258,7 +261,7 @@ def test_criterion_7_double_cosets():
             m = Matrix.identity(F3, d.n)
             for _ in range(5):
                 i, j = rng.choice(ppairs)
-                m = apply(m, x(i, j, rng.randrange(1, 3)), RIGHT, d)
+                m = applied(m, x(i, j, rng.randrange(1, 3)), RIGHT, d)
             return m
 
         for gseed in range(3):

@@ -174,3 +174,23 @@ def test_rational_round_trip(tmp_path, capsys):
     wpath = write(tmp_path, "w.txt", out)
     code, out2, _ = run(capsys, "verify", wpath, mpath)
     assert code == 0 and out2.strip() == "OK"
+
+
+def test_spinor_command_decomposes_once(tmp_path, capsys, monkeypatch):
+    import steinberg.cli as cli
+    import steinberg.eliminate as eliminate
+    import steinberg.spinor as spinor
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eliminate.decompose(*args, **kwargs)
+
+    monkeypatch.setattr(spinor, "decompose", counting)
+    monkeypatch.setattr(cli, "decompose", counting)
+    d = build_descriptor(Family.GO_ODD, 2, F5)
+    mpath = write(tmp_path, "m.txt", format_matrix_file(random_member(d, 3, word_len=8, with_torus=True), d))
+    code, out, _ = run(capsys, "spinor", mpath)
+    assert code == 0 and out.startswith("theta=") and "lambda=" in out
+    assert len(calls) == 1

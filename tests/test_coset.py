@@ -3,7 +3,7 @@ import random
 import pytest
 
 from steinberg.field import Field
-from steinberg.forms import Family, NotInGroup, UnsupportedFamily, build_descriptor
+from steinberg.forms import Family, InternalError, NotInGroup, UnsupportedFamily, build_descriptor
 from steinberg.coset import (
     CosetLabel,
     coset_census,
@@ -15,7 +15,9 @@ from steinberg.coset import (
 from steinberg.generators import legal_x_index_pairs, token_matrix, w, x, x_pattern
 from steinberg.harness import enumerate_group, random_member
 from steinberg.matrix import Matrix
-from steinberg.rowops import RIGHT, apply
+from steinberg.rowops import RIGHT
+
+from rowops_oracle import applied
 
 F3 = Field(3)
 F5 = Field(5)
@@ -34,7 +36,7 @@ def random_parabolic(d, rng):
     g = Matrix.identity(d.field, d.n)
     for _ in range(6):
         i, j = rng.choice(parabolic_pairs(d))
-        g = apply(g, x(i, j, rng.randrange(1, d.field.p)), RIGHT, d)
+        g = applied(g, x(i, j, rng.randrange(1, d.field.p)), RIGHT, d)
     return g
 
 
@@ -125,3 +127,13 @@ def test_rejected_families_and_similitudes():
     dsim = build_descriptor(Family.GSP, 1, F5, similitude=True)
     with pytest.raises(NotInGroup):
         coset_label(Matrix.diagonal(F5, [2, 1]), dsim)
+
+
+def test_non_parabolic_witness_token_raises_internal_error():
+    from steinberg.coset import _assert_parabolic_token
+
+    d = build_descriptor(Family.GSP, 2, F5)
+    assert _assert_parabolic_token(x(1, -1, 2), d) == x(1, -1, 2)
+    for tok in (x(-1, 1, 2), x(-1, 2, 3), w(2)):
+        with pytest.raises(InternalError, match="does not lie in P"):
+            _assert_parabolic_token(tok, d)

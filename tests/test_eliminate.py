@@ -3,7 +3,7 @@ import random
 import pytest
 
 from steinberg.field import Field, QQ
-from steinberg.forms import Family, NotInGroup, UnsupportedFamily, build_descriptor, multiplier
+from steinberg.forms import Family, InternalError, NotInGroup, UnsupportedFamily, build_descriptor, multiplier
 from steinberg.eliminate import decompose, decompose_gl, word_length_stats
 from steinberg.generators import evaluate_word, token_matrix, w, x
 from steinberg.harness import random_member
@@ -187,3 +187,14 @@ def test_twisted_terminal_blocks():
             if mu == f.one:
                 assert t != f.one  # degenerate blocks are absorbed as x2
         assert dec.reassemble() == g
+
+
+def test_terminal_torus_check_raises_internal_error(monkeypatch):
+    """The check is a raise, not an assert, so it also holds under -O."""
+    import steinberg.eliminate as eliminate
+
+    d = build_descriptor(Family.GSP, 2, F5, similitude=True)
+    g = random_member(d, 1, word_len=6, with_torus=True)
+    monkeypatch.setattr(eliminate, "token_matrix", lambda tok, d: Matrix.zeros(d.field, d.n, d.n))
+    with pytest.raises(InternalError, match="terminal matrix"):
+        decompose(g, d)

@@ -5,10 +5,12 @@ import pytest
 
 from steinberg.field import Field, QQ
 from steinberg.forms import Family, build_descriptor
-from steinberg.generators import legal_x_index_pairs, token_matrix, torus, w, x, x1, x2
+from steinberg.generators import legal_x_index_pairs, token_delta, token_matrix, torus, w, x, x1, x2
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix
-from steinberg.rowops import LEFT, RIGHT, apply
+from steinberg.rowops import LEFT, RIGHT
+
+from rowops_oracle import applied, oracle_apply
 
 F5 = Field(5)
 ALL = (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
@@ -42,18 +44,25 @@ def all_tokens(d, rng):
     return toks
 
 
+def _check_all_paths(g, tok, d):
+    tm = token_matrix(tok, d)
+    assert applied(g, tok, LEFT, d) == tm @ g == oracle_apply(g, tok, LEFT, d), f"left {tok}"
+    assert applied(g, tok, RIGHT, d) == g @ tm == oracle_apply(g, tok, RIGHT, d), f"right {tok}"
+
+
 def test_identity_input_reproduces_token():
     d = build_descriptor(Family.GO_ODD, 2, F5)
     ident = Matrix.identity(F5, d.n)
     for tok in (x(1, 2, 3), x(1, 0, 2), x(0, 2, 4), w(2)):
-        assert apply(ident, tok, LEFT, d) == token_matrix(tok, d)
-        assert apply(ident, tok, RIGHT, d) == token_matrix(tok, d)
+        assert applied(ident, tok, LEFT, d) == token_matrix(tok, d)
+        assert applied(ident, tok, RIGHT, d) == token_matrix(tok, d)
+        assert oracle_apply(ident, tok, LEFT, d) == token_matrix(tok, d)
 
 
 def test_left_action_touches_exactly_two_rows():
     d = build_descriptor(Family.GO_EVEN, 2, F5)
     g = random_member(d, 3, word_len=6)
-    out = apply(g, x(1, 2, 2), LEFT, d)
+    out = applied(g, x(1, 2, 2), LEFT, d)
     changed = {r for r in range(4) if out.row(r) != g.row(r)}
     assert changed <= {d.pos(1), d.pos(-2)}
     assert d.pos(1) in changed
@@ -62,7 +71,7 @@ def test_left_action_touches_exactly_two_rows():
 def test_twisted_swap_interchanges_rows():
     d = build_descriptor(Family.GO_MINUS, 2, F5)
     g = random_member(d, 1, word_len=5)
-    out = apply(g, w(2), LEFT, d)
+    out = applied(g, w(2), LEFT, d)
     f = d.field
     assert out.row(d.pos(2)) == tuple(f.neg(v) for v in g.row(d.pos(-2)))
     assert out.row(d.pos(-2)) == tuple(f.neg(v) for v in g.row(d.pos(2)))
@@ -71,16 +80,15 @@ def test_twisted_swap_interchanges_rows():
 @pytest.mark.parametrize("family", ALL)
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_apply_equals_product_on_members(family, p):
-    """The module's defining oracle: table path == explicit product."""
+    """The module's defining property: in-place path == explicit product
+    == the hand-written paired updates."""
     field = Field(p)
     rng = random.Random(p * 31 + hash(family.value) % 97)
     for l in (1, 2, 3):
         d = build_descriptor(family, l, field, similitude=True)
         for tok in all_tokens(d, rng):
             g = random_member(d, rng.randrange(10**6), word_len=4, with_torus=True)
-            tm = token_matrix(tok, d)
-            assert apply(g, tok, LEFT, d) == tm @ g, f"left {tok}"
-            assert apply(g, tok, RIGHT, d) == g @ tm, f"right {tok}"
+            _check_all_paths(g, tok, d)
 
 
 def test_apply_equals_product_over_q():
@@ -91,14 +99,34 @@ def test_apply_equals_product_over_q():
                 for (i, j) in legal_x_index_pairs(d)]
         for tok in toks:
             g = random_member(d, 7, word_len=4)
-            tm = token_matrix(tok, d)
-            assert apply(g, tok, LEFT, d) == tm @ g
-            assert apply(g, tok, RIGHT, d) == g @ tm
+            _check_all_paths(g, tok, d)
 
 
 def test_gl_transvection_action():
     d = build_descriptor(Family.GL, 2, F5)
     g = Matrix(F5, [[1, 2, 0], [3, 1, 1], [2, 0, 4]])
     tok = x(1, 3, 2)
-    assert apply(g, tok, LEFT, d) == token_matrix(tok, d) @ g
-    assert apply(g, tok, RIGHT, d) == g @ token_matrix(tok, d)
+    _check_all_paths(g, tok, d)
+
+
+def test_empty_delta_leaves_matrix_unchanged():
+    d = build_descriptor(Family.GO_MINUS, 1, F5)
+    tok = torus(1, 1)
+    assert token_delta(tok, d) == []
+    assert token_matrix(tok, d) == Matrix.identity(F5, d.n)
+    g = random_member(d, 4, word_len=5)
+    assert applied(g, tok, LEFT, d) == g == applied(g, tok, RIGHT, d)
+    _check_all_paths(g, tok, d)
+
+
+def test_zero_coefficients_are_dropped_from_delta():
+    d = build_descriptor(Family.GO_MINUS, 2, F5, similitude=True)
+    tok = torus(3, 1, ts=(1, 0))  # block diag(1, -1): t - 1 and s vanish
+    delta = token_delta(tok, d)
+    assert all(v != 0 for _, _, v in delta)
+    ident = Matrix.identity(F5, d.n)
+    dense = {(r, c): v for r in range(d.n) for c in range(d.n)
+             if (v := F5.sub(token_matrix(tok, d)[r, c], ident[r, c])) != 0}
+    assert {(r, c): v for r, c, v in delta} == dense
+    assert len(delta) == 3  # the -1 corner, lambda - 1 and 1/lambda - 1
+    _check_all_paths(random_member(d, 2, word_len=6, with_torus=True), tok, d)
