@@ -8,7 +8,8 @@ followed by n rows of n whitespace-separated scalars (integers mod p, or
 fractions like 3/4 over Q).  ``decompose`` emits a word file with the same
 header plus ``L=``, ``D=``, ``R=`` lines in the token grammar, which
 ``verify`` re-reads and multiplies out.  Exit codes: 0 success, 1 usage or
-parse error, 2 domain error (not in group, mismatch, unsupported family).
+parse error, 2 domain error (not in group, mismatch, unsupported family),
+3 internal error (a failed self-check: a bug in the library, not bad input).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 
 from .eliminate import decompose, decompose_gl
 from .field import Field, QQ
-from .forms import Family, GroupDescriptor, NotInGroup, UnsupportedFamily, build_descriptor
+from .forms import Family, GroupDescriptor, InternalError, NotInGroup, UnsupportedFamily, build_descriptor
 from .generators import IllegalToken, evaluate_word, parse_word
 from .harness import EnumerationTooLarge, enumerate_group, random_member
 from .matrix import Matrix
@@ -244,6 +245,9 @@ def main(argv=None) -> int:
     except (UnsupportedFamily, NotOrthogonalFamily, EnumerationTooLarge, IllegalToken) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

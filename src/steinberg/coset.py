@@ -145,7 +145,8 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
         for j in idxs:
             assert b.at(i, j) == f.zero  # rows 1..m of A are gone
     omega = omega_matrix(d, m)
-    assert is_in_parabolic(omega.inverse() @ b.matrix(), d)
+    if not is_in_parabolic(omega.inverse() @ b.matrix(), d):
+        raise InternalError(f"reduced matrix is not in omega_{m} * P")
     return CosetLabel(
         m=m,
         omega=omega,

@@ -241,10 +241,11 @@ def token_delta(tok: GeneratorToken, d: GroupDescriptor) -> list:
 
 def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
     """The exact matrix of a token in the family's fixed basis: I + delta."""
-    m = Matrix.identity(d.field, d.n).to_lists()
+    f = d.field
+    m = [[f.one if i == j else f.zero for j in range(d.n)] for i in range(d.n)]
     for r, c, v in token_delta(tok, d):
-        m[r][c] = d.field.add(m[r][c], v)
-    return Matrix(d.field, m)
+        m[r][c] = f.add(m[r][c], v)
+    return Matrix(f, m)
 
 
 def _plane_units(t: Scalar, s: Scalar, d: GroupDescriptor) -> list:

@@ -1,8 +1,8 @@
 """Dense exact matrices over a :class:`~steinberg.field.Field`.
 
 Storage is an immutable row-major tuple of tuples of scalars.  Products over
-a prime field run through int64 numpy (exact as long as n*(p-1)^2 < 2^63,
-asserted); everything over Q stays in Fractions.  Inverse, rank, solve and
+either field go through one exact Python-integer kernel (residues over F_p,
+a common-denominator integer view over Q).  Inverse, rank, solve and
 determinant all go through one exact Gauss-Jordan kernel.
 """
 
@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .field import Field, Scalar
 
@@ -30,7 +28,7 @@ class NoSolution(ValueError):
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "data", "_np", "_int", "_hash")
+    __slots__ = ("field", "rows", "cols", "data", "_int", "_hash")
 
     def __init__(self, field: Field, rows: Sequence[Sequence[Scalar]]):
         self.field = field
@@ -40,7 +38,6 @@ class Matrix:
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(r) != self.cols for r in self.data):
             raise DimensionMismatch("ragged rows")
-        self._np = None
         self._int = None
         self._hash = None
 
@@ -112,11 +109,6 @@ class Matrix:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _as_np(self) -> np.ndarray:
-        if self._np is None:
-            self._np = np.array(self.data, dtype=np.int64)
-        return self._np
-
     def _as_int(self) -> tuple:
         """(integer matrix, common denominator) view of a rational matrix."""
         if self._int is None:
@@ -133,23 +125,26 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         p = self.field.p
-        if p is not None:
-            # exact in int64: entries < p, inner dimension small
-            assert self.cols * (p - 1) * (p - 1) < 2**63
-            out = (self._as_np() @ other._as_np()) % p
-            return Matrix(self.field, out.tolist())
-        # rationals: one integer matmul over the common denominators
-        na, da = self._as_int()
-        nb, db = other._as_int()
-        bt = list(zip(*nb))
-        den = da * db
-        return Matrix(
-            self.field,
-            [
-                [Fraction(sum(a * b for a, b in zip(row, col)), den) for col in bt]
-                for row in na
-            ],
-        )
+        if p is None:
+            a, da = self._as_int()
+            b, db = other._as_int()
+        else:
+            a, b = self.data, other.data
+        # row i of the product is sum_k a[i][k] * (row k of b), over the
+        # nonzero entries only; exact in Python integers, reduced once below
+        b_nonzero = [[(j, v) for j, v in enumerate(r) if v] for r in b]
+        out = []
+        for row in a:
+            acc = [0] * other.cols
+            for aik, bk in zip(row, b_nonzero):
+                if aik:
+                    for j, v in bk:
+                        acc[j] += aik * v
+            out.append(acc)
+        if p is None:
+            den = da * db
+            out = [[Fraction(v, den) for v in r] for r in out]
+        return Matrix(self.field, out)  # the constructor reduces residues mod p
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)

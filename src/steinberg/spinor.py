@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .eliminate import decompose
 from .field import Field, Scalar, SquareClass, square_class
-from .forms import Family, GroupDescriptor, NotInGroup, multiplier
+from .forms import Family, GroupDescriptor, InternalError, NotInGroup, multiplier
 from .generators import GeneratorToken
 from .matrix import Matrix
 
@@ -206,7 +206,7 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
     anisotropic v of V_h grows the fixed space by one.  When V_h is totally
     isotropic (the Eichler case, worth two extra mirrors) an auxiliary
     reflection breaks the degeneracy; a one-step lookahead keeps the next
-    choice from simply undoing it.  The product equality is asserted.
+    choice from simply undoing it.  The product equality is checked.
     """
     _check_orthogonal_isometry(g, d)
     f = d.field
@@ -217,7 +217,8 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
     fuel = 2 * d.n + 6
     while h != ident:
         fuel -= 1
-        assert fuel >= 0, "reflection factorisation failed to terminate"
+        if fuel < 0:
+            raise InternalError("reflection factorisation failed to terminate")
         cands = _anisotropic_candidates(_moved_space_basis(h), d)
         if cands:
             choice = None
@@ -242,7 +243,8 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
     for v in mirrors:
         acc = acc * square_class(f, f.div(_beta_pair(d.beta, v, v), f.of(2)))
         prod = prod @ reflection_matrix(v, d)
-    assert prod == g, "mirror product must reproduce the element"
+    if prod != g:
+        raise InternalError("mirror product does not reproduce the element")
     return mirrors, acc
 
 

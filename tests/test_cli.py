@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from steinberg.cli import (
@@ -194,3 +199,38 @@ def test_spinor_command_decomposes_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "spinor", mpath)
     assert code == 0 and out.startswith("theta=") and "lambda=" in out
     assert len(calls) == 1
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    import steinberg.coset as coset
+
+    d = build_descriptor(Family.GSP, 2, F5)
+    g = next(g for g in (random_member(d, s, word_len=8) for s in range(50)) if coset.coset_label(g, d).m > 0)
+    mpath = write(tmp_path, "m.txt", format_matrix_file(g, d))
+    monkeypatch.setattr(coset, "omega_matrix", lambda dd, m: Matrix.identity(dd.field, dd.n))
+    code, out, err = run(capsys, "coset", mpath)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+
+
+def test_large_prime_similitude_round_trip_without_numpy_under_O(tmp_path):
+    """GSp l=5 over F_1000000007: decompose exits 0 and verify prints OK,
+    with asserts stripped and numpy unimportable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys; sys.modules['numpy'] = None; from steinberg.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def steinberg(*argv):
+        return subprocess.run(
+            [sys.executable, "-O", "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    r = steinberg("random", "--group", "GSp", "--l", "5", "--field", "1000000007", "--similitude", "--torus")
+    assert r.returncode == 0, r.stderr
+    mpath = write(tmp_path, "m.txt", r.stdout)
+    r = steinberg("decompose", mpath)
+    assert r.returncode == 0, r.stderr
+    wpath = write(tmp_path, "w.txt", r.stdout)
+    r = steinberg("verify", wpath, mpath)
+    assert r.returncode == 0 and r.stdout == "OK\n", (r.stdout, r.stderr)

@@ -137,3 +137,21 @@ def test_non_parabolic_witness_token_raises_internal_error():
     for tok in (x(-1, 1, 2), x(-1, 2, 3), w(2)):
         with pytest.raises(InternalError, match="does not lie in P"):
             _assert_parabolic_token(tok, d)
+
+
+def member_off_the_parabolic(d):
+    for seed in range(50):
+        g = random_member(d, seed, word_len=8)
+        if coset_label(g, d).m > 0:
+            return g
+    raise AssertionError("no member with a nonzero label")
+
+
+def test_final_parabolic_check_raises_internal_error(monkeypatch):
+    import steinberg.coset as coset
+
+    d = build_descriptor(Family.GSP, 2, F5)
+    g = member_off_the_parabolic(d)
+    monkeypatch.setattr(coset, "omega_matrix", lambda dd, m: Matrix.identity(dd.field, dd.n))
+    with pytest.raises(InternalError, match="not in omega"):
+        coset_label(g, d)

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from steinberg.field import (
     Field,
     QQ,
     ZeroHasNoClass,
+    _is_prime,
     canonical_nonsquare,
     square_class,
 )
@@ -20,6 +23,33 @@ def test_rejects_char_two_and_composites():
     for bad in (2, 4, 9, 1, 15):
         with pytest.raises(ValueError):
             Field(bad)
+
+
+def test_primality_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    for n in range(20000):
+        assert _is_prime(n) == trial(n), n
+
+
+def test_large_prime_modulus_returns_promptly():
+    start = time.perf_counter()
+    assert Field(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rejects_pseudoprimes():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7; the last is a product of two 31-bit primes.
+    for bad in (561, 3215031751, 2147483647 * 2147483629):
+        with pytest.raises(ValueError, match="odd prime"):
+            Field(bad)
+
+
+def test_modulus_beyond_certified_range_is_a_clean_error():
+    with pytest.raises(ValueError, match="cannot certify"):
+        Field(2**89 - 1)
 
 
 def test_basic_arithmetic():

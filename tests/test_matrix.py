@@ -86,3 +86,39 @@ def test_blocks_and_assemble():
         [Matrix.zeros(F5, 1, 2), Matrix(F5, [[4]])],
     ]
     assert Matrix.assemble(F5, grid) == Matrix.diagonal(F5, [1, 1, 4])
+
+
+def naive_product(a, b):
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = f.zero
+            for k in range(a.cols):
+                acc = f.add(acc, f.mul(a[i, k], b[k, j]))
+            row.append(acc)
+        out.append(row)
+    return Matrix(f, out)
+
+
+@pytest.mark.parametrize("field", [Field(1000000007), QQ])
+def test_product_matches_naive_triple_loop(field):
+    rng = random.Random(17)
+
+    def entry(density):
+        if rng.random() > density:
+            return 0
+        if field.is_prime:
+            return rng.randrange(field.p)
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+
+    n = 17
+    for density in (1.0, 0.3):
+        a = Matrix(field, [[entry(density) for _ in range(n)] for _ in range(n)])
+        b = Matrix(field, [[entry(density) for _ in range(n)] for _ in range(n)])
+        assert a @ b == naive_product(a, b)
+    tall = Matrix(field, [[entry(0.5) for _ in range(3)] for _ in range(n)])
+    wide = Matrix(field, [[entry(0.5) for _ in range(n)] for _ in range(3)])
+    assert tall @ wide == naive_product(tall, wide)
+    assert wide @ tall == naive_product(wide, tall)

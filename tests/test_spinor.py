@@ -3,7 +3,7 @@ import random
 import pytest
 
 from steinberg.field import Field, SquareClass, square_class
-from steinberg.forms import Family, NotInGroup, build_descriptor
+from steinberg.forms import Family, InternalError, NotInGroup, build_descriptor
 from steinberg.eliminate import decompose
 from steinberg.generators import evaluate_word, token_matrix, torus, w, x, x1, x2
 from steinberg.harness import random_member, random_token, enumerate_group
@@ -162,6 +162,44 @@ def test_reflection_factorization_basics():
         prod = prod @ reflection_matrix(m, d)
     assert prod == rho
     assert cls == wall_spinor_norm(rho, d)
+
+
+def test_factorization_fuel_check_raises_internal_error(monkeypatch):
+    import steinberg.spinor as spinor
+
+    d = build_descriptor(Family.GO_EVEN, 2, F5)
+    g = random_member(d, 1, word_len=7)
+    monkeypatch.setattr(spinor, "reflection_matrix", lambda v, dd: Matrix.identity(dd.field, dd.n))
+    with pytest.raises(InternalError, match="failed to terminate"):
+        reflection_factorization(g, d)
+
+
+def test_mirror_product_check_raises_internal_error(monkeypatch):
+    import steinberg.spinor as spinor
+
+    d = build_descriptor(Family.GO_ODD, 2, F5)
+    g = random_member(d, 2, word_len=7)
+    calls = []
+
+    def counting(v, dd):
+        calls.append(v)
+        return reflection_matrix(v, dd)
+
+    monkeypatch.setattr(spinor, "reflection_matrix", counting)
+    mirrors, _ = reflection_factorization(g, d)
+    assert mirrors
+    total = len(calls)
+    calls.clear()
+
+    def last_one_wrong(v, dd):
+        # the last call builds the last factor of the final mirror product
+        calls.append(v)
+        m = reflection_matrix(v, dd)
+        return -m if len(calls) == total else m
+
+    monkeypatch.setattr(spinor, "reflection_matrix", last_one_wrong)
+    with pytest.raises(InternalError, match="mirror product"):
+        reflection_factorization(g, d)
 
 
 def test_factorization_length_bound():
