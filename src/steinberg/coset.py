@@ -100,8 +100,9 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
     idxs = d.block_indices()
     l = d.l
     m = 0
+    c_rows = [-i for i in idxs]
     for k in range(l):
-        piv = _find_c_pivot(b, idxs, k)
+        piv = b.first_nonzero(c_rows, idxs, k)
         if piv is None:
             break
         r, c = piv
@@ -111,7 +112,8 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
         if c != k and b.at(-u, u) == f.zero:
             b.rmul(x(idxs[c], u, 1))  # C col u += C col c
         pivot = b.at(-u, u)
-        assert pivot != f.zero
+        if pivot == f.zero:
+            raise InternalError(f"no pivot at ({-u},{u}) after moving ({-idxs[r]},{idxs[c]}) there")
         for rr in range(l):
             v = idxs[rr]
             if v != u and b.at(-v, u) != f.zero:
@@ -127,8 +129,8 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
             xi = b.at(0, i)
             if xi != f.zero:
                 b.lmul(x(i, 0, f.div(xi, b.at(-i, i))))  # row 0 -= t * row -i
-        for i in idxs[m:]:
-            assert b.at(0, i) == f.zero  # the form kills the tail of X
+        # the form kills the tail of X
+        b.require_zero(((0, i) for i in idxs[m:]), "X over the zero pivots")
     if d.family is Family.GSP:
         for i in pivots:
             aii = b.at(i, i)
@@ -140,10 +142,8 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
             aij = b.at(i, j)
             if aij != f.zero:
                 b.lmul(x(i, -j, f.neg(f.div(aij, b.at(-j, j)))))
-            assert b.at(i, j) == f.zero and b.at(j, i) == f.zero
-    for i in pivots:
-        for j in idxs:
-            assert b.at(i, j) == f.zero  # rows 1..m of A are gone
+    # one token per pair: the form kills the partner and the rest of the rows
+    b.require_zero(((i, j) for i in pivots for j in idxs), "A rows over the pivots")
     omega = omega_matrix(d, m)
     if not is_in_parabolic(omega.inverse() @ b.matrix(), d):
         raise InternalError(f"reduced matrix is not in omega_{m} * P")
@@ -155,21 +155,13 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
     )
 
 
-def _find_c_pivot(b: _Witness, idxs: list, k: int):
-    f = b.f
-    for c in range(k, len(idxs)):
-        for r in range(k, len(idxs)):
-            if b.at(-idxs[r], idxs[c]) != f.zero:
-                return r, c
-    return None
-
-
 def coset_census(d: GroupDescriptor, enumeration: Enumeration) -> dict:
     """Label histogram over an exhaustive enumeration; exactly l+1 labels."""
     counts: Counter = Counter()
     for g in enumeration.elements:
         counts[coset_label(g, d).m] += 1
-    assert set(counts) == set(range(d.l + 1)), f"expected labels 0..{d.l}, got {sorted(counts)}"
+    if set(counts) != set(range(d.l + 1)):
+        raise InternalError(f"expected labels 0..{d.l}, got {sorted(counts)}")
     return dict(sorted(counts.items()))
 
 

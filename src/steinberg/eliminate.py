@@ -5,26 +5,35 @@ every multiplier is an elementary token applied to the rows or columns it
 moves, through the same sparse delta that builds its dense matrix.  The
 inverse tokens are collected so that
 ``evaluate(left) @ diagonal @ evaluate(right)`` equals the input exactly.
-The flow per family:
 
-* block A is diagonalised by paired row/column additions (with a fixed
-  pivot rule: first nonzero scanning rows top-to-bottom inside a column,
-  columns left-to-right), normalised to diag(1,..,1,lambda) or
-  diag(1,..,1,0,..,0);
-* the stray blocks (X and E where present) are cleared against the pivots;
-* the lower-left block C is cleared in (i,j)/(j,i) pairs, one token per
-  pair - the form equation guarantees the partner entry dies with it;
-* rank-deficient A swaps its zero rows against C rows and the pass repeats
-  (at most once);
-* B is cleared the same way, and GSp reduces lambda out of the torus while
-  the orthogonal families keep it (the spinor norm reads it off).
+One flow serves every family.  Around the square block A on the hyperbolic
+indices sit C (below it), B (beside it), D (diagonally opposite) and, for
+GOodd and GOminus, the strips X and E on the indices outside the
+hyperbolic pairs (0, resp. 1 and -1):
+
+* A is diagonalised by paired row/column additions (with a fixed pivot
+  rule: first nonzero scanning rows top-to-bottom inside a column, columns
+  left-to-right), normalised to diag(1,..,1,lambda) or diag(1,..,1,0,..,0);
+* the strips X and E, where present, are cleared against the pivots (the
+  only per-family pass);
+* C is cleared in (i,j)/(j,i) pairs, one token per pair - the form
+  equation guarantees the partner entry dies with it;
+* a rank-deficient A swaps its zero rows against C rows and the pass
+  repeats, at most once;
+* B is cleared the same way; GSp then reduces lambda out of the torus while
+  the orthogonal families keep it (the spinor norm reads it off), and
+  GOminus classifies its terminal 2x2 anisotropic block.
+
+What each pass clears, and what the form equation forces to vanish with it,
+is checked by :meth:`WorkingMatrix.require_zero`, which raises
+:class:`InternalError` and so survives ``python -O``.
 
 The optional ``observer(phase, matrix)`` callback fires at phase boundaries
 with a :class:`Matrix` snapshot of the working matrix, so tests can pin the
 intermediate shapes; the phases are "A-diagonalized",
-"X-E-cleared" (odd/twisted), "interchanged" (rank-deficient passes),
+"X-E-cleared" (GOodd, GOminus), "interchanged" (rank-deficient passes),
 "C-cleared", "B-cleared", "torus-reduced" (GSp), "terminal-block"
-(twisted) and "done".
+(GOminus) and "done".
 """
 
 from __future__ import annotations
@@ -53,7 +62,6 @@ from .generators import (
     token_inverse,
     token_matrix,
     torus,
-    w,
     x,
     x1,
     x2,
@@ -141,14 +149,6 @@ class _Bench(rowops.WorkingMatrix):
 # block-A diagonalisation, shared by every family
 
 
-def _find_pivot(b: _Bench, idxs: list, k: int):
-    for c in range(k, len(idxs)):
-        for r in range(k, len(idxs)):
-            if b.at(idxs[r], idxs[c]) != b.f.zero:
-                return r, c
-    return None
-
-
 def _diagonalize_block(b: _Bench, idxs: list) -> int:
     """Bring the square block on ``idxs`` to diag(1,..,1,lambda) or
     diag(1,..,1,0,..,0) using only index-pair additions; returns the rank."""
@@ -156,7 +156,7 @@ def _diagonalize_block(b: _Bench, idxs: list) -> int:
     size = len(idxs)
     m = size
     for k in range(size):
-        piv = _find_pivot(b, idxs, k)
+        piv = b.first_nonzero(idxs, idxs, k)
         if piv is None:
             m = k
             break
@@ -167,7 +167,8 @@ def _diagonalize_block(b: _Bench, idxs: list) -> int:
         if c != k and b.at(u, u) == f.zero:
             b.rmul(x(idxs[c], u, 1))
         pivot = b.at(u, u)
-        assert pivot != f.zero
+        if pivot == f.zero:
+            raise InternalError(f"no pivot at ({u},{u}) after moving ({idxs[r]},{idxs[c]}) there")
         for rr in range(size):
             v = idxs[rr]
             if v != u and b.at(v, u) != f.zero:
@@ -210,19 +211,62 @@ def _normalize_pivots(b: _Bench, idxs: list, m: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared clearing passes
+# clearing passes
+
+
+def _strips(d: GroupDescriptor) -> tuple:
+    """Signed indices outside the hyperbolic pairs: the X rows / E columns."""
+    if d.family is Family.GO_ODD:
+        return (0,)
+    if d.family is Family.GO_MINUS:
+        return (1, -1)
+    return ()
+
+
+def _clear_strips_odd(b: _Bench, active: list) -> None:
+    """GOodd: X (row 0) from the left, then E (column 0) from the right."""
+    f = b.f
+    for i in active:
+        xi = b.at(0, i)
+        if xi != f.zero:
+            b.lmul(x(0, i, f.neg(f.div(xi, b.at(i, i)))))
+    for i in active:
+        ei = b.at(i, 0)
+        if ei != f.zero:
+            b.rmul(x(i, 0, f.neg(f.div(ei, f.mul(f.of(2), b.at(i, i))))))
+
+
+def _clear_strips_twisted(b: _Bench, active: list) -> None:
+    """GOminus: X (rows 1, -1) from the left, then E (columns 1, -1) from
+    the right, each against the pivot of its column (resp. row)."""
+    f = b.f
+    for i in active:
+        ai = b.at(i, i)
+        x1i = b.at(1, i)
+        if x1i != f.zero:
+            b.lmul(x(i, 1, f.neg(f.div(x1i, f.mul(f.of(2), ai)))))
+        xm1i = b.at(-1, i)
+        if xm1i != f.zero:
+            b.lmul(x(i, -1, f.neg(f.div(xm1i, f.mul(f.of(2), ai)))))
+    for i in active:
+        ai = b.at(i, i)
+        ei1 = b.at(i, 1)
+        if ei1 != f.zero:
+            b.rmul(x(1, i, f.neg(f.div(ei1, f.mul(f.of(2), ai)))))
+        eim1 = b.at(i, -1)
+        if eim1 != f.zero:
+            b.rmul(x(-1, i, f.neg(f.div(eim1, f.mul(f.mul(f.of(2), b.d.epsilon), ai)))))
 
 
 def _clear_C(b: _Bench, active: list) -> None:
-    """Kill the lower-left block over the invertible pivot columns.
+    """Kill the C rows over the invertible pivot columns.
 
     ``active`` holds the block indices with nonzero pivots.  One token per
-    symmetric pair; the partner entry vanishes by the form equation, which
-    is asserted rather than recleared.
+    symmetric pair; the partner entry, and the rest of those rows, vanish by
+    the form equation, which is checked rather than recleared.
     """
     f = b.f
-    sp = b.d.family is Family.GSP
-    if sp:
+    if b.d.family is Family.GSP:
         for i in active:
             t = b.at(-i, i)
             if t != f.zero:
@@ -233,24 +277,24 @@ def _clear_C(b: _Bench, active: list) -> None:
             cij = b.at(-i, j)
             if cij != f.zero:
                 b.lmul(x(-i, j, f.neg(f.div(cij, b.at(j, j)))))
-            assert b.at(-i, j) == f.zero and b.at(-j, i) == f.zero
-        if not sp:
-            assert b.at(-active[ai], active[ai]) == f.zero
+    idxs = b.d.block_indices()
+    b.require_zero(((-i, j) for i in active for j in idxs), "C rows over the pivots")
 
 
-def _assert_swap_ready(b: _Bench, active: list) -> None:
-    """Before an interchange, the C rows over the pivots must be fully zero
-    (the cleared square block plus the form-forced tail)."""
+def _check_lower_cleared(b: _Bench, mu: Scalar) -> None:
+    """C = 0 and D = mu * A^-1 on the block indices (the form guarantees D)."""
     f = b.f
-    for i in active:
-        for j in b.d.block_indices():
-            assert b.at(-i, j) == f.zero
+    idxs = b.d.block_indices()
+    b.require_zero(((-i, j) for i in idxs for j in idxs), "C")
+    b.require_zero(((-i, -j) for i in idxs for j in idxs if i != j), "D off its diagonal")
+    for i in idxs:
+        if b.at(-i, -i) != f.div(mu, b.at(i, i)):
+            raise InternalError(f"D entry ({-i},{-i}) is {b.at(-i, -i)}, not mu / A({i},{i})")
 
 
 def _clear_B(b: _Bench, idxs: list, mu: Scalar) -> None:
     f = b.f
-    sp = b.d.family is Family.GSP
-    if sp:
+    if b.d.family is Family.GSP:
         for i in idxs:
             t = b.at(i, -i)
             if t != f.zero:
@@ -261,126 +305,44 @@ def _clear_B(b: _Bench, idxs: list, mu: Scalar) -> None:
             bij = b.at(i, -j)
             if bij != f.zero:
                 b.lmul(x(i, -j, f.neg(f.div(f.mul(bij, b.at(j, j)), mu))))
-            assert b.at(i, -j) == f.zero and b.at(j, -i) == f.zero
-        if not sp:
-            assert b.at(idxs[ai], -idxs[ai]) == f.zero
+    b.require_zero(((i, -j) for i in idxs for j in idxs), "B")
 
 
 # ---------------------------------------------------------------------------
-# per-family flows
+# the one elimination flow
 
 
-def _run_even(b: _Bench, mu: Scalar) -> None:
-    """GSp(2l) and GOplus(2l)."""
+def _run(b: _Bench, mu: Scalar) -> None:
+    """Diagonalise A, clear the strips and C, interchange at most once if A
+    is rank-deficient, then clear B; what is left is the torus part."""
     d = b.d
     idxs = d.block_indices()
-    l = d.l
-    rounds = 0
+    strips = _strips(d)
+    clear_strips = _clear_strips_odd if d.family is Family.GO_ODD else _clear_strips_twisted
+    interchanged = False
     while True:
         m = _diagonalize_block(b, idxs)
         b.emit("A-diagonalized")
-        _clear_C(b, idxs[:m])
-        if m == l:
-            break
-        rounds += 1
-        assert rounds < 2, "rank recovery must finish in one interchange pass"
-        _assert_swap_ready(b, idxs[:m])
-        for i in idxs[m:]:
-            b.lmul_word(derived_w(i, d))
-        b.emit("interchanged")
-    b.emit("C-cleared")
-    _assert_lower_cleared(b, mu)
-    _clear_B(b, idxs, mu)
-    b.emit("B-cleared")
-
-
-def _run_odd(b: _Bench, mu: Scalar) -> None:
-    """GOodd(2l+1)."""
-    d = b.d
-    f = b.f
-    idxs = d.block_indices()
-    l = d.l
-    rounds = 0
-    while True:
-        m = _diagonalize_block(b, idxs)
-        b.emit("A-diagonalized")
-        for i in idxs[:m]:
-            xi = b.at(0, i)
-            if xi != f.zero:
-                b.lmul(x(0, i, f.neg(f.div(xi, b.at(i, i)))))
-        for i in idxs[:m]:
-            ei = b.at(i, 0)
-            if ei != f.zero:
-                b.rmul(x(i, 0, f.neg(f.div(ei, f.mul(f.of(2), b.at(i, i))))))
-        b.emit("X-E-cleared")
-        for i in idxs[m:]:
-            assert b.at(0, i) == f.zero  # tail of X dies by the form equation
-        _clear_C(b, idxs[:m])
-        if m == l:
-            break
-        rounds += 1
-        assert rounds < 2
-        _assert_swap_ready(b, idxs[:m])
-        for i in idxs[m:]:
-            b.lmul_word(derived_w(i, d))
-        b.emit("interchanged")
-    b.emit("C-cleared")
-    # with X, E, C gone the form forces the rest (alpha^2=mu, F=0=Y)
-    alpha = b.at(0, 0)
-    assert f.mul(alpha, alpha) == mu
-    for i in idxs:
-        assert b.at(-i, 0) == f.zero and b.at(0, -i) == f.zero
-    _assert_lower_cleared(b, mu)
-    _clear_B(b, idxs, mu)
-    b.emit("B-cleared")
-
-
-def _run_twisted(b: _Bench, mu: Scalar) -> tuple:
-    """GOminus(2l); returns the terminal block params (t,s) or None."""
-    d = b.d
-    f = b.f
-    idxs = d.block_indices()
-    rounds = 0
-    while True:
-        m = _diagonalize_block(b, idxs)
-        b.emit("A-diagonalized")
-        for i in idxs[:m]:
-            ai = b.at(i, i)
-            x1i = b.at(1, i)
-            if x1i != f.zero:
-                b.lmul(x(i, 1, f.neg(f.div(x1i, f.mul(f.of(2), ai)))))
-            xm1i = b.at(-1, i)
-            if xm1i != f.zero:
-                b.lmul(x(i, -1, f.neg(f.div(xm1i, f.mul(f.of(2), ai)))))
-        for i in idxs[:m]:
-            ai = b.at(i, i)
-            ei1 = b.at(i, 1)
-            if ei1 != f.zero:
-                b.rmul(x(1, i, f.neg(f.div(ei1, f.mul(f.of(2), ai)))))
-            eim1 = b.at(i, -1)
-            if eim1 != f.zero:
-                b.rmul(x(-1, i, f.neg(f.div(eim1, f.mul(f.mul(f.of(2), d.epsilon), ai)))))
-        b.emit("X-E-cleared")
-        for i in idxs[m:]:
-            assert b.at(1, i) == f.zero and b.at(-1, i) == f.zero
+        if strips:
+            clear_strips(b, idxs[:m])
+            b.emit("X-E-cleared")
+            # the X tail over the zero pivots dies by the form equation
+            b.require_zero(((s, i) for s in strips for i in idxs[m:]), "X over the zero pivots")
         _clear_C(b, idxs[:m])
         if m == len(idxs):
             break
-        rounds += 1
-        assert rounds < 2
-        _assert_swap_ready(b, idxs[:m])
+        if interchanged:
+            raise InternalError("rank recovery must finish in one interchange pass")
         for i in idxs[m:]:
-            b.lmul(w(i))
+            b.lmul_word(derived_w(i, d))
+        interchanged = True
         b.emit("interchanged")
     b.emit("C-cleared")
-    for i in idxs:
-        # F and Y vanish once X, E and C are gone
-        assert b.at(-i, 1) == f.zero and b.at(-i, -1) == f.zero
-        assert b.at(1, -i) == f.zero and b.at(-1, -i) == f.zero
-    _assert_lower_cleared(b, mu)
+    # with X, E and C gone the form forces F = 0 = Y
+    b.require_zero(((p, q) for s in strips for i in idxs for p, q in ((-i, s), (s, -i))), "F and Y")
+    _check_lower_cleared(b, mu)
     _clear_B(b, idxs, mu)
     b.emit("B-cleared")
-    return _reduce_terminal_block(b, mu)
 
 
 def _reduce_terminal_block(b: _Bench, mu: Scalar) -> tuple:
@@ -406,8 +368,9 @@ def _reduce_terminal_block(b: _Bench, mu: Scalar) -> tuple:
     elif top == f.neg(f.mul(eps, s)) and bot == a:
         kind = "rotation"
     else:  # pragma: no cover
-        raise AssertionError("terminal block is not a similitude of the plane")
-    assert f.add(f.mul(a, a), f.mul(eps, f.mul(s, s))) == mu
+        raise InternalError("terminal block is not a similitude of the plane")
+    if f.add(f.mul(a, a), f.mul(eps, f.mul(s, s))) != mu:
+        raise InternalError(f"terminal block has norm t^2 + eps*s^2 != mu = {mu}")
     if kind == "rotation":
         if a == f.one and s == f.zero:
             return None  # already the identity block
@@ -428,16 +391,6 @@ def _reduce_terminal_block(b: _Bench, mu: Scalar) -> tuple:
     return (a, s)
 
 
-def _assert_lower_cleared(b: _Bench, mu: Scalar) -> None:
-    """C = 0 and D = mu * A^-1 on the block indices (the form guarantees D)."""
-    f = b.f
-    for i in b.d.block_indices():
-        for j in b.d.block_indices():
-            assert b.at(-i, j) == f.zero
-            expect = f.div(mu, b.at(i, i)) if i == j else f.zero
-            assert b.at(-i, -j) == expect
-
-
 def decompose(g: Matrix, d: GroupDescriptor, observer: Observer | None = None) -> Decomposition:
     """Decompose a member of GSp / GOplus / GOodd / GOminus.
 
@@ -451,22 +404,21 @@ def decompose(g: Matrix, d: GroupDescriptor, observer: Observer | None = None) -
     if not d.similitude and mu != f.one:
         raise NotInGroup(f"multiplier {mu} != 1 in an isometry group")
     b = _Bench(g, d, observer)
+    _run(b, mu)
+    # GOminus of rank 1 has no hyperbolic pair to carry lambda
+    lam = b.at(d.l, d.l) if d.block_indices() else f.one
     alpha = None
     block = None
-    if d.family in (Family.GSP, Family.GO_EVEN):
-        _run_even(b, mu)
-        lam = b.at(d.l, d.l)
-        if d.family is Family.GSP and lam != f.one:
-            b.lmul_word(derived_h(f.inv(lam), d))
-            b.emit("torus-reduced")
-            lam = f.one
+    if d.family is Family.GSP and lam != f.one:
+        b.lmul_word(derived_h(f.inv(lam), d))
+        b.emit("torus-reduced")
+        lam = f.one
     elif d.family is Family.GO_ODD:
-        _run_odd(b, mu)
-        lam = b.at(d.l, d.l)
         alpha = b.at(0, 0)
-    else:
-        block = _run_twisted(b, mu)
-        lam = b.at(d.l, d.l) if d.l > 1 else f.one
+        if f.mul(alpha, alpha) != mu:
+            raise InternalError(f"alpha = {alpha} does not square to the multiplier {mu}")
+    elif d.family is Family.GO_MINUS:
+        block = _reduce_terminal_block(b, mu)
     b.emit("done")
     return b.finish(lam, mu, alpha, block)
 
@@ -493,7 +445,7 @@ def decompose_gl(g: Matrix) -> Decomposition:
 def word_length_stats(d: GroupDescriptor, trials: int, seed: int) -> dict:
     """Empirical op counts of ``decompose`` on random members of ``d``.
 
-    The assertion max_ops <= 40*l^3 + 60 is a regression tripwire for the
+    The check max_ops <= 40*l^3 + 60 is a regression tripwire for the
     cubic word-length bound; the returned table is the real artifact.
     """
     from .harness import random_member  # imported here to avoid a module cycle
@@ -504,7 +456,8 @@ def word_length_stats(d: GroupDescriptor, trials: int, seed: int) -> dict:
         counts.append(decompose(g, d).op_count)
     max_ops = max(counts) if counts else 0
     bound = 40 * d.l**3 + 60
-    assert max_ops <= bound, f"word length {max_ops} exceeds {bound}"
+    if max_ops > bound:
+        raise InternalError(f"word length {max_ops} exceeds {bound}")
     return {
         "family": d.family.value,
         "l": d.l,

@@ -24,6 +24,16 @@ class ZeroHasNoClass(ValueError):
     """Square classes live in k*/k*^2, so zero has none."""
 
 
+class InternalError(AssertionError):
+    """A load-bearing invariant failed: a bug in the library, not bad input.
+
+    Raised explicitly so the check survives ``python -O``; it subclasses
+    AssertionError so handlers written for the former asserts still apply.
+    It lives here, at the bottom of the import graph, so every module can
+    raise it; :mod:`steinberg.forms` re-exports it.
+    """
+
+
 # Miller-Rabin on the first 13 prime bases is exact below this bound
 # (Sorenson & Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -92,9 +102,6 @@ class Field:
             num, den = text.split("/", 1)
             return self.div(self.of(int(num)), self.of(int(den)))
         return self.of(int(text))
-
-    def to_str(self, a: Scalar) -> str:
-        return str(a)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -176,7 +183,8 @@ class SquareClass:
 
 def _squarefree(n: int) -> int:
     """Signed squarefree part of a nonzero integer."""
-    assert n != 0
+    if n == 0:
+        raise InternalError("squarefree part of 0")
     sign = -1 if n < 0 else 1
     n = abs(n)
     out = 1

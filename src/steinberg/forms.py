@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .field import Field, Scalar, square_class
+from .field import Field, InternalError, Scalar, square_class
 from .matrix import Matrix
 
 
@@ -26,14 +26,6 @@ class UnsupportedField(ValueError):
 
 class UnsupportedFamily(ValueError):
     pass
-
-
-class InternalError(AssertionError):
-    """A load-bearing invariant failed: a bug in the library, not bad input.
-
-    Raised explicitly so the check survives ``python -O``; it subclasses
-    AssertionError so handlers written for the former asserts still apply.
-    """
 
 
 class NotInGroup(ValueError):
@@ -74,23 +66,28 @@ class GroupDescriptor:
         l = self.l
         fam = self.family
         if fam is Family.GL:
-            assert 1 <= i <= self.n
+            if not 1 <= i <= self.n:
+                raise self._bad_index(i)
             return i - 1
         if fam is Family.GO_ODD:
-            assert abs(i) <= l
+            if abs(i) > l:
+                raise self._bad_index(i)
             if i == 0:
                 return 0
             return i if i > 0 else l - i
+        if not 1 <= abs(i) <= l:
+            raise self._bad_index(i)
         if fam is Family.GO_MINUS:
-            assert 1 <= abs(i) <= l
             if i == 1:
                 return 0
             if i == -1:
                 return 1
             return i if i > 0 else l - 1 - i
         # GSp / GO_EVEN
-        assert 1 <= abs(i) <= l
         return i - 1 if i > 0 else l - i - 1
+
+    def _bad_index(self, i: int) -> ValueError:
+        return ValueError(f"basis index {i} out of range for {self.family.value} with l={self.l}")
 
     def block_indices(self) -> list:
         """Signed basis indices carrying the square middle block A."""
@@ -206,7 +203,8 @@ def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
                 break
         if mu is not None:
             break
-    assert mu is not None
+    if mu is None:
+        raise InternalError(f"the Gram matrix of {d} is zero")
     for i in range(n):
         for j in range(n):
             if m[i, j] != f.mul(mu, d.beta[i, j]):

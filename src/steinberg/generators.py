@@ -365,9 +365,6 @@ class Word:
     def __str__(self) -> str:
         return " ".join(str(t) for t in self.tokens)
 
-    def evaluate(self) -> Matrix:
-        return evaluate_word(self)
-
 
 def evaluate_word(word: Word) -> Matrix:
     """Ordered product of the token matrices; the empty word is I."""

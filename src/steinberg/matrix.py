@@ -60,10 +60,6 @@ class Matrix:
         zero = field.zero
         return cls(field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def column(cls, field: Field, entries: Iterable[Scalar]) -> "Matrix":
-        return cls(field, [[e] for e in entries])
-
     # -- trivia --------------------------------------------------------------
 
     def __getitem__(self, ij: tuple) -> Scalar:

@@ -10,7 +10,8 @@ paired row/column updates kept there as an independent oracle.
 
 :class:`WorkingMatrix` is the one mutable matrix that elimination and the
 coset witnesses both run on: row lists, entries addressed by signed basis
-index, left and right application, and a :class:`Matrix` snapshot.
+index, left and right application, the one pivot search, the one
+"these entries are cleared" check, and a :class:`Matrix` snapshot.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .field import Scalar
-from .forms import GroupDescriptor
+from .forms import GroupDescriptor, InternalError
 from .generators import GeneratorToken, token_delta
 from .matrix import Matrix
 
@@ -64,6 +65,31 @@ class WorkingMatrix:
     def at(self, i: int, j: int) -> Scalar:
         pos = self.d.pos
         return self.rows[pos(i)][pos(j)]
+
+    def first_nonzero(self, row_idxs: list, col_idxs: list, k: int):
+        """(r, c) of the first nonzero entry (row_idxs[r], col_idxs[c]) with
+        r, c >= k, scanning columns left to right and, inside a column, rows
+        top to bottom; None if that trailing block is zero."""
+        pos, zero = self.d.pos, self.f.zero
+        rows = [self.rows[pos(i)] for i in row_idxs]
+        for c in range(k, len(col_idxs)):
+            pc = pos(col_idxs[c])
+            for r in range(k, len(rows)):
+                if rows[r][pc] != zero:
+                    return r, c
+        return None
+
+    def require_zero(self, positions, what: str) -> None:
+        """Raise :class:`InternalError` at the first nonzero signed (i, j).
+
+        This is how elimination states what a pass cleared, or what the form
+        equation forces to vanish; it survives ``python -O``.
+        """
+        pos, rows, zero = self.d.pos, self.rows, self.f.zero
+        for i, j in positions:
+            v = rows[pos(i)][pos(j)]
+            if v != zero:
+                raise InternalError(f"{what}: entry ({i},{j}) is {v}, not 0")
 
     def lmul(self, tok: GeneratorToken) -> None:
         apply(self.rows, tok, LEFT, self.d)

@@ -109,24 +109,18 @@ def _beta_pair(beta: Matrix, u, v) -> Scalar:
 
 def wall_spinor_norm(g: Matrix, d: GroupDescriptor) -> SquareClass:
     """disc of the Wall form on the moved space; the identity maps to 1."""
-    _check_orthogonal_isometry(g, d)
+    basis, gram = wall_gram(g, d)
     f = d.field
-    basis = _moved_space_basis(g)
     if not basis:
         return _unit_class(f)
-    tilde = Matrix.identity(f, d.n) - g
-    gram_rows = []
-    preimages = [tilde.solve(u) for u in basis]
-    for u in basis:
-        gram_rows.append([_beta_pair(d.beta, u, y) for y in preimages])
-    gram = Matrix(f, gram_rows)
     det = gram.det()
-    assert det != f.zero, "Wall form must be non-degenerate"
+    if det == f.zero:
+        raise InternalError("the Wall form is degenerate")
     return square_class(f, det)
 
 
 def wall_gram(g: Matrix, d: GroupDescriptor) -> tuple:
-    """(basis, gram matrix) of the Wall form; exposed for the property tests."""
+    """(basis, gram matrix) of the Wall form on the moved space (I-g)V."""
     _check_orthogonal_isometry(g, d)
     f = d.field
     basis = _moved_space_basis(g)

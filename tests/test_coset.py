@@ -155,3 +155,17 @@ def test_final_parabolic_check_raises_internal_error(monkeypatch):
     monkeypatch.setattr(coset, "omega_matrix", lambda dd, m: Matrix.identity(dd.field, dd.n))
     with pytest.raises(InternalError, match="not in omega"):
         coset_label(g, d)
+
+
+def test_clearing_checks_raise_internal_error(monkeypatch):
+    """Witness tokens that do nothing (t = 0) are caught by the per-pass
+    checks, before the final parabolic check and before any division by 0."""
+    import steinberg.coset as coset
+
+    monkeypatch.setattr(coset, "x", lambda i, j, t: x(i, j, 0))
+    for family in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
+        d = build_descriptor(family, 2, Field(7))
+        for seed in range(5):
+            g = random_member(d, seed, word_len=12)
+            with pytest.raises(InternalError, match="^(no pivot|A rows over the pivots)"):
+                coset_label(g, d)

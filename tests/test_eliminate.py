@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from steinberg.matrix import Matrix, SingularMatrix
 
 F3 = Field(3)
 F5 = Field(5)
+F7 = Field(7)
 ALL = (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
 
 
@@ -198,3 +203,77 @@ def test_terminal_torus_check_raises_internal_error(monkeypatch):
     monkeypatch.setattr(eliminate, "token_matrix", lambda tok, d: Matrix.zeros(d.field, d.n, d.n))
     with pytest.raises(InternalError, match="terminal matrix"):
         decompose(g, d)
+
+
+# One rank-deficient member per family over F_7 (similitude groups, l = 2):
+# its observer phases, including the one interchange round, and its word.
+INTERCHANGE_CASES = [
+    (
+        Family.GSP,
+        [[0, 0, 3, 2], [1, 2, 6, 3], [5, 4, 4, 5], [5, 3, 1, 4]],
+        ["A-diagonalized", "interchanged", "A-diagonalized", "C-cleared", "B-cleared", "torus-reduced", "done"],
+        "x[1,2](6) x[2,1](1) x[-1,1](5) x[2,-2](6) x[-2,2](1) x[2,-2](6) x[1,-1](1) x[2,-2](3) x[1,-2](6)"
+        " x[2,-2](1) x[-2,2](6) x[2,-2](1) x[2,-2](1) x[-2,2](6) x[2,-2](1) torus(1;5) x[1,2](2)",
+        16,
+    ),
+    (
+        Family.GO_EVEN,
+        [[0, 1, 3, 0], [0, 0, 3, 0], [0, 0, 2, 4], [6, 4, 5, 3]],
+        ["A-diagonalized", "interchanged", "A-diagonalized", "C-cleared", "B-cleared", "done"],
+        "w[2] x[2,1](4) x[1,-2](6) torus(6;4) x[1,2](1) x[2,1](6)",
+        5,
+    ),
+    (
+        Family.GO_ODD,
+        [[3, 0, 3, 4, 4], [3, 0, 1, 2, 3], [2, 0, 3, 2, 2], [6, 6, 3, 6, 6], [1, 5, 3, 0, 4]],
+        ["A-diagonalized", "X-E-cleared", "interchanged", "A-diagonalized", "X-E-cleared",
+         "C-cleared", "B-cleared", "done"],
+        "x[2,1](3) x[0,1](3) x[0,2](1) x[2,0](6) x[0,2](1) x[2,1](6) x[1,-2](5) torus(6;5;1)"
+        " x[2,0](3) x[1,0](5) x[1,2](1) x[2,1](6)",
+        11,
+    ),
+    (
+        Family.GO_MINUS,
+        [[3, 1, 0, 0], [4, 4, 0, 3], [0, 0, 0, 1], [4, 4, 6, 5]],
+        ["A-diagonalized", "X-E-cleared", "interchanged", "A-diagonalized", "X-E-cleared",
+         "C-cleared", "B-cleared", "terminal-block", "done"],
+        "w[2] torus(3,4;1;6) x[-1,2](6) x[1,2](5)",
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize("family, rows, phases, word, ops", INTERCHANGE_CASES, ids=[c[0].value for c in INTERCHANGE_CASES])
+def test_interchange_path_is_pinned_per_family(family, rows, phases, word, ops):
+    d = build_descriptor(family, 2, F7, similitude=True)
+    g = Matrix(F7, rows)
+    seen = []
+    dec = decompose(g, d, observer=lambda phase, m: seen.append(phase))
+    assert seen == phases
+    assert str(dec.as_word()) == word and dec.op_count == ops
+    assert dec.reassemble() == g
+
+
+def test_clearing_checks_survive_python_O():
+    """With C left uncleared, decompose under -O stops at the C check with an
+    InternalError instead of a wrong answer or an arithmetic error."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "\n".join([
+        "import steinberg.eliminate as eliminate",
+        "from steinberg.field import Field",
+        "from steinberg.forms import Family, InternalError, build_descriptor",
+        "from steinberg.harness import random_member",
+        "assert False, 'asserts must be stripped'",
+        "eliminate._clear_C = lambda b, active: None",
+        "d = build_descriptor(Family.GSP, 2, Field(7), similitude=True)",
+        "for seed in range(5):",
+        "    try:",
+        "        eliminate.decompose(random_member(d, seed, word_len=12, with_torus=True), d)",
+        "    except InternalError as e:",
+        "        print(e)",
+    ])
+    r = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 5 and all(line.startswith("C: entry (-1,") for line in lines), lines

@@ -8,9 +8,11 @@ from hypothesis import given, strategies as st
 from steinberg.field import (
     DivisionByZero,
     Field,
+    InternalError,
     QQ,
     ZeroHasNoClass,
     _is_prime,
+    _squarefree,
     canonical_nonsquare,
     square_class,
 )
@@ -90,6 +92,11 @@ def test_squarefree_rational_reps():
     assert square_class(QQ, Fraction(18)).rep == 2
     assert square_class(QQ, Fraction(-4, 9)).rep == -1
     assert square_class(QQ, Fraction(3, 5)).rep == 15
+
+
+def test_squarefree_of_zero_is_an_internal_error():
+    with pytest.raises(InternalError, match="squarefree part of 0"):
+        _squarefree(0)
 
 
 @pytest.mark.parametrize("p,expected", [(3, 2), (5, 2), (7, 3), (11, 2), (13, 2)])

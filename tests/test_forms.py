@@ -122,3 +122,16 @@ def test_beta_symmetry_and_regularity(family):
     else:
         assert bt == d.beta
     assert d.beta.det() != 0
+
+
+def test_out_of_range_index_is_a_value_error():
+    cases = [
+        (Family.GSP, 2, 3), (Family.GSP, 2, 0), (Family.GO_EVEN, 2, -3), (Family.GO_ODD, 2, 3),
+        (Family.GO_MINUS, 2, 0), (Family.GL, 2, 4), (Family.GL, 2, 0),
+    ]
+    for family, l, i in cases:
+        d = build_descriptor(family, l, F5)
+        with pytest.raises(ValueError, match=f"index {i} out of range for {family.value} with l={l}"):
+            d.pos(i)
+    assert build_descriptor(Family.GSP, 2, F5).pos(-2) == 3
+    assert build_descriptor(Family.GO_ODD, 2, F5).pos(0) == 0

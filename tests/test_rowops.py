@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from steinberg.field import Field, QQ
-from steinberg.forms import Family, build_descriptor
+from steinberg.forms import Family, InternalError, build_descriptor
 from steinberg.generators import legal_x_index_pairs, token_delta, token_matrix, torus, w, x, x1, x2
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix
-from steinberg.rowops import LEFT, RIGHT
+from steinberg.rowops import LEFT, RIGHT, WorkingMatrix
 
 from rowops_oracle import applied, oracle_apply
 
@@ -130,3 +130,29 @@ def test_zero_coefficients_are_dropped_from_delta():
     assert {(r, c): v for r, c, v in delta} == dense
     assert len(delta) == 3  # the -1 corner, lambda - 1 and 1/lambda - 1
     _check_all_paths(random_member(d, 2, word_len=6, with_torus=True), tok, d)
+
+
+def test_require_zero_names_the_first_nonzero_position():
+    d = build_descriptor(Family.GO_ODD, 2, F5)
+    rows = Matrix.identity(F5, d.n).to_lists()
+    rows[d.pos(-2)][d.pos(1)] = 3
+    rows[d.pos(0)][d.pos(2)] = 4
+    b = WorkingMatrix(Matrix(F5, rows), d)
+    b.require_zero([(1, 2), (-1, 1), (0, 1)], "clean")
+    with pytest.raises(InternalError, match=r"^C: entry \(-2,1\) is 3, not 0$"):
+        b.require_zero(((-i, j) for i in (1, 2) for j in (1, 2)), "C")
+    with pytest.raises(InternalError, match=r"^X: entry \(0,2\) is 4, not 0$"):
+        b.require_zero([(0, 1), (0, 2), (-2, 1)], "X")
+
+
+def test_first_nonzero_scans_columns_then_rows():
+    d = build_descriptor(Family.GSP, 3, F5)
+    rows = [[0] * d.n for _ in range(d.n)]
+    for i, j in ((3, 2), (2, 3), (-3, 1)):
+        rows[d.pos(i)][d.pos(j)] = 1
+    b = WorkingMatrix(Matrix(F5, rows), d)
+    idxs = [1, 2, 3]
+    assert b.first_nonzero(idxs, idxs, 0) == (2, 1)
+    assert b.first_nonzero(idxs, idxs, 2) is None
+    assert b.first_nonzero([-i for i in idxs], idxs, 0) == (2, 0)
+    assert b.first_nonzero([-i for i in idxs], idxs, 1) is None
