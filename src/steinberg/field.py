@@ -9,6 +9,8 @@ own small type because they are the codomain of the spinor norm.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -49,6 +51,14 @@ def _is_prime(n: int) -> bool:
             return n == q
     if n >= _MR_LIMIT:
         raise ValueError(f"cannot certify primality of {n}: moduli must be below {_MR_LIMIT}")
+    return not _mr_witness(n)
+
+
+def _mr_witness(n: int) -> bool:
+    """True when one of _MR_BASES proves the odd n > 41 composite.
+
+    False means n is prime below _MR_LIMIT, and only probably prime above.
+    """
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -62,8 +72,13 @@ def _is_prime(n: int) -> bool:
             if x == n - 1:
                 break
         else:
-            return False
-    return True
+            return True
+    return False
+
+
+# Fractions are immutable, so Q's zero and one can be shared.
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -107,11 +122,11 @@ class Field:
 
     @property
     def zero(self) -> Scalar:
-        return 0 if self.p is not None else Fraction(0)
+        return 0 if self.p is not None else _Q_ZERO
 
     @property
     def one(self) -> Scalar:
-        return 1 if self.p is not None else Fraction(1)
+        return 1 if self.p is not None else _Q_ONE
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return (a + b) % self.p if self.p is not None else a + b
@@ -169,7 +184,10 @@ class SquareClass:
             raise ValueError("square classes from different field kinds")
         if self.prime:
             return SquareClass(self.rep * other.rep, True)
-        return SquareClass(_squarefree(self.rep * other.rep), False)
+        # both reps are squarefree, so dividing out their common part twice
+        # leaves the squarefree part of the product without factoring it
+        g = math.gcd(self.rep, other.rep)
+        return SquareClass((self.rep // g) * (other.rep // g), False)
 
     @property
     def is_square(self) -> bool:
@@ -181,24 +199,87 @@ class SquareClass:
         return str(self.rep)
 
 
+# _squarefree trial-divides by d <= _TRIAL_BOUND; what is left has only
+# larger prime factors, so below _TRIAL_BOUND**2 it is prime.
+_TRIAL_BOUND = 1000
+
+
 def _squarefree(n: int) -> int:
     """Signed squarefree part of a nonzero integer."""
     if n == 0:
         raise InternalError("squarefree part of 0")
     sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
+    odd = Counter(_prime_factors(abs(n)))
+    return sign * math.prod(q for q, e in odd.items() if e % 2)
+
+
+def _prime_factors(n: int) -> list:
+    """The prime factors of n >= 1, with multiplicity.
+
+    Small factors come off by trial division.  A larger cofactor is a square,
+    proved composite by Miller-Rabin and split by Pollard-Brent rho, or
+    prime; only a probable prime above _MR_LIMIT, which Miller-Rabin cannot
+    certify, falls back to trial division, the one exact test left.
+    """
+    out = []
+    n = _trial_divide(n, _TRIAL_BOUND, out)
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        r = math.isqrt(m)
+        if r * r == m:
+            stack += [r, r]
+        elif m > _TRIAL_BOUND**2 and _mr_witness(m):
+            f = _rho(m)
+            stack += [f, m // f]
+        elif m < _MR_LIMIT:
+            out.append(m)
+        else:
+            m = _trial_divide(m, r, out)
+            if m > 1:
+                out.append(m)
+    return out
+
+
+def _trial_divide(n: int, bound: int, out: list) -> int:
+    """Divide out every d <= bound from n, appending them to out; return the rest."""
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                out *= d
+    while d <= bound and d * d <= n:
+        while n % d == 0:
+            n //= d
+            out.append(d)
         d += 1
-    return sign * out * n
+    return n
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n, not a square, by Pollard-Brent
+    rho (Brent, BIT 20, 1980)."""
+    for c in range(1, n):
+        x = y = ys = 2
+        r, q, g = 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: step the saved point one squaring at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise InternalError(f"rho found no factor of the composite {n}")
 
 
 def square_class(field: Field, a: Scalar) -> SquareClass:

@@ -241,11 +241,15 @@ def token_delta(tok: GeneratorToken, d: GroupDescriptor) -> list:
 
 def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
     """The exact matrix of a token in the family's fixed basis: I + delta."""
-    f = d.field
-    m = [[f.one if i == j else f.zero for j in range(d.n)] for i in range(d.n)]
+    f, n = d.field, d.n
+    m = [[f.zero] * n for _ in range(n)]
+    one = f.one
+    for i in range(n):
+        m[i][i] = one
+    add = f.add
     for r, c, v in token_delta(tok, d):
-        m[r][c] = f.add(m[r][c], v)
-    return Matrix(f, m)
+        m[r][c] = add(m[r][c], v)
+    return Matrix._canonical(f, m)
 
 
 def _plane_units(t: Scalar, s: Scalar, d: GroupDescriptor) -> list:

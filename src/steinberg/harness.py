@@ -125,7 +125,7 @@ def random_member(d: GroupDescriptor, seed: int, word_len: int, with_torus: bool
         rowops.apply(rows, random_token(d, rng), rowops.RIGHT, d)
     if with_torus:
         rowops.apply(rows, random_torus_token(d, rng), rowops.RIGHT, d)
-    return Matrix(d.field, rows)
+    return Matrix._canonical(d.field, rows)
 
 
 # ---------------------------------------------------------------------------

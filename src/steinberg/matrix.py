@@ -1,9 +1,13 @@
 """Dense exact matrices over a :class:`~steinberg.field.Field`.
 
-Storage is an immutable row-major tuple of tuples of scalars.  Products over
-either field go through one exact Python-integer kernel (residues over F_p,
-a common-denominator integer view over Q).  Inverse, rank, solve and
-determinant all go through one exact Gauss-Jordan kernel.
+Storage is an immutable row-major tuple of tuples of canonical scalars.  The
+public constructor canonicalises every entry through ``Field.of``; library
+code whose entries are canonical already (products, token matrices, the
+working matrix) builds through :meth:`Matrix._canonical` instead.  Products
+over either field go through one exact Python-integer kernel (residues over
+F_p, a common-denominator integer view over Q that a product keeps, so a
+chain of products never converts its running factor again).  Inverse, rank,
+solve and determinant all go through one exact Gauss-Jordan kernel.
 """
 
 from __future__ import annotations
@@ -31,9 +35,20 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data", "_int", "_hash")
 
     def __init__(self, field: Field, rows: Sequence[Sequence[Scalar]]):
-        self.field = field
         of = field.of
-        self.data: tuple = tuple(tuple(of(v) for v in r) for r in rows)
+        self._store(field, tuple(tuple(of(v) for v in r) for r in rows))
+
+    @classmethod
+    def _canonical(cls, field: Field, rows: Iterable[Sequence[Scalar]]) -> "Matrix":
+        """Trusted constructor: ``rows`` already hold canonical scalars of
+        ``field`` (residues in 0..p-1, or Fractions), so no ``Field.of``."""
+        m = cls.__new__(cls)
+        m._store(field, tuple(map(tuple, rows)))
+        return m
+
+    def _store(self, field: Field, data: tuple) -> None:
+        self.field = field
+        self.data = data
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(r) != self.cols for r in self.data):
@@ -45,20 +60,20 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.diagonal(field, [field.one] * n)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * cols for _ in range(rows)])
+        return cls._canonical(field, [[field.zero] * cols] * rows)
 
     @classmethod
     def diagonal(cls, field: Field, entries: Iterable[Scalar]) -> "Matrix":
         entries = [field.of(e) for e in entries]
         n = len(entries)
         zero = field.zero
-        return cls(field, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._canonical(field, [
+            [entries[i] if i == j else zero for j in range(n)] for i in range(n)
+        ])
 
     # -- trivia --------------------------------------------------------------
 
@@ -96,8 +111,10 @@ class Matrix:
         return self.rows == self.cols
 
     def is_identity(self) -> bool:
-        f = self.field
-        return self.is_square and self == Matrix.identity(f, self.rows)
+        one, zero = self.field.one, self.field.zero
+        return self.is_square and all(
+            v == (one if i == j else zero) for i, r in enumerate(self.data) for j, v in enumerate(r)
+        )
 
     def is_zero(self) -> bool:
         zero = self.field.zero
@@ -106,11 +123,11 @@ class Matrix:
     # -- arithmetic ----------------------------------------------------------
 
     def _as_int(self) -> tuple:
-        """(integer matrix, common denominator) view of a rational matrix."""
+        """(integer matrix, least common denominator) view of a rational matrix."""
         if self._int is None:
-            den = math.lcm(*(v.denominator for r in self.data for v in r)) or 1
+            den = math.lcm(*(v.denominator for r in self.data for v in r))
             self._int = (
-                [[int(v * den) for v in r] for r in self.data],
+                [[v.numerator * (den // v.denominator) for v in r] for r in self.data],
                 den,
             )
         return self._int
@@ -136,41 +153,49 @@ class Matrix:
                 if aik:
                     for j, v in bk:
                         acc[j] += aik * v
-            out.append(acc)
-        if p is None:
-            den = da * db
-            out = [[Fraction(v, den) for v in r] for r in out]
-        return Matrix(self.field, out)  # the constructor reduces residues mod p
+            out.append(acc if p is None else [v % p for v in acc])
+        if p is not None:
+            return Matrix._canonical(self.field, out)
+        # reduce to the least common denominator, which is what _as_int of
+        # the product would find, and keep that view for the next product
+        den = da * db
+        g = math.gcd(den, *(v for r in out for v in r))
+        if g > 1:
+            out = [[v // g for v in r] for r in out]
+            den //= g
+        m = Matrix._canonical(self.field, [[Fraction(v, den) for v in r] for r in out])
+        m._int = (out, den)
+        return m
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         add = self.field.add
-        return Matrix(self.field, [
+        return Matrix._canonical(self.field, [
             [add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
         ])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         sub = self.field.sub
-        return Matrix(self.field, [
+        return Matrix._canonical(self.field, [
             [sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
         ])
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
-        return Matrix(self.field, [[neg(a) for a in r] for r in self.data])
+        return Matrix._canonical(self.field, [[neg(a) for a in r] for r in self.data])
 
     def scale(self, c: Scalar) -> "Matrix":
         mul = self.field.mul
         c = self.field.of(c)
-        return Matrix(self.field, [[mul(c, a) for a in r] for r in self.data])
+        return Matrix._canonical(self.field, [[mul(c, a) for a in r] for r in self.data])
 
     def _same_shape(self, other: "Matrix") -> None:
         if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape or field mismatch")
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.data))) if self.data else self
+        return Matrix._canonical(self.field, zip(*self.data)) if self.data else self
 
     # -- exact Gauss-Jordan kernel --------------------------------------------
 
@@ -214,7 +239,7 @@ class Matrix:
         """Reduced row-echelon form."""
         rows = self.to_lists()
         self._reduce(rows)
-        return Matrix(self.field, rows)
+        return Matrix._canonical(self.field, rows)
 
     def det(self) -> Scalar:
         if not self.is_square:
@@ -233,7 +258,7 @@ class Matrix:
         pivots, _ = self._reduce(aug)
         if len(pivots) != n:
             raise SingularMatrix("matrix is singular")
-        return Matrix(f, [r[n:] for r in aug])
+        return Matrix._canonical(f, [r[n:] for r in aug])
 
     def solve(self, b: Sequence[Scalar]) -> tuple:
         """One preimage of ``b`` under this matrix, or :class:`NoSolution`."""
@@ -255,7 +280,7 @@ class Matrix:
     # -- blocks -------------------------------------------------------------
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, [[self.data[i][j] for j in col_idx] for i in row_idx])
+        return Matrix._canonical(self.field, [[self.data[i][j] for j in col_idx] for i in row_idx])
 
     @classmethod
     def assemble(cls, field: Field, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
@@ -267,4 +292,4 @@ class Matrix:
                 raise DimensionMismatch("block heights differ within a band")
             for i in range(height):
                 rows.append([v for blk in band for v in blk.data[i]])
-        return cls(field, rows)
+        return cls._canonical(field, rows)

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from steinberg.field import (
     Field,
     InternalError,
     QQ,
+    SquareClass,
     ZeroHasNoClass,
     _is_prime,
     _squarefree,
@@ -97,6 +99,53 @@ def test_squarefree_rational_reps():
 def test_squarefree_of_zero_is_an_internal_error():
     with pytest.raises(InternalError, match="squarefree part of 0"):
         _squarefree(0)
+
+
+def trial_squarefree(n):
+    """Signed squarefree part by trial division up to sqrt(|n|)."""
+    sign, n, out, d = (-1 if n < 0 else 1), abs(n), 1, 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        out *= d if e % 2 else 1
+        d += 1
+    return sign * out * n
+
+
+def test_squarefree_agrees_with_trial_division():
+    for n in range(1, 30000):
+        assert _squarefree(n) == trial_squarefree(n) == -_squarefree(-n), n
+    # known factorisations: primes on both sides of the trial bound, and
+    # powers that leave squares and cubes for the cofactor search
+    primes = (2, 3, 997, 1009, 65537, 1000003, 2**31 - 1)
+    rng = random.Random(5)
+    for _ in range(100):
+        exps = [rng.randint(0, 3) for _ in primes]
+        n = math.prod(q**e for q, e in zip(primes, exps))
+        assert _squarefree(n) == math.prod(q for q, e in zip(primes, exps) if e % 2), exps
+
+
+def test_squarefree_splits_large_cofactors():
+    # Miller-Rabin certifies each of these primes; trial division over their
+    # products would take ~10^10 steps
+    p, q, r = 2**31 - 1, 1000000007, 4294967311
+    assert all(_is_prime(v) for v in (p, q, r))
+    start = time.perf_counter()
+    assert _squarefree(p * q) == p * q
+    assert _squarefree(-(p**2) * q * 12) == -3 * q
+    assert _squarefree(p**3 * q**2 * r) == p * r  # 157 bits, above the MR range
+    assert _squarefree(r**2) == 1
+    assert time.perf_counter() - start < 1.0
+
+
+@given(st.integers(min_value=-10**5, max_value=10**5), st.integers(min_value=-10**5, max_value=10**5))
+def test_rational_class_product_is_the_squarefree_product(a, b):
+    if a == 0 or b == 0:
+        return
+    prod = SquareClass(_squarefree(a), False) * SquareClass(_squarefree(b), False)
+    assert prod.rep == trial_squarefree(a * b)
 
 
 @pytest.mark.parametrize("p,expected", [(3, 2), (5, 2), (7, 3), (11, 2), (13, 2)])

@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from steinberg.field import Field, QQ
+from steinberg.field import DivisionByZero, Field, QQ
+from steinberg.forms import Family, build_descriptor
+from steinberg.generators import token_matrix
+from steinberg.harness import random_member, random_token, random_torus_token
 from steinberg.matrix import DimensionMismatch, Matrix, NoSolution, SingularMatrix
+from steinberg.rowops import WorkingMatrix
 
 F3 = Field(3)
 F5 = Field(5)
@@ -122,3 +126,75 @@ def test_product_matches_naive_triple_loop(field):
     wide = Matrix(field, [[entry(0.5) for _ in range(n)] for _ in range(3)])
     assert tall @ wide == naive_product(tall, wide)
     assert wide @ tall == naive_product(wide, tall)
+
+
+def test_rational_chain_reuses_the_integer_view():
+    rng = random.Random(23)
+
+    def rand(rows, cols):
+        return Matrix(QQ, [
+            [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(cols)]
+            for _ in range(rows)
+        ])
+
+    a, b, c = rand(5, 6), rand(6, 4), rand(4, 5)
+    ab = a @ b
+    assert ab._int is not None  # carried from the product, not recomputed
+    assert ab._int == Matrix(QQ, ab.data)._as_int()
+    assert ab @ c == naive_product(naive_product(a, b), c)
+
+
+# -- the trusted constructor ---------------------------------------------------
+
+F7 = Field(7)
+BIG = Field(1000000007)
+
+
+def assert_canonical(m):
+    f = m.field
+    for r in m.data:
+        for v in r:
+            if f.is_prime:
+                assert type(v) is int and 0 <= v < f.p, v
+            else:
+                assert type(v) is Fraction, v
+    assert Matrix(f, m.data) == m
+    if m._int is not None:
+        assert m._int == Matrix(f, m.data)._as_int()
+
+
+@pytest.mark.parametrize("field", [F7, BIG, QQ], ids=str)
+def test_internal_producers_give_canonical_entries(field):
+    rng = random.Random(29)
+    a = rand_matrix(rng, field, 4)
+    while a.rank() < 4:
+        a = rand_matrix(rng, field, 4)
+    b = rand_matrix(rng, field, 4)
+    products = [
+        a @ b, (a @ b) @ a, Matrix.identity(field, 4), Matrix.zeros(field, 2, 3),
+        Matrix.diagonal(field, [1, -1, 2, Fraction(1, 2)]),
+        a + b, a - b, -a, a.scale(-3), a.transpose(), a.submatrix([0, 2], [1, 3]),
+        a.rref(), a.inverse(), Matrix.assemble(field, [[a, b]]),
+    ]
+    families = [Family.GL, Family.GSP, Family.GO_EVEN, Family.GO_ODD]
+    for fam in families + ([Family.GO_MINUS] if field.is_prime else []):
+        d = build_descriptor(fam, 2, field, similitude=True)
+        for _ in range(20):
+            products.append(token_matrix(random_token(d, rng), d))
+        products.append(token_matrix(random_torus_token(d, rng), d))
+        g = random_member(d, 3, word_len=8, with_torus=True)
+        products.append(g)
+        wm = WorkingMatrix(g, d)
+        wm.lmul(random_token(d, rng))
+        products.append(wm.matrix())
+    for m in products:
+        assert_canonical(m)
+
+
+def test_public_constructor_still_canonicalises():
+    assert Matrix(F7, [[8, -1]]).data == ((1, 6),)
+    q = Matrix(QQ, [[1, 2], [Fraction(3, 6), -4]])
+    assert all(type(v) is Fraction for r in q.data for v in r)
+    assert q.data[1][0] == Fraction(1, 2)
+    with pytest.raises(DivisionByZero):
+        Matrix(F7, [[Fraction(1, 7)]])

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from steinberg.field import Field, SquareClass, square_class
+from steinberg.field import QQ, Field, SquareClass, square_class
 from steinberg.forms import Family, InternalError, NotInGroup, build_descriptor
 from steinberg.eliminate import decompose
 from steinberg.generators import evaluate_word, token_matrix, torus, w, x, x1, x2
@@ -162,6 +163,25 @@ def test_reflection_factorization_basics():
         prod = prod @ reflection_matrix(m, d)
     assert prod == rho
     assert cls == wall_spinor_norm(rho, d)
+
+
+def test_rational_reflection_route_returns_promptly():
+    # the norms met here reach ~160 bits; trial division over them hung
+    d = build_descriptor(Family.GO_EVEN, 4, QQ)
+    g = random_member(d, 4000, word_len=20, with_torus=True)
+    start = time.perf_counter()
+    _, cls = reflection_factorization(g, d)
+    assert time.perf_counter() - start < 2.0
+    assert cls.rep == -1
+    assert cls == spinor_norm(g, d) == wall_spinor_norm(g, d)
+
+
+def test_rational_norm_of_a_long_word_returns_promptly():
+    d = build_descriptor(Family.GO_ODD, 3, QQ)
+    g = random_member(d, 1, word_len=100)
+    start = time.perf_counter()
+    assert spinor_norm(g, d) == wall_spinor_norm(g, d)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_factorization_fuel_check_raises_internal_error(monkeypatch):
