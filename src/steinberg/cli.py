@@ -8,8 +8,9 @@ followed by n rows of n whitespace-separated scalars (integers mod p, or
 fractions like 3/4 over Q).  ``decompose`` emits a word file with the same
 header plus ``L=``, ``D=``, ``R=`` lines in the token grammar, which
 ``verify`` re-reads and multiplies out.  Exit codes: 0 success, 1 usage or
-parse error, 2 domain error (not in group, mismatch, unsupported family),
-3 internal error (a failed self-check: a bug in the library, not bad input).
+parse error, 2 domain error (not in group, mismatch, unsupported family,
+singular GL matrix), 3 internal error (a failed self-check: a bug in the
+library, not bad input).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .field import Field, QQ
 from .forms import Family, GroupDescriptor, InternalError, NotInGroup, UnsupportedFamily, build_descriptor
 from .generators import IllegalToken, evaluate_word, parse_word
 from .harness import EnumerationTooLarge, enumerate_group, random_member
-from .matrix import Matrix
+from .matrix import Matrix, SingularMatrix
 from .spinor import NotOrthogonalFamily, spinor_decomposition
 from .coset import coset_census, coset_label
 
@@ -117,7 +118,7 @@ def parse_word_file(text: str) -> tuple:
             if key in parts:
                 try:
                     parts[key] = parse_word(rest, d)
-                except IllegalToken as e:
+                except (ValueError, ZeroDivisionError) as e:  # includes IllegalToken
                     raise ParseError(f"bad token in {key}= line: {e}") from e
     missing = [k for k, v in parts.items() if v is None]
     if missing:
@@ -239,10 +240,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NotInGroup as e:
-        pos = f" at {e.position}" if e.position else ""
-        print(f"not in group{pos}", file=sys.stderr)
+        print(f"not in group: {e}", file=sys.stderr)
         return 2
-    except (UnsupportedFamily, NotOrthogonalFamily, EnumerationTooLarge, IllegalToken) as e:
+    except (UnsupportedFamily, NotOrthogonalFamily, EnumerationTooLarge, IllegalToken, SingularMatrix) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InternalError as e:

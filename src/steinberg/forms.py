@@ -29,7 +29,8 @@ class UnsupportedFamily(ValueError):
 
 
 class NotInGroup(ValueError):
-    """Raised with the first position where the form equation fails."""
+    """Raised with the first position, as signed basis indices (i, j), where
+    the form equation fails; ``position`` is None for other failures."""
 
     def __init__(self, msg: str, position: tuple | None = None):
         super().__init__(msg)
@@ -85,6 +86,18 @@ class GroupDescriptor:
             return i if i > 0 else l - 1 - i
         # GSp / GO_EVEN
         return i - 1 if i > 0 else l - i - 1
+
+    def basis_indices(self) -> list:
+        """Signed basis indices in storage order, so ``pos`` inverts it."""
+        l = self.l
+        if self.family is Family.GL:
+            return list(range(1, self.n + 1))
+        pos, neg = list(range(1, l + 1)), list(range(-1, -l - 1, -1))
+        if self.family is Family.GO_ODD:
+            return [0] + pos + neg
+        if self.family is Family.GO_MINUS:
+            return [1, -1] + pos[1:] + neg[1:]
+        return pos + neg
 
     def _bad_index(self, i: int) -> ValueError:
         return ValueError(f"basis index {i} out of range for {self.family.value} with l={self.l}")
@@ -193,22 +206,22 @@ def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
     if g.rows != n or g.cols != n:
         raise NotInGroup(f"expected a {n}x{n} matrix", position=None)
     f = d.field
-    m = g.transpose() @ d.beta @ g
+    beta = d.beta
+    m = g.transpose() @ beta @ g
     # read mu off the first structurally nonzero beta entry, then verify all
-    mu = None
-    for i in range(n):
-        for j in range(n):
-            if d.beta[i, j] != f.zero:
-                mu = f.div(m[i, j], d.beta[i, j])
-                break
-        if mu is not None:
-            break
-    if mu is None:
+    at = next(((i, j) for i in range(n) for j in range(n) if beta[i, j] != f.zero), None)
+    if at is None:
         raise InternalError(f"the Gram matrix of {d} is zero")
-    for i in range(n):
-        for j in range(n):
-            if m[i, j] != f.mul(mu, d.beta[i, j]):
-                raise NotInGroup(f"form equation fails at ({i},{j})", position=(i, j))
+    mu = f.div(m[at], beta[at])
+    want = beta.scale(mu)
+    if m != want:
+        i, j = next((i, j) for i in range(n) for j in range(n) if m[i, j] != want[i, j])
+        signed = d.basis_indices()
+        at = (signed[i], signed[j])
+        raise NotInGroup(
+            f"g^T beta g = mu beta fails at {at} for mu = {mu}: entry {m[i, j]}, expected {want[i, j]}",
+            position=at,
+        )
     if mu == f.zero:
         raise NotInGroup("multiplier is zero (singular matrix)", position=None)
     return mu

@@ -16,6 +16,7 @@ to an isometry (multiplier 1) of its family; that is tested, not assumed.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -240,16 +241,24 @@ def token_delta(tok: GeneratorToken, d: GroupDescriptor) -> list:
 
 
 def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
-    """The exact matrix of a token in the family's fixed basis: I + delta."""
+    """The exact matrix of a token in the family's fixed basis: I + delta.
+
+    It is written straight into the stored form: integer rows over the lcm
+    of the delta's denominators (1 over F_p, where ``f.add`` keeps
+    residues).  Delta positions are distinct, so the entry that carries the
+    highest power of a prime in that lcm is not divisible by that prime:
+    the rows have gcd 1 with it and are canonical as written.
+    """
     f, n = d.field, d.n
-    m = [[f.zero] * n for _ in range(n)]
-    one = f.one
+    delta = token_delta(tok, d)
+    den = math.lcm(*(v.denominator for _, _, v in delta))
+    m = [[0] * n for _ in range(n)]
     for i in range(n):
-        m[i][i] = one
+        m[i][i] = den
     add = f.add
-    for r, c, v in token_delta(tok, d):
-        m[r][c] = add(m[r][c], v)
-    return Matrix._canonical(f, m)
+    for r, c, v in delta:
+        m[r][c] = add(m[r][c], v.numerator * (den // v.denominator))
+    return Matrix._canonical(f, m, den)
 
 
 def _plane_units(t: Scalar, s: Scalar, d: GroupDescriptor) -> list:

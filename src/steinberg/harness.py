@@ -125,7 +125,7 @@ def random_member(d: GroupDescriptor, seed: int, word_len: int, with_torus: bool
         rowops.apply(rows, random_token(d, rng), rowops.RIGHT, d)
     if with_torus:
         rowops.apply(rows, random_torus_token(d, rng), rowops.RIGHT, d)
-    return Matrix._canonical(d.field, rows)
+    return Matrix._of_scalars(d.field, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +218,17 @@ def _enumerate_brute(d: GroupDescriptor, cap: int) -> Enumeration:
 def _enumerate_closure(d: GroupDescriptor, cap: int) -> Enumeration:
     gens = closure_generator_matrices(d)
     ident = Matrix.identity(d.field, d.n)
-    seen = {ident.data: ident}
+    seen = {ident: None}  # a dict keeps the discovery order
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
             for gmat in gens:
                 prod = m @ gmat
-                if prod.data not in seen:
+                if prod not in seen:
                     if len(seen) >= cap:
                         raise EnumerationTooLarge(f"closure exceeded cap {cap}")
-                    seen[prod.data] = prod
+                    seen[prod] = None
                     nxt.append(prod)
         frontier = nxt
-    return Enumeration(d, tuple(seen.values()), "closure")
+    return Enumeration(d, tuple(seen), "closure")

@@ -1,13 +1,14 @@
 """Dense exact matrices over a :class:`~steinberg.field.Field`.
 
-Storage is an immutable row-major tuple of tuples of canonical scalars.  The
-public constructor canonicalises every entry through ``Field.of``; library
-code whose entries are canonical already (products, token matrices, the
-working matrix) builds through :meth:`Matrix._canonical` instead.  Products
-over either field go through one exact Python-integer kernel (residues over
-F_p, a common-denominator integer view over Q that a product keeps, so a
-chain of products never converts its running factor again).  Inverse, rank,
-solve and determinant all go through one exact Gauss-Jordan kernel.
+One stored form for both fields: integer rows ``num`` over a positive ``den``
+(residues in 0..p-1 over 1 for F_p; over Q the least common denominator,
+with ``gcd(den, *num) == 1``).  It is canonical, so ``==`` and ``hash``
+compare it directly, and products, sums, transposes and blocks run on the
+integers alike for both fields.  Only the normalise step (:meth:`_normal`:
+reduce mod p, or divide out the gcd) and the scalar view (``data``,
+``[i, j]``, ``row``, ``col``, ``to_lists``, ``repr``: the residues, or
+``Fraction(v, den)``) know the field.  Inverse, rank, solve and determinant
+go through one exact Gauss-Jordan kernel on the scalar view.
 """
 
 from __future__ import annotations
@@ -31,171 +32,170 @@ class NoSolution(ValueError):
     pass
 
 
+def _over_lcm(rows: list) -> tuple:
+    """(integer rows, least common denominator) of a list of rows of
+    canonical scalars; the result has gcd 1 because each Fraction is
+    reduced, and integers (every residue) stand over 1 as they are."""
+    if all(type(v) is int for r in rows for v in r):
+        return rows, 1
+    den = math.lcm(*{v.denominator for r in rows for v in r})
+    return [[v.numerator * (den // v.denominator) for v in r] for r in rows], den
+
+
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "data", "_int", "_hash")
+    __slots__ = ("field", "rows", "cols", "num", "den", "_hash")
 
     def __init__(self, field: Field, rows: Sequence[Sequence[Scalar]]):
         of = field.of
-        self._store(field, tuple(tuple(of(v) for v in r) for r in rows))
+        self._store(field, *_over_lcm([[of(v) for v in r] for r in rows]))
 
     @classmethod
-    def _canonical(cls, field: Field, rows: Iterable[Sequence[Scalar]]) -> "Matrix":
-        """Trusted constructor: ``rows`` already hold canonical scalars of
-        ``field`` (residues in 0..p-1, or Fractions), so no ``Field.of``."""
+    def _canonical(cls, field: Field, num: Iterable[Sequence[int]], den: int = 1) -> "Matrix":
+        """Trusted constructor: ``num`` over ``den`` is already the stored
+        form (residues over F_p; gcd 1 over Q), so nothing is reduced."""
         m = cls.__new__(cls)
-        m._store(field, tuple(map(tuple, rows)))
+        m._store(field, num, den)
         return m
 
-    def _store(self, field: Field, data: tuple) -> None:
+    @classmethod
+    def _of_scalars(cls, field: Field, rows: list) -> "Matrix":
+        """Trusted constructor from a list of rows of canonical scalars."""
+        return cls._canonical(field, *_over_lcm(rows))
+
+    @classmethod
+    def _normal(cls, field: Field, num: list, den: int = 1) -> "Matrix":
+        """The normalise step: residues mod p, or the gcd divided out over Q."""
+        p = field.p
+        if p is not None:
+            return cls._canonical(field, [[v % p for v in r] for r in num])
+        g = math.gcd(den, *(v for r in num for v in r))
+        if g > 1:
+            num = [[v // g for v in r] for r in num]
+            den //= g
+        return cls._canonical(field, num, den)
+
+    def _store(self, field: Field, num: Iterable[Sequence[int]], den: int) -> None:
         self.field = field
-        self.data = data
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        if any(len(r) != self.cols for r in self.data):
+        self.num = tuple(map(tuple, num))
+        self.den = den
+        self.rows = len(self.num)
+        self.cols = len(self.num[0]) if self.num else 0
+        if any(len(r) != self.cols for r in self.num):
             raise DimensionMismatch("ragged rows")
-        self._int = None
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls.diagonal(field, [field.one] * n)
+        return cls._canonical(field, [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)])
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls._canonical(field, [[field.zero] * cols] * rows)
+        return cls._canonical(field, [[0] * cols] * rows)
 
     @classmethod
     def diagonal(cls, field: Field, entries: Iterable[Scalar]) -> "Matrix":
         entries = [field.of(e) for e in entries]
         n = len(entries)
         zero = field.zero
-        return cls._canonical(field, [
+        return cls._of_scalars(field, [
             [entries[i] if i == j else zero for j in range(n)] for i in range(n)
         ])
 
-    # -- trivia --------------------------------------------------------------
+    # -- the scalar view -----------------------------------------------------
+
+    def _view(self, ints: Iterable[int]) -> tuple:
+        if self.field.p is not None:
+            return tuple(ints)
+        den = self.den
+        return tuple(Fraction(v, den) for v in ints)
+
+    @property
+    def data(self) -> tuple:
+        return tuple(map(self._view, self.num))
 
     def __getitem__(self, ij: tuple) -> Scalar:
         i, j = ij
-        return self.data[i][j]
+        return self._view((self.num[i][j],))[0]
 
     def row(self, i: int) -> tuple:
-        return self.data[i]
+        return self._view(self.num[i])
 
     def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
+        return self._view(r[j] for r in self.num)
 
     def to_lists(self) -> list:
-        return [list(r) for r in self.data]
+        return [list(self._view(r)) for r in self.num]
+
+    def __repr__(self) -> str:
+        body = "; ".join(" ".join(str(v) for v in r) for r in self.data)
+        return f"Matrix({self.field}, [{body}])"
+
+    # -- trivia --------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.field, self.data))
+            self._hash = hash((self.field, self.den, self.num))
         return self._hash
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(v) for v in r) for r in self.data)
-        return f"Matrix({self.field}, [{body}])"
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_identity(self) -> bool:
-        one, zero = self.field.one, self.field.zero
-        return self.is_square and all(
-            v == (one if i == j else zero) for i, r in enumerate(self.data) for j, v in enumerate(r)
-        )
+        return self.is_square and self == Matrix.identity(self.field, self.rows)
 
-    def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(v == zero for r in self.data for v in r)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _as_int(self) -> tuple:
-        """(integer matrix, least common denominator) view of a rational matrix."""
-        if self._int is None:
-            den = math.lcm(*(v.denominator for r in self.data for v in r))
-            self._int = (
-                [[v.numerator * (den // v.denominator) for v in r] for r in self.data],
-                den,
-            )
-        return self._int
+    # -- arithmetic on the stored integers -----------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise DimensionMismatch("fields differ")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        p = self.field.p
-        if p is None:
-            a, da = self._as_int()
-            b, db = other._as_int()
-        else:
-            a, b = self.data, other.data
         # row i of the product is sum_k a[i][k] * (row k of b), over the
-        # nonzero entries only; exact in Python integers, reduced once below
-        b_nonzero = [[(j, v) for j, v in enumerate(r) if v] for r in b]
+        # nonzero entries only; exact in Python integers, normalised once
+        b_nonzero = [[(j, v) for j, v in enumerate(r) if v] for r in other.num]
         out = []
-        for row in a:
+        for row in self.num:
             acc = [0] * other.cols
             for aik, bk in zip(row, b_nonzero):
                 if aik:
                     for j, v in bk:
                         acc[j] += aik * v
-            out.append(acc if p is None else [v % p for v in acc])
-        if p is not None:
-            return Matrix._canonical(self.field, out)
-        # reduce to the least common denominator, which is what _as_int of
-        # the product would find, and keep that view for the next product
-        den = da * db
-        g = math.gcd(den, *(v for r in out for v in r))
-        if g > 1:
-            out = [[v // g for v in r] for r in out]
-            den //= g
-        m = Matrix._canonical(self.field, [[Fraction(v, den) for v in r] for r in out])
-        m._int = (out, den)
-        return m
+            out.append(acc)
+        return Matrix._normal(self.field, out, self.den * other.den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        add = self.field.add
-        return Matrix._canonical(self.field, [
-            [add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        sub = self.field.sub
-        return Matrix._canonical(self.field, [
-            [sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ])
-
-    def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix._canonical(self.field, [[neg(a) for a in r] for r in self.data])
-
-    def scale(self, c: Scalar) -> "Matrix":
-        mul = self.field.mul
-        c = self.field.of(c)
-        return Matrix._canonical(self.field, [[mul(c, a) for a in r] for r in self.data])
-
-    def _same_shape(self, other: "Matrix") -> None:
         if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape or field mismatch")
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return Matrix._normal(self.field, [
+            [a * sa + b * sb for a, b in zip(ra, rb)] for ra, rb in zip(self.num, other.num)
+        ], den)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self + -other
+
+    def __neg__(self) -> "Matrix":
+        return Matrix._normal(self.field, [[-v for v in r] for r in self.num], self.den)
+
+    def scale(self, c: Scalar) -> "Matrix":
+        c = self.field.of(c)
+        top = c.numerator
+        return Matrix._normal(self.field, [[top * v for v in r] for r in self.num], c.denominator * self.den)
 
     def transpose(self) -> "Matrix":
-        return Matrix._canonical(self.field, zip(*self.data)) if self.data else self
+        return Matrix._canonical(self.field, zip(*self.num), self.den) if self.num else self
 
     # -- exact Gauss-Jordan kernel --------------------------------------------
 
@@ -239,13 +239,12 @@ class Matrix:
         """Reduced row-echelon form."""
         rows = self.to_lists()
         self._reduce(rows)
-        return Matrix._canonical(self.field, rows)
+        return Matrix._of_scalars(self.field, rows)
 
     def det(self) -> Scalar:
         if not self.is_square:
             raise DimensionMismatch("determinant of non-square matrix")
-        aug = self.to_lists()
-        pivots, det = self._reduce(aug)
+        pivots, det = self._reduce(self.to_lists())
         return det if len(pivots) == self.rows else self.field.zero
 
     def inverse(self) -> "Matrix":
@@ -253,12 +252,11 @@ class Matrix:
             raise DimensionMismatch("inverse of non-square matrix")
         f = self.field
         n = self.rows
-        ident = Matrix.identity(f, n)
-        aug = [list(r) + list(e) for r, e in zip(self.data, ident.data)]
+        aug = [r + e for r, e in zip(self.to_lists(), Matrix.identity(f, n).to_lists())]
         pivots, _ = self._reduce(aug)
         if len(pivots) != n:
             raise SingularMatrix("matrix is singular")
-        return Matrix._canonical(f, [r[n:] for r in aug])
+        return Matrix._of_scalars(f, [r[n:] for r in aug])
 
     def solve(self, b: Sequence[Scalar]) -> tuple:
         """One preimage of ``b`` under this matrix, or :class:`NoSolution`."""
@@ -266,7 +264,7 @@ class Matrix:
         if len(b) != self.rows:
             raise DimensionMismatch("rhs length mismatch")
         b = [f.of(v) for v in b]
-        aug = [list(r) + [v] for r, v in zip(self.data, b)]
+        aug = [r + [v] for r, v in zip(self.to_lists(), b)]
         pivots, _ = self._reduce(aug)
         # consistency: a pivot in the augmented column means no solution
         for row in aug:
@@ -280,16 +278,17 @@ class Matrix:
     # -- blocks -------------------------------------------------------------
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix._canonical(self.field, [[self.data[i][j] for j in col_idx] for i in row_idx])
+        return Matrix._normal(self.field, [[self.num[i][j] for j in col_idx] for i in row_idx], self.den)
 
     @classmethod
     def assemble(cls, field: Field, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
         """Stitch a grid of blocks into one matrix."""
+        den = math.lcm(*(blk.den for band in grid for blk in band))
         rows: list = []
         for band in grid:
             height = band[0].rows
             if any(blk.rows != height for blk in band):
                 raise DimensionMismatch("block heights differ within a band")
             for i in range(height):
-                rows.append([v for blk in band for v in blk.data[i]])
-        return cls._canonical(field, rows)
+                rows.append([v * (den // blk.den) for blk in band for v in blk.num[i]])
+        return cls._normal(field, rows, den)

@@ -98,4 +98,4 @@ class WorkingMatrix:
         apply(self.rows, tok, RIGHT, self.d)
 
     def matrix(self) -> Matrix:
-        return Matrix._canonical(self.f, self.rows)
+        return Matrix._of_scalars(self.f, self.rows)

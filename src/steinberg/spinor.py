@@ -15,6 +15,9 @@ anchor for the whole tower.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Iterator
+
 from .eliminate import decompose
 from .field import Field, Scalar, SquareClass, square_class
 from .forms import Family, GroupDescriptor, InternalError, NotInGroup, multiplier
@@ -100,7 +103,7 @@ def _beta_pair(beta: Matrix, u, v) -> Scalar:
     for i, ui in enumerate(u):
         if ui == f.zero:
             continue
-        row = beta.data[i]
+        row = beta.row(i)
         for j, vj in enumerate(v):
             if vj != f.zero and row[j] != f.zero:
                 acc = f.add(acc, f.mul(ui, f.mul(row[j], vj)))
@@ -168,29 +171,30 @@ def _some_anisotropic(d: GroupDescriptor) -> tuple:
     return tuple(v)
 
 
-def _anisotropic_candidates(vectors: list, d: GroupDescriptor) -> list:
-    """Anisotropic vectors among span generators and two-term combinations.
+def _anisotropic_candidates(vectors: list, d: GroupDescriptor) -> Iterator[tuple]:
+    """Anisotropic vectors among span generators and two-term combinations,
+    generated lazily in that order.
 
-    Emptiness here really means the span is totally isotropic: isotropic
+    No candidate really means the span is totally isotropic: isotropic
     generators with isotropic pair sums force every inner product to vanish
-    (char != 2), so the form is identically zero on the span.  The extra
-    coefficients just diversify the choices for the lookahead.
+    (char != 2), so the coefficient 1 alone decides emptiness.  The other
+    coefficients only diversify the choices for the lookahead, so over F_p
+    they stop at 7 and the search costs the same for every prime.
     """
     f = d.field
     if f.is_prime:
-        coeffs = [f.of(c) for c in range(1, f.p)]
+        coeffs = range(1, min(f.p, 8))
     else:
-        from fractions import Fraction
-
         coeffs = [Fraction(c) for c in (1, -1, 2, -2, 3, -3)] + [Fraction(1, 2), Fraction(-1, 2)]
-    out = [v for v in vectors if _beta_pair(d.beta, v, v) != f.zero]
+    for v in vectors:
+        if _beta_pair(d.beta, v, v) != f.zero:
+            yield v
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
             for c in coeffs:
                 v = tuple(f.add(a, f.mul(c, b)) for a, b in zip(vectors[i], vectors[j]))
                 if _beta_pair(d.beta, v, v) != f.zero:
-                    out.append(v)
-    return out
+                    yield v
 
 
 def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
@@ -207,30 +211,27 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
     ident = Matrix.identity(f, d.n)
     mirrors = []
     h = g
-    seen = {h.data}
+    seen = {h}
     fuel = 2 * d.n + 6
     while h != ident:
         fuel -= 1
         if fuel < 0:
             raise InternalError("reflection factorisation failed to terminate")
-        cands = _anisotropic_candidates(_moved_space_basis(h), d)
-        if cands:
-            choice = None
-            fallback = None
-            for v in cands:
-                h2 = reflection_matrix(v, d) @ h
-                if h2 == ident or _anisotropic_candidates(_moved_space_basis(h2), d):
-                    if h2.data not in seen:
-                        choice = (v, h2)
-                        break
-                    fallback = fallback or (v, h2)
-                else:
-                    fallback = fallback or (v, h2)
-            v, h = choice if choice is not None else fallback
+        choice = fallback = None
+        for v in _anisotropic_candidates(_moved_space_basis(h), d):
+            h2 = reflection_matrix(v, d) @ h
+            if h2 not in seen and (
+                h2 == ident or next(_anisotropic_candidates(_moved_space_basis(h2), d), None) is not None
+            ):
+                choice = (v, h2)
+                break
+            fallback = fallback or (v, h2)
+        if choice or fallback:
+            v, h = choice or fallback
         else:
             v = _some_anisotropic(d)
             h = reflection_matrix(v, d) @ h
-        seen.add(h.data)
+        seen.add(h)
         mirrors.append(v)
     acc = _unit_class(f)
     prod = ident

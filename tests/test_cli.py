@@ -234,3 +234,31 @@ def test_large_prime_similitude_round_trip_without_numpy_under_O(tmp_path):
     wpath = write(tmp_path, "w.txt", r.stdout)
     r = steinberg("verify", wpath, mpath)
     assert r.returncode == 0 and r.stdout == "OK\n", (r.stdout, r.stderr)
+
+
+def test_singular_gl_file_is_a_domain_error(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", "group=GL l=1 field=7 similitude=0\n1 2\n2 4\n")
+    code, out, err = run(capsys, "decompose", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_word_file_denominator_vanishing_mod_p_is_a_parse_error(tmp_path, capsys):
+    mpath = write(tmp_path, "m.txt", "group=GL l=1 field=7 similitude=0\n1 0\n0 1\n")
+    wpath = write(tmp_path, "w.txt", "group=GL l=1 field=7 similitude=0\nL= \nD= torus(1/7;1)\nR= \n")
+    code, out, err = run(capsys, "verify", wpath, mpath)
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad token in D= line") and "Traceback" not in err
+
+
+def test_not_in_group_keeps_the_library_message(tmp_path, capsys):
+    # diag(3, 1) satisfies the GOplus form equation with multiplier 3
+    path = write(tmp_path, "m.txt", "group=GOplus l=1 field=7 similitude=0\n3 0\n0 1\n")
+    code, _, err = run(capsys, "decompose", path)
+    assert code == 2
+    assert err == "not in group: multiplier 3 != 1 in an isometry group\n"
+    # e_{-1} -> e_{-1} + e_1 breaks the equation at the signed entry (-1, -1)
+    path = write(tmp_path, "m2.txt", "group=GOplus l=1 field=7 similitude=1\n1 1\n0 1\n")
+    code, _, err = run(capsys, "decompose", path)
+    assert code == 2
+    assert err.startswith("not in group: g^T beta g = mu beta fails at (-1, -1)"), err

@@ -54,7 +54,7 @@ def test_parabolic_membership_in_odd_rank():
     assert not is_in_parabolic(token_matrix(x(0, 1, 2), d), d)
 
 
-def test_label_of_parabolic_member_is_zero():
+def test_parabolic_member_has_label_zero():
     rng = random.Random(1)
     for family in COSET_FAMILIES:
         d = build_descriptor(family, 2, F5)

@@ -85,7 +85,16 @@ def test_multiplier_witness_position():
     g[2][1] = 1  # breaks the form equation
     with pytest.raises(NotInGroup) as err:
         multiplier(Matrix(F5, g), d)
-    assert err.value.position is not None
+    # storage (2, 1) is the signed entry (-1, 2); the equation first fails at (1, 2)
+    assert err.value.position == (1, 2)
+    assert "(1, 2)" in str(err.value)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_basis_indices_invert_pos(family):
+    for l in (1, 2, 3):
+        d = build_descriptor(family, l, F5)
+        assert [d.pos(i) for i in d.basis_indices()] == list(range(d.n))
 
 
 def test_is_member_examples():

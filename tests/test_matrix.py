@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from steinberg.field import DivisionByZero, Field, QQ
 from steinberg.forms import Family, build_descriptor
-from steinberg.generators import token_matrix
+from steinberg.generators import legal_x_index_pairs, token_matrix, torus, x
 from steinberg.harness import random_member, random_token, random_torus_token
 from steinberg.matrix import DimensionMismatch, Matrix, NoSolution, SingularMatrix
 from steinberg.rowops import WorkingMatrix
@@ -139,9 +140,11 @@ def test_rational_chain_reuses_the_integer_view():
 
     a, b, c = rand(5, 6), rand(6, 4), rand(4, 5)
     ab = a @ b
-    assert ab._int is not None  # carried from the product, not recomputed
-    assert ab._int == Matrix(QQ, ab.data)._as_int()
-    assert ab @ c == naive_product(naive_product(a, b), c)
+    naive = naive_product(a, b)
+    # the product's own stored form is what the public constructor builds
+    assert (ab.num, ab.den) == (naive.num, naive.den)
+    assert_canonical(ab)
+    assert ab @ c == naive_product(naive, c)
 
 
 # -- the trusted constructor ---------------------------------------------------
@@ -151,6 +154,8 @@ BIG = Field(1000000007)
 
 
 def assert_canonical(m):
+    """Integer rows over the least common denominator of the scalar view,
+    with residues in 0..p-1 over 1 for F_p and gcd 1 over Q."""
     f = m.field
     for r in m.data:
         for v in r:
@@ -158,9 +163,12 @@ def assert_canonical(m):
                 assert type(v) is int and 0 <= v < f.p, v
             else:
                 assert type(v) is Fraction, v
+    den = math.lcm(*(Fraction(v).denominator for r in m.data for v in r))
+    assert type(m.den) is int and m.den == den, (m.den, den)
+    assert m.num == tuple(tuple(int(v * den) for v in r) for r in m.data)
+    assert all(type(v) is int for r in m.num for v in r)
+    assert math.gcd(m.den, *(v for r in m.num for v in r)) == 1
     assert Matrix(f, m.data) == m
-    if m._int is not None:
-        assert m._int == Matrix(f, m.data)._as_int()
 
 
 @pytest.mark.parametrize("field", [F7, BIG, QQ], ids=str)
@@ -181,6 +189,8 @@ def test_internal_producers_give_canonical_entries(field):
         d = build_descriptor(fam, 2, field, similitude=True)
         for _ in range(20):
             products.append(token_matrix(random_token(d, rng), d))
+        for i, j in legal_x_index_pairs(d):
+            products.append(token_matrix(x(i, j, field.of(Fraction(-3, 2))), d))
         products.append(token_matrix(random_torus_token(d, rng), d))
         g = random_member(d, 3, word_len=8, with_torus=True)
         products.append(g)
@@ -196,5 +206,29 @@ def test_public_constructor_still_canonicalises():
     q = Matrix(QQ, [[1, 2], [Fraction(3, 6), -4]])
     assert all(type(v) is Fraction for r in q.data for v in r)
     assert q.data[1][0] == Fraction(1, 2)
+    assert (q.num, q.den) == (((2, 4), (1, -8)), 2)
     with pytest.raises(DivisionByZero):
         Matrix(F7, [[Fraction(1, 7)]])
+
+
+def test_equal_rational_matrices_from_different_routes_are_equal_and_hash_equal():
+    d = build_descriptor(Family.GL, 2, QQ)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    routes = [
+        Matrix(QQ, [[1, half, 0], [0, 1, 0], [0, 0, 1]]),
+        Matrix(QQ, [[Fraction(2, 2), Fraction(3, 6), 0], [0, 1, 0], [0, 0, Fraction(-5, -5)]]),
+        token_matrix(x(1, 2, half), d),
+        token_matrix(x(1, 2, quarter), d) @ token_matrix(x(1, 2, quarter), d),
+        token_matrix(x(1, 2, Fraction(1, 3)), d) @ token_matrix(x(1, 2, Fraction(1, 6)), d),
+        Matrix.identity(QQ, 3) + token_matrix(x(1, 2, half), d) - Matrix.identity(QQ, 3),
+    ]
+    ones = [
+        Matrix.identity(QQ, 3),
+        token_matrix(torus(3, 1), d) @ token_matrix(torus(Fraction(1, 3), 1), d),
+        Matrix.diagonal(QQ, [Fraction(7, 7), 1, 1]),
+    ]
+    for same in (routes, ones):
+        for m in same:
+            assert_canonical(m)
+            assert m == same[0] and hash(m) == hash(same[0])
+    assert routes[0] != ones[0] and (routes[0].num, routes[0].den) == (((2, 1, 0), (0, 2, 0), (0, 0, 2)), 2)

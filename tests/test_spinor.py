@@ -184,6 +184,21 @@ def test_rational_norm_of_a_long_word_returns_promptly():
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize("family", ORTH)
+def test_three_routes_agree_over_a_large_prime(family):
+    # a coefficient scan over every nonzero residue would exhaust memory here
+    field = Field(1000000007)
+    for l in (1, 2, 3, 4):
+        d = build_descriptor(family, l, field)
+        for seed in range(2):
+            g = random_member(d, seed, word_len=4 * l, with_torus=True)
+            start = time.perf_counter()
+            mirrors, c = reflection_factorization(g, d)
+            assert spinor_norm(g, d) == wall_spinor_norm(g, d) == c
+            assert time.perf_counter() - start < 1.0
+            assert len(mirrors) <= d.n + 2
+
+
 def test_factorization_fuel_check_raises_internal_error(monkeypatch):
     import steinberg.spinor as spinor
 
