@@ -7,10 +7,11 @@ Matrix files are plain text: a header line
 followed by n rows of n whitespace-separated scalars (integers mod p, or
 fractions like 3/4 over Q).  ``decompose`` emits a word file with the same
 header plus ``L=``, ``D=``, ``R=`` lines in the token grammar, which
-``verify`` re-reads and multiplies out.  Exit codes: 0 success, 1 usage or
-parse error, 2 domain error (not in group, mismatch, unsupported family,
-singular GL matrix), 3 internal error (a failed self-check: a bug in the
-library, not bad input).
+``verify`` re-reads and multiplies out, naming the first differing entry on
+stderr when they disagree.  Exit codes: 0 success, 1 usage or parse error,
+2 domain error (not in group, mismatch, unsupported family, singular GL
+matrix), 3 internal error (a failed self-check: a bug in the library, not
+bad input).
 """
 
 from __future__ import annotations
@@ -156,6 +157,10 @@ def cmd_verify(args) -> int:
         print("OK")
         return 0
     print("MISMATCH")
+    n = d.n
+    i, j = next((i, j) for i in range(n) for j in range(n) if prod[i, j] != g[i, j])
+    signed = d.basis_indices()
+    print(f"first difference at {(signed[i], signed[j])}: product {prod[i, j]}, file {g[i, j]}", file=sys.stderr)
     return 2
 
 

@@ -7,8 +7,10 @@ compare it directly, and products, sums, transposes and blocks run on the
 integers alike for both fields.  Only the normalise step (:meth:`_normal`:
 reduce mod p, or divide out the gcd) and the scalar view (``data``,
 ``[i, j]``, ``row``, ``col``, ``to_lists``, ``repr``: the residues, or
-``Fraction(v, den)``) know the field.  Inverse, rank, solve and determinant
-go through one exact Gauss-Jordan kernel on the scalar view.
+``Fraction(v, den)``) know the field.  Rank, rref, inverse, solve and
+determinant go through one Gauss-Jordan kernel on the stored integers: on
+residues over F_p, and fraction-free over Q, where the reduced rows come out
+over one common pivot and go straight back to the stored form.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .field import Field, Scalar
+from .field import Field, InternalError, Scalar
 
 
 class DimensionMismatch(ValueError):
@@ -64,17 +66,22 @@ class Matrix:
 
     @classmethod
     def _normal(cls, field: Field, num: list, den: int = 1) -> "Matrix":
-        """The normalise step: residues mod p, or the gcd divided out over Q."""
+        """The normalise step: residues mod p, or over Q the gcd divided out
+        and the sign moved into the rows, so any nonzero ``den`` will do."""
         p = field.p
         if p is not None:
             return cls._canonical(field, [[v % p for v in r] for r in num])
         g = math.gcd(den, *(v for r in num for v in r))
-        if g > 1:
+        if den < 0:
+            g = -g
+        if g != 1:
             num = [[v // g for v in r] for r in num]
             den //= g
         return cls._canonical(field, num, den)
 
     def _store(self, field: Field, num: Iterable[Sequence[int]], den: int) -> None:
+        if den <= 0:
+            raise InternalError(f"stored denominator {den} is not positive")
         self.field = field
         self.num = tuple(map(tuple, num))
         self.den = den
@@ -197,82 +204,98 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._canonical(self.field, zip(*self.num), self.den) if self.num else self
 
-    # -- exact Gauss-Jordan kernel --------------------------------------------
+    # -- exact Gauss-Jordan kernel on the stored integers ---------------------
 
     def _reduce(self, aug: list) -> tuple:
-        """Row-reduce ``aug`` in place; return (pivot column list, det factor).
+        """Row-reduce the integer rows ``aug`` in place over this matrix's
+        columns; return (pivot columns, det, s) with ``aug / s`` the rref.
 
-        ``det`` only means something when the left block is square and fully
-        pivoted; callers that need it track the swaps folded in here.
+        F_p: Gauss-Jordan on residues, pivots scaled to 1, so s = 1.  Q:
+        fraction-free Gauss-Jordan (Nakos, Turner & Williams 1997), whose
+        divisions by the previous pivot are exact; every pivot entry ends
+        equal to the last pivot s.  ``det`` is the integer determinant of
+        the left block (not yet reduced mod p) when it is square and fully
+        pivoted.
         """
-        f = self.field
+        p = self.field.p
         m = len(aug)
-        n = self.cols
         pivots = []
-        det = f.one
+        sign, det, s = 1, 1, 1
         r = 0
-        for c in range(n):
-            pr = next((k for k in range(r, m) if aug[k][c] != f.zero), None)
+        for c in range(self.cols):
+            pr = next((k for k in range(r, m) if aug[k][c]), None)
             if pr is None:
                 continue
             if pr != r:
                 aug[r], aug[pr] = aug[pr], aug[r]
-                det = f.neg(det)
-            inv = f.inv(aug[r][c])
-            det = f.mul(det, aug[r][c])
-            aug[r] = [f.mul(inv, v) for v in aug[r]]
-            for k in range(m):
-                if k != r and aug[k][c] != f.zero:
+                sign = -sign
+            piv = aug[r][c]
+            if p is not None:
+                inv = pow(piv, -1, p)
+                det = det * piv % p
+                top = aug[r] = [v * inv % p for v in aug[r]]
+                for k in range(m):
                     t = aug[k][c]
-                    aug[k] = [f.sub(a, f.mul(t, b)) for a, b in zip(aug[k], aug[r])]
+                    if t and k != r:
+                        aug[k] = [(a - t * b) % p for a, b in zip(aug[k], top)]
+            else:
+                top = aug[r]
+                for k in range(m):
+                    t = aug[k][c]
+                    if k != r and (t or piv != s):
+                        aug[k] = [(piv * a - t * b) // s for a, b in zip(aug[k], top)]
+                s = piv
             pivots.append(c)
             r += 1
             if r == m:
                 break
-        return pivots, det
+        return pivots, sign * det * s, s
 
     def rank(self) -> int:
-        pivots, _ = self._reduce(self.to_lists())
-        return len(pivots)
+        return len(self._reduce(list(map(list, self.num)))[0])
 
     def rref(self) -> "Matrix":
         """Reduced row-echelon form."""
-        rows = self.to_lists()
-        self._reduce(rows)
-        return Matrix._of_scalars(self.field, rows)
+        rows = list(map(list, self.num))
+        s = self._reduce(rows)[2]
+        return Matrix._normal(self.field, rows, s)
 
     def det(self) -> Scalar:
         if not self.is_square:
             raise DimensionMismatch("determinant of non-square matrix")
-        pivots, det = self._reduce(self.to_lists())
-        return det if len(pivots) == self.rows else self.field.zero
+        f = self.field
+        pivots, det, _ = self._reduce(list(map(list, self.num)))
+        if len(pivots) != self.rows:
+            return f.zero
+        return det % f.p if f.is_prime else Fraction(det, self.den ** self.rows)
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
             raise DimensionMismatch("inverse of non-square matrix")
-        f = self.field
-        n = self.rows
-        aug = [r + e for r, e in zip(self.to_lists(), Matrix.identity(f, n).to_lists())]
-        pivots, _ = self._reduce(aug)
+        n, den = self.rows, self.den
+        # [num | den I] reduces to s [I | den num^-1], and den num^-1 is the inverse
+        aug = [list(r) + [den if j == i else 0 for j in range(n)] for i, r in enumerate(self.num)]
+        pivots, _, s = self._reduce(aug)
         if len(pivots) != n:
             raise SingularMatrix("matrix is singular")
-        return Matrix._of_scalars(f, [r[n:] for r in aug])
+        return Matrix._normal(self.field, [r[n:] for r in aug], s)
 
     def solve(self, b: Sequence[Scalar]) -> tuple:
         """One preimage of ``b`` under this matrix, or :class:`NoSolution`."""
         f = self.field
         if len(b) != self.rows:
             raise DimensionMismatch("rhs length mismatch")
-        b = [f.of(v) for v in b]
-        aug = [r + [v] for r, v in zip(self.to_lists(), b)]
-        pivots, _ = self._reduce(aug)
+        # num x = den b, with b = bnum / bden, so x = (reduced last column) / (s bden)
+        (bnum,), bden = _over_lcm([[f.of(v) for v in b]])
+        aug = [list(r) + [self.den * v] for r, v in zip(self.num, bnum)]
+        pivots, _, s = self._reduce(aug)
         # consistency: a pivot in the augmented column means no solution
         for row in aug:
-            if all(v == f.zero for v in row[:-1]) and row[-1] != f.zero:
+            if row[-1] and not any(row[:-1]):
                 raise NoSolution("inconsistent system")
         x = [f.zero] * self.cols
         for r, c in enumerate(pivots):
-            x[c] = aug[r][-1]
+            x[c] = aug[r][-1] if f.is_prime else Fraction(aug[r][-1], s * bden)
         return tuple(x)
 
     # -- blocks -------------------------------------------------------------

@@ -22,7 +22,7 @@ from .eliminate import decompose
 from .field import Field, Scalar, SquareClass, square_class
 from .forms import Family, GroupDescriptor, InternalError, NotInGroup, multiplier
 from .generators import GeneratorToken
-from .matrix import Matrix
+from .matrix import Matrix, _over_lcm
 
 
 class NotOrthogonalFamily(ValueError):
@@ -92,22 +92,17 @@ def spinor_decomposition(g: Matrix, d: GroupDescriptor) -> tuple:
 
 def _moved_space_basis(g: Matrix) -> list:
     """Deterministic basis of (I-g)V: nonzero rows of the rref of (I-g)^T."""
-    f = g.field
-    gt = (Matrix.identity(f, g.rows) - g).transpose()
-    return [r for r in gt.rref().data if any(v != f.zero for v in r)]
+    rr = (Matrix.identity(g.field, g.rows) - g).transpose().rref()
+    return [rr.row(i) for i, r in enumerate(rr.num) if any(r)]
 
 
 def _beta_pair(beta: Matrix, u, v) -> Scalar:
+    """beta(u, v), summed on u and v over their common denominators."""
     f = beta.field
-    acc = f.zero
-    for i, ui in enumerate(u):
-        if ui == f.zero:
-            continue
-        row = beta.row(i)
-        for j, vj in enumerate(v):
-            if vj != f.zero and row[j] != f.zero:
-                acc = f.add(acc, f.mul(ui, f.mul(row[j], vj)))
-    return acc
+    (x,), dx = _over_lcm([u])
+    (y,), dy = _over_lcm([v])
+    acc = sum(xi * bij * yj for xi, row in zip(x, beta.num) if xi for bij, yj in zip(row, y) if bij)
+    return acc % f.p if f.is_prime else Fraction(acc, dx * dy * beta.den)
 
 
 def wall_spinor_norm(g: Matrix, d: GroupDescriptor) -> SquareClass:
@@ -137,22 +132,40 @@ def wall_gram(g: Matrix, d: GroupDescriptor) -> tuple:
 # reflections
 
 
+def _mirror(v, d: GroupDescriptor) -> tuple:
+    """(x, y, a, c) with the reflection in v equal to (a I - c x y^T) / a.
+
+    x is v over its common denominator and y = beta^T x, both integer
+    vectors, so N = x.y is nonzero exactly when v is anisotropic: over Q
+    a = N and c = 2; over F_p a = 1 and c = 2 / N.
+    """
+    f = d.field
+    (x,), _ = _over_lcm([v])
+    y = [sum(xi * bij for xi, bij in zip(x, col)) for col in zip(*d.beta.num)]
+    nv = sum(xi * yi for xi, yi in zip(x, y))
+    if f.is_prime:
+        y = [yi % f.p for yi in y]
+        nv %= f.p
+    if not nv:
+        raise ValueError("reflection needs an anisotropic vector")
+    return (x, y, 1, 2 * pow(nv, -1, f.p)) if f.is_prime else (x, y, nv, 2)
+
+
 def reflection_matrix(v, d: GroupDescriptor) -> Matrix:
     """The reflection in the hyperplane orthogonal to an anisotropic v."""
-    f = d.field
-    nv = _beta_pair(d.beta, v, v)
-    if nv == f.zero:
-        raise ValueError("reflection needs an anisotropic vector")
-    c = f.div(f.of(2), nv)
-    bv = [_beta_pair(d.beta, v, _unit(f, d.n, j)) for j in range(d.n)]
-    rows = []
-    for i in range(d.n):
-        row = []
-        for j in range(d.n):
-            delta = f.one if i == j else f.zero
-            row.append(f.sub(delta, f.mul(c, f.mul(v[i], bv[j]))))
-        rows.append(row)
-    return Matrix(f, rows)
+    x, y, a, c = _mirror(v, d)
+    return Matrix._normal(d.field, [
+        [(a if i == j else 0) - c * xi * yj for j, yj in enumerate(y)] for i, xi in enumerate(x)
+    ], a)
+
+
+def _reflected(v, d: GroupDescriptor, h: Matrix) -> Matrix:
+    """``reflection_matrix(v, d) @ h`` as the rank-1 update h - c x (y^T h) / a."""
+    x, y, a, c = _mirror(v, d)
+    z = [sum(yi * hij for yi, hij in zip(y, col)) for col in zip(*h.num)]
+    return Matrix._normal(d.field, [
+        [a * hij - c * xi * zj for hij, zj in zip(row, z)] for xi, row in zip(x, h.num)
+    ], a * h.den)
 
 
 def _unit(f: Field, n: int, j: int) -> tuple:
@@ -219,7 +232,7 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
             raise InternalError("reflection factorisation failed to terminate")
         choice = fallback = None
         for v in _anisotropic_candidates(_moved_space_basis(h), d):
-            h2 = reflection_matrix(v, d) @ h
+            h2 = _reflected(v, d, h)
             if h2 not in seen and (
                 h2 == ident or next(_anisotropic_candidates(_moved_space_basis(h2), d), None) is not None
             ):
@@ -230,7 +243,7 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
             v, h = choice or fallback
         else:
             v = _some_anisotropic(d)
-            h = reflection_matrix(v, d) @ h
+            h = _reflected(v, d, h)
         seen.add(h)
         mirrors.append(v)
     acc = _unit_class(f)

@@ -112,6 +112,19 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert code == 2 and out2.strip() == "MISMATCH"
 
 
+@pytest.mark.parametrize("header, rows, witness", [
+    ("group=GSp l=1 field=5 similitude=0", "1 1\n0 1\n", "(1, -1): product 0, file 1"),
+    ("group=GL l=1 field=Q similitude=0", "1 0\n1/2 1\n", "(2, 1): product 0, file 1/2"),
+])
+def test_verify_mismatch_names_the_first_differing_entry(tmp_path, capsys, header, rows, witness):
+    # the empty words multiply out to the identity
+    wpath = write(tmp_path, "w.txt", f"{header}\nL= \nD= torus(1;1)\nR= \n")
+    mpath = write(tmp_path, "m.txt", f"{header}\n{rows}")
+    code, out, err = run(capsys, "verify", wpath, mpath)
+    assert code == 2 and out == "MISMATCH\n"
+    assert err == f"first difference at {witness}\n"
+
+
 def test_verify_empty_word_vs_identity(tmp_path, capsys):
     wpath = write(
         tmp_path, "w.txt",

@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 
 from steinberg.field import DivisionByZero, Field, QQ
-from steinberg.forms import Family, build_descriptor
+from steinberg.forms import Family, InternalError, build_descriptor
 from steinberg.generators import legal_x_index_pairs, token_matrix, torus, x
 from steinberg.harness import random_member, random_token, random_torus_token
 from steinberg.matrix import DimensionMismatch, Matrix, NoSolution, SingularMatrix
 from steinberg.rowops import WorkingMatrix
+from steinberg.spinor import _reflected, reflection_matrix
+
+from gauss_oracle import oracle_det, oracle_inverse, oracle_rank, oracle_rref, oracle_solve
 
 F3 = Field(3)
 F5 = Field(5)
@@ -232,3 +235,103 @@ def test_equal_rational_matrices_from_different_routes_are_equal_and_hash_equal(
             assert_canonical(m)
             assert m == same[0] and hash(m) == hash(same[0])
     assert routes[0] != ones[0] and (routes[0].num, routes[0].den) == (((2, 1, 0), (0, 2, 0), (0, 0, 2)), 2)
+
+
+# -- the integer Gauss-Jordan kernel against the scalar oracle -----------------
+
+
+def _kernel_cases(field, rng):
+    """Seeded square, non-square, rank-deficient and singular matrices;
+    rationals of 60-bit height over Q."""
+
+    def entry():
+        if rng.random() < 0.25:
+            return 0
+        if field.is_prime:
+            return rng.randrange(field.p)
+        return Fraction(rng.randint(-2**60, 2**60), rng.randint(1, 2**60))
+
+    def rand(rows, cols):
+        return Matrix(field, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+    for n in range(1, 7):
+        yield rand(n, n)
+        yield rand(n, n + 2)
+        yield rand(n + 2, n)
+        k = max(1, n - 2)
+        yield rand(n, k) @ rand(k, n)  # rank at most k
+        square = rand(n + 1, n + 1).to_lists()
+        square[-1] = square[0]
+        yield Matrix(field, square)  # singular
+    yield Matrix.zeros(field, 3, 4)
+    yield Matrix.identity(field, 5).scale(-1)
+
+
+@pytest.mark.parametrize("field", [F7, BIG, QQ], ids=str)
+def test_kernel_agrees_with_the_scalar_oracle(field):
+    rng = random.Random(31)
+    for a in _kernel_cases(field, rng):
+        assert a.rank() == oracle_rank(a)
+        assert a.rref() == oracle_rref(a)
+        assert_canonical(a.rref())
+        if a.is_square:
+            assert a.det() == oracle_det(a)
+            try:
+                want = oracle_inverse(a)
+            except SingularMatrix:
+                with pytest.raises(SingularMatrix):
+                    a.inverse()
+            else:
+                assert a.inverse() == want
+                assert_canonical(a.inverse())
+        x = [field.of(rng.randint(-9, 9)) for _ in range(a.cols)]
+        consistent = (a @ Matrix(field, [[v] for v in x])).col(0)
+        scattered = [field.of(Fraction(rng.randint(-2**60, 2**60), rng.randint(1, 2**30)))
+                     if not field.is_prime else rng.randrange(field.p) for _ in range(a.rows)]
+        for b in (consistent, scattered):
+            try:
+                want = oracle_solve(a, b)
+            except NoSolution:
+                with pytest.raises(NoSolution):
+                    a.solve(b)
+            else:
+                assert a.solve(b) == want
+
+
+def test_negative_pivots_and_denominators_give_canonical_matrices():
+    a = Matrix(QQ, [[-3, 1, Fraction(-1, 2)], [2, -5, 0], [Fraction(-7, 3), 0, -1]])
+    b = Matrix(QQ, [[-2, 4, 6], [-1, 2, 3], [Fraction(-1, 3), 1, 0]])
+    d = build_descriptor(Family.GO_EVEN, 1, QQ)
+    v = (1, -1)  # beta(v, v) = -2
+    h = token_matrix(torus(Fraction(-3, 2), 1), d)
+    products = [a.rref(), a.inverse(), b.rref(), reflection_matrix(v, d), _reflected(v, d, h)]
+    for m in products:
+        assert_canonical(m)
+    assert _reflected(v, d, h) == reflection_matrix(v, d) @ h
+    assert Matrix._normal(QQ, [[1, -2]], -4) == Matrix(QQ, [[Fraction(-1, 4), Fraction(1, 2)]])
+    for den in (0, -1):
+        with pytest.raises(InternalError):
+            Matrix._canonical(QQ, [[1]], den)
+
+
+def test_rational_kernel_builds_no_fraction(monkeypatch):
+    import steinberg.matrix as matrix
+
+    rng = random.Random(37)
+    a = Matrix(QQ, [[Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(9)] for _ in range(9)])
+    b = a.col(4)
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(matrix, "Fraction", Counting)
+    assert a.rank() == 9
+    a.rref()
+    a.inverse()
+    assert made == []
+    x = a.solve(b)
+    assert len(made) == 9
+    assert x == tuple(Fraction(int(j == 4)) for j in range(9))

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import islice
 
 import pytest
 
@@ -199,12 +200,28 @@ def test_three_routes_agree_over_a_large_prime(family):
             assert len(mirrors) <= d.n + 2
 
 
+@pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
+def test_rank_one_update_equals_the_dense_product(field):
+    from steinberg.spinor import _anisotropic_candidates, _moved_space_basis, _reflected
+
+    for family in ORTH if field.is_prime else ORTH[:2]:
+        for l in (1, 2, 3):
+            d = build_descriptor(family, l, field)
+            for seed in range(3):
+                h = random_member(d, seed, word_len=4 * l, with_torus=True)
+                basis = _moved_space_basis(random_member(d, seed + 7, word_len=4 * l))
+                for v in islice(_anisotropic_candidates(basis, d), 4):
+                    assert _reflected(v, d, h) == reflection_matrix(v, d) @ h
+
+
 def test_factorization_fuel_check_raises_internal_error(monkeypatch):
     import steinberg.spinor as spinor
 
     d = build_descriptor(Family.GO_EVEN, 2, F5)
     g = random_member(d, 1, word_len=7)
-    monkeypatch.setattr(spinor, "reflection_matrix", lambda v, dd: Matrix.identity(dd.field, dd.n))
+    # the descent applies each trial mirror through the rank-1 update; a
+    # stalled update leaves h where it was, so only the fuel check can stop it
+    monkeypatch.setattr(spinor, "_reflected", lambda v, dd, h: h)
     with pytest.raises(InternalError, match="failed to terminate"):
         reflection_factorization(g, d)
 
