@@ -10,7 +10,8 @@ header plus ``L=``, ``D=``, ``R=`` lines in the token grammar, which
 ``verify`` re-reads and multiplies out, naming the first differing entry on
 stderr when they disagree.  Exit codes: 0 success, 1 usage or parse error,
 2 domain error (not in group, mismatch, unsupported family, singular GL
-matrix), 3 internal error (a failed self-check: a bug in the library, not
+matrix, a rational square class whose squarefree part cannot be certified),
+3 internal error (a failed self-check: a bug in the library, not
 bad input).
 """
 
@@ -20,8 +21,9 @@ import argparse
 import sys
 
 from .eliminate import decompose, decompose_gl
-from .field import Field, QQ
-from .forms import Family, GroupDescriptor, InternalError, NotInGroup, UnsupportedFamily, build_descriptor
+from .field import CannotFactor, Field, QQ
+from .forms import (Family, GroupDescriptor, InternalError, NotInGroup, UnsupportedFamily, build_descriptor,
+                    dimension, first_difference)
 from .generators import IllegalToken, evaluate_word, parse_word
 from .harness import EnumerationTooLarge, enumerate_group, random_member
 from .matrix import Matrix, SingularMatrix
@@ -41,7 +43,9 @@ def format_descriptor(d: GroupDescriptor) -> str:
     return f"group={d.family.value} l={d.l} field={field} similitude={int(d.similitude)}"
 
 
-def parse_descriptor(line: str) -> GroupDescriptor:
+def _parse_header(line: str) -> tuple:
+    """(family, l, field, similitude, n) of a header line, checked as the
+    descriptor is, but without building its n x n Gram matrix."""
     fields = {}
     for part in line.split():
         if "=" not in part:
@@ -53,17 +57,28 @@ def parse_descriptor(line: str) -> GroupDescriptor:
         l = int(fields["l"])
         field = QQ if fields["field"] == "Q" else Field(int(fields["field"]))
         similitude = bool(int(fields.get("similitude", "0")))
-        return build_descriptor(family, l, field, similitude=similitude)
+        return family, l, field, similitude, dimension(family, l, field)
     except (KeyError, ValueError) as e:  # includes UnsupportedField
         raise ParseError(f"bad header {line!r}: {e}") from e
 
 
-def parse_matrix_file(text: str) -> tuple:
+def parse_descriptor(line: str) -> GroupDescriptor:
+    family, l, field, similitude, _ = _parse_header(line)
+    return build_descriptor(family, l, field, similitude=similitude)
+
+
+def _lines(text: str, what: str) -> list:
+    """The non-blank, non-comment lines of a file, stripped."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
-        raise ParseError("empty matrix file")
-    d = parse_descriptor(lines[0])
-    n = d.n
+        raise ParseError(f"empty {what} file")
+    return lines
+
+
+def parse_matrix_file(text: str) -> tuple:
+    lines = _lines(text, "matrix")
+    # count the rows before the descriptor builds its n x n Gram matrix
+    family, l, field, similitude, n = _parse_header(lines[0])
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []
@@ -72,10 +87,10 @@ def parse_matrix_file(text: str) -> tuple:
         if len(entries) != n:
             raise ParseError(f"expected {n} entries per row, got {len(entries)}")
         try:
-            rows.append([d.field.parse(e) for e in entries])
+            rows.append([field.parse(e) for e in entries])
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"bad scalar in row {ln!r}: {e}") from e
-    return Matrix(d.field, rows), d
+    return Matrix(field, rows), build_descriptor(family, l, field, similitude=similitude)
 
 
 def format_matrix_file(g: Matrix, d: GroupDescriptor) -> str:
@@ -108,9 +123,7 @@ def format_word_file(dec, d: GroupDescriptor) -> str:
 
 def parse_word_file(text: str) -> tuple:
     """(L word, D word, R word, descriptor) from a decompose dump."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines:
-        raise ParseError("empty word file")
+    lines = _lines(text, "word")
     d = parse_descriptor(lines[0])
     parts = {"L": None, "D": None, "R": None}
     for ln in lines[1:]:
@@ -148,19 +161,20 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    left, mid, right, d = parse_word_file(_read(args.word))
-    g, d2 = parse_matrix_file(_read(args.matrix))
-    if d2.family != d.family or d2.l != d.l or d2.field != d.field:
+    word_text, matrix_text = _read(args.word), _read(args.matrix)
+    # compare family, l and field before either file builds its descriptor
+    word_head = _parse_header(_lines(word_text, "word")[0])
+    if word_head[:3] != _parse_header(_lines(matrix_text, "matrix")[0])[:3]:
         raise ParseError("word and matrix descriptors disagree")
+    g, _ = parse_matrix_file(matrix_text)
+    left, mid, right, d = parse_word_file(word_text)
     prod = evaluate_word(left) @ evaluate_word(mid) @ evaluate_word(right)
     if prod == g:
         print("OK")
         return 0
     print("MISMATCH")
-    n = d.n
-    i, j = next((i, j) for i in range(n) for j in range(n) if prod[i, j] != g[i, j])
-    signed = d.basis_indices()
-    print(f"first difference at {(signed[i], signed[j])}: product {prod[i, j]}, file {g[i, j]}", file=sys.stderr)
+    at, got, want = first_difference(prod, g, d)
+    print(f"first difference at {at}: product {got}, file {want}", file=sys.stderr)
     return 2
 
 
@@ -247,7 +261,8 @@ def main(argv=None) -> int:
     except NotInGroup as e:
         print(f"not in group: {e}", file=sys.stderr)
         return 2
-    except (UnsupportedFamily, NotOrthogonalFamily, EnumerationTooLarge, IllegalToken, SingularMatrix) as e:
+    except (UnsupportedFamily, NotOrthogonalFamily, EnumerationTooLarge, IllegalToken, SingularMatrix,
+            CannotFactor) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InternalError as e:

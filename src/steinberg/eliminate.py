@@ -467,11 +467,3 @@ def word_length_stats(d: GroupDescriptor, trials: int, seed: int) -> dict:
         "mean_ops": sum(counts) / len(counts) if counts else 0.0,
         "bound": bound,
     }
-
-
-def word_length_table(family: Family, field, ls: list, trials: int, seed: int, similitude: bool = True) -> list:
-    rows = []
-    for l in ls:
-        d = build_descriptor(family, l, field, similitude=similitude)
-        rows.append(word_length_stats(d, trials, seed))
-    return rows

@@ -26,6 +26,11 @@ class ZeroHasNoClass(ValueError):
     """Square classes live in k*/k*^2, so zero has none."""
 
 
+class CannotFactor(ValueError):
+    """A square class over Q needs the squarefree part of an integer with a
+    probable-prime factor that Miller-Rabin cannot certify."""
+
+
 class InternalError(AssertionError):
     """A load-bearing invariant failed: a bug in the library, not bad input.
 
@@ -218,12 +223,17 @@ def _prime_factors(n: int) -> list:
 
     Small factors come off by trial division.  A larger cofactor is a square,
     proved composite by Miller-Rabin and split by Pollard-Brent rho, or
-    prime; only a probable prime above _MR_LIMIT, which Miller-Rabin cannot
-    certify, falls back to trial division, the one exact test left.
+    prime; a probable prime at or above _MR_LIMIT, which Miller-Rabin cannot
+    certify, raises :class:`CannotFactor` (as ``Field`` does for moduli).
     """
     out = []
-    n = _trial_divide(n, _TRIAL_BOUND, out)
-    stack = [n] if n > 1 else []
+    rest, d = n, 2
+    while d <= _TRIAL_BOUND and d * d <= rest:
+        while rest % d == 0:
+            rest //= d
+            out.append(d)
+        d += 1
+    stack = [rest] if rest > 1 else []
     while stack:
         m = stack.pop()
         r = math.isqrt(m)
@@ -235,21 +245,9 @@ def _prime_factors(n: int) -> list:
         elif m < _MR_LIMIT:
             out.append(m)
         else:
-            m = _trial_divide(m, r, out)
-            if m > 1:
-                out.append(m)
+            raise CannotFactor(f"cannot certify the squarefree part of {n}: {m} is only a probable prime"
+                               f" (Miller-Rabin is exact below {_MR_LIMIT})")
     return out
-
-
-def _trial_divide(n: int, bound: int, out: list) -> int:
-    """Divide out every d <= bound from n, appending them to out; return the rest."""
-    d = 2
-    while d <= bound and d * d <= n:
-        while n % d == 0:
-            n //= d
-            out.append(d)
-        d += 1
-    return n
 
 
 def _rho(n: int) -> int:

@@ -56,11 +56,8 @@ class GroupDescriptor:
     field: Field
     similitude: bool
     beta: Matrix
+    n: int
     epsilon: Scalar | None = None
-
-    @property
-    def n(self) -> int:
-        return _dimension(self.family, self.l)
 
     def pos(self, i: int) -> int:
         """Storage position of signed basis index i (0 only for GOodd)."""
@@ -115,7 +112,13 @@ class GroupDescriptor:
         return f"{self.family.value}(l={self.l},{self.field},{sim})"
 
 
-def _dimension(family: Family, l: int) -> int:
+def dimension(family: Family, l: int, field: Field) -> int:
+    """n for the family at rank l over the field, checked as
+    :func:`build_descriptor` checks it but without building the Gram matrix."""
+    if l < 1:
+        raise ValueError("rank must be >= 1")
+    if family is Family.GO_MINUS and not field.is_prime:
+        raise UnsupportedField("twisted form needs a finite field")
     if family is Family.GL:
         return l + 1
     if family is Family.GO_ODD:
@@ -149,8 +152,7 @@ def build_descriptor(
     integer making the 2x2 plane anisotropic, so descriptors are
     reproducible and the group really is the second even type.
     """
-    if l < 1:
-        raise ValueError("rank must be >= 1")
+    n = dimension(family, l, field)
     epsilon = None
     if family is Family.GL:
         beta = Matrix.identity(field, l + 1)  # unused placeholder
@@ -161,13 +163,11 @@ def build_descriptor(
     elif family is Family.GO_ODD:
         beta = _odd_beta(field, l)
     elif family is Family.GO_MINUS:
-        if not field.is_prime:
-            raise UnsupportedField("twisted form needs a finite field")
         epsilon = field.of(twisted_epsilon(field.p))
         beta = _twisted_beta(field, l, epsilon)
     else:  # pragma: no cover
         raise UnsupportedFamily(str(family))
-    return GroupDescriptor(family, l, field, similitude, beta, epsilon)
+    return GroupDescriptor(family, l, field, similitude, beta, n, epsilon)
 
 
 def _split_beta(field: Field, l: int, skew: bool) -> Matrix:
@@ -215,16 +215,22 @@ def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
     mu = f.div(m[at], beta[at])
     want = beta.scale(mu)
     if m != want:
-        i, j = next((i, j) for i in range(n) for j in range(n) if m[i, j] != want[i, j])
-        signed = d.basis_indices()
-        at = (signed[i], signed[j])
+        at, got, expected = first_difference(m, want, d)
         raise NotInGroup(
-            f"g^T beta g = mu beta fails at {at} for mu = {mu}: entry {m[i, j]}, expected {want[i, j]}",
+            f"g^T beta g = mu beta fails at {at} for mu = {mu}: entry {got}, expected {expected}",
             position=at,
         )
     if mu == f.zero:
         raise NotInGroup("multiplier is zero (singular matrix)", position=None)
     return mu
+
+
+def first_difference(a: Matrix, b: Matrix, d: GroupDescriptor) -> tuple:
+    """(signed basis indices (i, j), a's entry, b's entry) at the first
+    entry in storage order where the unequal n x n matrices a and b differ."""
+    signed = d.basis_indices()
+    return next(((signed[i], signed[j]), u, v) for i, (ra, rb) in enumerate(zip(a.data, b.data))
+                for j, (u, v) in enumerate(zip(ra, rb)) if u != v)
 
 
 def is_member(g: Matrix, d: GroupDescriptor) -> bool:

@@ -7,10 +7,10 @@ compare it directly, and products, sums, transposes and blocks run on the
 integers alike for both fields.  Only the normalise step (:meth:`_normal`:
 reduce mod p, or divide out the gcd) and the scalar view (``data``,
 ``[i, j]``, ``row``, ``col``, ``to_lists``, ``repr``: the residues, or
-``Fraction(v, den)``) know the field.  Rank, rref, inverse, solve and
-determinant go through one Gauss-Jordan kernel on the stored integers: on
-residues over F_p, and fraction-free over Q, where the reduced rows come out
-over one common pivot and go straight back to the stored form.
+``Fraction(v, den)``) know the field.  Pivot columns, rank, rref, inverse
+and determinant go through one Gauss-Jordan kernel on the stored integers:
+on residues over F_p, and fraction-free over Q, where the reduced rows come
+out over one common pivot and go straight back to the stored form.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ class DimensionMismatch(ValueError):
 
 
 class SingularMatrix(ValueError):
-    pass
-
-
-class NoSolution(ValueError):
     pass
 
 
@@ -251,8 +247,12 @@ class Matrix:
                 break
         return pivots, sign * det * s, s
 
+    def pivot_columns(self) -> list:
+        """The pivot columns of the reduced row-echelon form, in order."""
+        return self._reduce(list(map(list, self.num)))[0]
+
     def rank(self) -> int:
-        return len(self._reduce(list(map(list, self.num)))[0])
+        return len(self.pivot_columns())
 
     def rref(self) -> "Matrix":
         """Reduced row-echelon form."""
@@ -279,24 +279,6 @@ class Matrix:
         if len(pivots) != n:
             raise SingularMatrix("matrix is singular")
         return Matrix._normal(self.field, [r[n:] for r in aug], s)
-
-    def solve(self, b: Sequence[Scalar]) -> tuple:
-        """One preimage of ``b`` under this matrix, or :class:`NoSolution`."""
-        f = self.field
-        if len(b) != self.rows:
-            raise DimensionMismatch("rhs length mismatch")
-        # num x = den b, with b = bnum / bden, so x = (reduced last column) / (s bden)
-        (bnum,), bden = _over_lcm([[f.of(v) for v in b]])
-        aug = [list(r) + [self.den * v] for r, v in zip(self.num, bnum)]
-        pivots, _, s = self._reduce(aug)
-        # consistency: a pivot in the augmented column means no solution
-        for row in aug:
-            if row[-1] and not any(row[:-1]):
-                raise NoSolution("inconsistent system")
-        x = [f.zero] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = aug[r][-1] if f.is_prime else Fraction(aug[r][-1], s * bden)
-        return tuple(x)
 
     # -- blocks -------------------------------------------------------------
 

@@ -4,7 +4,8 @@
   diagonal's lambda, the twisted terminal block and every token in the two
   words (almost all of which are trivial).
 * ``wall_spinor_norm``: the discriminant of the Wall form [u,v] = beta(u,y)
-  with (I-g)y = v on the moved space (I-g)V.
+  with (I-g)y = v on the moved space (I-g)V, read off (I-g)^T beta on the
+  pivot columns of I-g: no linear solve (Zassenhaus, Arch. Math. 13, 1962).
 * ``reflection_factorization``: a constructive orthogonal-reflection
   factorisation; the classical norm is the product of beta(v,v)/2 over the
   mirrors.
@@ -118,14 +119,16 @@ def wall_spinor_norm(g: Matrix, d: GroupDescriptor) -> SquareClass:
 
 
 def wall_gram(g: Matrix, d: GroupDescriptor) -> tuple:
-    """(basis, gram matrix) of the Wall form on the moved space (I-g)V."""
+    """(basis, gram matrix) of the Wall form on the moved space (I-g)V.
+
+    Over the pivot columns P of I-g the columns (I-g)e_j are a basis of
+    (I-g)V whose preimages are the e_j themselves, so [(I-g)e_i, (I-g)e_j]
+    = beta((I-g)e_i, e_j) is the (i, j) entry of (I-g)^T beta.
+    """
     _check_orthogonal_isometry(g, d)
-    f = d.field
-    basis = _moved_space_basis(g)
-    tilde = Matrix.identity(f, d.n) - g
-    preimages = [tilde.solve(u) for u in basis]
-    gram = Matrix(f, [[_beta_pair(d.beta, u, y) for y in preimages] for u in basis])
-    return basis, gram
+    tilde = Matrix.identity(d.field, d.n) - g
+    piv = tilde.pivot_columns()
+    return [tilde.col(j) for j in piv], (tilde.transpose() @ d.beta).submatrix(piv, piv)
 
 
 # ---------------------------------------------------------------------------

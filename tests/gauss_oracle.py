@@ -5,11 +5,17 @@ The library eliminates on the stored integers (residues over F_p, and
 fraction-free over Q).  The elimination below runs on the scalar view with
 the :class:`~steinberg.field.Field` arithmetic, one ``Fraction`` per entry
 over Q, and normalises every pivot row, so agreement with it is a test
-rather than a tautology.  Each ``oracle_*`` function mirrors the
-:class:`~steinberg.matrix.Matrix` method of the same name.
+rather than a tautology.  Each ``oracle_*`` function but the last mirrors
+the :class:`~steinberg.matrix.Matrix` method of the same name;
+``oracle_solve`` has no library counterpart and finds the preimages of the
+Wall form by its definition in ``test_spinor``.
 """
 
-from steinberg.matrix import Matrix, NoSolution, SingularMatrix
+from steinberg.matrix import Matrix, SingularMatrix
+
+
+class Inconsistent(ValueError):
+    """The system has no solution."""
 
 
 def reduce_scalars(f, n: int, aug: list) -> tuple:
@@ -44,8 +50,12 @@ def reduce_scalars(f, n: int, aug: list) -> tuple:
     return pivots, det
 
 
+def oracle_pivot_columns(g: Matrix) -> list:
+    return reduce_scalars(g.field, g.cols, g.to_lists())[0]
+
+
 def oracle_rank(g: Matrix) -> int:
-    return len(reduce_scalars(g.field, g.cols, g.to_lists())[0])
+    return len(oracle_pivot_columns(g))
 
 
 def oracle_rref(g: Matrix) -> Matrix:
@@ -74,7 +84,7 @@ def oracle_solve(g: Matrix, b) -> tuple:
     pivots, _ = reduce_scalars(f, g.cols, aug)
     for row in aug:
         if all(v == f.zero for v in row[:-1]) and row[-1] != f.zero:
-            raise NoSolution("inconsistent system")
+            raise Inconsistent("inconsistent system")
     x = [f.zero] * g.cols
     for r, c in enumerate(pivots):
         x[c] = aug[r][-1]

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -275,3 +276,39 @@ def test_not_in_group_keeps_the_library_message(tmp_path, capsys):
     code, _, err = run(capsys, "decompose", path)
     assert code == 2
     assert err.startswith("not in group: g^T beta g = mu beta fails at (-1, -1)"), err
+
+
+def test_uncertified_squarefree_part_is_a_domain_error(tmp_path, capsys):
+    # lambda = 2^89 - 1 is a probable prime beyond what Miller-Rabin certifies
+    lam = 2**89 - 1
+    path = write(tmp_path, "m.txt", f"group=GOplus l=1 field=Q similitude=0\n{lam} 0\n0 1/{lam}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spinor", path)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot certify the squarefree part of {lam}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_matrix_rows_are_counted_before_the_descriptor_is_built(tmp_path, capsys):
+    # building the 2001 x 2001 Gram matrix first takes seconds; at l = 30000 it runs out of memory
+    path = write(tmp_path, "m.txt", "group=GOodd l=1000 field=5 similitude=0\n1 0 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", path)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == "error: expected 2001 matrix rows, found 1\n"
+
+
+def test_verify_compares_headers_before_building_descriptors(tmp_path, capsys):
+    big = "group=GOodd l=1000 field=5 similitude=0"
+    wpath = write(tmp_path, "w.txt", f"{big}\nL= \nD= torus(1;1)\nR= \n")
+    short = write(tmp_path, "m.txt", f"{big}\n1 0 0\n")
+    small = write(tmp_path, "m2.txt", IDENTITY_SP)
+    cases = ((short, "expected 2001 matrix rows, found 1"), (small, "word and matrix descriptors disagree"))
+    for mpath, msg in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", wpath, mpath)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err == f"error: {msg}\n"

@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from steinberg.field import QQ, Field, SquareClass, square_class
+from steinberg.field import QQ, CannotFactor, Field, SquareClass, square_class
 from steinberg.forms import Family, InternalError, NotInGroup, build_descriptor
 from steinberg.eliminate import decompose
 from steinberg.generators import evaluate_word, token_matrix, torus, w, x, x1, x2
@@ -22,11 +22,14 @@ from steinberg.spinor import (
     wall_spinor_norm,
 )
 
+from gauss_oracle import oracle_det, oracle_rank, oracle_rref, oracle_solve, reduce_scalars
 from rowops_oracle import applied
 
 F3 = Field(3)
 F5 = Field(5)
 ORTH = (Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
+# every orthogonal family over F_5, and the split ones over Q
+WALL_CASES = [(fam, F5) for fam in ORTH] + [(Family.GO_EVEN, QQ), (Family.GO_ODD, QQ)]
 
 
 def square(field):
@@ -66,53 +69,68 @@ def test_wall_norm_trivial_on_unipotent_words():
 def test_wall_property_one_entrywise():
     from steinberg.spinor import _beta_pair
 
-    for family in ORTH:
-        d = build_descriptor(family, 2, F5)
+    for family, field in WALL_CASES:
+        d = build_descriptor(family, 2, field)
         for seed in range(6):
             g = random_member(d, seed, word_len=6)
             basis, gram = wall_gram(g, d)
             for i, u in enumerate(basis):
                 for j, v in enumerate(basis):
-                    lhs = d.field.add(gram[i, j], gram[j, i])
+                    lhs = field.add(gram[i, j], gram[j, i])
                     assert lhs == _beta_pair(d.beta, u, v)
 
 
+def _kernel_basis(a: Matrix) -> list:
+    """A basis of the kernel of a, read off the scalar oracle's rref."""
+    f = a.field
+    rows = a.to_lists()
+    pivots, _ = reduce_scalars(f, a.cols, rows)
+    out = []
+    for c in (c for c in range(a.cols) if c not in pivots):
+        v = [f.zero] * a.cols
+        v[c] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(rows[r][c])
+        out.append(v)
+    return out
+
+
 def test_wall_norm_independent_of_choices():
-    # re-derive the gram determinant class with a rescaled, shuffled basis and
-    # preimages shifted by kernel vectors: the class must not move
-    import itertools
+    # the Wall form by its definition, [u, v] = beta(u, y) with (I - g)y = v:
+    # a rescaled, shuffled rref basis of the moved space, preimages from the
+    # scalar oracle shifted by random kernel vectors, and beta entrywise
+    from steinberg.spinor import _beta_pair
 
-    from steinberg.spinor import _beta_pair, _moved_space_basis
-
-    d = build_descriptor(Family.GO_EVEN, 2, F5)
-    f = d.field
     rng = random.Random(4)
-    for seed in range(8):
-        g = random_member(d, seed, word_len=6)
-        reference = wall_spinor_norm(g, d)
-        basis = _moved_space_basis(g)
-        if not basis:
-            continue
-        tilde = Matrix.identity(f, d.n) - g
-        # brute-force kernel of (I - g): the preimage ambiguity
-        kernel = [
-            v for v in itertools.product(range(5), repeat=d.n)
-            if all(
-                sum(tilde[r, k] * v[k] for k in range(d.n)) % 5 == 0
-                for r in range(d.n)
-            )
-        ]
-        scales = [f.of(rng.randrange(1, 5)) for _ in basis]
-        scaled = [tuple(f.mul(s, c) for c in b) for s, b in zip(scales, basis)]
-        rng.shuffle(scaled)
-        pre = []
-        for u in scaled:
-            y = list(tilde.solve(u))
-            z = rng.choice(kernel)
-            y = [f.add(a, f.of(b)) for a, b in zip(y, z)]
-            pre.append(tuple(y))
-        gram = Matrix(f, [[_beta_pair(d.beta, u, y) for y in pre] for u in scaled])
-        assert square_class(f, gram.det()) == reference
+    for family, f in WALL_CASES:
+        shifted = 0
+        for l in (1, 2, 3):
+            d = build_descriptor(family, l, f)
+            for seed in range(4):
+                g = random_member(d, seed, word_len=4 * l + 4, with_torus=True)
+                tilde = Matrix.identity(f, d.n) - g
+                moved = [r for r in oracle_rref(tilde.transpose()).data if any(r)]
+                scales = [f.of(rng.choice([1, -1, 2, -2, 3])) for _ in moved]
+                basis = [tuple(f.mul(c, v) for v in u) for c, u in zip(scales, moved)]
+                rng.shuffle(basis)
+                kernel = _kernel_basis(tilde)
+                pre = []
+                for u in basis:
+                    y = oracle_solve(tilde, u)
+                    for z in kernel:
+                        c = f.of(rng.randint(-3, 3))
+                        y = tuple(f.add(a, f.mul(c, b)) for a, b in zip(y, z))
+                        shifted += 1
+                    assert (tilde @ Matrix(f, [[v] for v in y])).col(0) == u
+                    pre.append(y)
+                wall_basis, _ = wall_gram(g, d)
+                assert oracle_rank(Matrix(f, wall_basis + basis)) == len(wall_basis) == len(basis)
+                if not basis:
+                    assert wall_spinor_norm(g, d) == square(f)
+                    continue
+                gram = Matrix(f, [[_beta_pair(d.beta, u, y) for y in pre] for u in basis])
+                assert square_class(f, oracle_det(gram)) == wall_spinor_norm(g, d)
+        assert shifted, (family, f)
 
 
 def test_spinor_norm_examples():
@@ -198,6 +216,15 @@ def test_three_routes_agree_over_a_large_prime(family):
             assert spinor_norm(g, d) == wall_spinor_norm(g, d) == c
             assert time.perf_counter() - start < 1.0
             assert len(mirrors) <= d.n + 2
+
+
+def test_every_route_reports_an_uncertified_squarefree_part():
+    # lambda = 2^89 - 1 is a probable prime beyond what Miller-Rabin certifies
+    d = build_descriptor(Family.GO_EVEN, 1, QQ)
+    g = token_matrix(torus(2**89 - 1, 1), d)
+    for route in (spinor_norm, wall_spinor_norm, reflection_factorization):
+        with pytest.raises(CannotFactor, match=f": {2**89 - 1} is only a probable prime"):
+            route(g, d)
 
 
 @pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
