@@ -3,6 +3,9 @@
 Elimination works in place on one :class:`steinberg.rowops.WorkingMatrix`:
 every multiplier is an elementary token applied to the rows or columns it
 moves, through the same sparse delta that builds its dense matrix.  The
+working matrix keeps integers (residues over F_p; over Q one denominator per
+row and per column), so a token costs one integer pass per row or column it
+moves, and a scalar is built only where the flow reads an entry.  The
 inverse tokens are collected so that
 ``evaluate(left) @ diagonal @ evaluate(right)`` equals the input exactly.
 

@@ -214,17 +214,20 @@ def _squarefree(n: int) -> int:
     if n == 0:
         raise InternalError("squarefree part of 0")
     sign = -1 if n < 0 else 1
-    odd = Counter(_prime_factors(abs(n)))
+    odd = Counter(_factors_up_to_squares(abs(n)))
     return sign * math.prod(q for q, e in odd.items() if e % 2)
 
 
-def _prime_factors(n: int) -> list:
-    """The prime factors of n >= 1, with multiplicity.
+def _factors_up_to_squares(n: int) -> list:
+    """Primes whose product is n >= 1 divided by a square: each prime
+    occurs with the parity of its exponent in n, which is all
+    :func:`_squarefree` reads.
 
     Small factors come off by trial division.  A larger cofactor is a square,
-    proved composite by Miller-Rabin and split by Pollard-Brent rho, or
-    prime; a probable prime at or above _MR_LIMIT, which Miller-Rabin cannot
-    certify, raises :class:`CannotFactor` (as ``Field`` does for moduli).
+    dropped whole since it adds nothing to the squarefree part; proved
+    composite by Miller-Rabin and split by Pollard-Brent rho; or prime.  A
+    probable prime at or above _MR_LIMIT, which Miller-Rabin cannot certify,
+    raises :class:`CannotFactor` (as ``Field`` does for moduli).
     """
     out = []
     rest, d = n, 2
@@ -238,8 +241,8 @@ def _prime_factors(n: int) -> list:
         m = stack.pop()
         r = math.isqrt(m)
         if r * r == m:
-            stack += [r, r]
-        elif m > _TRIAL_BOUND**2 and _mr_witness(m):
+            continue
+        if m > _TRIAL_BOUND**2 and _mr_witness(m):
             f = _rho(m)
             stack += [f, m // f]
         elif m < _MR_LIMIT:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .field import Field, InternalError, Scalar, square_class
 from .matrix import Matrix
@@ -61,31 +62,17 @@ class GroupDescriptor:
 
     def pos(self, i: int) -> int:
         """Storage position of signed basis index i (0 only for GOodd)."""
-        l = self.l
-        fam = self.family
-        if fam is Family.GL:
-            if not 1 <= i <= self.n:
-                raise self._bad_index(i)
-            return i - 1
-        if fam is Family.GO_ODD:
-            if abs(i) > l:
-                raise self._bad_index(i)
-            if i == 0:
-                return 0
-            return i if i > 0 else l - i
-        if not 1 <= abs(i) <= l:
-            raise self._bad_index(i)
-        if fam is Family.GO_MINUS:
-            if i == 1:
-                return 0
-            if i == -1:
-                return 1
-            return i if i > 0 else l - 1 - i
-        # GSp / GO_EVEN
-        return i - 1 if i > 0 else l - i - 1
+        try:
+            return self._positions[i]
+        except KeyError:
+            raise ValueError(f"basis index {i} out of range for {self.family.value} with l={self.l}") from None
+
+    @cached_property
+    def _positions(self) -> dict:
+        return {i: k for k, i in enumerate(self.basis_indices())}
 
     def basis_indices(self) -> list:
-        """Signed basis indices in storage order, so ``pos`` inverts it."""
+        """Signed basis indices in storage order; ``pos`` is its inverse."""
         l = self.l
         if self.family is Family.GL:
             return list(range(1, self.n + 1))
@@ -95,9 +82,6 @@ class GroupDescriptor:
         if self.family is Family.GO_MINUS:
             return [1, -1] + pos[1:] + neg[1:]
         return pos + neg
-
-    def _bad_index(self, i: int) -> ValueError:
-        return ValueError(f"basis index {i} out of range for {self.family.value} with l={self.l}")
 
     def block_indices(self) -> list:
         """Signed basis indices carrying the square middle block A."""

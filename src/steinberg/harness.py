@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import rowops
 from .field import Field, Scalar
 from .forms import Family, GroupDescriptor, is_member
 from .generators import (
@@ -32,6 +31,7 @@ from .generators import (
     x2,
 )
 from .matrix import Matrix
+from .rowops import WorkingMatrix
 
 
 class EnumerationTooLarge(ValueError):
@@ -118,14 +118,15 @@ def random_torus_token(d: GroupDescriptor, rng: random.Random) -> GeneratorToken
 
 
 def random_member(d: GroupDescriptor, seed: int, word_len: int, with_torus: bool = False) -> Matrix:
-    """Deterministic pseudo-random member: a token word, optionally a torus."""
+    """Deterministic pseudo-random member: a token word, optionally a torus,
+    applied from the right to a working copy of the identity."""
     rng = random.Random(f"{d}#{seed}")
-    rows = Matrix.identity(d.field, d.n).to_lists()
+    w = WorkingMatrix(Matrix.identity(d.field, d.n), d)
     for _ in range(word_len):
-        rowops.apply(rows, random_token(d, rng), rowops.RIGHT, d)
+        w.rmul(random_token(d, rng))
     if with_torus:
-        rowops.apply(rows, random_torus_token(d, rng), rowops.RIGHT, d)
-    return Matrix._of_scalars(d.field, rows)
+        w.rmul(random_torus_token(d, rng))
+    return w.matrix()
 
 
 # ---------------------------------------------------------------------------

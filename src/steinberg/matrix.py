@@ -10,7 +10,11 @@ reduce mod p, or divide out the gcd) and the scalar view (``data``,
 ``Fraction(v, den)``) know the field.  Pivot columns, rank, rref, inverse
 and determinant go through one Gauss-Jordan kernel on the stored integers:
 on residues over F_p, and fraction-free over Q, where the reduced rows come
-out over one common pivot and go straight back to the stored form.
+out over one common pivot and go straight back to the stored form.  The
+trusted constructors ``_canonical`` and ``_normal`` take integer rows as
+they are; token matrices and the snapshots of the working matrix
+(:mod:`steinberg.rowops`) are built through them, without a scalar per
+entry.
 """
 
 from __future__ import annotations
@@ -56,11 +60,6 @@ class Matrix:
         return m
 
     @classmethod
-    def _of_scalars(cls, field: Field, rows: list) -> "Matrix":
-        """Trusted constructor from a list of rows of canonical scalars."""
-        return cls._canonical(field, *_over_lcm(rows))
-
-    @classmethod
     def _normal(cls, field: Field, num: list, den: int = 1) -> "Matrix":
         """The normalise step: residues mod p, or over Q the gcd divided out
         and the sign moved into the rows, so any nonzero ``den`` will do."""
@@ -102,9 +101,9 @@ class Matrix:
         entries = [field.of(e) for e in entries]
         n = len(entries)
         zero = field.zero
-        return cls._of_scalars(field, [
+        return cls._canonical(field, *_over_lcm([
             [entries[i] if i == j else zero for j in range(n)] for i in range(n)
-        ])
+        ]))
 
     # -- the scalar view -----------------------------------------------------
 

@@ -9,21 +9,22 @@ either, so that agreement with them is a test rather than a tautology.
 Every update reads the operand rows as they were before the operation, so
 the order of the paired writes never matters.
 
-``applied`` runs the library's in-place ``apply`` on a copy of a
-:class:`Matrix`, for tests that work with whole matrices.
+``applied`` runs the library's in-place ``apply`` on a
+:class:`WorkingMatrix` copy of a :class:`Matrix`, for tests that work with
+whole matrices.
 """
 
 from steinberg.forms import Family, GroupDescriptor
 from steinberg.generators import GeneratorToken, validate_token, x_pattern
 from steinberg.matrix import Matrix
-from steinberg.rowops import LEFT, Side, apply
+from steinberg.rowops import LEFT, Side, WorkingMatrix, apply
 
 
 def applied(g: Matrix, tok: GeneratorToken, side: Side, d: GroupDescriptor) -> Matrix:
-    """The library's ``apply`` on a copy of g."""
-    rows = g.to_lists()
-    apply(rows, tok, side, d)
-    return Matrix(g.field, rows)
+    """The library's ``apply`` on a working copy of g."""
+    w = WorkingMatrix(g, d)
+    apply(w, tok, side)
+    return w.matrix()
 
 
 def oracle_apply(g: Matrix, tok: GeneratorToken, side: Side, d: GroupDescriptor) -> Matrix:

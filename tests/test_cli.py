@@ -288,6 +288,12 @@ def test_uncertified_squarefree_part_is_a_domain_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot certify the squarefree part of {lam}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    # its square is certified as a square without factoring
+    sq = lam**2
+    path = write(tmp_path, "m2.txt", f"group=GOplus l=1 field=Q similitude=0\n{sq} 0\n0 1/{sq}\n")
+    code, out, err = run(capsys, "spinor", path)
+    assert (code, err) == (0, "")
+    assert out == f"theta=1\nlambda={sq}\n"
 
 
 def test_matrix_rows_are_counted_before_the_descriptor_is_built(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from steinberg.field import (
+    CannotFactor,
     DivisionByZero,
     Field,
     InternalError,
@@ -138,6 +139,16 @@ def test_squarefree_splits_large_cofactors():
     assert _squarefree(p**3 * q**2 * r) == p * r  # 157 bits, above the MR range
     assert _squarefree(r**2) == 1
     assert time.perf_counter() - start < 1.0
+
+
+def test_squarefree_drops_square_cofactors_it_cannot_certify():
+    # 2^89 - 1 is a probable prime beyond what Miller-Rabin certifies, but
+    # its square adds nothing to the squarefree part
+    q = 2**89 - 1
+    assert _squarefree(q**2) == 1
+    assert _squarefree(-3 * q**2) == -3
+    with pytest.raises(CannotFactor, match=f": {q} is only a probable prime"):
+        _squarefree(-3 * q)
 
 
 @given(st.integers(min_value=-10**5, max_value=10**5), st.integers(min_value=-10**5, max_value=10**5))

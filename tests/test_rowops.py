@@ -11,6 +11,7 @@ from steinberg.matrix import Matrix
 from steinberg.rowops import LEFT, RIGHT, WorkingMatrix
 
 from rowops_oracle import applied, oracle_apply
+from test_matrix import assert_canonical
 
 F5 = Field(5)
 ALL = (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
@@ -91,15 +92,83 @@ def test_apply_equals_product_on_members(family, p):
             _check_all_paths(g, tok, d)
 
 
+def rational_tokens(d, rng):
+    """Every legal x with a parameter over 1..7, w[l] where it is legal, and
+    a torus element with rational lambda and mu (alpha for GOodd)."""
+    def q():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 7))
+
+    toks = [x(i, j, q()) for (i, j) in legal_x_index_pairs(d)]
+    if d.family in (Family.GO_EVEN, Family.GO_ODD):
+        toks.append(w(d.l))
+    if d.family is Family.GO_ODD:
+        alpha = q()
+        toks.append(torus(q(), alpha * alpha, alpha=alpha))
+    else:
+        toks.append(torus(q(), q()))
+    return toks
+
+
 def test_apply_equals_product_over_q():
     rng = random.Random(9)
     for family in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
         d = build_descriptor(family, 2, QQ, similitude=True)
         toks = [x(i, j, Fraction(rng.randint(-3, 3) or 1, rng.choice([1, 2])))
                 for (i, j) in legal_x_index_pairs(d)]
-        for tok in toks:
+        for tok in toks + rational_tokens(d, rng):
             g = random_member(d, 7, word_len=4)
             _check_all_paths(g, tok, d)
+
+
+@pytest.mark.parametrize("family", (Family.GSP, Family.GO_EVEN, Family.GO_ODD))
+@pytest.mark.parametrize("l", [2, 3])
+def test_token_sequences_over_q_on_one_working_matrix(family, l):
+    """Row and column denominators drift apart over a mixed sequence; every
+    snapshot and every read must still be the dense product's."""
+    rng = random.Random(l * 10 + list(Family).index(family))
+    d = build_descriptor(family, l, QQ, similitude=True)
+    g = random_member(d, l, word_len=4 * l, with_torus=True)
+    wm = WorkingMatrix(g, d)
+    signed = d.basis_indices()
+    pool = rational_tokens(d, rng)
+    for _ in range(30):
+        tok = rng.choice(pool)
+        if rng.random() < 0.5:
+            wm.lmul(tok)
+            g = token_matrix(tok, d) @ g
+        else:
+            wm.rmul(tok)
+            g = g @ token_matrix(tok, d)
+        snap = wm.matrix()
+        assert snap == g, tok
+        assert_canonical(snap)
+        for r, i in enumerate(signed):
+            for c, j in enumerate(signed):
+                assert wm.at(i, j) == snap[r, c], (tok, i, j)
+
+
+def test_working_matrix_over_q_builds_no_fraction_per_entry(monkeypatch):
+    import steinberg.rowops as rowops
+
+    rng = random.Random(41)
+    d = build_descriptor(Family.GO_ODD, 4, QQ, similitude=True)
+    g = random_member(d, 3, word_len=20, with_torus=True)
+    pool = rational_tokens(d, rng)
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(rowops, "Fraction", Counting)
+    wm = WorkingMatrix(g, d)
+    for k in range(20):
+        (wm.lmul if k % 2 else wm.rmul)(rng.choice(pool))
+    snap = wm.matrix()
+    assert made == []
+    assert wm.at(1, 1) == snap[d.pos(1), d.pos(1)]
+    assert len(made) == 1
 
 
 def test_gl_transvection_action():
@@ -143,6 +212,15 @@ def test_require_zero_names_the_first_nonzero_position():
         b.require_zero(((-i, j) for i in (1, 2) for j in (1, 2)), "C")
     with pytest.raises(InternalError, match=r"^X: entry \(0,2\) is 4, not 0$"):
         b.require_zero([(0, 1), (0, 2), (-2, 1)], "X")
+    # over Q the value is the entry over its row and column denominators
+    d = build_descriptor(Family.GO_ODD, 2, QQ)
+    b = WorkingMatrix(Matrix.identity(QQ, d.n), d)
+    b.lmul(x(1, 0, Fraction(1, 3)))
+    b.rmul(x(2, 1, Fraction(-2, 5)))
+    assert (b.rden[d.pos(1)], b.cden[d.pos(-2)]) == (9, 5)
+    assert (b.at(1, 0), b.at(1, -2)) == (Fraction(2, 3), Fraction(-2, 45))
+    with pytest.raises(InternalError, match=r"^B: entry \(1,-2\) is -2/45, not 0$"):
+        b.require_zero([(2, 0), (1, -2)], "B")
 
 
 def test_first_nonzero_scans_columns_then_rows():
