@@ -114,14 +114,12 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
         pivot = b.at(-u, u)
         if pivot == f.zero:
             raise InternalError(f"no pivot at ({-u},{u}) after moving ({-idxs[r]},{idxs[c]}) there")
-        for rr in range(l):
-            v = idxs[rr]
-            if v != u and b.at(-v, u) != f.zero:
-                b.lmul(x(u, v, f.div(b.at(-v, u), pivot)))  # C row v -= t * C row u
-        for cc in range(l):
-            v = idxs[cc]
-            if v != u and b.at(-u, v) != f.zero:
-                b.rmul(x(u, v, f.neg(f.div(b.at(-u, v), pivot))))
+        for v in idxs:
+            if v != u and (e := b.at(-v, u)) != f.zero:
+                b.lmul(x(u, v, f.div(e, pivot)))  # C row v -= t * C row u
+        for v in idxs:
+            if v != u and (e := b.at(-u, v)) != f.zero:
+                b.rmul(x(u, v, f.neg(f.div(e, pivot))))
         m = k + 1
     pivots = idxs[:m]
     if d.family is Family.GO_ODD:

@@ -172,14 +172,12 @@ def _diagonalize_block(b: _Bench, idxs: list) -> int:
         pivot = b.at(u, u)
         if pivot == f.zero:
             raise InternalError(f"no pivot at ({u},{u}) after moving ({idxs[r]},{idxs[c]}) there")
-        for rr in range(size):
-            v = idxs[rr]
-            if v != u and b.at(v, u) != f.zero:
-                b.lmul(x(v, u, f.neg(f.div(b.at(v, u), pivot))))
-        for cc in range(size):
-            v = idxs[cc]
-            if v != u and b.at(u, v) != f.zero:
-                b.rmul(x(u, v, f.neg(f.div(b.at(u, v), pivot))))
+        for v in idxs:
+            if v != u and (t := b.at(v, u)) != f.zero:
+                b.lmul(x(v, u, f.neg(f.div(t, pivot))))
+        for v in idxs:
+            if v != u and (t := b.at(u, v)) != f.zero:
+                b.rmul(x(u, v, f.neg(f.div(t, pivot))))
     _normalize_pivots(b, idxs, m)
     return m
 

@@ -108,13 +108,18 @@ class Field:
 
     def of(self, v: int | Fraction) -> Scalar:
         """Canonicalise an int or Fraction into this field."""
-        if self.p is None:
-            return Fraction(v)
+        # a plain int or Fraction is tested first: Fraction(fraction) and
+        # isinstance(v, Fraction) go through the numbers ABCs
+        p = self.p
+        if p is None:
+            return v if type(v) is Fraction else Fraction(v)
+        if type(v) is int:
+            return v % p
         if isinstance(v, Fraction):
-            if v.denominator % self.p == 0:
-                raise DivisionByZero(f"denominator of {v} vanishes mod {self.p}")
-            return v.numerator * pow(v.denominator, -1, self.p) % self.p
-        return v % self.p
+            if v.denominator % p == 0:
+                raise DivisionByZero(f"denominator of {v} vanishes mod {p}")
+            return v.numerator * pow(v.denominator, -1, p) % p
+        return v % p
 
     def parse(self, text: str) -> Scalar:
         """Parse ``"7"`` or ``"3/4"``."""
@@ -225,9 +230,11 @@ def _factors_up_to_squares(n: int) -> list:
 
     Small factors come off by trial division.  A larger cofactor is a square,
     dropped whole since it adds nothing to the squarefree part; proved
-    composite by Miller-Rabin and split by Pollard-Brent rho; or prime.  A
-    probable prime at or above _MR_LIMIT, which Miller-Rabin cannot certify,
-    raises :class:`CannotFactor` (as ``Field`` does for moduli).
+    composite by Miller-Rabin and then an odd power r^k, replaced by r of the
+    same parity, or else split by Pollard-Brent rho (which would need about
+    sqrt(r) steps on a prime power); or prime.  A probable prime at or above
+    _MR_LIMIT, which Miller-Rabin cannot certify, raises
+    :class:`CannotFactor` (as ``Field`` does for moduli).
     """
     out = []
     rest, d = n, 2
@@ -243,6 +250,10 @@ def _factors_up_to_squares(n: int) -> list:
         if r * r == m:
             continue
         if m > _TRIAL_BOUND**2 and _mr_witness(m):
+            root = _odd_root(m)
+            if root != m:
+                stack.append(root)
+                continue
             f = _rho(m)
             stack += [f, m // f]
         elif m < _MR_LIMIT:
@@ -251,6 +262,19 @@ def _factors_up_to_squares(n: int) -> list:
             raise CannotFactor(f"cannot certify the squarefree part of {n}: {m} is only a probable prime"
                                f" (Miller-Rabin is exact below {_MR_LIMIT})")
     return out
+
+
+def _odd_root(m: int) -> int:
+    """r when m = r^k for an odd k >= 3, else m itself.  m has no prime
+    factor up to _TRIAL_BOUND, so r > _TRIAL_BOUND > 2^9 bounds k."""
+    for k in range(3, m.bit_length() // 9 + 1, 2):
+        # Newton's iteration from above converges to floor(m ** (1/k))
+        r = 1 << -(-m.bit_length() // k)
+        while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == m:
+            return r
+    return m
 
 
 def _rho(n: int) -> int:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .field import Scalar
 from .matrix import Matrix
@@ -29,8 +31,7 @@ class IllegalToken(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GeneratorToken:
+class GeneratorToken(NamedTuple):
     kind: str  # "x" | "w" | "x1" | "x2" | "torus"
     i: int = 0
     j: int = 0
@@ -91,12 +92,18 @@ def torus(
 
 def x_pattern(i: int, j: int, d: GroupDescriptor) -> str:
     """Classify a legal x-token index pair for the family, or raise."""
-    fam = d.family
-    l = d.l
+    return _x_pattern(i, j, d.family, d.l, d.n)
+
+
+# Keyed on what the classification reads rather than on the descriptor, which
+# callers such as decompose_gl build afresh per call; exceptions are not
+# cached, so an illegal pair raises every time.
+@lru_cache(maxsize=4096)
+def _x_pattern(i: int, j: int, fam: Family, l: int, n: int) -> str:
     if fam is Family.GL:
-        if i != j and 1 <= i <= d.n and 1 <= j <= d.n:
+        if i != j and 1 <= i <= n and 1 <= j <= n:
             return "gl"
-        raise IllegalToken(f"x[{i},{j}] illegal for GL({d.n})")
+        raise IllegalToken(f"x[{i},{j}] illegal for GL({n})")
     if fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
         lo, hi = 1, l
         if fam is Family.GO_ODD:
@@ -249,16 +256,24 @@ def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
     highest power of a prime in that lcm is not divisible by that prime:
     the rows have gcd 1 with it and are canonical as written.
     """
-    f, n = d.field, d.n
+    f = d.field
     delta = token_delta(tok, d)
     den = math.lcm(*(v.denominator for _, _, v in delta))
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = den
+    m = list(_unit_rows(d.n, den))
+    for r in {r for r, _, _ in delta}:
+        m[r] = list(m[r])
     add = f.add
     for r, c, v in delta:
         m[r][c] = add(m[r][c], v.numerator * (den // v.denominator))
     return Matrix._canonical(f, m, den)
+
+
+@lru_cache(maxsize=32)
+def _unit_rows(n: int, den: int) -> tuple:
+    """The rows of den * I as tuples; a token matrix shares the rows its
+    delta leaves alone (tuples are stored as they are) and copies the rest."""
+    zero = (0,) * n
+    return tuple(zero[:i] + (den,) + zero[i + 1:] for i in range(n))
 
 
 def _plane_units(t: Scalar, s: Scalar, d: GroupDescriptor) -> list:

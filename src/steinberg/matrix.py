@@ -4,8 +4,14 @@ One stored form for both fields: integer rows ``num`` over a positive ``den``
 (residues in 0..p-1 over 1 for F_p; over Q the least common denominator,
 with ``gcd(den, *num) == 1``).  It is canonical, so ``==`` and ``hash``
 compare it directly, and products, sums, transposes and blocks run on the
-integers alike for both fields.  Only the normalise step (:meth:`_normal`:
-reduce mod p, or divide out the gcd) and the scalar view (``data``,
+integers alike for both fields.  The product is one kernel, a row loop
+over the right factor's nonzero entries.  When at least half of the right
+factor's columns are unit vectors e_j, as in a token matrix, those columns
+pass the left factor's column j through unchanged and only the moved
+columns are summed (and, over F_p, reduced), so multiplying by a token costs
+about one row copy per row; a dense right factor takes the plain loop.  Only
+the normalise step (:meth:`_normal`: reduce mod p, or divide out the gcd,
+a scan that stops once the gcd is 1) and the scalar view (``data``,
 ``[i, j]``, ``row``, ``col``, ``to_lists``, ``repr``: the residues, or
 ``Fraction(v, den)``) know the field.  Pivot columns, rank, rref, inverse
 and determinant go through one Gauss-Jordan kernel on the stored integers:
@@ -66,7 +72,11 @@ class Matrix:
         p = field.p
         if p is not None:
             return cls._canonical(field, [[v % p for v in r] for r in num])
-        g = math.gcd(den, *(v for r in num for v in r))
+        g = abs(den)
+        for r in num:
+            if g == 1:
+                break
+            g = math.gcd(g, *r)
         if den < 0:
             g = -g
         if g != 1:
@@ -82,7 +92,7 @@ class Matrix:
         self.den = den
         self.rows = len(self.num)
         self.cols = len(self.num[0]) if self.num else 0
-        if any(len(r) != self.cols for r in self.num):
+        if len(set(map(len, self.num))) > 1:
             raise DimensionMismatch("ragged rows")
         self._hash = None
 
@@ -163,18 +173,46 @@ class Matrix:
             raise DimensionMismatch("fields differ")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # row i of the product is sum_k a[i][k] * (row k of b), over the
-        # nonzero entries only; exact in Python integers, normalised once
-        b_nonzero = [[(j, v) for j, v in enumerate(r) if v] for r in other.num]
+        # Row i of the product is sum_k a[i][k] * (row k of b), over b's
+        # nonzero entries; exact in Python integers.  A column of a square b
+        # that is e_j passes column j of a through (times b's den).  When at
+        # least half of b's columns are such units (a token matrix), only the
+        # other, moved, columns are summed and, over F_p, reduced; otherwise
+        # the plain loop is as fast over F_p and faster over Q, where passed
+        # columns would be scaled by b's den.  The diagonal rules out most
+        # units of a dense b without reading its columns.
+        p, bden, n = self.field.p, other.den, other.cols
+        square = other.rows == n
+        moved = range(n)
+        if square and 2 * sum(r[j] == bden for j, r in enumerate(other.num)) >= n:
+            moved = [j for j, c in enumerate(zip(*other.num)) if c[j] != bden or c.count(0) != n - 1]
         out = []
+        if not square or 2 * len(moved) > n:
+            b_nonzero = [[(j, v) for j, v in enumerate(r) if v] for r in other.num]
+            for row in self.num:
+                acc = [0] * n
+                for aik, bk in zip(row, b_nonzero):
+                    if aik:
+                        for j, v in bk:
+                            acc[j] += aik * v
+                out.append(acc)
+            return Matrix._normal(self.field, out, self.den * bden)
+        b_moved = [(k, bk) for k, r in enumerate(other.num) if (bk := [(j, r[j]) for j in moved if r[j]])]
         for row in self.num:
-            acc = [0] * other.cols
-            for aik, bk in zip(row, b_nonzero):
-                if aik:
+            acc = list(row) if bden == 1 else [v * bden for v in row]
+            for j in moved:
+                acc[j] = 0
+            for k, bk in b_moved:
+                if aik := row[k]:
                     for j, v in bk:
                         acc[j] += aik * v
+            if p is not None:
+                for j in moved:
+                    acc[j] %= p
             out.append(acc)
-        return Matrix._normal(self.field, out, self.den * other.den)
+        if p is not None:
+            return Matrix._canonical(self.field, out)
+        return Matrix._normal(self.field, out, self.den * bden)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):

@@ -296,6 +296,20 @@ def test_uncertified_squarefree_part_is_a_domain_error(tmp_path, capsys):
     assert out == f"theta=1\nlambda={sq}\n"
 
 
+def test_uncertified_odd_power_is_a_domain_error(tmp_path):
+    # (2^89 - 1)^3 is no square; splitting it by rho alone would not finish,
+    # so the command runs in a process with a time limit
+    lam = (2**89 - 1) ** 3
+    path = write(tmp_path, "m.txt", f"group=GOplus l=1 field=Q similitude=0\n{lam} 0\n0 1/{lam}\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    r = subprocess.run([sys.executable, "-m", "steinberg.cli", "spinor", path],
+                       capture_output=True, text=True, env=env, timeout=60)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith(f"error: cannot certify the squarefree part of {lam}: "), r.stderr
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+
+
 def test_matrix_rows_are_counted_before_the_descriptor_is_built(tmp_path, capsys):
     # building the 2001 x 2001 Gram matrix first takes seconds; at l = 30000 it runs out of memory
     path = write(tmp_path, "m.txt", "group=GOodd l=1000 field=5 similitude=0\n1 0 0\n")

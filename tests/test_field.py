@@ -151,6 +151,21 @@ def test_squarefree_drops_square_cofactors_it_cannot_certify():
         _squarefree(-3 * q)
 
 
+def test_squarefree_reduces_odd_powers_before_rho():
+    # rho would need about 2^44 steps to split (2^89 - 1)^3; its cube root is
+    # the probable prime that Miller-Rabin cannot certify
+    q = 2**89 - 1
+    start = time.perf_counter()
+    with pytest.raises(CannotFactor, match=f": {q} is only a probable prime"):
+        _squarefree(5 * q**3)
+    assert time.perf_counter() - start < 1.0
+    assert _squarefree(7**3 * 11**5 * 13**2) == 77
+    p, r = 1000000007, 4294967311  # certified primes above the trial bound
+    assert _squarefree(p**3) == p
+    assert _squarefree(-(p**9) * r**5 * 3) == -3 * p * r
+    assert _squarefree((p * r) ** 7) == p * r
+
+
 @given(st.integers(min_value=-10**5, max_value=10**5), st.integers(min_value=-10**5, max_value=10**5))
 def test_rational_class_product_is_the_squarefree_product(a, b):
     if a == 0 or b == 0:

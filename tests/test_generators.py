@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
-from steinberg.field import Field
+from steinberg import rowops
+from steinberg.field import Field, QQ
 from steinberg.forms import Family, build_descriptor, is_member, multiplier
 from steinberg.generators import (
+    GeneratorToken,
     IllegalToken,
     Word,
     derived_h,
@@ -19,6 +23,7 @@ from steinberg.generators import (
     x,
     x1,
     x2,
+    x_pattern,
 )
 from steinberg.matrix import Matrix
 
@@ -217,3 +222,69 @@ def test_token_grammar_round_trip():
         assert parse_token(str(tok), dodd) == tok
     word = Word(dodd, toks)
     assert parse_word(str(word), dodd) == word
+
+
+def test_token_repr_str_equality_hash_and_immutability():
+    cases = [
+        (x(1, -2, Fraction(3, 4)), "GeneratorToken(kind='x', i=1, j=-2, t=Fraction(3, 4), s=None, alpha=None,"
+         " lam=None, mu=None)", "x[1,-2](3/4)"),
+        (w(2), "GeneratorToken(kind='w', i=2, j=0, t=None, s=None, alpha=None, lam=None, mu=None)", "w[2]"),
+        (x1(3, 4), "GeneratorToken(kind='x1', i=0, j=0, t=3, s=4, alpha=None, lam=None, mu=None)", "x1(3,4)"),
+        (x2(), "GeneratorToken(kind='x2', i=0, j=0, t=None, s=None, alpha=None, lam=None, mu=None)", "x2"),
+        (torus(2, 3), "GeneratorToken(kind='torus', i=0, j=0, t=None, s=None, alpha=None, lam=2, mu=3)",
+         "torus(2;3)"),
+        (torus(2, 4, alpha=2), "GeneratorToken(kind='torus', i=0, j=0, t=None, s=None, alpha=2, lam=2, mu=4)",
+         "torus(2;2;4)"),
+        (torus(1, 5, ts=(1, 2)), "GeneratorToken(kind='torus', i=0, j=0, t=1, s=2, alpha=None, lam=1, mu=5)",
+         "torus(1,2;1;5)"),
+    ]
+    for tok, rep, text in cases:
+        assert repr(tok) == rep and str(tok) == text
+        same = GeneratorToken(kind=tok.kind, i=tok.i, j=tok.j, t=tok.t, s=tok.s, alpha=tok.alpha,
+                              lam=tok.lam, mu=tok.mu)
+        assert same == tok and hash(same) == hash(tok)
+        assert all(other != tok for other, _, _ in cases if other is not tok)
+        with pytest.raises(AttributeError):
+            tok.i = 7
+    assert GeneratorToken("x2") == x2() and x(1, 2, 3) != x(1, 2, 4) != x(2, 1, 4)
+
+
+def test_x_pattern_memo_keeps_families_and_ranks_apart():
+    gsp, goplus = build_descriptor(Family.GSP, 2, F5), build_descriptor(Family.GO_EVEN, 2, F5)
+    assert x_pattern(1, -1, gsp) == "pnm"
+    for _ in range(2):  # an illegal pair raises on every call, not only the first
+        with pytest.raises(IllegalToken):
+            x_pattern(1, -1, goplus)
+    assert x_pattern(1, -1, build_descriptor(Family.GSP, 2, QQ)) == "pnm"
+    # GL reads n: x[1,3] exists in GL(3) (l = 2) but not in GL(2)
+    assert x_pattern(1, 3, build_descriptor(Family.GL, 2, F5)) == "gl"
+    with pytest.raises(IllegalToken):
+        x_pattern(1, 3, build_descriptor(Family.GL, 1, F5))
+
+
+def test_evaluate_word_multiplies_dense_token_matrices(monkeypatch):
+    """Verification stays independent of the elimination: one dense product
+    per token, and nothing of the in-place token application."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evaluate_word reached the in-place token application")
+
+    monkeypatch.setattr(rowops, "apply", forbidden)
+    monkeypatch.setattr(rowops.WorkingMatrix, "_add_multiple", forbidden)
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counting(a, b):
+        calls.append(b)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    for fam in ALL:
+        d = build_descriptor(fam, 2, F5, similitude=True)
+        word = derived_w(2, d)
+        word = Word(d, word.tokens + (x(1, 2, 3),) + word.tokens)
+        calls.clear()
+        evaluate_word(word)
+        assert calls == [token_matrix(tok, d) for tok in word.tokens]
+        calls.clear()
+        assert evaluate_word(Word(d, [])) == Matrix.identity(d.field, d.n) and calls == []

@@ -6,8 +6,15 @@ import pytest
 
 from steinberg.field import DivisionByZero, Field, QQ
 from steinberg.forms import Family, InternalError, build_descriptor
-from steinberg.generators import legal_x_index_pairs, token_matrix, torus, x
-from steinberg.harness import random_member, random_token, random_torus_token
+from steinberg.generators import legal_x_index_pairs, token_matrix, torus, w, x, x1, x2
+from steinberg.harness import (
+    _random_scalar,
+    _reflection_params,
+    _token_pool,
+    random_member,
+    random_token,
+    random_torus_token,
+)
 from steinberg.matrix import DimensionMismatch, Matrix, SingularMatrix
 from steinberg.rowops import WorkingMatrix
 from steinberg.spinor import _reflected, reflection_matrix
@@ -15,6 +22,8 @@ from steinberg.spinor import _reflected, reflection_matrix
 from gauss_oracle import oracle_det, oracle_inverse, oracle_pivot_columns, oracle_rank, oracle_rref
 
 F5 = Field(5)
+F7 = Field(7)
+BIG = Field(1000000007)
 
 
 def rand_matrix(rng, field, n):
@@ -113,6 +122,76 @@ def test_product_matches_naive_triple_loop(field):
     assert wide @ tall == naive_product(wide, tall)
 
 
+def every_token_matrix(d, rng):
+    """One matrix per token the family has: every legal x pair, each w, x1
+    and x2, and a torus; parameters over Q have denominators up to 3."""
+    toks = [x(i, j, _random_scalar(d.field, rng)) for i, j in legal_x_index_pairs(d)]
+    for entry in _token_pool(d):
+        if entry[0] == "w":
+            toks.append(w(entry[1]))
+        elif entry[0] == "x1":
+            toks.append(x1(*_reflection_params(d, d.field.of(1), d.field.of(2))))
+        elif entry[0] == "x2":
+            toks.append(x2())
+    toks.append(random_torus_token(d, rng))
+    return [token_matrix(t, d) for t in toks]
+
+
+@pytest.mark.parametrize("field", [F7, BIG, QQ], ids=str)
+def test_product_passes_unit_columns_through(field):
+    """Near-identity, rectangular, dense and (over Q) den != 1 factors,
+    against the scalar triple loop; every product is canonical."""
+    rng = random.Random(43)
+
+    def entry(density=1.0):
+        if rng.random() > density:
+            return field.zero
+        if field.is_prime:
+            return rng.randrange(field.p)
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+
+    def rand(rows, cols, density=1.0):
+        return Matrix(field, [[entry(density) for _ in range(cols)] for _ in range(rows)])
+
+    def with_unit_columns(m, units):
+        rows = m.to_lists()
+        for j in units:
+            for i, r in enumerate(rows):
+                r[j] = field.one if i == j else field.zero
+        return Matrix(field, rows)
+
+    pairs = []
+    families = [Family.GL, Family.GSP, Family.GO_EVEN, Family.GO_ODD]
+    for fam in families + ([Family.GO_MINUS] if field.is_prime else []):
+        d = build_descriptor(fam, 3, field, similitude=True)
+        g = random_member(d, 5, word_len=10, with_torus=True)
+        tokens = every_token_matrix(d, rng)
+        pairs += [(g, t) for t in tokens] + [(t, g) for t in tokens]
+        pairs += list(zip(tokens, tokens[1:]))
+    n = 7
+    square = rand(n, n)
+    for units in ([0], [1, 4, 6], [0, 2, 3, 5], [0, 1, 2, 3, 4, 5], list(range(n))):
+        pairs += [(rand(5, n), with_unit_columns(square, units)), (rand(n, n, 0.4), with_unit_columns(square, units))]
+    # rectangular factors whose leading columns are unit vectors, both orders
+    tall = with_unit_columns(rand(n, 3), [0, 1])
+    wide = with_unit_columns(rand(3, n), [0, 1, 2])
+    pairs += [(tall, wide), (wide, tall), (rand(4, n), tall), (rand(2, 3), wide)]
+    pairs += [(rand(n, n), rand(n, n)), (rand(n, n, 0.3), rand(n, n, 0.3))]
+    if not field.is_prime:
+        assert any(b.den != 1 for _, b in pairs) and any(a.den != 1 for a, _ in pairs)
+    for a, b in pairs:
+        got = a @ b
+        assert got == naive_product(a, b), (a, b)
+        assert_canonical(got)
+    # the normalise step over Q takes any nonzero denominator, negative too
+    for den in (-1, -2, -6, 6):
+        rows = [[rng.randint(-30, 30) for _ in range(3)] for _ in range(2)]
+        m = Matrix._normal(field, rows, den)
+        assert_canonical(m)
+        if not field.is_prime:
+            assert m == Matrix(field, [[Fraction(v, den) for v in r] for r in rows])
+
+
 def test_rational_chain_reuses_the_integer_view():
     rng = random.Random(23)
 
@@ -132,9 +211,6 @@ def test_rational_chain_reuses_the_integer_view():
 
 
 # -- the trusted constructor ---------------------------------------------------
-
-F7 = Field(7)
-BIG = Field(1000000007)
 
 
 def assert_canonical(m):
