@@ -168,7 +168,7 @@ def cmd_verify(args) -> int:
         raise ParseError("word and matrix descriptors disagree")
     g, _ = parse_matrix_file(matrix_text)
     left, mid, right, d = parse_word_file(word_text)
-    prod = evaluate_word(left) @ evaluate_word(mid) @ evaluate_word(right)
+    prod = evaluate_word(left, mid, right)
     if prod == g:
         print("OK")
         return 0

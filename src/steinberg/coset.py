@@ -45,10 +45,7 @@ def is_in_parabolic(g: Matrix, d: GroupDescriptor) -> bool:
 
 def omega_matrix(d: GroupDescriptor, m: int) -> Matrix:
     """The coset representative: the product of the first m swaps."""
-    out = Matrix.identity(d.field, d.n)
-    for i in range(1, m + 1):
-        out = out @ evaluate_word(derived_w(i, d))
-    return out
+    return evaluate_word(Word(d, ()), *(derived_w(i, d) for i in range(1, m + 1)))
 
 
 @dataclass(frozen=True)
@@ -165,5 +162,5 @@ def coset_census(d: GroupDescriptor, enumeration: Enumeration) -> dict:
 
 def verify_label(g: Matrix, label: CosetLabel, d: GroupDescriptor) -> bool:
     """Recheck the witness equation left * g * right in omega_m * P."""
-    prod = evaluate_word(label.left_witness) @ g @ evaluate_word(label.right_witness)
+    prod = evaluate_word(label.left_witness, g, label.right_witness)
     return is_in_parabolic(label.omega.inverse() @ prod, d)

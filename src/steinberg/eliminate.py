@@ -98,7 +98,7 @@ class Decomposition:
         )
 
     def reassemble(self) -> Matrix:
-        return evaluate_word(self.left) @ self.diagonal @ evaluate_word(self.right)
+        return evaluate_word(self.left, self.diagonal, self.right)
 
 
 class _Bench(rowops.WorkingMatrix):

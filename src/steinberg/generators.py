@@ -20,10 +20,10 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .field import Scalar
-from .matrix import Matrix
+from .matrix import Matrix, _unit_rows
 from .forms import Family, GroupDescriptor
 
 
@@ -268,14 +268,6 @@ def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
     return Matrix._canonical(f, m, den)
 
 
-@lru_cache(maxsize=32)
-def _unit_rows(n: int, den: int) -> tuple:
-    """The rows of den * I as tuples; a token matrix shares the rows its
-    delta leaves alone (tuples are stored as they are) and copies the rest."""
-    zero = (0,) * n
-    return tuple(zero[:i] + (den,) + zero[i + 1:] for i in range(n))
-
-
 def _plane_units(t: Scalar, s: Scalar, d: GroupDescriptor) -> list:
     """[[t, eps*s], [s, -t]] - I on the anisotropic plane e_1, e_-1."""
     f = d.field
@@ -394,13 +386,21 @@ class Word:
         return " ".join(str(t) for t in self.tokens)
 
 
-def evaluate_word(word: Word) -> Matrix:
-    """Ordered product of the token matrices; the empty word is I."""
+def evaluate_word(word: Word, *rest: Word | Matrix) -> Matrix:
+    """The ordered product of the parts in one chain from I: a word stands
+    for its dense token matrices, in order, a matrix for itself.  The first
+    word gives the field and size; the empty word is I."""
     d = word.descriptor
-    out = Matrix.identity(d.field, d.n)
-    for tok in word.tokens:
-        out = out @ token_matrix(tok, d)
-    return out
+    return Matrix._chain(Matrix.identity(d.field, d.n), _factors((word, *rest)))
+
+
+def _factors(parts: Iterable[Word | Matrix]) -> Iterator[Matrix]:
+    for part in parts:
+        if isinstance(part, Matrix):
+            yield part
+        else:
+            for tok in part.tokens:
+                yield token_matrix(tok, part.descriptor)
 
 
 def derived_w(i: int, d: GroupDescriptor) -> Word:

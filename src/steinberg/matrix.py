@@ -4,14 +4,15 @@ One stored form for both fields: integer rows ``num`` over a positive ``den``
 (residues in 0..p-1 over 1 for F_p; over Q the least common denominator,
 with ``gcd(den, *num) == 1``).  It is canonical, so ``==`` and ``hash``
 compare it directly, and products, sums, transposes and blocks run on the
-integers alike for both fields.  The product is one kernel, a row loop
-over the right factor's nonzero entries.  When at least half of the right
-factor's columns are unit vectors e_j, as in a token matrix, those columns
-pass the left factor's column j through unchanged and only the moved
-columns are summed (and, over F_p, reduced), so multiplying by a token costs
-about one row copy per row; a dense right factor takes the plain loop.  Only
-the normalise step (:meth:`_normal`: reduce mod p, or divide out the gcd,
-a scan that stops once the gcd is 1) and the scalar view (``data``,
+integers alike for both fields.  The product is one kernel,
+:meth:`Matrix._chain`, which multiplies a left factor by a sequence of right
+factors in order; ``@`` is a chain of one.  Inside a chain the running
+product is held as integer columns with one denominator each, so a token
+matrix or a diagonal rewrites only the columns it moves, each reduced as
+soon as it is written, and leaves the rest untouched; a dense or non-square
+factor takes the plain row loop over its nonzero entries.  Only the
+normalise step (:func:`_lowest`, and its form for one column in the chain:
+reduce mod p, or divide out the gcd) and the scalar view (``data``,
 ``[i, j]``, ``row``, ``col``, ``to_lists``, ``repr``: the residues, or
 ``Fraction(v, den)``) know the field.  Pivot columns, rank, rref, inverse
 and determinant go through one Gauss-Jordan kernel on the stored integers:
@@ -27,6 +28,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress, repeat
+from operator import mul, ne
 from typing import Iterable, Sequence
 
 from .field import Field, InternalError, Scalar
@@ -50,6 +54,84 @@ def _over_lcm(rows: list) -> tuple:
     return [[v.numerator * (den // v.denominator) for v in r] for r in rows], den
 
 
+def _lowest(p: int | None, num: list, den: int) -> tuple:
+    """The normalise step: residues mod p over 1, or over Q the gcd divided
+    out and the sign moved into the rows, so any nonzero ``den`` will do."""
+    if p is not None:
+        return [[v % p for v in r] for r in num], 1
+    g = abs(den)
+    for r in num:
+        if g == 1:
+            break
+        g = math.gcd(g, *r)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [[v // g for v in r] for r in num]
+        den //= g
+    return num, den
+
+
+@lru_cache(maxsize=32)
+def _unit_rows(n: int, den: int) -> tuple:
+    """The rows of den * I as tuples, shared by the identity and by the rows
+    a token matrix leaves alone; the product kernel compares against them."""
+    zero = (0,) * n
+    return tuple(zero[:i] + (den,) + zero[i + 1:] for i in range(n))
+
+
+def _combine(p: int | None, terms: list, bden: int, m: int) -> tuple:
+    """(column, den) of sum c * col / (col_den * bden) over the terms
+    (c, col, col_den), reduced mod p or by its own gcd."""
+    if not terms:
+        return (0,) * m, 1
+    if len(terms) == 1:
+        (c, col, d), = terms
+        if c == bden:
+            return col, d
+        new = [c * v for v in col]
+    elif len(terms) == 2:
+        (c, x, dx), (e, y, dy) = terms
+        d = dx
+        if dx != dy:
+            d = math.lcm(dx, dy)
+            c, e = c * (d // dx), e * (d // dy)
+        new = [c * u + e * v for u, v in zip(x, y)]
+    else:
+        d = math.lcm(*(cd for _, _, cd in terms))
+        coeffs = [c * (d // cd) for c, _, cd in terms]
+        new = [sum(map(mul, coeffs, r)) for r in zip(*(col for _, col, _ in terms))]
+    if p is not None:
+        return [v % p for v in new], 1
+    d *= bden
+    g = math.gcd(d, *new)
+    if g != 1:
+        new = [v // g for v in new]
+        d //= g
+    return new, d
+
+
+def _rows_over_lcm(cols: list, dens: list) -> tuple:
+    """Rows over one denominator, the lcm, from columns over their own."""
+    den = math.lcm(*dens)
+    return list(zip(*(c if d == den else [v * (den // d) for v in c] for c, d in zip(cols, dens)))), den
+
+
+def _row_loop(rows: Iterable[Sequence[int]], bnum: tuple, bcols: int) -> list:
+    """Row i of the product is sum_k a[i][k] * (row k of b), over b's
+    nonzero entries; exact in Python integers, not normalised."""
+    b_nonzero = [[(j, v) for j, v in enumerate(r) if v] for r in bnum]
+    out = []
+    for row in rows:
+        acc = [0] * bcols
+        for aik, bk in zip(row, b_nonzero):
+            if aik:
+                for j, v in bk:
+                    acc[j] += aik * v
+        out.append(acc)
+    return out
+
+
 class Matrix:
     __slots__ = ("field", "rows", "cols", "num", "den", "_hash")
 
@@ -67,22 +149,8 @@ class Matrix:
 
     @classmethod
     def _normal(cls, field: Field, num: list, den: int = 1) -> "Matrix":
-        """The normalise step: residues mod p, or over Q the gcd divided out
-        and the sign moved into the rows, so any nonzero ``den`` will do."""
-        p = field.p
-        if p is not None:
-            return cls._canonical(field, [[v % p for v in r] for r in num])
-        g = abs(den)
-        for r in num:
-            if g == 1:
-                break
-            g = math.gcd(g, *r)
-        if den < 0:
-            g = -g
-        if g != 1:
-            num = [[v // g for v in r] for r in num]
-            den //= g
-        return cls._canonical(field, num, den)
+        """The normalise step (:func:`_lowest`) into the stored form."""
+        return cls._canonical(field, *_lowest(field.p, num, den))
 
     def _store(self, field: Field, num: Iterable[Sequence[int]], den: int) -> None:
         if den <= 0:
@@ -100,7 +168,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._canonical(field, [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)])
+        return cls._canonical(field, _unit_rows(n, 1))
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
@@ -169,50 +237,69 @@ class Matrix:
     # -- arithmetic on the stored integers -----------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise DimensionMismatch("fields differ")
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # Row i of the product is sum_k a[i][k] * (row k of b), over b's
-        # nonzero entries; exact in Python integers.  A column of a square b
-        # that is e_j passes column j of a through (times b's den).  When at
-        # least half of b's columns are such units (a token matrix), only the
-        # other, moved, columns are summed and, over F_p, reduced; otherwise
-        # the plain loop is as fast over F_p and faster over Q, where passed
-        # columns would be scaled by b's den.  The diagonal rules out most
-        # units of a dense b without reading its columns.
-        p, bden, n = self.field.p, other.den, other.cols
-        square = other.rows == n
-        moved = range(n)
-        if square and 2 * sum(r[j] == bden for j, r in enumerate(other.num)) >= n:
-            moved = [j for j, c in enumerate(zip(*other.num)) if c[j] != bden or c.count(0) != n - 1]
-        out = []
-        if not square or 2 * len(moved) > n:
-            b_nonzero = [[(j, v) for j, v in enumerate(r) if v] for r in other.num]
-            for row in self.num:
-                acc = [0] * n
-                for aik, bk in zip(row, b_nonzero):
-                    if aik:
-                        for j, v in bk:
-                            acc[j] += aik * v
-                out.append(acc)
-            return Matrix._normal(self.field, out, self.den * bden)
-        b_moved = [(k, bk) for k, r in enumerate(other.num) if (bk := [(j, r[j]) for j in moved if r[j]])]
-        for row in self.num:
-            acc = list(row) if bden == 1 else [v * bden for v in row]
-            for j in moved:
-                acc[j] = 0
-            for k, bk in b_moved:
-                if aik := row[k]:
-                    for j, v in bk:
-                        acc[j] += aik * v
-            if p is not None:
+        return Matrix._chain(self, (other,))
+
+    @staticmethod
+    def _chain(a: "Matrix", factors: Iterable["Matrix"]) -> "Matrix":
+        """``a @ f_1 @ f_2 @ ...``, in order: the one product kernel.
+
+        The running product is held as integer rows over one denominator, or
+        as integer columns over one denominator each (1 over F_p).  A sparse
+        square factor b (at most 3n/2 nonzeros, as a token matrix or a
+        diagonal) acts on the columns: those under b's unit columns stay as
+        they are, and each moved column j becomes sum_k b[k][j] col_k over
+        b's nonzeros in column j, brought over the lcm of those columns'
+        denominators and reduced at once (mod p, or by its own gcd).  Rows
+        turn into columns at a sparse factor that changes at most n/2 rows
+        and stay so until a dense or non-square factor, which takes the row
+        loop on the row view and is normalised at once.  The end brings the
+        columns over one lcm and normalises once.
+        """
+        field, p = a.field, a.field.p
+        m, n = a.rows, a.cols
+        rows, den = a.num, a.den
+        cols = dens = None  # the column form, while it stands in for rows
+        for b in factors:
+            if b.field != field:
+                raise DimensionMismatch("fields differ")
+            if b.rows != n:
+                raise DimensionMismatch(f"{m}x{n} @ {b.rows}x{b.cols}")
+            bnum, bden = b.num, b.den
+            # Measured on n = 4..17: a factor takes the column form while it
+            # has at most about 1.5 nonzeros per row (beyond, it loses up to
+            # 2x), and a product held as rows turns into columns only for a
+            # factor that changes at most half of its rows (a permutation or a
+            # diagonal alone costs less in the row loop than the conversion).
+            sparse = False
+            if m and n and b.cols == n and 2 * (n * n - sum(map(tuple.count, bnum, repeat(0)))) <= 3 * n:
+                units = _unit_rows(n, bden)
+                touched = list(compress(range(n), map(ne, bnum, units)))
+                sparse = cols is not None or 2 * len(touched) <= n
+            if sparse:
+                if cols is None:
+                    cols, dens = list(zip(*rows)), [den] * n
+                # column j of b differs from den e_j only in touched rows; its
+                # nonzeros are their entries and den, where row j is untouched
+                moved = set()
+                for k in touched:
+                    moved.update(compress(range(n), map(ne, bnum[k], units[k])))
+                out = []
                 for j in moved:
-                    acc[j] %= p
-            out.append(acc)
-        if p is not None:
-            return Matrix._canonical(self.field, out)
-        return Matrix._normal(self.field, out, self.den * bden)
+                    terms = [(bnum[k][j], cols[k], dens[k]) for k in touched if bnum[k][j]]
+                    if j not in touched:
+                        terms.append((bden, cols[j], dens[j]))
+                    out.append((j, *_combine(p, terms, bden, m)))
+                for j, col, d in out:
+                    cols[j], dens[j] = col, d
+            else:
+                if cols is not None:
+                    rows, den = _rows_over_lcm(cols, dens)
+                    cols = None
+                rows, den = _lowest(p, _row_loop(rows, bnum, b.cols), den * bden)
+                n = b.cols
+        if cols is not None:
+            return Matrix._normal(field, *_rows_over_lcm(cols, dens))
+        return Matrix._canonical(field, rows, den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):

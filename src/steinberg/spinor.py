@@ -250,11 +250,9 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
         seen.add(h)
         mirrors.append(v)
     acc = _unit_class(f)
-    prod = ident
     for v in mirrors:
         acc = acc * square_class(f, f.div(_beta_pair(d.beta, v, v), f.of(2)))
-        prod = prod @ reflection_matrix(v, d)
-    if prod != g:
+    if Matrix._chain(ident, (reflection_matrix(v, d) for v in mirrors)) != g:
         raise InternalError("mirror product does not reproduce the element")
     return mirrors, acc
 

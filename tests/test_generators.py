@@ -1,8 +1,12 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from steinberg import rowops
+from steinberg.cli import format_matrix_file, format_word_file, main as cli_main, parse_word_file
+from steinberg.coset import coset_label, omega_matrix, verify_label
+from steinberg.eliminate import decompose
 from steinberg.field import Field, QQ
 from steinberg.forms import Family, build_descriptor, is_member, multiplier
 from steinberg.generators import (
@@ -25,6 +29,7 @@ from steinberg.generators import (
     x2,
     x_pattern,
 )
+from steinberg.harness import random_member
 from steinberg.matrix import Matrix
 
 F3 = Field(3)
@@ -262,29 +267,100 @@ def test_x_pattern_memo_keeps_families_and_ranks_apart():
         x_pattern(1, 3, build_descriptor(Family.GL, 1, F5))
 
 
-def test_evaluate_word_multiplies_dense_token_matrices(monkeypatch):
-    """Verification stays independent of the elimination: one dense product
-    per token, and nothing of the in-place token application."""
+def test_evaluate_word_multiplies_dense_token_matrices(monkeypatch, tmp_path):
+    """Verification stays independent of the elimination: each check is one
+    chain through the product kernel whose factors are the dense token
+    matrices in order (with the diagonal, or the element, between two
+    words), and nothing of the in-place token application runs."""
+    cases = []
+    for fam in ALL:
+        d = build_descriptor(fam, 2, F5, similitude=True)
+        g = random_member(d, 3, word_len=8, with_torus=True)
+        dec = decompose(g, d)
+        mpath, wpath = tmp_path / f"{fam.name}.m", tmp_path / f"{fam.name}.w"
+        mpath.write_text(format_matrix_file(g, d))
+        wpath.write_text(format_word_file(dec, d))
+        cases.append((d, g, dec, str(mpath), str(wpath)))
+    labelled = []
+    for fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
+        d = build_descriptor(fam, 3, F5)
+        g = random_member(d, 4, word_len=10)
+        labelled.append((d, g, coset_label(g, d)))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("evaluate_word reached the in-place token application")
+        raise AssertionError("verification reached the in-place token application")
 
     monkeypatch.setattr(rowops, "apply", forbidden)
     monkeypatch.setattr(rowops.WorkingMatrix, "_add_multiple", forbidden)
-    calls = []
-    matmul = Matrix.__matmul__
+    chains = []
+    chain = Matrix._chain
 
-    def counting(a, b):
-        calls.append(b)
-        return matmul(a, b)
+    def counting(a, factors):
+        factors = list(factors)
+        chains.append(factors)
+        return chain(a, factors)
 
-    monkeypatch.setattr(Matrix, "__matmul__", counting)
-    for fam in ALL:
-        d = build_descriptor(fam, 2, F5, similitude=True)
+    monkeypatch.setattr(Matrix, "_chain", staticmethod(counting))
+
+    def mats(*words):
+        return [token_matrix(tok, word.descriptor) for word in words for tok in word.tokens]
+
+    for d, g, dec, mpath, wpath in cases:
         word = derived_w(2, d)
         word = Word(d, word.tokens + (x(1, 2, 3),) + word.tokens)
-        calls.clear()
+        chains.clear()
         evaluate_word(word)
-        assert calls == [token_matrix(tok, d) for tok in word.tokens]
-        calls.clear()
-        assert evaluate_word(Word(d, [])) == Matrix.identity(d.field, d.n) and calls == []
+        assert chains == [mats(word)]
+        chains.clear()
+        assert evaluate_word(Word(d, [])) == Matrix.identity(d.field, d.n) and chains == [[]]
+        chains.clear()
+        assert dec.reassemble() == g
+        assert chains == [mats(dec.left) + [dec.diagonal] + mats(dec.right)]
+        left, mid, right, _ = parse_word_file(Path(wpath).read_text())
+        chains.clear()
+        assert cli_main(["verify", wpath, mpath]) == 0
+        assert chains == [mats(left, mid, right)]
+    for d, g, label in labelled:
+        for m in range(d.l + 1):
+            chains.clear()
+            omega_matrix(d, m)
+            assert chains == [mats(*(derived_w(i, d) for i in range(1, m + 1)))]
+        chains.clear()
+        assert verify_label(g, label, d)
+        assert chains[0] == mats(label.left_witness) + [g] + mats(label.right_witness)
+
+
+# The order feeds random_member's token pool, so every seeded member and every
+# golden word depends on it.
+LEGAL_X_PAIRS = {
+    (Family.GL, 2): [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)],
+    (Family.GL, 3): [
+        (1, 2), (1, 3), (1, 4), (2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (3, 4), (4, 1), (4, 2), (4, 3),
+    ],
+    (Family.GSP, 2): [(1, 2), (2, 1), (1, -2), (-1, 2), (1, -1), (2, -2), (-1, 1), (-2, 2)],
+    (Family.GSP, 3): [
+        (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (1, -2), (1, -3), (2, -3),
+        (-1, 2), (-1, 3), (-2, 3), (1, -1), (2, -2), (3, -3), (-1, 1), (-2, 2), (-3, 3),
+    ],
+    (Family.GO_EVEN, 2): [(1, 2), (2, 1), (1, -2), (-1, 2)],
+    (Family.GO_EVEN, 3): [
+        (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (1, -2), (1, -3), (2, -3), (-1, 2), (-1, 3), (-2, 3),
+    ],
+    (Family.GO_ODD, 2): [(1, 2), (2, 1), (1, -2), (-1, 2), (1, 0), (2, 0), (0, 1), (0, 2)],
+    (Family.GO_ODD, 3): [
+        (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (1, -2), (1, -3), (2, -3),
+        (-1, 2), (-1, 3), (-2, 3), (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3),
+    ],
+    (Family.GO_MINUS, 2): [(2, 1), (1, 2), (2, -1), (-1, 2)],
+    (Family.GO_MINUS, 3): [
+        (2, 3), (3, 2), (2, -3), (-2, 3), (2, 1), (3, 1), (1, 2), (1, 3), (2, -1), (3, -1), (-1, 2), (-1, 3),
+    ],
+}
+
+
+@pytest.mark.parametrize("fam, l", sorted(LEGAL_X_PAIRS, key=lambda k: (k[0].name, k[1])), ids=str)
+def test_legal_x_index_pairs_keep_their_order(fam, l):
+    d = build_descriptor(fam, l, F5)
+    assert legal_x_index_pairs(d) == LEGAL_X_PAIRS[fam, l]
+    assert all(x_pattern(i, j, d) for i, j in LEGAL_X_PAIRS[fam, l])
+

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from steinberg.field import DivisionByZero, Field, QQ
+from steinberg.eliminate import decompose
 from steinberg.forms import Family, InternalError, build_descriptor
-from steinberg.generators import legal_x_index_pairs, token_matrix, torus, w, x, x1, x2
+from steinberg.generators import legal_x_index_pairs, token_matrix, torus, w, x, x1, x2, x_pattern
 from steinberg.harness import (
     _random_scalar,
     _reflection_params,
@@ -139,8 +140,9 @@ def every_token_matrix(d, rng):
 
 @pytest.mark.parametrize("field", [F7, BIG, QQ], ids=str)
 def test_product_passes_unit_columns_through(field):
-    """Near-identity, rectangular, dense and (over Q) den != 1 factors,
-    against the scalar triple loop; every product is canonical."""
+    """Near-identity, rectangular, 1 x n, n x 1, dense and (over Q)
+    den != 1 factors, against the scalar triple loop; every product is
+    canonical."""
     rng = random.Random(43)
 
     def entry(density=1.0):
@@ -168,6 +170,12 @@ def test_product_passes_unit_columns_through(field):
         tokens = every_token_matrix(d, rng)
         pairs += [(g, t) for t in tokens] + [(t, g) for t in tokens]
         pairs += list(zip(tokens, tokens[1:]))
+    # 1 x n and n x 1 factors on both sides of the tokens, a member and a diagonal
+    k = g.rows
+    row, col = rand(1, k), rand(k, 1)
+    for b in tokens + [g, Matrix.diagonal(field, range(1, k + 1))]:
+        pairs += [(row, b), (b, col), (rand(3, k), b)]
+    pairs += [(row, col), (col, row), (rand(1, 1), row), (col, rand(1, 1))]
     n = 7
     square = rand(n, n)
     for units in ([0], [1, 4, 6], [0, 2, 3, 5], [0, 1, 2, 3, 4, 5], list(range(n))):
@@ -190,6 +198,54 @@ def test_product_passes_unit_columns_through(field):
         assert_canonical(m)
         if not field.is_prime:
             assert m == Matrix(field, [[Fraction(v, den) for v in r] for r in rows])
+
+
+def naive_chain(a, factors):
+    for b in factors:
+        a = naive_product(a, b)
+    return a
+
+
+@pytest.mark.parametrize("field", [F7, BIG, QQ], ids=str)
+def test_chain_matches_the_scalar_oracle(field):
+    """Seeded chains through the one kernel against the triple loop, factor
+    by factor: every token kind (x of every pattern, w, x1, x2, the torus and
+    the GOminus block), a diagonal and a dense factor mid-chain, non-square
+    factors that change the width and back, and chains of length 0, 1, 2 and
+    of a real l = 8 word.  Every result is canonical."""
+    rng = random.Random(61)
+    big = build_descriptor(Family.GSP, 8, field, similitude=True)
+    word_len = len(decompose(random_member(big, 1, word_len=36, with_torus=True), big).left)
+    families = [Family.GL, Family.GSP, Family.GO_EVEN, Family.GO_ODD]
+    patterns = set()
+    for fam in families + ([Family.GO_MINUS] if field.is_prime else []):
+        d = build_descriptor(fam, 3, field, similitude=True)
+        n = d.n
+        patterns |= {x_pattern(i, j, d) for i, j in legal_x_index_pairs(d)}
+        tokens = every_token_matrix(d, rng)
+        assert len(tokens) + 2 <= word_len
+        diag = Matrix.diagonal(field, [_random_scalar(field, rng) for _ in range(n)])
+        dense = rand_matrix(rng, field, n)
+        wide = rand_matrix(rng, field, n + 2).submatrix(range(n), range(n + 2))
+        tall = rand_matrix(rng, field, n + 2).submatrix(range(n + 2), range(n))
+        mixed = tokens + [rng.choice(tokens) for _ in range(word_len - len(tokens) - 2)]
+        rng.shuffle(mixed)
+        mixed[len(mixed) // 3:len(mixed) // 3] = [diag]
+        mixed[2 * len(mixed) // 3:2 * len(mixed) // 3] = [dense]
+        chains = [[], [rng.choice(tokens)], [rng.choice(tokens), rng.choice(tokens)], mixed]
+        chains.append([rng.choice(tokens), wide, tall, rng.choice(tokens), diag, rng.choice(tokens)])
+        chains.append([dense, tokens[0]])  # a row-loop result under a token's unit columns
+        zero_column = Matrix.diagonal(field, [0] + [1] * (n - 1))
+        chains.append([tokens[0], zero_column, rng.choice(tokens)])
+        member = random_member(d, 2, word_len=6, with_torus=True)
+        for a in (Matrix.identity(field, n), member, rand_matrix(rng, field, n)):
+            for factors in chains:
+                got = Matrix._chain(a, factors)
+                assert got == naive_chain(a, factors), (fam, len(factors))
+                assert_canonical(got)
+    assert patterns == {"gl", "pp", "pn", "np", "pnm", "npm", "0i", "i0"} | (
+        {"i1", "1i", "in1", "n1i"} if field.is_prime else set()
+    )
 
 
 def test_rational_chain_reuses_the_integer_view():
