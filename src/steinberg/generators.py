@@ -12,6 +12,14 @@ A token is one of
 
 so a decomposition serialises as one word.  Every non-torus token evaluates
 to an isometry (multiplier 1) of its family; that is tested, not assumed.
+
+How a token acts is described once, by :func:`token_delta`: integer
+``(row, col, value)`` entries at storage positions over one positive
+denominator (1 over F_p, where the values are residues), the token's matrix
+being ``(den * I + entries) / den``.  The elimination applies it in place
+(:func:`steinberg.rowops.apply`), :func:`evaluate_word` feeds it to the
+product kernel as a factor, and :func:`token_matrix` builds the dense
+matrix from it for the harness, the tests and the terminal-diagonal check.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .field import Scalar
-from .matrix import Matrix, _unit_rows
+from .matrix import DimensionMismatch, Matrix
 from .forms import Family, GroupDescriptor
 
 
@@ -92,18 +100,21 @@ def torus(
 
 def x_pattern(i: int, j: int, d: GroupDescriptor) -> str:
     """Classify a legal x-token index pair for the family, or raise."""
-    return _x_pattern(i, j, d.family, d.l, d.n)
+    pat = _x_pattern(i, j, d.family, d.l, d.n)
+    if pat is None:
+        group = f"GL({d.n})" if d.family is Family.GL else f"{d.family.value}(l={d.l})"
+        raise IllegalToken(f"x[{i},{j}] illegal for {group}")
+    return pat
 
 
 # Keyed on what the classification reads rather than on the descriptor, which
-# callers such as decompose_gl build afresh per call; exceptions are not
-# cached, so an illegal pair raises every time.
+# callers such as decompose_gl build afresh per call; an illegal pair is None.
 @lru_cache(maxsize=4096)
-def _x_pattern(i: int, j: int, fam: Family, l: int, n: int) -> str:
+def _x_pattern(i: int, j: int, fam: Family, l: int, n: int) -> str | None:
     if fam is Family.GL:
         if i != j and 1 <= i <= n and 1 <= j <= n:
             return "gl"
-        raise IllegalToken(f"x[{i},{j}] illegal for GL({n})")
+        return None
     if fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
         lo, hi = 1, l
         if fam is Family.GO_ODD:
@@ -123,7 +134,7 @@ def _x_pattern(i: int, j: int, fam: Family, l: int, n: int) -> str:
                 return "np"
             if -i == j and fam is Family.GSP:
                 return "npm"
-        raise IllegalToken(f"x[{i},{j}] illegal for {fam.value}(l={l})")
+        return None
     # GO_MINUS: generic indices run over 2..l, the pair (1,-1) is special
     if 2 <= i <= l and j == 1:
         return "i1"
@@ -139,7 +150,7 @@ def _x_pattern(i: int, j: int, fam: Family, l: int, n: int) -> str:
         return "pn"
     if -l <= i <= -2 and 2 <= j <= l and -i < j:
         return "np"
-    raise IllegalToken(f"x[{i},{j}] illegal for GOminus(l={l})")
+    return None
 
 
 def validate_token(tok: GeneratorToken, d: GroupDescriptor) -> None:
@@ -209,63 +220,74 @@ def _validate_torus(tok: GeneratorToken, d: GroupDescriptor) -> None:
 # token -> matrix
 
 
-def token_delta(tok: GeneratorToken, d: GroupDescriptor) -> list:
-    """Nonzero ``(row, col, value)`` entries of ``token_matrix(tok) - I``.
+def token_delta(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
+    """``(entries, den)``: the token's matrix is ``(den * I + entries) / den``.
 
-    Rows and columns are storage positions.  This is the one description of
-    how a token acts: :func:`token_matrix` adds it to I, and
-    :func:`steinberg.rowops.apply` applies it to rows or columns in place.
+    This is the one description of how a token acts.  ``entries`` are
+    storage-position ``(row, col, value)`` triples with distinct positions
+    and integer values, none zero; ``den`` is one positive denominator, 1
+    over F_p, where the values are residues.  An x-token's values come
+    straight from t = a/b (a residue over b = 1 over F_p): +-a over b, or,
+    for the patterns that carry t^2, +-ab, +-2ab, +-a^2 and +-2a^2 over
+    b^2, so no scalar is built.  :func:`token_matrix` builds the matrix from
+    it, :func:`steinberg.rowops.apply` applies it to rows or columns in
+    place, and :meth:`Matrix._chain` takes it as a factor.
     """
-    validate_token(tok, d)
     f = d.field
-    one = f.one
     if tok.kind == "x":
-        units = _x_units(tok.i, tok.j, f.of(tok.t), d)
-    elif tok.kind == "w":
-        i, m1 = tok.i, f.neg(one)
-        units = [(i, i, m1), (-i, -i, m1), (i, -i, m1), (-i, i, m1)]
-    elif tok.kind == "x1":
-        units = _plane_units(f.of(tok.t), f.of(tok.s), d)
-    elif tok.kind == "x2":
-        units = [(-1, -1, f.of(-2))]
-    elif d.family is Family.GL:
-        units = [(d.n, d.n, f.sub(f.of(tok.lam), one))]
+        pat = x_pattern(tok.i, tok.j, d)
+        t = f.of(tok.t)
+        units, den = _x_units(tok.i, tok.j, pat, t.numerator, t.denominator, d)
     else:
-        lam, mu = f.of(tok.lam), f.of(tok.mu)
-        units = []
-        if d.family is Family.GO_ODD:
-            units.append((0, 0, f.sub(f.of(tok.alpha), one)))
-        if tok.t is not None:
-            units += _plane_units(f.of(tok.t), f.of(tok.s), d)
-        block = d.block_indices()
-        for i in block[:-1]:
-            units.append((-i, -i, f.sub(mu, one)))
-        if block:
-            i = block[-1]
-            units += [(i, i, f.sub(lam, one)), (-i, -i, f.sub(f.div(mu, lam), one))]
-    pos = d.pos
-    return [(pos(a), pos(b), c) for a, b, c in units if c != f.zero]
+        validate_token(tok, d)
+        if tok.kind == "w":
+            i = tok.i
+            units = [(i, i, -1), (-i, -i, -1), (i, -i, -1), (-i, i, -1)]
+        elif tok.kind == "x1":
+            units = _plane_units(f.of(tok.t), f.of(tok.s), d)
+        elif tok.kind == "x2":
+            units = [(-1, -1, -2)]
+        else:
+            units = _torus_units(tok, d)
+        den = math.lcm(*(v.denominator for _, _, v in units))
+        units = [(a, b, v.numerator * (den // v.denominator)) for a, b, v in units]
+    pos, p = d._positions, f.p
+    if p is None:
+        return [(pos[a], pos[b], v) for a, b, v in units if v], den
+    return [(pos[a], pos[b], r) for a, b, v in units if (r := v % p)], 1
 
 
 def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
-    """The exact matrix of a token in the family's fixed basis: I + delta.
+    """The exact matrix of a token in the family's fixed basis:
+    ``den * I + entries`` of its delta over ``den``, normalised."""
+    entries, den = token_delta(tok, d)
+    m = [[0] * d.n for _ in range(d.n)]
+    for k, row in enumerate(m):
+        row[k] = den
+    for r, c, v in entries:
+        m[r][c] += v
+    return Matrix._normal(d.field, m, den)
 
-    It is written straight into the stored form: integer rows over the lcm
-    of the delta's denominators (1 over F_p, where ``f.add`` keeps
-    residues).  Delta positions are distinct, so the entry that carries the
-    highest power of a prime in that lcm is not divisible by that prime:
-    the rows have gcd 1 with it and are canonical as written.
-    """
+
+def _torus_units(tok: GeneratorToken, d: GroupDescriptor) -> list:
+    """Signed-index (row, col, scalar) triples of a torus token minus I."""
     f = d.field
-    delta = token_delta(tok, d)
-    den = math.lcm(*(v.denominator for _, _, v in delta))
-    m = list(_unit_rows(d.n, den))
-    for r in {r for r, _, _ in delta}:
-        m[r] = list(m[r])
-    add = f.add
-    for r, c, v in delta:
-        m[r][c] = add(m[r][c], v.numerator * (den // v.denominator))
-    return Matrix._canonical(f, m, den)
+    one, lam = f.one, f.of(tok.lam)
+    if d.family is Family.GL:
+        return [(d.n, d.n, f.sub(lam, one))]
+    mu = f.of(tok.mu)
+    units = []
+    if d.family is Family.GO_ODD:
+        units.append((0, 0, f.sub(f.of(tok.alpha), one)))
+    if tok.t is not None:
+        units += _plane_units(f.of(tok.t), f.of(tok.s), d)
+    block = d.block_indices()
+    for i in block[:-1]:
+        units.append((-i, -i, f.sub(mu, one)))
+    if block:
+        i = block[-1]
+        units += [(i, i, f.sub(lam, one)), (-i, -i, f.sub(f.div(mu, lam), one))]
+    return units
 
 
 def _plane_units(t: Scalar, s: Scalar, d: GroupDescriptor) -> list:
@@ -279,47 +301,33 @@ def _plane_units(t: Scalar, s: Scalar, d: GroupDescriptor) -> list:
     ]
 
 
-def _x_units(i: int, j: int, t: Scalar, d: GroupDescriptor) -> list:
-    """Sparse (row index, col index, coefficient) triples of x[i,j](t) - I."""
-    f = d.field
-    pat = x_pattern(i, j, d)
-    nt = f.neg(t)
-    t2 = f.mul(t, t)
-    if pat == "gl":
-        return [(i, j, t)]
+def _x_units(i: int, j: int, pat: str, a: int, b: int, d: GroupDescriptor) -> tuple:
+    """(signed-index (row, col, integer) triples, den) of x[i,j](a/b) - I
+    for the index pattern ``pat``; the integers are not yet reduced mod p."""
+    if pat in ("gl", "pnm", "npm"):
+        return [(i, j, a)], b
     if pat == "pp":
-        return [(i, j, t), (-j, -i, nt)]
+        return [(i, j, a), (-j, -i, -a)], b
     if pat in ("pn", "np"):
         # the short pairs: the partner unit carries +t for GSp, -t otherwise
-        second = t if d.family is Family.GSP else nt
-        return [(i, j, t), (-j, -i, second)]
-    if pat in ("pnm", "npm"):
-        return [(i, j, t)]
-    two_t = f.mul(f.of(2), t)
-    two_t2 = f.mul(f.of(2), t2)
+        return [(i, j, a), (-j, -i, a if d.family is Family.GSP else -a)], b
+    # the remaining patterns carry t^2, so they stand over b^2, where t is ab
+    t, t2, den = a * b, a * a, b * b
     if pat == "i0":
-        return [(i, 0, two_t), (0, -i, nt), (i, -i, f.neg(t2))]
+        return [(i, 0, 2 * t), (0, -i, -t), (i, -i, -t2)], den
     if pat == "0i":
-        return [(-j, 0, f.neg(two_t)), (0, j, t), (-j, j, f.neg(t2))]
+        return [(-j, 0, -2 * t), (0, j, t), (-j, j, -t2)], den
     # Twisted pairs against the anisotropic plane, normalised so they are
     # isometries of diag(1,eps) + hyperbolic (beta(e_1,e_1)=1, not 2).
     eps = d.epsilon
     if pat == "i1":
-        return [(1, i, two_t), (-i, 1, f.neg(two_t)), (-i, i, f.neg(two_t2))]
+        return [(1, i, 2 * t), (-i, 1, -2 * t), (-i, i, -2 * t2)], den
     if pat == "1i":
-        return [(j, 1, two_t), (1, -j, f.neg(two_t)), (j, -j, f.neg(two_t2))]
+        return [(j, 1, 2 * t), (1, -j, -2 * t), (j, -j, -2 * t2)], den
     if pat == "in1":
-        return [
-            (-1, i, two_t),
-            (-i, -1, f.neg(f.mul(eps, two_t))),
-            (-i, i, f.neg(f.mul(eps, two_t2))),
-        ]
+        return [(-1, i, 2 * t), (-i, -1, -2 * eps * t), (-i, i, -2 * eps * t2)], den
     if pat == "n1i":
-        return [
-            (j, -1, f.mul(eps, two_t)),
-            (-1, -j, f.neg(two_t)),
-            (j, -j, f.neg(f.mul(eps, two_t2))),
-        ]
+        return [(j, -1, 2 * eps * t), (-1, -j, -2 * t), (j, -j, -2 * eps * t2)], den
     raise IllegalToken(pat)  # pragma: no cover
 
 
@@ -388,19 +396,23 @@ class Word:
 
 def evaluate_word(word: Word, *rest: Word | Matrix) -> Matrix:
     """The ordered product of the parts in one chain from I: a word stands
-    for its dense token matrices, in order, a matrix for itself.  The first
-    word gives the field and size; the empty word is I."""
+    for its tokens' integer deltas (:func:`token_delta`), in order, a matrix
+    for itself, so no token matrix is built.  The first word gives the field
+    and size; the empty word is I."""
     d = word.descriptor
-    return Matrix._chain(Matrix.identity(d.field, d.n), _factors((word, *rest)))
+    return Matrix._chain(Matrix.identity(d.field, d.n), _factors(d, (word, *rest)))
 
 
-def _factors(parts: Iterable[Word | Matrix]) -> Iterator[Matrix]:
+def _factors(d: GroupDescriptor, parts: Iterable[Word | Matrix]) -> Iterator:
     for part in parts:
         if isinstance(part, Matrix):
             yield part
-        else:
-            for tok in part.tokens:
-                yield token_matrix(tok, part.descriptor)
+            continue
+        e = part.descriptor
+        if (e.field, e.n) != (d.field, d.n):
+            raise DimensionMismatch(f"a word of {e} in a product over {d}")
+        for tok in part.tokens:
+            yield token_delta(tok, e)
 
 
 def derived_w(i: int, d: GroupDescriptor) -> Word:
@@ -489,27 +501,16 @@ def parse_word(text: str, d: GroupDescriptor) -> Word:
     return Word(d, toks)
 
 
+# The order in which legal_x_index_pairs lists the x-token patterns.
+_X_PATTERN_ORDER = ("gl", "pp", "pn", "np", "pnm", "npm", "i0", "0i", "i1", "1i", "in1", "n1i")
+
+
 def legal_x_index_pairs(d: GroupDescriptor) -> list:
-    """All legal (i,j) index pairs for x-tokens of the family."""
-    pairs = []
-    fam, l = d.family, d.l
-    if fam is Family.GL:
-        rng = range(1, d.n + 1)
-        return [(i, j) for i in rng for j in rng if i != j]
-    if fam is Family.GO_MINUS:
-        rng = list(range(2, l + 1))
-        pairs += [(i, j) for i in rng for j in rng if i != j]
-        pairs += [(i, -j) for i in rng for j in rng if i < j]
-        pairs += [(-i, j) for i in rng for j in rng if i < j]
-        pairs += [(i, 1) for i in rng] + [(1, i) for i in rng]
-        pairs += [(i, -1) for i in rng] + [(-1, i) for i in rng]
-        return pairs
-    rng = list(range(1, l + 1))
-    pairs += [(i, j) for i in rng for j in rng if i != j]
-    pairs += [(i, -j) for i in rng for j in rng if i < j]
-    pairs += [(-i, j) for i in rng for j in rng if i < j]
-    if fam is Family.GSP:
-        pairs += [(i, -i) for i in rng] + [(-i, i) for i in rng]
-    if fam is Family.GO_ODD:
-        pairs += [(i, 0) for i in rng] + [(0, i) for i in rng]
-    return pairs
+    """All legal (i,j) index pairs for x-tokens of the family: the pairs of
+    basis indices that :func:`x_pattern` accepts, grouped by pattern in the
+    order of ``_X_PATTERN_ORDER`` and in basis order inside a pattern."""
+    fam, l, n = d.family, d.l, d.n
+    idx = d.basis_indices()
+    legal = [(pat, (i, j)) for i in idx for j in idx if (pat := _x_pattern(i, j, fam, l, n))]
+    legal.sort(key=lambda pat_pair: _X_PATTERN_ORDER.index(pat_pair[0]))
+    return [pair for _, pair in legal]

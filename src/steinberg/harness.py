@@ -78,7 +78,11 @@ def _token_pool(d: GroupDescriptor) -> list:
 
 
 def random_token(d: GroupDescriptor, rng: random.Random) -> GeneratorToken:
-    entry = rng.choice(_token_pool(d))
+    return _random_token_from(_token_pool(d), d, rng)
+
+
+def _random_token_from(pool: list, d: GroupDescriptor, rng: random.Random) -> GeneratorToken:
+    entry = rng.choice(pool)
     if entry[0] == "x":
         return x(entry[1], entry[2], _random_scalar(d.field, rng))
     if entry[0] == "w":
@@ -122,8 +126,9 @@ def random_member(d: GroupDescriptor, seed: int, word_len: int, with_torus: bool
     applied from the right to a working copy of the identity."""
     rng = random.Random(f"{d}#{seed}")
     w = WorkingMatrix(Matrix.identity(d.field, d.n), d)
+    pool = _token_pool(d)
     for _ in range(word_len):
-        w.rmul(random_token(d, rng))
+        w.rmul(_random_token_from(pool, d, rng))
     if with_torus:
         w.rmul(random_torus_token(d, rng))
     return w.matrix()

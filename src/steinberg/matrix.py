@@ -6,31 +6,34 @@ with ``gcd(den, *num) == 1``).  It is canonical, so ``==`` and ``hash``
 compare it directly, and products, sums, transposes and blocks run on the
 integers alike for both fields.  The product is one kernel,
 :meth:`Matrix._chain`, which multiplies a left factor by a sequence of right
-factors in order; ``@`` is a chain of one.  Inside a chain the running
-product is held as integer columns with one denominator each, so a token
-matrix or a diagonal rewrites only the columns it moves, each reduced as
-soon as it is written, and leaves the rest untouched; a dense or non-square
-factor takes the plain row loop over its nonzero entries.  Only the
-normalise step (:func:`_lowest`, and its form for one column in the chain:
-reduce mod p, or divide out the gcd) and the scalar view (``data``,
-``[i, j]``, ``row``, ``col``, ``to_lists``, ``repr``: the residues, or
-``Fraction(v, den)``) know the field.  Pivot columns, rank, rref, inverse
-and determinant go through one Gauss-Jordan kernel on the stored integers:
-on residues over F_p, and fraction-free over Q, where the reduced rows come
-out over one common pivot and go straight back to the stored form.  The
-trusted constructors ``_canonical`` and ``_normal`` take integer rows as
-they are; token matrices and the snapshots of the working matrix
-(:mod:`steinberg.rowops`) are built through them, without a scalar per
-entry.
+factors in order; ``@`` is a chain of one.  A right factor is a matrix or a
+token's integer delta ``(entries, den)``
+(:func:`steinberg.generators.token_delta`), which stands for
+``(den * I + entries) / den``, so a word is multiplied without building a
+matrix per token.  Inside a chain the running product is held as integer
+columns with one denominator each: a delta rewrites only the columns it
+names (column c becomes ``den * col_c + sum v * col_r``), each reduced as
+soon as it is written, and leaves the rest untouched; a sparse square
+matrix (a diagonal) has its delta read off and takes the same column
+update, and a dense or non-square factor takes the plain row loop over its
+nonzero entries.  Only the normalise step (:func:`_lowest`, and its form
+for one column in the chain: reduce mod p, or divide out the gcd) and the
+scalar view (``data``, ``[i, j]``, ``row``, ``col``, ``to_lists``,
+``repr``: the residues, or ``Fraction(v, den)``) know the field.  Pivot
+columns, rank, rref, inverse and determinant go through one Gauss-Jordan
+kernel on the stored integers: on residues over F_p, and fraction-free over
+Q, where the reduced rows come out over one common pivot and go straight
+back to the stored form.  The trusted constructors ``_canonical`` and
+``_normal`` take integer rows as they are; token matrices and the snapshots
+of the working matrix (:mod:`steinberg.rowops`) are built through them,
+without a scalar per entry.
 """
-
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress, repeat
-from operator import mul, ne
+from operator import mul
 from typing import Iterable, Sequence
 
 from .field import Field, InternalError, Scalar
@@ -72,14 +75,6 @@ def _lowest(p: int | None, num: list, den: int) -> tuple:
     return num, den
 
 
-@lru_cache(maxsize=32)
-def _unit_rows(n: int, den: int) -> tuple:
-    """The rows of den * I as tuples, shared by the identity and by the rows
-    a token matrix leaves alone; the product kernel compares against them."""
-    zero = (0,) * n
-    return tuple(zero[:i] + (den,) + zero[i + 1:] for i in range(n))
-
-
 def _combine(p: int | None, terms: list, bden: int, m: int) -> tuple:
     """(column, den) of sum c * col / (col_den * bden) over the terms
     (c, col, col_den), reduced mod p or by its own gcd."""
@@ -109,6 +104,35 @@ def _combine(p: int | None, terms: list, bden: int, m: int) -> tuple:
         new = [v // g for v in new]
         d //= g
     return new, d
+
+
+def _delta_of(num: tuple, den: int) -> list:
+    """A square matrix ``num / den`` as a delta over ``den``: the nonzero
+    ``(row, col, value)`` triples of ``num - den * I``."""
+    out = []
+    for k, row in enumerate(num):
+        if row[k] != den:
+            out.append((k, k, row[k] - den))
+        out += [(k, j, row[j]) for j in compress(range(len(row)), row) if j != k]
+    return out
+
+
+def _update_columns(p: int | None, cols: list, dens: list, entries: list, bden: int, m: int) -> None:
+    """Multiply the columns (each over its den) by ``(bden * I + entries) /
+    bden`` in place: each column c the entries name becomes ``bden * col_c +
+    sum v * col_r`` over its entries (r, c, v), over ``bden``, through
+    :func:`_combine`; every source is read before any column is written."""
+    moved: dict = {}
+    for r, c, v in entries:
+        coeffs = moved.get(c)
+        if coeffs is None:
+            coeffs = moved[c] = {c: bden}
+        v += coeffs.get(r, 0)
+        coeffs[r] = v % p if p else v
+    out = [(c, *_combine(p, [(v, cols[k], dens[k]) for k, v in coeffs.items() if v], bden, m))
+           for c, coeffs in moved.items()]
+    for c, col, d in out:
+        cols[c], dens[c] = col, d
 
 
 def _rows_over_lcm(cols: list, dens: list) -> tuple:
@@ -168,7 +192,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._canonical(field, _unit_rows(n, 1))
+        return cls._canonical(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
@@ -240,63 +264,56 @@ class Matrix:
         return Matrix._chain(self, (other,))
 
     @staticmethod
-    def _chain(a: "Matrix", factors: Iterable["Matrix"]) -> "Matrix":
+    def _chain(a: "Matrix", factors: Iterable) -> "Matrix":
         """``a @ f_1 @ f_2 @ ...``, in order: the one product kernel.
 
-        The running product is held as integer rows over one denominator, or
-        as integer columns over one denominator each (1 over F_p).  A sparse
-        square factor b (at most 3n/2 nonzeros, as a token matrix or a
-        diagonal) acts on the columns: those under b's unit columns stay as
-        they are, and each moved column j becomes sum_k b[k][j] col_k over
-        b's nonzeros in column j, brought over the lcm of those columns'
-        denominators and reduced at once (mod p, or by its own gcd).  Rows
-        turn into columns at a sparse factor that changes at most n/2 rows
-        and stay so until a dense or non-square factor, which takes the row
-        loop on the row view and is normalised at once.  The end brings the
-        columns over one lcm and normalises once.
+        A factor is a :class:`Matrix` or a token's integer delta ``(entries,
+        den)`` (:func:`steinberg.generators.token_delta`), which stands for
+        ``(den * I + entries) / den``.  The running product is held as
+        integer rows over one denominator, or as integer columns over one
+        denominator each (1 over F_p).  A delta rewrites only the columns it
+        names (:func:`_update_columns`), each reduced as soon as it is
+        written (mod p, or by its own gcd), and leaves the rest untouched.
+        A square matrix factor with at most 3n/2 nonzeros (a diagonal) has
+        its delta read off and takes the same column update.  Rows turn into
+        columns at a delta, or at such a matrix that changes at most n/2
+        rows, and stay so until a dense or non-square factor, which takes
+        the row loop on the row view and is normalised at once.  The end
+        brings the columns over one lcm and normalises once.
         """
         field, p = a.field, a.field.p
         m, n = a.rows, a.cols
         rows, den = a.num, a.den
         cols = dens = None  # the column form, while it stands in for rows
         for b in factors:
-            if b.field != field:
-                raise DimensionMismatch("fields differ")
-            if b.rows != n:
-                raise DimensionMismatch(f"{m}x{n} @ {b.rows}x{b.cols}")
-            bnum, bden = b.num, b.den
-            # Measured on n = 4..17: a factor takes the column form while it
-            # has at most about 1.5 nonzeros per row (beyond, it loses up to
-            # 2x), and a product held as rows turns into columns only for a
-            # factor that changes at most half of its rows (a permutation or a
-            # diagonal alone costs less in the row loop than the conversion).
-            sparse = False
-            if m and n and b.cols == n and 2 * (n * n - sum(map(tuple.count, bnum, repeat(0)))) <= 3 * n:
-                units = _unit_rows(n, bden)
-                touched = list(compress(range(n), map(ne, bnum, units)))
-                sparse = cols is not None or 2 * len(touched) <= n
-            if sparse:
-                if cols is None:
-                    cols, dens = list(zip(*rows)), [den] * n
-                # column j of b differs from den e_j only in touched rows; its
-                # nonzeros are their entries and den, where row j is untouched
-                moved = set()
-                for k in touched:
-                    moved.update(compress(range(n), map(ne, bnum[k], units[k])))
-                out = []
-                for j in moved:
-                    terms = [(bnum[k][j], cols[k], dens[k]) for k in touched if bnum[k][j]]
-                    if j not in touched:
-                        terms.append((bden, cols[j], dens[j]))
-                    out.append((j, *_combine(p, terms, bden, m)))
-                for j, col, d in out:
-                    cols[j], dens[j] = col, d
+            if type(b) is tuple:
+                entries, bden = b
             else:
-                if cols is not None:
-                    rows, den = _rows_over_lcm(cols, dens)
-                    cols = None
-                rows, den = _lowest(p, _row_loop(rows, bnum, b.cols), den * bden)
-                n = b.cols
+                if b.field != field:
+                    raise DimensionMismatch("fields differ")
+                if b.rows != n:
+                    raise DimensionMismatch(f"{m}x{n} @ {b.rows}x{b.cols}")
+                bnum, bden = b.num, b.den
+                entries = None
+                # Measured on n = 4..17: a factor takes the column form while it
+                # has at most about 1.5 nonzeros per row (beyond, it loses up to
+                # 2x), and a product held as rows turns into columns only for a
+                # factor that changes at most half of its rows (a permutation or
+                # a diagonal alone costs less in the row loop than the conversion).
+                if m and n and b.cols == n and 2 * (n * n - sum(map(tuple.count, bnum, repeat(0)))) <= 3 * n:
+                    entries = _delta_of(bnum, bden)
+                    if cols is None and 2 * len({r for r, _, _ in entries}) > n:
+                        entries = None
+                if entries is None:
+                    if cols is not None:
+                        rows, den = _rows_over_lcm(cols, dens)
+                        cols = None
+                    rows, den = _lowest(p, _row_loop(rows, bnum, b.cols), den * bden)
+                    n = b.cols
+                    continue
+            if cols is None:
+                cols, dens = list(zip(*rows)), [den] * n
+            _update_columns(p, cols, dens, entries, bden, m)
         if cols is not None:
             return Matrix._normal(field, *_rows_over_lcm(cols, dens))
         return Matrix._canonical(field, rows, den)

@@ -13,11 +13,13 @@ integers.
 
 ``apply(w, tok, LEFT)`` turns ``w`` into ``token_matrix(tok) @ w`` and
 ``apply(w, tok, RIGHT)`` into ``w @ token_matrix(tok)``, bit-exact.  Both
-read the token's sparse delta (:func:`steinberg.generators.token_delta`),
-the same entries ``token_matrix`` adds to I, so each update only touches
-the rows (resp. columns) the token moves.  The tests compare it with the
-dense product and with hand-written paired row/column updates kept there as
-an independent oracle.
+read the token's integer delta (:func:`steinberg.generators.token_delta`),
+entries (r, c, v) over one den, the same description ``token_matrix`` and
+the product kernel read, so each update only touches the rows (resp.
+columns) the token moves and adds v / den times its source in one integer
+pass; no scalar is built per token.  The tests compare it with the dense
+product and with hand-written paired row/column updates kept there as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -44,22 +46,22 @@ RIGHT = Side.RIGHT
 def apply(w: "WorkingMatrix", tok: GeneratorToken, side: Side) -> None:
     """Multiply the working matrix by the token on the given side, in place.
 
-    A delta entry (r, c, v) adds v times source row c to row r (LEFT), or v
-    times source column r to column c (RIGHT); sources are read before any
-    write.
+    A delta entry (r, c, v) over the delta's den adds v / den times source
+    row c to row r (LEFT), or v / den times source column r to column c
+    (RIGHT); sources are read before any write.
     """
-    delta = token_delta(tok, w.d)
+    entries, tden = token_delta(tok, w.d)
     num = w.num
     if side is LEFT:
         den = w.rden
         # rows are replaced, never mutated, so these stay the old rows
-        sources = [(num[c], den[c]) for _, c, _ in delta]
-        for (r, _, v), (src, sden) in zip(delta, sources):
+        sources = [(num[c], den[c] * tden) for _, c, _ in entries]
+        for (r, _, v), (src, sden) in zip(entries, sources):
             num[r], den[r] = w._add_multiple(num[r], den[r], v, src, sden)
         return
     den = w.cden
-    sources = [([row[r] for row in num], den[r]) for r, _, _ in delta]
-    for (_, c, v), (src, sden) in zip(delta, sources):
+    sources = [([row[r] for row in num], den[r] * tden) for r, _, _ in entries]
+    for (_, c, v), (src, sden) in zip(entries, sources):
         new, den[c] = w._add_multiple([row[c] for row in num], den[c], v, src, sden)
         for row, a in zip(num, new):
             row[c] = a
@@ -75,15 +77,15 @@ class WorkingMatrix:
         self.rden = [g.den] * g.rows
         self.cden = [1] * g.cols
 
-    def _add_multiple(self, x: list, xden: int, v: Scalar, y: list, yden: int) -> tuple:
-        """x / xden + v * y / yden as (integers, denominator), normalised:
-        residues over F_p, the gcd divided out over Q."""
+    def _add_multiple(self, x: list, xden: int, v: int, y: list, yden: int) -> tuple:
+        """x / xden + v * y / yden for an integer v, as (integers,
+        denominator), normalised: residues over F_p, the gcd divided out
+        over Q."""
         p = self.f.p
         if p is not None:
             return [(a + v * b) % p for a, b in zip(x, y)], 1
-        top, bot = v.numerator, v.denominator * yden
-        den = math.lcm(xden, bot)
-        sx, sy = den // xden, top * (den // bot)
+        den = math.lcm(xden, yden)
+        sx, sy = den // xden, v * (den // yden)
         new = [a * sx + sy * b for a, b in zip(x, y)]
         g = math.gcd(den, *new)
         if g == 1:

@@ -1,7 +1,7 @@
 """The hand-written row and column updates of every token: the oracle for
 :func:`steinberg.rowops.apply`.
 
-The library applies a token through its sparse delta
+The library applies a token through its integer delta
 (:func:`steinberg.generators.token_delta`), the same entries that build the
 dense ``token_matrix``.  The updates below are written out by hand as paired
 row (resp. column) operations, one case per token flavour, not derived from

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from steinberg import rowops
+from steinberg import generators, rowops
 from steinberg.cli import format_matrix_file, format_word_file, main as cli_main, parse_word_file
 from steinberg.coset import coset_label, omega_matrix, verify_label
 from steinberg.eliminate import decompose
@@ -20,6 +20,7 @@ from steinberg.generators import (
     parse_token,
     parse_word,
     token_inverse,
+    token_delta,
     token_inverse_in,
     token_matrix,
     torus,
@@ -267,11 +268,12 @@ def test_x_pattern_memo_keeps_families_and_ranks_apart():
         x_pattern(1, 3, build_descriptor(Family.GL, 1, F5))
 
 
-def test_evaluate_word_multiplies_dense_token_matrices(monkeypatch, tmp_path):
-    """Verification stays independent of the elimination: each check is one
-    chain through the product kernel whose factors are the dense token
-    matrices in order (with the diagonal, or the element, between two
-    words), and nothing of the in-place token application runs."""
+def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
+    """Verification stays independent of the elimination and builds no token
+    matrix: each check is one chain through the product kernel whose factors
+    are the tokens' integer deltas in order (with the diagonal, or the
+    element, between two words), and nothing of the in-place token
+    application runs."""
     cases = []
     for fam in ALL:
         d = build_descriptor(fam, 2, F5, similitude=True)
@@ -288,10 +290,11 @@ def test_evaluate_word_multiplies_dense_token_matrices(monkeypatch, tmp_path):
         labelled.append((d, g, coset_label(g, d)))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("verification reached the in-place token application")
+        raise AssertionError("verification reached the in-place token application or built a token matrix")
 
     monkeypatch.setattr(rowops, "apply", forbidden)
     monkeypatch.setattr(rowops.WorkingMatrix, "_add_multiple", forbidden)
+    monkeypatch.setattr(generators, "token_matrix", forbidden)
     chains = []
     chain = Matrix._chain
 
@@ -302,32 +305,32 @@ def test_evaluate_word_multiplies_dense_token_matrices(monkeypatch, tmp_path):
 
     monkeypatch.setattr(Matrix, "_chain", staticmethod(counting))
 
-    def mats(*words):
-        return [token_matrix(tok, word.descriptor) for word in words for tok in word.tokens]
+    def deltas(*words):
+        return [token_delta(tok, word.descriptor) for word in words for tok in word.tokens]
 
     for d, g, dec, mpath, wpath in cases:
         word = derived_w(2, d)
         word = Word(d, word.tokens + (x(1, 2, 3),) + word.tokens)
         chains.clear()
         evaluate_word(word)
-        assert chains == [mats(word)]
+        assert chains == [deltas(word)]
         chains.clear()
         assert evaluate_word(Word(d, [])) == Matrix.identity(d.field, d.n) and chains == [[]]
         chains.clear()
         assert dec.reassemble() == g
-        assert chains == [mats(dec.left) + [dec.diagonal] + mats(dec.right)]
+        assert chains == [deltas(dec.left) + [dec.diagonal] + deltas(dec.right)]
         left, mid, right, _ = parse_word_file(Path(wpath).read_text())
         chains.clear()
         assert cli_main(["verify", wpath, mpath]) == 0
-        assert chains == [mats(left, mid, right)]
+        assert chains == [deltas(left, mid, right)]
     for d, g, label in labelled:
         for m in range(d.l + 1):
             chains.clear()
             omega_matrix(d, m)
-            assert chains == [mats(*(derived_w(i, d) for i in range(1, m + 1)))]
+            assert chains == [deltas(*(derived_w(i, d) for i in range(1, m + 1)))]
         chains.clear()
         assert verify_label(g, label, d)
-        assert chains[0] == mats(label.left_witness) + [g] + mats(label.right_witness)
+        assert chains[0] == deltas(label.left_witness) + [g] + deltas(label.right_witness)
 
 
 # The order feeds random_member's token pool, so every seeded member and every

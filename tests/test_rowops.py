@@ -1,17 +1,31 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from steinberg import matrix
 from steinberg.field import Field, QQ
 from steinberg.forms import Family, InternalError, build_descriptor
-from steinberg.generators import legal_x_index_pairs, token_delta, token_matrix, torus, w, x, x1, x2
-from steinberg.harness import random_member
+from steinberg.generators import (
+    IllegalToken,
+    Word,
+    evaluate_word,
+    legal_x_index_pairs,
+    token_delta,
+    token_matrix,
+    torus,
+    w,
+    x,
+    x1,
+    x2,
+)
+from steinberg.harness import _reflection_params, random_member
 from steinberg.matrix import Matrix
 from steinberg.rowops import LEFT, RIGHT, WorkingMatrix
 
 from rowops_oracle import applied, oracle_apply
-from test_matrix import assert_canonical
+from test_matrix import assert_canonical, naive_chain
 
 F5 = Field(5)
 ALL = (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
@@ -181,7 +195,7 @@ def test_gl_transvection_action():
 def test_empty_delta_leaves_matrix_unchanged():
     d = build_descriptor(Family.GO_MINUS, 1, F5)
     tok = torus(1, 1)
-    assert token_delta(tok, d) == []
+    assert token_delta(tok, d) == ([], 1)
     assert token_matrix(tok, d) == Matrix.identity(F5, d.n)
     g = random_member(d, 4, word_len=5)
     assert applied(g, tok, LEFT, d) == g == applied(g, tok, RIGHT, d)
@@ -191,14 +205,125 @@ def test_empty_delta_leaves_matrix_unchanged():
 def test_zero_coefficients_are_dropped_from_delta():
     d = build_descriptor(Family.GO_MINUS, 2, F5, similitude=True)
     tok = torus(3, 1, ts=(1, 0))  # block diag(1, -1): t - 1 and s vanish
-    delta = token_delta(tok, d)
-    assert all(v != 0 for _, _, v in delta)
+    entries, den = token_delta(tok, d)
+    assert den == 1
+    assert all(v != 0 for _, _, v in entries)
     ident = Matrix.identity(F5, d.n)
     dense = {(r, c): v for r in range(d.n) for c in range(d.n)
              if (v := F5.sub(token_matrix(tok, d)[r, c], ident[r, c])) != 0}
-    assert {(r, c): v for r, c, v in delta} == dense
-    assert len(delta) == 3  # the -1 corner, lambda - 1 and 1/lambda - 1
+    assert {(r, c): v for r, c, v in entries} == dense
+    assert len(entries) == 3  # the -1 corner, lambda - 1 and 1/lambda - 1
     _check_all_paths(random_member(d, 2, word_len=6, with_torus=True), tok, d)
+
+
+def delta_tokens(d, rng):
+    """Every token kind of the family: each legal x pair (rational over Q),
+    x with t = 0, w, x1, x2 and tori with and without the twisted block."""
+    f = d.field
+
+    def scalar():
+        if f.is_prime:
+            return rng.randrange(1, f.p)
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 7))
+
+    pairs = legal_x_index_pairs(d)
+    toks = [x(i, j, scalar()) for i, j in pairs] + [x(i, j, 0) for i, j in pairs[-1:]]
+    if d.family in (Family.GO_EVEN, Family.GO_ODD):
+        toks.append(w(d.l))
+    if d.family is Family.GO_MINUS:
+        toks += [w(i) for i in range(2, d.l + 1)] + [x2(), x1(*_reflection_params(d, scalar(), scalar()))]
+        lam, v1, v2 = 1 if d.l == 1 else scalar(), scalar(), scalar()  # rank 1 carries no lambda slot
+        toks += [torus(lam, 1), torus(lam, f.add(f.mul(v1, v1), f.mul(d.epsilon, f.mul(v2, v2))), ts=(v1, v2))]
+    elif d.family is Family.GO_ODD:
+        alpha = scalar()
+        toks.append(torus(scalar(), f.mul(alpha, alpha), alpha=alpha))
+    elif d.family is Family.GL:
+        toks.append(torus(scalar(), 1))
+    else:
+        toks.append(torus(scalar(), scalar()))
+    return toks
+
+
+@pytest.mark.parametrize("field", [F5, Field(1000000007), QQ], ids=str)
+def test_delta_is_the_token_over_one_integer_denominator(field):
+    """The delta contract for every token kind: den * I + entries over den
+    is the token's matrix and the hand-written update of I; entries sit at
+    distinct positions, are integers and never zero; den is positive, 1 over
+    F_p with residue values, and b or b^2 for an x-token with t = a/b."""
+    rng = random.Random(5)
+    for fam in Family:
+        if fam is Family.GO_MINUS and not field.is_prime:
+            continue
+        for l in (1, 2, 3):
+            d = build_descriptor(fam, l, field, similitude=True)
+            ident = Matrix.identity(field, d.n)
+            for tok in delta_tokens(d, rng):
+                entries, den = token_delta(tok, d)
+                dense = [[den * (r == c) for c in range(d.n)] for r in range(d.n)]
+                for r, c, v in entries:
+                    dense[r][c] += v
+                want = oracle_apply(ident, tok, RIGHT, d)
+                assert Matrix._normal(field, dense, den) == token_matrix(tok, d) == want, tok
+                assert len({(r, c) for r, c, _ in entries}) == len(entries)
+                assert all(type(v) is int and v != 0 for _, _, v in entries) and den > 0
+                if field.is_prime:
+                    assert den == 1 and all(0 < v < field.p for _, _, v in entries)
+                elif tok.kind == "x":
+                    assert den in (tok.t.denominator, tok.t.denominator ** 2)
+                if tok.kind == "x" and tok.t == 0:
+                    assert entries == []
+    for d, tok in (
+        (build_descriptor(Family.GO_EVEN, 2, F5), x(1, -1, 1)),
+        (build_descriptor(Family.GO_EVEN, 2, QQ), x(2, -1, Fraction(1, 2))),
+        (build_descriptor(Family.GO_EVEN, 2, F5), w(1)),
+        (build_descriptor(Family.GSP, 2, F5), x2()),
+        (build_descriptor(Family.GL, 1, F5), x(1, 3, 1)),
+    ):
+        for _ in range(2):  # an illegal token raises on every call, not only the first
+            with pytest.raises(IllegalToken):
+                token_delta(tok, d)
+
+
+@pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
+def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
+    """A word of every token kind through the chain's delta factors against
+    the hand-written column updates folded over it, from I and from a
+    member: ``evaluate_word``, the chain over token matrices and the scalar
+    triple loop agree with the fold, every result and token matrix is
+    canonical, and every column the chain writes is reduced at once (mod p,
+    or by its own gcd)."""
+    combine = matrix._combine
+
+    def reduced(p, terms, bden, m):
+        col, den = combine(p, terms, bden, m)
+        if not (len(terms) == 1 and col is terms[0][1]):  # a column passed through is not written
+            assert den == 1 and all(0 <= v < p for v in col) if p else den > 0 and math.gcd(den, *col) == 1
+        return col, den
+
+    monkeypatch.setattr(matrix, "_combine", reduced)
+    rng = random.Random(71)
+    for fam in Family:
+        if fam is Family.GO_MINUS and not field.is_prime:
+            continue
+        for l in (2, 3):
+            d = build_descriptor(fam, l, field, similitude=True)
+            toks = delta_tokens(d, rng)
+            toks += [rng.choice(toks) for _ in range(len(toks) // 2)]
+            rng.shuffle(toks)
+            word = Word(d, toks)
+            mats = [token_matrix(tok, d) for tok in toks]
+            for m in mats:
+                assert_canonical(m)
+            ident = Matrix.identity(field, d.n)
+            for a in (ident, random_member(d, l, word_len=6, with_torus=True)):
+                want = a
+                for tok in toks:
+                    want = oracle_apply(want, tok, RIGHT, d)
+                got = evaluate_word(Word(d, ()), a, word)
+                assert got == want == Matrix._chain(a, mats) == naive_chain(a, mats), (fam, l)
+                assert_canonical(got)
+                if a is ident:
+                    assert evaluate_word(word) == want
 
 
 def test_require_zero_names_the_first_nonzero_position():
