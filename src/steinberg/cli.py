@@ -35,6 +35,19 @@ class ParseError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are parse errors: one ``error:`` line, exit code 1."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 _FAMILIES = {f.value: f for f in Family}
 
 
@@ -210,7 +223,7 @@ def cmd_census(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="steinberg",
         description="Generator-word decomposition, spinor norms and Siegel double cosets",
     )
@@ -241,19 +254,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--similitude", action="store_true")
         if name == "random":
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--len", type=int, default=8)
+            p.add_argument("--len", type=_count, default=8)
             p.add_argument("--torus", action="store_true")
             p.set_defaults(func=cmd_random)
         else:
-            p.add_argument("--cap", type=int, default=10**6)
+            p.add_argument("--cap", type=_count, default=10**6)
             p.add_argument("--method", default="auto", choices=["auto", "brute", "closure"])
             p.set_defaults(func=cmd_census)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

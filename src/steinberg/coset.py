@@ -5,7 +5,9 @@ block (plus the X strip in odd rank).  ``coset_label`` reduces the lower
 left block C to a leading diagonal using ONLY tokens that live in P
 (checked at emission), zeroes the affected rows of A against it, and then
 the swap ``omega_m`` pulls the result into P.  The witness words certify
-the label: left * g * right lands in omega_m * P.
+the label: left * g * right lands in omega_m * P.  Both steps are the
+elimination's own ``WorkingMatrix.diagonalize`` (on the rows -i and columns
+i of C) and ``clear_pairs`` (the A rows against the C pivots).
 """
 
 from __future__ import annotations
@@ -92,51 +94,17 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
     first m rows of A, and omega_m^-1 times the result lies in P.
     """
     _check(g, d)
-    f = d.field
     b = _Witness(g, d)
     idxs = d.block_indices()
-    l = d.l
-    m = 0
-    c_rows = [-i for i in idxs]
-    for k in range(l):
-        piv = b.first_nonzero(c_rows, idxs, k)
-        if piv is None:
-            break
-        r, c = piv
-        u = idxs[k]
-        if r != k and b.at(-u, idxs[c]) == f.zero:
-            b.lmul(x(idxs[r], u, -1))  # C row u += C row r
-        if c != k and b.at(-u, u) == f.zero:
-            b.rmul(x(idxs[c], u, 1))  # C col u += C col c
-        pivot = b.at(-u, u)
-        if pivot == f.zero:
-            raise InternalError(f"no pivot at ({-u},{u}) after moving ({-idxs[r]},{idxs[c]}) there")
-        for v in idxs:
-            if v != u and (e := b.at(-v, u)) != f.zero:
-                b.lmul(x(u, v, f.div(e, pivot)))  # C row v -= t * C row u
-        for v in idxs:
-            if v != u and (e := b.at(-u, v)) != f.zero:
-                b.rmul(x(u, v, f.neg(f.div(e, pivot))))
-        m = k + 1
+    m = b.diagonalize([-i for i in idxs], idxs, lambda src, dst, t: x(-src, -dst, t))
     pivots = idxs[:m]
     if d.family is Family.GO_ODD:
         for i in pivots:
-            xi = b.at(0, i)
-            if xi != f.zero:
-                b.lmul(x(i, 0, f.div(xi, b.at(-i, i))))  # row 0 -= t * row -i
+            if (t := b.ratio(0, i, -i, i)) is not None:
+                b.lmul(x(i, 0, t))  # row 0 -= t * row -i
         # the form kills the tail of X
         b.require_zero(((0, i) for i in idxs[m:]), "X over the zero pivots")
-    if d.family is Family.GSP:
-        for i in pivots:
-            aii = b.at(i, i)
-            if aii != f.zero:
-                b.lmul(x(i, -i, f.neg(f.div(aii, b.at(-i, i)))))
-    for ai in range(m):
-        for aj in range(ai + 1, m):
-            i, j = pivots[ai], pivots[aj]
-            aij = b.at(i, j)
-            if aij != f.zero:
-                b.lmul(x(i, -j, f.neg(f.div(aij, b.at(-j, j)))))
+    b.clear_pairs(pivots, 1, 1)
     # one token per pair: the form kills the partner and the rest of the rows
     b.require_zero(((i, j) for i in pivots for j in idxs), "A rows over the pivots")
     omega = omega_matrix(d, m)

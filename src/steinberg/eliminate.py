@@ -5,8 +5,8 @@ every multiplier is an elementary token applied to the rows or columns it
 moves, through the same sparse delta that builds its dense matrix.  The
 working matrix keeps integers (residues over F_p; over Q one denominator per
 row and per column), so a token costs one integer pass per row or column it
-moves, and a scalar is built only where the flow reads an entry.  The
-inverse tokens are collected so that
+moves, zero tests read the integers, and each clearing multiplier is one
+``ratio`` of two stored entries.  The inverse tokens are collected so that
 ``evaluate(left) @ diagonal @ evaluate(right)`` equals the input exactly.
 
 One flow serves every family.  Around the square block A on the hyperbolic
@@ -16,11 +16,13 @@ hyperbolic pairs (0, resp. 1 and -1):
 
 * A is diagonalised by paired row/column additions (with a fixed pivot
   rule: first nonzero scanning rows top-to-bottom inside a column, columns
-  left-to-right), normalised to diag(1,..,1,lambda) or diag(1,..,1,0,..,0);
+  left-to-right; ``WorkingMatrix.diagonalize``, which the coset labels run
+  on C), normalised to diag(1,..,1,lambda) or diag(1,..,1,0,..,0);
 * the strips X and E, where present, are cleared against the pivots (the
   only per-family pass);
 * C is cleared in (i,j)/(j,i) pairs, one token per pair - the form
-  equation guarantees the partner entry dies with it;
+  equation guarantees the partner entry dies with it (``clear_pairs``,
+  which also clears B and the A rows of the coset labels);
 * a rank-deficient A swaps its zero rows against C rows and the pass
   repeats, at most once;
 * B is cleared the same way; GSp then reduces lambda out of the torus while
@@ -156,28 +158,7 @@ def _diagonalize_block(b: _Bench, idxs: list) -> int:
     """Bring the square block on ``idxs`` to diag(1,..,1,lambda) or
     diag(1,..,1,0,..,0) using only index-pair additions; returns the rank."""
     f = b.f
-    size = len(idxs)
-    m = size
-    for k in range(size):
-        piv = b.first_nonzero(idxs, idxs, k)
-        if piv is None:
-            m = k
-            break
-        r, c = piv
-        u = idxs[k]
-        if r != k and b.at(u, idxs[c]) == f.zero:
-            b.lmul(x(u, idxs[r], 1))
-        if c != k and b.at(u, u) == f.zero:
-            b.rmul(x(idxs[c], u, 1))
-        pivot = b.at(u, u)
-        if pivot == f.zero:
-            raise InternalError(f"no pivot at ({u},{u}) after moving ({idxs[r]},{idxs[c]}) there")
-        for v in idxs:
-            if v != u and (t := b.at(v, u)) != f.zero:
-                b.lmul(x(v, u, f.neg(f.div(t, pivot))))
-        for v in idxs:
-            if v != u and (t := b.at(u, v)) != f.zero:
-                b.rmul(x(u, v, f.neg(f.div(t, pivot))))
+    m = b.diagonalize(idxs, idxs, lambda src, dst, t: x(dst, src, f.neg(t)))
     _normalize_pivots(b, idxs, m)
     return m
 
@@ -228,35 +209,26 @@ def _clear_strips_odd(b: _Bench, active: list) -> None:
     """GOodd: X (row 0) from the left, then E (column 0) from the right."""
     f = b.f
     for i in active:
-        xi = b.at(0, i)
-        if xi != f.zero:
-            b.lmul(x(0, i, f.neg(f.div(xi, b.at(i, i)))))
+        if (t := b.ratio(0, i, i, i)) is not None:
+            b.lmul(x(0, i, f.neg(t)))
     for i in active:
-        ei = b.at(i, 0)
-        if ei != f.zero:
-            b.rmul(x(i, 0, f.neg(f.div(ei, f.mul(f.of(2), b.at(i, i))))))
+        if (t := b.ratio(i, 0, i, i)) is not None:
+            b.rmul(x(i, 0, f.neg(f.div(t, f.of(2)))))
 
 
 def _clear_strips_twisted(b: _Bench, active: list) -> None:
     """GOminus: X (rows 1, -1) from the left, then E (columns 1, -1) from
     the right, each against the pivot of its column (resp. row)."""
     f = b.f
+    two, two_eps = f.of(2), f.mul(f.of(2), b.d.epsilon)
     for i in active:
-        ai = b.at(i, i)
-        x1i = b.at(1, i)
-        if x1i != f.zero:
-            b.lmul(x(i, 1, f.neg(f.div(x1i, f.mul(f.of(2), ai)))))
-        xm1i = b.at(-1, i)
-        if xm1i != f.zero:
-            b.lmul(x(i, -1, f.neg(f.div(xm1i, f.mul(f.of(2), ai)))))
+        for s in (1, -1):
+            if (t := b.ratio(s, i, i, i)) is not None:
+                b.lmul(x(i, s, f.neg(f.div(t, two))))
     for i in active:
-        ai = b.at(i, i)
-        ei1 = b.at(i, 1)
-        if ei1 != f.zero:
-            b.rmul(x(1, i, f.neg(f.div(ei1, f.mul(f.of(2), ai)))))
-        eim1 = b.at(i, -1)
-        if eim1 != f.zero:
-            b.rmul(x(-1, i, f.neg(f.div(eim1, f.mul(f.mul(f.of(2), b.d.epsilon), ai)))))
+        for s, den in ((1, two), (-1, two_eps)):
+            if (t := b.ratio(i, s, i, i)) is not None:
+                b.rmul(x(s, i, f.neg(f.div(t, den))))
 
 
 def _clear_C(b: _Bench, active: list) -> None:
@@ -266,18 +238,7 @@ def _clear_C(b: _Bench, active: list) -> None:
     symmetric pair; the partner entry, and the rest of those rows, vanish by
     the form equation, which is checked rather than recleared.
     """
-    f = b.f
-    if b.d.family is Family.GSP:
-        for i in active:
-            t = b.at(-i, i)
-            if t != f.zero:
-                b.lmul(x(-i, i, f.neg(f.div(t, b.at(i, i)))))
-    for ai in range(len(active)):
-        for aj in range(ai + 1, len(active)):
-            i, j = active[ai], active[aj]
-            cij = b.at(-i, j)
-            if cij != f.zero:
-                b.lmul(x(-i, j, f.neg(f.div(cij, b.at(j, j)))))
+    b.clear_pairs(active, -1, 1)
     idxs = b.d.block_indices()
     b.require_zero(((-i, j) for i in active for j in idxs), "C rows over the pivots")
 
@@ -293,19 +254,9 @@ def _check_lower_cleared(b: _Bench, mu: Scalar) -> None:
             raise InternalError(f"D entry ({-i},{-i}) is {b.at(-i, -i)}, not mu / A({i},{i})")
 
 
-def _clear_B(b: _Bench, idxs: list, mu: Scalar) -> None:
-    f = b.f
-    if b.d.family is Family.GSP:
-        for i in idxs:
-            t = b.at(i, -i)
-            if t != f.zero:
-                b.lmul(x(i, -i, f.neg(f.div(f.mul(t, b.at(i, i)), mu))))
-    for ai in range(len(idxs)):
-        for aj in range(ai + 1, len(idxs)):
-            i, j = idxs[ai], idxs[aj]
-            bij = b.at(i, -j)
-            if bij != f.zero:
-                b.lmul(x(i, -j, f.neg(f.div(f.mul(bij, b.at(j, j)), mu))))
+def _clear_B(b: _Bench, idxs: list) -> None:
+    """Kill B against the diagonal of D, one token per symmetric pair."""
+    b.clear_pairs(idxs, 1, -1)
     b.require_zero(((i, -j) for i in idxs for j in idxs), "B")
 
 
@@ -342,7 +293,7 @@ def _run(b: _Bench, mu: Scalar) -> None:
     # with X, E and C gone the form forces F = 0 = Y
     b.require_zero(((p, q) for s in strips for i in idxs for p, q in ((-i, s), (s, -i))), "F and Y")
     _check_lower_cleared(b, mu)
-    _clear_B(b, idxs, mu)
+    _clear_B(b, idxs)
     b.emit("B-cleared")
 
 

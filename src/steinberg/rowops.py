@@ -7,9 +7,11 @@ coset witnesses both run on.  It keeps integer rows ``num``, as every
 and one per column (all 1 over F_p).  A left update rewrites one integer row
 and its ``rden``, a right update one integer column and its ``cden``, so a
 rational token never rescales the whole matrix.  Entries are read by signed
-basis index; ``at`` is the only read that builds a scalar, and ``matrix``
-writes the stored form of a :class:`Matrix` snapshot straight from the
-integers.
+basis index.  Zero tests read the integers; ``at`` builds one entry's
+scalar, ``ratio`` the quotient of two entries (every clearing multiplier),
+and ``matrix`` writes a :class:`Matrix` snapshot straight from the integers.
+Elimination and the coset labels share its two clearing routines, the pivot
+loop ``diagonalize`` and the pair pass ``clear_pairs``.
 
 ``apply(w, tok, LEFT)`` turns ``w`` into ``token_matrix(tok) @ w`` and
 ``apply(w, tok, RIGHT)`` into ``w @ token_matrix(tok)``, bit-exact.  Both
@@ -29,8 +31,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .field import Scalar
-from .forms import GroupDescriptor, InternalError
-from .generators import GeneratorToken, token_delta
+from .forms import Family, GroupDescriptor, InternalError
+from .generators import GeneratorToken, token_delta, x
 from .matrix import Matrix
 
 
@@ -97,6 +99,60 @@ class WorkingMatrix:
         r, c = pos(i), pos(j)
         v = self.num[r][c]
         return v if self.f.p is not None else Fraction(v, self.rden[r] * self.cden[c])
+
+    def ratio(self, i: int, j: int, u: int, v: int) -> Scalar | None:
+        """Entry (i, j) over entry (u, v), one canonical scalar built from
+        the stored integers; None when (i, j) is zero."""
+        pos = self.d.pos
+        r, c, ru, cv = pos(i), pos(j), pos(u), pos(v)
+        a = self.num[r][c]
+        if not a:
+            return None
+        b = self.num[ru][cv]
+        if self.f.p is not None:
+            return self.f.div(a, b)
+        rden, cden = self.rden, self.cden
+        return Fraction(a * rden[ru] * cden[cv], b * rden[r] * cden[c])
+
+    def diagonalize(self, rows: list, cols: list, row_token) -> int:
+        """Bring the block on (rows, cols) to a leading diagonal and return
+        its rank.  Step k moves the first nonzero entry of the trailing
+        block to (rows[k], cols[k]) with at most one row and one column
+        token, then clears its column and row.  ``row_token(src, dst, t)``
+        subtracts t times row src from row dst (t = -1 adds it); a column
+        token is always x[src, dst](t), adding t times column src to dst."""
+        pos, num, f = self.d.pos, self.num, self.f
+        for k in range(len(cols)):
+            piv = self.first_nonzero(rows, cols, k)
+            if piv is None:
+                return k
+            r, c = piv
+            u, v = rows[k], cols[k]
+            if r != k and not num[pos(u)][pos(cols[c])]:
+                self.lmul(row_token(rows[r], u, -1))
+            if c != k and not num[pos(u)][pos(v)]:
+                self.rmul(x(cols[c], v, 1))
+            if not num[pos(u)][pos(v)]:
+                raise InternalError(f"no pivot at ({u},{v}) after moving ({rows[r]},{cols[c]}) there")
+            for i in rows:
+                if i != u and (t := self.ratio(i, v, u, v)) is not None:
+                    self.lmul(row_token(u, i, t))
+            for j in cols:
+                if j != v and (t := self.ratio(u, j, u, v)) is not None:
+                    self.rmul(x(v, j, f.neg(t)))
+        return len(cols)
+
+    def clear_pairs(self, idxs: list, s: int, c: int) -> None:
+        """Clear entry (s*i, c*j) against the pivot (-s*j, c*j) with
+        x[s*i, -s*j]: the GSp pairs i = j first, then i before j in
+        ``idxs``; the form kills the partner entry, and the caller checks."""
+        f = self.f
+        pairs = [(i, i) for i in idxs] if self.d.family is Family.GSP else []
+        pairs += [(i, j) for k, i in enumerate(idxs) for j in idxs[k + 1:]]
+        for i, j in pairs:
+            t = self.ratio(s * i, c * j, -s * j, c * j)
+            if t is not None:
+                self.lmul(x(s * i, -s * j, f.neg(t)))
 
     def first_nonzero(self, row_idxs: list, col_idxs: list, k: int):
         """(r, c) of the first nonzero entry (row_idxs[r], col_idxs[c]) with

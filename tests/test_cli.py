@@ -332,3 +332,28 @@ def test_verify_compares_headers_before_building_descriptors(tmp_path, capsys):
         assert time.perf_counter() - start < 1
         assert code == 1 and out == ""
         assert err == f"error: {msg}\n"
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["random", "--group", "GSp", "--field", "7"], "the following arguments are required: --l"),
+    (["random", "--group", "GSp", "--field", "7", "--l", "x"], "argument --l: invalid int value: 'x'"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+    (["random", "--group", "GSp", "--l", "1", "--field", "7", "--len", "-1"],
+     "argument --len: expected an integer >= 0, got '-1'"),
+    (["census", "--group", "GSp", "--l", "1", "--field", "3", "--cap", "-5"],
+     "argument --cap: expected an integer >= 0, got '-5'"),
+])
+def test_usage_errors_print_one_line_and_exit_1(capsys, argv, msg):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {msg}") and err.count("\n") == 1, err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["random", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: steinberg random")
+    code, out, _ = run(capsys, "random", "--group", "GSp", "--l", "1", "--field", "7", "--len", "0")
+    assert code == 0 and out == "group=GSp l=1 field=7 similitude=0\n1 0\n0 1\n"

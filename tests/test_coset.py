@@ -159,10 +159,15 @@ def test_final_parabolic_check_raises_internal_error(monkeypatch):
 
 def test_clearing_checks_raise_internal_error(monkeypatch):
     """Witness tokens that do nothing (t = 0) are caught by the per-pass
-    checks, before the final parabolic check and before any division by 0."""
+    checks, before the final parabolic check and before any division by 0.
+
+    The zero is injected where the witness applies a token, so it reaches
+    every token the label emits, whichever module built it."""
     import steinberg.coset as coset
 
-    monkeypatch.setattr(coset, "x", lambda i, j, t: x(i, j, 0))
+    for name in ("lmul", "rmul"):
+        mul = getattr(coset._Witness, name)
+        monkeypatch.setattr(coset._Witness, name, lambda self, tok, mul=mul: mul(self, tok._replace(t=0)))
     for family in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
         d = build_descriptor(family, 2, Field(7))
         for seed in range(5):

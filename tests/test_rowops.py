@@ -359,3 +359,85 @@ def test_first_nonzero_scans_columns_then_rows():
     assert b.first_nonzero(idxs, idxs, 2) is None
     assert b.first_nonzero([-i for i in idxs], idxs, 0) == (2, 0)
     assert b.first_nonzero([-i for i in idxs], idxs, 1) is None
+
+
+@pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
+def test_ratio_is_the_quotient_of_two_entries(field):
+    """``ratio`` is None on a zero entry and otherwise at(i,j) / at(u,v),
+    canonical; over Q the rows and columns carry distinct denominators."""
+    rng = random.Random(5)
+    d = build_descriptor(Family.GO_ODD, 2, field, similitude=True)
+    b = WorkingMatrix(random_member(d, 9, word_len=6, with_torus=True), d)
+    if field.p is None:
+        for k in range(6):
+            (b.lmul if k % 2 else b.rmul)(rng.choice(rational_tokens(d, rng)))
+        assert len(set(b.rden)) > 1 and len(set(b.cden)) > 1
+    b.num[d.pos(1)][d.pos(-2)] = 0  # a zero entry, over Q under its row and column dens
+    assert b.ratio(1, -2, 1, 1) is None
+    signed = d.basis_indices()
+    zeros = 0
+    for i in signed:
+        for j in signed:
+            for u, v in ((1, 1), (-2, 2), (i, j)):
+                t = b.ratio(i, j, u, v)
+                if b.at(i, j) == field.zero:
+                    zeros += 1
+                    assert t is None
+                elif b.at(u, v) != field.zero:
+                    assert t == field.div(b.at(i, j), b.at(u, v))
+                    assert t == field.of(t) and type(t) is type(field.one)
+    assert zeros
+
+
+def _recording(g, d):
+    """A working matrix that also records every token it applies."""
+    class Recording(WorkingMatrix):
+        def lmul(self, tok):
+            super().lmul(tok)
+            self.log.append((LEFT, tok))
+
+        def rmul(self, tok):
+            super().rmul(tok)
+            self.log.append((RIGHT, tok))
+
+    b = Recording(g, d)
+    b.log = []
+    return b
+
+
+@pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
+def test_diagonalize_moves_then_clears_the_first_pivot(field):
+    """A block whose first column is zero and whose first nonzero entry sits
+    below the first row needs a row move and a column move.  The block rows
+    1, 2, 3 of A (row tokens x[dst, src](-t)) and the rows -1, -2, -3 of C
+    (x[-src, -dst](t), so the move keeps its literal -1) hold the same
+    entries, so both makers emit the same steps; the result is diagonal and
+    agrees with the hand-written updates."""
+    d = build_descriptor(Family.GSP, 3, field)
+    rows = [[0] * d.n for _ in range(d.n)]
+    for i, j, v in ((2, 3, 2), (3, 2, 1), (3, 3, 3)):
+        rows[d.pos(i)][d.pos(j)] = v
+        rows[d.pos(-i)][d.pos(j)] = v
+    g = Matrix(field, rows)
+    idxs = [1, 2, 3]
+    assert WorkingMatrix(g, d).first_nonzero(idxs, idxs, 0) == (2, 1)
+    neg = field.of(-1)
+    cols = [(RIGHT, x(2, 1, 1)), (RIGHT, x(1, 2, neg)), (RIGHT, x(1, 3, field.of(-3))),
+            (RIGHT, x(3, 2, 1)), (RIGHT, x(2, 3, neg))]
+    cases = (
+        (idxs, lambda src, dst, t: x(dst, src, field.neg(t)), [(LEFT, x(1, 3, 1)), (LEFT, x(3, 1, neg))]),
+        ([-i for i in idxs], lambda src, dst, t: x(-src, -dst, t), [(LEFT, x(3, 1, -1)), (LEFT, x(1, 3, 1))]),
+    )
+    for block_rows, row_token, (move, clear) in cases:
+        b = _recording(g, d)
+        assert b.diagonalize(block_rows, idxs, row_token) == 2
+        assert b.log == [move, cols[0], clear] + cols[1:]
+        assert str(b.log[0][1].t) == str(move[1].t)  # the literal, not p - 1
+        for r, i in enumerate(block_rows):
+            for c, j in enumerate(idxs):
+                want = {0: 1, 1: 2}.get(r, 0) if r == c else 0
+                assert b.at(i, j) == field.of(want)
+        want = g
+        for side, tok in b.log:
+            want = oracle_apply(want, tok, side, d)
+        assert b.matrix() == want

@@ -5,23 +5,33 @@ One sha256 covers, for a fixed seeded grid, the random inputs, the
 witness words, and the elimination spinor norms.  A change that alters any
 token of any of them changes the digest; such a change is a behaviour change
 and has to say so, and re-pin the digest.
+
+``WIDE`` pins a second grid in the same record format: every family over the
+large prime 1000000007, where the multipliers are residues with modular
+inverses, and ``decompose_gl`` over F_7 and Q, on seeded members and on
+seeded dense matrices whose leading entries are often zero.
 """
 
 import hashlib
+import random
+from fractions import Fraction
 
 from steinberg.coset import coset_label
-from steinberg.eliminate import decompose
+from steinberg.eliminate import decompose, decompose_gl
 from steinberg.field import Field, QQ
 from steinberg.forms import Family, build_descriptor
 from steinberg.harness import random_member
+from steinberg.matrix import Matrix, SingularMatrix
 from steinberg.spinor import spinor_norm
 
 F7 = Field(7)
+BIG = Field(1000000007)
 FAMILIES = (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
 SPLIT = (Family.GSP, Family.GO_EVEN, Family.GO_ODD)
 SEEDS = range(4)
 
 GOLDEN = "380bcd1d67f1e5d22aa364cc4c618af663e275d5e2d7a2a17e356b1ed1c94c4e"
+WIDE = "58aa8f5333e5b153474ef88daa65602a95d232f155a501a64b3fa469354af6f6"
 
 
 def _cells():
@@ -33,8 +43,8 @@ def _cells():
             yield family, l, QQ
 
 
-def _records():
-    for family, l, field in _cells():
+def _records(cells=None):
+    for family, l, field in cells or _cells():
         sim = build_descriptor(family, l, field, similitude=True)
         iso = build_descriptor(family, l, field)
         for seed in SEEDS:
@@ -50,9 +60,40 @@ def _records():
                 yield f"theta={spinor_norm(h, iso)}"
 
 
-def grid_digest() -> str:
+def _dense(field, n, rng):
+    """A seeded n x n matrix with about half of its entries zero."""
+    def entry():
+        if rng.random() < 0.5:
+            return 0
+        v = rng.randint(-3, 3)
+        return v if field.is_prime else Fraction(v, rng.randint(1, 4))
+
+    return Matrix(field, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+def _gl_records():
+    for field in (F7, QQ):
+        for l in (1, 2, 4):
+            d = build_descriptor(Family.GL, l, field)
+            rng = random.Random(l)
+            for seed in SEEDS:
+                for g in (random_member(d, seed, word_len=4 * l + 4, with_torus=True), _dense(field, d.n, rng)):
+                    try:
+                        dec = decompose_gl(g)
+                    except SingularMatrix:
+                        yield f"{d}#{seed} g={g.data} singular"
+                        continue
+                    yield f"{d}#{seed} g={g.data} w={dec.as_word()} ops={dec.op_count}"
+
+
+def _wide_records():
+    yield from _records([(family, l, BIG) for family in FAMILIES for l in (1, 2, 4)])
+    yield from _gl_records()
+
+
+def grid_digest(records=None) -> str:
     sha = hashlib.sha256()
-    for rec in _records():
+    for rec in records or _records():
         sha.update(rec.encode())
         sha.update(b"\n")
     return sha.hexdigest()
@@ -60,3 +101,7 @@ def grid_digest() -> str:
 
 def test_words_and_witnesses_match_golden_digest():
     assert grid_digest() == GOLDEN
+
+
+def test_large_prime_and_gl_words_match_wide_digest():
+    assert grid_digest(_wide_records()) == WIDE
