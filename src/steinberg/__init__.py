@@ -1,74 +1,68 @@
 """Exact-arithmetic word problem, spinor norm and double-coset toolkit for
-symplectic and orthogonal similitude groups over odd prime fields and Q."""
+symplectic and orthogonal similitude groups over odd prime fields and Q.
 
-from .field import Field, QQ, SquareClass, square_class, canonical_nonsquare
-from .matrix import Matrix
-from .forms import (
-    Family,
-    GroupDescriptor,
-    build_descriptor,
-    is_member,
-    multiplier,
-    twisted_epsilon,
-)
-from .generators import (
-    GeneratorToken,
-    Word,
-    derived_h,
-    derived_w,
-    evaluate_word,
-    parse_token,
-    parse_word,
-    token_inverse,
-    token_matrix,
-)
-from .eliminate import Decomposition, decompose, decompose_gl, word_length_stats
-from .spinor import (
-    in_commutator_subgroup,
-    reflection_factorization,
-    spinor_norm,
-    wall_spinor_norm,
-)
-from .coset import CosetLabel, coset_census, coset_label, is_in_parabolic
-from .harness import Enumeration, enumerate_group, random_member
+The public names load on first use (PEP 562): ``import steinberg`` imports
+no submodule, and ``steinberg.decompose`` imports ``steinberg.eliminate``
+the first time it is read.  ``cli`` is not among them, so that
+``python -m steinberg.cli`` does not find itself already imported.
+"""
 
-__all__ = [
-    "Field",
-    "QQ",
-    "SquareClass",
-    "square_class",
-    "canonical_nonsquare",
-    "Matrix",
-    "Family",
-    "GroupDescriptor",
-    "build_descriptor",
-    "is_member",
-    "multiplier",
-    "twisted_epsilon",
-    "GeneratorToken",
-    "Word",
-    "derived_h",
-    "derived_w",
-    "evaluate_word",
-    "parse_token",
-    "parse_word",
-    "token_inverse",
-    "token_matrix",
-    "Decomposition",
-    "decompose",
-    "decompose_gl",
-    "word_length_stats",
-    "spinor_norm",
-    "wall_spinor_norm",
-    "reflection_factorization",
-    "in_commutator_subgroup",
-    "CosetLabel",
-    "coset_label",
-    "coset_census",
-    "is_in_parabolic",
-    "Enumeration",
-    "enumerate_group",
-    "random_member",
-]
+import importlib
+
+# public name -> the submodule that defines it; the keys, in order, are __all__
+_HOMES = {
+    "Field": "field",
+    "QQ": "field",
+    "SquareClass": "field",
+    "square_class": "field",
+    "canonical_nonsquare": "field",
+    "Matrix": "matrix",
+    "Family": "forms",
+    "GroupDescriptor": "forms",
+    "build_descriptor": "forms",
+    "is_member": "forms",
+    "multiplier": "forms",
+    "twisted_epsilon": "forms",
+    "GeneratorToken": "generators",
+    "Word": "generators",
+    "derived_h": "generators",
+    "derived_w": "generators",
+    "evaluate_word": "generators",
+    "parse_token": "generators",
+    "parse_word": "generators",
+    "token_inverse": "generators",
+    "token_matrix": "generators",
+    "Decomposition": "eliminate",
+    "decompose": "eliminate",
+    "decompose_gl": "eliminate",
+    "word_length_stats": "eliminate",
+    "spinor_norm": "spinor",
+    "wall_spinor_norm": "spinor",
+    "reflection_factorization": "spinor",
+    "in_commutator_subgroup": "spinor",
+    "CosetLabel": "coset",
+    "coset_label": "coset",
+    "coset_census": "coset",
+    "is_in_parabolic": "coset",
+    "Enumeration": "harness",
+    "enumerate_group": "harness",
+    "random_member": "harness",
+}
+
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOMES))

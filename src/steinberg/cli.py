@@ -13,6 +13,14 @@ stderr when they disagree.  Exit codes: 0 success, 1 usage or parse error,
 matrix, a rational square class whose squarefree part cannot be certified),
 3 internal error (a failed self-check: a bug in the library, not
 bad input).
+
+A cold start imports only what its command runs: the module top holds the
+parsing and formatting code (``field``, ``forms``, ``generators``,
+``matrix``) and every domain error ``main`` maps to an exit code, and each
+``cmd_*`` imports its own algorithm (``eliminate``, ``spinor``, ``coset``,
+``harness``) in its body.  So ``verify`` never loads the elimination, and
+``decompose`` never loads ``spinor``, ``coset`` or ``harness``;
+``tests/test_cli.py`` checks each command's footprint.
 """
 
 from __future__ import annotations
@@ -20,15 +28,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .eliminate import decompose, decompose_gl
 from .field import CannotFactor, Field, QQ
-from .forms import (Family, GroupDescriptor, InternalError, NotInGroup, UnsupportedFamily, build_descriptor,
-                    dimension, first_difference)
+from .forms import (EnumerationTooLarge, Family, GroupDescriptor, InternalError, NotInGroup, NotOrthogonalFamily,
+                    UnsupportedFamily, build_descriptor, dimension, first_difference)
 from .generators import IllegalToken, evaluate_word, parse_word
-from .harness import EnumerationTooLarge, enumerate_group, random_member
 from .matrix import Matrix, SingularMatrix
-from .spinor import NotOrthogonalFamily, spinor_decomposition
-from .coset import coset_census, coset_label
 
 
 class ParseError(ValueError):
@@ -167,6 +171,8 @@ def _descriptor_from_args(args) -> GroupDescriptor:
 
 
 def cmd_decompose(args) -> int:
+    from .eliminate import decompose, decompose_gl
+
     g, d = parse_matrix_file(_read(args.matrix))
     dec = decompose_gl(g) if d.family is Family.GL else decompose(g, d)
     sys.stdout.write(format_word_file(dec, dec.descriptor))
@@ -192,6 +198,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spinor(args) -> int:
+    from .spinor import spinor_decomposition
+
     g, d = parse_matrix_file(_read(args.matrix))
     theta, dec = spinor_decomposition(g, d)
     print(f"theta={theta}")
@@ -200,6 +208,8 @@ def cmd_spinor(args) -> int:
 
 
 def cmd_coset(args) -> int:
+    from .coset import coset_label
+
     g, d = parse_matrix_file(_read(args.matrix))
     label = coset_label(g, d)
     print(f"omega={label.m}")
@@ -207,6 +217,8 @@ def cmd_coset(args) -> int:
 
 
 def cmd_random(args) -> int:
+    from .harness import random_member
+
     d = _descriptor_from_args(args)
     g = random_member(d, args.seed, args.len, with_torus=args.torus)
     sys.stdout.write(format_matrix_file(g, d))
@@ -214,6 +226,9 @@ def cmd_random(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .coset import coset_census
+    from .harness import enumerate_group
+
     d = _descriptor_from_args(args)
     en = enumerate_group(d, method=args.method, cap=args.cap)
     counts = coset_census(d, en)

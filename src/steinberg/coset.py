@@ -14,12 +14,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import rowops
 from .forms import Family, GroupDescriptor, InternalError, NotInGroup, UnsupportedFamily, multiplier
 from .generators import GeneratorToken, Word, derived_w, evaluate_word, x, x_pattern
-from .harness import Enumeration
 from .matrix import Matrix
+
+if TYPE_CHECKING:
+    from .harness import Enumeration
 
 _COSET_FAMILIES = (Family.GSP, Family.GO_EVEN, Family.GO_ODD)
 

@@ -29,6 +29,14 @@ class UnsupportedFamily(ValueError):
     pass
 
 
+class NotOrthogonalFamily(ValueError):
+    pass
+
+
+class EnumerationTooLarge(ValueError):
+    pass
+
+
 class NotInGroup(ValueError):
     """Raised with the first position, as signed basis indices (i, j), where
     the form equation fails; ``position`` is None for other failures."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import Field, Scalar
-from .forms import Family, GroupDescriptor, is_member
+from .forms import EnumerationTooLarge, Family, GroupDescriptor, is_member
 from .generators import (
     GeneratorToken,
     token_matrix,
@@ -32,10 +32,6 @@ from .generators import (
 )
 from .matrix import Matrix
 from .rowops import WorkingMatrix
-
-
-class EnumerationTooLarge(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

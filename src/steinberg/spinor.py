@@ -21,13 +21,9 @@ from typing import Iterator
 
 from .eliminate import decompose
 from .field import Field, Scalar, SquareClass, square_class
-from .forms import Family, GroupDescriptor, InternalError, NotInGroup, multiplier
+from .forms import Family, GroupDescriptor, InternalError, NotInGroup, NotOrthogonalFamily, multiplier
 from .generators import GeneratorToken
 from .matrix import Matrix, _over_lcm
-
-
-class NotOrthogonalFamily(ValueError):
-    pass
 
 
 def _unit_class(field: Field) -> SquareClass:

@@ -196,23 +196,47 @@ def test_rational_round_trip(tmp_path, capsys):
 
 
 def test_spinor_command_decomposes_once(tmp_path, capsys, monkeypatch):
-    import steinberg.cli as cli
     import steinberg.eliminate as eliminate
     import steinberg.spinor as spinor
 
     calls = []
+    decompose = eliminate.decompose
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return eliminate.decompose(*args, **kwargs)
+        return decompose(*args, **kwargs)
 
+    # the spinor route's own name, and the module's, which a command's local import reads
     monkeypatch.setattr(spinor, "decompose", counting)
-    monkeypatch.setattr(cli, "decompose", counting)
+    monkeypatch.setattr(eliminate, "decompose", counting)
     d = build_descriptor(Family.GO_ODD, 2, F5)
     mpath = write(tmp_path, "m.txt", format_matrix_file(random_member(d, 3, word_len=8, with_torus=True), d))
     code, out, _ = run(capsys, "spinor", mpath)
     assert code == 0 and out.startswith("theta=") and "lambda=" in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["spinor", None], "spinor norm undefined for GSp"),
+    (["census", "--group", "GSp", "--l", "1", "--field", "Q"], "enumeration needs a finite field"),
+    (["census", "--group", "GSp", "--l", "2", "--field", "7", "--cap", "10"], "closure exceeded cap 10"),
+])
+def test_spinor_and_enumeration_errors_exit_2(tmp_path, capsys, argv, msg):
+    # NotOrthogonalFamily and EnumerationTooLarge, which main catches from forms; None stands for a GSp file
+    d = build_descriptor(Family.GSP, 1, F5, similitude=True)
+    mpath = write(tmp_path, "m.txt", format_matrix_file(random_member(d, 1, word_len=4, with_torus=True), d))
+    code, out, err = run(capsys, *(mpath if a is None else a for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {msg}\n"
+
+
+def test_relocated_exceptions_are_reexported():
+    import steinberg.forms as forms
+    import steinberg.harness as harness
+    import steinberg.spinor as spinor
+
+    assert spinor.NotOrthogonalFamily is forms.NotOrthogonalFamily
+    assert harness.EnumerationTooLarge is forms.EnumerationTooLarge
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -248,6 +272,52 @@ def test_large_prime_similitude_round_trip_without_numpy_under_O(tmp_path):
     wpath = write(tmp_path, "w.txt", r.stdout)
     r = steinberg("verify", wpath, mpath)
     assert r.returncode == 0 and r.stdout == "OK\n", (r.stdout, r.stderr)
+
+
+# submodules each command must not import: a cold start loads only what the command runs
+NOT_LOADED = {
+    "verify": {"eliminate", "rowops", "spinor", "coset", "harness"},
+    "decompose": {"spinor", "coset", "harness"},
+    "spinor": {"coset", "harness"},
+    "coset": {"eliminate", "spinor", "harness"},
+    "random": {"eliminate", "spinor", "coset"},
+    "census": {"eliminate", "spinor"},
+}
+
+
+def _loaded_submodules(script, *argv):
+    """The steinberg submodules a fresh process holds after ``script``,
+    which prints them as the last line of its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script += "; print(' '.join(m for m in sys.modules if m.startswith('steinberg.')))"
+    r = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    return {m.removeprefix("steinberg.") for m in r.stdout.splitlines()[-1].split()}
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
+    sim = build_descriptor(Family.GSP, 1, F5, similitude=True)
+    iso = build_descriptor(Family.GO_EVEN, 2, F5)
+    spath = write(tmp_path, "s.txt", format_matrix_file(random_member(sim, 1, word_len=6, with_torus=True), sim))
+    ipath = write(tmp_path, "i.txt", format_matrix_file(random_member(iso, 2, word_len=6), iso))
+    code, words, _ = run(capsys, "decompose", spath)
+    assert code == 0
+    wpath = write(tmp_path, "w.txt", words)
+    commands = {
+        "verify": ["verify", wpath, spath],
+        "decompose": ["decompose", spath],
+        "spinor": ["spinor", ipath],
+        "coset": ["coset", ipath],
+        "random": ["random", "--group", "GOodd", "--l", "1", "--field", "5", "--seed", "3"],
+        "census": ["census", "--group", "GSp", "--l", "1", "--field", "3"],
+    }
+    assert set(commands) == set(NOT_LOADED)
+    script = "import sys; from steinberg import cli; assert cli.main(sys.argv[1:]) == 0"
+    for name, argv in commands.items():
+        loaded = _loaded_submodules(script, *argv)
+        assert "forms" in loaded and not loaded & NOT_LOADED[name], (name, sorted(loaded))
+    assert _loaded_submodules("import sys, steinberg") == set()
 
 
 def test_singular_gl_file_is_a_domain_error(tmp_path, capsys):

@@ -1,0 +1,172 @@
+"""Fuzzing both file formats through ``cli.main``.
+
+Every input is a seeded ``random_member`` file, or the word file of its
+decomposition, with at most one mutation: a perturbed entry, a missing row,
+a wrong header value, all-zero rows, or a bad token inserted into or
+replacing one in an ``L=``/``D=``/``R=`` line.  Whatever the input, a
+command exits 0, 1 or 2 with at most one line on stderr and no traceback,
+and every matrix file that ``decompose`` accepts survives ``verify``.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from steinberg.cli import format_matrix_file, format_word_file, main
+from steinberg.eliminate import decompose, decompose_gl
+from steinberg.field import QQ, Field
+from steinberg.forms import Family, UnsupportedField, build_descriptor
+from steinberg.harness import random_member
+
+FIELDS = (Field(5), Field(7), Field(1000000007), QQ)
+
+
+def _descriptors():
+    out = []
+    for family in Family:
+        for field in FIELDS:
+            for l in (1, 2):
+                for similitude in (False, True):
+                    try:
+                        out.append(build_descriptor(family, l, field, similitude=similitude))
+                    except UnsupportedField:  # the twisted form over Q
+                        pass
+    return out
+
+
+DESCRIPTORS = _descriptors()
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150,
+                suppress_health_check=[HealthCheck.too_slow])
+
+scalars = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.tuples(st.integers(-30, 30), st.integers(-12, 12)).map(lambda ab: f"{ab[0]}/{ab[1]}"),
+    st.integers(-10**40, 10**40).map(str),
+    st.sampled_from(["", "x", "1/", "/2", "--1", "0.5", "1e3", "1/0", "0/0", "+3", "٣"]),
+)
+
+header_values = {
+    "group": st.sampled_from([f.value for f in Family] + ["GSP", "Bogus", ""]),
+    "l": st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["x", "", "1.0", "10000"])),
+    "field": st.sampled_from(["2", "3", "5", "7", "9", "0", "1", "-7", "Q", "q", "1000000007", "1000000008", ""]),
+    "similitude": st.sampled_from(["0", "1", "2", "-1", "x", ""]),
+}
+
+tokens = st.one_of(
+    st.builds("x[{},{}]({})".format, st.integers(-4, 4), st.integers(-4, 4), scalars),
+    st.builds("w[{}]".format, st.integers(-1, 5)),
+    st.builds("x1({},{})".format, scalars, scalars),
+    st.builds("torus({};{})".format, scalars, scalars),
+    st.builds("torus({};{};{})".format, scalars, scalars, scalars),
+    st.builds("torus({},{};{};{})".format, scalars, scalars, scalars, scalars),
+    st.sampled_from(["x2", "torus()", "torus(1;1;1;1)", "w[]", "x[1,2]", "x1(1)"]),
+    st.text(alphabet="xw12-/[](),;torus", min_size=1, max_size=10),
+)
+
+
+@st.composite
+def members(draw):
+    d = draw(st.sampled_from(DESCRIPTORS))
+    g = random_member(d, draw(st.integers(0, 10**6)), draw(st.integers(0, 8)), with_torus=d.similitude)
+    return d, g
+
+
+@st.composite
+def mutated_header(draw, header):
+    """The header with one key's value replaced or the key dropped."""
+    parts = header.split()
+    k = draw(st.integers(0, len(parts) - 1))
+    key = parts[k].split("=", 1)[0]
+    if draw(st.booleans()):
+        parts[k] = f"{key}={draw(header_values[key])}"
+    else:
+        del parts[k]
+    return " ".join(parts)
+
+
+@st.composite
+def matrix_files(draw):
+    d, g = draw(members())
+    header, *rows = format_matrix_file(g, d).splitlines()
+    rows = [row.split() for row in rows]
+    kind = draw(st.sampled_from(["none", "entry", "missing row", "header", "zero rows"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "entry":
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(scalars)
+    elif kind == "missing row":
+        del rows[i]
+    elif kind == "header":
+        header = draw(mutated_header(header))
+    elif kind == "zero rows":
+        for r in draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)):
+            rows[r] = ["0"] * len(rows[r])
+    return "\n".join([header] + [" ".join(row) for row in rows]) + "\n"
+
+
+@st.composite
+def word_files(draw):
+    """(word file, matrix file) of one member; the word file mutated once."""
+    d, g = draw(members())
+    dec = decompose_gl(g) if d.family is Family.GL else decompose(g, d)
+    header, *lines = format_word_file(dec, dec.descriptor).splitlines()
+    kind = draw(st.sampled_from(["header", "insert", "replace", "missing line"]))
+    if kind == "header":
+        header = draw(mutated_header(header))
+    else:
+        k = draw(st.integers(0, 2))  # the L=, D= and R= lines come first
+        key, rest = lines[k].split("=", 1)
+        words = rest.split()
+        if kind == "missing line":
+            del lines[k]
+        elif kind == "replace" and words:
+            words[draw(st.integers(0, len(words) - 1))] = draw(tokens)
+            lines[k] = f"{key}= " + " ".join(words)
+        else:
+            words.insert(draw(st.integers(0, len(words))), draw(tokens))
+            lines[k] = f"{key}= " + " ".join(words)
+    return "\n".join([header] + lines) + "\n", format_matrix_file(g, d)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run(*argv):
+    """(exit code, stdout) of one in-process command, checking its stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
+    return code, out.getvalue()
+
+
+@FUZZ
+@given(text=matrix_files())
+def test_matrix_files(workdir, text):
+    mpath = workdir / "m.txt"
+    mpath.write_text(text)
+    for command in ("spinor", "coset"):
+        run(command, str(mpath))
+    code, words = run("decompose", str(mpath))
+    if code == 0:
+        wpath = workdir / "w.txt"
+        wpath.write_text(words)
+        assert run("verify", str(wpath), str(mpath)) == (0, "OK\n"), text
+
+
+@FUZZ
+@given(files=word_files())
+def test_word_files(workdir, files):
+    word_text, matrix_text = files
+    wpath, mpath = workdir / "w.txt", workdir / "m.txt"
+    wpath.write_text(word_text)
+    mpath.write_text(matrix_text)
+    code, out = run("verify", str(wpath), str(mpath))
+    assert out in ("", "OK\n", "MISMATCH\n")
+    assert (code == 0) == (out == "OK\n")
