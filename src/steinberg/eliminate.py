@@ -60,11 +60,10 @@ from .forms import (
 from .generators import (
     GeneratorToken,
     Word,
-    canonical_token,
     derived_h,
     derived_w,
     evaluate_word,
-    token_inverse,
+    token_inverse_in,
     token_matrix,
     torus,
     x,
@@ -115,12 +114,12 @@ class _Bench(rowops.WorkingMatrix):
 
     def lmul(self, tok: GeneratorToken) -> None:
         super().lmul(tok)
-        self.left.append(canonical_token(token_inverse(tok), self.d))
+        self.left.append(token_inverse_in(tok, self.d))
         self.ops += 1
 
     def rmul(self, tok: GeneratorToken) -> None:
         super().rmul(tok)
-        self.right.append(canonical_token(token_inverse(tok), self.d))
+        self.right.append(token_inverse_in(tok, self.d))
         self.ops += 1
 
     def lmul_word(self, word: Word) -> None:

@@ -17,9 +17,10 @@ How a token acts is described once, by :func:`token_delta`: integer
 ``(row, col, value)`` entries at storage positions over one positive
 denominator (1 over F_p, where the values are residues), the token's matrix
 being ``(den * I + entries) / den``.  The elimination applies it in place
-(:func:`steinberg.rowops.apply`), :func:`evaluate_word` feeds it to the
-product kernel as a factor, and :func:`token_matrix` builds the dense
-matrix from it for the harness, the tests and the terminal-diagonal check.
+(:func:`steinberg.rowops.apply`) and :func:`evaluate_word` feeds it to the
+product kernel as a factor, both through the one update loop of
+:mod:`steinberg.matrix`; :func:`token_matrix` builds the dense matrix from
+it for the closure enumeration, the tests and the terminal-diagonal check.
 """
 
 from __future__ import annotations
@@ -346,9 +347,14 @@ def token_inverse(tok: GeneratorToken) -> GeneratorToken:
 
 
 def token_inverse_in(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
-    if tok.kind != "torus":
-        return canonical_token(token_inverse(tok), d)
+    """The inverse in the family: an x-token negates t, in canonical field
+    form; the involutions w, x1 and x2 come back unchanged; a torus inverts
+    its parameters."""
     f = d.field
+    if tok.kind == "x":
+        return x(tok.i, tok.j, f.neg(f.of(tok.t)))
+    if tok.kind != "torus":
+        return tok
     lam, mu = f.inv(f.of(tok.lam)), f.inv(f.of(tok.mu))
     if tok.alpha is not None:
         return torus(lam, mu, alpha=f.inv(f.of(tok.alpha)))
@@ -356,21 +362,6 @@ def token_inverse_in(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
         minv = f.inv(f.of(tok.mu))
         return torus(lam, mu, ts=(f.mul(f.of(tok.t), minv), f.mul(f.of(tok.s), minv)))
     return torus(lam, mu)
-
-
-def canonical_token(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
-    """Copy with all scalar parameters in canonical field form."""
-    of = d.field.of
-    return GeneratorToken(
-        kind=tok.kind,
-        i=tok.i,
-        j=tok.j,
-        t=None if tok.t is None else of(tok.t),
-        s=None if tok.s is None else of(tok.s),
-        alpha=None if tok.alpha is None else of(tok.alpha),
-        lam=None if tok.lam is None else of(tok.lam),
-        mu=None if tok.mu is None else of(tok.mu),
-    )
 
 
 # ---------------------------------------------------------------------------

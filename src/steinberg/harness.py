@@ -2,8 +2,10 @@
 
 Random members are words in legal tokens (uniform token template, uniform
 nonzero parameter), optionally followed by a torus element so similitude
-groups get nontrivial multipliers.  Word sampling is not uniform over the
-group and does not try to be; it only needs to cover it.
+groups get nontrivial multipliers, multiplied out by
+:func:`~steinberg.generators.evaluate_word` like every other word.  Word
+sampling is not uniform over the group and does not try to be; it only
+needs to cover it.
 
 Enumeration is either brute force over all n x n matrices (tiny fields
 only) or breadth-first closure over all generator matrices plus isometry
@@ -22,6 +24,8 @@ from .field import Field, Scalar
 from .forms import EnumerationTooLarge, Family, GroupDescriptor, is_member
 from .generators import (
     GeneratorToken,
+    Word,
+    evaluate_word,
     token_matrix,
     legal_x_index_pairs,
     torus,
@@ -31,7 +35,6 @@ from .generators import (
     x2,
 )
 from .matrix import Matrix
-from .rowops import WorkingMatrix
 
 
 @dataclass(frozen=True)
@@ -118,16 +121,14 @@ def random_torus_token(d: GroupDescriptor, rng: random.Random) -> GeneratorToken
 
 
 def random_member(d: GroupDescriptor, seed: int, word_len: int, with_torus: bool = False) -> Matrix:
-    """Deterministic pseudo-random member: a token word, optionally a torus,
-    applied from the right to a working copy of the identity."""
+    """Deterministic pseudo-random member: the product of a token word,
+    optionally followed by a torus, through :func:`evaluate_word`."""
     rng = random.Random(f"{d}#{seed}")
-    w = WorkingMatrix(Matrix.identity(d.field, d.n), d)
     pool = _token_pool(d)
-    for _ in range(word_len):
-        w.rmul(_random_token_from(pool, d, rng))
+    toks = [_random_token_from(pool, d, rng) for _ in range(word_len)]
     if with_torus:
-        w.rmul(random_torus_token(d, rng))
-    return w.matrix()
+        toks.append(random_torus_token(d, rng))
+    return evaluate_word(Word(d, toks))
 
 
 # ---------------------------------------------------------------------------

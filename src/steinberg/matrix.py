@@ -11,14 +11,17 @@ token's integer delta ``(entries, den)``
 (:func:`steinberg.generators.token_delta`), which stands for
 ``(den * I + entries) / den``, so a word is multiplied without building a
 matrix per token.  Inside a chain the running product is held as integer
-columns with one denominator each: a delta rewrites only the columns it
-names (column c becomes ``den * col_c + sum v * col_r``), each reduced as
-soon as it is written, and leaves the rest untouched; a sparse square
-matrix (a diagonal) has its delta read off and takes the same column
-update, and a dense or non-square factor takes the plain row loop over its
-nonzero entries.  Only the normalise step (:func:`_lowest`, and its form
-for one column in the chain: reduce mod p, or divide out the gcd) and the
-scalar view (``data``, ``[i, j]``, ``row``, ``col``, ``to_lists``,
+columns with one denominator each: a delta entry (r, c, v) adds v / den
+times column r to column c, and the columns it does not name stay
+untouched; a sparse square matrix (a diagonal) has its delta read off and
+takes the same column update, and a dense or non-square factor takes the
+plain row loop over its nonzero entries.  Every token update, in the chain
+and on the working matrix of :mod:`steinberg.rowops` alike, runs through
+:func:`_apply_delta`, whose one vector routine :func:`_add_scaled` adds a
+multiple of one integer vector to another and reduces the result at once.
+Only the normalise step (:func:`_lowest`, and its form for one vector in
+:func:`_add_scaled`: reduce mod p, or divide out the gcd) and the scalar
+view (``data``, ``[i, j]``, ``row``, ``col``, ``to_lists``,
 ``repr``: the residues, or ``Fraction(v, den)``) know the field.  Pivot
 columns, rank, rref, inverse and determinant go through one Gauss-Jordan
 kernel on the stored integers: on residues over F_p, and fraction-free over
@@ -33,7 +36,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import mul
 from typing import Iterable, Sequence
 
 from .field import Field, InternalError, Scalar
@@ -75,35 +77,30 @@ def _lowest(p: int | None, num: list, den: int) -> tuple:
     return num, den
 
 
-def _combine(p: int | None, terms: list, bden: int, m: int) -> tuple:
-    """(column, den) of sum c * col / (col_den * bden) over the terms
-    (c, col, col_den), reduced mod p or by its own gcd."""
-    if not terms:
-        return (0,) * m, 1
-    if len(terms) == 1:
-        (c, col, d), = terms
-        if c == bden:
-            return col, d
-        new = [c * v for v in col]
-    elif len(terms) == 2:
-        (c, x, dx), (e, y, dy) = terms
-        d = dx
-        if dx != dy:
-            d = math.lcm(dx, dy)
-            c, e = c * (d // dx), e * (d // dy)
-        new = [c * u + e * v for u, v in zip(x, y)]
-    else:
-        d = math.lcm(*(cd for _, _, cd in terms))
-        coeffs = [c * (d // cd) for c, _, cd in terms]
-        new = [sum(map(mul, coeffs, r)) for r in zip(*(col for _, col, _ in terms))]
+def _add_scaled(p: int | None, x: list, xden: int, v: int, y: list, yden: int) -> tuple:
+    """x / xden + v * y / yden for an integer v, as (integers, denominator),
+    normalised: residues over 1 over F_p; over Q one lcm, and the gcd
+    divided out.  This is the one routine that adds a multiple of one
+    integer vector to another."""
     if p is not None:
-        return [v % p for v in new], 1
-    d *= bden
-    g = math.gcd(d, *new)
-    if g != 1:
-        new = [v // g for v in new]
-        d //= g
-    return new, d
+        return [(a + v * b) % p for a, b in zip(x, y)], 1
+    den = math.lcm(xden, yden)
+    sx, sy = den // xden, v * (den // yden)
+    new = [a * sx + sy * b for a, b in zip(x, y)]
+    g = math.gcd(den, *new)
+    if g == 1:
+        return new, den
+    return [a // g for a in new], den // g
+
+
+def _apply_delta(p: int | None, vecs, dens, entries: list, bden: int) -> None:
+    """Multiply the vectors ``vecs[k] / dens[k]``, as the columns of a
+    matrix, by ``(bden * I + entries) / bden`` in place: an entry (r, c, v)
+    adds v / bden times vector r to vector c.  Every source is read before
+    any write, and each vector written is a new list, reduced at once."""
+    sources = [(vecs[r], dens[r] * bden) for r, _, _ in entries]
+    for (_, c, v), (y, yden) in zip(entries, sources):
+        vecs[c], dens[c] = _add_scaled(p, vecs[c], dens[c], v, y, yden)
 
 
 def _delta_of(num: tuple, den: int) -> list:
@@ -115,24 +112,6 @@ def _delta_of(num: tuple, den: int) -> list:
             out.append((k, k, row[k] - den))
         out += [(k, j, row[j]) for j in compress(range(len(row)), row) if j != k]
     return out
-
-
-def _update_columns(p: int | None, cols: list, dens: list, entries: list, bden: int, m: int) -> None:
-    """Multiply the columns (each over its den) by ``(bden * I + entries) /
-    bden`` in place: each column c the entries name becomes ``bden * col_c +
-    sum v * col_r`` over its entries (r, c, v), over ``bden``, through
-    :func:`_combine`; every source is read before any column is written."""
-    moved: dict = {}
-    for r, c, v in entries:
-        coeffs = moved.get(c)
-        if coeffs is None:
-            coeffs = moved[c] = {c: bden}
-        v += coeffs.get(r, 0)
-        coeffs[r] = v % p if p else v
-    out = [(c, *_combine(p, [(v, cols[k], dens[k]) for k, v in coeffs.items() if v], bden, m))
-           for c, coeffs in moved.items()]
-    for c, col, d in out:
-        cols[c], dens[c] = col, d
 
 
 def _rows_over_lcm(cols: list, dens: list) -> tuple:
@@ -272,8 +251,10 @@ class Matrix:
         ``(den * I + entries) / den``.  The running product is held as
         integer rows over one denominator, or as integer columns over one
         denominator each (1 over F_p).  A delta rewrites only the columns it
-        names (:func:`_update_columns`), each reduced as soon as it is
-        written (mod p, or by its own gcd), and leaves the rest untouched.
+        names (:func:`_apply_delta`, the loop the working matrix of
+        :mod:`steinberg.rowops` runs too): an entry (r, c, v) adds v / den
+        times column r to column c, reduced as soon as it is written (mod p,
+        or by its own gcd), and the other columns stay untouched.
         A square matrix factor with at most 3n/2 nonzeros (a diagonal) has
         its delta read off and takes the same column update.  Rows turn into
         columns at a delta, or at such a matrix that changes at most n/2
@@ -313,7 +294,7 @@ class Matrix:
                     continue
             if cols is None:
                 cols, dens = list(zip(*rows)), [den] * n
-            _update_columns(p, cols, dens, entries, bden, m)
+            _apply_delta(p, cols, dens, entries, bden)
         if cols is not None:
             return Matrix._normal(field, *_rows_over_lcm(cols, dens))
         return Matrix._canonical(field, rows, den)

@@ -17,11 +17,13 @@ loop ``diagonalize`` and the pair pass ``clear_pairs``.
 ``apply(w, tok, RIGHT)`` into ``w @ token_matrix(tok)``, bit-exact.  Both
 read the token's integer delta (:func:`steinberg.generators.token_delta`),
 entries (r, c, v) over one den, the same description ``token_matrix`` and
-the product kernel read, so each update only touches the rows (resp.
-columns) the token moves and adds v / den times its source in one integer
-pass; no scalar is built per token.  The tests compare it with the dense
-product and with hand-written paired row/column updates kept there as an
-independent oracle.
+the product kernel read, and hand it to the product kernel's own update
+loop (:func:`steinberg.matrix._apply_delta`): LEFT on the rows with the
+entries transposed, RIGHT on the touched columns, written back.  So each
+update only touches the rows (resp. columns) the token moves and adds
+v / den times its source in one integer pass; no scalar is built per
+token.  The tests compare it with the dense product and with hand-written
+paired row/column updates kept there as an independent oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 from .field import Scalar
 from .forms import Family, GroupDescriptor, InternalError
 from .generators import GeneratorToken, token_delta, x
-from .matrix import Matrix
+from .matrix import Matrix, _apply_delta
 
 
 class Side(Enum):
@@ -49,23 +51,20 @@ def apply(w: "WorkingMatrix", tok: GeneratorToken, side: Side) -> None:
     """Multiply the working matrix by the token on the given side, in place.
 
     A delta entry (r, c, v) over the delta's den adds v / den times source
-    row c to row r (LEFT), or v / den times source column r to column c
-    (RIGHT); sources are read before any write.
+    row c to row r (LEFT: the rows, with the entries transposed), or v / den
+    times source column r to column c (RIGHT: the touched columns, written
+    back); sources are read before any write.
     """
     entries, tden = token_delta(tok, w.d)
-    num = w.num
+    p, num = w.f.p, w.num
     if side is LEFT:
-        den = w.rden
-        # rows are replaced, never mutated, so these stay the old rows
-        sources = [(num[c], den[c] * tden) for _, c, _ in entries]
-        for (r, _, v), (src, sden) in zip(entries, sources):
-            num[r], den[r] = w._add_multiple(num[r], den[r], v, src, sden)
+        # every row written is a new list, so no two rows share one and RIGHT may write into them
+        _apply_delta(p, num, w.rden, [(c, r, v) for r, c, v in entries], tden)
         return
-    den = w.cden
-    sources = [([row[r] for row in num], den[r] * tden) for r, _, _ in entries]
-    for (_, c, v), (src, sden) in zip(entries, sources):
-        new, den[c] = w._add_multiple([row[c] for row in num], den[c], v, src, sden)
-        for row, a in zip(num, new):
+    cols = {k: [row[k] for row in num] for r, c, _ in entries for k in (r, c)}
+    _apply_delta(p, cols, w.cden, entries, tden)
+    for c in {c for _, c, _ in entries}:
+        for row, a in zip(num, cols[c]):
             row[c] = a
 
 
@@ -78,21 +77,6 @@ class WorkingMatrix:
         self.num = [list(r) for r in g.num]
         self.rden = [g.den] * g.rows
         self.cden = [1] * g.cols
-
-    def _add_multiple(self, x: list, xden: int, v: int, y: list, yden: int) -> tuple:
-        """x / xden + v * y / yden for an integer v, as (integers,
-        denominator), normalised: residues over F_p, the gcd divided out
-        over Q."""
-        p = self.f.p
-        if p is not None:
-            return [(a + v * b) % p for a, b in zip(x, y)], 1
-        den = math.lcm(xden, yden)
-        sx, sy = den // xden, v * (den // yden)
-        new = [a * sx + sy * b for a, b in zip(x, y)]
-        g = math.gcd(den, *new)
-        if g == 1:
-            return new, den
-        return [a // g for a in new], den // g
 
     def at(self, i: int, j: int) -> Scalar:
         pos = self.d.pos

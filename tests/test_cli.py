@@ -280,7 +280,7 @@ NOT_LOADED = {
     "decompose": {"spinor", "coset", "harness"},
     "spinor": {"coset", "harness"},
     "coset": {"eliminate", "spinor", "harness"},
-    "random": {"eliminate", "spinor", "coset"},
+    "random": {"eliminate", "rowops", "spinor", "coset"},
     "census": {"eliminate", "spinor"},
 }
 

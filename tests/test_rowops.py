@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from steinberg import matrix
+from steinberg import matrix, rowops
 from steinberg.field import Field, QQ
 from steinberg.forms import Family, InternalError, build_descriptor
 from steinberg.generators import (
@@ -286,21 +286,24 @@ def test_delta_is_the_token_over_one_integer_denominator(field):
 
 @pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
 def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
-    """A word of every token kind through the chain's delta factors against
-    the hand-written column updates folded over it, from I and from a
-    member: ``evaluate_word``, the chain over token matrices and the scalar
-    triple loop agree with the fold, every result and token matrix is
-    canonical, and every column the chain writes is reduced at once (mod p,
-    or by its own gcd)."""
-    combine = matrix._combine
+    """A word of every token kind through the chain's delta factors, and
+    folded through ``apply`` on a working matrix from either side, against
+    the hand-written updates folded over it, from I and from a member:
+    ``evaluate_word``, the chain over token matrices and the scalar triple
+    loop agree with the fold, every result and token matrix is canonical,
+    and every vector the shared update routine writes, for the chain and
+    for the working matrix alike, is reduced at once (mod p, or by its own
+    gcd over a positive den)."""
+    add_scaled = matrix._add_scaled
+    written = []
 
-    def reduced(p, terms, bden, m):
-        col, den = combine(p, terms, bden, m)
-        if not (len(terms) == 1 and col is terms[0][1]):  # a column passed through is not written
-            assert den == 1 and all(0 <= v < p for v in col) if p else den > 0 and math.gcd(den, *col) == 1
-        return col, den
+    def reduced(p, x, xden, v, y, yden):
+        vec, den = add_scaled(p, x, xden, v, y, yden)
+        assert den == 1 and all(0 <= a < p for a in vec) if p else den > 0 and math.gcd(den, *vec) == 1
+        written.append(den)
+        return vec, den
 
-    monkeypatch.setattr(matrix, "_combine", reduced)
+    monkeypatch.setattr(matrix, "_add_scaled", reduced)
     rng = random.Random(71)
     for fam in Family:
         if fam is Family.GO_MINUS and not field.is_prime:
@@ -319,11 +322,22 @@ def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
                 want = a
                 for tok in toks:
                     want = oracle_apply(want, tok, RIGHT, d)
+                written.clear()
                 got = evaluate_word(Word(d, ()), a, word)
+                assert written, (fam, l)
                 assert got == want == Matrix._chain(a, mats) == naive_chain(a, mats), (fam, l)
                 assert_canonical(got)
                 if a is ident:
                     assert evaluate_word(word) == want
+                for side in (LEFT, RIGHT):
+                    want = a
+                    b = WorkingMatrix(a, d)
+                    written.clear()
+                    for tok in toks:
+                        want = oracle_apply(want, tok, side, d)
+                        rowops.apply(b, tok, side)
+                    assert written, (fam, l, side)
+                    assert b.matrix() == want, (fam, l, side)
 
 
 def test_require_zero_names_the_first_nonzero_position():
