@@ -48,15 +48,17 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; ValueError where it would not be exact."""
+    """Deterministic Miller-Rabin; ValueError for a probable prime it cannot certify."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
+    if _mr_witness(n):
+        return False
     if n >= _MR_LIMIT:
         raise ValueError(f"cannot certify primality of {n}: moduli must be below {_MR_LIMIT}")
-    return not _mr_witness(n)
+    return True
 
 
 def _mr_witness(n: int) -> bool:

@@ -8,7 +8,10 @@
   pivot columns of I-g: no linear solve (Zassenhaus, Arch. Math. 13, 1962).
 * ``reflection_factorization``: a constructive orthogonal-reflection
   factorisation; the classical norm is the product of beta(v,v)/2 over the
-  mirrors.
+  mirrors.  The descent runs on integer vectors over the den of an rref
+  basis, each candidate with one mirror record (its anisotropy test and its
+  norm), and its lookahead decides the Eichler case, a totally isotropic
+  moved space, by the closed form beta h + (beta h)^T = 2 beta.
 
 All three agreeing on exhaustively enumerated groups is the acceptance
 anchor for the whole tower.
@@ -16,11 +19,10 @@ anchor for the whole tower.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
 from .eliminate import decompose
-from .field import Field, Scalar, SquareClass, square_class
+from .field import Field, SquareClass, square_class
 from .forms import Family, GroupDescriptor, InternalError, NotInGroup, NotOrthogonalFamily, multiplier
 from .generators import GeneratorToken
 from .matrix import Matrix, _over_lcm
@@ -87,21 +89,6 @@ def spinor_decomposition(g: Matrix, d: GroupDescriptor) -> tuple:
 # Wall form
 
 
-def _moved_space_basis(g: Matrix) -> list:
-    """Deterministic basis of (I-g)V: nonzero rows of the rref of (I-g)^T."""
-    rr = (Matrix.identity(g.field, g.rows) - g).transpose().rref()
-    return [rr.row(i) for i, r in enumerate(rr.num) if any(r)]
-
-
-def _beta_pair(beta: Matrix, u, v) -> Scalar:
-    """beta(u, v), summed on u and v over their common denominators."""
-    f = beta.field
-    (x,), dx = _over_lcm([u])
-    (y,), dy = _over_lcm([v])
-    acc = sum(xi * bij * yj for xi, row in zip(x, beta.num) if xi for bij, yj in zip(row, y) if bij)
-    return acc % f.p if f.is_prime else Fraction(acc, dx * dy * beta.den)
-
-
 def wall_spinor_norm(g: Matrix, d: GroupDescriptor) -> SquareClass:
     """disc of the Wall form on the moved space; the identity maps to 1."""
     basis, gram = wall_gram(g, d)
@@ -131,92 +118,102 @@ def wall_gram(g: Matrix, d: GroupDescriptor) -> tuple:
 # reflections
 
 
-def _mirror(v, d: GroupDescriptor) -> tuple:
-    """(x, y, a, c) with the reflection in v equal to (a I - c x y^T) / a.
+def _mirror(x: list, den: int, d: GroupDescriptor) -> tuple | None:
+    """(x, den, y, a, c, N) for v = x / den with x an integer vector, or
+    None when v is isotropic.
 
-    x is v over its common denominator and y = beta^T x, both integer
-    vectors, so N = x.y is nonzero exactly when v is anisotropic: over Q
-    a = N and c = 2; over F_p a = 1 and c = 2 / N.
+    y = beta^T x and N = x.y (residues over F_p), so the reflection in v is
+    (a I - c x y^T) / a: over Q a = N and c = 2; over F_p a = 1 and
+    c = 2 / N.  beta(v, v) = N / den^2 gives the mirror's norm.
     """
-    f = d.field
-    (x,), _ = _over_lcm([v])
+    p = d.field.p
     y = [sum(xi * bij for xi, bij in zip(x, col)) for col in zip(*d.beta.num)]
     nv = sum(xi * yi for xi, yi in zip(x, y))
-    if f.is_prime:
-        y = [yi % f.p for yi in y]
-        nv %= f.p
+    if p is not None:
+        y = [yi % p for yi in y]
+        nv %= p
     if not nv:
-        raise ValueError("reflection needs an anisotropic vector")
-    return (x, y, 1, 2 * pow(nv, -1, f.p)) if f.is_prime else (x, y, nv, 2)
+        return None
+    return (x, den, y, 1, 2 * pow(nv, -1, p), nv) if p is not None else (x, den, y, nv, 2, nv)
 
 
 def reflection_matrix(v, d: GroupDescriptor) -> Matrix:
     """The reflection in the hyperplane orthogonal to an anisotropic v."""
-    x, y, a, c = _mirror(v, d)
+    m = _mirror(_over_lcm([v])[0][0], 1, d)
+    if m is None:
+        raise ValueError("reflection needs an anisotropic vector")
+    x, _, y, a, c, _ = m
     return Matrix._normal(d.field, [
         [(a if i == j else 0) - c * xi * yj for j, yj in enumerate(y)] for i, xi in enumerate(x)
     ], a)
 
 
-def _reflected(v, d: GroupDescriptor, h: Matrix) -> Matrix:
-    """``reflection_matrix(v, d) @ h`` as the rank-1 update h - c x (y^T h) / a."""
-    x, y, a, c = _mirror(v, d)
+def _reflected(m: tuple, h: Matrix) -> Matrix:
+    """The reflection of the mirror record m times h, as the rank-1 update
+    h - c x (y^T h) / a."""
+    x, _, y, a, c, _ = m
     z = [sum(yi * hij for yi, hij in zip(y, col)) for col in zip(*h.num)]
-    return Matrix._normal(d.field, [
+    return Matrix._normal(h.field, [
         [a * hij - c * xi * zj for hij, zj in zip(row, z)] for xi, row in zip(x, h.num)
     ], a * h.den)
 
 
-def _unit(f: Field, n: int, j: int) -> tuple:
-    return tuple(f.one if k == j else f.zero for k in range(n))
+def _moved_space_basis(h: Matrix) -> tuple:
+    """(integer rows, den) of a deterministic basis of (I-h)V: the nonzero
+    rows of the rref of (I-h)^T."""
+    rr = (Matrix.identity(h.field, h.rows) - h).transpose().rref()
+    return [r for r in rr.num if any(r)], rr.den
 
 
-def _some_anisotropic(d: GroupDescriptor) -> tuple:
-    f = d.field
+def _totally_isotropic(h: Matrix, d: GroupDescriptor) -> bool:
+    """Whether (I-h)V is totally isotropic for an isometry h: (I-h)^T beta
+    (I-h) = 2 beta - beta h - (beta h)^T (Scherk, Canad. J. Math. 2, 1950)."""
+    bh = d.beta @ h
+    return bh + bh.transpose() == d.beta.scale(2)
+
+
+def _some_anisotropic(d: GroupDescriptor) -> list:
+    x = [0] * d.n
     if d.family is Family.GO_ODD:
-        return _unit(f, d.n, d.pos(0))
-    if d.family is Family.GO_MINUS:
-        return _unit(f, d.n, d.pos(1))
-    v = [f.zero] * d.n
-    v[d.pos(1)] = f.one
-    v[d.pos(-1)] = f.one
-    return tuple(v)
-
-
-def _anisotropic_candidates(vectors: list, d: GroupDescriptor) -> Iterator[tuple]:
-    """Anisotropic vectors among span generators and two-term combinations,
-    generated lazily in that order.
-
-    No candidate really means the span is totally isotropic: isotropic
-    generators with isotropic pair sums force every inner product to vanish
-    (char != 2), so the coefficient 1 alone decides emptiness.  The other
-    coefficients only diversify the choices for the lookahead, so over F_p
-    they stop at 7 and the search costs the same for every prime.
-    """
-    f = d.field
-    if f.is_prime:
-        coeffs = range(1, min(f.p, 8))
+        x[d.pos(0)] = 1
+    elif d.family is Family.GO_MINUS:
+        x[d.pos(1)] = 1
     else:
-        coeffs = [Fraction(c) for c in (1, -1, 2, -2, 3, -3)] + [Fraction(1, 2), Fraction(-1, 2)]
-    for v in vectors:
-        if _beta_pair(d.beta, v, v) != f.zero:
-            yield v
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            for c in coeffs:
-                v = tuple(f.add(a, f.mul(c, b)) for a, b in zip(vectors[i], vectors[j]))
-                if _beta_pair(d.beta, v, v) != f.zero:
-                    yield v
+        x[d.pos(1)] = x[d.pos(-1)] = 1
+    return x
+
+
+def _anisotropic_candidates(basis: list, den: int, d: GroupDescriptor) -> Iterator[tuple]:
+    """Mirror records of the anisotropic vectors among the basis vectors
+    x_i / den and the combinations (a x_i + c x_j) / (a den), lazily in
+    that order.  The coefficients c / a only diversify the choices of the
+    descent, so over F_p they stop at 7 and cost the same for every prime.
+    """
+    if d.field.is_prime:
+        coeffs = [(1, c) for c in range(1, min(d.field.p, 8))]
+    else:
+        coeffs = [(1, 1), (1, -1), (1, 2), (1, -2), (1, 3), (1, -3), (2, 1), (2, -1)]
+    for x in basis:
+        if m := _mirror(x, den, d):
+            yield m
+    for i, xi in enumerate(basis):
+        for xj in basis[i + 1:]:
+            for a, c in coeffs:
+                if m := _mirror([a * u + c * v for u, v in zip(xi, xj)], a * den, d):
+                    yield m
 
 
 def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
     """(mirror vectors, classical norm) with g equal to the mirror product.
 
     Greedy descent on the moved space V_h = (I-h)V: reflecting in any
-    anisotropic v of V_h grows the fixed space by one.  When V_h is totally
-    isotropic (the Eichler case, worth two extra mirrors) an auxiliary
-    reflection breaks the degeneracy; a one-step lookahead keeps the next
-    choice from simply undoing it.  The product equality is checked.
+    anisotropic v of V_h grows the fixed space by one.  The candidates are
+    integer combinations of the rref basis of V_h, each with one mirror
+    record that is both its anisotropy test and its norm.  When V_h is
+    totally isotropic (the Eichler case, worth two extra mirrors) an
+    auxiliary reflection breaks the degeneracy; a one-step lookahead, the
+    closed-form test :func:`_totally_isotropic`, keeps the next choice from
+    simply undoing it.  The product equality is checked.
     """
     _check_orthogonal_isometry(g, d)
     f = d.field
@@ -230,27 +227,26 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
         if fuel < 0:
             raise InternalError("reflection factorisation failed to terminate")
         choice = fallback = None
-        for v in _anisotropic_candidates(_moved_space_basis(h), d):
-            h2 = _reflected(v, d, h)
-            if h2 not in seen and (
-                h2 == ident or next(_anisotropic_candidates(_moved_space_basis(h2), d), None) is not None
-            ):
-                choice = (v, h2)
+        for m in _anisotropic_candidates(*_moved_space_basis(h), d):
+            h2 = _reflected(m, h)
+            if h2 not in seen and (h2 == ident or not _totally_isotropic(h2, d)):
+                choice = (m, h2)
                 break
-            fallback = fallback or (v, h2)
+            fallback = fallback or (m, h2)
         if choice or fallback:
-            v, h = choice or fallback
+            m, h = choice or fallback
         else:
-            v = _some_anisotropic(d)
-            h = _reflected(v, d, h)
+            m = _mirror(_some_anisotropic(d), 1, d)
+            h = _reflected(m, h)
         seen.add(h)
-        mirrors.append(v)
+        mirrors.append(m)
     acc = _unit_class(f)
-    for v in mirrors:
-        acc = acc * square_class(f, f.div(_beta_pair(d.beta, v, v), f.of(2)))
-    if Matrix._chain(ident, (reflection_matrix(v, d) for v in mirrors)) != g:
+    for _, den, _, _, _, nv in mirrors:
+        acc = acc * square_class(f, f.div(f.of(nv), f.of(2 * den * den)))
+    vectors = [Matrix._normal(f, [x], den).row(0) for x, den, *_ in mirrors]
+    if Matrix._chain(ident, (reflection_matrix(v, d) for v in vectors)) != g:
         raise InternalError("mirror product does not reproduce the element")
-    return mirrors, acc
+    return vectors, acc
 
 
 def in_commutator_subgroup(g: Matrix, d: GroupDescriptor) -> bool:

@@ -3,13 +3,20 @@
 Every input is a seeded ``random_member`` file, or the word file of its
 decomposition, with at most one mutation: a perturbed entry, a missing row,
 a wrong header value, all-zero rows, or a bad token inserted into or
-replacing one in an ``L=``/``D=``/``R=`` line.  Whatever the input, a
-command exits 0, 1 or 2 with at most one line on stderr and no traceback,
-and every matrix file that ``decompose`` accepts survives ``verify``.
+replacing one in an ``L=``/``D=``/``R=`` line.  Two more strategies draw
+on purpose what the mutations reach only by chance: a member times a
+diagonal with zero or degenerate entries (a torus with bad parameters), and
+a word file whose ``D=`` line is a torus with zero or degenerate parameters.
+Garbage files with no valid header at all, bytes that are not UTF-8
+included, are refused by every command with exit code 1.  Whatever the
+input, a command exits 0, 1 or 2 with at most one line on stderr and no
+traceback, and every matrix file that ``decompose`` accepts survives
+``verify``.
 """
 
 import contextlib
 import io
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,6 +26,7 @@ from steinberg.eliminate import decompose, decompose_gl
 from steinberg.field import QQ, Field
 from steinberg.forms import Family, UnsupportedField, build_descriptor
 from steinberg.harness import random_member
+from steinberg.matrix import Matrix
 
 FIELDS = (Field(5), Field(7), Field(1000000007), QQ)
 
@@ -67,6 +75,25 @@ tokens = st.one_of(
 )
 
 
+# zero, one and the values that break alpha^2 = mu or t^2 + eps s^2 = mu
+degenerate = st.sampled_from(["0", "1", "-1", "2", "1/2", "0/3"])
+
+degenerate_tori = st.one_of(
+    st.builds("torus({};{})".format, degenerate, degenerate),
+    st.builds("torus({};{};{})".format, degenerate, degenerate, degenerate),
+    st.builds("torus({},{};{};{})".format, degenerate, degenerate, degenerate, degenerate),
+)
+
+garbage = st.one_of(
+    st.binary(max_size=120),
+    st.text(max_size=120).map(str.encode),
+    st.lists(st.one_of(st.text(alphabet="=0123456789/ -Qlx", max_size=12), scalars), max_size=12)
+    .map(" ".join).map(str.encode),
+    st.lists(st.lists(scalars, max_size=4).map(" ".join), min_size=1, max_size=5)
+    .map("\n".join).map(str.encode),
+)
+
+
 @st.composite
 def members(draw):
     d = draw(st.sampled_from(DESCRIPTORS))
@@ -104,6 +131,18 @@ def matrix_files(draw):
         for r in draw(st.sets(st.integers(0, len(rows) - 1), min_size=1)):
             rows[r] = ["0"] * len(rows[r])
     return "\n".join([header] + [" ".join(row) for row in rows]) + "\n"
+
+
+@st.composite
+def torus_matrix_files(draw):
+    """A member times a diagonal whose entries on a drawn set of positions
+    are zero or degenerate values, the rest one."""
+    d, g = draw(members())
+    f = d.field
+    diag = [f.one] * d.n
+    for k in draw(st.sets(st.integers(0, d.n - 1), min_size=1)):
+        diag[k] = f.of(draw(st.sampled_from([0, 1, -1, 2, Fraction(1, 2)])))
+    return format_matrix_file(g @ Matrix.diagonal(f, diag), d)
 
 
 @st.composite
@@ -146,9 +185,7 @@ def run(*argv):
     return code, out.getvalue()
 
 
-@FUZZ
-@given(text=matrix_files())
-def test_matrix_files(workdir, text):
+def check_matrix_file(workdir, text):
     mpath = workdir / "m.txt"
     mpath.write_text(text)
     for command in ("spinor", "coset"):
@@ -160,13 +197,47 @@ def test_matrix_files(workdir, text):
         assert run("verify", str(wpath), str(mpath)) == (0, "OK\n"), text
 
 
-@FUZZ
-@given(files=word_files())
-def test_word_files(workdir, files):
-    word_text, matrix_text = files
+def check_word_file(workdir, word_text, matrix_text):
     wpath, mpath = workdir / "w.txt", workdir / "m.txt"
     wpath.write_text(word_text)
     mpath.write_text(matrix_text)
     code, out = run("verify", str(wpath), str(mpath))
     assert out in ("", "OK\n", "MISMATCH\n")
     assert (code == 0) == (out == "OK\n")
+
+
+@FUZZ
+@given(text=matrix_files())
+def test_matrix_files(workdir, text):
+    check_matrix_file(workdir, text)
+
+
+@FUZZ
+@given(files=word_files())
+def test_word_files(workdir, files):
+    check_word_file(workdir, *files)
+
+
+@FUZZ
+@given(text=torus_matrix_files())
+def test_matrix_files_with_degenerate_tori(workdir, text):
+    check_matrix_file(workdir, text)
+
+
+@FUZZ
+@given(files=word_files(), torus_text=degenerate_tori)
+def test_word_files_with_degenerate_tori(workdir, files, torus_text):
+    word_text, matrix_text = files
+    lines = [f"D= {torus_text}" if ln.startswith("D=") else ln for ln in word_text.splitlines()]
+    check_word_file(workdir, "\n".join(lines) + "\n", matrix_text)
+
+
+@FUZZ
+@given(data=garbage)
+def test_garbage_files(workdir, data):
+    gpath, mpath = workdir / "g.txt", workdir / "m.txt"
+    gpath.write_bytes(data)
+    mpath.write_text("group=GSp l=1 field=5 similitude=0\n1 0\n0 1\n")
+    for argv in (("decompose", gpath), ("spinor", gpath), ("coset", gpath),
+                 ("verify", gpath, mpath), ("verify", mpath, gpath), ("verify", gpath, gpath)):
+        assert run(*map(str, argv)) == (1, ""), (argv, data)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from steinberg.field import Field
+from steinberg.field import QQ, Field
 from steinberg.forms import Family, InternalError, NotInGroup, UnsupportedFamily, build_descriptor
 from steinberg.coset import (
     CosetLabel,
@@ -17,10 +17,12 @@ from steinberg.harness import enumerate_group, random_member
 from steinberg.matrix import Matrix
 from steinberg.rowops import RIGHT
 
+from gauss_oracle import oracle_rank
 from rowops_oracle import applied
 
 F3 = Field(3)
 F5 = Field(5)
+F7 = Field(7)
 COSET_FAMILIES = (Family.GSP, Family.GO_EVEN, Family.GO_ODD)
 
 
@@ -73,6 +75,21 @@ def test_label_of_omega_itself(family):
         label = coset_label(om, d)
         assert label.m == m
         assert verify_label(om, label, d)
+
+
+@pytest.mark.parametrize("field", [F3, F7, QQ], ids=str)
+@pytest.mark.parametrize("family", COSET_FAMILIES)
+def test_label_is_the_rank_of_the_lower_left_block(family, field):
+    # g in P omega_m P exactly when its lower-left l x l block C has rank m:
+    # P multiplies C on both sides by invertible blocks, and omega_m's C
+    # has rank m
+    for l in range(1, 5):
+        d = build_descriptor(family, l, field)
+        rows = [d.pos(-i) for i in range(1, l + 1)]
+        cols = [d.pos(i) for i in range(1, l + 1)]
+        for seed in range(10):
+            g = random_member(d, seed, word_len=4 * l + 4, with_torus=True)
+            assert coset_label(g, d).m == oracle_rank(g.submatrix(rows, cols))
 
 
 def test_sp23_exhaustive_partition(sp_2_3):

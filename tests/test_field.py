@@ -14,6 +14,7 @@ from steinberg.field import (
     QQ,
     SquareClass,
     ZeroHasNoClass,
+    _MR_LIMIT,
     _is_prime,
     _squarefree,
     canonical_nonsquare,
@@ -46,15 +47,20 @@ def test_large_prime_modulus_returns_promptly():
 
 def test_rejects_pseudoprimes():
     # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
-    # bases 2, 3, 5 and 7; the last is a product of two 31-bit primes.
-    for bad in (561, 3215031751, 2147483647 * 2147483629):
+    # bases 2, 3, 5 and 7; then a product of two 31-bit primes, and one of
+    # two Mersenne primes above _MR_LIMIT that a Miller-Rabin base proves
+    # composite.
+    for bad in (561, 3215031751, 2147483647 * 2147483629, (2**89 - 1) * (2**61 - 1)):
         with pytest.raises(ValueError, match="odd prime"):
             Field(bad)
 
 
 def test_modulus_beyond_certified_range_is_a_clean_error():
-    with pytest.raises(ValueError, match="cannot certify"):
-        Field(2**89 - 1)
+    # probable primes from _MR_LIMIT on, the bound itself (a strong
+    # pseudoprime to every base) included
+    for n in (2**89 - 1, _MR_LIMIT):
+        with pytest.raises(ValueError, match="cannot certify"):
+            Field(n)
 
 
 def test_basic_arithmetic():

@@ -18,7 +18,7 @@ from steinberg.harness import (
 )
 from steinberg.matrix import DimensionMismatch, Matrix, SingularMatrix
 from steinberg.rowops import WorkingMatrix
-from steinberg.spinor import _reflected, reflection_matrix
+from steinberg.spinor import _mirror, _reflected, reflection_matrix
 
 from gauss_oracle import oracle_det, oracle_inverse, oracle_pivot_columns, oracle_rank, oracle_rref
 
@@ -405,11 +405,12 @@ def test_negative_pivots_and_denominators_give_canonical_matrices():
     b = Matrix(QQ, [[-2, 4, 6], [-1, 2, 3], [Fraction(-1, 3), 1, 0]])
     d = build_descriptor(Family.GO_EVEN, 1, QQ)
     v = (1, -1)  # beta(v, v) = -2
+    mirror = _mirror(list(v), 1, d)
     h = token_matrix(torus(Fraction(-3, 2), 1), d)
-    products = [a.rref(), a.inverse(), b.rref(), reflection_matrix(v, d), _reflected(v, d, h)]
+    products = [a.rref(), a.inverse(), b.rref(), reflection_matrix(v, d), _reflected(mirror, h)]
     for m in products:
         assert_canonical(m)
-    assert _reflected(v, d, h) == reflection_matrix(v, d) @ h
+    assert _reflected(mirror, h) == reflection_matrix(v, d) @ h
     assert Matrix._normal(QQ, [[1, -2]], -4) == Matrix(QQ, [[Fraction(-1, 4), Fraction(1, 2)]])
     for den in (0, -1):
         with pytest.raises(InternalError):

@@ -36,6 +36,16 @@ def square(field):
     return SquareClass(1, field.is_prime)
 
 
+def beta_pair(beta: Matrix, u, v):
+    """beta(u, v) summed entry by entry in field scalars."""
+    f = beta.field
+    acc = f.zero
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            acc = f.add(acc, f.mul(f.mul(ui, beta[i, j]), vj))
+    return acc
+
+
 def test_wall_norm_of_identity():
     d = build_descriptor(Family.GO_EVEN, 2, F5)
     assert wall_spinor_norm(Matrix.identity(F5, 4), d) == square(F5)
@@ -67,8 +77,6 @@ def test_wall_norm_trivial_on_unipotent_words():
 
 
 def test_wall_property_one_entrywise():
-    from steinberg.spinor import _beta_pair
-
     for family, field in WALL_CASES:
         d = build_descriptor(family, 2, field)
         for seed in range(6):
@@ -77,7 +85,7 @@ def test_wall_property_one_entrywise():
             for i, u in enumerate(basis):
                 for j, v in enumerate(basis):
                     lhs = field.add(gram[i, j], gram[j, i])
-                    assert lhs == _beta_pair(d.beta, u, v)
+                    assert lhs == beta_pair(d.beta, u, v)
 
 
 def _kernel_basis(a: Matrix) -> list:
@@ -99,8 +107,6 @@ def test_wall_norm_independent_of_choices():
     # the Wall form by its definition, [u, v] = beta(u, y) with (I - g)y = v:
     # a rescaled, shuffled rref basis of the moved space, preimages from the
     # scalar oracle shifted by random kernel vectors, and beta entrywise
-    from steinberg.spinor import _beta_pair
-
     rng = random.Random(4)
     for family, f in WALL_CASES:
         shifted = 0
@@ -128,7 +134,7 @@ def test_wall_norm_independent_of_choices():
                 if not basis:
                     assert wall_spinor_norm(g, d) == square(f)
                     continue
-                gram = Matrix(f, [[_beta_pair(d.beta, u, y) for y in pre] for u in basis])
+                gram = Matrix(f, [[beta_pair(d.beta, u, y) for y in pre] for u in basis])
                 assert square_class(f, oracle_det(gram)) == wall_spinor_norm(g, d)
         assert shifted, (family, f)
 
@@ -207,7 +213,7 @@ def test_rational_norm_of_a_long_word_returns_promptly():
 def test_three_routes_agree_over_a_large_prime(family):
     # a coefficient scan over every nonzero residue would exhaust memory here
     field = Field(1000000007)
-    for l in (1, 2, 3, 4):
+    for l in (1, 2, 3, 4, 8):
         d = build_descriptor(family, l, field)
         for seed in range(2):
             g = random_member(d, seed, word_len=4 * l, with_torus=True)
@@ -229,16 +235,22 @@ def test_every_route_reports_an_uncertified_squarefree_part():
 
 @pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
 def test_rank_one_update_equals_the_dense_product(field):
+    # each candidate's mirror record: its N over den^2 is beta(v, v) for the
+    # vector v = x / den it stands for, and its rank-1 update is the product
     from steinberg.spinor import _anisotropic_candidates, _moved_space_basis, _reflected
 
-    for family in ORTH if field.is_prime else ORTH[:2]:
+    f = field
+    for family in ORTH if f.is_prime else ORTH[:2]:
         for l in (1, 2, 3):
-            d = build_descriptor(family, l, field)
+            d = build_descriptor(family, l, f)
             for seed in range(3):
                 h = random_member(d, seed, word_len=4 * l, with_torus=True)
-                basis = _moved_space_basis(random_member(d, seed + 7, word_len=4 * l))
-                for v in islice(_anisotropic_candidates(basis, d), 4):
-                    assert _reflected(v, d, h) == reflection_matrix(v, d) @ h
+                basis, den = _moved_space_basis(random_member(d, seed + 7, word_len=4 * l))
+                for m in islice(_anisotropic_candidates(basis, den, d), 4):
+                    x, vden, *_, nv = m
+                    v = tuple(f.div(f.of(xi), f.of(vden)) for xi in x)
+                    assert f.div(f.of(nv), f.of(vden * vden)) == beta_pair(d.beta, v, v) != f.zero
+                    assert _reflected(m, h) == reflection_matrix(v, d) @ h
 
 
 def test_factorization_fuel_check_raises_internal_error(monkeypatch):
@@ -248,7 +260,7 @@ def test_factorization_fuel_check_raises_internal_error(monkeypatch):
     g = random_member(d, 1, word_len=7)
     # the descent applies each trial mirror through the rank-1 update; a
     # stalled update leaves h where it was, so only the fuel check can stop it
-    monkeypatch.setattr(spinor, "_reflected", lambda v, dd, h: h)
+    monkeypatch.setattr(spinor, "_reflected", lambda m, h: h)
     with pytest.raises(InternalError, match="failed to terminate"):
         reflection_factorization(g, d)
 

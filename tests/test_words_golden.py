@@ -10,6 +10,14 @@ and has to say so, and re-pin the digest.
 large prime 1000000007, where the multipliers are residues with modular
 inverses, and ``decompose_gl`` over F_7 and Q, on seeded members and on
 seeded dense matrices whose leading entries are often zero.
+
+``MIRRORS`` pins the reflection route: the mirror vectors (values and
+types) and the classical norm of ``reflection_factorization`` on seeded
+isometries of every orthogonal family up to l = 8 over F_7 and
+F_1000000007 and of GO+ and GOodd up to l = 4 over Q, and on every legal
+x-token matrix with t in {1, 2} at l = 2: the long-root ones have a
+totally isotropic moved space, so the descent starts from an auxiliary
+mirror.
 """
 
 import hashlib
@@ -22,16 +30,19 @@ from steinberg.field import Field, QQ
 from steinberg.forms import Family, build_descriptor
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix, SingularMatrix
-from steinberg.spinor import spinor_norm
+from steinberg.generators import legal_x_index_pairs, token_matrix, x
+from steinberg.spinor import reflection_factorization, spinor_norm
 
 F7 = Field(7)
 BIG = Field(1000000007)
 FAMILIES = (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
 SPLIT = (Family.GSP, Family.GO_EVEN, Family.GO_ODD)
+ORTH = (Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
 SEEDS = range(4)
 
 GOLDEN = "380bcd1d67f1e5d22aa364cc4c618af663e275d5e2d7a2a17e356b1ed1c94c4e"
 WIDE = "58aa8f5333e5b153474ef88daa65602a95d232f155a501a64b3fa469354af6f6"
+MIRRORS = "f9376c49ff270ff4acf4fc48b6221c33b93da004cdf710b8a7b8a78796c63237"
 
 
 def _cells():
@@ -91,6 +102,24 @@ def _wide_records():
     yield from _gl_records()
 
 
+def _mirror_records():
+    cells = [(family, l, field) for field in (F7, BIG) for family in ORTH for l in (1, 2, 4, 8)]
+    cells += [(family, l, QQ) for family in ORTH[:2] for l in (1, 2, 3, 4)]
+    for family, l, field in cells:
+        d = build_descriptor(family, l, field)
+        for seed in SEEDS:
+            g = random_member(d, seed, word_len=4 * l + 4, with_torus=True)
+            mirrors, theta = reflection_factorization(g, d)
+            yield f"{d}#{seed} mirrors={mirrors!r} theta={theta}"
+    for field in (F7, BIG, QQ):
+        for family in ORTH if field.is_prime else ORTH[:2]:
+            d = build_descriptor(family, 2, field)
+            for i, j in legal_x_index_pairs(d):
+                for t in (1, 2):
+                    mirrors, theta = reflection_factorization(token_matrix(x(i, j, t), d), d)
+                    yield f"{d} x({i},{j},{t}) mirrors={mirrors!r} theta={theta}"
+
+
 def grid_digest(records=None) -> str:
     sha = hashlib.sha256()
     for rec in records or _records():
@@ -105,3 +134,7 @@ def test_words_and_witnesses_match_golden_digest():
 
 def test_large_prime_and_gl_words_match_wide_digest():
     assert grid_digest(_wide_records()) == WIDE
+
+
+def test_reflection_mirrors_match_mirror_digest():
+    assert grid_digest(_mirror_records()) == MIRRORS
