@@ -13,16 +13,12 @@ i of C) and ``clear_pairs`` (the A rows against the C pivots).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import rowops
+from .field import Record
 from .forms import Family, GroupDescriptor, InternalError, NotInGroup, UnsupportedFamily, multiplier
 from .generators import GeneratorToken, Word, derived_w, evaluate_word, x, x_pattern
 from .matrix import Matrix
-
-if TYPE_CHECKING:
-    from .harness import Enumeration
 
 _COSET_FAMILIES = (Family.GSP, Family.GO_EVEN, Family.GO_ODD)
 
@@ -53,12 +49,11 @@ def omega_matrix(d: GroupDescriptor, m: int) -> Matrix:
     return evaluate_word(Word(d, ()), *(derived_w(i, d) for i in range(1, m + 1)))
 
 
-@dataclass(frozen=True)
-class CosetLabel:
-    m: int
-    omega: Matrix
-    left_witness: Word
-    right_witness: Word
+class CosetLabel(Record):
+    __slots__ = _fields = ("m", "omega", "left_witness", "right_witness")
+
+    def __init__(self, m: int, omega: Matrix, left_witness: Word, right_witness: Word):
+        self._init(m, omega, left_witness, right_witness)
 
 
 _P_LEGAL_PATTERNS = {"pp", "pn", "pnm", "i0"}

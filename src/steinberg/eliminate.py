@@ -43,11 +43,10 @@ intermediate shapes; the phases are "A-diagonalized",
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from . import rowops
-from .field import Scalar
+from .field import Record, Scalar
 from .forms import (
     Family,
     GroupDescriptor,
@@ -75,19 +74,17 @@ from .matrix import Matrix, SingularMatrix
 Observer = Callable[[str, Matrix], None]
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """g = evaluate(left) @ diagonal @ evaluate(right), exactly."""
+class Decomposition(Record):
+    """g = evaluate(left) @ diagonal @ evaluate(right), exactly.
 
-    descriptor: GroupDescriptor
-    left: Word
-    right: Word
-    diagonal: Matrix
-    lam: Scalar
-    mu: Scalar
-    alpha: Scalar | None
-    block: tuple | None  # GOminus terminal 2x2 block params (t, s), if any
-    op_count: int
+    ``block`` holds the GOminus terminal 2x2 block params (t, s), if any.
+    """
+
+    __slots__ = _fields = ("descriptor", "left", "right", "diagonal", "lam", "mu", "alpha", "block", "op_count")
+
+    def __init__(self, descriptor: GroupDescriptor, left: Word, right: Word, diagonal: Matrix, lam: Scalar,
+                 mu: Scalar, alpha: Scalar | None, block: tuple | None, op_count: int):
+        self._init(descriptor, left, right, diagonal, lam, mu, alpha, block, op_count)
 
     def torus_token(self) -> GeneratorToken:
         return torus(self.lam, self.mu, alpha=self.alpha, ts=self.block)

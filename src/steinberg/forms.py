@@ -13,11 +13,9 @@ the three different orderings are the main source of off-by-one mistakes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
-from .field import Field, InternalError, Scalar, square_class
+from .field import Field, InternalError, Record, Scalar, square_class
 from .matrix import Matrix
 
 
@@ -58,15 +56,18 @@ class Family(Enum):
         return self in (Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
-    family: Family
-    l: int
-    field: Field
-    similitude: bool
-    beta: Matrix
-    n: int
-    epsilon: Scalar | None = None
+class GroupDescriptor(Record):
+    """A family at rank l over a field with its Gram matrix ``beta``; the
+    table behind :meth:`pos` is built with it."""
+
+    _fields = ("family", "l", "field", "similitude", "beta", "n", "epsilon")
+    __slots__ = _fields + ("_positions", "_beta_columns")
+
+    def __init__(self, family: Family, l: int, field: Field, similitude: bool, beta: Matrix, n: int,
+                 epsilon: Scalar | None = None):
+        self._init(family, l, field, similitude, beta, n, epsilon)
+        object.__setattr__(self, "_positions", {i: k for k, i in enumerate(self.basis_indices())})
+        object.__setattr__(self, "_beta_columns", None)
 
     def pos(self, i: int) -> int:
         """Storage position of signed basis index i (0 only for GOodd)."""
@@ -75,9 +76,14 @@ class GroupDescriptor:
         except KeyError:
             raise ValueError(f"basis index {i} out of range for {self.family.value} with l={self.l}") from None
 
-    @cached_property
-    def _positions(self) -> dict:
-        return {i: k for k, i in enumerate(self.basis_indices())}
+    def beta_columns(self) -> tuple:
+        """The nonzero entries ``(i, beta.num[i][j])`` of each column j, so
+        that beta^T x costs one product per nonzero; only the reflection
+        route reads them, so they are built on its first call."""
+        if self._beta_columns is None:
+            object.__setattr__(self, "_beta_columns", tuple(
+                tuple((i, v) for i, v in enumerate(col) if v) for col in zip(*self.beta.num)))
+        return self._beta_columns
 
     def basis_indices(self) -> list:
         """Signed basis indices in storage order; ``pos`` is its inverse."""

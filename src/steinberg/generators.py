@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
 
-from .field import Scalar
+from .field import Record, Scalar
 from .matrix import DimensionMismatch, Matrix
 from .forms import Family, GroupDescriptor
 
@@ -40,15 +40,13 @@ class IllegalToken(ValueError):
     pass
 
 
-class GeneratorToken(NamedTuple):
-    kind: str  # "x" | "w" | "x1" | "x2" | "torus"
-    i: int = 0
-    j: int = 0
-    t: Scalar | None = None
-    s: Scalar | None = None
-    alpha: Scalar | None = None
-    lam: Scalar | None = None
-    mu: Scalar | None = None
+class GeneratorToken(namedtuple("GeneratorToken", "kind i j t s alpha lam mu",
+                                defaults=(0, 0, None, None, None, None, None))):
+    """One token: ``kind`` is "x", "w", "x1", "x2" or "torus"; the integer
+    indices ``i``, ``j`` and the scalar parameters ``t``, ``s``, ``alpha``,
+    ``lam``, ``mu`` default to 0 and None."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.kind == "x":
@@ -368,15 +366,14 @@ def token_inverse_in(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
 # words
 
 
-@dataclass(frozen=True)
-class Word:
-    descriptor: GroupDescriptor
-    tokens: tuple
+class Word(Record):
+    __slots__ = _fields = ("descriptor", "tokens")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        for tok in self.tokens:
-            validate_token(tok, self.descriptor)
+    def __init__(self, descriptor: GroupDescriptor, tokens: tuple):
+        tokens = tuple(tokens)
+        for tok in tokens:
+            validate_token(tok, descriptor)
+        self._init(descriptor, tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import Field, Scalar
+from .field import Field, Record, Scalar
 from .forms import EnumerationTooLarge, Family, GroupDescriptor, is_member
 from .generators import (
     GeneratorToken,
@@ -37,11 +36,11 @@ from .generators import (
 from .matrix import Matrix
 
 
-@dataclass(frozen=True)
-class Enumeration:
-    descriptor: GroupDescriptor
-    elements: tuple
-    method: str
+class Enumeration(Record):
+    __slots__ = _fields = ("descriptor", "elements", "method")
+
+    def __init__(self, descriptor: GroupDescriptor, elements: tuple, method: str):
+        self._init(descriptor, elements, method)
 
 
 def _random_scalar(field: Field, rng: random.Random, nonzero: bool = True) -> Scalar:

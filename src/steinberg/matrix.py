@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress, repeat
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .field import Field, InternalError, Scalar
 

@@ -19,7 +19,7 @@ anchor for the whole tower.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .eliminate import decompose
 from .field import Field, SquareClass, square_class
@@ -122,12 +122,13 @@ def _mirror(x: list, den: int, d: GroupDescriptor) -> tuple | None:
     """(x, den, y, a, c, N) for v = x / den with x an integer vector, or
     None when v is isotropic.
 
-    y = beta^T x and N = x.y (residues over F_p), so the reflection in v is
-    (a I - c x y^T) / a: over Q a = N and c = 2; over F_p a = 1 and
-    c = 2 / N.  beta(v, v) = N / den^2 gives the mirror's norm.
+    y = beta^T x, read off the nonzeros of each column of beta, and N = x.y
+    (residues over F_p), so the reflection in v is (a I - c x y^T) / a: over
+    Q a = N and c = 2; over F_p a = 1 and c = 2 / N.  beta(v, v) = N / den^2
+    gives the mirror's norm.
     """
     p = d.field.p
-    y = [sum(xi * bij for xi, bij in zip(x, col)) for col in zip(*d.beta.num)]
+    y = [sum(x[i] * bij for i, bij in col) for col in d.beta_columns()]
     nv = sum(xi * yi for xi, yi in zip(x, y))
     if p is not None:
         y = [yi % p for yi in y]

@@ -285,15 +285,26 @@ NOT_LOADED = {
 }
 
 
-def _loaded_submodules(script, *argv):
-    """The steinberg submodules a fresh process holds after ``script``,
+# standard modules no command loads: dataclasses pulls in inspect, ast, dis
+# and tokenize, and typing costs a cold start a few ms where no site .pth
+# file has loaded it already (hence -S below)
+NEVER_LOADED = {"dataclasses", "inspect", "typing"}
+
+
+def _loaded_modules(script, *argv):
+    """The modules a fresh ``python -S`` process holds after ``script``,
     which prints them as the last line of its stdout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script += "; print(' '.join(m for m in sys.modules if m.startswith('steinberg.')))"
-    r = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60)
+    script += "; print(' '.join(sys.modules))"
+    r = subprocess.run([sys.executable, "-S", "-c", script, *argv], capture_output=True, text=True, env=env,
+                       timeout=60)
     assert r.returncode == 0, r.stderr
-    return {m.removeprefix("steinberg.") for m in r.stdout.splitlines()[-1].split()}
+    return set(r.stdout.splitlines()[-1].split())
+
+
+def _submodules(loaded):
+    return {m.removeprefix("steinberg.") for m in loaded if m.startswith("steinberg.")}
 
 
 def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
@@ -315,9 +326,11 @@ def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
     assert set(commands) == set(NOT_LOADED)
     script = "import sys; from steinberg import cli; assert cli.main(sys.argv[1:]) == 0"
     for name, argv in commands.items():
-        loaded = _loaded_submodules(script, *argv)
-        assert "forms" in loaded and not loaded & NOT_LOADED[name], (name, sorted(loaded))
-    assert _loaded_submodules("import sys, steinberg") == set()
+        loaded = _loaded_modules(script, *argv)
+        ours = _submodules(loaded)
+        assert "forms" in ours and not ours & NOT_LOADED[name], (name, sorted(ours))
+        assert not loaded & NEVER_LOADED, (name, sorted(loaded & NEVER_LOADED))
+    assert _submodules(_loaded_modules("import sys, steinberg")) == set()
 
 
 def test_singular_gl_file_is_a_domain_error(tmp_path, capsys):

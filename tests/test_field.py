@@ -31,6 +31,12 @@ def test_rejects_char_two_and_composites():
             Field(bad)
 
 
+def test_rejects_a_modulus_that_is_not_an_int():
+    for bad in (7.0, Fraction(7), "7", True):
+        with pytest.raises(ValueError, match=f"^modulus must be an odd prime, got {bad}$"):
+            Field(bad)
+
+
 def test_primality_agrees_with_trial_division():
     def trial(n):
         return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))

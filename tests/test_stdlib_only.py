@@ -2,6 +2,9 @@
 
 Every absolute import under ``src/steinberg/`` must name a top-level module
 in ``sys.stdlib_module_names``; relative imports stay inside the package.
+Nor does it import ``dataclasses`` or ``typing``: both cost a cold CLI start
+several milliseconds, so records derive from ``field.Record`` and aliases
+use builtins and ``collections.abc``.
 """
 
 import ast
@@ -11,10 +14,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "steinberg"
 
 
-def test_library_imports_only_the_standard_library():
+def _absolute_imports():
+    """(``file:line``, top-level module) of every absolute import."""
     modules = sorted(SRC.glob("*.py"))
     assert modules
-    found = []
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
@@ -24,7 +27,14 @@ def test_library_imports_only_the_standard_library():
             else:
                 continue
             for name in names:
-                top = name.split(".")[0]
-                if top not in sys.stdlib_module_names:
-                    found.append(f"{path.name}:{node.lineno}: {name}")
+                yield f"{path.name}:{node.lineno}: {name}", name.split(".")[0]
+
+
+def test_library_imports_only_the_standard_library():
+    found = [where for where, top in _absolute_imports() if top not in sys.stdlib_module_names]
     assert not found, f"third-party imports: {found}"
+
+
+def test_library_imports_neither_dataclasses_nor_typing():
+    found = [where for where, top in _absolute_imports() if top in ("dataclasses", "typing")]
+    assert not found, f"slow imports: {found}"
