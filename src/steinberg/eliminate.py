@@ -51,6 +51,7 @@ from .forms import (
     Family,
     GroupDescriptor,
     InternalError,
+    MultiplierNotOne,
     NotInGroup,
     UnsupportedFamily,
     build_descriptor,
@@ -350,7 +351,7 @@ def decompose(g: Matrix, d: GroupDescriptor, observer: Observer | None = None) -
     f = d.field
     mu = multiplier(g, d)
     if not d.similitude and mu != f.one:
-        raise NotInGroup(f"multiplier {mu} != 1 in an isometry group")
+        raise MultiplierNotOne(f"multiplier {mu} != 1 in an isometry group", mu)
     b = _Bench(g, d, observer)
     _run(b, mu)
     # GOminus of rank 1 has no hyperbolic pair to carry lambda

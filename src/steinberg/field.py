@@ -105,7 +105,8 @@ class Record:
     ``__init__`` stores the fields, in order, through the compiled
     ``_init``.  Two instances of one class are equal when their fields are,
     hash as the tuple of their fields, and print as ``Name(field=value,
-    ...)``; assignment raises AttributeError.
+    ...)``; assignment raises AttributeError.  A subclass that defines its
+    own ``__eq__`` and ``__hash__`` keeps them.
     """
 
     __slots__ = ()
@@ -121,7 +122,9 @@ class Record:
         )
         methods = {"_store": object.__setattr__}
         exec(code, methods)
-        cls._init, cls.__eq__, cls.__hash__ = methods["_init"], methods["__eq__"], methods["__hash__"]
+        for name in ("_init", "__eq__", "__hash__"):
+            if name not in cls.__dict__:
+                setattr(cls, name, methods[name])
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
@@ -236,36 +239,68 @@ QQ = Field(None)
 
 
 class SquareClass(Record):
-    """An element of k*/k*^2.
+    """An element of k*/k*^2, held as a nonzero integer ``n`` of the class.
 
-    For F_p the group has two elements, represented by ``rep`` in {+1, -1}
-    (+1 the squares).  For Q the group is infinite; ``rep`` is the signed
-    squarefree representative.
+    For F_p the group has two elements and ``n`` is +1 (the squares) or -1.
+    For Q the group is infinite and ``n`` is any integer of the class, not
+    necessarily squarefree.  Two rational classes are equal exactly when the
+    product of their integers is a positive perfect square, one
+    ``math.isqrt``, so comparing, multiplying and ``is_square`` never
+    factor.  Only ``rep``, the signed squarefree representative that ``str``
+    and ``repr`` print, factors ``n``: on first use, and it is kept.
     """
 
-    __slots__ = _fields = ("rep", "prime")
+    _fields = ("n", "prime")
+    __slots__ = _fields + ("_rep",)
 
-    def __init__(self, rep: int, prime: bool):
-        self._init(rep, prime)
+    def __init__(self, n: int, prime: bool):
+        self._init(n, prime)
+        object.__setattr__(self, "_rep", n if prime else None)
+
+    @property
+    def rep(self) -> int:
+        """+1 or -1 over F_p; over Q the signed squarefree part of ``n``,
+        which raises :class:`CannotFactor` when it cannot be certified."""
+        if self._rep is None:
+            object.__setattr__(self, "_rep", _squarefree(self.n))
+        return self._rep
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SquareClass:
+            return NotImplemented
+        if self.prime or other.prime:
+            return self.prime == other.prime and self.n == other.n
+        return _is_square(self.n * other.n)
+
+    def __hash__(self) -> int:
+        # equal rational classes share only their sign
+        return hash((self.prime, self.n > 0))
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         if self.prime != other.prime:
             raise ValueError("square classes from different field kinds")
         if self.prime:
-            return SquareClass(self.rep * other.rep, True)
-        # both reps are squarefree, so dividing out their common part twice
-        # leaves the squarefree part of the product without factoring it
-        g = math.gcd(self.rep, other.rep)
-        return SquareClass((self.rep // g) * (other.rep // g), False)
+            return SquareClass(self.n * other.n, True)
+        # dividing out the common part twice keeps the class and the size down
+        g = math.gcd(self.n, other.n)
+        return SquareClass((self.n // g) * (other.n // g), False)
 
     @property
     def is_square(self) -> bool:
-        return self.rep == 1
+        return self.n == 1 if self.prime else _is_square(self.n)
+
+    def __repr__(self) -> str:
+        return f"SquareClass(rep={self.rep!r}, prime={self.prime!r})"
 
     def __str__(self) -> str:
         if self.prime:
-            return "square" if self.rep == 1 else "nonsquare"
+            return "square" if self.n == 1 else "nonsquare"
         return str(self.rep)
+
+
+def _is_square(n: int) -> bool:
+    """Whether the integer n is a positive perfect square."""
+    return n > 0 and math.isqrt(n) ** 2 == n
 
 
 # _squarefree trial-divides by d <= _TRIAL_BOUND; what is left has only
@@ -369,15 +404,14 @@ def _rho(n: int) -> int:
 def square_class(field: Field, a: Scalar) -> SquareClass:
     """The image of a nonzero scalar in k*/k*^2.
 
-    F_p uses Euler's criterion; Q takes the signed squarefree part of
-    numerator times denominator.
+    F_p uses Euler's criterion; Q keeps numerator times denominator, an
+    integer of the class, unfactored (see :class:`SquareClass`).
     """
     if a == 0:
         raise ZeroHasNoClass("zero has no square class")
     if field.p is not None:
         return SquareClass(1 if pow(a, (field.p - 1) // 2, field.p) == 1 else -1, True)
-    f = Fraction(a)
-    return SquareClass(_squarefree(f.numerator * f.denominator), False)
+    return SquareClass(a.numerator * a.denominator, False)
 
 
 def canonical_nonsquare(p: int) -> int:

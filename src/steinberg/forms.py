@@ -44,6 +44,14 @@ class NotInGroup(ValueError):
         self.position = position
 
 
+class MultiplierNotOne(NotInGroup):
+    """A similitude with multiplier ``mu`` != 1 where an isometry is needed."""
+
+    def __init__(self, msg: str, mu: Scalar):
+        super().__init__(msg)
+        self.mu = mu
+
+
 class Family(Enum):
     GL = "GL"
     GSP = "GSp"
@@ -78,8 +86,8 @@ class GroupDescriptor(Record):
 
     def beta_columns(self) -> tuple:
         """The nonzero entries ``(i, beta.num[i][j])`` of each column j, so
-        that beta^T x costs one product per nonzero; only the reflection
-        route reads them, so they are built on its first call."""
+        that beta^T x costs one product per nonzero; the multiplier check
+        and the reflection route read them, and they are built on first use."""
         if self._beta_columns is None:
             object.__setattr__(self, "_beta_columns", tuple(
                 tuple((i, v) for i, v in enumerate(col) if v) for col in zip(*self.beta.num)))
@@ -205,14 +213,15 @@ def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
         raise NotInGroup(f"expected a {n}x{n} matrix", position=None)
     f = d.field
     beta = d.beta
-    m = g.transpose() @ beta @ g
+    # beta's rows are sparse, so beta @ g costs O(n^2) and only the last product is dense
+    m = g.transpose() @ (beta @ g)
     # read mu off the first structurally nonzero beta entry, then verify all
-    at = next(((i, j) for i in range(n) for j in range(n) if beta[i, j] != f.zero), None)
+    at = next(((i, j) for i, row in enumerate(beta.num) for j, v in enumerate(row) if v), None)
     if at is None:
         raise InternalError(f"the Gram matrix of {d} is zero")
     mu = f.div(m[at], beta[at])
-    want = beta.scale(mu)
-    if m != want:
+    if not _is_multiple(m, d, at):
+        want = beta.scale(mu)
         at, got, expected = first_difference(m, want, d)
         raise NotInGroup(
             f"g^T beta g = mu beta fails at {at} for mu = {mu}: entry {got}, expected {expected}",
@@ -221,6 +230,22 @@ def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
     if mu == f.zero:
         raise NotInGroup("multiplier is zero (singular matrix)", position=None)
     return mu
+
+
+def _is_multiple(m: Matrix, d: GroupDescriptor, at: tuple) -> bool:
+    """Whether m = mu beta for mu = m[at] / beta[at], on the stored integers:
+    column by column, m is zero off beta's nonzeros, and on them m_ij b_at =
+    m_at b_ij (mod p), the denominators cancelling."""
+    p, n = d.field.p, d.n
+    m_at, b_at = m.num[at[0]][at[1]], d.beta.num[at[0]][at[1]]
+    for col, nz in zip(zip(*m.num), d.beta_columns()):
+        if col.count(0) - sum(not col[i] for i, _ in nz) != n - len(nz):
+            return False
+        for i, b in nz:
+            v = col[i] * b_at - m_at * b
+            if v if p is None else v % p:
+                return False
+    return True
 
 
 def first_difference(a: Matrix, b: Matrix, d: GroupDescriptor) -> tuple:

@@ -11,10 +11,14 @@
   mirrors.  The descent runs on integer vectors over the den of an rref
   basis, each candidate with one mirror record (its anisotropy test and its
   norm), and its lookahead decides the Eichler case, a totally isotropic
-  moved space, by the closed form beta h + (beta h)^T = 2 beta.
+  moved space, by the closed form beta h + (beta h)^T = 2 beta.  Both the
+  basis and the lookahead read the stored integers of h, building no
+  matrix for I - h or beta h.
 
-All three agreeing on exhaustively enumerated groups is the acceptance
-anchor for the whole tower.
+Each route checks the form equation once.  Over Q the classes are held
+unfactored (:class:`~steinberg.field.SquareClass`), so no route factors an
+integer; only printing a class does.  All three agreeing on exhaustively
+enumerated groups is the acceptance anchor for the whole tower.
 """
 
 from __future__ import annotations
@@ -22,8 +26,16 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .eliminate import decompose
-from .field import Field, SquareClass, square_class
-from .forms import Family, GroupDescriptor, InternalError, NotInGroup, NotOrthogonalFamily, multiplier
+from .field import Field, Scalar, SquareClass, square_class
+from .forms import (
+    Family,
+    GroupDescriptor,
+    InternalError,
+    MultiplierNotOne,
+    NotInGroup,
+    NotOrthogonalFamily,
+    multiplier,
+)
 from .generators import GeneratorToken
 from .matrix import Matrix, _over_lcm
 
@@ -32,12 +44,20 @@ def _unit_class(field: Field) -> SquareClass:
     return SquareClass(1, field.is_prime)
 
 
-def _check_orthogonal_isometry(g: Matrix, d: GroupDescriptor) -> None:
+def _check_orthogonal(d: GroupDescriptor) -> None:
     if not d.family.is_orthogonal:
         raise NotOrthogonalFamily(f"spinor norm undefined for {d.family.value}")
+
+
+def _not_an_isometry(mu: Scalar) -> NotInGroup:
+    return NotInGroup(f"multiplier {mu} != 1: not in the isometry group")
+
+
+def _check_orthogonal_isometry(g: Matrix, d: GroupDescriptor) -> None:
+    _check_orthogonal(d)
     mu = multiplier(g, d)
     if mu != d.field.one:
-        raise NotInGroup(f"multiplier {mu} != 1: not in the isometry group")
+        raise _not_an_isometry(mu)
 
 
 def token_spinor_class(tok: GeneratorToken, d: GroupDescriptor) -> SquareClass:
@@ -76,9 +96,16 @@ def spinor_norm(g: Matrix, d: GroupDescriptor) -> SquareClass:
 
 
 def spinor_decomposition(g: Matrix, d: GroupDescriptor) -> tuple:
-    """(spinor norm, the decomposition it was read from)."""
-    _check_orthogonal_isometry(g, d)
-    dec = decompose(g, d)
+    """(spinor norm, the decomposition it was read from).  The form is
+    checked once, by the elimination; a multiplier other than 1 is refused
+    with this module's message."""
+    _check_orthogonal(d)
+    try:
+        dec = decompose(g, d)
+    except MultiplierNotOne as e:
+        raise _not_an_isometry(e.mu) from None
+    if dec.mu != d.field.one:
+        raise _not_an_isometry(dec.mu)
     acc = token_spinor_class(dec.torus_token(), d)
     for tok in dec.left.tokens + dec.right.tokens:
         acc = acc * token_spinor_class(tok, d)
@@ -109,7 +136,7 @@ def wall_gram(g: Matrix, d: GroupDescriptor) -> tuple:
     = beta((I-g)e_i, e_j) is the (i, j) entry of (I-g)^T beta.
     """
     _check_orthogonal_isometry(g, d)
-    tilde = Matrix.identity(d.field, d.n) - g
+    tilde = _identity_minus(g)
     piv = tilde.pivot_columns()
     return [tilde.col(j) for j in piv], (tilde.transpose() @ d.beta).submatrix(piv, piv)
 
@@ -159,18 +186,41 @@ def _reflected(m: tuple, h: Matrix) -> Matrix:
     ], a * h.den)
 
 
+def _identity_minus(h: Matrix) -> Matrix:
+    """I - h built in its stored form, (den I - num) / den: reduced mod p
+    over F_p, and over Q already in lowest terms, since gcd(den, den I -
+    num) = gcd(den, num) = 1."""
+    p, den = h.field.p, h.den
+    rows = [[(den if i == j else 0) - v for j, v in enumerate(row)] for i, row in enumerate(h.num)]
+    if p is not None:
+        rows = [[v % p for v in r] for r in rows]
+    return Matrix._canonical(h.field, rows, den)
+
+
 def _moved_space_basis(h: Matrix) -> tuple:
     """(integer rows, den) of a deterministic basis of (I-h)V: the nonzero
     rows of the rref of (I-h)^T."""
-    rr = (Matrix.identity(h.field, h.rows) - h).transpose().rref()
+    rr = _identity_minus(h).transpose().rref()
     return [r for r in rr.num if any(r)], rr.den
 
 
 def _totally_isotropic(h: Matrix, d: GroupDescriptor) -> bool:
     """Whether (I-h)V is totally isotropic for an isometry h: (I-h)^T beta
-    (I-h) = 2 beta - beta h - (beta h)^T (Scherk, Canad. J. Math. 2, 1950)."""
-    bh = d.beta @ h
-    return bh + bh.transpose() == d.beta.scale(2)
+    (I-h) = 2 beta - beta h - (beta h)^T (Scherk, Canad. J. Math. 2, 1950).
+
+    On the stored integers, with h = num / den and beta's integers B, the
+    test is (B num)_ij + (B num)_ji = 2 B_ij den (mod p) for j >= i, entry
+    by entry until one fails.  beta is symmetric, so its column nonzeros
+    are its row nonzeros too, and each entry costs one or two products.
+    """
+    p, num, den, beta = d.field.p, h.num, h.den, d.beta.num
+    nzs = d.beta_columns()
+    for i, nz in enumerate(nzs):
+        for j in range(i, len(num)):
+            v = sum(b * num[k][j] for k, b in nz) + sum(b * num[k][i] for k, b in nzs[j]) - 2 * beta[i][j] * den
+            if v if p is None else v % p:
+                return False
+    return True
 
 
 def _some_anisotropic(d: GroupDescriptor) -> list:
@@ -242,8 +292,9 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
         seen.add(h)
         mirrors.append(m)
     acc = _unit_class(f)
-    for _, den, _, _, _, nv in mirrors:
-        acc = acc * square_class(f, f.div(f.of(nv), f.of(2 * den * den)))
+    for *_, nv in mirrors:
+        # beta(v, v) / 2 = N / (2 den^2) = 2 N / (2 den)^2, in the class of 2 N
+        acc = acc * square_class(f, f.of(2 * nv))
     vectors = [Matrix._normal(f, [x], den).row(0) for x, den, *_ in mirrors]
     if Matrix._chain(ident, (reflection_matrix(v, d) for v in vectors)) != g:
         raise InternalError("mirror product does not reproduce the element")
@@ -251,8 +302,7 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
 
 
 def in_commutator_subgroup(g: Matrix, d: GroupDescriptor) -> bool:
-    """Membership in the commutator subgroup: det 1 and square spinor norm."""
-    _check_orthogonal_isometry(g, d)
-    if g.det() != d.field.one:
-        return False
-    return spinor_norm(g, d).is_square
+    """Membership in the commutator subgroup: det 1 and square spinor norm.
+    The elimination that gives the norm is also the one form check."""
+    theta = spinor_norm(g, d)
+    return g.det() == d.field.one and theta.is_square

@@ -223,3 +223,57 @@ def test_square_scaling_invariance(a, c):
     if a == 0:
         return
     assert square_class(QQ, a * c * c) == square_class(QQ, Fraction(a))
+
+
+# rational classes held unfactored: equality, is_square and hash against the
+# squarefree part, which only printing computes
+CORES = st.sampled_from([1, -1, 2, -2, 3, 6, -15, 30, 1009, -2 * 1009, 65537 * 3])
+FACTORS = st.integers(min_value=1, max_value=10**6)
+
+
+@given(CORES, FACTORS, FACTORS, CORES, FACTORS, FACTORS)
+def test_rational_classes_are_equal_exactly_when_their_squarefree_parts_are(s, x, y, t, u, v):
+    a, b = Fraction(s * x * x, y * y), Fraction(t * u * u * x, v)
+    ca, cb = square_class(QQ, a), square_class(QQ, b)
+    same = _squarefree(a.numerator * a.denominator) == _squarefree(b.numerator * b.denominator)
+    assert (ca == cb) is same and (ca != cb) is not same
+    assert ca.is_square is (_squarefree(a.numerator * a.denominator) == 1)
+    assert cb.is_square is (cb == SquareClass(1, False))
+    if same:
+        assert hash(ca) == hash(cb)
+    assert ca.rep == _squarefree(a.numerator * a.denominator) and str(ca) == str(ca.rep)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    # imported once, outside the timed examples; a second oracle, in tests only
+    return pytest.importorskip("sympy")
+
+
+def sympy_squarefree(sympy, n):
+    """Signed squarefree part from sympy's factorisation."""
+    return (-1 if n < 0 else 1) * math.prod(q for q, e in sympy.factorint(abs(n)).items() if e % 2)
+
+
+@given(CORES, FACTORS, st.integers(min_value=-10**12, max_value=10**12), st.integers(min_value=1, max_value=10**6))
+def test_rational_classes_agree_with_sympy(sympy, s, x, a, b):
+    if a == 0:
+        return
+    ca, cb = square_class(QQ, Fraction(a, b)), square_class(QQ, Fraction(s * x * x))
+    sf = sympy_squarefree(sympy, a * b)
+    assert ca.rep == sf
+    assert (ca == cb) is (sf == s)
+    assert (ca * cb).rep == sympy_squarefree(sympy, a * b * s)
+
+
+def test_rational_classes_keep_any_integer_of_the_class():
+    c = square_class(QQ, Fraction(-4 * 7**3, 9))
+    assert c.n == -4 * 7**3 * 9 and c == SquareClass(-7, False) and hash(c) == hash(SquareClass(-7, False))
+    assert repr(c) == "SquareClass(rep=-7, prime=False)" and str(c) == "-7"
+    assert c != SquareClass(7, False) and c != SquareClass(-1, True)
+    assert (c * c).is_square and not c.is_square
+    q = 2**89 - 1  # a probable prime that Miller-Rabin cannot certify
+    big = square_class(QQ, q * 3)
+    assert big == SquareClass(3 * q * 25, False) and (big * big).is_square and big != square_class(QQ, 3)
+    with pytest.raises(CannotFactor, match=f": {q} is only a probable prime"):
+        str(big)

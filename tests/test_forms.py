@@ -144,3 +144,53 @@ def test_out_of_range_index_is_a_value_error():
             d.pos(i)
     assert build_descriptor(Family.GSP, 2, F5).pos(-2) == 3
     assert build_descriptor(Family.GO_ODD, 2, F5).pos(0) == 0
+
+
+def oracle_multiplier(g: Matrix, d) -> object:
+    """The dense form of the check: build mu beta and compare matrices."""
+    from steinberg.forms import first_difference
+
+    n, f, beta = d.n, d.field, d.beta
+    if g.rows != n or g.cols != n:
+        raise NotInGroup(f"expected a {n}x{n} matrix", position=None)
+    m = g.transpose() @ beta @ g
+    at = next((i, j) for i in range(n) for j in range(n) if beta[i, j] != f.zero)
+    mu = f.div(m[at], beta[at])
+    want = beta.scale(mu)
+    if m != want:
+        at, got, expected = first_difference(m, want, d)
+        raise NotInGroup(f"g^T beta g = mu beta fails at {at} for mu = {mu}: entry {got}, expected {expected}",
+                         position=at)
+    if mu == f.zero:
+        raise NotInGroup("multiplier is zero (singular matrix)", position=None)
+    return mu
+
+
+def outcome(fn, g, d):
+    try:
+        return fn(g, d)
+    except NotInGroup as e:
+        return (str(e), e.position)
+
+
+@pytest.mark.parametrize("field", [F3, Field(7), Field(1000000007), QQ], ids=str)
+def test_multiplier_agrees_with_the_dense_oracle(field):
+    import random
+
+    rng = random.Random(3)
+    families = [Family.GSP, Family.GO_EVEN, Family.GO_ODD] + ([Family.GO_MINUS] if field.is_prime else [])
+    rejected = 0
+    for family in families:
+        for l in (1, 2, 4, 8):
+            d = build_descriptor(family, l, field, similitude=True)
+            for seed in range(3):
+                g = random_member(d, seed, word_len=4 * l + 4, with_torus=True)
+                # the member, a perturbed entry, a scalar multiple and the zero matrix
+                rows = g.to_lists()
+                i, j = rng.randrange(d.n), rng.randrange(d.n)
+                rows[i][j] = field.add(rows[i][j], field.of(rng.choice([1, -1, 2])))
+                for h in (g, Matrix(field, rows), g.scale(3), Matrix.zeros(field, d.n, d.n)):
+                    got = outcome(multiplier, h, d)
+                    assert got == outcome(oracle_multiplier, h, d)
+                    rejected += type(got) is tuple
+    assert rejected

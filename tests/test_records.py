@@ -34,6 +34,9 @@ CASES = {
     "Field-Q": (lambda: Field(), lambda: Field(7), "Field(p=None)", "Q"),
     "SquareClass": (lambda: SquareClass(-3, False), lambda: SquareClass(-3, True),
                     "SquareClass(rep=-3, prime=False)", "-3"),
+    # a rational class holds any integer of the class and prints its squarefree part
+    "SquareClass-unreduced": (lambda: SquareClass(-12, False), lambda: SquareClass(-12, True),
+                              "SquareClass(rep=-3, prime=False)", "-3"),
     "SquareClass-Fp": (lambda: SquareClass(-1, True), lambda: SquareClass(1, True),
                        "SquareClass(rep=-1, prime=True)", "nonsquare"),
     "GroupDescriptor": (lambda: build_descriptor(Family.GSP, 1, Field(7)),

@@ -225,12 +225,15 @@ def test_three_routes_agree_over_a_large_prime(family):
 
 
 def test_every_route_reports_an_uncertified_squarefree_part():
-    # lambda = 2^89 - 1 is a probable prime beyond what Miller-Rabin certifies
+    # lambda = 2^89 - 1 is a probable prime beyond what Miller-Rabin certifies:
+    # the routes compare its class without factoring, and only printing it fails
     d = build_descriptor(Family.GO_EVEN, 1, QQ)
     g = token_matrix(torus(2**89 - 1, 1), d)
-    for route in (spinor_norm, wall_spinor_norm, reflection_factorization):
+    a, b, (_, c) = spinor_norm(g, d), wall_spinor_norm(g, d), reflection_factorization(g, d)
+    assert a == b == c and not a.is_square
+    for cls in (a, b, c):
         with pytest.raises(CannotFactor, match=f": {2**89 - 1} is only a probable prime"):
-            route(g, d)
+            str(cls)
 
 
 @pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
@@ -402,3 +405,129 @@ def test_rejects_wrong_family_and_similitudes():
     g = Matrix.diagonal(F5, [2, 1])  # multiplier 2
     with pytest.raises(NotInGroup):
         spinor_norm(g, d)
+
+
+def test_every_route_refuses_a_similitude_with_its_own_message():
+    for similitude in (False, True):
+        d = build_descriptor(Family.GO_EVEN, 1, F5, similitude=similitude)
+        g = Matrix.diagonal(F5, [2, 1])  # multiplier 2
+        for route in (spinor_norm, wall_spinor_norm, reflection_factorization, in_commutator_subgroup):
+            with pytest.raises(NotInGroup) as err:
+                route(g, d)
+            assert str(err.value) == "multiplier 2 != 1: not in the isometry group"
+            assert err.value.position is None
+
+
+def test_spinor_norm_and_commutator_test_check_the_form_once(monkeypatch):
+    import steinberg.eliminate as eliminate
+    import steinberg.forms as forms
+    import steinberg.spinor as spinor
+
+    calls = []
+
+    def counting(g, d):
+        calls.append(1)
+        return forms.multiplier(g, d)
+
+    monkeypatch.setattr(eliminate, "multiplier", counting)
+    monkeypatch.setattr(spinor, "multiplier", counting)
+    for family in ORTH:
+        d = build_descriptor(family, 2, F5)
+        for seed in range(4):
+            g = random_member(d, seed, word_len=8, with_torus=True)
+            for route in (spinor_norm, in_commutator_subgroup):
+                calls.clear()
+                route(g, d)
+                assert len(calls) == 1
+
+
+# GO+ over Q: at l = 8 the mirror norms reach ~360 bits, and factoring them
+# raised CannotFactor (seed 7000) or ran for seconds in rho (7001); the
+# l = 4 input spent 2 s in rho
+@pytest.mark.parametrize("l, seed, kwargs", [
+    (8, 7000, {"word_len": 36}),
+    (8, 7001, {"word_len": 36}),
+    (4, 57001, {"word_len": 20, "with_torus": True}),
+])
+def test_three_routes_agree_on_rational_inputs_that_failed(l, seed, kwargs):
+    d = build_descriptor(Family.GO_EVEN, l, QQ)
+    g = random_member(d, seed, **kwargs)
+    classes = []
+    for route in (spinor_norm, wall_spinor_norm, lambda g, d: reflection_factorization(g, d)[1]):
+        start = time.perf_counter()
+        cls = route(g, d)
+        text = str(cls)
+        assert time.perf_counter() - start < 1.0
+        classes.append((cls, text))
+    (a, sa), (b, sb), (c, sc) = classes
+    assert a == b == c and sa == sb == sc
+
+
+def test_no_library_path_factors_a_rational_class(monkeypatch):
+    import steinberg.field as field
+
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(field, "_squarefree", refuse)
+    for family in ORTH[:2]:
+        for l in (1, 2, 4):
+            d = build_descriptor(family, l, QQ)
+            for seed in range(3):
+                g = random_member(d, seed, word_len=4 * l + 4, with_torus=True)
+                h = random_member(d, seed + 40, word_len=4 * l + 4, with_torus=True)
+                a, b, (_, c) = spinor_norm(g, d), wall_spinor_norm(g, d), reflection_factorization(g, d)
+                assert a == b == c
+                assert a * spinor_norm(h, d) == spinor_norm(g @ h, d)
+                assert (a * a).is_square and a.is_square is (a == square(QQ))
+                assert in_commutator_subgroup(g, d) is (g.det() == 1 and a.is_square)
+
+
+# the Matrix-algebra forms the integer descent replaced, kept as oracles
+def oracle_moved_space_basis(h: Matrix) -> tuple:
+    rr = (Matrix.identity(h.field, h.rows) - h).transpose().rref()
+    return [r for r in rr.num if any(r)], rr.den
+
+
+def oracle_totally_isotropic(h: Matrix, d) -> bool:
+    bh = d.beta @ h
+    return bh + bh.transpose() == d.beta.scale(2)
+
+
+@pytest.mark.parametrize("field", [F3, Field(7), Field(1000000007), QQ], ids=str)
+def test_integer_descent_agrees_with_the_matrix_oracles(field, monkeypatch):
+    import steinberg.spinor as spinor
+
+    basis, isotropic = spinor._moved_space_basis, spinor._totally_isotropic
+    seen = {"basis": 0, "isotropic": 0, "eichler": 0}
+
+    def checked_basis(h):
+        seen["basis"] += 1
+        out = basis(h)
+        assert out == oracle_moved_space_basis(h)
+        return out
+
+    def checked_isotropic(h, d):
+        seen["isotropic"] += 1
+        out = isotropic(h, d)
+        assert out is oracle_totally_isotropic(h, d)
+        seen["eichler"] += out
+        return out
+
+    monkeypatch.setattr(spinor, "_moved_space_basis", checked_basis)
+    monkeypatch.setattr(spinor, "_totally_isotropic", checked_isotropic)
+    rng = random.Random(11)
+    for family in ORTH if field.is_prime else ORTH[:2]:
+        for l in (1, 2, 4, 8):
+            d = build_descriptor(family, l, field)
+            for seed in range(2):
+                g = random_member(d, seed, word_len=4 * l + 4, with_torus=True)
+                mirrors, _ = reflection_factorization(g, d)
+                assert len(mirrors) <= d.n + 2
+            # single tokens: the root elements x[i,j](t) move a totally
+            # isotropic space, which the descent itself rarely meets
+            for _ in range(6):
+                h = token_matrix(random_token(d, rng), d)
+                checked_basis(h)
+                checked_isotropic(h, d)
+    assert seen["basis"] and seen["isotropic"] and seen["eichler"]
