@@ -8,6 +8,12 @@ the swap ``omega_m`` pulls the result into P.  The witness words certify
 the label: left * g * right lands in omega_m * P.  Both steps are the
 elimination's own ``WorkingMatrix.diagonalize`` (on the rows -i and columns
 i of C) and ``clear_pairs`` (the A rows against the C pivots).
+
+The form is checked once, on g; the reduced matrix is an isometry by
+construction.  omega_m is a signed permutation, built once per descriptor
+and m, so the closing check reads P's zero block straight off the working
+matrix's integers, on the rows omega_m moves onto it, without inverting
+omega_m or forming a product.  ``verify_label`` stays the dense recheck.
 """
 
 from __future__ import annotations
@@ -31,22 +37,43 @@ def _check(g: Matrix, d: GroupDescriptor) -> None:
         raise NotInGroup(f"multiplier {mu} != 1: parabolic cosets live in the isometry group")
 
 
+def _zero_block(d: GroupDescriptor) -> tuple:
+    """(rows, columns), as storage positions, of the block that vanishes on
+    P: the rows -i (and 0 in odd rank) over the columns i."""
+    idxs = d.block_indices()
+    rows = [d.pos(-i) for i in idxs] + ([d.pos(0)] if d.family is Family.GO_ODD else [])
+    return rows, [d.pos(j) for j in idxs]
+
+
 def is_in_parabolic(g: Matrix, d: GroupDescriptor) -> bool:
     """True iff g stabilises the standard maximal isotropic subspace."""
     _check(g, d)
-    f = d.field
-    for j in d.block_indices():
-        for i in d.block_indices():
-            if g[d.pos(-i), d.pos(j)] != f.zero:
-                return False
-        if d.family is Family.GO_ODD and g[d.pos(0), d.pos(j)] != f.zero:
-            return False
-    return True
+    rows, cols = _zero_block(d)
+    return not any(g.num[r][c] for r in rows for c in cols)
 
 
 def omega_matrix(d: GroupDescriptor, m: int) -> Matrix:
     """The coset representative: the product of the first m swaps."""
     return evaluate_word(Word(d, ()), *(derived_w(i, d) for i in range(1, m + 1)))
+
+
+def _omega(d: GroupDescriptor, m: int) -> tuple:
+    """(omega_m, rows, columns) with b in omega_m * P exactly when b is
+    zero on those rows and columns, kept in the descriptor's memo.
+
+    omega_m is monomial: its column r has one nonzero, in row a(r), so row
+    r of omega_m^-1 b is a nonzero multiple of row a(r) of b, and P's zero
+    block on rows r reads off b on the rows a(r).
+    """
+    memo = d._omegas
+    if m not in memo:
+        omega = omega_matrix(d, m)
+        at = [[a for a, v in enumerate(col) if v] for col in zip(*omega.num)]
+        if any(len(a) != 1 for a in at) or len({a for a, in at}) != d.n:
+            raise InternalError(f"reduced matrix is not in omega_{m} * P")
+        rows, cols = _zero_block(d)
+        memo[m] = (omega, [at[r][0] for r in rows], cols)
+    return memo[m]
 
 
 class CosetLabel(Record):
@@ -89,7 +116,8 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
     right-multiplying adds a multiple of column i into column j.  That is
     enough to bring C to a diagonal with its m pivots leading, after which
     the form equation lets x[i,-j](t) (and x[i,-i](t) for GSp) kill the
-    first m rows of A, and omega_m^-1 times the result lies in P.
+    first m rows of A, and omega_m^-1 times the result lies in P: checked
+    on the working matrix's integers through :func:`_omega`.
     """
     _check(g, d)
     b = _Witness(g, d)
@@ -105,8 +133,8 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
     b.clear_pairs(pivots, 1, 1)
     # one token per pair: the form kills the partner and the rest of the rows
     b.require_zero(((i, j) for i in pivots for j in idxs), "A rows over the pivots")
-    omega = omega_matrix(d, m)
-    if not is_in_parabolic(omega.inverse() @ b.matrix(), d):
+    omega, rows, cols = _omega(d, m)
+    if any(b.num[r][c] for r in rows for c in cols):
         raise InternalError(f"reduced matrix is not in omega_{m} * P")
     return CosetLabel(
         m=m,

@@ -1,8 +1,8 @@
 """The spinor norm, three independent ways.
 
 * ``spinor_norm``: run the elimination, multiply the square classes of the
-  diagonal's lambda, the twisted terminal block and every token in the two
-  words (almost all of which are trivial).
+  diagonal's lambda, the twisted terminal block and the x1 and x2 tokens
+  of the two words (every x and w token is trivial).
 * ``wall_spinor_norm``: the discriminant of the Wall form [u,v] = beta(u,y)
   with (I-g)y = v on the moved space (I-g)V, read off (I-g)^T beta on the
   pivot columns of I-g: no linear solve (Zassenhaus, Arch. Math. 13, 1962).
@@ -13,7 +13,8 @@
   norm), and its lookahead decides the Eichler case, a totally isotropic
   moved space, by the closed form beta h + (beta h)^T = 2 beta.  Both the
   basis and the lookahead read the stored integers of h, building no
-  matrix for I - h or beta h.
+  matrix for I - h or beta h.  The closing check rebuilds g from the
+  mirror records by rank-1 updates, with no dense reflection matrix.
 
 Each route checks the form equation once.  Over Q the classes are held
 unfactored (:class:`~steinberg.field.SquareClass`), so no route factors an
@@ -24,6 +25,7 @@ enumerated groups is the acceptance anchor for the whole tower.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import mul
 
 from .eliminate import decompose
 from .field import Field, Scalar, SquareClass, square_class
@@ -63,9 +65,11 @@ def _check_orthogonal_isometry(g: Matrix, d: GroupDescriptor) -> None:
 def token_spinor_class(tok: GeneratorToken, d: GroupDescriptor) -> SquareClass:
     """Square class of one token (isometry tokens only).
 
-    Unipotents and the swap involutions are trivial; the twisted plane
-    reflections are class(1-t) resp. class(eps/2); a torus contributes
-    class(lambda) (its alpha = +-1 slot is a norm-trivial reflection).
+    x tokens (unipotents) and w[i] (the reflection in e_i + e_-i, whose
+    beta(v, v) / 2 is 1) are trivial, so :func:`spinor_decomposition`
+    skips them; the twisted plane reflections are class(1-t) resp.
+    class(eps/2); a torus contributes class(lambda) (its alpha = +-1 slot
+    is a norm-trivial reflection).
     """
     f = d.field
     if tok.kind in ("x", "w"):
@@ -96,9 +100,11 @@ def spinor_norm(g: Matrix, d: GroupDescriptor) -> SquareClass:
 
 
 def spinor_decomposition(g: Matrix, d: GroupDescriptor) -> tuple:
-    """(spinor norm, the decomposition it was read from).  The form is
-    checked once, by the elimination; a multiplier other than 1 is refused
-    with this module's message."""
+    """(spinor norm, the decomposition it was read from): the product of
+    the classes of the torus and of the x1 and x2 tokens, the only tokens
+    whose class can be nontrivial.  The form is checked once, by the
+    elimination; a multiplier other than 1 is refused with this module's
+    message."""
     _check_orthogonal(d)
     try:
         dec = decompose(g, d)
@@ -108,7 +114,8 @@ def spinor_decomposition(g: Matrix, d: GroupDescriptor) -> tuple:
         raise _not_an_isometry(dec.mu)
     acc = token_spinor_class(dec.torus_token(), d)
     for tok in dec.left.tokens + dec.right.tokens:
-        acc = acc * token_spinor_class(tok, d)
+        if tok.kind in ("x1", "x2"):  # x and w tokens are trivial
+            acc = acc * token_spinor_class(tok, d)
     return acc, dec
 
 
@@ -118,9 +125,9 @@ def spinor_decomposition(g: Matrix, d: GroupDescriptor) -> tuple:
 
 def wall_spinor_norm(g: Matrix, d: GroupDescriptor) -> SquareClass:
     """disc of the Wall form on the moved space; the identity maps to 1."""
-    basis, gram = wall_gram(g, d)
+    _, piv, gram = _wall(g, d)
     f = d.field
-    if not basis:
+    if not piv:
         return _unit_class(f)
     det = gram.det()
     if det == f.zero:
@@ -135,10 +142,21 @@ def wall_gram(g: Matrix, d: GroupDescriptor) -> tuple:
     (I-g)V whose preimages are the e_j themselves, so [(I-g)e_i, (I-g)e_j]
     = beta((I-g)e_i, e_j) is the (i, j) entry of (I-g)^T beta.
     """
+    tilde, piv, gram = _wall(g, d)
+    return [tilde.col(j) for j in piv], gram
+
+
+def _wall(g: Matrix, d: GroupDescriptor) -> tuple:
+    """(I-g, its pivot columns P, the Wall gram matrix on P); the discriminant
+    needs only the last two, so no scalar basis is built here.  Entry
+    (a, b) of (I-g)^T beta is column a of I-g against the nonzeros of
+    beta's column b, so only the |P|^2 entries on P are formed."""
     _check_orthogonal_isometry(g, d)
     tilde = _identity_minus(g)
     piv = tilde.pivot_columns()
-    return [tilde.col(j) for j in piv], (tilde.transpose() @ d.beta).submatrix(piv, piv)
+    num, nzs = tilde.num, d.beta_columns()
+    gram = [[sum(num[k][a] * v for k, v in nzs[b]) for b in piv] for a in piv]
+    return tilde, piv, Matrix._normal(d.field, gram, tilde.den * d.beta.den)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +198,7 @@ def _reflected(m: tuple, h: Matrix) -> Matrix:
     """The reflection of the mirror record m times h, as the rank-1 update
     h - c x (y^T h) / a."""
     x, _, y, a, c, _ = m
-    z = [sum(yi * hij for yi, hij in zip(y, col)) for col in zip(*h.num)]
+    z = [sum(map(mul, y, col)) for col in zip(*h.num)]
     return Matrix._normal(h.field, [
         [a * hij - c * xi * zj for hij, zj in zip(row, z)] for xi, row in zip(x, h.num)
     ], a * h.den)
@@ -264,7 +282,9 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
     totally isotropic (the Eichler case, worth two extra mirrors) an
     auxiliary reflection breaks the degeneracy; a one-step lookahead, the
     closed-form test :func:`_totally_isotropic`, keeps the next choice from
-    simply undoing it.  The product equality is checked.
+    simply undoing it.  The product equality is checked by rebuilding g
+    from the mirror records, one rank-1 update each; the tests compare that
+    with the dense :func:`reflection_matrix` chain.
     """
     _check_orthogonal_isometry(g, d)
     f = d.field
@@ -295,10 +315,13 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
     for *_, nv in mirrors:
         # beta(v, v) / 2 = N / (2 den^2) = 2 N / (2 den)^2, in the class of 2 N
         acc = acc * square_class(f, f.of(2 * nv))
-    vectors = [Matrix._normal(f, [x], den).row(0) for x, den, *_ in mirrors]
-    if Matrix._chain(ident, (reflection_matrix(v, d) for v in vectors)) != g:
+    # g = rho_1 ... rho_k: rebuilt from I by rank-1 updates, last mirror first
+    h = ident
+    for m in reversed(mirrors):
+        h = _reflected(m, h)
+    if h != g:
         raise InternalError("mirror product does not reproduce the element")
-    return vectors, acc
+    return [Matrix._normal(f, [x], den).row(0) for x, den, *_ in mirrors], acc
 
 
 def in_commutator_subgroup(g: Matrix, d: GroupDescriptor) -> bool:

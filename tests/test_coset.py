@@ -12,7 +12,7 @@ from steinberg.coset import (
     omega_matrix,
     verify_label,
 )
-from steinberg.generators import legal_x_index_pairs, token_matrix, w, x, x_pattern
+from steinberg.generators import evaluate_word, legal_x_index_pairs, token_matrix, w, x, x_pattern
 from steinberg.harness import enumerate_group, random_member
 from steinberg.matrix import Matrix
 from steinberg.rowops import RIGHT
@@ -97,19 +97,63 @@ def test_sp23_exhaustive_partition(sp_2_3):
     assert len(en.elements) == 24
     census = coset_census(d, en)
     assert census == {0: 6, 1: 18}  # |P| = 6 upper-triangulars of SL(2,3)
+    assert_census_closed_form(d.family, census, len(en.elements), 3)
 
 
 def test_o23_split_census():
     d = build_descriptor(Family.GO_EVEN, 1, F3)
     en = enumerate_group(d, method="brute", cap=10**6)
-    assert coset_census(d, en) == {0: 2, 1: 2}
+    census = coset_census(d, en)
+    assert census == {0: 2, 1: 2}
+    assert_census_closed_form(d.family, census, len(en.elements), 3)
+
+
+def test_goodd_l1_census():
+    d = build_descriptor(Family.GO_ODD, 1, F3)
+    en = enumerate_group(d, method="brute", cap=10**6)
+    census = coset_census(d, en)
+    assert census == {0: 12, 1: 36}
+    assert_census_closed_form(d.family, census, len(en.elements), 3)
 
 
 def test_o43_census(o_plus_4_3):
     d, en = o_plus_4_3
     census = coset_census(d, en)
-    assert set(census) == {0, 1, 2}
+    assert census == {0: 144, 1: 576, 2: 432}
     assert sum(census.values()) == 1152
+    assert_census_closed_form(d.family, census, len(en.elements), 3)
+
+
+def gaussian_binomial(l, m, q):
+    num = den = 1
+    for k in range(m):
+        num *= q ** (l - k) - 1
+        den *= q ** (k + 1) - 1
+    return num // den
+
+
+def assert_census_closed_form(family, census, order, q):
+    # |P omega_m P| / |G| = q^e(m) [l, m]_q / sum_k q^e(k) [l, k]_q
+    l = len(census) - 1
+    e = (lambda m: m * (m - 1) // 2) if family is Family.GO_EVEN else (lambda m: m * (m + 1) // 2)
+    total = sum(q ** e(k) * gaussian_binomial(l, k, q) for k in range(l + 1))
+    for m, count in census.items():
+        assert count * total == order * q ** e(m) * gaussian_binomial(l, m, q)
+
+
+# each takes 20-90 s; run them with  pytest -m slow tests/test_coset.py
+@pytest.mark.slow
+@pytest.mark.parametrize("family, l, p, expected", [
+    (Family.GSP, 2, 3, {0: 1296, 1: 15552, 2: 34992}),
+    (Family.GO_ODD, 2, 3, {0: 2592, 1: 31104, 2: 69984}),
+    (Family.GO_EVEN, 2, 5, {0: 2400, 1: 14400, 2: 12000}),
+])
+def test_census_closed_form_large(family, l, p, expected):
+    d = build_descriptor(family, l, Field(p))
+    en = enumerate_group(d, method="closure", cap=10**6)
+    census = coset_census(d, en)
+    assert census == expected
+    assert_census_closed_form(family, census, len(en.elements), p)
 
 
 @pytest.mark.parametrize("family,l", [(Family.GSP, 2), (Family.GO_ODD, 2)])
@@ -167,11 +211,12 @@ def member_off_the_parabolic(d):
 def test_final_parabolic_check_raises_internal_error(monkeypatch):
     import steinberg.coset as coset
 
-    d = build_descriptor(Family.GSP, 2, F5)
-    g = member_off_the_parabolic(d)
+    g = member_off_the_parabolic(build_descriptor(Family.GSP, 2, F5))
+    # omega_m is kept on the descriptor that first asked for it, so the
+    # patched call gets a fresh one
     monkeypatch.setattr(coset, "omega_matrix", lambda dd, m: Matrix.identity(dd.field, dd.n))
     with pytest.raises(InternalError, match="not in omega"):
-        coset_label(g, d)
+        coset_label(g, build_descriptor(Family.GSP, 2, F5))
 
 
 def test_clearing_checks_raise_internal_error(monkeypatch):
@@ -191,3 +236,63 @@ def test_clearing_checks_raise_internal_error(monkeypatch):
             g = random_member(d, seed, word_len=12)
             with pytest.raises(InternalError, match="^(no pivot|A rows over the pivots)"):
                 coset_label(g, d)
+
+
+@pytest.mark.parametrize("field", [F7, Field(1000000007), QQ], ids=str)
+@pytest.mark.parametrize("family", COSET_FAMILIES)
+def test_every_label_passes_the_dense_recheck(family, field):
+    # the label's own check reads the working matrix; verify_label inverts
+    # omega_m and multiplies the witnesses out densely
+    for l in range(1, 5):
+        d = build_descriptor(family, l, field)
+        for seed in range(6):
+            g = random_member(d, seed, word_len=4 * l + 4, with_torus=True)
+            label = coset_label(g, d)
+            assert label.omega == omega_matrix(d, label.m)
+            assert verify_label(g, label, d)
+
+
+@pytest.mark.parametrize("family", COSET_FAMILIES)
+def test_a_wrong_omega_raises_internal_error(family, monkeypatch):
+    import steinberg.coset as coset
+
+    wrong = 0
+    for l in (1, 2, 3):
+        d = build_descriptor(family, l, F7)
+        for seed in range(4):
+            g = random_member(d, seed, word_len=4 * l + 4)
+            label = coset_label(g, d)
+            m = label.m
+            subs = [omega_matrix(d, k) for k in (m - 1, m + 1) if 0 <= k <= l]
+            # omega_m times a token of P: the reduced matrix still lies in
+            # its coset, so only the monomial check can refuse it
+            pairs = parabolic_pairs(d)
+            if pairs:
+                bent = label.omega @ token_matrix(x(*pairs[0], 1), d)
+                reduced = evaluate_word(label.left_witness, g, label.right_witness)
+                assert is_in_parabolic(bent.inverse() @ reduced, d)
+                subs.append(bent)
+            for sub in subs:
+                monkeypatch.setattr(coset, "omega_matrix", lambda dd, k, sub=sub: sub)
+                # a fresh descriptor, so the memo holds no omega yet
+                with pytest.raises(InternalError, match="not in omega"):
+                    coset_label(g, build_descriptor(family, l, F7))
+                monkeypatch.undo()
+                wrong += 1
+    assert wrong
+
+
+def test_omega_is_built_once_per_descriptor_and_m(monkeypatch):
+    import steinberg.coset as coset
+
+    built = []
+    monkeypatch.setattr(coset, "omega_matrix", lambda dd, m: built.append((dd, m)) or omega_matrix(dd, m))
+    d, e = build_descriptor(Family.GSP, 3, F7), build_descriptor(Family.GSP, 3, F7)
+    assert d == e
+    for _ in range(2):
+        for m in range(4):
+            assert coset_label(omega_matrix(d, m), d).m == m
+    assert [m for _, m in built] == [0, 1, 2, 3] and all(dd is d for dd, _ in built)
+    # an equal descriptor built elsewhere keeps its own memo
+    assert coset_label(omega_matrix(e, 2), e).m == 2
+    assert built[-1][0] is e

@@ -194,3 +194,29 @@ def test_multiplier_agrees_with_the_dense_oracle(field):
                     assert got == outcome(oracle_multiplier, h, d)
                     rejected += type(got) is tuple
     assert rejected
+
+
+@pytest.mark.parametrize("field", [F3, Field(7), QQ], ids=str)
+def test_half_triangle_check_loses_no_witness(field):
+    # the check compares only the entries j >= i of g^T beta g; a single
+    # perturbed entry anywhere, or a mirrored pair, must still be caught
+    # with the dense oracle's text and first position
+    families = [Family.GSP, Family.GO_EVEN, Family.GO_ODD] + ([Family.GO_MINUS] if field.is_prime else [])
+    rejected = accepted = 0
+    for family in families:
+        for l in (1, 2):
+            d = build_descriptor(family, l, field, similitude=True)
+            g = random_member(d, l, word_len=4 * l + 4, with_torus=True)
+            n = d.n
+            cases = [[(i, j, 1)] for i in range(n) for j in range(n)]
+            cases += [[(i, j, 1), (j, i, s)] for i in range(n) for j in range(i + 1, n) for s in (1, -1)]
+            for case in cases:
+                rows = g.to_lists()
+                for i, j, t in case:
+                    rows[i][j] = field.add(rows[i][j], field.of(t))
+                h = Matrix(field, rows)
+                got = outcome(multiplier, h, d)
+                assert got == outcome(oracle_multiplier, h, d), (d, case)
+                rejected += type(got) is tuple
+                accepted += type(got) is not tuple
+    assert rejected and accepted

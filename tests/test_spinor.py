@@ -273,27 +273,51 @@ def test_mirror_product_check_raises_internal_error(monkeypatch):
 
     d = build_descriptor(Family.GO_ODD, 2, F5)
     g = random_member(d, 2, word_len=7)
+    reflected = spinor._reflected
     calls = []
 
-    def counting(v, dd):
-        calls.append(v)
-        return reflection_matrix(v, dd)
+    def counting(m, h):
+        calls.append(m)
+        return reflected(m, h)
 
-    monkeypatch.setattr(spinor, "reflection_matrix", counting)
+    monkeypatch.setattr(spinor, "_reflected", counting)
     mirrors, _ = reflection_factorization(g, d)
     assert mirrors
     total = len(calls)
     calls.clear()
 
-    def last_one_wrong(v, dd):
-        # the last call builds the last factor of the final mirror product
-        calls.append(v)
-        m = reflection_matrix(v, dd)
-        return -m if len(calls) == total else m
+    def last_one_wrong(m, h):
+        # the check rebuilds g from I, last mirror first, so the last update
+        # applies the first mirror: the last factor of the rebuilt product
+        calls.append(m)
+        out = reflected(m, h)
+        return -out if len(calls) == total else out
 
-    monkeypatch.setattr(spinor, "reflection_matrix", last_one_wrong)
+    monkeypatch.setattr(spinor, "_reflected", last_one_wrong)
     with pytest.raises(InternalError, match="mirror product"):
         reflection_factorization(g, d)
+    assert len(calls) == total
+
+
+@pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
+def test_rank_one_mirror_product_equals_the_dense_chain(field):
+    # the closing check's rank-1 rebuild against the dense product of the
+    # returned mirrors' reflection matrices, both equal to g
+    from steinberg.matrix import _over_lcm
+    from steinberg.spinor import _mirror, _reflected
+
+    for family in ORTH if field.is_prime else ORTH[:2]:
+        for l in (1, 2, 3, 4):
+            d = build_descriptor(family, l, field)
+            for seed in range(3):
+                g = random_member(d, seed, word_len=4 * l + 4, with_torus=True)
+                vectors, _ = reflection_factorization(g, d)
+                dense = h = Matrix.identity(field, d.n)
+                for v in vectors:
+                    dense = dense @ reflection_matrix(v, d)
+                for v in reversed(vectors):
+                    h = _reflected(_mirror(_over_lcm([v])[0][0], 1, d), h)
+                assert h == dense == g
 
 
 def test_factorization_length_bound():
