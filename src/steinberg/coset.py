@@ -23,7 +23,7 @@ from collections import Counter
 from . import rowops
 from .field import Record
 from .forms import Family, GroupDescriptor, InternalError, NotInGroup, UnsupportedFamily, multiplier
-from .generators import GeneratorToken, Word, derived_w, evaluate_word, x, x_pattern
+from .generators import GeneratorToken, Word, derived_w, evaluate_word, x, x_code
 from .matrix import Matrix
 
 _COSET_FAMILIES = (Family.GSP, Family.GO_EVEN, Family.GO_ODD)
@@ -87,7 +87,10 @@ _P_LEGAL_PATTERNS = {"pp", "pn", "pnm", "i0"}
 
 
 def _assert_parabolic_token(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
-    if tok.kind != "x" or x_pattern(tok.i, tok.j, d) not in _P_LEGAL_PATTERNS:
+    """The token, if it is an x-token of P; the pattern is read from the
+    pair's compiled code, which applying the token and validating the
+    witness word look up too, so each pair is classified once."""
+    if tok.kind != "x" or (d._xcodes.get((tok.i, tok.j)) or x_code(tok.i, tok.j, d))[0] not in _P_LEGAL_PATTERNS:
         raise InternalError(f"witness token {tok} does not lie in P")
     return tok
 

@@ -110,13 +110,14 @@ class _Bench(rowops.WorkingMatrix):
         self.ops = 0
         self.observer = observer
 
+    # rowops.apply is called through the module, where a tracer may wrap it
     def lmul(self, tok: GeneratorToken) -> None:
-        super().lmul(tok)
+        rowops.apply(self, tok, rowops.LEFT)
         self.left.append(token_inverse_in(tok, self.d))
         self.ops += 1
 
     def rmul(self, tok: GeneratorToken) -> None:
-        super().rmul(tok)
+        rowops.apply(self, tok, rowops.RIGHT)
         self.right.append(token_inverse_in(tok, self.d))
         self.ops += 1
 

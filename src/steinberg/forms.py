@@ -70,15 +70,25 @@ class Family(Enum):
         return self in (Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
 
 
+# The compiled x-token actions of :mod:`steinberg.generators`, one table per
+# group shape: they read the family, l, n and epsilon, never the field, so
+# the same shape over F_7, over F_1000000007 and in every descriptor that
+# decompose_gl builds per call fills one table.
+_X_CODES: dict = {}
+
+
 class GroupDescriptor(Record):
     """A family at rank l over a field with its Gram matrix ``beta``; the
     table behind :meth:`pos` is built with it.  ``_omegas`` holds the coset
     representatives of :mod:`steinberg.coset` by m, filled on first use:
     they depend on the descriptor alone, and a memo on the object is not
-    shared by equal descriptors built elsewhere."""
+    shared by equal descriptors built elsewhere.  ``_xcodes`` maps each
+    legal x-token index pair (i, j) to its compiled action
+    (:func:`steinberg.generators.x_code`), filled on first use and shared
+    by every descriptor of the same (family, l, n, epsilon)."""
 
     _fields = ("family", "l", "field", "similitude", "beta", "n", "epsilon")
-    __slots__ = _fields + ("_positions", "_beta_columns", "_omegas")
+    __slots__ = _fields + ("_positions", "_beta_columns", "_omegas", "_xcodes")
 
     def __init__(self, family: Family, l: int, field: Field, similitude: bool, beta: Matrix, n: int,
                  epsilon: Scalar | None = None):
@@ -86,6 +96,7 @@ class GroupDescriptor(Record):
         object.__setattr__(self, "_positions", {i: k for k, i in enumerate(self.basis_indices())})
         object.__setattr__(self, "_beta_columns", None)
         object.__setattr__(self, "_omegas", {})
+        object.__setattr__(self, "_xcodes", _X_CODES.setdefault((family, l, n, epsilon), {}))
 
     def pos(self, i: int) -> int:
         """Storage position of signed basis index i (0 only for GOodd)."""

@@ -16,11 +16,16 @@ to an isometry (multiplier 1) of its family; that is tested, not assumed.
 How a token acts is described once, by :func:`token_delta`: integer
 ``(row, col, value)`` entries at storage positions over one positive
 denominator (1 over F_p, where the values are residues), the token's matrix
-being ``(den * I + entries) / den``.  The elimination applies it in place
-(:func:`steinberg.rowops.apply`) and :func:`evaluate_word` feeds it to the
-product kernel as a factor, both through the one update loop of
-:mod:`steinberg.matrix`; :func:`token_matrix` builds the dense matrix from
-it for the closure enumeration, the tests and the terminal-diagonal check.
+being ``(den * I + entries) / den``.  An x-token reads it from a code
+compiled once per index pair from :func:`_x_units` (:func:`x_code`) and
+kept in one table per group shape, which every descriptor of that family,
+rank and epsilon shares, over any field.  The elimination applies the
+delta in place (:func:`steinberg.rowops.apply`) and :func:`evaluate_word`
+feeds it to the product kernel as a factor, both through the one update
+loop of :mod:`steinberg.matrix`, which over F_p writes each moved vector
+as one residue comprehension; :func:`token_matrix` builds the dense matrix
+from it for the closure enumeration, the tests and the terminal-diagonal
+check.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ class GeneratorToken(namedtuple("GeneratorToken", "kind i j t s alpha lam mu",
 
 
 def x(i: int, j: int, t: Scalar) -> GeneratorToken:
-    return GeneratorToken("x", i=i, j=j, t=t)
+    return GeneratorToken("x", i, j, t)
 
 
 def w(i: int) -> GeneratorToken:
@@ -152,10 +157,35 @@ def _x_pattern(i: int, j: int, fam: Family, l: int, n: int) -> str | None:
     return None
 
 
+def x_code(i: int, j: int, d: GroupDescriptor) -> tuple:
+    """Compile how x[i,j] acts in the shape of ``d``, store it in the
+    shape's table ``d._xcodes`` and return it; raise :class:`IllegalToken`
+    for an illegal pair, which is never stored.  Callers look the pair up
+    in ``d._xcodes`` first and come here on a miss.
+
+    The code is ``(pattern, squared, units)``: the :func:`x_pattern` name,
+    whether the values of x[i,j](a/b) stand over b^2 (else over b), and one
+    ``(row, col, k, sq)`` per unit of :func:`_x_units` at storage
+    positions, whose value is k * a^2 when ``sq``, else k * ab over b^2 or
+    k * a over b.  :func:`_x_units` stays the one description: the code is
+    read off two of its evaluations, at t = 1 (the coefficients k) and at
+    t = 2/3, where a value carrying t stands at 2k over 3 or 6k over 9, and
+    one carrying t^2 at 4k over 9.
+    """
+    pat = x_pattern(i, j, d)
+    ones, _ = _x_units(i, j, pat, 1, 1, d)
+    probe, den = _x_units(i, j, pat, 2, 3, d)
+    pos = d._positions
+    code = d._xcodes[i, j] = (pat, den == 9, tuple(
+        (pos[r], pos[c], k, v == 4 * k) for (r, c, k), (_, _, v) in zip(ones, probe)))
+    return code
+
+
 def validate_token(tok: GeneratorToken, d: GroupDescriptor) -> None:
     f = d.field
     if tok.kind == "x":
-        x_pattern(tok.i, tok.j, d)
+        if (tok.i, tok.j) not in d._xcodes:
+            x_code(tok.i, tok.j, d)
         return
     if tok.kind == "w":
         if d.family in (Family.GO_EVEN, Family.GO_ODD):
@@ -226,31 +256,38 @@ def token_delta(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
     storage-position ``(row, col, value)`` triples with distinct positions
     and integer values, none zero; ``den`` is one positive denominator, 1
     over F_p, where the values are residues.  An x-token's values come
-    straight from t = a/b (a residue over b = 1 over F_p): +-a over b, or,
-    for the patterns that carry t^2, +-ab, +-2ab, +-a^2 and +-2a^2 over
+    straight from t = a/b (a residue over b = 1 over F_p) through its
+    compiled code (:func:`x_code`, looked up in the shape's table): k * a
+    over b, or, for the patterns that carry t^2, k * ab and k * a^2 over
     b^2, so no scalar is built.  :func:`token_matrix` builds the matrix from
     it, :func:`steinberg.rowops.apply` applies it to rows or columns in
     place, and :meth:`Matrix._chain` takes it as a factor.
     """
     f = d.field
+    p = f.p
     if tok.kind == "x":
-        pat = x_pattern(tok.i, tok.j, d)
+        _, squared, code = d._xcodes.get((tok.i, tok.j)) or x_code(tok.i, tok.j, d)
         t = f.of(tok.t)
-        units, den = _x_units(tok.i, tok.j, pat, t.numerator, t.denominator, d)
+        if p is not None:
+            t2 = t * t
+            return [(r, c, v) for r, c, k, sq in code if (v := k * (t2 if sq else t) % p)], 1
+        a, b = t.numerator, t.denominator
+        a2 = a * a
+        u, den = (a * b, b * b) if squared else (a, b)
+        return [(r, c, v) for r, c, k, sq in code if (v := k * (a2 if sq else u))], den
+    validate_token(tok, d)
+    if tok.kind == "w":
+        i = tok.i
+        units = [(i, i, -1), (-i, -i, -1), (i, -i, -1), (-i, i, -1)]
+    elif tok.kind == "x1":
+        units = _plane_units(f.of(tok.t), f.of(tok.s), d)
+    elif tok.kind == "x2":
+        units = [(-1, -1, -2)]
     else:
-        validate_token(tok, d)
-        if tok.kind == "w":
-            i = tok.i
-            units = [(i, i, -1), (-i, -i, -1), (i, -i, -1), (-i, i, -1)]
-        elif tok.kind == "x1":
-            units = _plane_units(f.of(tok.t), f.of(tok.s), d)
-        elif tok.kind == "x2":
-            units = [(-1, -1, -2)]
-        else:
-            units = _torus_units(tok, d)
-        den = math.lcm(*(v.denominator for _, _, v in units))
-        units = [(a, b, v.numerator * (den // v.denominator)) for a, b, v in units]
-    pos, p = d._positions, f.p
+        units = _torus_units(tok, d)
+    den = math.lcm(*(v.denominator for _, _, v in units))
+    units = [(a, b, v.numerator * (den // v.denominator)) for a, b, v in units]
+    pos = d._positions
     if p is None:
         return [(pos[a], pos[b], v) for a, b, v in units if v], den
     return [(pos[a], pos[b], r) for a, b, v in units if (r := v % p)], 1
@@ -350,7 +387,7 @@ def token_inverse_in(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
     its parameters."""
     f = d.field
     if tok.kind == "x":
-        return x(tok.i, tok.j, f.neg(f.of(tok.t)))
+        return GeneratorToken("x", tok.i, tok.j, f.neg(f.of(tok.t)))
     if tok.kind != "torus":
         return tok
     lam, mu = f.inv(f.of(tok.lam)), f.inv(f.of(tok.mu))

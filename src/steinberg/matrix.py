@@ -17,10 +17,12 @@ untouched; a sparse square matrix (a diagonal) has its delta read off and
 takes the same column update, and a dense or non-square factor takes the
 plain row loop over its nonzero entries.  Every token update, in the chain
 and on the working matrix of :mod:`steinberg.rowops` alike, runs through
-:func:`_apply_delta`, whose one vector routine :func:`_add_scaled` adds a
-multiple of one integer vector to another and reduces the result at once.
-Only the normalise step (:func:`_lowest`, and its form for one vector in
-:func:`_add_scaled`: reduce mod p, or divide out the gcd) and the scalar
+the one loop :func:`_apply_delta`, on columns or, for a token applied from
+the left, on rows.  It writes each vector as a new list, reduced at once:
+over F_p one residue comprehension ``(a + v * b) % p``, over Q through
+:func:`_add_scaled`, which takes one lcm and divides out the gcd.  Only the
+normalise step (:func:`_lowest`, and the vector updates of
+:func:`_apply_delta`: reduce mod p, or divide out the gcd) and the scalar
 view (``data``, ``[i, j]``, ``row``, ``col``, ``to_lists``,
 ``repr``: the residues, or ``Fraction(v, den)``) know the field.  Pivot
 columns, rank, rref, inverse and determinant go through one Gauss-Jordan
@@ -77,13 +79,9 @@ def _lowest(p: int | None, num: list, den: int) -> tuple:
     return num, den
 
 
-def _add_scaled(p: int | None, x: list, xden: int, v: int, y: list, yden: int) -> tuple:
-    """x / xden + v * y / yden for an integer v, as (integers, denominator),
-    normalised: residues over 1 over F_p; over Q one lcm, and the gcd
-    divided out.  This is the one routine that adds a multiple of one
-    integer vector to another."""
-    if p is not None:
-        return [(a + v * b) % p for a, b in zip(x, y)], 1
+def _add_scaled(x: list, xden: int, v: int, y: list, yden: int) -> tuple:
+    """x / xden + v * y / yden over Q for an integer v, as (integers,
+    denominator): one lcm, and the gcd divided out."""
     den = math.lcm(xden, yden)
     sx, sy = den // xden, v * (den // yden)
     new = [a * sx + sy * b for a, b in zip(x, y)]
@@ -93,14 +91,26 @@ def _add_scaled(p: int | None, x: list, xden: int, v: int, y: list, yden: int) -
     return [a // g for a in new], den // g
 
 
-def _apply_delta(p: int | None, vecs, dens, entries: list, bden: int) -> None:
+def _apply_delta(p: int | None, vecs, dens, entries: list, bden: int, left: bool = False) -> None:
     """Multiply the vectors ``vecs[k] / dens[k]``, as the columns of a
     matrix, by ``(bden * I + entries) / bden`` in place: an entry (r, c, v)
-    adds v / bden times vector r to vector c.  Every source is read before
-    any write, and each vector written is a new list, reduced at once."""
-    sources = [(vecs[r], dens[r] * bden) for r, _, _ in entries]
-    for (_, c, v), (y, yden) in zip(entries, sources):
-        vecs[c], dens[c] = _add_scaled(p, vecs[c], dens[c], v, y, yden)
+    adds v / bden times vector r to vector c.  With ``left`` the vectors are
+    rows, multiplied from the left, and the entry adds v / bden times vector
+    c to vector r.  Every source is read before any write, and each vector
+    written is a new list, reduced at once: over F_p one residue
+    comprehension, every den being 1 and staying so; over Q
+    :func:`_add_scaled`."""
+    s = 1 if left else 0
+    sources = [vecs[e[s]] for e in entries]
+    if p is not None:
+        for (r, c, v), y in zip(entries, sources):
+            k = r if left else c
+            vecs[k] = [(a + v * b) % p for a, b in zip(vecs[k], y)]
+        return
+    ydens = [dens[e[s]] * bden for e in entries]
+    for (r, c, v), y, yden in zip(entries, sources, ydens):
+        k = r if left else c
+        vecs[k], dens[k] = _add_scaled(vecs[k], dens[k], v, y, yden)
 
 
 def _delta_of(num: tuple, den: int) -> list:
@@ -259,8 +269,9 @@ class Matrix:
         its delta read off and takes the same column update.  Rows turn into
         columns at a delta, or at such a matrix that changes at most n/2
         rows, and stay so until a dense or non-square factor, which takes
-        the row loop on the row view and is normalised at once.  The end
-        brings the columns over one lcm and normalises once.
+        the row loop on the row view and is normalised at once.  At the end
+        the columns, residues already over F_p, are stored as they are; over
+        Q they are brought over one lcm and normalised once.
         """
         field, p = a.field, a.field.p
         m, n = a.rows, a.cols
@@ -296,6 +307,8 @@ class Matrix:
                 cols, dens = list(zip(*rows)), [den] * n
             _apply_delta(p, cols, dens, entries, bden)
         if cols is not None:
+            if p is not None:
+                return Matrix._canonical(field, zip(*cols))  # residues already
             return Matrix._normal(field, *_rows_over_lcm(cols, dens))
         return Matrix._canonical(field, rows, den)
 

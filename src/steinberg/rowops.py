@@ -18,10 +18,11 @@ loop ``diagonalize`` and the pair pass ``clear_pairs``.
 read the token's integer delta (:func:`steinberg.generators.token_delta`),
 entries (r, c, v) over one den, the same description ``token_matrix`` and
 the product kernel read, and hand it to the product kernel's own update
-loop (:func:`steinberg.matrix._apply_delta`): LEFT on the rows with the
-entries transposed, RIGHT on the touched columns, written back.  So each
-update only touches the rows (resp. columns) the token moves and adds
-v / den times its source in one integer pass; no scalar is built per
+loop (:func:`steinberg.matrix._apply_delta`): LEFT on the rows, the entries
+as they are in the loop's left orientation, RIGHT on the touched columns,
+written back.  So each update only touches the rows (resp. columns) the
+token moves and adds v / den times its source in one integer pass, over
+F_p one residue comprehension per written vector; no scalar is built per
 token.  The tests compare it with the dense product and with hand-written
 paired row/column updates kept there as an independent oracle.
 """
@@ -32,7 +33,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .field import Scalar
+from .field import DivisionByZero, Scalar
 from .forms import Family, GroupDescriptor, InternalError
 from .generators import GeneratorToken, token_delta, x
 from .matrix import Matrix, _apply_delta
@@ -51,15 +52,16 @@ def apply(w: "WorkingMatrix", tok: GeneratorToken, side: Side) -> None:
     """Multiply the working matrix by the token on the given side, in place.
 
     A delta entry (r, c, v) over the delta's den adds v / den times source
-    row c to row r (LEFT: the rows, with the entries transposed), or v / den
-    times source column r to column c (RIGHT: the touched columns, written
-    back); sources are read before any write.
+    row c to row r (LEFT: the rows, the entries read in the left
+    orientation of the update loop), or v / den times source column r to
+    column c (RIGHT: the touched columns, written back); sources are read
+    before any write.
     """
     entries, tden = token_delta(tok, w.d)
     p, num = w.f.p, w.num
     if side is LEFT:
         # every row written is a new list, so no two rows share one and RIGHT may write into them
-        _apply_delta(p, num, w.rden, [(c, r, v) for r, c, v in entries], tden)
+        _apply_delta(p, num, w.rden, entries, tden, True)
         return
     cols = {k: [row[k] for row in num] for r, c, _ in entries for k in (r, c)}
     _apply_delta(p, cols, w.cden, entries, tden)
@@ -79,22 +81,26 @@ class WorkingMatrix:
         self.cden = [1] * g.cols
 
     def at(self, i: int, j: int) -> Scalar:
-        pos = self.d.pos
-        r, c = pos(i), pos(j)
+        pos = self.d._positions
+        r, c = pos[i], pos[j]
         v = self.num[r][c]
         return v if self.f.p is not None else Fraction(v, self.rden[r] * self.cden[c])
 
     def ratio(self, i: int, j: int, u: int, v: int) -> Scalar | None:
         """Entry (i, j) over entry (u, v), one canonical scalar built from
-        the stored integers; None when (i, j) is zero."""
-        pos = self.d.pos
-        r, c, ru, cv = pos(i), pos(j), pos(u), pos(v)
+        the stored integers; None when (i, j) is zero.  A zero (u, v) raises
+        :class:`DivisionByZero` over F_p and ZeroDivisionError over Q."""
+        pos = self.d._positions
+        r, c, ru, cv = pos[i], pos[j], pos[u], pos[v]
         a = self.num[r][c]
         if not a:
             return None
         b = self.num[ru][cv]
-        if self.f.p is not None:
-            return self.f.div(a, b)
+        p = self.f.p
+        if p is not None:
+            if not b:
+                raise DivisionByZero("division by zero")
+            return a * pow(b, -1, p) % p
         rden, cden = self.rden, self.cden
         return Fraction(a * rden[ru] * cden[cv], b * rden[r] * cden[c])
 
@@ -105,18 +111,18 @@ class WorkingMatrix:
         token, then clears its column and row.  ``row_token(src, dst, t)``
         subtracts t times row src from row dst (t = -1 adds it); a column
         token is always x[src, dst](t), adding t times column src to dst."""
-        pos, num, f = self.d.pos, self.num, self.f
+        pos, num, f = self.d._positions, self.num, self.f
         for k in range(len(cols)):
             piv = self.first_nonzero(rows, cols, k)
             if piv is None:
                 return k
             r, c = piv
             u, v = rows[k], cols[k]
-            if r != k and not num[pos(u)][pos(cols[c])]:
+            if r != k and not num[pos[u]][pos[cols[c]]]:
                 self.lmul(row_token(rows[r], u, -1))
-            if c != k and not num[pos(u)][pos(v)]:
+            if c != k and not num[pos[u]][pos[v]]:
                 self.rmul(x(cols[c], v, 1))
-            if not num[pos(u)][pos(v)]:
+            if not num[pos[u]][pos[v]]:
                 raise InternalError(f"no pivot at ({u},{v}) after moving ({rows[r]},{cols[c]}) there")
             for i in rows:
                 if i != u and (t := self.ratio(i, v, u, v)) is not None:
@@ -142,10 +148,10 @@ class WorkingMatrix:
         """(r, c) of the first nonzero entry (row_idxs[r], col_idxs[c]) with
         r, c >= k, scanning columns left to right and, inside a column, rows
         top to bottom; None if that trailing block is zero."""
-        pos = self.d.pos
-        rows = [self.num[pos(i)] for i in row_idxs]
+        pos = self.d._positions
+        rows = [self.num[pos[i]] for i in row_idxs]
         for c in range(k, len(col_idxs)):
-            pc = pos(col_idxs[c])
+            pc = pos[col_idxs[c]]
             for r in range(k, len(rows)):
                 if rows[r][pc]:
                     return r, c
@@ -157,9 +163,9 @@ class WorkingMatrix:
         This is how elimination states what a pass cleared, or what the form
         equation forces to vanish; it survives ``python -O``.
         """
-        pos, num = self.d.pos, self.num
+        pos, num = self.d._positions, self.num
         for i, j in positions:
-            if num[pos(i)][pos(j)]:
+            if num[pos[i]][pos[j]]:
                 raise InternalError(f"{what}: entry ({i},{j}) is {self.at(i, j)}, not 0")
 
     def lmul(self, tok: GeneratorToken) -> None:

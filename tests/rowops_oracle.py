@@ -11,11 +11,13 @@ the order of the paired writes never matters.
 
 ``applied`` runs the library's in-place ``apply`` on a
 :class:`WorkingMatrix` copy of a :class:`Matrix`, for tests that work with
-whole matrices.
+whole matrices.  ``x_units_delta`` is an x-token's delta built straight from
+``_x_units`` on the pair's ``x_pattern``, as the library built it before it
+compiled one code per index pair: the oracle for those codes.
 """
 
 from steinberg.forms import Family, GroupDescriptor
-from steinberg.generators import GeneratorToken, validate_token, x_pattern
+from steinberg.generators import GeneratorToken, _x_units, validate_token, x_pattern
 from steinberg.matrix import Matrix
 from steinberg.rowops import LEFT, Side, WorkingMatrix, apply
 
@@ -25,6 +27,17 @@ def applied(g: Matrix, tok: GeneratorToken, side: Side, d: GroupDescriptor) -> M
     w = WorkingMatrix(g, d)
     apply(w, tok, side)
     return w.matrix()
+
+
+def x_units_delta(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
+    """``(entries, den)`` of an x-token from ``_x_units`` at t = a/b, with
+    zero values dropped and, over F_p, the values reduced over den 1."""
+    t = d.field.of(tok.t)
+    units, den = _x_units(tok.i, tok.j, x_pattern(tok.i, tok.j, d), t.numerator, t.denominator, d)
+    pos, p = d.pos, d.field.p
+    if p is None:
+        return [(pos(a), pos(b), v) for a, b, v in units if v], den
+    return [(pos(a), pos(b), r) for a, b, v in units if (r := v % p)], 1
 
 
 def oracle_apply(g: Matrix, tok: GeneratorToken, side: Side, d: GroupDescriptor) -> Matrix:

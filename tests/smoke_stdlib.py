@@ -1,0 +1,81 @@
+"""A smoke test of the library that needs only the standard library.
+
+    python3 tests/smoke_stdlib.py
+
+It runs without pytest, so it also checks interpreters that have none,
+such as the ``requires-python`` floor.  For every family over F_3, F_7,
+F_1000000007 and Q (GOminus over F_p only) at l = 1, 2 and 4 it decomposes
+a seeded member with a torus, a similitude where the family has one, and
+checks that the words reassemble it; for the orthogonal families it takes
+the spinor norm of an isometry three ways (elimination, Wall form,
+reflections), which must agree; and for GSp, GOplus and GOodd it computes
+the Siegel double-coset label of an isometry and rechecks its witnesses.
+It imports the package from ``src/`` next to this directory, prints one
+line per family and field, and exits with status 1 at the first failure.
+"""
+
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from steinberg.coset import coset_label, verify_label  # noqa: E402
+from steinberg.eliminate import decompose, decompose_gl  # noqa: E402
+from steinberg.field import QQ, Field  # noqa: E402
+from steinberg.forms import Family, build_descriptor  # noqa: E402
+from steinberg.harness import random_member  # noqa: E402
+from steinberg.spinor import reflection_factorization, spinor_norm, wall_spinor_norm  # noqa: E402
+
+FIELDS = (Field(3), Field(7), Field(1000000007), QQ)
+RANKS = (1, 2, 4)
+SEEDS = (1, 2)
+
+
+def check(ok: bool, what: str) -> None:
+    if not ok:
+        print(f"FAIL: {what}")
+        sys.exit(1)
+
+
+def smoke(fam: Family, field: Field) -> int:
+    """Run every check of one family over one field; return the count."""
+    checks = 0
+    for l in RANKS:
+        sim = build_descriptor(fam, l, field, similitude=fam is not Family.GL)
+        iso = build_descriptor(fam, l, field)
+        for seed in SEEDS:
+            where = f"{sim} seed {seed}"
+            g = random_member(sim, seed, word_len=4 * l + 4, with_torus=True)
+            dec = decompose_gl(g) if fam is Family.GL else decompose(g, sim)
+            check(dec.reassemble() == g, f"{where}: decompose/reassemble")
+            checks += 1
+            h = random_member(iso, seed, word_len=4 * l + 4, with_torus=True)
+            if fam.is_orthogonal:
+                theta = spinor_norm(h, iso)
+                check(wall_spinor_norm(h, iso) == theta, f"{where}: Wall form against elimination")
+                check(reflection_factorization(h, iso)[1] == theta, f"{where}: reflections against elimination")
+                checks += 2
+            if fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
+                label = coset_label(h, iso)
+                check(0 <= label.m <= l and verify_label(h, label, iso), f"{where}: coset label")
+                checks += 1
+    return checks
+
+
+def main() -> None:
+    start = time.perf_counter()
+    total = 0
+    for fam in Family:
+        for field in FIELDS:
+            if fam is Family.GO_MINUS and not field.is_prime:
+                continue
+            n = smoke(fam, field)
+            total += n
+            print(f"ok {fam.value:8s} {field}: {n} checks")
+    version = ".".join(map(str, sys.version_info[:3]))
+    print(f"smoke passed: {total} checks on Python {version} in {time.perf_counter() - start:.1f} s")
+
+
+if __name__ == "__main__":
+    main()

@@ -200,6 +200,32 @@ def test_non_parabolic_witness_token_raises_internal_error():
             _assert_parabolic_token(tok, d)
 
 
+def test_witness_tokens_are_classified_once_per_pair(monkeypatch):
+    """The parabolic check, the token's application and the witness word's
+    validation all read one compiled code per index pair, so across many
+    labels ``x_pattern`` runs at most once per pair and shape."""
+    from collections import Counter
+
+    from steinberg import forms, generators
+
+    monkeypatch.setattr(forms, "_X_CODES", {})
+    calls = Counter()
+    classify = generators.x_pattern
+
+    def counting(i, j, d):
+        calls[d.family, d.l, i, j] += 1
+        return classify(i, j, d)
+
+    monkeypatch.setattr(generators, "x_pattern", counting)
+    for fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
+        for field in (F5, QQ):
+            d = build_descriptor(fam, 3, field)
+            for seed in range(4):
+                g = random_member(d, seed, word_len=12)
+                assert verify_label(g, coset_label(g, d), d)
+    assert calls and max(calls.values()) == 1
+
+
 def member_off_the_parabolic(d):
     for seed in range(50):
         g = random_member(d, seed, word_len=8)

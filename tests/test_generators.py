@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from steinberg import generators, rowops
+from steinberg import forms, generators, rowops
 from steinberg.cli import format_matrix_file, format_word_file, main as cli_main, parse_word_file
 from steinberg.coset import coset_label, omega_matrix, verify_label
-from steinberg.eliminate import decompose
+from steinberg.eliminate import decompose, decompose_gl
 from steinberg.field import Field, QQ
 from steinberg.forms import Family, build_descriptor, is_member, multiplier
 from steinberg.generators import (
@@ -24,6 +25,7 @@ from steinberg.generators import (
     token_inverse_in,
     token_matrix,
     torus,
+    validate_token,
     w,
     x,
     x1,
@@ -32,6 +34,8 @@ from steinberg.generators import (
 )
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix
+
+from rowops_oracle import x_units_delta
 
 F3 = Field(3)
 F5 = Field(5)
@@ -277,6 +281,81 @@ def test_x_pattern_memo_keeps_families_and_ranks_apart():
     assert x_pattern(1, 3, build_descriptor(Family.GL, 2, F5)) == "gl"
     with pytest.raises(IllegalToken):
         x_pattern(1, 3, build_descriptor(Family.GL, 1, F5))
+
+
+CODE_FIELDS = (F3, Field(7), Field(1000000007), QQ)
+
+
+@pytest.mark.parametrize("fam, field", [
+    (fam, field) for fam in Family for field in CODE_FIELDS if field.is_prime or fam is not Family.GO_MINUS
+], ids=lambda v: getattr(v, "value", str(v)))
+def test_compiled_x_codes_act_as_their_units(fam, field, monkeypatch):
+    """Every legal pair's compiled code gives the delta that ``_x_units``
+    gives on the pair's ``x_pattern``, at t = 0, 1, -1 and a random t (over
+    Q also one over 6), on the call that compiles it and on every later
+    call, and it names that pattern.  GOminus exists over F_p only."""
+    monkeypatch.setattr(forms, "_X_CODES", {})
+    rng = random.Random(10 * list(Family).index(fam) + CODE_FIELDS.index(field))
+    for l in (1, 2, 3, 4):
+        d = build_descriptor(fam, l, field, similitude=True)
+        for i, j in legal_x_index_pairs(d):
+            ts = [0, 1, -1]
+            if field.is_prime:
+                ts.append(rng.randrange(2, field.p))
+            else:
+                ts += [Fraction(rng.randint(-99, 99), rng.randint(1, 99)), Fraction(rng.choice([-7, -5, 1, 5]), 6)]
+            assert (i, j) not in d._xcodes
+            for t in ts:
+                tok = x(i, j, t)
+                assert token_delta(tok, d) == x_units_delta(tok, d), (str(d), tok)
+            assert d._xcodes[i, j][0] == x_pattern(i, j, d)
+
+
+def test_one_code_table_per_group_shape(monkeypatch):
+    """Descriptors of one family, rank, n and epsilon share their x-token
+    codes whatever the field or similitude flag: a table filled over F_7
+    serves F_1000000007 and Q, and the descriptors that ``decompose_gl``
+    builds per call add no table."""
+    monkeypatch.setattr(forms, "_X_CODES", {})
+    for fam in Family:
+        for l in (1, 3):
+            small = build_descriptor(fam, l, Field(7))
+            large = build_descriptor(fam, l, Field(1000000007), similitude=True)
+            assert small._xcodes is large._xcodes  # GOminus: epsilon is 2 for both
+            for i, j in legal_x_index_pairs(small):
+                token_delta(x(i, j, 1), small)
+            assert set(large._xcodes) == set(legal_x_index_pairs(large))
+            if fam is not Family.GO_MINUS:
+                assert build_descriptor(fam, l, QQ)._xcodes is small._xcodes
+    # each shape keeps its own: the rank, and GOminus's epsilon (1 over F_3)
+    assert build_descriptor(Family.GSP, 2, F5)._xcodes is not build_descriptor(Family.GSP, 3, F5)._xcodes
+    assert build_descriptor(Family.GO_MINUS, 3, F3)._xcodes is not build_descriptor(Family.GO_MINUS, 3, F5)._xcodes
+    tables = len(forms._X_CODES)
+    g = Matrix(F5, [[1, 2, 0], [3, 1, 1], [2, 0, 4]])
+    assert decompose_gl(g).op_count == decompose_gl(g).op_count
+    assert len(forms._X_CODES) == tables + 1
+
+
+def test_an_illegal_pair_raises_the_same_text_on_every_call(monkeypatch):
+    """An illegal pair is never stored, so it raises the same
+    ``IllegalToken`` on its first call, on later calls, beside compiled
+    legal pairs and on a fresh descriptor of the same shape."""
+    monkeypatch.setattr(forms, "_X_CODES", {})
+    cases = (
+        ((Family.GL, 1, F5), x(1, 3, 1), x(1, 2, 1), "x[1,3] illegal for GL(2)"),
+        ((Family.GO_EVEN, 2, F5), x(1, -1, 1), x(1, -2, 1), "x[1,-1] illegal for GOplus(l=2)"),
+        ((Family.GSP, 2, QQ), x(2, 2, 1), x(2, -2, 1), "x[2,2] illegal for GSp(l=2)"),
+    )
+    for shape, bad, good, text in cases:
+        texts = []
+        for d in (build_descriptor(*shape),) * 2 + (build_descriptor(*shape),):
+            for call in (token_delta, validate_token, token_matrix):
+                with pytest.raises(IllegalToken) as err:
+                    call(bad, d)
+                texts.append(str(err.value))
+            token_delta(good, d)
+            assert (bad.i, bad.j) not in d._xcodes and (good.i, good.j) in d._xcodes
+        assert texts == [text] * 9
 
 
 def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from steinberg import matrix, rowops
-from steinberg.field import Field, QQ
+from steinberg.field import DivisionByZero, Field, QQ
 from steinberg.forms import Family, InternalError, build_descriptor
 from steinberg.generators import (
     IllegalToken,
@@ -291,19 +291,22 @@ def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
     the hand-written updates folded over it, from I and from a member:
     ``evaluate_word``, the chain over token matrices and the scalar triple
     loop agree with the fold, every result and token matrix is canonical,
-    and every vector the shared update routine writes, for the chain and
-    for the working matrix alike, is reduced at once (mod p, or by its own
-    gcd over a positive den)."""
-    add_scaled = matrix._add_scaled
+    and every vector the shared update loop writes, for the chain and for
+    the working matrix from either side alike, is reduced at once (residues
+    over 1, or gcd 1 over a positive den)."""
+    apply_delta = matrix._apply_delta
     written = []
 
-    def reduced(p, x, xden, v, y, yden):
-        vec, den = add_scaled(p, x, xden, v, y, yden)
-        assert den == 1 and all(0 <= a < p for a in vec) if p else den > 0 and math.gcd(den, *vec) == 1
-        written.append(den)
-        return vec, den
+    def reduced(p, vecs, dens, entries, bden, left=False):
+        apply_delta(p, vecs, dens, entries, bden, left)
+        for r, c, _ in entries:
+            k = r if left else c
+            vec, den = vecs[k], dens[k]
+            assert den == 1 and all(0 <= a < p for a in vec) if p else den > 0 and math.gcd(den, *vec) == 1
+            written.append(k)
 
-    monkeypatch.setattr(matrix, "_add_scaled", reduced)
+    monkeypatch.setattr(matrix, "_apply_delta", reduced)
+    monkeypatch.setattr(rowops, "_apply_delta", reduced)
     rng = random.Random(71)
     for fam in Family:
         if fam is Family.GO_MINUS and not field.is_prime:
@@ -401,6 +404,14 @@ def test_ratio_is_the_quotient_of_two_entries(field):
                     assert t == field.div(b.at(i, j), b.at(u, v))
                     assert t == field.of(t) and type(t) is type(field.one)
     assert zeros
+    # a zero pivot raises as field.div does over F_p, and as Fraction does over Q
+    i, j = next((i, j) for i in signed for j in signed if b.at(i, j) != field.zero)
+    with pytest.raises(DivisionByZero if field.is_prime else ZeroDivisionError) as err:
+        b.ratio(i, j, 1, -2)
+    if field.is_prime:
+        with pytest.raises(DivisionByZero) as want:
+            field.div(b.at(i, j), 0)
+        assert str(err.value) == str(want.value)
 
 
 def _recording(g, d):
@@ -455,3 +466,28 @@ def test_diagonalize_moves_then_clears_the_first_pivot(field):
         for side, tok in b.log:
             want = oracle_apply(want, tok, side, d)
         assert b.matrix() == want
+
+
+@pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
+def test_mixed_sides_never_share_a_row_list(field):
+    """RIGHT writes into the row lists in place, so LEFT's writing a new
+    list per row it moves is load-bearing: after a random mix of LEFT and
+    RIGHT applications no two rows of ``num`` are one list object, the input
+    ``Matrix`` is unchanged, and the working matrix is the dense product."""
+    rng = random.Random(83)
+    for fam in Family:
+        if fam is Family.GO_MINUS and not field.is_prime:
+            continue
+        d = build_descriptor(fam, 3, field, similitude=True)
+        g = random_member(d, 5, word_len=8, with_torus=True)
+        scalars = g.to_lists()
+        b = WorkingMatrix(g, d)
+        want = g
+        pool = delta_tokens(d, rng)
+        for _ in range(40):
+            tok, side = rng.choice(pool), rng.choice((LEFT, RIGHT))
+            rowops.apply(b, tok, side)
+            want = token_matrix(tok, d) @ want if side is LEFT else want @ token_matrix(tok, d)
+            assert len({id(row) for row in b.num}) == d.n, (fam, tok, side)
+        assert b.matrix() == want, fam
+        assert g == Matrix(field, scalars) and g.to_lists() == scalars, fam

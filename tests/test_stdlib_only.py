@@ -4,10 +4,12 @@ Every absolute import under ``src/steinberg/`` must name a top-level module
 in ``sys.stdlib_module_names``; relative imports stay inside the package.
 Nor does it import ``dataclasses`` or ``typing``: both cost a cold CLI start
 several milliseconds, so records derive from ``field.Record`` and aliases
-use builtins and ``collections.abc``.
+use builtins and ``collections.abc``.  The pytest-free smoke script
+``smoke_stdlib.py`` passes.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,3 +40,10 @@ def test_library_imports_only_the_standard_library():
 def test_library_imports_neither_dataclasses_nor_typing():
     found = [where for where, top in _absolute_imports() if top in ("dataclasses", "typing")]
     assert not found, f"slow imports: {found}"
+
+
+def test_the_pytest_free_smoke_script_passes():
+    script = Path(__file__).resolve().parent / "smoke_stdlib.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "smoke passed" in done.stdout.splitlines()[-1]
