@@ -122,12 +122,6 @@ def format_matrix_file(g: Matrix, d: GroupDescriptor) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_enumeration(enumeration) -> str:
-    """Dump an enumeration as matrix-file records separated by blank lines."""
-    d = enumeration.descriptor
-    return "\n".join(format_matrix_file(g, d) for g in enumeration.elements)
-
-
 def format_word_file(dec, d: GroupDescriptor) -> str:
     lines = [
         format_descriptor(d),

@@ -147,8 +147,9 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
     )
 
 
-def coset_census(d: GroupDescriptor, enumeration: Enumeration) -> dict:
-    """Label histogram over an exhaustive enumeration; exactly l+1 labels."""
+def coset_census(d: GroupDescriptor, enumeration) -> dict:
+    """Label histogram over an exhaustive enumeration of d (a
+    :class:`steinberg.harness.Enumeration`); exactly l+1 labels."""
     counts: Counter = Counter()
     for g in enumeration.elements:
         counts[coset_label(g, d).m] += 1

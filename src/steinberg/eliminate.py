@@ -52,7 +52,6 @@ from .forms import (
     GroupDescriptor,
     InternalError,
     MultiplierNotOne,
-    NotInGroup,
     UnsupportedFamily,
     build_descriptor,
     multiplier,
@@ -89,12 +88,6 @@ class Decomposition(Record):
 
     def torus_token(self) -> GeneratorToken:
         return torus(self.lam, self.mu, alpha=self.alpha, ts=self.block)
-
-    def as_word(self) -> Word:
-        return Word(
-            self.descriptor,
-            self.left.tokens + (self.torus_token(),) + self.right.tokens,
-        )
 
     def reassemble(self) -> Matrix:
         return evaluate_word(self.left, self.diagonal, self.right)

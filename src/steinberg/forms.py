@@ -12,7 +12,7 @@ the three different orderings are the main source of off-by-one mistakes.
 
 :func:`multiplier` is the one form check.  beta is symmetric or skew, so it
 compares only the entries j >= i of g^T beta g with mu beta, on the stored
-integers, and builds the dense product only to name a failure.
+integers, and names a failure from the entry where that loop stops.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class GroupDescriptor(Record):
     def __init__(self, family: Family, l: int, field: Field, similitude: bool, beta: Matrix, n: int,
                  epsilon: Scalar | None = None):
         self._init(family, l, field, similitude, beta, n, epsilon)
-        object.__setattr__(self, "_positions", {i: k for k, i in enumerate(self.basis_indices())})
+        object.__setattr__(self, "_positions", {i: k for k, i in enumerate(_basis_indices(family, l, n))})
         object.__setattr__(self, "_beta_columns", None)
         object.__setattr__(self, "_omegas", {})
         object.__setattr__(self, "_xcodes", _X_CODES.setdefault((family, l, n, epsilon), {}))
@@ -116,15 +116,7 @@ class GroupDescriptor(Record):
 
     def basis_indices(self) -> list:
         """Signed basis indices in storage order; ``pos`` is its inverse."""
-        l = self.l
-        if self.family is Family.GL:
-            return list(range(1, self.n + 1))
-        pos, neg = list(range(1, l + 1)), list(range(-1, -l - 1, -1))
-        if self.family is Family.GO_ODD:
-            return [0] + pos + neg
-        if self.family is Family.GO_MINUS:
-            return [1, -1] + pos[1:] + neg[1:]
-        return pos + neg
+        return _basis_indices(self.family, self.l, self.n)
 
     def block_indices(self) -> list:
         """Signed basis indices carrying the square middle block A."""
@@ -137,6 +129,17 @@ class GroupDescriptor(Record):
     def __str__(self) -> str:
         sim = "similitude" if self.similitude else "isometry"
         return f"{self.family.value}(l={self.l},{self.field},{sim})"
+
+
+def _basis_indices(family: Family, l: int, n: int) -> list:
+    if family is Family.GL:
+        return list(range(1, n + 1))
+    pos, neg = list(range(1, l + 1)), list(range(-1, -l - 1, -1))
+    if family is Family.GO_ODD:
+        return [0] + pos + neg
+    if family is Family.GO_MINUS:
+        return [1, -1] + pos[1:] + neg[1:]
+    return pos + neg
 
 
 def dimension(family: Family, l: int, field: Field) -> int:
@@ -180,49 +183,28 @@ def build_descriptor(
     reproducible and the group really is the second even type.
     """
     n = dimension(family, l, field)
-    epsilon = None
+    epsilon = field.of(twisted_epsilon(field.p)) if family is Family.GO_MINUS else None
     if family is Family.GL:
-        beta = Matrix.identity(field, l + 1)  # unused placeholder
-    elif family is Family.GSP:
-        beta = _split_beta(field, l, skew=True)
-    elif family is Family.GO_EVEN:
-        beta = _split_beta(field, l, skew=False)
-    elif family is Family.GO_ODD:
-        beta = _odd_beta(field, l)
-    elif family is Family.GO_MINUS:
-        epsilon = field.of(twisted_epsilon(field.p))
-        beta = _twisted_beta(field, l, epsilon)
-    else:  # pragma: no cover
-        raise UnsupportedFamily(str(family))
+        beta = Matrix.identity(field, n)  # unused placeholder
+    else:
+        beta = _gram(family, l, n, field, epsilon)
     return GroupDescriptor(family, l, field, similitude, beta, n, epsilon)
 
 
-def _split_beta(field: Field, l: int, skew: bool) -> Matrix:
-    ident = Matrix.identity(field, l)
-    zero = Matrix.zeros(field, l, l)
-    low = -ident if skew else ident
-    return Matrix.assemble(field, [[zero, ident], [low, zero]])
-
-
-def _odd_beta(field: Field, l: int) -> Matrix:
-    n = 2 * l + 1
-    m = Matrix.zeros(field, n, n).to_lists()
-    m[0][0] = field.of(2)
-    for i in range(1, l + 1):
-        m[i][l + i] = field.one
-        m[l + i][i] = field.one
-    return Matrix(field, m)
-
-
-def _twisted_beta(field: Field, l: int, epsilon: Scalar) -> Matrix:
-    n = 2 * l
-    m = Matrix.zeros(field, n, n).to_lists()
-    m[0][0] = field.one
-    m[1][1] = epsilon
-    for i in range(2, l + 1):
-        m[i][l + i - 1] = field.one
-        m[l + i - 1][i] = field.one
-    return Matrix(field, m)
+def _gram(family: Family, l: int, n: int, field: Field, epsilon: Scalar | None) -> Matrix:
+    """beta on signed indices: beta(e_i, e_-i) = 1 and beta(e_-i, e_i) = -1
+    for GSp, 1 otherwise, over the hyperbolic pairs; beta(e_0, e_0) = 2 for
+    GOodd; diag(1, epsilon) on e_1, e_-1 for GOminus."""
+    pos = {i: k for k, i in enumerate(_basis_indices(family, l, n))}
+    m = [[0] * n for _ in range(n)]
+    for i in range(2 if family is Family.GO_MINUS else 1, l + 1):
+        m[pos[i]][pos[-i]] = 1
+        m[pos[-i]][pos[i]] = -1 if family is Family.GSP else 1
+    if family is Family.GO_ODD:
+        m[pos[0]][pos[0]] = 2
+    if family is Family.GO_MINUS:
+        m[pos[1]][pos[1]], m[pos[-1]][pos[-1]] = 1, epsilon
+    return Matrix._normal(field, m)
 
 
 def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
@@ -235,8 +217,9 @@ def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
     the i-th column of num; B^T num_i costs one product per nonzero of
     beta.  mu is read off the first nonzero B_at, and the check is S_ij B_at
     = S_at B_ij (mod p), the denominators cancelling: about n^3 / 2
-    products, stopping at the first failure.  Only a failure builds the
-    dense g^T (beta g), to name the first failing entry in storage order.
+    products, stopping at the first failure.  That (i, j) is also the first
+    failing entry in storage order, since a failure at (j, i) below the
+    diagonal is mirrored at (i, j), which comes first.
     """
     if d.family is Family.GL:
         raise UnsupportedFamily("GL carries no form")
@@ -264,12 +247,16 @@ def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
     b_at = bnum[a][b]
     s_at = sum(map(mul, y[a], cols[b]))
     mu = f.of(Fraction(s_at, g.den * g.den * b_at))
-    for i, (yi, brow) in enumerate(zip(y, bnum)):
-        for cj, bij in zip(cols[i:], brow[i:]):
-            v = sum(map(mul, yi, cj)) * b_at - s_at * bij
+    for i in range(n):
+        yi, brow = y[i], bnum[i]
+        for j in range(i, n):
+            s_ij = sum(map(mul, yi, cols[j]))
+            v = s_ij * b_at - s_at * brow[j]
             if v if p is None else v % p:
-                m = g.transpose() @ (beta @ g)
-                at, got, expected = first_difference(m, beta.scale(mu), d)
+                signed = d.basis_indices()
+                at = (signed[i], signed[j])
+                got = f.of(Fraction(s_ij, g.den * g.den * beta.den))
+                expected = f.mul(mu, f.of(Fraction(brow[j], beta.den)))
                 raise NotInGroup(
                     f"g^T beta g = mu beta fails at {at} for mu = {mu}: entry {got}, expected {expected}",
                     position=at,

@@ -17,15 +17,15 @@ How a token acts is described once, by :func:`token_delta`: integer
 ``(row, col, value)`` entries at storage positions over one positive
 denominator (1 over F_p, where the values are residues), the token's matrix
 being ``(den * I + entries) / den``.  An x-token reads it from a code
-compiled once per index pair from :func:`_x_units` (:func:`x_code`) and
-kept in one table per group shape, which every descriptor of that family,
-rank and epsilon shares, over any field.  The elimination applies the
-delta in place (:func:`steinberg.rowops.apply`) and :func:`evaluate_word`
-feeds it to the product kernel as a factor, both through the one update
-loop of :mod:`steinberg.matrix`, which over F_p writes each moved vector
-as one residue comprehension; :func:`token_matrix` builds the dense matrix
-from it for the closure enumeration, the tests and the terminal-diagonal
-check.
+written in :func:`_x_units`, placed at storage positions once per index
+pair (:func:`x_code`) and kept in one table per group shape, which every
+descriptor of that family, rank and epsilon shares, over any field.  The
+elimination applies the delta in place (:func:`steinberg.rowops.apply`)
+and :func:`evaluate_word` feeds it to the product kernel as a factor, both
+through the one update loop of :mod:`steinberg.matrix`, which over F_p
+writes each moved vector as one residue comprehension; :func:`token_matrix`
+builds the dense matrix from it for the closure enumeration, the tests and
+the terminal-diagonal check.
 """
 
 from __future__ import annotations
@@ -164,20 +164,14 @@ def x_code(i: int, j: int, d: GroupDescriptor) -> tuple:
     in ``d._xcodes`` first and come here on a miss.
 
     The code is ``(pattern, squared, units)``: the :func:`x_pattern` name,
-    whether the values of x[i,j](a/b) stand over b^2 (else over b), and one
-    ``(row, col, k, sq)`` per unit of :func:`_x_units` at storage
-    positions, whose value is k * a^2 when ``sq``, else k * ab over b^2 or
-    k * a over b.  :func:`_x_units` stays the one description: the code is
-    read off two of its evaluations, at t = 1 (the coefficients k) and at
-    t = 2/3, where a value carrying t stands at 2k over 3 or 6k over 9, and
-    one carrying t^2 at 4k over 9.
+    whether the values of x[i,j](a/b) stand over b^2 (else over b), and the
+    ``(row, col, k, sq)`` units of :func:`_x_units` at storage positions,
+    whose value is k * a^2 when ``sq``, else k * ab over b^2 or k * a over b.
     """
     pat = x_pattern(i, j, d)
-    ones, _ = _x_units(i, j, pat, 1, 1, d)
-    probe, den = _x_units(i, j, pat, 2, 3, d)
+    squared, units = _x_units(i, j, pat, d)
     pos = d._positions
-    code = d._xcodes[i, j] = (pat, den == 9, tuple(
-        (pos[r], pos[c], k, v == 4 * k) for (r, c, k), (_, _, v) in zip(ones, probe)))
+    code = d._xcodes[i, j] = (pat, squared, tuple((pos[r], pos[c], k, sq) for r, c, k, sq in units))
     return code
 
 
@@ -337,33 +331,33 @@ def _plane_units(t: Scalar, s: Scalar, d: GroupDescriptor) -> list:
     ]
 
 
-def _x_units(i: int, j: int, pat: str, a: int, b: int, d: GroupDescriptor) -> tuple:
-    """(signed-index (row, col, integer) triples, den) of x[i,j](a/b) - I
-    for the index pattern ``pat``; the integers are not yet reduced mod p."""
+def _x_units(i: int, j: int, pat: str, d: GroupDescriptor) -> tuple:
+    """``(squared, units)`` of x[i,j](t) - I for the index pattern ``pat``:
+    each unit ``(row, col, k, sq)`` at signed indices stands for k * t^2
+    when ``sq``, else k * t, and ``squared`` says that some unit carries
+    t^2.  The integers k are not yet reduced mod p."""
     if pat in ("gl", "pnm", "npm"):
-        return [(i, j, a)], b
+        return False, [(i, j, 1, False)]
     if pat == "pp":
-        return [(i, j, a), (-j, -i, -a)], b
+        return False, [(i, j, 1, False), (-j, -i, -1, False)]
     if pat in ("pn", "np"):
         # the short pairs: the partner unit carries +t for GSp, -t otherwise
-        return [(i, j, a), (-j, -i, a if d.family is Family.GSP else -a)], b
-    # the remaining patterns carry t^2, so they stand over b^2, where t is ab
-    t, t2, den = a * b, a * a, b * b
+        return False, [(i, j, 1, False), (-j, -i, 1 if d.family is Family.GSP else -1, False)]
     if pat == "i0":
-        return [(i, 0, 2 * t), (0, -i, -t), (i, -i, -t2)], den
+        return True, [(i, 0, 2, False), (0, -i, -1, False), (i, -i, -1, True)]
     if pat == "0i":
-        return [(-j, 0, -2 * t), (0, j, t), (-j, j, -t2)], den
+        return True, [(-j, 0, -2, False), (0, j, 1, False), (-j, j, -1, True)]
     # Twisted pairs against the anisotropic plane, normalised so they are
     # isometries of diag(1,eps) + hyperbolic (beta(e_1,e_1)=1, not 2).
     eps = d.epsilon
     if pat == "i1":
-        return [(1, i, 2 * t), (-i, 1, -2 * t), (-i, i, -2 * t2)], den
+        return True, [(1, i, 2, False), (-i, 1, -2, False), (-i, i, -2, True)]
     if pat == "1i":
-        return [(j, 1, 2 * t), (1, -j, -2 * t), (j, -j, -2 * t2)], den
+        return True, [(j, 1, 2, False), (1, -j, -2, False), (j, -j, -2, True)]
     if pat == "in1":
-        return [(-1, i, 2 * t), (-i, -1, -2 * eps * t), (-i, i, -2 * eps * t2)], den
+        return True, [(-1, i, 2, False), (-i, -1, -2 * eps, False), (-i, i, -2 * eps, True)]
     if pat == "n1i":
-        return [(j, -1, 2 * eps * t), (-1, -j, -2 * t), (j, -j, -2 * eps * t2)], den
+        return True, [(j, -1, 2 * eps, False), (-1, -j, -2, False), (j, -j, -2 * eps, True)]
     raise IllegalToken(pat)  # pragma: no cover
 
 

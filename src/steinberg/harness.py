@@ -75,10 +75,6 @@ def _token_pool(d: GroupDescriptor) -> list:
     return pool
 
 
-def random_token(d: GroupDescriptor, rng: random.Random) -> GeneratorToken:
-    return _random_token_from(_token_pool(d), d, rng)
-
-
 def _random_token_from(pool: list, d: GroupDescriptor, rng: random.Random) -> GeneratorToken:
     entry = rng.choice(pool)
     if entry[0] == "x":

@@ -244,9 +244,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_identity(self) -> bool:
-        return self.is_square and self == Matrix.identity(self.field, self.rows)
-
     # -- arithmetic on the stored integers -----------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -416,9 +413,6 @@ class Matrix:
         return Matrix._normal(self.field, [r[n:] for r in aug], s)
 
     # -- blocks -------------------------------------------------------------
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix._normal(self.field, [[self.num[i][j] for j in col_idx] for i in row_idx], self.den)
 
     @classmethod
     def assemble(cls, field: Field, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":

@@ -125,7 +125,7 @@ def spinor_decomposition(g: Matrix, d: GroupDescriptor) -> tuple:
 
 def wall_spinor_norm(g: Matrix, d: GroupDescriptor) -> SquareClass:
     """disc of the Wall form on the moved space; the identity maps to 1."""
-    _, piv, gram = _wall(g, d)
+    piv, gram = _wall(g, d)
     f = d.field
     if not piv:
         return _unit_class(f)
@@ -135,28 +135,20 @@ def wall_spinor_norm(g: Matrix, d: GroupDescriptor) -> SquareClass:
     return square_class(f, det)
 
 
-def wall_gram(g: Matrix, d: GroupDescriptor) -> tuple:
-    """(basis, gram matrix) of the Wall form on the moved space (I-g)V.
-
-    Over the pivot columns P of I-g the columns (I-g)e_j are a basis of
-    (I-g)V whose preimages are the e_j themselves, so [(I-g)e_i, (I-g)e_j]
-    = beta((I-g)e_i, e_j) is the (i, j) entry of (I-g)^T beta.
-    """
-    tilde, piv, gram = _wall(g, d)
-    return [tilde.col(j) for j in piv], gram
-
-
 def _wall(g: Matrix, d: GroupDescriptor) -> tuple:
-    """(I-g, its pivot columns P, the Wall gram matrix on P); the discriminant
-    needs only the last two, so no scalar basis is built here.  Entry
-    (a, b) of (I-g)^T beta is column a of I-g against the nonzeros of
-    beta's column b, so only the |P|^2 entries on P are formed."""
+    """(the pivot columns P of I-g, the Wall gram matrix on P).
+
+    The columns (I-g)e_j over P are a basis of the moved space (I-g)V whose
+    preimages are the e_j themselves, so [(I-g)e_a, (I-g)e_b] = beta((I-g)e_a,
+    e_b) is the (a, b) entry of (I-g)^T beta: column a of I-g against the
+    nonzeros of beta's column b.  Only the |P|^2 entries on P are formed, and
+    no scalar basis is built."""
     _check_orthogonal_isometry(g, d)
     tilde = _identity_minus(g)
     piv = tilde.pivot_columns()
     num, nzs = tilde.num, d.beta_columns()
     gram = [[sum(num[k][a] * v for k, v in nzs[b]) for b in piv] for a in piv]
-    return tilde, piv, Matrix._normal(d.field, gram, tilde.den * d.beta.den)
+    return piv, Matrix._normal(d.field, gram, tilde.den * d.beta.den)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,15 @@ the order of the paired writes never matters.
 
 ``applied`` runs the library's in-place ``apply`` on a
 :class:`WorkingMatrix` copy of a :class:`Matrix`, for tests that work with
-whole matrices.  ``x_units_delta`` is an x-token's delta built straight from
-``_x_units`` on the pair's ``x_pattern``, as the library built it before it
-compiled one code per index pair: the oracle for those codes.
+whole matrices.  ``x_units_delta`` is an x-token's delta built from this
+module's own ``_x_units``, the value form of every x-token written out per
+index pattern at t = a/b: the oracle for the codes that the library writes
+in coefficient form and compiles once per index pair
+(:func:`steinberg.generators.x_code`).
 """
 
 from steinberg.forms import Family, GroupDescriptor
-from steinberg.generators import GeneratorToken, _x_units, validate_token, x_pattern
+from steinberg.generators import GeneratorToken, validate_token, x_pattern
 from steinberg.matrix import Matrix
 from steinberg.rowops import LEFT, Side, WorkingMatrix, apply
 
@@ -38,6 +40,35 @@ def x_units_delta(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
     if p is None:
         return [(pos(a), pos(b), v) for a, b, v in units if v], den
     return [(pos(a), pos(b), r) for a, b, v in units if (r := v % p)], 1
+
+
+def _x_units(i: int, j: int, pat: str, a: int, b: int, d: GroupDescriptor) -> tuple:
+    """(signed-index (row, col, integer) triples, den) of x[i,j](a/b) - I
+    for the index pattern ``pat``; the integers are not yet reduced mod p."""
+    if pat in ("gl", "pnm", "npm"):
+        return [(i, j, a)], b
+    if pat == "pp":
+        return [(i, j, a), (-j, -i, -a)], b
+    if pat in ("pn", "np"):
+        # the short pairs: the partner unit carries +t for GSp, -t otherwise
+        return [(i, j, a), (-j, -i, a if d.family is Family.GSP else -a)], b
+    # the remaining patterns carry t^2, so they stand over b^2, where t is ab
+    t, t2, den = a * b, a * a, b * b
+    if pat == "i0":
+        return [(i, 0, 2 * t), (0, -i, -t), (i, -i, -t2)], den
+    if pat == "0i":
+        return [(-j, 0, -2 * t), (0, j, t), (-j, j, -t2)], den
+    # the twisted pairs against the anisotropic plane diag(1, eps)
+    eps = d.epsilon
+    if pat == "i1":
+        return [(1, i, 2 * t), (-i, 1, -2 * t), (-i, i, -2 * t2)], den
+    if pat == "1i":
+        return [(j, 1, 2 * t), (1, -j, -2 * t), (j, -j, -2 * t2)], den
+    if pat == "in1":
+        return [(-1, i, 2 * t), (-i, -1, -2 * eps * t), (-i, i, -2 * eps * t2)], den
+    if pat == "n1i":
+        return [(j, -1, 2 * eps * t), (-1, -j, -2 * t), (j, -j, -2 * eps * t2)], den
+    raise ValueError(pat)
 
 
 def oracle_apply(g: Matrix, tok: GeneratorToken, side: Side, d: GroupDescriptor) -> Matrix:

@@ -27,7 +27,7 @@ from steinberg.generators import (
     x2,
     x_pattern,
 )
-from steinberg.harness import enumerate_group, random_member, random_token
+from steinberg.harness import enumerate_group, random_member
 from steinberg.matrix import Matrix
 from steinberg.rowops import LEFT, RIGHT
 from steinberg.coset import coset_census, coset_label, verify_label

@@ -63,7 +63,7 @@ def test_parabolic_member_has_label_zero():
         g = random_parabolic(d, rng)
         label = coset_label(g, d)
         assert label.m == 0
-        assert label.omega.is_identity()
+        assert label.omega == Matrix.identity(F5, d.n)
         assert verify_label(g, label, d)
 
 
@@ -89,7 +89,7 @@ def test_label_is_the_rank_of_the_lower_left_block(family, field):
         cols = [d.pos(i) for i in range(1, l + 1)]
         for seed in range(10):
             g = random_member(d, seed, word_len=4 * l + 4, with_torus=True)
-            assert coset_label(g, d).m == oracle_rank(g.submatrix(rows, cols))
+            assert coset_label(g, d).m == oracle_rank(Matrix(field, [[g[r, c] for c in cols] for r in rows]))
 
 
 def test_sp23_exhaustive_partition(sp_2_3):

@@ -9,7 +9,7 @@ import pytest
 from steinberg.field import Field, QQ
 from steinberg.forms import Family, InternalError, NotInGroup, UnsupportedFamily, build_descriptor, multiplier
 from steinberg.eliminate import decompose, decompose_gl, word_length_stats
-from steinberg.generators import evaluate_word, token_matrix, w, x
+from steinberg.generators import Word, evaluate_word, token_matrix, w, x
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix, SingularMatrix
 
@@ -24,7 +24,7 @@ def test_identity_decomposes_trivially():
         d = build_descriptor(family, 2, F5)
         dec = decompose(Matrix.identity(F5, d.n), d)
         assert len(dec.left) == 0 and len(dec.right) == 0
-        assert dec.diagonal.is_identity()
+        assert dec.diagonal == Matrix.identity(F5, d.n)
         assert dec.lam == 1 and dec.mu == 1 and dec.op_count == 0
 
 
@@ -41,7 +41,7 @@ def test_symplectic_torus_absorbed():
         d = build_descriptor(Family.GSP, l, F5)
         diag = [1] * (l - 1) + [3] + [1] * (l - 1) + [pow(3, -1, 5)]
         dec = decompose(Matrix.diagonal(F5, diag), d)
-        assert dec.diagonal.is_identity()
+        assert dec.diagonal == Matrix.identity(F5, d.n)
         assert dec.lam == 1 and dec.mu == 1
         assert dec.op_count > 0
 
@@ -152,7 +152,7 @@ def test_odd_observer_alpha_square():
 def test_decompose_gl_examples():
     F7 = Field(7)
     dec = decompose_gl(Matrix.identity(F7, 3))
-    assert len(dec.left) == 0 and len(dec.right) == 0 and dec.diagonal.is_identity()
+    assert len(dec.left) == 0 and len(dec.right) == 0 and dec.diagonal == Matrix.identity(F7, 3)
 
     g = Matrix.diagonal(F7, [2, 3])
     dec = decompose_gl(g)
@@ -250,7 +250,8 @@ def test_interchange_path_is_pinned_per_family(family, rows, phases, word, ops):
     seen = []
     dec = decompose(g, d, observer=lambda phase, m: seen.append(phase))
     assert seen == phases
-    assert str(dec.as_word()) == word and dec.op_count == ops
+    assert str(Word(d, dec.left.tokens + (dec.torus_token(),) + dec.right.tokens)) == word
+    assert dec.op_count == ops
     assert dec.reassemble() == g
 
 

@@ -39,6 +39,95 @@ def test_odd_form():
     ])
 
 
+# beta over F_5 in storage order (the module docstring of forms); GOminus has
+# epsilon = 2 at p = 5
+BETAS = {
+    (Family.GSP, 1): [
+        [0, 1],
+        [-1, 0],
+    ],
+    (Family.GSP, 2): [
+        [0, 0, 1, 0],
+        [0, 0, 0, 1],
+        [-1, 0, 0, 0],
+        [0, -1, 0, 0],
+    ],
+    (Family.GSP, 3): [
+        [0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 1],
+        [-1, 0, 0, 0, 0, 0],
+        [0, -1, 0, 0, 0, 0],
+        [0, 0, -1, 0, 0, 0],
+    ],
+    (Family.GO_EVEN, 1): [
+        [0, 1],
+        [1, 0],
+    ],
+    (Family.GO_EVEN, 2): [
+        [0, 0, 1, 0],
+        [0, 0, 0, 1],
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+    ],
+    (Family.GO_EVEN, 3): [
+        [0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 1],
+        [1, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0],
+    ],
+    (Family.GO_ODD, 1): [
+        [2, 0, 0],
+        [0, 0, 1],
+        [0, 1, 0],
+    ],
+    (Family.GO_ODD, 2): [
+        [2, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 1],
+        [0, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0],
+    ],
+    (Family.GO_ODD, 3): [
+        [2, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 0, 1],
+        [0, 1, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0],
+    ],
+    (Family.GO_MINUS, 1): [
+        [1, 0],
+        [0, 2],
+    ],
+    (Family.GO_MINUS, 2): [
+        [1, 0, 0, 0],
+        [0, 2, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, 1, 0],
+    ],
+    (Family.GO_MINUS, 3): [
+        [1, 0, 0, 0, 0, 0],
+        [0, 2, 0, 0, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 1],
+        [0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0],
+    ],
+}
+
+
+@pytest.mark.parametrize("family, l", list(BETAS), ids=lambda v: getattr(v, "value", str(v)))
+def test_gram_matrix_is_pinned(family, l):
+    assert build_descriptor(family, l, F5).beta == Matrix(F5, BETAS[family, l])
+    if family is not Family.GO_MINUS:
+        d = build_descriptor(family, l, QQ)
+        assert d.beta == Matrix(QQ, BETAS[family, l]) and d.beta.den == 1
+
+
 def test_twisted_form_p5():
     d = build_descriptor(Family.GO_MINUS, 1, F5)
     assert d.beta == Matrix(F5, [[1, 0], [0, 2]])

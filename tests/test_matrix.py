@@ -10,10 +10,10 @@ from steinberg.forms import Family, InternalError, build_descriptor
 from steinberg.generators import legal_x_index_pairs, token_matrix, torus, w, x, x1, x2, x_pattern
 from steinberg.harness import (
     _random_scalar,
+    _random_token_from,
     _reflection_params,
     _token_pool,
     random_member,
-    random_token,
     random_torus_token,
 )
 from steinberg.matrix import DimensionMismatch, Matrix, SingularMatrix
@@ -47,7 +47,7 @@ def test_rank_of_diagonal():
 
 def test_inverse_and_det():
     g = Matrix(F5, [[1, 2], [3, 4]])
-    assert (g @ g.inverse()).is_identity()
+    assert g @ g.inverse() == Matrix.identity(F5, 2)
     assert g.det() == (1 * 4 - 2 * 3) % 5
     with pytest.raises(SingularMatrix):
         Matrix(F5, [[1, 2], [2, 4]]).inverse()
@@ -67,19 +67,16 @@ def test_algebraic_identities_on_random_matrices(field):
         assert (a @ b).transpose() == b.transpose() @ a.transpose()
         assert a.rank() == a.transpose().rank()
         if a.rank() == 4:
-            assert (a @ a.inverse()).is_identity()
+            assert a @ a.inverse() == Matrix.identity(field, 4)
 
 
 def test_rational_exactness():
     a = Matrix(QQ, [[Fraction(1, 3), Fraction(2, 7)], [Fraction(5, 2), Fraction(1, 9)]])
     inv = a.inverse()
-    assert (a @ inv).is_identity()
+    assert a @ inv == Matrix.identity(QQ, 2)
 
 
 def test_blocks_and_assemble():
-    g = Matrix(F5, [[1, 2, 3], [4, 0, 1], [2, 2, 2]])
-    sub = g.submatrix([0, 2], [1, 2])
-    assert sub == Matrix(F5, [[2, 3], [2, 2]])
     grid = [
         [Matrix.identity(F5, 2), Matrix.zeros(F5, 2, 1)],
         [Matrix.zeros(F5, 1, 2), Matrix(F5, [[4]])],
@@ -226,8 +223,8 @@ def test_chain_matches_the_scalar_oracle(field):
         assert len(tokens) + 2 <= word_len
         diag = Matrix.diagonal(field, [_random_scalar(field, rng) for _ in range(n)])
         dense = rand_matrix(rng, field, n)
-        wide = rand_matrix(rng, field, n + 2).submatrix(range(n), range(n + 2))
-        tall = rand_matrix(rng, field, n + 2).submatrix(range(n + 2), range(n))
+        wide = Matrix(field, rand_matrix(rng, field, n + 2).to_lists()[:n])
+        tall = Matrix(field, [r[:n] for r in rand_matrix(rng, field, n + 2).to_lists()])
         mixed = tokens + [rng.choice(tokens) for _ in range(word_len - len(tokens) - 2)]
         rng.shuffle(mixed)
         mixed[len(mixed) // 3:len(mixed) // 3] = [diag]
@@ -297,21 +294,21 @@ def test_internal_producers_give_canonical_entries(field):
     products = [
         a @ b, (a @ b) @ a, Matrix.identity(field, 4), Matrix.zeros(field, 2, 3),
         Matrix.diagonal(field, [1, -1, 2, Fraction(1, 2)]),
-        a + b, a - b, -a, a.scale(-3), a.transpose(), a.submatrix([0, 2], [1, 3]),
+        a + b, a - b, -a, a.scale(-3), a.transpose(),
         a.rref(), a.inverse(), Matrix.assemble(field, [[a, b]]),
     ]
     families = [Family.GL, Family.GSP, Family.GO_EVEN, Family.GO_ODD]
     for fam in families + ([Family.GO_MINUS] if field.is_prime else []):
         d = build_descriptor(fam, 2, field, similitude=True)
         for _ in range(20):
-            products.append(token_matrix(random_token(d, rng), d))
+            products.append(token_matrix(_random_token_from(_token_pool(d), d, rng), d))
         for i, j in legal_x_index_pairs(d):
             products.append(token_matrix(x(i, j, field.of(Fraction(-3, 2))), d))
         products.append(token_matrix(random_torus_token(d, rng), d))
         g = random_member(d, 3, word_len=8, with_torus=True)
         products.append(g)
         wm = WorkingMatrix(g, d)
-        wm.lmul(random_token(d, rng))
+        wm.lmul(_random_token_from(_token_pool(d), d, rng))
         products.append(wm.matrix())
     for m in products:
         assert_canonical(m)

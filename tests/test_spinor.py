@@ -8,17 +8,17 @@ from steinberg.field import QQ, CannotFactor, Field, SquareClass, square_class
 from steinberg.forms import Family, InternalError, NotInGroup, build_descriptor
 from steinberg.eliminate import decompose
 from steinberg.generators import evaluate_word, token_matrix, torus, w, x, x1, x2
-from steinberg.harness import random_member, random_token, enumerate_group
+from steinberg.harness import _random_token_from, _token_pool, enumerate_group, random_member
 from steinberg.matrix import Matrix
 from steinberg.rowops import RIGHT
 from steinberg.spinor import (
     NotOrthogonalFamily,
+    _wall,
     in_commutator_subgroup,
     reflection_factorization,
     reflection_matrix,
     spinor_norm,
     token_spinor_class,
-    wall_gram,
     wall_spinor_norm,
 )
 
@@ -81,7 +81,9 @@ def test_wall_property_one_entrywise():
         d = build_descriptor(family, 2, field)
         for seed in range(6):
             g = random_member(d, seed, word_len=6)
-            basis, gram = wall_gram(g, d)
+            tilde = Matrix.identity(field, d.n) - g
+            piv, gram = _wall(g, d)
+            basis = [tilde.col(j) for j in piv]
             for i, u in enumerate(basis):
                 for j, v in enumerate(basis):
                     lhs = field.add(gram[i, j], gram[j, i])
@@ -129,7 +131,7 @@ def test_wall_norm_independent_of_choices():
                         shifted += 1
                     assert (tilde @ Matrix(f, [[v] for v in y])).col(0) == u
                     pre.append(y)
-                wall_basis, _ = wall_gram(g, d)
+                wall_basis = [tilde.col(j) for j in _wall(g, d)[0]]
                 assert oracle_rank(Matrix(f, wall_basis + basis)) == len(wall_basis) == len(basis)
                 if not basis:
                     assert wall_spinor_norm(g, d) == square(f)
@@ -551,7 +553,7 @@ def test_integer_descent_agrees_with_the_matrix_oracles(field, monkeypatch):
             # single tokens: the root elements x[i,j](t) move a totally
             # isotropic space, which the descent itself rarely meets
             for _ in range(6):
-                h = token_matrix(random_token(d, rng), d)
+                h = token_matrix(_random_token_from(_token_pool(d), d, rng), d)
                 checked_basis(h)
                 checked_isotropic(h, d)
     assert seen["basis"] and seen["isotropic"] and seen["eichler"]

@@ -30,7 +30,7 @@ from steinberg.field import Field, QQ
 from steinberg.forms import Family, build_descriptor
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix, SingularMatrix
-from steinberg.generators import legal_x_index_pairs, token_matrix, x
+from steinberg.generators import Word, legal_x_index_pairs, token_matrix, x
 from steinberg.spinor import reflection_factorization, spinor_norm
 
 F7 = Field(7)
@@ -54,6 +54,11 @@ def _cells():
             yield family, l, QQ
 
 
+def _word(dec):
+    """A decomposition as one word: the left word, the torus token, the right word."""
+    return Word(dec.descriptor, dec.left.tokens + (dec.torus_token(),) + dec.right.tokens)
+
+
 def _records(cells=None):
     for family, l, field in cells or _cells():
         sim = build_descriptor(family, l, field, similitude=True)
@@ -61,7 +66,7 @@ def _records(cells=None):
         for seed in SEEDS:
             g = random_member(sim, seed, word_len=4 * l + 4, with_torus=True)
             dec = decompose(g, sim)
-            yield f"{sim}#{seed} g={g.data} w={dec.as_word()} ops={dec.op_count}"
+            yield f"{sim}#{seed} g={g.data} w={_word(dec)} ops={dec.op_count}"
             h = random_member(iso, seed, word_len=4 * l + 4, with_torus=True)
             yield f"{iso}#{seed} h={h.data}"
             if family in SPLIT:
@@ -94,7 +99,7 @@ def _gl_records():
                     except SingularMatrix:
                         yield f"{d}#{seed} g={g.data} singular"
                         continue
-                    yield f"{d}#{seed} g={g.data} w={dec.as_word()} ops={dec.op_count}"
+                    yield f"{d}#{seed} g={g.data} w={_word(dec)} ops={dec.op_count}"
 
 
 def _wide_records():
