@@ -25,13 +25,15 @@ normalise step (:func:`_lowest`, and the vector updates of
 :func:`_apply_delta`: reduce mod p, or divide out the gcd) and the scalar
 view (``data``, ``[i, j]``, ``row``, ``col``, ``to_lists``,
 ``repr``: the residues, or ``Fraction(v, den)``) know the field.  Pivot
-columns, rank, rref, inverse and determinant go through one Gauss-Jordan
+columns, rank, rref, inverse and determinant go through one elimination
 kernel on the stored integers: on residues over F_p, and fraction-free over
 Q, where the reduced rows come out over one common pivot and go straight
-back to the stored form.  The trusted constructors ``_canonical`` and
-``_normal`` take integer rows as they are; token matrices and the snapshots
-of the working matrix (:mod:`steinberg.rowops`) are built through them,
-without a scalar per entry.
+back to the stored form.  Rref and inverse take full Gauss-Jordan; pivot
+columns, rank and determinant stop at a row-echelon form.  The trusted
+constructors ``_canonical`` and ``_normal`` take integer rows as they are;
+token matrices and the snapshots of the working matrix
+(:mod:`steinberg.rowops`) are built through them, without a scalar per
+entry.
 """
 from __future__ import annotations
 
@@ -332,18 +334,23 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._canonical(self.field, zip(*self.num), self.den) if self.num else self
 
-    # -- exact Gauss-Jordan kernel on the stored integers ---------------------
+    # -- exact elimination kernel on the stored integers ----------------------
 
-    def _reduce(self, aug: list) -> tuple:
+    def _reduce(self, aug: list, full: bool = True) -> tuple:
         """Row-reduce the integer rows ``aug`` in place over this matrix's
-        columns; return (pivot columns, det, s) with ``aug / s`` the rref.
+        columns; return (pivot columns, det, s).
 
-        F_p: Gauss-Jordan on residues, pivots scaled to 1, so s = 1.  Q:
-        fraction-free Gauss-Jordan (Nakos, Turner & Williams 1997), whose
-        divisions by the previous pivot are exact; every pivot entry ends
-        equal to the last pivot s.  ``det`` is the integer determinant of
-        the left block (not yet reduced mod p) when it is square and fully
-        pivoted.
+        With ``full`` each pivot column is cleared above and below its pivot,
+        and ``aug / s`` is the rref; without it only the rows below are
+        cleared, which is all the pivot columns, rank and det need, and
+        ``aug`` is left in a row-echelon form.  F_p: on residues, s = 1, and
+        under ``full`` each pivot row is scaled to 1.  Q: fraction-free,
+        Gauss-Jordan (Nakos, Turner & Williams 1997) or, without ``full``,
+        forward-only Bareiss (Math. Comp. 22, 1968); either way the
+        divisions by the previous pivot are exact and s is the last pivot,
+        which under ``full`` every pivot entry ends equal to.  ``det`` is the
+        integer determinant of the left block (not yet reduced mod p) when
+        it is square and fully pivoted.
         """
         p = self.field.p
         m = len(aug)
@@ -357,18 +364,21 @@ class Matrix:
             if pr != r:
                 aug[r], aug[pr] = aug[pr], aug[r]
                 sign = -sign
-            piv = aug[r][c]
+            piv, top = aug[r][c], aug[r]
+            rows = range(m) if full else range(r + 1, m)
             if p is not None:
                 inv = pow(piv, -1, p)
                 det = det * piv % p
-                top = aug[r] = [v * inv % p for v in aug[r]]
-                for k in range(m):
+                if full:
+                    top = aug[r] = [v * inv % p for v in top]
+                    inv = 1
+                for k in rows:
                     t = aug[k][c]
                     if t and k != r:
+                        t = t * inv % p
                         aug[k] = [(a - t * b) % p for a, b in zip(aug[k], top)]
             else:
-                top = aug[r]
-                for k in range(m):
+                for k in rows:
                     t = aug[k][c]
                     if k != r and (t or piv != s):
                         aug[k] = [(piv * a - t * b) // s for a, b in zip(aug[k], top)]
@@ -381,7 +391,7 @@ class Matrix:
 
     def pivot_columns(self) -> list:
         """The pivot columns of the reduced row-echelon form, in order."""
-        return self._reduce(list(map(list, self.num)))[0]
+        return self._reduce(list(map(list, self.num)), full=False)[0]
 
     def rank(self) -> int:
         return len(self.pivot_columns())
@@ -396,7 +406,7 @@ class Matrix:
         if not self.is_square:
             raise DimensionMismatch("determinant of non-square matrix")
         f = self.field
-        pivots, det, _ = self._reduce(list(map(list, self.num)))
+        pivots, det, _ = self._reduce(list(map(list, self.num)), full=False)
         if len(pivots) != self.rows:
             return f.zero
         return det % f.p if f.is_prime else Fraction(det, self.den ** self.rows)

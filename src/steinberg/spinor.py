@@ -8,13 +8,12 @@
   pivot columns of I-g: no linear solve (Zassenhaus, Arch. Math. 13, 1962).
 * ``reflection_factorization``: a constructive orthogonal-reflection
   factorisation; the classical norm is the product of beta(v,v)/2 over the
-  mirrors.  The descent runs on integer vectors over the den of an rref
-  basis, each candidate with one mirror record (its anisotropy test and its
-  norm), and its lookahead decides the Eichler case, a totally isotropic
-  moved space, by the closed form beta h + (beta h)^T = 2 beta.  Both the
-  basis and the lookahead read the stored integers of h, building no
-  matrix for I - h or beta h.  The closing check rebuilds g from the
-  mirror records by rank-1 updates, with no dense reflection matrix.
+  mirrors.  The descent holds one moved-space record, the rref basis of
+  (I-h)V with a preimage per row, built by one reduction and moved to each
+  mirror's hyperplane in O(k n) (Wall's form on the moved space); each
+  candidate carries one mirror record (its anisotropy test and its norm),
+  and the Eichler lookahead is a Gram test on the hyperplane's rows.  The
+  closing check rebuilds g from the mirror records by rank-1 updates.
 
 Each route checks the form equation once.  Over Q the classes are held
 unfactored (:class:`~steinberg.field.SquareClass`), so no route factors an
@@ -39,7 +38,7 @@ from .forms import (
     multiplier,
 )
 from .generators import GeneratorToken
-from .matrix import Matrix, _over_lcm
+from .matrix import Matrix, _lowest, _over_lcm
 
 
 def _unit_class(field: Field) -> SquareClass:
@@ -207,27 +206,54 @@ def _identity_minus(h: Matrix) -> Matrix:
     return Matrix._canonical(h.field, rows, den)
 
 
-def _moved_space_basis(h: Matrix) -> tuple:
-    """(integer rows, den) of a deterministic basis of (I-h)V: the nonzero
-    rows of the rref of (I-h)^T."""
-    rr = _identity_minus(h).transpose().rref()
-    return [r for r in rr.num if any(r)], rr.den
+def _record(h: Matrix) -> tuple:
+    """The moved-space record (x rows, xden, u rows, uden) of h: the nonzero
+    rows x_i / xden of the rref of (I-h)^T, a basis of V_h = (I-h)V, and
+    preimages (I-h) u_i / uden = x_i / xden, from one reduction of [(I-h)^T
+    | I] pivoted over its left n columns.  With I-h = num / den, the right
+    part E_i of row i gives x_i = num E_i, so u_i = den E_i (both over s)."""
+    t = _identity_minus(h).transpose()
+    n, p = t.cols, h.field.p
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(t.num)]
+    piv, _, s = t._reduce(aug)
+    rows = aug[:len(piv)]
+    return (*_lowest(p, [r[:n] for r in rows], s), *_lowest(p, [[t.den * v for v in r[n:]] for r in rows], s))
 
 
-def _totally_isotropic(h: Matrix, d: GroupDescriptor) -> bool:
-    """Whether (I-h)V is totally isotropic for an isometry h: (I-h)^T beta
-    (I-h) = 2 beta - beta h - (beta h)^T (Scherk, Canad. J. Math. 2, 1950).
+def _hyperplane(rec: tuple, u: list, d: GroupDescriptor) -> tuple:
+    """The record of s_v h from that of h, for a mirror v in V_h with (I-h)u
+    a multiple of v: V_{s_v h} = {x in V_h : beta(u, x) = 0} (Wall's form on
+    the moved space), and the preimages carry over with the same
+    coefficients.  With phi_k = beta(u, x_k) and t the last k with phi_k !=
+    0, row t goes and every other row k becomes phi_t x_k - phi_k x_t, the
+    same for the u rows, normalised (over F_p by phi_t^-1).  Each row keeps
+    its pivot and row t's pivot column stops being one, so the x rows are
+    again in rref, the unique rref of (I - s_v h)^T."""
+    p = d.field.p
+    z = [sum(u[i] * b for i, b in col) for col in d.beta_columns()]
+    phi = [sum(map(mul, z, x)) for x in rec[0]]
+    if p is not None:
+        phi = [f % p for f in phi]
+    t = max(k for k, f in enumerate(phi) if f)
+    ft, out = phi[t], ()
+    for rows, den in (rec[:2], rec[2:]):
+        top, rest = rows[t], [(r, f) for k, (r, f) in enumerate(zip(rows, phi)) if k != t]
+        if p is not None:
+            inv = pow(ft, -1, p)
+            out += [[(a - c * b) % p for a, b in zip(r, top)] if (c := f * inv % p) else r for r, f in rest], 1
+        else:
+            out += _lowest(None, [[ft * a - f * b for a, b in zip(r, top)] for r, f in rest], ft * den)
+    return out
 
-    On the stored integers, with h = num / den and beta's integers B, the
-    test is (B num)_ij + (B num)_ji = 2 B_ij den (mod p) for j >= i, entry
-    by entry until one fails.  beta is symmetric, so its column nonzeros
-    are its row nonzeros too, and each entry costs one or two products.
-    """
-    p, num, den, beta = d.field.p, h.num, h.den, d.beta.num
-    nzs = d.beta_columns()
-    for i, nz in enumerate(nzs):
-        for j in range(i, len(num)):
-            v = sum(b * num[k][j] for k, b in nz) + sum(b * num[k][i] for k, b in nzs[j]) - 2 * beta[i][j] * den
+
+def _isotropic(xs: list, d: GroupDescriptor) -> bool:
+    """Whether the rows xs span a totally isotropic space: beta(x_a, x_b) =
+    0 for a <= b, up to the first entry that is not."""
+    p, cols = d.field.p, d.beta_columns()
+    for a, x in enumerate(xs):
+        y = [sum(x[i] * b for i, b in col) for col in cols]
+        for xb in xs[a:]:
+            v = sum(map(mul, y, xb))
             if v if p is None else v % p:
                 return False
     return True
@@ -244,24 +270,27 @@ def _some_anisotropic(d: GroupDescriptor) -> list:
     return x
 
 
-def _anisotropic_candidates(basis: list, den: int, d: GroupDescriptor) -> Iterator[tuple]:
-    """Mirror records of the anisotropic vectors among the basis vectors
-    x_i / den and the combinations (a x_i + c x_j) / (a den), lazily in
-    that order.  The coefficients c / a only diversify the choices of the
-    descent, so over F_p they stop at 7 and cost the same for every prime.
+def _anisotropic_candidates(rec: tuple, d: GroupDescriptor) -> Iterator[tuple]:
+    """(mirror record, preimage) of the anisotropic vectors among the basis
+    vectors x_i / xden of the record and the combinations (a x_i + c x_j) /
+    (a xden), lazily in that order; the preimage is the same combination of
+    the u rows, up to scale.  The coefficients c / a only diversify the
+    choices of the descent, so over F_p they stop at 7 and cost the same
+    for every prime.
     """
+    xs, den, us, _ = rec
     if d.field.is_prime:
         coeffs = [(1, c) for c in range(1, min(d.field.p, 8))]
     else:
         coeffs = [(1, 1), (1, -1), (1, 2), (1, -2), (1, 3), (1, -3), (2, 1), (2, -1)]
-    for x in basis:
+    for x, u in zip(xs, us):
         if m := _mirror(x, den, d):
-            yield m
-    for i, xi in enumerate(basis):
-        for xj in basis[i + 1:]:
+            yield m, u
+    for i, (xi, ui) in enumerate(zip(xs, us)):
+        for xj, uj in zip(xs[i + 1:], us[i + 1:]):
             for a, c in coeffs:
-                if m := _mirror([a * u + c * v for u, v in zip(xi, xj)], a * den, d):
-                    yield m
+                if m := _mirror([a * s + c * t for s, t in zip(xi, xj)], a * den, d):
+                    yield m, [a * s + c * t for s, t in zip(ui, uj)]
 
 
 def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
@@ -269,46 +298,54 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
 
     Greedy descent on the moved space V_h = (I-h)V: reflecting in any
     anisotropic v of V_h grows the fixed space by one.  The candidates are
-    integer combinations of the rref basis of V_h, each with one mirror
-    record that is both its anisotropy test and its norm.  When V_h is
-    totally isotropic (the Eichler case, worth two extra mirrors) an
-    auxiliary reflection breaks the degeneracy; a one-step lookahead, the
-    closed-form test :func:`_totally_isotropic`, keeps the next choice from
-    simply undoing it.  The product equality is checked by rebuilding g
-    from the mirror records, one rank-1 update each; the tests compare that
-    with the dense :func:`reflection_matrix` chain.
+    integer combinations of the rref basis of V_h, kept in one record
+    (:func:`_record`, :func:`_hyperplane`).  When V_h is totally isotropic
+    (the Eichler case, worth two extra mirrors) an auxiliary reflection
+    breaks the degeneracy; a one-step lookahead, the Gram test
+    :func:`_isotropic` on the candidate's hyperplane, keeps the next choice
+    from simply undoing it.  Until the first auxiliary mirror each step
+    drops dim V_h by one, so no element can recur; from it on the dense h
+    is kept too, and a candidate whose product was met is passed over.  The
+    product equality is checked by rebuilding g from the mirror records,
+    one rank-1 update each.
     """
     _check_orthogonal_isometry(g, d)
     f = d.field
-    ident = Matrix.identity(f, d.n)
     mirrors = []
-    h = g
-    seen = {h}
+    rec = _record(g)
+    h = seen = None  # the dense h and the elements met, from the first auxiliary mirror on
     fuel = 2 * d.n + 6
-    while h != ident:
+    while rec[0]:
         fuel -= 1
         if fuel < 0:
             raise InternalError("reflection factorisation failed to terminate")
         choice = fallback = None
-        for m in _anisotropic_candidates(*_moved_space_basis(h), d):
-            h2 = _reflected(m, h)
-            if h2 not in seen and (h2 == ident or not _totally_isotropic(h2, d)):
-                choice = (m, h2)
+        for m, u in _anisotropic_candidates(rec, d):
+            rec2, h2 = _hyperplane(rec, u, d), seen and _reflected(m, h)
+            if (not seen or h2 not in seen) and not (rec2[0] and _isotropic(rec2[0], d)):
+                choice = m, rec2, h2
                 break
-            fallback = fallback or (m, h2)
+            fallback = fallback or (m, rec2, h2)
         if choice or fallback:
-            m, h = choice or fallback
+            m, rec, h = choice or fallback
         else:
             m = _mirror(_some_anisotropic(d), 1, d)
+            if not seen:
+                h, seen = g, {g}
+                for prev in mirrors:
+                    h = _reflected(prev, h)
+                    seen.add(h)
             h = _reflected(m, h)
-        seen.add(h)
+            rec = _record(h)
+        if seen:
+            seen.add(h)
         mirrors.append(m)
     acc = _unit_class(f)
     for *_, nv in mirrors:
         # beta(v, v) / 2 = N / (2 den^2) = 2 N / (2 den)^2, in the class of 2 N
         acc = acc * square_class(f, f.of(2 * nv))
     # g = rho_1 ... rho_k: rebuilt from I by rank-1 updates, last mirror first
-    h = ident
+    h = Matrix.identity(f, d.n)
     for m in reversed(mirrors):
         h = _reflected(m, h)
     if h != g:

@@ -397,6 +397,46 @@ def test_kernel_agrees_with_the_scalar_oracle(field):
                 assert_canonical(a.inverse())
 
 
+def _laplace_det(f, rows: list):
+    """The determinant by cofactor expansion along the first row, in
+    Fractions, reduced mod p at the end over F_p."""
+
+    def expand(rows):
+        if not rows:
+            return Fraction(1)
+        return sum((-1) ** j * Fraction(v) * expand([r[:j] + r[j + 1:] for r in rows[1:]])
+                   for j, v in enumerate(rows[0]) if v)
+
+    value = expand([list(r) for r in rows])
+    return value % f.p if f.is_prime else value
+
+
+@pytest.mark.parametrize("field", [Field(3), F7, BIG, QQ], ids=str)
+def test_echelon_only_pivots_rank_and_det(field):
+    # pivot_columns, rank and det stop at a row-echelon form: against the
+    # pivots of the full Gauss-Jordan reduction and a Laplace determinant,
+    # on random, singular, zero and non-square matrices, and over Q on
+    # 100-digit rationals
+    rng = random.Random(43)
+    cases = list(_kernel_cases(field, rng))
+    if not field.is_prime:
+        def tall():
+            return Fraction(rng.randint(-10**100, 10**100), rng.randint(1, 10**100))
+
+        for n in (2, 3, 5):
+            cases.append(Matrix(field, [[tall() for _ in range(n)] for _ in range(n)]))
+            rows = [[tall() for _ in range(n + 1)] for _ in range(n)]
+            rows[-1] = [2 * v for v in rows[0]]
+            cases.append(Matrix(field, rows))  # rank n - 1
+            cases.append(Matrix(field, rows).transpose())
+    for a in cases:
+        full = a._reduce(list(map(list, a.num)))[0]
+        assert a.pivot_columns() == full
+        assert a.rank() == len(full)
+        if a.is_square:
+            assert a.det() == _laplace_det(field, a.data)
+
+
 def test_negative_pivots_and_denominators_give_canonical_matrices():
     a = Matrix(QQ, [[-3, 1, Fraction(-1, 2)], [2, -5, 0], [Fraction(-7, 3), 0, -1]])
     b = Matrix(QQ, [[-2, 4, 6], [-1, 2, 3], [Fraction(-1, 3), 1, 0]])

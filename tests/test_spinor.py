@@ -7,7 +7,7 @@ import pytest
 from steinberg.field import QQ, CannotFactor, Field, SquareClass, square_class
 from steinberg.forms import Family, InternalError, NotInGroup, build_descriptor
 from steinberg.eliminate import decompose
-from steinberg.generators import evaluate_word, token_matrix, torus, w, x, x1, x2
+from steinberg.generators import evaluate_word, legal_x_index_pairs, token_matrix, torus, w, x, x1, x2
 from steinberg.harness import _random_token_from, _token_pool, enumerate_group, random_member
 from steinberg.matrix import Matrix
 from steinberg.rowops import RIGHT
@@ -24,6 +24,7 @@ from steinberg.spinor import (
 
 from gauss_oracle import oracle_det, oracle_rank, oracle_rref, oracle_solve, reduce_scalars
 from rowops_oracle import applied
+from spinor_oracle import oracle_moved_space_basis, oracle_reflection_factorization, oracle_totally_isotropic
 
 F3 = Field(3)
 F5 = Field(5)
@@ -167,8 +168,6 @@ def test_twisted_token_values():
 
 
 def test_every_elementary_token_class_matches_wall():
-    from steinberg.generators import legal_x_index_pairs
-
     for family in ORTH:
         d = build_descriptor(family, 2, F5)
         for (i, j) in legal_x_index_pairs(d):
@@ -242,7 +241,7 @@ def test_every_route_reports_an_uncertified_squarefree_part():
 def test_rank_one_update_equals_the_dense_product(field):
     # each candidate's mirror record: its N over den^2 is beta(v, v) for the
     # vector v = x / den it stands for, and its rank-1 update is the product
-    from steinberg.spinor import _anisotropic_candidates, _moved_space_basis, _reflected
+    from steinberg.spinor import _anisotropic_candidates, _record, _reflected
 
     f = field
     for family in ORTH if f.is_prime else ORTH[:2]:
@@ -250,8 +249,8 @@ def test_rank_one_update_equals_the_dense_product(field):
             d = build_descriptor(family, l, f)
             for seed in range(3):
                 h = random_member(d, seed, word_len=4 * l, with_torus=True)
-                basis, den = _moved_space_basis(random_member(d, seed + 7, word_len=4 * l))
-                for m in islice(_anisotropic_candidates(basis, den, d), 4):
+                rec = _record(random_member(d, seed + 7, word_len=4 * l))
+                for m, _ in islice(_anisotropic_candidates(rec, d), 4):
                     x, vden, *_, nv = m
                     v = tuple(f.div(f.of(xi), f.of(vden)) for xi in x)
                     assert f.div(f.of(nv), f.of(vden * vden)) == beta_pair(d.beta, v, v) != f.zero
@@ -263,9 +262,10 @@ def test_factorization_fuel_check_raises_internal_error(monkeypatch):
 
     d = build_descriptor(Family.GO_EVEN, 2, F5)
     g = random_member(d, 1, word_len=7)
-    # the descent applies each trial mirror through the rank-1 update; a
-    # stalled update leaves h where it was, so only the fuel check can stop it
-    monkeypatch.setattr(spinor, "_reflected", lambda m, h: h)
+    # the descent moves its record to each trial mirror's hyperplane; a
+    # stalled update leaves the record where it was, so only the fuel check
+    # can stop it
+    monkeypatch.setattr(spinor, "_hyperplane", lambda rec, u, d: rec)
     with pytest.raises(InternalError, match="failed to terminate"):
         reflection_factorization(g, d)
 
@@ -286,6 +286,8 @@ def test_mirror_product_check_raises_internal_error(monkeypatch):
     mirrors, _ = reflection_factorization(g, d)
     assert mirrors
     total = len(calls)
+    # no auxiliary mirror here, so only the closing check's rebuild calls it
+    assert total == len(mirrors)
     calls.clear()
 
     def last_one_wrong(m, h):
@@ -509,42 +511,56 @@ def test_no_library_path_factors_a_rational_class(monkeypatch):
                 assert in_commutator_subgroup(g, d) is (g.det() == 1 and a.is_square)
 
 
-# the Matrix-algebra forms the integer descent replaced, kept as oracles
-def oracle_moved_space_basis(h: Matrix) -> tuple:
-    rr = (Matrix.identity(h.field, h.rows) - h).transpose().rref()
-    return [r for r in rr.num if any(r)], rr.den
-
-
-def oracle_totally_isotropic(h: Matrix, d) -> bool:
-    bh = d.beta @ h
-    return bh + bh.transpose() == d.beta.scale(2)
+def _column(f, ints, den):
+    return Matrix._normal(f, [[v] for v in ints], den)
 
 
 @pytest.mark.parametrize("field", [F3, Field(7), Field(1000000007), QQ], ids=str)
 def test_integer_descent_agrees_with_the_matrix_oracles(field, monkeypatch):
+    # on every descent step, the record built or updated for an element h
+    # (found by the record it came from and the preimage of the mirror) is
+    # the oracle's rref basis of (I-h)^T, its preimages satisfy
+    # (I-h) u_i / uden = x_i / xden, and the Gram test on its rows agrees
+    # with the closed-form lookahead
     import steinberg.spinor as spinor
 
-    basis, isotropic = spinor._moved_space_basis, spinor._totally_isotropic
-    seen = {"basis": 0, "isotropic": 0, "eichler": 0}
+    record, hyperplane, isotropic = spinor._record, spinor._hyperplane, spinor._isotropic
+    f = field
+    homes = {}  # id of a record, or of its rows, -> (it, the element it describes)
+    seen = {"record": 0, "hyperplane": 0, "isotropic": 0, "eichler": 0}
 
-    def checked_basis(h):
-        seen["basis"] += 1
-        out = basis(h)
-        assert out == oracle_moved_space_basis(h)
-        return out
+    def checked(rec, h):
+        xs, xden, us, uden = rec
+        assert (xs, xden) == oracle_moved_space_basis(h)
+        tilde = Matrix.identity(f, h.rows) - h
+        for x, u in zip(xs, us):
+            assert tilde @ _column(f, u, uden) == _column(f, x, xden)
+        homes[id(rec)], homes[id(xs)] = (rec, h), (xs, h)
+        return rec
 
-    def checked_isotropic(h, d):
+    def checked_record(h):
+        seen["record"] += 1
+        return checked(record(h), h)
+
+    def checked_hyperplane(rec, u, d):
+        seen["hyperplane"] += 1
+        h = homes[id(rec)][1]
+        v = ((Matrix.identity(f, d.n) - h) @ _column(f, u, 1)).col(0)
+        return checked(hyperplane(rec, u, d), reflection_matrix(v, d) @ h)
+
+    def checked_isotropic(xs, d):
         seen["isotropic"] += 1
-        out = isotropic(h, d)
-        assert out is oracle_totally_isotropic(h, d)
+        out = isotropic(xs, d)
+        assert out is oracle_totally_isotropic(homes[id(xs)][1], d)
         seen["eichler"] += out
         return out
 
-    monkeypatch.setattr(spinor, "_moved_space_basis", checked_basis)
-    monkeypatch.setattr(spinor, "_totally_isotropic", checked_isotropic)
+    monkeypatch.setattr(spinor, "_record", checked_record)
+    monkeypatch.setattr(spinor, "_hyperplane", checked_hyperplane)
+    monkeypatch.setattr(spinor, "_isotropic", checked_isotropic)
     rng = random.Random(11)
     for family in ORTH if field.is_prime else ORTH[:2]:
-        for l in (1, 2, 4, 8):
+        for l in (1, 2, 3, 4, 8):
             d = build_descriptor(family, l, field)
             for seed in range(2):
                 g = random_member(d, seed, word_len=4 * l + 4, with_torus=True)
@@ -554,6 +570,64 @@ def test_integer_descent_agrees_with_the_matrix_oracles(field, monkeypatch):
             # isotropic space, which the descent itself rarely meets
             for _ in range(6):
                 h = token_matrix(_random_token_from(_token_pool(d), d, rng), d)
-                checked_basis(h)
-                checked_isotropic(h, d)
-    assert seen["basis"] and seen["isotropic"] and seen["eichler"]
+                xs = spinor._record(h)[0]
+                if xs:
+                    spinor._isotropic(xs, d)
+    assert all(seen.values()), seen
+
+
+def test_one_reduction_per_call_and_per_auxiliary_mirror(monkeypatch):
+    import steinberg.spinor as spinor
+
+    reduce, some = Matrix._reduce, spinor._some_anisotropic
+    calls = {"reduce": 0, "auxiliary": 0}
+
+    def counting_reduce(self, *args, **kwargs):
+        calls["reduce"] += 1
+        return reduce(self, *args, **kwargs)
+
+    def counting_some(d):
+        calls["auxiliary"] += 1
+        return some(d)
+
+    monkeypatch.setattr(Matrix, "_reduce", counting_reduce)
+    monkeypatch.setattr(spinor, "_some_anisotropic", counting_some)
+    auxiliary = 0
+    for field in (F3, Field(7), QQ):
+        for family in ORTH if field.is_prime else ORTH[:2]:
+            for l in (1, 2, 4):
+                d = build_descriptor(family, l, field)
+                members = [random_member(d, seed, word_len=4 * l + 4, with_torus=True) for seed in range(3)]
+                tokens = [token_matrix(x(i, j, 1), d) for i, j in legal_x_index_pairs(d)]
+                for g in members + tokens:
+                    calls["reduce"] = calls["auxiliary"] = 0
+                    reflection_factorization(g, d)
+                    assert calls["reduce"] == 1 + calls["auxiliary"]
+                    auxiliary += calls["auxiliary"]
+    assert auxiliary
+
+
+def _assert_oracle_agrees(g, d):
+    mirrors, norm = reflection_factorization(g, d)
+    assert (mirrors, norm) == oracle_reflection_factorization(g, d)
+
+
+@pytest.mark.parametrize("family, l", [
+    (Family.GO_EVEN, 2), (Family.GO_MINUS, 2), (Family.GO_EVEN, 1), (Family.GO_MINUS, 1), (Family.GO_ODD, 1),
+], ids=str)
+def test_descent_equals_the_dense_oracle_on_whole_groups(family, l):
+    # every element of O+(4,3), O-(4,3), O+-(2,3) and O(3,3)
+    d = build_descriptor(family, l, F3)
+    for g in enumerate_group(d).elements:
+        _assert_oracle_agrees(g, d)
+
+
+@pytest.mark.parametrize("field", [F3, Field(7), Field(1000000007), QQ], ids=str)
+def test_descent_equals_the_dense_oracle_on_every_x_token(field):
+    # the root elements x[i,j](t) at l = 2: the Eichler cases, where an
+    # auxiliary mirror and the set of elements met come in
+    for family in ORTH if field.is_prime else ORTH[:2]:
+        d = build_descriptor(family, 2, field)
+        for i, j in legal_x_index_pairs(d):
+            for t in (1, 2, -1):
+                _assert_oracle_agrees(token_matrix(x(i, j, t), d), d)
