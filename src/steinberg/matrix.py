@@ -3,7 +3,7 @@
 One stored form for both fields: integer rows ``num`` over a positive ``den``
 (residues in 0..p-1 over 1 for F_p; over Q the least common denominator,
 with ``gcd(den, *num) == 1``).  It is canonical, so ``==`` and ``hash``
-compare it directly, and products, sums, transposes and blocks run on the
+compare it directly, and products, sums and transposes run on the
 integers alike for both fields.  The product is one kernel,
 :meth:`Matrix._chain`, which multiplies a left factor by a sequence of right
 factors in order; ``@`` is a chain of one.  A right factor is a matrix or a
@@ -184,10 +184,6 @@ class Matrix:
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls._canonical(field, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls._canonical(field, [[0] * cols] * rows)
 
     @classmethod
     def diagonal(cls, field: Field, entries: Iterable[Scalar]) -> "Matrix":
@@ -421,18 +417,3 @@ class Matrix:
         if len(pivots) != n:
             raise SingularMatrix("matrix is singular")
         return Matrix._normal(self.field, [r[n:] for r in aug], s)
-
-    # -- blocks -------------------------------------------------------------
-
-    @classmethod
-    def assemble(cls, field: Field, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
-        """Stitch a grid of blocks into one matrix."""
-        den = math.lcm(*(blk.den for band in grid for blk in band))
-        rows: list = []
-        for band in grid:
-            height = band[0].rows
-            if any(blk.rows != height for blk in band):
-                raise DimensionMismatch("block heights differ within a band")
-            for i in range(height):
-                rows.append([v * (den // blk.den) for blk in band for v in blk.num[i]])
-        return cls._normal(field, rows, den)

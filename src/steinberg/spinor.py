@@ -7,13 +7,14 @@
   with (I-g)y = v on the moved space (I-g)V, read off (I-g)^T beta on the
   pivot columns of I-g: no linear solve (Zassenhaus, Arch. Math. 13, 1962).
 * ``reflection_factorization``: a constructive orthogonal-reflection
-  factorisation; the classical norm is the product of beta(v,v)/2 over the
-  mirrors.  The descent holds one moved-space record, the rref basis of
-  (I-h)V with a preimage per row, built by one reduction and moved to each
-  mirror's hyperplane in O(k n) (Wall's form on the moved space); each
-  candidate carries one mirror record (its anisotropy test and its norm),
-  and the Eichler lookahead is a Gram test on the hyperplane's rows.  The
-  closing check rebuilds g from the mirror records by rank-1 updates.
+  factorisation in Scherk's minimal number of mirrors; the classical norm
+  is the product of beta(v,v)/2 over the mirrors.  The descent holds one
+  moved-space record, the rref basis of (I-h)V with a preimage per row,
+  built by one reduction and moved to each mirror's hyperplane in O(k n)
+  (Wall's form on the moved space); each candidate carries one mirror
+  record (its anisotropy test and its norm), and the Eichler lookahead is
+  a Gram test on the hyperplane's rows.  The closing check rebuilds g from
+  the mirror records by rank-1 updates.
 
 Each route checks the form equation once.  Over Q the classes are held
 unfactored (:class:`~steinberg.field.SquareClass`), so no route factors an
@@ -274,9 +275,10 @@ def _anisotropic_candidates(rec: tuple, d: GroupDescriptor) -> Iterator[tuple]:
     """(mirror record, preimage) of the anisotropic vectors among the basis
     vectors x_i / xden of the record and the combinations (a x_i + c x_j) /
     (a xden), lazily in that order; the preimage is the same combination of
-    the u rows, up to scale.  The coefficients c / a only diversify the
-    choices of the descent, so over F_p they stop at 7 and cost the same
-    for every prime.
+    the u rows, up to scale.  Over F_p the coefficients stop at 7 and cost
+    the same for every prime; they still give each basis plane at least
+    three lines besides x_i and x_j, or over F_3 all four of its lines,
+    which keeps a candidate that passes the lookahead among them.
     """
     xs, den, us, _ = rec
     if d.field.is_prime:
@@ -294,52 +296,45 @@ def _anisotropic_candidates(rec: tuple, d: GroupDescriptor) -> Iterator[tuple]:
 
 
 def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
-    """(mirror vectors, classical norm) with g equal to the mirror product.
+    """(mirror vectors, classical norm) with g equal to the mirror product,
+    in Scherk's minimal number of mirrors (Canad. J. Math. 2, 1950): dim V_g
+    for the moved space V_g = (I-g)V, or dim V_g + 2 when V_g is totally
+    isotropic.
 
-    Greedy descent on the moved space V_h = (I-h)V: reflecting in any
-    anisotropic v of V_h grows the fixed space by one.  The candidates are
-    integer combinations of the rref basis of V_h, kept in one record
-    (:func:`_record`, :func:`_hyperplane`).  When V_h is totally isotropic
-    (the Eichler case, worth two extra mirrors) an auxiliary reflection
-    breaks the degeneracy; a one-step lookahead, the Gram test
-    :func:`_isotropic` on the candidate's hyperplane, keeps the next choice
-    from simply undoing it.  Until the first auxiliary mirror each step
-    drops dim V_h by one, so no element can recur; from it on the dense h
-    is kept too, and a candidate whose product was met is passed over.  The
-    product equality is checked by rebuilding g from the mirror records,
-    one rank-1 update each.
+    Greedy descent on V_h: reflecting h in an anisotropic v of V_h leaves
+    the hyperplane of V_h Wall-orthogonal to v.  The candidates are integer
+    combinations of the rref basis of V_h, kept in one record
+    (:func:`_record`, :func:`_hyperplane`), and the first whose hyperplane
+    is not totally isotropic (the Gram test :func:`_isotropic`) wins, so
+    each step drops dim V_h by one.  A totally isotropic V_g (the Eichler
+    case) holds no candidate: one auxiliary mirror w, a dense s_w g, leaves
+    dim V_g + 1 to descend.  The lookahead rejects a candidate only when
+    beta has rank <= 2 on V_h, and then at most two candidate lines, which
+    never exhaust the candidates; so a step with none passing raises
+    InternalError.  The product equality is checked by rebuilding g from
+    the mirror records, one rank-1 update each.
     """
     _check_orthogonal_isometry(g, d)
     f = d.field
-    mirrors = []
-    rec = _record(g)
-    h = seen = None  # the dense h and the elements met, from the first auxiliary mirror on
-    fuel = 2 * d.n + 6
+    mirrors, rec = [], _record(g)
+    fuel = len(rec[0]) + 2  # Scherk's bound
     while rec[0]:
         fuel -= 1
         if fuel < 0:
             raise InternalError("reflection factorisation failed to terminate")
-        choice = fallback = None
+        m = None
         for m, u in _anisotropic_candidates(rec, d):
-            rec2, h2 = _hyperplane(rec, u, d), seen and _reflected(m, h)
-            if (not seen or h2 not in seen) and not (rec2[0] and _isotropic(rec2[0], d)):
-                choice = m, rec2, h2
+            nxt = _hyperplane(rec, u, d)
+            if not (nxt[0] and _isotropic(nxt[0], d)):
                 break
-            fallback = fallback or (m, rec2, h2)
-        if choice or fallback:
-            m, rec, h = choice or fallback
         else:
+            if m or mirrors:
+                raise InternalError("no candidate passes the lookahead")
+            # only a totally isotropic V_g holds no candidate at all
             m = _mirror(_some_anisotropic(d), 1, d)
-            if not seen:
-                h, seen = g, {g}
-                for prev in mirrors:
-                    h = _reflected(prev, h)
-                    seen.add(h)
-            h = _reflected(m, h)
-            rec = _record(h)
-        if seen:
-            seen.add(h)
+            nxt = _record(_reflected(m, g))
         mirrors.append(m)
+        rec = nxt
     acc = _unit_class(f)
     for *_, nv in mirrors:
         # beta(v, v) / 2 = N / (2 den^2) = 2 N / (2 den)^2, in the class of 2 N

@@ -10,11 +10,10 @@ from collections import defaultdict
 
 import pytest
 
-from steinberg.field import Field, QQ, SquareClass, square_class
-from steinberg.forms import Family, build_descriptor, multiplier
+from steinberg.field import Field, QQ, square_class
+from steinberg.forms import Family, build_descriptor
 from steinberg.eliminate import decompose
 from steinberg.generators import (
-    Word,
     derived_h,
     derived_w,
     evaluate_word,

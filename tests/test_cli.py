@@ -10,7 +10,6 @@ from steinberg.cli import (
     format_matrix_file,
     main,
     parse_matrix_file,
-    parse_word_file,
 )
 from steinberg.field import Field
 from steinberg.forms import Family, build_descriptor

@@ -5,7 +5,6 @@ import pytest
 from steinberg.field import QQ, Field
 from steinberg.forms import Family, InternalError, NotInGroup, UnsupportedFamily, build_descriptor
 from steinberg.coset import (
-    CosetLabel,
     coset_census,
     coset_label,
     is_in_parabolic,

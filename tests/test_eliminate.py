@@ -1,5 +1,4 @@
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +8,7 @@ import pytest
 from steinberg.field import Field, QQ
 from steinberg.forms import Family, InternalError, NotInGroup, UnsupportedFamily, build_descriptor, multiplier
 from steinberg.eliminate import decompose, decompose_gl, word_length_stats
-from steinberg.generators import Word, evaluate_word, token_matrix, w, x
+from steinberg.generators import Word, token_matrix, w
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix, SingularMatrix
 
@@ -200,7 +199,7 @@ def test_terminal_torus_check_raises_internal_error(monkeypatch):
 
     d = build_descriptor(Family.GSP, 2, F5, similitude=True)
     g = random_member(d, 1, word_len=6, with_torus=True)
-    monkeypatch.setattr(eliminate, "token_matrix", lambda tok, d: Matrix.zeros(d.field, d.n, d.n))
+    monkeypatch.setattr(eliminate, "token_matrix", lambda tok, d: Matrix(d.field, [[0] * d.n] * d.n))
     with pytest.raises(InternalError, match="terminal matrix"):
         decompose(g, d)
 

@@ -278,7 +278,7 @@ def test_multiplier_agrees_with_the_dense_oracle(field):
                 rows = g.to_lists()
                 i, j = rng.randrange(d.n), rng.randrange(d.n)
                 rows[i][j] = field.add(rows[i][j], field.of(rng.choice([1, -1, 2])))
-                for h in (g, Matrix(field, rows), g.scale(3), Matrix.zeros(field, d.n, d.n)):
+                for h in (g, Matrix(field, rows), g.scale(3), Matrix(field, [[0] * d.n] * d.n)):
                     got = outcome(multiplier, h, d)
                     assert got == outcome(oracle_multiplier, h, d)
                     rejected += type(got) is tuple

@@ -20,7 +20,6 @@ from steinberg.generators import (
     legal_x_index_pairs,
     parse_token,
     parse_word,
-    token_inverse,
     token_delta,
     token_inverse_in,
     token_matrix,
@@ -44,7 +43,7 @@ ALL = (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
 
 
 def unit(d, i, j, c):
-    m = Matrix.zeros(d.field, d.n, d.n).to_lists()
+    m = [[0] * d.n for _ in range(d.n)]
     m[d.pos(i)][d.pos(j)] = d.field.of(c)
     return Matrix(d.field, m)
 

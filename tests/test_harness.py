@@ -5,7 +5,6 @@ from steinberg.forms import Family, build_descriptor, is_member, multiplier
 from steinberg.generators import token_matrix, torus, w
 from steinberg.harness import (
     EnumerationTooLarge,
-    closure_generator_matrices,
     enumerate_group,
     random_member,
 )

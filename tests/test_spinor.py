@@ -7,7 +7,7 @@ import pytest
 from steinberg.field import QQ, CannotFactor, Field, SquareClass, square_class
 from steinberg.forms import Family, InternalError, NotInGroup, build_descriptor
 from steinberg.eliminate import decompose
-from steinberg.generators import evaluate_word, legal_x_index_pairs, token_matrix, torus, w, x, x1, x2
+from steinberg.generators import legal_x_index_pairs, token_matrix, torus, w, x, x1, x2
 from steinberg.harness import _random_token_from, _token_pool, enumerate_group, random_member
 from steinberg.matrix import Matrix
 from steinberg.rowops import RIGHT
@@ -45,6 +45,20 @@ def beta_pair(beta: Matrix, u, v):
         for j, vj in enumerate(v):
             acc = f.add(acc, f.mul(f.mul(ui, beta[i, j]), vj))
     return acc
+
+
+def moved_space_profile(g: Matrix, d) -> tuple:
+    """(dim V_g, whether V_g is totally isotropic) for V_g = (I-g)V, from the
+    dense oracles."""
+    k = len(oracle_moved_space_basis(g)[0])
+    return k, k > 0 and oracle_totally_isotropic(g, d)
+
+
+def scherk_length(g: Matrix, d) -> int:
+    """Scherk's minimal number of reflections for g: dim V_g, two more when
+    V_g is totally isotropic."""
+    k, isotropic = moved_space_profile(g, d)
+    return k + 2 * isotropic
 
 
 def test_wall_norm_of_identity():
@@ -222,7 +236,7 @@ def test_three_routes_agree_over_a_large_prime(family):
             mirrors, c = reflection_factorization(g, d)
             assert spinor_norm(g, d) == wall_spinor_norm(g, d) == c
             assert time.perf_counter() - start < 1.0
-            assert len(mirrors) <= d.n + 2
+            assert len(mirrors) == scherk_length(g, d)
 
 
 def test_every_route_reports_an_uncertified_squarefree_part():
@@ -268,6 +282,21 @@ def test_factorization_fuel_check_raises_internal_error(monkeypatch):
     monkeypatch.setattr(spinor, "_hyperplane", lambda rec, u, d: rec)
     with pytest.raises(InternalError, match="failed to terminate"):
         reflection_factorization(g, d)
+
+
+def test_a_step_without_a_passing_candidate_raises_internal_error(monkeypatch):
+    import steinberg.spinor as spinor
+
+    # a lookahead that rejects every hyperplane leaves no choice: at step 0 of
+    # an input with candidates (dim V_g = 4), and after the auxiliary mirror
+    # of a totally isotropic V_g (dim 2, then 3)
+    d = build_descriptor(Family.GO_EVEN, 2, F5)
+    g, eichler = random_member(d, 1, word_len=7), token_matrix(x(1, -2, 1), d)
+    assert moved_space_profile(g, d) == (4, False) and moved_space_profile(eichler, d) == (2, True)
+    monkeypatch.setattr(spinor, "_isotropic", lambda xs, d: True)
+    for h in (g, eichler):
+        with pytest.raises(InternalError, match="no candidate passes the lookahead"):
+            reflection_factorization(h, d)
 
 
 def test_mirror_product_check_raises_internal_error(monkeypatch):
@@ -330,7 +359,29 @@ def test_factorization_length_bound():
         for seed in range(10):
             g = random_member(d, seed, word_len=7, with_torus=True)
             mirrors, _ = reflection_factorization(g, d)
-            assert len(mirrors) <= d.n + 2
+            assert len(mirrors) == scherk_length(g, d)
+
+
+@pytest.mark.parametrize("field", [F3, F5, Field(7), Field(1000000007), QQ], ids=str)
+def test_factorization_has_scherks_length(field):
+    # random members up to l = 8, and products of two root elements x[i,j](t),
+    # many of which move a totally isotropic space and take the auxiliary mirror
+    rng = random.Random(17)
+    isotropic = 0
+    for family in ORTH if field.is_prime else ORTH[:2]:
+        for l in (1, 2, 3, 4, 8):
+            d = build_descriptor(family, l, field)
+            members = [random_member(d, seed, word_len=4 * l + 4, with_torus=True) for seed in range(2)]
+            pairs = legal_x_index_pairs(d)
+            roots = [
+                token_matrix(x(*rng.choice(pairs), rng.choice((1, 2, -1))), d) for _ in range(12 if pairs else 0)
+            ]
+            for g in members + [a @ b for a, b in zip(roots[::2], roots[1::2])]:
+                mirrors, _ = reflection_factorization(g, d)
+                k, eichler = moved_space_profile(g, d)
+                assert len(mirrors) == k + 2 * eichler
+                isotropic += eichler
+    assert isotropic
 
 
 @pytest.mark.parametrize("family", ORTH)
@@ -565,7 +616,7 @@ def test_integer_descent_agrees_with_the_matrix_oracles(field, monkeypatch):
             for seed in range(2):
                 g = random_member(d, seed, word_len=4 * l + 4, with_torus=True)
                 mirrors, _ = reflection_factorization(g, d)
-                assert len(mirrors) <= d.n + 2
+                assert len(mirrors) == scherk_length(g, d)
             # single tokens: the root elements x[i,j](t) move a totally
             # isotropic space, which the descent itself rarely meets
             for _ in range(6):
@@ -577,10 +628,12 @@ def test_integer_descent_agrees_with_the_matrix_oracles(field, monkeypatch):
 
 
 def test_one_reduction_per_call_and_per_auxiliary_mirror(monkeypatch):
+    # at most one auxiliary mirror, and the only dense products are its s_w g
+    # and the closing check's one rank-1 update per mirror
     import steinberg.spinor as spinor
 
-    reduce, some = Matrix._reduce, spinor._some_anisotropic
-    calls = {"reduce": 0, "auxiliary": 0}
+    reduce, some, reflected = Matrix._reduce, spinor._some_anisotropic, spinor._reflected
+    calls = {"reduce": 0, "auxiliary": 0, "reflected": 0}
 
     def counting_reduce(self, *args, **kwargs):
         calls["reduce"] += 1
@@ -590,8 +643,13 @@ def test_one_reduction_per_call_and_per_auxiliary_mirror(monkeypatch):
         calls["auxiliary"] += 1
         return some(d)
 
+    def counting_reflected(m, h):
+        calls["reflected"] += 1
+        return reflected(m, h)
+
     monkeypatch.setattr(Matrix, "_reduce", counting_reduce)
     monkeypatch.setattr(spinor, "_some_anisotropic", counting_some)
+    monkeypatch.setattr(spinor, "_reflected", counting_reflected)
     auxiliary = 0
     for field in (F3, Field(7), QQ):
         for family in ORTH if field.is_prime else ORTH[:2]:
@@ -600,9 +658,11 @@ def test_one_reduction_per_call_and_per_auxiliary_mirror(monkeypatch):
                 members = [random_member(d, seed, word_len=4 * l + 4, with_torus=True) for seed in range(3)]
                 tokens = [token_matrix(x(i, j, 1), d) for i, j in legal_x_index_pairs(d)]
                 for g in members + tokens:
-                    calls["reduce"] = calls["auxiliary"] = 0
-                    reflection_factorization(g, d)
+                    calls.update(reduce=0, auxiliary=0, reflected=0)
+                    mirrors, _ = reflection_factorization(g, d)
+                    assert calls["auxiliary"] <= 1
                     assert calls["reduce"] == 1 + calls["auxiliary"]
+                    assert calls["reflected"] == len(mirrors) + calls["auxiliary"]
                     auxiliary += calls["auxiliary"]
     assert auxiliary
 
@@ -610,6 +670,7 @@ def test_one_reduction_per_call_and_per_auxiliary_mirror(monkeypatch):
 def _assert_oracle_agrees(g, d):
     mirrors, norm = reflection_factorization(g, d)
     assert (mirrors, norm) == oracle_reflection_factorization(g, d)
+    assert len(mirrors) == scherk_length(g, d)
 
 
 @pytest.mark.parametrize("family, l", [
@@ -620,6 +681,45 @@ def test_descent_equals_the_dense_oracle_on_whole_groups(family, l):
     d = build_descriptor(family, l, F3)
     for g in enumerate_group(d).elements:
         _assert_oracle_agrees(g, d)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, l, p, size, isotropic", [
+    (Family.GO_EVEN, 1, 5, 8, 0), (Family.GO_MINUS, 1, 5, 12, 0), (Family.GO_ODD, 1, 5, 240, 0),
+    (Family.GO_EVEN, 2, 5, 28800, 48), (Family.GO_MINUS, 2, 5, 31200, 0), (Family.GO_ODD, 2, 3, 103680, 80),
+], ids=str)
+def test_some_candidate_passes_the_lookahead_on_whole_groups(family, l, p, size, isotropic):
+    """Every element of each orthogonal group at l <= 2 over F_5, and of
+    O(5,3) (the F_3 groups at l <= 2 are in the default run), descends in
+    Scherk's length without a step that finds no passing candidate, which
+    would raise InternalError.
+
+    Why none can occur.  On W = V_h the Wall form chi(a, b) = beta(u_a, b),
+    with (I-h)u_a = a, is nondegenerate and chi(a, a) = beta(a, a)/2.  The
+    lookahead rejects v exactly when H = {b in W : chi(v, b) = 0} is totally
+    isotropic.  Then chi is alternating on H, so dim H is even, and H holds
+    the radical R of beta on W (W itself is not totally isotropic).  So beta
+    has rank <= 2 on W, W has at most two totally isotropic hyperplanes,
+    and at most two lines v are rejected.  Take basis rows x_i, x_j whose
+    plane beta does not vanish on.  The candidates x_i, x_j and x_i + c x_j
+    are m + 2 lines of that plane for m coefficients c, at most two of them
+    isotropic, so m >= 3 (every F_p with p >= 5, and Q) leaves a passing
+    one.  Over F_3, m = 2 and each basis plane is all four of its lines.
+    Two basis planes inside neither isotropic hyperplane hold three
+    anisotropic lines between them.  If only one does, R is spanned by the
+    other dim W - 2 basis rows, an odd number; rejecting both anisotropic
+    lines of that plane makes chi vanish from the plane to R, and chi,
+    alternating on R, is then degenerate.
+    """
+    d = build_descriptor(family, l, Field(p))
+    elements = enumerate_group(d).elements
+    met = 0
+    for g in elements:
+        mirrors, _ = reflection_factorization(g, d)
+        k, eichler = moved_space_profile(g, d)
+        assert len(mirrors) == k + 2 * eichler
+        met += eichler
+    assert (len(elements), met) == (size, isotropic)
 
 
 @pytest.mark.parametrize("field", [F3, Field(7), Field(1000000007), QQ], ids=str)
