@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import rowops
-from .field import Record
+from .field import Record, Scalar
 from .forms import Family, GroupDescriptor, InternalError, NotInGroup, UnsupportedFamily, multiplier
 from .generators import GeneratorToken, Word, derived_w, evaluate_word, x, x_code
 from .matrix import Matrix
@@ -103,11 +103,11 @@ class _Witness(rowops.WorkingMatrix):
         self.left: list = []
         self.right: list = []
 
-    def lmul(self, tok: GeneratorToken) -> None:
+    def lmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
         super().lmul(_assert_parabolic_token(tok, self.d))
         self.left.insert(0, tok)
 
-    def rmul(self, tok: GeneratorToken) -> None:
+    def rmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
         super().rmul(_assert_parabolic_token(tok, self.d))
         self.right.append(tok)
 
@@ -125,7 +125,7 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
     _check(g, d)
     b = _Witness(g, d)
     idxs = d.block_indices()
-    m = b.diagonalize([-i for i in idxs], idxs, lambda src, dst, t: x(-src, -dst, t))
+    m = b.diagonalize([-i for i in idxs], idxs, lambda src, dst, t: (x(-src, -dst, t), None))
     pivots = idxs[:m]
     if d.family is Family.GO_ODD:
         for i in pivots:
@@ -142,8 +142,8 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
     return CosetLabel(
         m=m,
         omega=omega,
-        left_witness=Word(d, b.left),
-        right_witness=Word(d, b.right),
+        left_witness=Word._trusted(d, b.left),
+        right_witness=Word._trusted(d, b.right),
     )
 
 

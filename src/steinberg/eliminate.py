@@ -44,9 +44,10 @@ intermediate shapes; the phases are "A-diagonalized",
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import lru_cache
 
 from . import rowops
-from .field import Record, Scalar
+from .field import Field, Record, Scalar
 from .forms import (
     Family,
     GroupDescriptor,
@@ -104,14 +105,14 @@ class _Bench(rowops.WorkingMatrix):
         self.observer = observer
 
     # rowops.apply is called through the module, where a tracer may wrap it
-    def lmul(self, tok: GeneratorToken) -> None:
+    def lmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
         rowops.apply(self, tok, rowops.LEFT)
-        self.left.append(token_inverse_in(tok, self.d))
+        self.left.append(token_inverse_in(tok, self.d) if inv is None else x(tok.i, tok.j, inv))
         self.ops += 1
 
-    def rmul(self, tok: GeneratorToken) -> None:
+    def rmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
         rowops.apply(self, tok, rowops.RIGHT)
-        self.right.append(token_inverse_in(tok, self.d))
+        self.right.append(token_inverse_in(tok, self.d) if inv is None else x(tok.i, tok.j, inv))
         self.ops += 1
 
     def lmul_word(self, word: Word) -> None:
@@ -126,8 +127,8 @@ class _Bench(rowops.WorkingMatrix):
         d = self.d
         dec = Decomposition(
             descriptor=d,
-            left=Word(d, self.left),
-            right=Word(d, tuple(reversed(self.right))),
+            left=Word._trusted(d, self.left),
+            right=Word._trusted(d, reversed(self.right)),
             diagonal=self.matrix(),
             lam=lam,
             mu=mu,
@@ -149,7 +150,7 @@ def _diagonalize_block(b: _Bench, idxs: list) -> int:
     """Bring the square block on ``idxs`` to diag(1,..,1,lambda) or
     diag(1,..,1,0,..,0) using only index-pair additions; returns the rank."""
     f = b.f
-    m = b.diagonalize(idxs, idxs, lambda src, dst, t: x(dst, src, f.neg(t)))
+    m = b.diagonalize(idxs, idxs, lambda src, dst, t: (x(dst, src, f.neg(t)), t))
     _normalize_pivots(b, idxs, m)
     return m
 
@@ -166,8 +167,8 @@ def _normalize_pivots(b: _Bench, idxs: list, m: int) -> None:
             if a == f.one:
                 continue
             b.lmul(x(u, v, f.inv(c)))
-            b.rmul(x(v, u, f.neg(a)))
-            b.lmul(x(v, u, f.neg(c)))
+            b.rmul(x(v, u, f.neg(a)), a)
+            b.lmul(x(v, u, f.neg(c)), c)
             b.rmul(x(v, u, 1))
             b.lmul(x(v, u, f.mul(a, c)))
             b.rmul(x(u, v, -1))
@@ -201,10 +202,10 @@ def _clear_strips_odd(b: _Bench, active: list) -> None:
     f = b.f
     for i in active:
         if (t := b.ratio(0, i, i, i)) is not None:
-            b.lmul(x(0, i, f.neg(t)))
+            b.lmul(x(0, i, f.neg(t)), t)
     for i in active:
         if (t := b.ratio(i, 0, i, i)) is not None:
-            b.rmul(x(i, 0, f.neg(f.div(t, f.of(2)))))
+            b.rmul(x(i, 0, f.neg(u := f.div(t, f.of(2)))), u)
 
 
 def _clear_strips_twisted(b: _Bench, active: list) -> None:
@@ -215,11 +216,11 @@ def _clear_strips_twisted(b: _Bench, active: list) -> None:
     for i in active:
         for s in (1, -1):
             if (t := b.ratio(s, i, i, i)) is not None:
-                b.lmul(x(i, s, f.neg(f.div(t, two))))
+                b.lmul(x(i, s, f.neg(u := f.div(t, two))), u)
     for i in active:
         for s, den in ((1, two), (-1, two_eps)):
             if (t := b.ratio(i, s, i, i)) is not None:
-                b.rmul(x(s, i, f.neg(f.div(t, den))))
+                b.rmul(x(s, i, f.neg(u := f.div(t, den))), u)
 
 
 def _clear_C(b: _Bench, active: list) -> None:
@@ -371,14 +372,18 @@ def decompose_gl(g: Matrix) -> Decomposition:
     n = g.rows
     if n != g.cols:
         raise SingularMatrix("not a square matrix")
-    field = g.field
-    d = build_descriptor(Family.GL, n - 1, field)
+    d = _gl_descriptor(n, g.field)
     b = _Bench(g, d, None)
     m = _diagonalize_block(b, d.block_indices())
     if m < n:
         raise SingularMatrix("matrix is singular")
     lam = b.at(n, n)
-    return b.finish(lam, field.one, None, None)
+    return b.finish(lam, g.field.one, None, None)
+
+
+@lru_cache(maxsize=64)  # one GL(n) descriptor per (n, field): it is immutable
+def _gl_descriptor(n: int, field: Field) -> GroupDescriptor:
+    return build_descriptor(Family.GL, n - 1, field)
 
 
 # ---------------------------------------------------------------------------

@@ -168,19 +168,21 @@ class Field(Record):
     # -- canonicalisation ------------------------------------------------
 
     def of(self, v: int | Fraction) -> Scalar:
-        """Canonicalise an int or Fraction into this field."""
-        # a plain int or Fraction is tested first: Fraction(fraction) and
-        # isinstance(v, Fraction) go through the numbers ABCs
+        """Canonicalise an int or Fraction into this field; TypeError else."""
+        # a plain int or Fraction is tested first: isinstance goes through the numbers ABCs
         p = self.p
         if p is None:
-            return v if type(v) is Fraction else Fraction(v)
-        if type(v) is int:
+            if type(v) is Fraction:
+                return v
+        elif type(v) is int:
             return v % p
-        if isinstance(v, Fraction):
-            if v.denominator % p == 0:
-                raise DivisionByZero(f"denominator of {v} vanishes mod {p}")
-            return v.numerator * pow(v.denominator, -1, p) % p
-        return v % p
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{v!r} is not an int or a Fraction")
+        if p is None:
+            return Fraction(v)
+        if v.denominator % p == 0:
+            raise DivisionByZero(f"denominator of {v} vanishes mod {p}")
+        return v.numerator * pow(v.denominator, -1, p) % p
 
     def parse(self, text: str) -> Scalar:
         """Parse ``"7"`` or ``"3/4"``."""

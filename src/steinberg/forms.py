@@ -246,7 +246,7 @@ def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
     a, b = at
     b_at = bnum[a][b]
     s_at = sum(map(mul, y[a], cols[b]))
-    mu = f.of(Fraction(s_at, g.den * g.den * b_at))
+    mu = s_at * pow(b_at, -1, p) % p if p is not None else Fraction(s_at, g.den * g.den * b_at)
     for i in range(n):
         yi, brow = y[i], bnum[i]
         for j in range(i, n):

@@ -22,8 +22,7 @@ pair (:func:`x_code`) and kept in one table per group shape, which every
 descriptor of that family, rank and epsilon shares, over any field.  The
 elimination applies the delta in place (:func:`steinberg.rowops.apply`)
 and :func:`evaluate_word` feeds it to the product kernel as a factor, both
-through the one update loop of :mod:`steinberg.matrix`, which over F_p
-writes each moved vector as one residue comprehension; :func:`token_matrix`
+through the one update loop of :mod:`steinberg.matrix`; :func:`token_matrix`
 builds the dense matrix from it for the closure enumeration, the tests and
 the terminal-diagonal check.
 """
@@ -167,6 +166,8 @@ def x_code(i: int, j: int, d: GroupDescriptor) -> tuple:
     whether the values of x[i,j](a/b) stand over b^2 (else over b), and the
     ``(row, col, k, sq)`` units of :func:`_x_units` at storage positions,
     whose value is k * a^2 when ``sq``, else k * ab over b^2 or k * a over b.
+    The units keep the order of :func:`_x_units`, in which no unit's column
+    is the row of a later one: the delta applies one entry at a time.
     """
     pat = x_pattern(i, j, d)
     squared, units = _x_units(i, j, pat, d)
@@ -261,7 +262,7 @@ def token_delta(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
     p = f.p
     if tok.kind == "x":
         _, squared, code = d._xcodes.get((tok.i, tok.j)) or x_code(tok.i, tok.j, d)
-        t = f.of(tok.t)
+        t = tok.t if type(tok.t) is int else f.of(tok.t)  # an int is reduced mod p below
         if p is not None:
             t2 = t * t
             return [(r, c, v) for r, c, k, sq in code if (v := k * (t2 if sq else t) % p)], 1
@@ -335,7 +336,7 @@ def _x_units(i: int, j: int, pat: str, d: GroupDescriptor) -> tuple:
     """``(squared, units)`` of x[i,j](t) - I for the index pattern ``pat``:
     each unit ``(row, col, k, sq)`` at signed indices stands for k * t^2
     when ``sq``, else k * t, and ``squared`` says that some unit carries
-    t^2.  The integers k are not yet reduced mod p."""
+    t^2.  The integers k are not yet reduced mod p; the order counts (:func:`x_code`)."""
     if pat in ("gl", "pnm", "npm"):
         return False, [(i, j, 1, False)]
     if pat == "pp":
@@ -344,20 +345,20 @@ def _x_units(i: int, j: int, pat: str, d: GroupDescriptor) -> tuple:
         # the short pairs: the partner unit carries +t for GSp, -t otherwise
         return False, [(i, j, 1, False), (-j, -i, 1 if d.family is Family.GSP else -1, False)]
     if pat == "i0":
-        return True, [(i, 0, 2, False), (0, -i, -1, False), (i, -i, -1, True)]
+        return True, [(0, -i, -1, False), (i, 0, 2, False), (i, -i, -1, True)]
     if pat == "0i":
-        return True, [(-j, 0, -2, False), (0, j, 1, False), (-j, j, -1, True)]
+        return True, [(0, j, 1, False), (-j, 0, -2, False), (-j, j, -1, True)]
     # Twisted pairs against the anisotropic plane, normalised so they are
     # isometries of diag(1,eps) + hyperbolic (beta(e_1,e_1)=1, not 2).
     eps = d.epsilon
     if pat == "i1":
         return True, [(1, i, 2, False), (-i, 1, -2, False), (-i, i, -2, True)]
     if pat == "1i":
-        return True, [(j, 1, 2, False), (1, -j, -2, False), (j, -j, -2, True)]
+        return True, [(1, -j, -2, False), (j, 1, 2, False), (j, -j, -2, True)]
     if pat == "in1":
         return True, [(-1, i, 2, False), (-i, -1, -2 * eps, False), (-i, i, -2 * eps, True)]
     if pat == "n1i":
-        return True, [(j, -1, 2 * eps, False), (-1, -j, -2, False), (j, -j, -2 * eps, True)]
+        return True, [(-1, -j, -2, False), (j, -1, 2 * eps, False), (j, -j, -2 * eps, True)]
     raise IllegalToken(pat)  # pragma: no cover
 
 
@@ -381,7 +382,7 @@ def token_inverse_in(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
     its parameters."""
     f = d.field
     if tok.kind == "x":
-        return GeneratorToken("x", tok.i, tok.j, f.neg(f.of(tok.t)))
+        return GeneratorToken("x", tok.i, tok.j, f.of(-tok.t))
     if tok.kind != "torus":
         return tok
     lam, mu = f.inv(f.of(tok.lam)), f.inv(f.of(tok.mu))
@@ -405,6 +406,13 @@ class Word(Record):
         for tok in tokens:
             validate_token(tok, descriptor)
         self._init(descriptor, tokens)
+
+    @classmethod
+    def _trusted(cls, descriptor: GroupDescriptor, tokens: Iterable) -> "Word":
+        """Trusted constructor: each token, or the one it inverts, was applied through :func:`token_delta`."""
+        word = cls.__new__(cls)
+        word._init(descriptor, tuple(tokens))
+        return word
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -431,7 +439,7 @@ def _factors(d: GroupDescriptor, parts: Iterable[Word | Matrix]) -> Iterator:
         if (e.field, e.n) != (d.field, d.n):
             raise DimensionMismatch(f"a word of {e} in a product over {d}")
         for tok in part.tokens:
-            yield token_delta(tok, e)
+            yield *token_delta(tok, e), tok.kind == "x"
 
 
 def derived_w(i: int, d: GroupDescriptor) -> Word:

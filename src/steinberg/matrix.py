@@ -7,33 +7,27 @@ compare it directly, and products, sums and transposes run on the
 integers alike for both fields.  The product is one kernel,
 :meth:`Matrix._chain`, which multiplies a left factor by a sequence of right
 factors in order; ``@`` is a chain of one.  A right factor is a matrix or a
-token's integer delta ``(entries, den)``
-(:func:`steinberg.generators.token_delta`), which stands for
-``(den * I + entries) / den``, so a word is multiplied without building a
-matrix per token.  Inside a chain the running product is held as integer
-columns with one denominator each: a delta entry (r, c, v) adds v / den
-times column r to column c, and the columns it does not name stay
-untouched; a sparse square matrix (a diagonal) has its delta read off and
-takes the same column update, and a dense or non-square factor takes the
-plain row loop over its nonzero entries.  Every token update, in the chain
-and on the working matrix of :mod:`steinberg.rowops` alike, runs through
-the one loop :func:`_apply_delta`, on columns or, for a token applied from
-the left, on rows.  It writes each vector as a new list, reduced at once:
-over F_p one residue comprehension ``(a + v * b) % p``, over Q through
+token's integer delta (:func:`steinberg.generators.token_delta`), which
+stands for ``(den * I + entries) / den``, so a word is multiplied without
+building a matrix per token.  Every token update, in the chain and on the
+working matrix of :mod:`steinberg.rowops` alike, runs through the one loop
+:func:`_apply_delta`: an entry (r, c, v) adds v / den times column r to
+column c (or, from the left, row c to row r), and the vectors it does not
+name stay untouched.  Over F_p it writes residues in place into the rows,
+an x-token's entries one at a time with no copy of a source; over Q each
+vector it writes is a new list over its own den, through
 :func:`_add_scaled`, which takes one lcm and divides out the gcd.  Only the
-normalise step (:func:`_lowest`, and the vector updates of
-:func:`_apply_delta`: reduce mod p, or divide out the gcd) and the scalar
-view (``data``, ``[i, j]``, ``row``, ``col``, ``to_lists``,
-``repr``: the residues, or ``Fraction(v, den)``) know the field.  Pivot
-columns, rank, rref, inverse and determinant go through one elimination
-kernel on the stored integers: on residues over F_p, and fraction-free over
-Q, where the reduced rows come out over one common pivot and go straight
-back to the stored form.  Rref and inverse take full Gauss-Jordan; pivot
-columns, rank and determinant stop at a row-echelon form.  The trusted
-constructors ``_canonical`` and ``_normal`` take integer rows as they are;
-token matrices and the snapshots of the working matrix
-(:mod:`steinberg.rowops`) are built through them, without a scalar per
-entry.
+normalise step (:func:`_lowest`, and that loop) and the scalar view
+(``data``, ``[i, j]``, ``row``, ``col``, ``to_lists``, ``repr``: the
+residues, or ``Fraction(v, den)``) know the field.  Pivot columns, rank,
+rref, inverse and determinant go through one elimination kernel on the
+stored integers: on residues over F_p, and fraction-free over Q, where the
+reduced rows come out over one common pivot and go straight back to the
+stored form.  Rref and inverse take full Gauss-Jordan; pivot columns, rank
+and determinant stop at a row-echelon form.  The trusted constructors
+``_canonical`` and ``_normal`` take integer rows as they are; token
+matrices and the snapshots of the working matrix (:mod:`steinberg.rowops`)
+are built through them, without a scalar per entry.
 """
 from __future__ import annotations
 
@@ -93,26 +87,36 @@ def _add_scaled(x: list, xden: int, v: int, y: list, yden: int) -> tuple:
     return [a // g for a in new], den // g
 
 
-def _apply_delta(p: int | None, vecs, dens, entries: list, bden: int, left: bool = False) -> None:
-    """Multiply the vectors ``vecs[k] / dens[k]``, as the columns of a
-    matrix, by ``(bden * I + entries) / bden`` in place: an entry (r, c, v)
-    adds v / bden times vector r to vector c.  With ``left`` the vectors are
-    rows, multiplied from the left, and the entry adds v / bden times vector
-    c to vector r.  Every source is read before any write, and each vector
-    written is a new list, reduced at once: over F_p one residue
-    comprehension, every den being 1 and staying so; over Q
-    :func:`_add_scaled`."""
-    s = 1 if left else 0
-    sources = [vecs[e[s]] for e in entries]
+def _apply_delta(p: int | None, vecs, dens, entries: list, bden: int, left: bool = False,
+                 sequential: bool = False) -> None:
+    """Multiply a matrix by ``(bden * I + entries) / bden`` in place: an entry
+    (r, c, v) adds v / bden times column r to column c or, with ``left``, row c
+    to row r.  A ``sequential`` delta (an x-token's, in the order of
+    :func:`steinberg.generators.x_code`) is applied one entry at a time, forwards
+    to columns and backwards to rows; any other reads its sources from a copy.
+    Over F_p ``vecs`` are the matrix's rows, residues rewritten in place; over Q
+    the vectors moved, over their ``dens``, each a new list from :func:`_add_scaled`."""
+    order = reversed(entries) if left else entries
     if p is not None:
-        for (r, c, v), y in zip(entries, sources):
-            k = r if left else c
-            vecs[k] = [(a + v * b) % p for a, b in zip(vecs[k], y)]
+        src = vecs if sequential else [list(v) for v in vecs]
+        for r, c, v in order:
+            if left:
+                row = vecs[r]
+                for k, b in enumerate(src[c]):
+                    if b:
+                        row[k] = (row[k] + v * b) % p
+            elif sequential:
+                for row in vecs:
+                    if b := row[r]:
+                        row[c] = (row[c] + v * b) % p
+            else:
+                for row, y in zip(vecs, src):
+                    row[c] = (row[c] + v * y[r]) % p
         return
-    ydens = [dens[e[s]] * bden for e in entries]
-    for (r, c, v), y, yden in zip(entries, sources, ydens):
-        k = r if left else c
-        vecs[k], dens[k] = _add_scaled(vecs[k], dens[k], v, y, yden)
+    src, sdens = (vecs, dens) if sequential else (vecs.copy(), dens.copy())
+    for r, c, v in order:
+        k, s = (r, c) if left else (c, r)
+        vecs[k], dens[k] = _add_scaled(vecs[k], dens[k], v, src[s], sdens[s] * bden)
 
 
 def _delta_of(num: tuple, den: int) -> list:
@@ -251,61 +255,59 @@ class Matrix:
     def _chain(a: "Matrix", factors: Iterable) -> "Matrix":
         """``a @ f_1 @ f_2 @ ...``, in order: the one product kernel.
 
-        A factor is a :class:`Matrix` or a token's integer delta ``(entries,
-        den)`` (:func:`steinberg.generators.token_delta`), which stands for
-        ``(den * I + entries) / den``.  The running product is held as
-        integer rows over one denominator, or as integer columns over one
-        denominator each (1 over F_p).  A delta rewrites only the columns it
-        names (:func:`_apply_delta`, the loop the working matrix of
-        :mod:`steinberg.rowops` runs too): an entry (r, c, v) adds v / den
-        times column r to column c, reduced as soon as it is written (mod p,
-        or by its own gcd), and the other columns stay untouched.
-        A square matrix factor with at most 3n/2 nonzeros (a diagonal) has
-        its delta read off and takes the same column update.  Rows turn into
-        columns at a delta, or at such a matrix that changes at most n/2
-        rows, and stay so until a dense or non-square factor, which takes
-        the row loop on the row view and is normalised at once.  At the end
-        the columns, residues already over F_p, are stored as they are; over
-        Q they are brought over one lcm and normalised once.
+        A factor is a :class:`Matrix` or a token's integer delta with its
+        flag ``(entries, den, sequential)`` (:func:`steinberg.generators.token_delta`;
+        sequential for an x-token), standing for ``(den * I + entries) / den``.
+        The running product is held as integer rows over one denominator
+        until a delta, which rewrites only the columns it names
+        (:func:`_apply_delta`, the loop the working matrix of
+        :mod:`steinberg.rowops` runs too), reduced as soon as they are
+        written: over F_p in place in the rows, copied to lists once; over Q
+        on integer columns over one denominator each.  A square matrix
+        factor with at most 3n/2 nonzeros (a diagonal) has its delta read off
+        and takes the same column update.  The rows take that form at a
+        delta, or at such a matrix that changes at most n/2 rows, and keep
+        it until a dense or non-square factor, which takes the row loop on
+        the row view and is normalised at once.  At the end the residues
+        are stored as they are; the columns over Q are brought over one lcm
+        and normalised once.
         """
         field, p = a.field, a.field.p
         m, n = a.rows, a.cols
         rows, den = a.num, a.den
-        cols = dens = None  # the column form, while it stands in for rows
+        vecs = dens = None  # what a delta updates, while it stands in for rows
         for b in factors:
             if type(b) is tuple:
-                entries, bden = b
+                entries, bden, sequential = b
             else:
                 if b.field != field:
                     raise DimensionMismatch("fields differ")
                 if b.rows != n:
                     raise DimensionMismatch(f"{m}x{n} @ {b.rows}x{b.cols}")
                 bnum, bden = b.num, b.den
-                entries = None
+                entries, sequential = None, False
                 # Measured on n = 4..17: a factor takes the column form while it
                 # has at most about 1.5 nonzeros per row (beyond, it loses up to
-                # 2x), and a product held as rows turns into columns only for a
+                # 2x), and a product held as rows takes the delta form only for a
                 # factor that changes at most half of its rows (a permutation or
                 # a diagonal alone costs less in the row loop than the conversion).
                 if m and n and b.cols == n and 2 * (n * n - sum(map(tuple.count, bnum, repeat(0)))) <= 3 * n:
                     entries = _delta_of(bnum, bden)
-                    if cols is None and 2 * len({r for r, _, _ in entries}) > n:
+                    if vecs is None and 2 * len({r for r, _, _ in entries}) > n:
                         entries = None
                 if entries is None:
-                    if cols is not None:
-                        rows, den = _rows_over_lcm(cols, dens)
-                        cols = None
+                    if vecs is not None:
+                        rows, den = (vecs, 1) if p is not None else _rows_over_lcm(vecs, dens)
+                        vecs = None
                     rows, den = _lowest(p, _row_loop(rows, bnum, b.cols), den * bden)
                     n = b.cols
                     continue
-            if cols is None:
-                cols, dens = list(zip(*rows)), [den] * n
-            _apply_delta(p, cols, dens, entries, bden)
-        if cols is not None:
-            if p is not None:
-                return Matrix._canonical(field, zip(*cols))  # residues already
-            return Matrix._normal(field, *_rows_over_lcm(cols, dens))
-        return Matrix._canonical(field, rows, den)
+            if vecs is None:
+                vecs, dens = ([list(r) for r in rows], None) if p is not None else (list(zip(*rows)), [den] * n)
+            _apply_delta(p, vecs, dens, entries, bden, False, sequential)
+        if vecs is not None and p is None:
+            return Matrix._normal(field, *_rows_over_lcm(vecs, dens))
+        return Matrix._canonical(field, rows if vecs is None else vecs, den)  # residues already over F_p
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):

@@ -15,16 +15,15 @@ loop ``diagonalize`` and the pair pass ``clear_pairs``.
 
 ``apply(w, tok, LEFT)`` turns ``w`` into ``token_matrix(tok) @ w`` and
 ``apply(w, tok, RIGHT)`` into ``w @ token_matrix(tok)``, bit-exact.  Both
-read the token's integer delta (:func:`steinberg.generators.token_delta`),
-entries (r, c, v) over one den, the same description ``token_matrix`` and
-the product kernel read, and hand it to the product kernel's own update
-loop (:func:`steinberg.matrix._apply_delta`): LEFT on the rows, the entries
-as they are in the loop's left orientation, RIGHT on the touched columns,
-written back.  So each update only touches the rows (resp. columns) the
-token moves and adds v / den times its source in one integer pass, over
-F_p one residue comprehension per written vector; no scalar is built per
-token.  The tests compare it with the dense product and with hand-written
-paired row/column updates kept there as an independent oracle.
+hand the token's integer delta (:func:`steinberg.generators.token_delta`),
+the description ``token_matrix`` and the product kernel read, to the
+kernel's own update loop (:func:`steinberg.matrix._apply_delta`), which
+moves only the rows (LEFT) or columns (RIGHT) the token names, adding
+v / den times each source in one integer pass.  Over F_p it rewrites the
+residues in place, a column within the rows; over Q a right update runs on
+copies of the touched columns, written back.  No scalar is built per token.
+The tests compare it with the dense product and with hand-written paired
+row/column updates kept there as an independent oracle.
 """
 
 from __future__ import annotations
@@ -54,17 +53,17 @@ def apply(w: "WorkingMatrix", tok: GeneratorToken, side: Side) -> None:
     A delta entry (r, c, v) over the delta's den adds v / den times source
     row c to row r (LEFT: the rows, the entries read in the left
     orientation of the update loop), or v / den times source column r to
-    column c (RIGHT: the touched columns, written back); sources are read
-    before any write.
+    column c (RIGHT: over F_p in the rows, over Q on the touched columns,
+    written back); an x-token's entries one at a time, any other's sources
+    read before any write.
     """
     entries, tden = token_delta(tok, w.d)
-    p, num = w.f.p, w.num
-    if side is LEFT:
-        # every row written is a new list, so no two rows share one and RIGHT may write into them
-        _apply_delta(p, num, w.rden, entries, tden, True)
+    p, num, sequential = w.f.p, w.num, tok.kind == "x"
+    if side is LEFT or p is not None:
+        _apply_delta(p, num, w.rden if side is LEFT else w.cden, entries, tden, side is LEFT, sequential)
         return
     cols = {k: [row[k] for row in num] for r, c, _ in entries for k in (r, c)}
-    _apply_delta(p, cols, w.cden, entries, tden)
+    _apply_delta(p, cols, w.cden, entries, tden, False, sequential)
     for c in {c for _, c, _ in entries}:
         for row, a in zip(num, cols[c]):
             row[c] = a
@@ -86,10 +85,11 @@ class WorkingMatrix:
         v = self.num[r][c]
         return v if self.f.p is not None else Fraction(v, self.rden[r] * self.cden[c])
 
-    def ratio(self, i: int, j: int, u: int, v: int) -> Scalar | None:
+    def ratio(self, i: int, j: int, u: int, v: int, inv: int | None = None) -> Scalar | None:
         """Entry (i, j) over entry (u, v), one canonical scalar built from
-        the stored integers; None when (i, j) is zero.  A zero (u, v) raises
-        :class:`DivisionByZero` over F_p and ZeroDivisionError over Q."""
+        the stored integers (over F_p by ``inv``, 1 / (u, v), if given); None
+        when (i, j) is zero.  A zero (u, v) raises :class:`DivisionByZero`
+        over F_p and ZeroDivisionError over Q."""
         pos = self.d._positions
         r, c, ru, cv = pos[i], pos[j], pos[u], pos[v]
         a = self.num[r][c]
@@ -100,7 +100,7 @@ class WorkingMatrix:
         if p is not None:
             if not b:
                 raise DivisionByZero("division by zero")
-            return a * pow(b, -1, p) % p
+            return a * (inv or pow(b, -1, p)) % p
         rden, cden = self.rden, self.cden
         return Fraction(a * rden[ru] * cden[cv], b * rden[r] * cden[c])
 
@@ -109,8 +109,9 @@ class WorkingMatrix:
         its rank.  Step k moves the first nonzero entry of the trailing
         block to (rows[k], cols[k]) with at most one row and one column
         token, then clears its column and row.  ``row_token(src, dst, t)``
-        subtracts t times row src from row dst (t = -1 adds it); a column
-        token is always x[src, dst](t), adding t times column src to dst."""
+        gives the token that subtracts t times row src from row dst (t = -1
+        adds it) and its inverse's parameter, or None; a column token is
+        always x[src, dst](t), adding t times column src to dst."""
         pos, num, f = self.d._positions, self.num, self.f
         for k in range(len(cols)):
             piv = self.first_nonzero(rows, cols, k)
@@ -119,17 +120,18 @@ class WorkingMatrix:
             r, c = piv
             u, v = rows[k], cols[k]
             if r != k and not num[pos[u]][pos[cols[c]]]:
-                self.lmul(row_token(rows[r], u, -1))
+                self.lmul(row_token(rows[r], u, -1)[0])  # -1 is no canonical inverse parameter
             if c != k and not num[pos[u]][pos[v]]:
                 self.rmul(x(cols[c], v, 1))
-            if not num[pos[u]][pos[v]]:
+            if not (b := num[pos[u]][pos[v]]):
                 raise InternalError(f"no pivot at ({u},{v}) after moving ({rows[r]},{cols[c]}) there")
+            inv = pow(b, -1, f.p) if f.p is not None else None
             for i in rows:
-                if i != u and (t := self.ratio(i, v, u, v)) is not None:
-                    self.lmul(row_token(u, i, t))
+                if i != u and (t := self.ratio(i, v, u, v, inv)) is not None:
+                    self.lmul(*row_token(u, i, t))
             for j in cols:
-                if j != v and (t := self.ratio(u, j, u, v)) is not None:
-                    self.rmul(x(v, j, f.neg(t)))
+                if j != v and (t := self.ratio(u, j, u, v, inv)) is not None:
+                    self.rmul(x(v, j, f.neg(t)), t)
         return len(cols)
 
     def clear_pairs(self, idxs: list, s: int, c: int) -> None:
@@ -142,7 +144,7 @@ class WorkingMatrix:
         for i, j in pairs:
             t = self.ratio(s * i, c * j, -s * j, c * j)
             if t is not None:
-                self.lmul(x(s * i, -s * j, f.neg(t)))
+                self.lmul(x(s * i, -s * j, f.neg(t)), t)
 
     def first_nonzero(self, row_idxs: list, col_idxs: list, k: int):
         """(r, c) of the first nonzero entry (row_idxs[r], col_idxs[c]) with
@@ -168,10 +170,11 @@ class WorkingMatrix:
             if num[pos[i]][pos[j]]:
                 raise InternalError(f"{what}: entry ({i},{j}) is {self.at(i, j)}, not 0")
 
-    def lmul(self, tok: GeneratorToken) -> None:
+    # inv, an x-token's inverse parameter if the caller holds it, is for subclasses that record inverses
+    def lmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
         apply(self, tok, LEFT)
 
-    def rmul(self, tok: GeneratorToken) -> None:
+    def rmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
         apply(self, tok, RIGHT)
 
     def matrix(self) -> Matrix:

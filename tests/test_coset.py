@@ -254,7 +254,7 @@ def test_clearing_checks_raise_internal_error(monkeypatch):
 
     for name in ("lmul", "rmul"):
         mul = getattr(coset._Witness, name)
-        monkeypatch.setattr(coset._Witness, name, lambda self, tok, mul=mul: mul(self, tok._replace(t=0)))
+        monkeypatch.setattr(coset._Witness, name, lambda self, tok, inv=None, mul=mul: mul(self, tok._replace(t=0)))
     for family in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
         d = build_descriptor(family, 2, Field(7))
         for seed in range(5):

@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from steinberg.coset import coset_label
 from steinberg.field import Field, QQ
 from steinberg.forms import Family, InternalError, NotInGroup, UnsupportedFamily, build_descriptor, multiplier
 from steinberg.eliminate import decompose, decompose_gl, word_length_stats
@@ -277,3 +279,70 @@ def test_clearing_checks_survive_python_O():
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
     assert len(lines) == 5 and all(line.startswith("C: entry (-1,") for line in lines), lines
+
+
+SWEEP_FIELDS = (F3, F7, Field(1000000007), QQ)
+
+
+@pytest.mark.parametrize("field", SWEEP_FIELDS, ids=str)
+def test_every_emitted_word_passes_the_public_validation(field):
+    """``decompose``, ``decompose_gl`` and ``coset_label`` assemble their
+    words without the ``Word`` constructor's validation, since applying
+    each token validated it.  Every word they emit, for every family at
+    l = 1, 2, 3, 4, 8, with and without a torus (GOminus over F_p only),
+    still passes it token for token, and a decomposition's x-tokens carry
+    canonical parameters (a coset witness keeps its literal -1 moves)."""
+    one = type(field.one)
+    for fam in Family:
+        if fam is Family.GO_MINUS and not field.is_prime:
+            continue
+        for l in (1, 2, 3, 4, 8):
+            sim = build_descriptor(fam, l, field, similitude=True)
+            iso = build_descriptor(fam, l, field)
+            for seed in range(2):
+                for with_torus in (False, True):
+                    g = random_member(sim, 100 + seed, word_len=4 * l + 4, with_torus=with_torus)
+                    dec = decompose_gl(g) if fam is Family.GL else decompose(g, sim)
+                    words = [dec.left, dec.right]
+                    for tok in dec.left.tokens + dec.right.tokens:
+                        if tok.kind == "x":
+                            assert type(tok.t) is one and field.of(tok.t) == tok.t, (fam, l, tok)
+                    if fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
+                        h = random_member(iso, 200 + seed, word_len=4 * l + 4, with_torus=with_torus)
+                        label = coset_label(h, iso)
+                        words += [label.left_witness, label.right_witness]
+                    for word in words:
+                        assert Word(word.descriptor, word.tokens) == word, (fam, l, seed, with_torus)
+
+
+@pytest.mark.parametrize("field", [F7, Field(1000000007), QQ], ids=str)
+def test_at_most_one_negation_per_x_token(field, monkeypatch):
+    """A clearing pass negates its multiplier t once, for the token
+    x(-t), and records the inverse x(t) from the t it holds, so no
+    decomposition negates a field element more often than it emits
+    x-tokens: counted as ``Field.neg`` calls over F_p and
+    ``Fraction.__neg__`` calls over Q.  GOminus is left out, since its
+    terminal-block classification negates block entries, not parameters."""
+    negations = []
+    neg, frac_neg = Field.neg, Fraction.__neg__
+
+    def counting_neg(self, a):
+        if self.is_prime:
+            negations.append(a)
+        return neg(self, a)
+
+    def counting_frac_neg(a):
+        negations.append(a)
+        return frac_neg(a)
+
+    monkeypatch.setattr(Field, "neg", counting_neg)
+    monkeypatch.setattr(Fraction, "__neg__", counting_frac_neg)
+    for fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GL):
+        for l in (1, 2, 4, 8):
+            d = build_descriptor(fam, l, field, similitude=True)
+            for seed in range(5):
+                g = random_member(d, 300 + seed, word_len=4 * l + 4, with_torus=True)
+                negations.clear()
+                dec = decompose_gl(g) if fam is Family.GL else decompose(g, d)
+                tokens = sum(tok.kind == "x" for tok in dec.left.tokens + dec.right.tokens)
+                assert len(negations) <= tokens, (fam, l, seed, len(negations), tokens)

@@ -1,6 +1,8 @@
 import math
 import random
+import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,9 @@ from steinberg.field import (
     canonical_nonsquare,
     square_class,
 )
+from steinberg.forms import Family, build_descriptor
+from steinberg.generators import Word, evaluate_word, x
+from steinberg.matrix import Matrix
 
 F5 = Field(5)
 F7 = Field(7)
@@ -277,3 +282,24 @@ def test_rational_classes_keep_any_integer_of_the_class():
     assert big == SquareClass(3 * q * 25, False) and (big * big).is_square and big != square_class(QQ, 3)
     with pytest.raises(CannotFactor, match=f": {q} is only a probable prime"):
         str(big)
+
+
+@pytest.mark.parametrize("field", [F7, QQ], ids=str)
+@pytest.mark.parametrize("value", [0.5, 3.0, "3", "1/2", Decimal("0.5")], ids=repr)
+def test_non_field_scalars_raise_type_error_naming_the_value(field, value):
+    """Only an int (a bool too) or a Fraction is a scalar.  A float, str or
+    Decimal raises TypeError naming it, through ``Field.of``, through a
+    token parameter when the word is evaluated, and through a matrix entry,
+    as ``Field(7.0)`` refuses a float modulus; before, F_7 computed with
+    float residues and Q read a float as its binary fraction."""
+    d = build_descriptor(Family.GSP, 2, field)
+    calls = (
+        lambda: field.of(value),
+        lambda: evaluate_word(Word(d, [x(1, 2, value)])),
+        lambda: Matrix(field, [[value, 0], [0, 1]]),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            call()
+    assert field.of(True) == field.one and field.of(False) == field.zero
+    assert field.of(Fraction(3, 2)) == field.div(field.of(3), field.of(2))

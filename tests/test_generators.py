@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from steinberg import forms, generators, rowops
+from steinberg import eliminate, forms, generators, rowops
 from steinberg.cli import format_matrix_file, format_word_file, main as cli_main, parse_word_file
 from steinberg.coset import coset_label, omega_matrix, verify_label
 from steinberg.eliminate import decompose, decompose_gl
@@ -292,7 +292,9 @@ def test_compiled_x_codes_act_as_their_units(fam, field, monkeypatch):
     """Every legal pair's compiled code gives the delta that ``_x_units``
     gives on the pair's ``x_pattern``, at t = 0, 1, -1 and a random t (over
     Q also one over 6), on the call that compiles it and on every later
-    call, and it names that pattern.  GOminus exists over F_p only."""
+    call, and it names that pattern.  The entries are compared as a set:
+    the code keeps its own order, which the delta-chain test of
+    ``test_rowops.py`` checks.  GOminus exists over F_p only."""
     monkeypatch.setattr(forms, "_X_CODES", {})
     rng = random.Random(10 * list(Family).index(fam) + CODE_FIELDS.index(field))
     for l in (1, 2, 3, 4):
@@ -306,16 +308,18 @@ def test_compiled_x_codes_act_as_their_units(fam, field, monkeypatch):
             assert (i, j) not in d._xcodes
             for t in ts:
                 tok = x(i, j, t)
-                assert token_delta(tok, d) == x_units_delta(tok, d), (str(d), tok)
+                (got, den), (want, want_den) = token_delta(tok, d), x_units_delta(tok, d)
+                assert (sorted(got), den) == (sorted(want), want_den), (str(d), tok)
             assert d._xcodes[i, j][0] == x_pattern(i, j, d)
 
 
 def test_one_code_table_per_group_shape(monkeypatch):
     """Descriptors of one family, rank, n and epsilon share their x-token
     codes whatever the field or similitude flag: a table filled over F_7
-    serves F_1000000007 and Q, and the descriptors that ``decompose_gl``
-    builds per call add no table."""
+    serves F_1000000007 and Q, and ``decompose_gl``, which builds one
+    descriptor per (n, field) and reuses it, adds one table."""
     monkeypatch.setattr(forms, "_X_CODES", {})
+    eliminate._gl_descriptor.cache_clear()  # an earlier test's descriptor holds an earlier table
     for fam in Family:
         for l in (1, 3):
             small = build_descriptor(fam, l, Field(7))
@@ -331,7 +335,8 @@ def test_one_code_table_per_group_shape(monkeypatch):
     assert build_descriptor(Family.GO_MINUS, 3, F3)._xcodes is not build_descriptor(Family.GO_MINUS, 3, F5)._xcodes
     tables = len(forms._X_CODES)
     g = Matrix(F5, [[1, 2, 0], [3, 1, 1], [2, 0, 4]])
-    assert decompose_gl(g).op_count == decompose_gl(g).op_count
+    first, second = decompose_gl(g), decompose_gl(g)
+    assert first.op_count == second.op_count and first.descriptor is second.descriptor
     assert len(forms._X_CODES) == tables + 1
 
 
@@ -360,9 +365,9 @@ def test_an_illegal_pair_raises_the_same_text_on_every_call(monkeypatch):
 def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
     """Verification stays independent of the elimination and builds no token
     matrix: each check is one chain through the product kernel whose factors
-    are the tokens' integer deltas in order (with the diagonal, or the
-    element, between two words), and nothing of the in-place token
-    application runs."""
+    are the tokens' integer deltas in order, each flagged sequential when it is
+    an x-token's (with the diagonal, or the element, between two words), and
+    nothing of the in-place token application runs."""
     cases = []
     for fam in ALL:
         d = build_descriptor(fam, 2, F5, similitude=True)
@@ -394,7 +399,7 @@ def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
     monkeypatch.setattr(Matrix, "_chain", staticmethod(counting))
 
     def deltas(*words):
-        return [token_delta(tok, word.descriptor) for word in words for tok in word.tokens]
+        return [(*token_delta(tok, word.descriptor), tok.kind == "x") for word in words for tok in word.tokens]
 
     for d, g, dec, mpath, wpath in cases:
         word = derived_w(2, d)

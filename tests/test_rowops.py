@@ -284,26 +284,58 @@ def test_delta_is_the_token_over_one_integer_denominator(field):
                 token_delta(tok, d)
 
 
-@pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
+def _one_entry_at_a_time(g, entries, den, side):
+    """g times the delta's entries taken one at a time, each the elementary
+    matrix I + (v / den) e_rc, each update reading its source as it stands
+    by then: in the stored order on the columns (RIGHT), in reverse on the
+    rows (LEFT).  Scalar arithmetic, independent of the library's loop."""
+    f = g.field
+    m = g.to_lists()
+    for r, c, v in entries if side is RIGHT else reversed(entries):
+        s = f.div(f.of(v), f.of(den))
+        if side is RIGHT:
+            for row in m:
+                row[c] = f.add(row[c], f.mul(s, row[r]))
+        else:
+            m[r] = [f.add(a, f.mul(s, b)) for a, b in zip(m[r], m[c])]
+    return Matrix(f, m)
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(7), Field(1000000007), QQ], ids=str)
 def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
-    """A word of every token kind through the chain's delta factors, and
-    folded through ``apply`` on a working matrix from either side, against
-    the hand-written updates folded over it, from I and from a member:
-    ``evaluate_word``, the chain over token matrices and the scalar triple
-    loop agree with the fold, every result and token matrix is canonical,
-    and every vector the shared update loop writes, for the chain and for
-    the working matrix from either side alike, is reduced at once (residues
-    over 1, or gcd 1 over a positive den)."""
+    """For every family at l = 1, 2, 3 (GL up to n = 4):
+
+    * each legal x pair's stored entries, applied one entry at a time to a
+      dense member and reading every source as it stands, forwards to the
+      columns and backwards to the rows, give the hand-written update from
+      either side, and so does ``apply`` (over F_p a right update is written
+      into the rows in place) for every token kind;
+    * a word of every token kind through the chain's delta factors, and
+      folded through ``apply`` on a working matrix from either side,
+      against the hand-written updates folded over it, from I and from a
+      member: ``evaluate_word``, the chain over token matrices and the
+      scalar triple loop agree with the fold, and every result and token
+      matrix is canonical;
+    * every vector the shared update loop writes, for the chain and for the
+      working matrix from either side alike, is reduced at once (residues,
+      or gcd 1 over a positive den; over F_p a right update's column is read
+      from the rows it was written into), and every delta it is handed as
+      sequential has no entry whose column is the row of a later entry."""
     apply_delta = matrix._apply_delta
     written = []
 
-    def reduced(p, vecs, dens, entries, bden, left=False):
-        apply_delta(p, vecs, dens, entries, bden, left)
+    def reduced(p, vecs, dens, entries, bden, left=False, sequential=False):
+        if sequential:
+            assert all(c != r for k, (_, c, _) in enumerate(entries) for r, _, _ in entries[k + 1:]), entries
+        apply_delta(p, vecs, dens, entries, bden, left, sequential)
         for r, c, _ in entries:
-            k = r if left else c
-            vec, den = vecs[k], dens[k]
-            assert den == 1 and all(0 <= a < p for a in vec) if p else den > 0 and math.gcd(den, *vec) == 1
-            written.append(k)
+            if p is not None:
+                vec = vecs[r] if left else [row[c] for row in vecs]
+                assert all(0 <= a < p for a in vec)
+            else:
+                k = r if left else c
+                assert dens[k] > 0 and math.gcd(dens[k], *vecs[k]) == 1
+            written.append((r, c))
 
     monkeypatch.setattr(matrix, "_apply_delta", reduced)
     monkeypatch.setattr(rowops, "_apply_delta", reduced)
@@ -311,9 +343,19 @@ def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
     for fam in Family:
         if fam is Family.GO_MINUS and not field.is_prime:
             continue
-        for l in (2, 3):
+        for l in (1, 2, 3):
             d = build_descriptor(fam, l, field, similitude=True)
             toks = delta_tokens(d, rng)
+            member = random_member(d, 2 * l, word_len=4 * l + 4, with_torus=True)
+            assert {(tok.i, tok.j) for tok in toks if tok.kind == "x"} == set(legal_x_index_pairs(d))
+            for tok in toks:
+                for side in (LEFT, RIGHT):
+                    want = oracle_apply(member, tok, side, d)
+                    if tok.kind == "x":
+                        assert _one_entry_at_a_time(member, *token_delta(tok, d), side) == want, (tok, side)
+                    written.clear()
+                    assert applied(member, tok, side, d) == want, (tok, side)
+                    assert len(written) == len(token_delta(tok, d)[0]), (tok, side)
             toks += [rng.choice(toks) for _ in range(len(toks) // 2)]
             rng.shuffle(toks)
             word = Word(d, toks)
@@ -321,7 +363,7 @@ def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
             for m in mats:
                 assert_canonical(m)
             ident = Matrix.identity(field, d.n)
-            for a in (ident, random_member(d, l, word_len=6, with_torus=True)):
+            for a in (ident, member):
                 want = a
                 for tok in toks:
                     want = oracle_apply(want, tok, RIGHT, d)
@@ -417,11 +459,11 @@ def test_ratio_is_the_quotient_of_two_entries(field):
 def _recording(g, d):
     """A working matrix that also records every token it applies."""
     class Recording(WorkingMatrix):
-        def lmul(self, tok):
+        def lmul(self, tok, inv=None):
             super().lmul(tok)
             self.log.append((LEFT, tok))
 
-        def rmul(self, tok):
+        def rmul(self, tok, inv=None):
             super().rmul(tok)
             self.log.append((RIGHT, tok))
 
@@ -450,8 +492,8 @@ def test_diagonalize_moves_then_clears_the_first_pivot(field):
     cols = [(RIGHT, x(2, 1, 1)), (RIGHT, x(1, 2, neg)), (RIGHT, x(1, 3, field.of(-3))),
             (RIGHT, x(3, 2, 1)), (RIGHT, x(2, 3, neg))]
     cases = (
-        (idxs, lambda src, dst, t: x(dst, src, field.neg(t)), [(LEFT, x(1, 3, 1)), (LEFT, x(3, 1, neg))]),
-        ([-i for i in idxs], lambda src, dst, t: x(-src, -dst, t), [(LEFT, x(3, 1, -1)), (LEFT, x(1, 3, 1))]),
+        (idxs, lambda src, dst, t: (x(dst, src, field.neg(t)), t), [(LEFT, x(1, 3, 1)), (LEFT, x(3, 1, neg))]),
+        ([-i for i in idxs], lambda src, dst, t: (x(-src, -dst, t), None), [(LEFT, x(3, 1, -1)), (LEFT, x(1, 3, 1))]),
     )
     for block_rows, row_token, (move, clear) in cases:
         b = _recording(g, d)
@@ -470,9 +512,9 @@ def test_diagonalize_moves_then_clears_the_first_pivot(field):
 
 @pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
 def test_mixed_sides_never_share_a_row_list(field):
-    """RIGHT writes into the row lists in place, so LEFT's writing a new
-    list per row it moves is load-bearing: after a random mix of LEFT and
-    RIGHT applications no two rows of ``num`` are one list object, the input
+    """Updates write into the row lists in place (RIGHT always, LEFT over
+    F_p), so no row may alias another: after a random mix of LEFT and RIGHT
+    applications no two rows of ``num`` are one list object, the input
     ``Matrix`` is unchanged, and the working matrix is the dense product."""
     rng = random.Random(83)
     for fam in Family:
