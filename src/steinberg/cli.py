@@ -4,15 +4,16 @@ Matrix files are plain text: a header line
 
     group=GSp l=2 field=5 similitude=0
 
-followed by n rows of n whitespace-separated scalars (integers mod p, or
-fractions like 3/4 over Q).  ``decompose`` emits a word file with the same
-header plus ``L=``, ``D=``, ``R=`` lines in the token grammar, which
-``verify`` re-reads and multiplies out, naming the first differing entry on
-stderr when they disagree.  Exit codes: 0 success, 1 usage or parse error,
-2 domain error (not in group, mismatch, unsupported family, singular GL
-matrix, a rational square class whose squarefree part cannot be certified),
-3 internal error (a failed self-check: a bug in the library, not
-bad input).
+(each key at most once, ``similitude`` 0 or 1) followed by n rows of n
+whitespace-separated scalars: integers mod p, or fractions like 3/4 over Q,
+in ASCII digits with an optional sign.  ``decompose`` emits a word file
+with the same header plus ``L=``, ``D=``, ``R=`` lines in the token
+grammar (ASCII digits only), which ``verify`` re-reads and multiplies
+out, naming the first differing entry on stderr when they disagree.  Exit
+codes: 0 success, 1 usage or parse error, 2 domain error (not in group,
+mismatch, unsupported family, singular GL matrix, a rational square class
+whose squarefree part cannot be certified), 3 internal error (a failed
+self-check: a bug in the library, not bad input).
 
 A cold start imports only what its command runs: the module top holds the
 parsing and formatting code (``field``, ``forms``, ``generators``,
@@ -67,19 +68,27 @@ def format_descriptor(d: GroupDescriptor) -> str:
 
 def _parse_header(line: str) -> tuple:
     """(family, l, field, similitude, n) of a header line, checked as the
-    descriptor is, but without building its n x n Gram matrix."""
+    descriptor is, but without building its n x n Gram matrix.  Each of the
+    keys ``group``, ``l``, ``field`` and ``similitude`` (0 or 1, default 0)
+    may appear once, ``l`` and a prime ``field`` in ASCII digits; any other
+    key is refused."""
     fields = {}
     for part in line.split():
-        if "=" not in part:
+        key, eq, val = part.partition("=")
+        if not eq:
             raise ParseError(f"bad header token {part!r}")
-        key, val = part.split("=", 1)
+        if key not in ("group", "l", "field", "similitude") or key in fields:
+            raise ParseError(f"{'duplicate' if key in fields else 'unknown'} header key {key!r}")
+        if key == "similitude" and val not in ("0", "1"):
+            raise ParseError(f"header key 'similitude' must be 0 or 1, not {val!r}")
+        if key in ("l", "field") and not (val.isascii() and val.isdigit() or val == "Q"):
+            raise ParseError(f"header key {key!r} needs ASCII digits, not {val!r}")
         fields[key] = val
     try:
         family = _FAMILIES[fields["group"]]
         l = int(fields["l"])
         field = QQ if fields["field"] == "Q" else Field(int(fields["field"]))
-        similitude = bool(int(fields.get("similitude", "0")))
-        return family, l, field, similitude, dimension(family, l, field)
+        return family, l, field, fields.get("similitude") == "1", dimension(family, l, field)
     except (KeyError, ValueError) as e:  # includes UnsupportedField
         raise ParseError(f"bad header {line!r}: {e}") from e
 

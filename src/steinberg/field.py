@@ -10,6 +10,7 @@ own small type because they are the codomain of the spinor norm.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
@@ -140,6 +141,8 @@ class Record:
         return type(self), tuple(getattr(self, n) for n in self._fields)
 
 
+_SCALAR_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
 # Fractions are immutable, so Q's zero and one can be shared.
 _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
@@ -185,11 +188,12 @@ class Field(Record):
         return v.numerator * pow(v.denominator, -1, p) % p
 
     def parse(self, text: str) -> Scalar:
-        """Parse ``"7"`` or ``"3/4"``."""
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.div(self.of(int(num)), self.of(int(den)))
-        return self.of(int(text))
+        """Parse ``"7"``, ``"-7"`` or ``"3/4"``: an optional sign, ASCII
+        digits and optionally ``/`` and ASCII digits; ValueError else."""
+        if not (m := _SCALAR_RE.fullmatch(text)):
+            raise ValueError(f"bad scalar {text!r}")
+        num, den = m.groups()
+        return self.of(int(num)) if den is None else self.div(self.of(int(num)), self.of(int(den)))
 
     # -- arithmetic --------------------------------------------------------
 

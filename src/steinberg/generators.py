@@ -13,18 +13,18 @@ A token is one of
 so a decomposition serialises as one word.  Every non-torus token evaluates
 to an isometry (multiplier 1) of its family; that is tested, not assumed.
 
-How a token acts is described once, by :func:`token_delta`: integer
-``(row, col, value)`` entries at storage positions over one positive
-denominator (1 over F_p, where the values are residues), the token's matrix
-being ``(den * I + entries) / den``.  An x-token reads it from a code
-written in :func:`_x_units`, placed at storage positions once per index
-pair (:func:`x_code`) and kept in one table per group shape, which every
-descriptor of that family, rank and epsilon shares, over any field.  The
-elimination applies the delta in place (:func:`steinberg.rowops.apply`)
-and :func:`evaluate_word` feeds it to the product kernel as a factor, both
-through the one update loop of :mod:`steinberg.matrix`; :func:`token_matrix`
-builds the dense matrix from it for the closure enumeration, the tests and
-the terminal-diagonal check.
+How a token acts is described once, by :func:`token_units`: units
+``(row, col, k, sq)`` at storage positions, with k * u2 (when ``sq``) or
+k * u at (row, col) of D and the token's matrix ``(den * I + D) / den``.
+An x-token's units are a code written in :func:`_x_units`, placed at
+storage positions once per index pair (:func:`x_code`) and kept in one
+table per group shape, which every descriptor of that family, rank and
+epsilon shares, over any field.  The elimination applies them in place
+(:func:`steinberg.rowops.apply`) and :func:`evaluate_word` feeds them to
+the product kernel, both through the one update loop of
+:mod:`steinberg.matrix`; :func:`token_matrix` builds the dense matrix from
+their values (:func:`token_delta`) for the closure enumeration, the tests
+and the terminal-diagonal check.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import math
 import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
+from fractions import Fraction
 from functools import lru_cache
 
 from .field import Record, Scalar
@@ -167,7 +168,7 @@ def x_code(i: int, j: int, d: GroupDescriptor) -> tuple:
     ``(row, col, k, sq)`` units of :func:`_x_units` at storage positions,
     whose value is k * a^2 when ``sq``, else k * ab over b^2 or k * a over b.
     The units keep the order of :func:`_x_units`, in which no unit's column
-    is the row of a later one: the delta applies one entry at a time.
+    is the row of a later one: the update loop applies them one at a time.
     """
     pat = x_pattern(i, j, d)
     squared, units = _x_units(i, j, pat, d)
@@ -244,32 +245,43 @@ def _validate_torus(tok: GeneratorToken, d: GroupDescriptor) -> None:
 # token -> matrix
 
 
+def token_units(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
+    """``(units, u, u2, den, sequential)``, the one description of how a
+    token acts: its matrix is ``(den * I + D) / den``, each unit
+    ``(row, col, k, sq)`` putting k * u2 when ``sq``, else k * u, at
+    (row, col) of D (mod p over F_p, where den is 1).  An x-token's units are
+    its compiled code (:func:`x_code`) as it stands, sequential, and t = a/b
+    gives u = a over b or, for the patterns with t^2, u = ab and u2 = a^2
+    over b^2; an int, or a Fraction over Q, is read as it is, anything else
+    through :meth:`Field.of`.  Other tokens' units are their entries."""
+    if tok.kind != "x":
+        entries, den = token_delta(tok, d)
+        return [(r, c, v, False) for r, c, v in entries], 1, 0, den, False
+    _, squared, units = d._xcodes.get((tok.i, tok.j)) or x_code(tok.i, tok.j, d)
+    t, p = tok.t, d.field.p
+    if type(t) is not int and (p is not None or type(t) is not Fraction):
+        t = d.field.of(t)
+    if p is not None:
+        return units, t % p, t * t % p, 1, True
+    a, b = t.numerator, t.denominator
+    return (units, a * b, a * a, b * b, True) if squared else (units, a, 0, b, True)
+
+
 def token_delta(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
     """``(entries, den)``: the token's matrix is ``(den * I + entries) / den``.
 
-    This is the one description of how a token acts.  ``entries`` are
-    storage-position ``(row, col, value)`` triples with distinct positions
-    and integer values, none zero; ``den`` is one positive denominator, 1
-    over F_p, where the values are residues.  An x-token's values come
-    straight from t = a/b (a residue over b = 1 over F_p) through its
-    compiled code (:func:`x_code`, looked up in the shape's table): k * a
-    over b, or, for the patterns that carry t^2, k * ab and k * a^2 over
-    b^2, so no scalar is built.  :func:`token_matrix` builds the matrix from
-    it, :func:`steinberg.rowops.apply` applies it to rows or columns in
-    place, and :meth:`Matrix._chain` takes it as a factor.
+    ``entries`` are storage-position ``(row, col, value)`` triples with
+    distinct positions and integer values, none zero; ``den`` is one
+    positive denominator, 1 over F_p, where the values are residues.  An
+    x-token's are the values of its :func:`token_units`.
     """
     f = d.field
     p = f.p
     if tok.kind == "x":
-        _, squared, code = d._xcodes.get((tok.i, tok.j)) or x_code(tok.i, tok.j, d)
-        t = tok.t if type(tok.t) is int else f.of(tok.t)  # an int is reduced mod p below
+        units, u, u2, den, _ = token_units(tok, d)
         if p is not None:
-            t2 = t * t
-            return [(r, c, v) for r, c, k, sq in code if (v := k * (t2 if sq else t) % p)], 1
-        a, b = t.numerator, t.denominator
-        a2 = a * a
-        u, den = (a * b, b * b) if squared else (a, b)
-        return [(r, c, v) for r, c, k, sq in code if (v := k * (a2 if sq else u))], den
+            return [(r, c, v) for r, c, k, sq in units if (v := k * (u2 if sq else u) % p)], 1
+        return [(r, c, v) for r, c, k, sq in units if (v := k * (u2 if sq else u))], den
     validate_token(tok, d)
     if tok.kind == "w":
         i = tok.i
@@ -439,7 +451,7 @@ def _factors(d: GroupDescriptor, parts: Iterable[Word | Matrix]) -> Iterator:
         if (e.field, e.n) != (d.field, d.n):
             raise DimensionMismatch(f"a word of {e} in a product over {d}")
         for tok in part.tokens:
-            yield *token_delta(tok, e), tok.kind == "x"
+            yield token_units(tok, e)
 
 
 def derived_w(i: int, d: GroupDescriptor) -> Word:
@@ -488,9 +500,9 @@ def derived_h(lam: Scalar, d: GroupDescriptor) -> Word:
 # ---------------------------------------------------------------------------
 # serialisation
 
-_X_RE = re.compile(r"^x\[(-?\d+),(-?\d+)\]\((-?[\d/]+)\)$")
-_W_RE = re.compile(r"^w\[(\d+)\]$")
-_X1_RE = re.compile(r"^x1\((-?[\d/]+),(-?[\d/]+)\)$")
+_X_RE = re.compile(r"^x\[(-?\d+),(-?\d+)\]\((-?[\d/]+)\)$", re.ASCII)
+_W_RE = re.compile(r"^w\[(\d+)\]$", re.ASCII)
+_X1_RE = re.compile(r"^x1\((-?[\d/]+),(-?[\d/]+)\)$", re.ASCII)
 _TORUS_RE = re.compile(r"^torus\(([^)]*)\)$")
 
 

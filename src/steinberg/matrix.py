@@ -7,16 +7,15 @@ compare it directly, and products, sums and transposes run on the
 integers alike for both fields.  The product is one kernel,
 :meth:`Matrix._chain`, which multiplies a left factor by a sequence of right
 factors in order; ``@`` is a chain of one.  A right factor is a matrix or a
-token's integer delta (:func:`steinberg.generators.token_delta`), which
-stands for ``(den * I + entries) / den``, so a word is multiplied without
-building a matrix per token.  Every token update, in the chain and on the
-working matrix of :mod:`steinberg.rowops` alike, runs through the one loop
-:func:`_apply_delta`: an entry (r, c, v) adds v / den times column r to
-column c (or, from the left, row c to row r), and the vectors it does not
-name stay untouched.  Over F_p it writes residues in place into the rows,
-an x-token's entries one at a time with no copy of a source; over Q each
-vector it writes is a new list over its own den, through
-:func:`_add_scaled`, which takes one lcm and divides out the gcd.  Only the
+token's delta (:func:`steinberg.generators.token_units`), which stands for
+``(den * I + D) / den``, so a word is multiplied without building a matrix
+per token.  Every token update, in the chain and on the working matrix of
+:mod:`steinberg.rowops` alike, runs through the one loop
+:func:`_apply_delta` on the rows: a unit (r, c) adds its value, computed as
+it is written, over den times column r to column c (or, from the left, row
+c to row r).  Over F_p it writes residues in place, an x-token's units one
+at a time with no copy of a source; over Q a moved row is a new list and a
+moved column is rewritten in place, each over its own den.  Only the
 normalise step (:func:`_lowest`, and that loop) and the scalar view
 (``data``, ``[i, j]``, ``row``, ``col``, ``to_lists``, ``repr``: the
 residues, or ``Fraction(v, den)``) know the field.  Pivot columns, rank,
@@ -87,24 +86,27 @@ def _add_scaled(x: list, xden: int, v: int, y: list, yden: int) -> tuple:
     return [a // g for a in new], den // g
 
 
-def _apply_delta(p: int | None, vecs, dens, entries: list, bden: int, left: bool = False,
-                 sequential: bool = False) -> None:
-    """Multiply a matrix by ``(bden * I + entries) / bden`` in place: an entry
-    (r, c, v) adds v / bden times column r to column c or, with ``left``, row c
-    to row r.  A ``sequential`` delta (an x-token's, in the order of
-    :func:`steinberg.generators.x_code`) is applied one entry at a time, forwards
-    to columns and backwards to rows; any other reads its sources from a copy.
-    Over F_p ``vecs`` are the matrix's rows, residues rewritten in place; over Q
-    the vectors moved, over their ``dens``, each a new list from :func:`_add_scaled`."""
-    order = reversed(entries) if left else entries
+def _apply_delta(p: int | None, vecs: list, dens: list | None, delta: tuple, left: bool = False) -> None:
+    """Multiply the rows ``vecs`` by ``(den * I + D) / den`` in place for a
+    delta ``(units, u, u2, den, sequential)``: a unit (r, c, k, sq) of value
+    v = k * u2 when ``sq``, else k * u, adds v / den times column r to
+    column c or, with ``left``, row c to row r.  A ``sequential`` delta (an
+    x-token's) is applied one unit at a time, forwards to columns and
+    backwards to rows; any other reads its sources from a copy.  Over F_p v
+    is reduced and the residues are rewritten in place; over Q ``dens`` are
+    the row (``left``) or column denominators, and each written vector is
+    taken over one lcm with the gcd divided out (a row through :func:`_add_scaled`)."""
+    units, u, u2, bden, sequential = delta
+    src, sdens = (vecs, dens) if sequential else ([list(v) for v in vecs], dens and dens.copy())
+    order = reversed(units) if left else units
     if p is not None:
-        src = vecs if sequential else [list(v) for v in vecs]
-        for r, c, v in order:
+        for r, c, k, sq in order:
+            v = k * (u2 if sq else u) % p
             if left:
                 row = vecs[r]
-                for k, b in enumerate(src[c]):
+                for j, b in enumerate(src[c]):
                     if b:
-                        row[k] = (row[k] + v * b) % p
+                        row[j] = (row[j] + v * b) % p
             elif sequential:
                 for row in vecs:
                     if b := row[r]:
@@ -113,27 +115,41 @@ def _apply_delta(p: int | None, vecs, dens, entries: list, bden: int, left: bool
                 for row, y in zip(vecs, src):
                     row[c] = (row[c] + v * y[r]) % p
         return
-    src, sdens = (vecs, dens) if sequential else (vecs.copy(), dens.copy())
-    for r, c, v in order:
-        k, s = (r, c) if left else (c, r)
-        vecs[k], dens[k] = _add_scaled(vecs[k], dens[k], v, src[s], sdens[s] * bden)
+    for r, c, k, sq in order:
+        if not (v := k * (u2 if sq else u)):
+            continue
+        if left:
+            vecs[r], dens[r] = _add_scaled(vecs[r], dens[r], v, src[c], sdens[c] * bden)
+            continue
+        # the column in place: copied out through _add_scaled and back, the Q chain ran about 17% slower
+        xden, yden = dens[c], sdens[r] * bden
+        den = math.lcm(xden, yden)
+        sx, sy = den // xden, v * (den // yden)
+        col = [row[c] * sx + sy * y[r] for row, y in zip(vecs, src)]
+        if (g := math.gcd(den, *col)) != 1:
+            den //= g
+            col = [a // g for a in col]
+        dens[c] = den
+        for row, a in zip(vecs, col):
+            row[c] = a
 
 
 def _delta_of(num: tuple, den: int) -> list:
-    """A square matrix ``num / den`` as a delta over ``den``: the nonzero
-    ``(row, col, value)`` triples of ``num - den * I``."""
+    """A square matrix ``num / den`` as the units of a delta over ``den``,
+    each value k standing alone: the nonzero entries of ``num - den * I``."""
     out = []
     for k, row in enumerate(num):
         if row[k] != den:
-            out.append((k, k, row[k] - den))
-        out += [(k, j, row[j]) for j in compress(range(len(row)), row) if j != k]
+            out.append((k, k, row[k] - den, False))
+        out += [(k, j, row[j], False) for j in compress(range(len(row)), row) if j != k]
     return out
 
 
-def _rows_over_lcm(cols: list, dens: list) -> tuple:
-    """Rows over one denominator, the lcm, from columns over their own."""
+def _rows_over_lcm(rows: list, dens: list) -> tuple:
+    """Rows over one denominator, the lcm, from rows whose columns stand over their own."""
     den = math.lcm(*dens)
-    return list(zip(*(c if d == den else [v * (den // d) for v in c] for c, d in zip(cols, dens)))), den
+    scale = [den // d for d in dens]
+    return [[v * s for v, s in zip(r, scale)] for r in rows], den
 
 
 def _row_loop(rows: Iterable[Sequence[int]], bnum: tuple, bcols: int) -> list:
@@ -255,47 +271,43 @@ class Matrix:
     def _chain(a: "Matrix", factors: Iterable) -> "Matrix":
         """``a @ f_1 @ f_2 @ ...``, in order: the one product kernel.
 
-        A factor is a :class:`Matrix` or a token's integer delta with its
-        flag ``(entries, den, sequential)`` (:func:`steinberg.generators.token_delta`;
-        sequential for an x-token), standing for ``(den * I + entries) / den``.
-        The running product is held as integer rows over one denominator
-        until a delta, which rewrites only the columns it names
-        (:func:`_apply_delta`, the loop the working matrix of
+        A factor is a :class:`Matrix` or a token's delta ``(units, u, u2,
+        den, sequential)`` (:func:`steinberg.generators.token_units`),
+        standing for ``(den * I + D) / den``.  The running product is held as
+        integer rows over one denominator until a delta, from which on the
+        rows are lists that each delta rewrites in place, on the columns it
+        names only (:func:`_apply_delta`, the loop the working matrix of
         :mod:`steinberg.rowops` runs too), reduced as soon as they are
-        written: over F_p in place in the rows, copied to lists once; over Q
-        on integer columns over one denominator each.  A square matrix
-        factor with at most 3n/2 nonzeros (a diagonal) has its delta read off
-        and takes the same column update.  The rows take that form at a
-        delta, or at such a matrix that changes at most n/2 rows, and keep
-        it until a dense or non-square factor, which takes the row loop on
-        the row view and is normalised at once.  At the end the residues
-        are stored as they are; the columns over Q are brought over one lcm
-        and normalised once.
+        written: residues over F_p, and over Q each column over its own
+        denominator.  A square matrix factor with at most 3n/2 nonzeros (a
+        diagonal) has its delta read off and takes the same column update.
+        The rows take that form at a delta, or at such a matrix that changes
+        at most n/2 rows, and keep it until a dense or non-square factor,
+        which takes the row loop on rows over one denominator and is
+        normalised at once.  At the end the residues are stored as they
+        are; the columns over Q are brought over one lcm and normalised once.
         """
         field, p = a.field, a.field.p
         m, n = a.rows, a.cols
         rows, den = a.num, a.den
-        vecs = dens = None  # what a delta updates, while it stands in for rows
+        vecs = dens = None  # the rows a delta rewrites in place, and over Q their column dens
         for b in factors:
-            if type(b) is tuple:
-                entries, bden, sequential = b
-            else:
+            if type(b) is not tuple:
                 if b.field != field:
                     raise DimensionMismatch("fields differ")
                 if b.rows != n:
                     raise DimensionMismatch(f"{m}x{n} @ {b.rows}x{b.cols}")
                 bnum, bden = b.num, b.den
-                entries, sequential = None, False
                 # Measured on n = 4..17: a factor takes the column form while it
                 # has at most about 1.5 nonzeros per row (beyond, it loses up to
                 # 2x), and a product held as rows takes the delta form only for a
                 # factor that changes at most half of its rows (a permutation or
                 # a diagonal alone costs less in the row loop than the conversion).
                 if m and n and b.cols == n and 2 * (n * n - sum(map(tuple.count, bnum, repeat(0)))) <= 3 * n:
-                    entries = _delta_of(bnum, bden)
-                    if vecs is None and 2 * len({r for r, _, _ in entries}) > n:
-                        entries = None
-                if entries is None:
+                    units = _delta_of(bnum, bden)
+                    if vecs is not None or 2 * len({r for r, *_ in units}) <= n:
+                        b = (units, 1, 0, bden, False)
+                if type(b) is not tuple:
                     if vecs is not None:
                         rows, den = (vecs, 1) if p is not None else _rows_over_lcm(vecs, dens)
                         vecs = None
@@ -303,8 +315,8 @@ class Matrix:
                     n = b.cols
                     continue
             if vecs is None:
-                vecs, dens = ([list(r) for r in rows], None) if p is not None else (list(zip(*rows)), [den] * n)
-            _apply_delta(p, vecs, dens, entries, bden, False, sequential)
+                vecs, dens = [list(r) for r in rows], None if p is not None else [den] * n
+            _apply_delta(p, vecs, dens, b)
         if vecs is not None and p is None:
             return Matrix._normal(field, *_rows_over_lcm(vecs, dens))
         return Matrix._canonical(field, rows if vecs is None else vecs, den)  # residues already over F_p

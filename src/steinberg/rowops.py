@@ -15,13 +15,14 @@ loop ``diagonalize`` and the pair pass ``clear_pairs``.
 
 ``apply(w, tok, LEFT)`` turns ``w`` into ``token_matrix(tok) @ w`` and
 ``apply(w, tok, RIGHT)`` into ``w @ token_matrix(tok)``, bit-exact.  Both
-hand the token's integer delta (:func:`steinberg.generators.token_delta`),
-the description ``token_matrix`` and the product kernel read, to the
-kernel's own update loop (:func:`steinberg.matrix._apply_delta`), which
-moves only the rows (LEFT) or columns (RIGHT) the token names, adding
-v / den times each source in one integer pass.  Over F_p it rewrites the
-residues in place, a column within the rows; over Q a right update runs on
-copies of the touched columns, written back.  No scalar is built per token.
+hand the token's units (:func:`steinberg.generators.token_units`: an
+x-token's compiled code and the integers of its parameter, read as they
+stand) to the product kernel's own update loop
+(:func:`steinberg.matrix._apply_delta`), which moves only the rows (LEFT)
+or columns (RIGHT) the token names, computing each value as it adds v / den
+times a source in one integer pass.  It rewrites the rows in place, over
+the row or the column denominators over Q.  No scalar and no entry list is
+built per token, and no column is copied out and written back.
 The tests compare it with the dense product and with hand-written paired
 row/column updates kept there as an independent oracle.
 """
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 from .field import DivisionByZero, Scalar
 from .forms import Family, GroupDescriptor, InternalError
-from .generators import GeneratorToken, token_delta, x
+from .generators import GeneratorToken, token_units, x
 from .matrix import Matrix, _apply_delta
 
 
@@ -50,23 +51,14 @@ RIGHT = Side.RIGHT
 def apply(w: "WorkingMatrix", tok: GeneratorToken, side: Side) -> None:
     """Multiply the working matrix by the token on the given side, in place.
 
-    A delta entry (r, c, v) over the delta's den adds v / den times source
-    row c to row r (LEFT: the rows, the entries read in the left
-    orientation of the update loop), or v / den times source column r to
-    column c (RIGHT: over F_p in the rows, over Q on the touched columns,
-    written back); an x-token's entries one at a time, any other's sources
-    read before any write.
+    A unit (r, c) of the token's delta over its den adds value / den times
+    source row c to row r (LEFT, the units read backwards) or source column
+    r to column c (RIGHT), in the rows and over the row or the column
+    denominators; an x-token's units one at a time, any other's sources read
+    before any write.
     """
-    entries, tden = token_delta(tok, w.d)
-    p, num, sequential = w.f.p, w.num, tok.kind == "x"
-    if side is LEFT or p is not None:
-        _apply_delta(p, num, w.rden if side is LEFT else w.cden, entries, tden, side is LEFT, sequential)
-        return
-    cols = {k: [row[k] for row in num] for r, c, _ in entries for k in (r, c)}
-    _apply_delta(p, cols, w.cden, entries, tden, False, sequential)
-    for c in {c for _, c, _ in entries}:
-        for row, a in zip(num, cols[c]):
-            row[c] = a
+    left = side is LEFT
+    _apply_delta(w.f.p, w.num, w.rden if left else w.cden, token_units(tok, w.d), left)
 
 
 class WorkingMatrix:

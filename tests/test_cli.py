@@ -439,3 +439,61 @@ def test_help_still_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: steinberg random")
     code, out, _ = run(capsys, "random", "--group", "GSp", "--l", "1", "--field", "7", "--len", "0")
     assert code == 0 and out == "group=GSp l=1 field=7 similitude=0\n1 0\n0 1\n"
+
+
+@pytest.mark.parametrize("header, what", [
+    ("group=GSp l=1 field=5 simlitude=1", "unknown header key 'simlitude'"),
+    ("group=GSp l=1 field=5 similitude=1 colour=red", "unknown header key 'colour'"),
+    ("group=GSp l=1 field=5 similitude=0 similitude=1", "duplicate header key 'similitude'"),
+    ("group=GSp l=1 l=1 field=5 similitude=1", "duplicate header key 'l'"),
+    ("group=GSp l=1 field=5 similitude=2", "header key 'similitude' must be 0 or 1, not '2'"),
+    ("group=GSp l=1 field=5 similitude=-1", "header key 'similitude' must be 0 or 1, not '-1'"),
+    ("group=GSp l=١ field=5 similitude=1", "header key 'l' needs ASCII digits"),
+    ("group=GSp l=1 field=+5 similitude=1", "header key 'field' needs ASCII digits"),
+])
+def test_headers_name_the_key_they_refuse(tmp_path, capsys, header, what):
+    """A similitude with multiplier 2 under a header with an unknown, a
+    repeated or a malformed key: every command, and ``verify`` on either
+    file, refuses it with exit code 1 and names the key, instead of reading
+    a typo as the isometry group (exit 2, "multiplier 2 != 1")."""
+    good = "group=GSp l=1 field=5 similitude=1"
+    bad_m, good_m = (write(tmp_path, f"{k}.txt", f"{h}\n1 0\n0 2\n") for k, h in (("bad_m", header), ("good_m", good)))
+    words = "L= \nD= torus(1;2)\nR= \n"
+    bad_w, good_w = (write(tmp_path, f"{k}.txt", f"{h}\n{words}") for k, h in (("bad_w", header), ("good_w", good)))
+    assert run(capsys, "verify", good_w, good_m)[:2] == (0, "OK\n")
+    for argv in (("decompose", bad_m), ("spinor", bad_m), ("coset", bad_m),
+                 ("verify", bad_w, good_m), ("verify", good_w, bad_m)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and what in err, (argv, err)
+
+
+ASCII_EXTRAS = ["1_0", "١", "１", "٣/4", "3/٤", "1/-2", "+-1", "0x1"]
+
+
+@pytest.mark.parametrize("field", ["7", "Q"])
+@pytest.mark.parametrize("scalar", ASCII_EXTRAS)
+def test_matrix_scalars_are_ascii(tmp_path, capsys, field, scalar):
+    """Scalars take one ASCII grammar, an optional sign, digits and
+    optionally / and digits, not Python's int-literal extras: underscores,
+    other scripts' digits or a sign after the slash are parse errors."""
+    path = write(tmp_path, "m.txt", f"group=GSp l=1 field={field} similitude=1\n1 0\n0 {scalar}\n")
+    for command in ("decompose", "spinor", "coset"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (1, "") and "bad scalar" in err, (command, err)
+    path = write(tmp_path, "ok.txt", f"group=GSp l=1 field={field} similitude=1\n+1 0\n0 -3/2\n")
+    assert run(capsys, "decompose", path)[0] == 0
+
+
+@pytest.mark.parametrize("field", ["7", "Q"])
+@pytest.mark.parametrize("token", [
+    "x[١,2](3)", "x[1,٢](3)", "x[1,2](١)", "x[1,2](1_0)", "x[1,-٢](3)",
+    "torus(1_0;1)", "torus(1;١)", "torus(2;2/٣)",
+])
+def test_word_tokens_are_ascii(tmp_path, capsys, field, token):
+    """Token indices and scalars in word files are ASCII digits only."""
+    header = f"group=GSp l=2 field={field} similitude=1"
+    mpath = write(tmp_path, "m.txt", header + "\n" + "\n".join(
+        " ".join(str(int(i == j)) for j in range(4)) for i in range(4)) + "\n")
+    wpath = write(tmp_path, "w.txt", f"{header}\nL= {token}\nD= torus(1;1)\nR= \n")
+    code, out, err = run(capsys, "verify", wpath, mpath)
+    assert (code, out) == (1, "") and "bad token in L= line" in err, err

@@ -7,7 +7,9 @@ replacing one in an ``L=``/``D=``/``R=`` line.  Two more strategies draw
 on purpose what the mutations reach only by chance: a member times a
 diagonal with zero or degenerate entries (a torus with bad parameters), and
 a word file whose ``D=`` line is a torus with zero or degenerate parameters.
-Garbage files with no valid header at all, bytes that are not UTF-8
+Files whose header misspells, repeats or misstates a key, or that hold one
+scalar or token index in Python's int-literal extras (underscores, other
+scripts' digits), are refused by every command with exit code 1.  Garbage files with no valid header at all, bytes that are not UTF-8
 included, are refused by every command with exit code 1.  Whatever the
 input, a command exits 0, 1 or 2 with at most one line on stderr and no
 traceback, and every matrix file that ``decompose`` accepts survives
@@ -53,8 +55,11 @@ scalars = st.one_of(
     st.integers(-30, 30).map(str),
     st.tuples(st.integers(-30, 30), st.integers(-12, 12)).map(lambda ab: f"{ab[0]}/{ab[1]}"),
     st.integers(-10**40, 10**40).map(str),
-    st.sampled_from(["", "x", "1/", "/2", "--1", "0.5", "1e3", "1/0", "0/0", "+3", "٣"]),
+    st.sampled_from(["", "x", "1/", "/2", "--1", "0.5", "1e3", "1/0", "0/0", "+3", "٣", "1_0"]),
 )
+
+# int() reads each of these as an integer; the file grammar refuses them all
+int_literal_extras = st.sampled_from(["1_0", "-1_0", "0_3", "١", "٣", "-٢", "１", "3/٤", "1/2_0", "1/-2", "1/+2"])
 
 header_values = {
     "group": st.sampled_from([f.value for f in Family] + ["GSP", "Bogus", ""]),
@@ -115,6 +120,25 @@ def mutated_header(draw, header):
 
 
 @st.composite
+def refused_header(draw, header):
+    """The header with one key misspelt (a letter dropped), one key repeated
+    or similitude set to something other than 0 and 1."""
+    parts = header.split()
+    k = draw(st.integers(0, len(parts) - 1))
+    key, val = parts[k].split("=", 1)
+    kind = draw(st.sampled_from(["typo", "repeat", "similitude"]))
+    if kind == "typo":
+        cut = draw(st.integers(0, len(key) - 1))
+        parts[k] = f"{key[:cut]}{key[cut + 1:]}={val}"
+    elif kind == "repeat":
+        parts.insert(draw(st.integers(0, len(parts))), f"{key}={draw(st.one_of(st.just(val), header_values[key]))}")
+    else:
+        parts = [q for q in parts if not q.startswith("similitude=")]
+        parts.append("similitude=" + draw(st.sampled_from(["2", "-1", "01", "+1", "1_0", "١", "true", ""])))
+    return " ".join(parts)
+
+
+@st.composite
 def matrix_files(draw):
     d, g = draw(members())
     header, *rows = format_matrix_file(g, d).splitlines()
@@ -167,6 +191,32 @@ def word_files(draw):
             words.insert(draw(st.integers(0, len(words))), draw(tokens))
             lines[k] = f"{key}= " + " ".join(words)
     return "\n".join([header] + lines) + "\n", format_matrix_file(g, d)
+
+
+@st.composite
+def refused_files(draw):
+    """(word file, matrix file) of one member, one of them refused: a
+    refused header, or one matrix entry, token scalar or token index digit
+    in an int-literal extra."""
+    d, g = draw(members())
+    dec = decompose_gl(g) if d.family is Family.GL else decompose(g, d)
+    words, matrix = format_word_file(dec, dec.descriptor).splitlines(), format_matrix_file(g, d).splitlines()
+    target = draw(st.sampled_from([words, matrix]))
+    kind = draw(st.sampled_from(["header", "scalar"] + ["index"] * (target is words)))
+    if kind == "header":
+        target[0] = draw(refused_header(target[0]))
+    elif target is matrix:
+        k = draw(st.integers(1, len(matrix) - 1))
+        row = matrix[k].split()
+        row[draw(st.integers(0, len(row) - 1))] = draw(int_literal_extras)
+        matrix[k] = " ".join(row)
+    else:
+        i, j = (draw(st.integers(1, 9)) for _ in range(2))
+        bad = draw(int_literal_extras)
+        tok = f"x[{i},{j}]({bad})" if kind == "scalar" else f"x[{chr(0x660 + i)},{j}](1)"
+        k = draw(st.integers(0, 2))  # the L=, D= and R= lines come first
+        words[k] += f" {tok}"
+    return "\n".join(words) + "\n", "\n".join(matrix) + "\n", target is matrix
 
 
 @pytest.fixture(scope="module")
@@ -241,3 +291,16 @@ def test_garbage_files(workdir, data):
     for argv in (("decompose", gpath), ("spinor", gpath), ("coset", gpath),
                  ("verify", gpath, mpath), ("verify", mpath, gpath), ("verify", gpath, gpath)):
         assert run(*map(str, argv)) == (1, ""), (argv, data)
+
+
+@FUZZ
+@given(files=refused_files())
+def test_refused_files_exit_1(workdir, files):
+    word_text, matrix_text, matrix_refused = files
+    wpath, mpath = workdir / "w.txt", workdir / "m.txt"
+    wpath.write_text(word_text)
+    mpath.write_text(matrix_text)
+    assert run("verify", str(wpath), str(mpath)) == (1, ""), files
+    if matrix_refused:
+        for command in ("decompose", "spinor", "coset"):
+            assert run(command, str(mpath)) == (1, ""), (command, matrix_text)

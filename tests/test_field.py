@@ -93,6 +93,17 @@ def test_parse_round_trip():
     assert F7.parse("12") == 5
     assert QQ.parse("3/4") == Fraction(3, 4)
     assert F7.parse("3/4") == F7.div(3, 4)
+    assert (F7.parse("+3"), F7.parse("-3/4"), QQ.parse("-06/8")) == (3, F7.div(-3, 4), Fraction(-3, 4))
+
+
+@pytest.mark.parametrize("field", [F7, QQ], ids=str)
+@pytest.mark.parametrize("text", ["1_0", "١", "１", "1/2_0", "3/-4", "--1", "+", "1/", "/2", " 1", "1 ", "0x1", "1.0", ""])
+def test_parse_takes_one_ascii_grammar(field, text):
+    """An optional sign, ASCII digits and optionally / and ASCII digits:
+    none of Python's int-literal extras (underscores, other scripts'
+    digits, surrounding blanks) and no sign after the slash."""
+    with pytest.raises(ValueError, match="bad scalar"):
+        field.parse(text)
 
 
 def test_square_class_examples():

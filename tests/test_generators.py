@@ -23,6 +23,7 @@ from steinberg.generators import (
     token_delta,
     token_inverse_in,
     token_matrix,
+    token_units,
     torus,
     validate_token,
     w,
@@ -365,8 +366,9 @@ def test_an_illegal_pair_raises_the_same_text_on_every_call(monkeypatch):
 def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
     """Verification stays independent of the elimination and builds no token
     matrix: each check is one chain through the product kernel whose factors
-    are the tokens' integer deltas in order, each flagged sequential when it is
-    an x-token's (with the diagonal, or the element, between two words), and
+    are the tokens' deltas in the update loop's form (:func:`token_units`,
+    an x-token's compiled units read as they stand, flagged sequential), in
+    order (with the diagonal, or the element, between two words), and
     nothing of the in-place token application runs."""
     cases = []
     for fam in ALL:
@@ -399,7 +401,7 @@ def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
     monkeypatch.setattr(Matrix, "_chain", staticmethod(counting))
 
     def deltas(*words):
-        return [(*token_delta(tok, word.descriptor), tok.kind == "x") for word in words for tok in word.tokens]
+        return [token_units(tok, word.descriptor) for word in words for tok in word.tokens]
 
     for d, g, dec, mpath, wpath in cases:
         word = derived_w(2, d)

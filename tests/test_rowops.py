@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -308,8 +309,8 @@ def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
     * each legal x pair's stored entries, applied one entry at a time to a
       dense member and reading every source as it stands, forwards to the
       columns and backwards to the rows, give the hand-written update from
-      either side, and so does ``apply`` (over F_p a right update is written
-      into the rows in place) for every token kind;
+      either side, and so does ``apply`` (a right update is written into
+      the rows in place) for every token kind;
     * a word of every token kind through the chain's delta factors, and
       folded through ``apply`` on a working matrix from either side,
       against the hand-written updates folded over it, from I and from a
@@ -318,23 +319,26 @@ def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
       matrix is canonical;
     * every vector the shared update loop writes, for the chain and for the
       working matrix from either side alike, is reduced at once (residues,
-      or gcd 1 over a positive den; over F_p a right update's column is read
-      from the rows it was written into), and every delta it is handed as
-      sequential has no entry whose column is the row of a later entry."""
+      or gcd 1 over a positive den; a right update's column is read from
+      the rows it was written into, over its column den), and every delta
+      it is handed as sequential has no unit whose column is the row of a
+      later unit."""
     apply_delta = matrix._apply_delta
     written = []
 
-    def reduced(p, vecs, dens, entries, bden, left=False, sequential=False):
+    def reduced(p, vecs, dens, delta, left=False):
+        units, u, u2, _, sequential = delta
         if sequential:
-            assert all(c != r for k, (_, c, _) in enumerate(entries) for r, _, _ in entries[k + 1:]), entries
-        apply_delta(p, vecs, dens, entries, bden, left, sequential)
-        for r, c, _ in entries:
+            assert all(c != r for k, (_, c, _, _) in enumerate(units) for r, _, _, _ in units[k + 1:]), units
+        apply_delta(p, vecs, dens, delta, left)
+        for r, c, k, sq in units:
+            if not k * (u2 if sq else u):
+                continue  # a zero value writes nothing
+            vec, at = (vecs[r], r) if left else ([row[c] for row in vecs], c)
             if p is not None:
-                vec = vecs[r] if left else [row[c] for row in vecs]
                 assert all(0 <= a < p for a in vec)
             else:
-                k = r if left else c
-                assert dens[k] > 0 and math.gcd(dens[k], *vecs[k]) == 1
+                assert dens[at] > 0 and math.gcd(dens[at], *vec) == 1
             written.append((r, c))
 
     monkeypatch.setattr(matrix, "_apply_delta", reduced)
@@ -533,3 +537,88 @@ def test_mixed_sides_never_share_a_row_list(field):
             assert len({id(row) for row in b.num}) == d.n, (fam, tok, side)
         assert b.matrix() == want, fam
         assert g == Matrix(field, scalars) and g.to_lists() == scalars, fam
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(7), Field(1000000007), QQ], ids=str)
+def test_units_path_matches_the_oracle_for_every_x_pair(field):
+    """Every legal x pair of every family at l = 1, 2, 3 (GL up to n = 4),
+    with t in {1, -1, 2, p - 1, p + 3, 1/2, -7/3} (p = 7 over Q): ``apply``,
+    which reads the pair's compiled units and t as they stand, equals the
+    hand-written updates from either side, and ``evaluate_word`` equals the
+    triple-loop product with the dense ``token_matrix``.  Over F_3, where
+    -7/3 has no value, both raise :class:`DivisionByZero` and leave the
+    working matrix as it was; so does an illegal pair (IllegalToken) and a
+    parameter that is no field scalar (TypeError)."""
+    p = field.p or 7
+    params = [1, -1, 2, p - 1, p + 3, Fraction(1, 2), Fraction(-7, 3)]
+    for fam in Family:
+        if fam is Family.GO_MINUS and not field.is_prime:
+            continue
+        for l in (1, 2, 3):
+            d = build_descriptor(fam, l, field, similitude=True)
+            member = random_member(d, 5 * l, word_len=4 * l + 4, with_torus=True)
+            for i, j in legal_x_index_pairs(d):
+                for t in params:
+                    tok = x(i, j, t)
+                    if field.p == 3 and t == Fraction(-7, 3):
+                        _assert_refused(member, tok, d, DivisionByZero)
+                        continue
+                    for side in (LEFT, RIGHT):
+                        assert applied(member, tok, side, d) == oracle_apply(member, tok, side, d), (tok, side)
+                    word = Word(d, [tok])
+                    tm = token_matrix(tok, d)
+                    assert evaluate_word(word, member) == naive_chain(tm, [member]), tok
+                    assert evaluate_word(Word(d, ()), member, word) == naive_chain(member, [tm]), tok
+            for i, j in legal_x_index_pairs(d)[:1]:  # GOplus and GOminus at l = 1 have none
+                for bad in (0.5, "1", Decimal(1)):
+                    _assert_refused(member, x(i, j, bad), d, TypeError)
+            _assert_refused(member, x(d.n + 1, 1, 1), d, IllegalToken)
+
+
+def _assert_refused(g, tok, d, error):
+    """``apply`` from either side and ``evaluate_word`` raise ``error`` for
+    tok, and the working matrix is left as it was."""
+    for side in (LEFT, RIGHT):
+        b = WorkingMatrix(g, d)
+        with pytest.raises(error):
+            rowops.apply(b, tok, side)
+        assert b.matrix() == g, (tok, side)
+    with pytest.raises(error):
+        evaluate_word(Word._trusted(d, [tok]), g)
+
+
+def test_token_application_reads_canonical_parameters_without_field_of(monkeypatch):
+    """Over Q every x parameter the elimination applies is an int or a
+    reduced Fraction, which the update loop reads as it stands: no
+    ``Field.of`` call inside token application during ``decompose`` and
+    ``decompose_gl``.  A Fraction over F_p is reduced through it, once."""
+    from steinberg.eliminate import decompose, decompose_gl
+
+    calls = {"of": 0, "apply": 0}
+    inside = []
+    field_of, rowops_apply = Field.of, rowops.apply
+
+    def of(self, v):
+        calls["of"] += bool(inside)
+        return field_of(self, v)
+
+    def apply(w, tok, side):
+        calls["apply"] += 1
+        inside.append(tok)
+        try:
+            rowops_apply(w, tok, side)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Field, "of", of)
+    monkeypatch.setattr(rowops, "apply", apply)
+    for fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GL):
+        for l in (2, 4):
+            d = build_descriptor(fam, l, QQ, similitude=True)
+            g = random_member(d, 3 * l, word_len=4 * l + 4, with_torus=True)
+            dec = decompose_gl(g) if fam is Family.GL else decompose(g, d)
+            assert dec.reassemble() == g
+    assert calls["apply"] > 100 and calls["of"] == 0, calls
+    d = build_descriptor(Family.GSP, 2, F5)
+    rowops.apply(WorkingMatrix(Matrix.identity(F5, d.n), d), x(1, 2, Fraction(1, 2)), LEFT)
+    assert calls["of"] == 1
