@@ -231,6 +231,76 @@ def test_illegal_tokens_rejected():
         token_matrix(torus(0, 1), dm)
 
 
+def _shape(fam, l, field=F5):
+    return build_descriptor(fam, l, field, similitude=True)
+
+
+# (descriptor, illegal token, the exact IllegalToken text): every check a
+# token or a torus can fail, and where several fail, the one that is tested first
+ILLEGAL_TOKENS = [
+    (_shape(Family.GL, 1), x(1, 3, 1), "x[1,3] illegal for GL(2)"),
+    (_shape(Family.GO_EVEN, 2), x(1, -1, 1), "x[1,-1] illegal for GOplus(l=2)"),
+    (_shape(Family.GSP, 2, QQ), x(2, 2, Fraction(1, 2)), "x[2,2] illegal for GSp(l=2)"),
+    (_shape(Family.GO_MINUS, 2), x(1, -1, 1), "x[1,-1] illegal for GOminus(l=2)"),
+    (_shape(Family.GO_EVEN, 2), w(1), "w[1]: only w[2] exists for GOplus"),
+    (_shape(Family.GO_ODD, 3, QQ), w(2), "w[2]: only w[3] exists for GOodd"),
+    (_shape(Family.GO_MINUS, 2), w(1), "w[1] out of range for GOminus(l=2)"),
+    (_shape(Family.GO_MINUS, 2), w(3), "w[3] out of range for GOminus(l=2)"),
+    (_shape(Family.GSP, 2), w(1), "w tokens do not exist for GSp"),
+    (_shape(Family.GL, 2), w(1), "w tokens do not exist for GL"),
+    (_shape(Family.GSP, 2), x1(2, 2), "x1 only exists for GOminus"),
+    (_shape(Family.GO_EVEN, 2, QQ), x2(), "x2 only exists for GOminus"),
+    (_shape(Family.GO_MINUS, 2), x1(2, 2), "x1(2,2): t^2+eps*s^2 != 1"),
+    (_shape(Family.GO_MINUS, 1, F3), x1(0, 0), "x1(0,0): t^2+eps*s^2 != 1"),
+    (_shape(Family.GSP, 2), GeneratorToken("y"), "unknown token kind 'y'"),
+    (_shape(Family.GSP, 2), torus(0, 1), "torus needs nonzero lambda and mu"),
+    (_shape(Family.GL, 2), torus(2, 0, alpha=1), "torus needs nonzero lambda and mu"),
+    (_shape(Family.GO_MINUS, 1), torus(2, 0, alpha=1), "torus needs nonzero lambda and mu"),
+    (_shape(Family.GL, 2), torus(2, 3), "GL torus is torus(lambda;1)"),
+    (_shape(Family.GL, 2), torus(2, 1, alpha=1), "GL torus is torus(lambda;1)"),
+    (_shape(Family.GL, 2, QQ), torus(2, 1, ts=(1, 0)), "GL torus is torus(lambda;1)"),
+    (_shape(Family.GSP, 2), torus(2, 4, alpha=2), "GSp torus is torus(lambda;mu)"),
+    (_shape(Family.GO_EVEN, 2), torus(2, 3, ts=(1, 1)), "GOplus torus is torus(lambda;mu)"),
+    (_shape(Family.GO_ODD, 2), torus(2, 4), "GOodd torus is torus(alpha;lambda;mu)"),
+    (_shape(Family.GO_ODD, 2), torus(2, 4, ts=(2, 0)), "GOodd torus is torus(alpha;lambda;mu)"),
+    (_shape(Family.GO_ODD, 2), torus(2, 4, alpha=1), "GOodd torus needs alpha^2 = mu"),
+    (_shape(Family.GO_ODD, 2, QQ), torus(2, 2, alpha=1), "GOodd torus needs alpha^2 = mu"),
+    (_shape(Family.GO_MINUS, 2), torus(2, 1, alpha=1), "GOminus torus carries no alpha"),
+    (_shape(Family.GO_MINUS, 1), torus(2, 3, alpha=1), "GOminus torus carries no alpha"),
+    (_shape(Family.GO_MINUS, 1), torus(2, 3), "GOminus torus at l=1 needs lambda = 1"),
+    (_shape(Family.GO_MINUS, 1), torus(2, 1, ts=(1, 0)), "GOminus torus at l=1 needs lambda = 1"),
+    (_shape(Family.GO_MINUS, 2), torus(2, 3), "GOminus torus with identity block needs mu = 1"),
+    (_shape(Family.GO_MINUS, 1), torus(1, 3), "GOminus torus with identity block needs mu = 1"),
+    (_shape(Family.GO_MINUS, 2), torus(2, 4, ts=(1, 1)), "GOminus torus block needs t^2+eps*s^2 = mu"),
+    (_shape(Family.GO_MINUS, 1, F3), torus(1, 1, ts=(1, 1)), "GOminus torus block needs t^2+eps*s^2 = mu"),
+]
+
+
+@pytest.mark.parametrize("d, tok, text", ILLEGAL_TOKENS, ids=[text for _, _, text in ILLEGAL_TOKENS])
+def test_every_illegal_token_message(d, tok, text):
+    """Each way a token can be illegal raises ``IllegalToken`` with the same
+    exact text through every entry point: its units, its matrix, a checked
+    word, the token grammar (a parsed token is checked at once), the in-place
+    application from either side and the product of an unchecked word.  The
+    unknown kind has no grammar, so it is not parsed."""
+    lead = x2() if d.family is Family.GO_MINUS else x(*legal_x_index_pairs(d)[0], 1)
+    calls = [
+        lambda: token_units(tok, d),
+        lambda: token_matrix(tok, d),
+        lambda: Word(d, [lead, tok]),
+        lambda: rowops.apply(rowops.WorkingMatrix(Matrix.identity(d.field, d.n), d), tok, rowops.LEFT),
+        lambda: rowops.apply(rowops.WorkingMatrix(Matrix.identity(d.field, d.n), d), tok, rowops.RIGHT),
+        lambda: evaluate_word(Word._trusted(d, [tok])),
+    ]
+    if tok.kind != "y":
+        calls.append(lambda: parse_token(str(tok), d))
+        calls.append(lambda: parse_word(f"{lead} {tok}", d))
+    for call in calls:
+        with pytest.raises(IllegalToken) as err:
+            call()
+        assert str(err.value) == text, tok
+
+
 def test_token_grammar_round_trip():
     d = build_descriptor(Family.GO_MINUS, 2, F5)
     toks = [x(2, 1, 3), x(1, 2, 4), x(2, -1, 1), w(2), x1(2, 1), x2(),
