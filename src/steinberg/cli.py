@@ -9,7 +9,8 @@ whitespace-separated scalars: integers mod p, or fractions like 3/4 over Q,
 in ASCII digits with an optional sign.  ``decompose`` emits a word file
 with the same header plus ``L=``, ``D=``, ``R=`` lines in the token
 grammar (ASCII digits only), which ``verify`` re-reads and multiplies
-out, naming the first differing entry on stderr when they disagree.  Exit
+out, naming the first differing entry on stderr when they disagree.  The
+integer flags take ASCII digits too (``--seed`` also a leading ``-``).  Exit
 codes: 0 success, 1 usage or parse error, 2 domain error (not in group,
 mismatch, unsupported family, singular GL matrix, a rational square class
 whose squarefree part cannot be certified), 3 internal error (a failed
@@ -53,8 +54,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    if not text.isdecimal():
+    """An integer >= 0 in ASCII digits: no sign, underscore or other script's digit."""
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    """An integer in ASCII digits with an optional leading ``-``."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(text)
 
 
@@ -272,11 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, helptext in (("random", "emit a random member"), ("census", "double-coset census")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--group", required=True, choices=sorted(_FAMILIES))
-        p.add_argument("--l", type=int, required=True)
+        p.add_argument("--l", type=_count, required=True)
         p.add_argument("--field", required=True, help="odd prime p, or Q")
         p.add_argument("--similitude", action="store_true")
         if name == "random":
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
             p.add_argument("--len", type=_count, default=8)
             p.add_argument("--torus", action="store_true")
             p.set_defaults(func=cmd_random)

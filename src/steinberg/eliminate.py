@@ -63,7 +63,7 @@ from .generators import (
     derived_h,
     derived_w,
     evaluate_word,
-    token_inverse_in,
+    token_inverse,
     token_matrix,
     torus,
     x,
@@ -101,19 +101,16 @@ class _Bench(rowops.WorkingMatrix):
         super().__init__(g, d)
         self.left: list = []
         self.right: list = []
-        self.ops = 0
         self.observer = observer
 
     # rowops.apply is called through the module, where a tracer may wrap it
     def lmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
         rowops.apply(self, tok, rowops.LEFT)
-        self.left.append(token_inverse_in(tok, self.d) if inv is None else x(tok.i, tok.j, inv))
-        self.ops += 1
+        self.left.append(token_inverse(tok, self.d) if inv is None else x(tok.i, tok.j, inv))
 
     def rmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
         rowops.apply(self, tok, rowops.RIGHT)
-        self.right.append(token_inverse_in(tok, self.d) if inv is None else x(tok.i, tok.j, inv))
-        self.ops += 1
+        self.right.append(token_inverse(tok, self.d) if inv is None else x(tok.i, tok.j, inv))
 
     def lmul_word(self, word: Word) -> None:
         for tok in reversed(word.tokens):
@@ -134,7 +131,7 @@ class _Bench(rowops.WorkingMatrix):
             mu=mu,
             alpha=alpha,
             block=block,
-            op_count=self.ops,
+            op_count=len(self.left) + len(self.right),
         )
         # the terminal matrix must literally be the claimed torus element
         if dec.diagonal != token_matrix(dec.torus_token(), d):

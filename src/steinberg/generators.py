@@ -13,18 +13,18 @@ A token is one of
 so a decomposition serialises as one word.  Every non-torus token evaluates
 to an isometry (multiplier 1) of its family; that is tested, not assumed.
 
-How a token acts is described once, by :func:`token_units`: units
+A token is described once, by :func:`token_units`, which refuses a token
+that is not in the group (:class:`IllegalToken`) and gives units
 ``(row, col, k, sq)`` at storage positions, with k * u2 (when ``sq``) or
 k * u at (row, col) of D and the token's matrix ``(den * I + D) / den``.
 An x-token's units are a code written in :func:`_x_units`, placed at
 storage positions once per index pair (:func:`x_code`) and kept in one
 table per group shape, which every descriptor of that family, rank and
-epsilon shares, over any field.  The elimination applies them in place
-(:func:`steinberg.rowops.apply`) and :func:`evaluate_word` feeds them to
-the product kernel, both through the one update loop of
-:mod:`steinberg.matrix`; :func:`token_matrix` builds the dense matrix from
-their values (:func:`token_delta`) for the closure enumeration, the tests
-and the terminal-diagonal check.
+epsilon shares, over any field; any other token's are its entries.  A
+checked :class:`Word`, the grammar, the in-place application
+(:func:`steinberg.rowops.apply`) and :func:`evaluate_word` all read them,
+the last two through the one update loop of :mod:`steinberg.matrix`;
+:func:`token_matrix` adds their values to ``den * I``.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def torus(
 
 
 # ---------------------------------------------------------------------------
-# legality
+# x-token index pairs and their compiled codes
 
 
 def x_pattern(i: int, j: int, d: GroupDescriptor) -> str:
@@ -177,47 +177,91 @@ def x_code(i: int, j: int, d: GroupDescriptor) -> tuple:
     return code
 
 
-def validate_token(tok: GeneratorToken, d: GroupDescriptor) -> None:
-    f = d.field
-    if tok.kind == "x":
-        if (tok.i, tok.j) not in d._xcodes:
-            x_code(tok.i, tok.j, d)
-        return
-    if tok.kind == "w":
-        if d.family in (Family.GO_EVEN, Family.GO_ODD):
-            if tok.i != d.l:
-                raise IllegalToken(f"w[{tok.i}]: only w[{d.l}] exists for {d.family.value}")
-            return
-        if d.family is Family.GO_MINUS:
-            if not 2 <= tok.i <= d.l:
-                raise IllegalToken(f"w[{tok.i}] out of range for GOminus(l={d.l})")
-            return
-        raise IllegalToken(f"w tokens do not exist for {d.family.value}")
-    if tok.kind in ("x1", "x2"):
-        if d.family is not Family.GO_MINUS:
-            raise IllegalToken(f"{tok.kind} only exists for GOminus")
-        if tok.kind == "x1":
-            t, s = f.of(tok.t), f.of(tok.s)
-            lhs = f.add(f.mul(t, t), f.mul(d.epsilon, f.mul(s, s)))
-            if lhs != f.one:
-                raise IllegalToken(f"x1({tok.t},{tok.s}): t^2+eps*s^2 != 1")
-        return
-    if tok.kind == "torus":
-        _validate_torus(tok, d)
-        return
-    raise IllegalToken(f"unknown token kind {tok.kind!r}")
+# ---------------------------------------------------------------------------
+# one description of a token: its check, its units and its matrix
 
 
-def _validate_torus(tok: GeneratorToken, d: GroupDescriptor) -> None:
-    f = d.field
-    lam, mu = f.of(tok.lam), f.of(tok.mu)
+def token_units(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
+    """``(units, u, u2, den, sequential)``, the one description of a token,
+    or :class:`IllegalToken` if it is not in the group of ``d``.  Its matrix
+    is ``(den * I + D) / den``, each unit ``(row, col, k, sq)`` putting
+    k * u2 when ``sq``, else k * u, at (row, col) of D (mod p over F_p,
+    where den is 1).  An x-token's units are its compiled code
+    (:func:`x_code`) as it stands, sequential, and t = a/b gives u = a over
+    b or, for the patterns with t^2, u = ab and u2 = a^2 over b^2; an int,
+    or a Fraction over Q, is read as it is, anything else through
+    :meth:`Field.of`.  Any other token's units are its entries, u = 1."""
+    kind = tok.kind
+    if kind == "x":
+        _, squared, units = d._xcodes.get((tok.i, tok.j)) or x_code(tok.i, tok.j, d)
+        t, p = tok.t, d.field.p
+        if type(t) is not int and (p is not None or type(t) is not Fraction):
+            t = d.field.of(t)
+        if p is not None:
+            return units, t % p, t * t % p, 1, True
+        a, b = t.numerator, t.denominator
+        return (units, a * b, a * a, b * b, True) if squared else (units, a, 0, b, True)
+    fam = d.family
+    if kind == "w":
+        i = tok.i
+        if fam in (Family.GO_EVEN, Family.GO_ODD):
+            if i != d.l:
+                raise IllegalToken(f"w[{i}]: only w[{d.l}] exists for {fam.value}")
+        elif fam is not Family.GO_MINUS:
+            raise IllegalToken(f"w tokens do not exist for {fam.value}")
+        elif not 2 <= i <= d.l:
+            raise IllegalToken(f"w[{i}] out of range for GOminus(l={d.l})")
+        entries = [(i, i, -1), (-i, -i, -1), (i, -i, -1), (-i, i, -1)]
+    elif kind == "torus":
+        entries = _torus_entries(tok, d)
+    elif kind not in ("x1", "x2"):
+        raise IllegalToken(f"unknown token kind {kind!r}")
+    elif fam is not Family.GO_MINUS:
+        raise IllegalToken(f"{kind} only exists for GOminus")
+    elif kind == "x1":
+        entries = _plane_entries(tok, d.field.one, f"x1({tok.t},{tok.s}): t^2+eps*s^2 != 1", d)
+    else:
+        entries = [(-1, -1, -2)]
+    return _entry_units(entries, d)
+
+
+# apart from token_units, where what a comprehension reads becomes a cell made on every call
+def _entry_units(entries: list, d: GroupDescriptor) -> tuple:
+    """The units of signed-index (row, col, scalar) entries of D, with u = 1:
+    integers over their one den, or residues over F_p; zeros are dropped."""
+    pos, p = d._positions, d.field.p
+    if p is not None:
+        return [(pos[a], pos[b], r, False) for a, b, v in entries if (r := v % p)], 1, 0, 1, False
+    den = math.lcm(*(v.denominator for _, _, v in entries))
+    units = [(pos[a], pos[b], k, False) for a, b, v in entries if (k := v.numerator * (den // v.denominator))]
+    return units, 1, 0, den, False
+
+
+def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
+    """The exact matrix of a token in the family's fixed basis: ``den * I``
+    plus the values of its units (:func:`token_units`), over ``den``."""
+    units, u, u2, den, _ = token_units(tok, d)
+    m = [[0] * d.n for _ in range(d.n)]
+    for k, row in enumerate(m):
+        row[k] = den
+    for r, c, k, sq in units:
+        m[r][c] += k * (u2 if sq else u)
+    return Matrix._normal(d.field, m, den)
+
+
+def _torus_entries(tok: GeneratorToken, d: GroupDescriptor) -> list:
+    """Signed-index (row, col, scalar) triples of a torus token minus I,
+    once the torus is checked against the family's shape of torus."""
+    f, fam = d.field, d.family
+    one, lam, mu = f.one, f.of(tok.lam), f.of(tok.mu)
     if lam == f.zero or mu == f.zero:
         raise IllegalToken("torus needs nonzero lambda and mu")
-    fam = d.family
     if fam is Family.GL:
-        if mu != f.one or tok.alpha is not None or tok.t is not None:
+        if mu != one or tok.alpha is not None or tok.t is not None:
             raise IllegalToken("GL torus is torus(lambda;1)")
-    elif fam in (Family.GSP, Family.GO_EVEN):
+        return [(d.n, d.n, f.sub(lam, one))]
+    entries = []
+    if fam in (Family.GSP, Family.GO_EVEN):
         if tok.alpha is not None or tok.t is not None:
             raise IllegalToken(f"{fam.value} torus is torus(lambda;mu)")
     elif fam is Family.GO_ODD:
@@ -226,116 +270,33 @@ def _validate_torus(tok: GeneratorToken, d: GroupDescriptor) -> None:
         a = f.of(tok.alpha)
         if f.mul(a, a) != mu:
             raise IllegalToken("GOodd torus needs alpha^2 = mu")
+        entries.append((0, 0, f.sub(a, one)))
     else:  # GO_MINUS
         if tok.alpha is not None:
             raise IllegalToken("GOminus torus carries no alpha")
-        if d.l == 1 and lam != f.one:
+        if d.l == 1 and lam != one:
             # rank 1 has no hyperbolic slot for lambda to live in
             raise IllegalToken("GOminus torus at l=1 needs lambda = 1")
-        if tok.t is None:
-            if mu != f.one:
-                raise IllegalToken("GOminus torus with identity block needs mu = 1")
-        else:
-            t, s = f.of(tok.t), f.of(tok.s)
-            if f.add(f.mul(t, t), f.mul(d.epsilon, f.mul(s, s))) != mu:
-                raise IllegalToken("GOminus torus block needs t^2+eps*s^2 = mu")
-
-
-# ---------------------------------------------------------------------------
-# token -> matrix
-
-
-def token_units(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
-    """``(units, u, u2, den, sequential)``, the one description of how a
-    token acts: its matrix is ``(den * I + D) / den``, each unit
-    ``(row, col, k, sq)`` putting k * u2 when ``sq``, else k * u, at
-    (row, col) of D (mod p over F_p, where den is 1).  An x-token's units are
-    its compiled code (:func:`x_code`) as it stands, sequential, and t = a/b
-    gives u = a over b or, for the patterns with t^2, u = ab and u2 = a^2
-    over b^2; an int, or a Fraction over Q, is read as it is, anything else
-    through :meth:`Field.of`.  Other tokens' units are their entries."""
-    if tok.kind != "x":
-        entries, den = token_delta(tok, d)
-        return [(r, c, v, False) for r, c, v in entries], 1, 0, den, False
-    _, squared, units = d._xcodes.get((tok.i, tok.j)) or x_code(tok.i, tok.j, d)
-    t, p = tok.t, d.field.p
-    if type(t) is not int and (p is not None or type(t) is not Fraction):
-        t = d.field.of(t)
-    if p is not None:
-        return units, t % p, t * t % p, 1, True
-    a, b = t.numerator, t.denominator
-    return (units, a * b, a * a, b * b, True) if squared else (units, a, 0, b, True)
-
-
-def token_delta(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
-    """``(entries, den)``: the token's matrix is ``(den * I + entries) / den``.
-
-    ``entries`` are storage-position ``(row, col, value)`` triples with
-    distinct positions and integer values, none zero; ``den`` is one
-    positive denominator, 1 over F_p, where the values are residues.  An
-    x-token's are the values of its :func:`token_units`.
-    """
-    f = d.field
-    p = f.p
-    if tok.kind == "x":
-        units, u, u2, den, _ = token_units(tok, d)
-        if p is not None:
-            return [(r, c, v) for r, c, k, sq in units if (v := k * (u2 if sq else u) % p)], 1
-        return [(r, c, v) for r, c, k, sq in units if (v := k * (u2 if sq else u))], den
-    validate_token(tok, d)
-    if tok.kind == "w":
-        i = tok.i
-        units = [(i, i, -1), (-i, -i, -1), (i, -i, -1), (-i, i, -1)]
-    elif tok.kind == "x1":
-        units = _plane_units(f.of(tok.t), f.of(tok.s), d)
-    elif tok.kind == "x2":
-        units = [(-1, -1, -2)]
-    else:
-        units = _torus_units(tok, d)
-    den = math.lcm(*(v.denominator for _, _, v in units))
-    units = [(a, b, v.numerator * (den // v.denominator)) for a, b, v in units]
-    pos = d._positions
-    if p is None:
-        return [(pos[a], pos[b], v) for a, b, v in units if v], den
-    return [(pos[a], pos[b], r) for a, b, v in units if (r := v % p)], 1
-
-
-def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
-    """The exact matrix of a token in the family's fixed basis:
-    ``den * I + entries`` of its delta over ``den``, normalised."""
-    entries, den = token_delta(tok, d)
-    m = [[0] * d.n for _ in range(d.n)]
-    for k, row in enumerate(m):
-        row[k] = den
-    for r, c, v in entries:
-        m[r][c] += v
-    return Matrix._normal(d.field, m, den)
-
-
-def _torus_units(tok: GeneratorToken, d: GroupDescriptor) -> list:
-    """Signed-index (row, col, scalar) triples of a torus token minus I."""
-    f = d.field
-    one, lam = f.one, f.of(tok.lam)
-    if d.family is Family.GL:
-        return [(d.n, d.n, f.sub(lam, one))]
-    mu = f.of(tok.mu)
-    units = []
-    if d.family is Family.GO_ODD:
-        units.append((0, 0, f.sub(f.of(tok.alpha), one)))
-    if tok.t is not None:
-        units += _plane_units(f.of(tok.t), f.of(tok.s), d)
+        if tok.t is not None:
+            entries += _plane_entries(tok, mu, "GOminus torus block needs t^2+eps*s^2 = mu", d)
+        elif mu != one:
+            raise IllegalToken("GOminus torus with identity block needs mu = 1")
     block = d.block_indices()
     for i in block[:-1]:
-        units.append((-i, -i, f.sub(mu, one)))
+        entries.append((-i, -i, f.sub(mu, one)))
     if block:
         i = block[-1]
-        units += [(i, i, f.sub(lam, one)), (-i, -i, f.sub(f.div(mu, lam), one))]
-    return units
+        entries += [(i, i, f.sub(lam, one)), (-i, -i, f.sub(f.div(mu, lam), one))]
+    return entries
 
 
-def _plane_units(t: Scalar, s: Scalar, d: GroupDescriptor) -> list:
-    """[[t, eps*s], [s, -t]] - I on the anisotropic plane e_1, e_-1."""
+def _plane_entries(tok: GeneratorToken, norm: Scalar, why: str, d: GroupDescriptor) -> list:
+    """[[t, eps*s], [s, -t]] - I on the plane e_1, e_-1 for the token's
+    (t, s), whose t^2 + eps*s^2 must be ``norm``, else IllegalToken(why)."""
     f = d.field
+    t, s = f.of(tok.t), f.of(tok.s)
+    if f.add(f.mul(t, t), f.mul(d.epsilon, f.mul(s, s))) != norm:
+        raise IllegalToken(why)
     return [
         (1, 1, f.sub(t, f.one)),
         (1, -1, f.mul(d.epsilon, s)),
@@ -374,24 +335,10 @@ def _x_units(i: int, j: int, pat: str, d: GroupDescriptor) -> tuple:
     raise IllegalToken(pat)  # pragma: no cover
 
 
-def token_inverse(tok: GeneratorToken) -> GeneratorToken:
-    """The inverse, again a single token.
-
-    x-tokens negate t (one-parameter subgroups); w, x1 and x2 are
-    involutions.  Torus inverses need field inversions, so they live in
-    :func:`token_inverse_in`.
-    """
-    if tok.kind == "x":
-        return x(tok.i, tok.j, -tok.t)
-    if tok.kind in ("w", "x1", "x2"):
-        return tok
-    raise IllegalToken("torus inverse needs the descriptor; use token_inverse_in")
-
-
-def token_inverse_in(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
-    """The inverse in the family: an x-token negates t, in canonical field
-    form; the involutions w, x1 and x2 come back unchanged; a torus inverts
-    its parameters."""
+def token_inverse(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
+    """The inverse in the family, again a single token: an x-token negates
+    t, in canonical field form (one-parameter subgroups); the involutions w,
+    x1 and x2 come back unchanged; a torus inverts its parameters."""
     f = d.field
     if tok.kind == "x":
         return GeneratorToken("x", tok.i, tok.j, f.of(-tok.t))
@@ -401,8 +348,7 @@ def token_inverse_in(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
     if tok.alpha is not None:
         return torus(lam, mu, alpha=f.inv(f.of(tok.alpha)))
     if tok.t is not None:
-        minv = f.inv(f.of(tok.mu))
-        return torus(lam, mu, ts=(f.mul(f.of(tok.t), minv), f.mul(f.of(tok.s), minv)))
+        return torus(lam, mu, ts=(f.mul(f.of(tok.t), mu), f.mul(f.of(tok.s), mu)))
     return torus(lam, mu)
 
 
@@ -416,12 +362,12 @@ class Word(Record):
     def __init__(self, descriptor: GroupDescriptor, tokens: tuple):
         tokens = tuple(tokens)
         for tok in tokens:
-            validate_token(tok, descriptor)
+            token_units(tok, descriptor)
         self._init(descriptor, tokens)
 
     @classmethod
     def _trusted(cls, descriptor: GroupDescriptor, tokens: Iterable) -> "Word":
-        """Trusted constructor: each token, or the one it inverts, was applied through :func:`token_delta`."""
+        """Trusted constructor: each token, or the one it inverts, goes through :func:`token_units`, which checks it."""
         word = cls.__new__(cls)
         word._init(descriptor, tuple(tokens))
         return word
@@ -435,7 +381,7 @@ class Word(Record):
 
 def evaluate_word(word: Word, *rest: Word | Matrix) -> Matrix:
     """The ordered product of the parts in one chain from I: a word stands
-    for its tokens' integer deltas (:func:`token_delta`), in order, a matrix
+    for its tokens' units (:func:`token_units`), in order, a matrix
     for itself, so no token matrix is built.  The first word gives the field
     and size; the empty word is I."""
     d = word.descriptor
@@ -531,7 +477,7 @@ def parse_token(text: str, d: GroupDescriptor) -> GeneratorToken:
             raise IllegalToken(f"bad torus arity: {text}")
     else:
         raise IllegalToken(f"cannot parse token: {text!r}")
-    validate_token(tok, d)
+    token_units(tok, d)
     return tok
 
 

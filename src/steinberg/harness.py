@@ -117,13 +117,13 @@ def random_torus_token(d: GroupDescriptor, rng: random.Random) -> GeneratorToken
 
 def random_member(d: GroupDescriptor, seed: int, word_len: int, with_torus: bool = False) -> Matrix:
     """Deterministic pseudo-random member: the product of a token word,
-    optionally followed by a torus, through :func:`evaluate_word`."""
+    optionally followed by a torus, through :func:`evaluate_word`, which checks each token."""
     rng = random.Random(f"{d}#{seed}")
     pool = _token_pool(d)
     toks = [_random_token_from(pool, d, rng) for _ in range(word_len)]
     if with_torus:
         toks.append(random_torus_token(d, rng))
-    return evaluate_word(Word(d, toks))
+    return evaluate_word(Word._trusted(d, toks))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ with ``gcd(den, *num) == 1``).  It is canonical, so ``==`` and ``hash``
 compare it directly, and products, sums and transposes run on the
 integers alike for both fields.  The product is one kernel,
 :meth:`Matrix._chain`, which multiplies a left factor by a sequence of right
-factors in order; ``@`` is a chain of one.  A right factor is a matrix or a
-token's delta (:func:`steinberg.generators.token_units`), which stands for
+factors in order; ``@`` is a chain of one, the plain row loop.  A right
+factor is a matrix or a token's delta, its units
+(:func:`steinberg.generators.token_units`), which stands for
 ``(den * I + D) / den``, so a word is multiplied without building a matrix
 per token.  Every token update, in the chain and on the working matrix of
 :mod:`steinberg.rowops` alike, runs through the one loop
@@ -279,11 +280,10 @@ class Matrix:
         names only (:func:`_apply_delta`, the loop the working matrix of
         :mod:`steinberg.rowops` runs too), reduced as soon as they are
         written: residues over F_p, and over Q each column over its own
-        denominator.  A square matrix factor with at most 3n/2 nonzeros (a
-        diagonal) has its delta read off and takes the same column update.
-        The rows take that form at a delta, or at such a matrix that changes
-        at most n/2 rows, and keep it until a dense or non-square factor,
-        which takes the row loop on rows over one denominator and is
+        denominator.  Once a delta has run, a square matrix factor with at
+        most 3n/2 nonzeros (a diagonal) has its delta read off and takes the
+        same column update.  Any other matrix factor, and every factor of
+        ``@``, takes the row loop on rows over one denominator and is
         normalised at once.  At the end the residues are stored as they
         are; the columns over Q are brought over one lcm and normalised once.
         """
@@ -299,21 +299,15 @@ class Matrix:
                     raise DimensionMismatch(f"{m}x{n} @ {b.rows}x{b.cols}")
                 bnum, bden = b.num, b.den
                 # Measured on n = 4..17: a factor takes the column form while it
-                # has at most about 1.5 nonzeros per row (beyond, it loses up to
-                # 2x), and a product held as rows takes the delta form only for a
-                # factor that changes at most half of its rows (a permutation or
-                # a diagonal alone costs less in the row loop than the conversion).
-                if m and n and b.cols == n and 2 * (n * n - sum(map(tuple.count, bnum, repeat(0)))) <= 3 * n:
-                    units = _delta_of(bnum, bden)
-                    if vecs is not None or 2 * len({r for r, *_ in units}) <= n:
-                        b = (units, 1, 0, bden, False)
-                if type(b) is not tuple:
+                # has at most about 1.5 nonzeros per row (beyond, it loses up to 2x)
+                if vecs is None or b.cols != n or 2 * (n * n - sum(map(tuple.count, bnum, repeat(0)))) > 3 * n:
                     if vecs is not None:
                         rows, den = (vecs, 1) if p is not None else _rows_over_lcm(vecs, dens)
                         vecs = None
                     rows, den = _lowest(p, _row_loop(rows, bnum, b.cols), den * bden)
                     n = b.cols
                     continue
+                b = (_delta_of(bnum, bden), 1, 0, bden, False)
             if vecs is None:
                 vecs, dens = [list(r) for r in rows], None if p is not None else [den] * n
             _apply_delta(p, vecs, dens, b)

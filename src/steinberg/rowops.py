@@ -15,9 +15,10 @@ loop ``diagonalize`` and the pair pass ``clear_pairs``.
 
 ``apply(w, tok, LEFT)`` turns ``w`` into ``token_matrix(tok) @ w`` and
 ``apply(w, tok, RIGHT)`` into ``w @ token_matrix(tok)``, bit-exact.  Both
-hand the token's units (:func:`steinberg.generators.token_units`: an
-x-token's compiled code and the integers of its parameter, read as they
-stand) to the product kernel's own update loop
+hand the token's units (:func:`steinberg.generators.token_units`, which
+refuses a token that is not in the group: an x-token's compiled code and
+the integers of its parameter, read as they stand) to the product kernel's
+own update loop
 (:func:`steinberg.matrix._apply_delta`), which moves only the rows (LEFT)
 or columns (RIGHT) the token names, computing each value as it adds v / den
 times a source in one integer pass.  It rewrites the rows in place, over

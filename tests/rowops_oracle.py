@@ -1,11 +1,12 @@
 """The hand-written row and column updates of every token: the oracle for
 :func:`steinberg.rowops.apply`.
 
-The library applies a token through its integer delta
-(:func:`steinberg.generators.token_delta`), the same entries that build the
-dense ``token_matrix``.  The updates below are written out by hand as paired
-row (resp. column) operations, one case per token flavour, not derived from
-either, so that agreement with them is a test rather than a tautology.
+The library applies a token through its units
+(:func:`steinberg.generators.token_units`), the same description that
+builds the dense ``token_matrix``.  The updates below are written out by
+hand as paired row (resp. column) operations, one case per token flavour,
+not derived from either, so that agreement with them is a test rather than
+a tautology.
 Every update reads the operand rows as they were before the operation, so
 the order of the paired writes never matters.
 
@@ -19,7 +20,7 @@ in coefficient form and compiles once per index pair
 """
 
 from steinberg.forms import Family, GroupDescriptor
-from steinberg.generators import GeneratorToken, validate_token, x_pattern
+from steinberg.generators import GeneratorToken, token_units, x_pattern
 from steinberg.matrix import Matrix
 from steinberg.rowops import LEFT, Side, WorkingMatrix, apply
 
@@ -73,7 +74,7 @@ def _x_units(i: int, j: int, pat: str, a: int, b: int, d: GroupDescriptor) -> tu
 
 def oracle_apply(g: Matrix, tok: GeneratorToken, side: Side, d: GroupDescriptor) -> Matrix:
     """Multiply g by the token on the given side via the hand-written updates."""
-    validate_token(tok, d)
+    token_units(tok, d)  # the library's legality check; the action below is the oracle's own
     rows = g.to_lists()
     if side is LEFT:
         _apply_rows(rows, tok, d)

@@ -418,7 +418,7 @@ def test_verify_compares_headers_before_building_descriptors(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, msg", [
     (["random", "--group", "GSp", "--field", "7"], "the following arguments are required: --l"),
-    (["random", "--group", "GSp", "--field", "7", "--l", "x"], "argument --l: invalid int value: 'x'"),
+    (["random", "--group", "GSp", "--field", "7", "--l", "x"], "argument --l: expected an integer >= 0, got 'x'"),
     (["bogus"], "argument command: invalid choice: 'bogus'"),
     ([], "the following arguments are required: command"),
     (["random", "--group", "GSp", "--l", "1", "--field", "7", "--len", "-1"],
@@ -430,6 +430,37 @@ def test_usage_errors_print_one_line_and_exit_1(capsys, argv, msg):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {msg}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text", ["1_0", "١", "٣", "１", "+2", "0x1", "1.0", "2 ", "", "-"])
+@pytest.mark.parametrize("argv, flag", [
+    (["random", "--group", "GSp", "--field", "7", "--l"], "--l"),
+    (["census", "--group", "GSp", "--field", "3", "--l"], "--l"),
+    (["random", "--group", "GSp", "--l", "1", "--field", "7", "--len"], "--len"),
+    (["random", "--group", "GSp", "--l", "1", "--field", "7", "--seed"], "--seed"),
+    (["census", "--group", "GSp", "--l", "1", "--field", "3", "--cap"], "--cap"),
+])
+def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, text):
+    """``--l``, ``--len`` and ``--cap`` take ASCII digits and ``--seed`` an
+    optional ``-`` before them: Python's int-literal extras (underscores,
+    other scripts' digits, a ``+``) are usage errors, exit 1, that name the
+    flag, and nothing is written."""
+    code, out, err = run(capsys, *argv[:-1], f"{argv[-1]}={text}")
+    assert (code, out) == (1, "") and err.startswith(f"error: argument {flag}: expected an integer") and \
+        err.count("\n") == 1, err
+
+
+def test_integer_flags_read_their_ascii_values(capsys):
+    """The values the flags do take are read as written: ``--l 2`` is l = 2,
+    ``--len 0`` the identity, a negative ``--seed`` a seed of its own and
+    leading zeros change nothing."""
+    base = ["random", "--group", "GSp", "--field", "7"]
+    code, out, _ = run(capsys, *base, "--l", "2", "--len", "0")
+    assert code == 0 and out.startswith("group=GSp l=2 field=7 similitude=0\n")
+    seeded = {s: run(capsys, *base, "--l", "1", "--seed", s)[1] for s in ("-3", "-3", "3", "03")}
+    assert seeded["-3"] != seeded["3"] == seeded["03"]
+    code, _, err = run(capsys, "census", "--group", "GSp", "--l", "1", "--field", "3", "--cap", "0010")
+    assert code == 2 and err == "error: closure exceeded cap 10\n"
 
 
 def test_help_still_exits_0(capsys):

@@ -10,7 +10,9 @@ a word file whose ``D=`` line is a torus with zero or degenerate parameters.
 Files whose header misspells, repeats or misstates a key, or that hold one
 scalar or token index in Python's int-literal extras (underscores, other
 scripts' digits), are refused by every command with exit code 1.  Garbage files with no valid header at all, bytes that are not UTF-8
-included, are refused by every command with exit code 1.  Whatever the
+included, are refused by every command with exit code 1.  The integer flags
+of ``random`` and ``census`` take ASCII digits (``--seed`` an optional
+``-`` before them) and refuse anything else with exit code 1.  Whatever the
 input, a command exits 0, 1 or 2 with at most one line on stderr and no
 traceback, and every matrix file that ``decompose`` accepts survives
 ``verify``.
@@ -23,7 +25,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from steinberg.cli import format_matrix_file, format_word_file, main
+from steinberg.cli import build_parser, format_matrix_file, format_word_file, main
 from steinberg.eliminate import decompose, decompose_gl
 from steinberg.field import QQ, Field
 from steinberg.forms import Family, UnsupportedField, build_descriptor
@@ -304,3 +306,31 @@ def test_refused_files_exit_1(workdir, files):
     if matrix_refused:
         for command in ("decompose", "spinor", "coset"):
             assert run(command, str(mpath)) == (1, ""), (command, matrix_text)
+
+
+# the integer flags of random and census: the command line that each one
+# completes, its name and whether it takes a leading "-"
+FLAGS = [
+    (["random", "--group", "GSp", "--field", "7"], "l", False),
+    (["census", "--group", "GSp", "--field", "3"], "l", False),
+    (["random", "--group", "GSp", "--l", "1", "--field", "7"], "len", False),
+    (["random", "--group", "GSp", "--l", "1", "--field", "7"], "seed", True),
+    (["census", "--group", "GSp", "--l", "1", "--field", "3"], "cap", False),
+]
+
+flag_values = st.one_of(
+    st.text(alphabet="0123456789-+_ .xe\u0661\u0663\uff11\u00b2\u2070", max_size=6),
+    st.integers(-10**6, 10**6).map(str),
+)
+
+
+@FUZZ
+@given(flag=st.sampled_from(FLAGS), text=flag_values)
+def test_integer_flags_exit_1_on_anything_but_ascii_digits(flag, text):
+    command, name, signed = flag
+    argv = command + [f"--{name}={text}"]
+    digits = text[1:] if signed and text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        assert getattr(build_parser().parse_args(argv), name) == int(text), argv
+    else:
+        assert run(*argv) == (1, ""), argv

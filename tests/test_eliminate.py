@@ -256,6 +256,31 @@ def test_interchange_path_is_pinned_per_family(family, rows, phases, word, ops):
     assert dec.reassemble() == g
 
 
+def test_op_count_is_the_number_of_applied_tokens(monkeypatch):
+    """``op_count`` is the length of the two inverse words, and each of their
+    tokens stands for one in-place application: on the interchange cases, on
+    GL and on seeded similitudes of every family over F_3, F_7 and Q, with
+    GSp's torus reduction and GOminus's terminal block among them."""
+    from steinberg import rowops
+
+    applied = []
+    apply = rowops.apply
+    monkeypatch.setattr(rowops, "apply", lambda w, tok, side: (applied.append(tok), apply(w, tok, side))[1])
+    cases = [(build_descriptor(fam, 2, F7, similitude=True), Matrix(F7, rows)) for fam, rows, *_ in INTERCHANGE_CASES]
+    for field in (F3, F7, QQ):
+        for fam in ALL if field.is_prime else ALL[:3]:
+            for l in (1, 2, 3):
+                d = build_descriptor(fam, l, field, similitude=True)
+                cases += [(d, random_member(d, seed, word_len=4 * l + 4, with_torus=True)) for seed in (1, 2)]
+        gl = [Matrix(field, [[1, 2, 0], [3, 1, 1], [2, 0, 4]]), Matrix(field, [[0, 1, 0], [0, 0, 2], [1, 1, 1]])]
+        cases += [(None, g) for g in gl]
+    for d, g in cases:
+        applied.clear()
+        dec = decompose_gl(g) if d is None else decompose(g, d)
+        assert dec.op_count == len(dec.left) + len(dec.right) == len(applied), (d, g)
+        assert dec.reassemble() == g
+
+
 def test_clearing_checks_survive_python_O():
     """With C left uncleared, decompose under -O stops at the C check with an
     InternalError instead of a wrong answer or an arithmetic error."""

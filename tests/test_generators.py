@@ -8,7 +8,7 @@ from steinberg import eliminate, forms, generators, rowops
 from steinberg.cli import format_matrix_file, format_word_file, main as cli_main, parse_word_file
 from steinberg.coset import coset_label, omega_matrix, verify_label
 from steinberg.eliminate import decompose, decompose_gl
-from steinberg.field import Field, QQ
+from steinberg.field import DivisionByZero, Field, QQ
 from steinberg.forms import Family, build_descriptor, is_member, multiplier
 from steinberg.generators import (
     GeneratorToken,
@@ -20,12 +20,10 @@ from steinberg.generators import (
     legal_x_index_pairs,
     parse_token,
     parse_word,
-    token_delta,
-    token_inverse_in,
+    token_inverse,
     token_matrix,
     token_units,
     torus,
-    validate_token,
     w,
     x,
     x1,
@@ -36,6 +34,7 @@ from steinberg.harness import random_member
 from steinberg.matrix import Matrix
 
 from rowops_oracle import x_units_delta
+from test_rowops import token_entries
 
 F3 = Field(3)
 F5 = Field(5)
@@ -74,7 +73,7 @@ def test_x2_matrix():
 def test_token_inverse_negates_parameter():
     d = build_descriptor(Family.GO_EVEN, 2, F5)
     tok = x(1, 2, 3)
-    inv = token_inverse_in(tok, d)
+    inv = token_inverse(tok, d)
     assert inv.t == 2  # -3 mod 5
     assert token_matrix(tok, d) @ token_matrix(inv, d) == Matrix.identity(F5, 4)
     # literal +-1, as the elimination passes them, come back canonical
@@ -84,7 +83,7 @@ def test_token_inverse_negates_parameter():
     ):
         d = build_descriptor(Family.GO_EVEN, 2, field)
         tok = x(1, 2, t)
-        inv = token_inverse_in(tok, d)
+        inv = token_inverse(tok, d)
         assert inv == x(1, 2, want) and type(inv.t) is type(want), (field, t)
         assert str(inv) == f"x[1,2]({want})"
         assert token_matrix(tok, d) @ token_matrix(inv, d) == Matrix.identity(field, 4)
@@ -199,7 +198,7 @@ def test_every_token_is_an_isometry(family, p):
     for tok in toks:
         m = token_matrix(tok, d)
         assert is_member(m, d) and multiplier(m, d) == field.one, str(tok)
-        inv = token_matrix(token_inverse_in(tok, d), d)
+        inv = token_matrix(token_inverse(tok, d), d)
         assert m @ inv == Matrix.identity(field, d.n), str(tok)
 
 
@@ -301,6 +300,21 @@ def test_every_illegal_token_message(d, tok, text):
         assert str(err.value) == text, tok
 
 
+def test_word_checks_each_x_parameter_at_construction():
+    """A word reads every token's units when it is built, so an x-token
+    whose parameter is no scalar of the field is refused there, as every
+    other kind's parameters are: a str raises TypeError, and over F_7 a
+    denominator divisible by 7 raises DivisionByZero."""
+    gsp7, gspq = build_descriptor(Family.GSP, 2, Field(7)), build_descriptor(Family.GSP, 2, QQ)
+    for d in (gsp7, gspq):
+        with pytest.raises(TypeError):
+            Word(d, [x(1, 2, 1), x(1, 2, "3")])
+    with pytest.raises(DivisionByZero):
+        Word(gsp7, [x(1, 2, Fraction(1, 7))])
+    assert evaluate_word(Word(gsp7, [x(1, 2, Fraction(1, 2))])) == token_matrix(x(1, 2, 4), gsp7)
+    assert len(Word(gspq, [x(1, 2, Fraction(1, 7)), x(2, 1, 3)])) == 2
+
+
 def test_token_grammar_round_trip():
     d = build_descriptor(Family.GO_MINUS, 2, F5)
     toks = [x(2, 1, 3), x(1, 2, 4), x(2, -1, 1), w(2), x1(2, 1), x2(),
@@ -379,7 +393,7 @@ def test_compiled_x_codes_act_as_their_units(fam, field, monkeypatch):
             assert (i, j) not in d._xcodes
             for t in ts:
                 tok = x(i, j, t)
-                (got, den), (want, want_den) = token_delta(tok, d), x_units_delta(tok, d)
+                (got, den), (want, want_den) = token_entries(tok, d), x_units_delta(tok, d)
                 assert (sorted(got), den) == (sorted(want), want_den), (str(d), tok)
             assert d._xcodes[i, j][0] == x_pattern(i, j, d)
 
@@ -397,7 +411,7 @@ def test_one_code_table_per_group_shape(monkeypatch):
             large = build_descriptor(fam, l, Field(1000000007), similitude=True)
             assert small._xcodes is large._xcodes  # GOminus: epsilon is 2 for both
             for i, j in legal_x_index_pairs(small):
-                token_delta(x(i, j, 1), small)
+                token_units(x(i, j, 1), small)
             assert set(large._xcodes) == set(legal_x_index_pairs(large))
             if fam is not Family.GO_MINUS:
                 assert build_descriptor(fam, l, QQ)._xcodes is small._xcodes
@@ -424,11 +438,11 @@ def test_an_illegal_pair_raises_the_same_text_on_every_call(monkeypatch):
     for shape, bad, good, text in cases:
         texts = []
         for d in (build_descriptor(*shape),) * 2 + (build_descriptor(*shape),):
-            for call in (token_delta, validate_token, token_matrix):
+            for call in (token_units, lambda tok, d: Word(d, [tok]), token_matrix):
                 with pytest.raises(IllegalToken) as err:
                     call(bad, d)
                 texts.append(str(err.value))
-            token_delta(good, d)
+            token_units(good, d)
             assert (bad.i, bad.j) not in d._xcodes and (good.i, good.j) in d._xcodes
         assert texts == [text] * 9
 

@@ -237,6 +237,42 @@ def test_chain_matches_the_scalar_oracle(field):
     )
 
 
+@pytest.mark.parametrize("field", [F7, BIG, QQ], ids=str)
+def test_matmul_is_the_row_loop_on_sparse_factors(field, monkeypatch):
+    """``@`` takes the row loop whatever its right factor: a token matrix, a
+    diagonal or a signed permutation gives the triple loop's product and
+    runs no delta update.  In a chain, the same factors after a token's
+    delta take the column update and give the same product."""
+    from steinberg import matrix
+    from steinberg.generators import Word, evaluate_word
+
+    rng = random.Random(37)
+    d = build_descriptor(Family.GO_ODD, 3, field, similitude=True)
+    n = d.n
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signed = Matrix(field, [[rng.choice([1, -1]) if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+    diag = Matrix.diagonal(field, [_random_scalar(field, rng) or 1 for _ in range(n)])
+    sparse = every_token_matrix(d, rng) + [diag, signed]
+    member = random_member(d, 3, word_len=8, with_torus=True)
+    want = {(id(a), id(b)): naive_product(a, b) for a in (member, diag, signed) for b in sparse}
+    delta_updates = []
+    apply_delta = matrix._apply_delta
+    monkeypatch.setattr(matrix, "_apply_delta", lambda *args: (delta_updates.append(args[3]), apply_delta(*args))[1])
+    for a in (member, diag, signed):
+        for b in sparse:
+            got = a @ b
+            assert got == want[id(a), id(b)], b
+            assert_canonical(got)
+    assert delta_updates == []
+    word = Word(d, [x(1, 2, 3)])
+    tok = evaluate_word(word)
+    for b in (diag, signed):
+        delta_updates.clear()
+        assert evaluate_word(word, b) == naive_product(tok, b)
+        assert [delta[4] for delta in delta_updates] == [True, False]  # the x-token's units, then b's
+
+
 def test_rational_chain_reuses_the_integer_view():
     rng = random.Random(23)
 

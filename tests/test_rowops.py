@@ -13,8 +13,8 @@ from steinberg.generators import (
     Word,
     evaluate_word,
     legal_x_index_pairs,
-    token_delta,
     token_matrix,
+    token_units,
     torus,
     w,
     x,
@@ -30,6 +30,19 @@ from test_matrix import assert_canonical, naive_chain
 
 F5 = Field(5)
 ALL = (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
+
+
+def token_entries(tok, d):
+    """``(entries, den)``: the values of the token's units (:func:`token_units`)
+    as storage-position ``(row, col, value)`` triples, zero values dropped
+    and residues over F_p, so that the token's matrix is
+    ``(den * I + entries) / den``."""
+    units, u, u2, den, _ = token_units(tok, d)
+    p = d.field.p
+    values = [(r, c, k * (u2 if sq else u)) for r, c, k, sq in units]
+    if p is not None:
+        values = [(r, c, v % p) for r, c, v in values]
+    return [(r, c, v) for r, c, v in values if v], den
 
 
 def all_tokens(d, rng):
@@ -196,7 +209,7 @@ def test_gl_transvection_action():
 def test_empty_delta_leaves_matrix_unchanged():
     d = build_descriptor(Family.GO_MINUS, 1, F5)
     tok = torus(1, 1)
-    assert token_delta(tok, d) == ([], 1)
+    assert token_entries(tok, d) == ([], 1)
     assert token_matrix(tok, d) == Matrix.identity(F5, d.n)
     g = random_member(d, 4, word_len=5)
     assert applied(g, tok, LEFT, d) == g == applied(g, tok, RIGHT, d)
@@ -206,7 +219,7 @@ def test_empty_delta_leaves_matrix_unchanged():
 def test_zero_coefficients_are_dropped_from_delta():
     d = build_descriptor(Family.GO_MINUS, 2, F5, similitude=True)
     tok = torus(3, 1, ts=(1, 0))  # block diag(1, -1): t - 1 and s vanish
-    entries, den = token_delta(tok, d)
+    entries, den = token_entries(tok, d)
     assert den == 1
     assert all(v != 0 for _, _, v in entries)
     ident = Matrix.identity(F5, d.n)
@@ -245,7 +258,7 @@ def delta_tokens(d, rng):
     return toks
 
 
-@pytest.mark.parametrize("field", [F5, Field(1000000007), QQ], ids=str)
+@pytest.mark.parametrize("field", [Field(3), F5, Field(7), Field(1000000007), QQ], ids=str)
 def test_delta_is_the_token_over_one_integer_denominator(field):
     """The delta contract for every token kind: den * I + entries over den
     is the token's matrix and the hand-written update of I; entries sit at
@@ -259,7 +272,7 @@ def test_delta_is_the_token_over_one_integer_denominator(field):
             d = build_descriptor(fam, l, field, similitude=True)
             ident = Matrix.identity(field, d.n)
             for tok in delta_tokens(d, rng):
-                entries, den = token_delta(tok, d)
+                entries, den = token_entries(tok, d)
                 dense = [[den * (r == c) for c in range(d.n)] for r in range(d.n)]
                 for r, c, v in entries:
                     dense[r][c] += v
@@ -282,7 +295,7 @@ def test_delta_is_the_token_over_one_integer_denominator(field):
     ):
         for _ in range(2):  # an illegal token raises on every call, not only the first
             with pytest.raises(IllegalToken):
-                token_delta(tok, d)
+                token_units(tok, d)
 
 
 def _one_entry_at_a_time(g, entries, den, side):
@@ -356,10 +369,10 @@ def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
                 for side in (LEFT, RIGHT):
                     want = oracle_apply(member, tok, side, d)
                     if tok.kind == "x":
-                        assert _one_entry_at_a_time(member, *token_delta(tok, d), side) == want, (tok, side)
+                        assert _one_entry_at_a_time(member, *token_entries(tok, d), side) == want, (tok, side)
                     written.clear()
                     assert applied(member, tok, side, d) == want, (tok, side)
-                    assert len(written) == len(token_delta(tok, d)[0]), (tok, side)
+                    assert len(written) == len(token_entries(tok, d)[0]), (tok, side)
             toks += [rng.choice(toks) for _ in range(len(toks) // 2)]
             rng.shuffle(toks)
             word = Word(d, toks)
