@@ -33,12 +33,21 @@ What each pass clears, and what the form equation forces to vanish with it,
 is checked by :meth:`WorkingMatrix.require_zero`, which raises
 :class:`InternalError` and so survives ``python -O``.
 
+Membership is proved by construction, not checked up front: mu is read off
+one entry of g^T beta g (:func:`steinberg.forms.read_multiplier`), and the
+closing check in ``finish`` compares the whole terminal matrix with the
+claimed torus element.  Only when the elimination fails, or mu reads 0, or
+an isometry descriptor reads mu != 1, does the full form check
+(:func:`steinberg.forms.multiplier`) run, so a non-member is refused with the
+position where its form equation fails, as that check names it.
+
 The optional ``observer(phase, matrix)`` callback fires at phase boundaries
 with a :class:`Matrix` snapshot of the working matrix, so tests can pin the
 intermediate shapes; the phases are "A-diagonalized",
 "X-E-cleared" (GOodd, GOminus), "interchanged" (rank-deficient passes),
 "C-cleared", "B-cleared", "torus-reduced" (GSp), "terminal-block"
-(GOminus) and "done".
+(GOminus) and "done".  A non-member may pass some phases before it is
+refused.
 """
 
 from __future__ import annotations
@@ -53,9 +62,11 @@ from .forms import (
     GroupDescriptor,
     InternalError,
     MultiplierNotOne,
+    NotInGroup,
     UnsupportedFamily,
     build_descriptor,
     multiplier,
+    read_multiplier,
 )
 from .generators import (
     GeneratorToken,
@@ -337,14 +348,41 @@ def decompose(g: Matrix, d: GroupDescriptor, observer: Observer | None = None) -
 
     Raises :class:`NotInGroup` (with a witness position) for non-members,
     including isometry descriptors fed a similitude with mu != 1.
+
+    A return proves membership.  mu is only read off one entry of
+    g^T beta g; what proves g a similitude with that multiplier is the
+    closing check: the working matrix W = E g F equals the torus element T,
+    entry for entry.  E and F are products of tokens that
+    :func:`steinberg.generators.token_units` accepted, so isometries, and T
+    is a torus it accepted too (nonzero lambda and mu, alpha^2 = mu,
+    t^2 + eps s^2 = mu), a similitude with multiplier mu, which is 1 in an
+    isometry group (any other read is refused first).  So g = E^-1 T F^-1
+    is one.  Hence the full form check runs only where its verdict is
+    needed: before the elimination when mu reads 0 or an isometry
+    descriptor reads mu != 1, and after it when the elimination fails,
+    where a non-member raises the :class:`NotInGroup` that check names, and
+    a member's failure (an :class:`InternalError`) is raised as it is.
     """
     if d.family is Family.GL:
         raise UnsupportedFamily("use decompose_gl for the general linear group")
     f = d.field
-    mu = multiplier(g, d)
-    if not d.similitude and mu != f.one:
+    mu = read_multiplier(g, d)[0]
+    if mu == f.zero or not (d.similitude or mu == f.one):
+        multiplier(g, d)  # a non-member raises here, and mu = 0 always does
         raise MultiplierNotOne(f"multiplier {mu} != 1 in an isometry group", mu)
-    b = _Bench(g, d, observer)
+    try:
+        return _eliminate(_Bench(g, d, observer), mu)
+    except Exception:
+        try:
+            multiplier(g, d)
+        except NotInGroup as e:
+            raise e from None
+        raise
+
+
+def _eliminate(b: _Bench, mu: Scalar) -> Decomposition:
+    """The elimination flow and the terminal torus, then the closing check."""
+    d, f = b.d, b.f
     _run(b, mu)
     # GOminus of rank 1 has no hyperbolic pair to carry lambda
     lam = b.at(d.l, d.l) if d.block_indices() else f.one

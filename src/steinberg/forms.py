@@ -12,7 +12,11 @@ the three different orderings are the main source of off-by-one mistakes.
 
 :func:`multiplier` is the one form check.  beta is symmetric or skew, so it
 compares only the entries j >= i of g^T beta g with mu beta, on the stored
-integers, and names a failure from the entry where that loop stops.
+integers, and names a failure from the entry where that loop stops.  mu
+itself is read in one place, :func:`read_multiplier`: one entry of
+g^T beta g, in O(n), which is a membership proof only with a check that
+follows (the full loop, or the closing equality of
+:func:`steinberg.eliminate.decompose`).
 """
 
 from __future__ import annotations
@@ -207,6 +211,33 @@ def _gram(family: Family, l: int, n: int, field: Field, epsilon: Scalar | None) 
     return Matrix._normal(field, m)
 
 
+def read_multiplier(g: Matrix, d: GroupDescriptor) -> tuple:
+    """``(mu, S_ab, B_ab)``: the multiplier g has if it is a similitude, read
+    off the first nonzero (a, b) of beta alone, after the n x n shape check.
+
+    With g = num / den and beta's integers B, S_ab = num_a^T B num_b is entry
+    (a, b) of num^T B num, one product per nonzero of beta (O(n)), and mu =
+    S_ab / (den^2 B_ab), or S_ab / B_ab mod p.  Nothing else of the form
+    equation is checked: that is :func:`multiplier`'s loop.
+    """
+    if d.family is Family.GL:
+        raise UnsupportedFamily("GL carries no form")
+    n = d.n
+    if g.rows != n or g.cols != n:
+        raise NotInGroup(f"expected a {n}x{n} matrix", position=None)
+    p, bnum = d.field.p, d.beta.num
+    at = next(((i, j) for i, row in enumerate(bnum) for j, v in enumerate(row) if v), None)
+    if at is None:
+        raise InternalError(f"the Gram matrix of {d} is zero")
+    a, b = at
+    num = g.num
+    # S_ab = sum over the nonzeros (k, B_kc) of beta of num[k][a] B_kc num[c][b]
+    s_at = sum(bk * num[k][a] * num[c][b] for c, nz in enumerate(d.beta_columns()) for k, bk in nz)
+    b_at = bnum[a][b]
+    mu = s_at * pow(b_at, -1, p) % p if p is not None else Fraction(s_at, g.den * g.den * b_at)
+    return mu, s_at, b_at
+
+
 def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
     """The scalar mu with g^T beta g = mu beta, else :class:`NotInGroup`.
 
@@ -215,23 +246,17 @@ def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
     integers, with g = num / den and beta's integers B over its den, entry
     (i, j) is S_ij / (den^2 bden) for S_ij = (B^T num_i) . num_j, num_i
     the i-th column of num; B^T num_i costs one product per nonzero of
-    beta.  mu is read off the first nonzero B_at, and the check is S_ij B_at
-    = S_at B_ij (mod p), the denominators cancelling: about n^3 / 2
-    products, stopping at the first failure.  That (i, j) is also the first
-    failing entry in storage order, since a failure at (j, i) below the
-    diagonal is mirrored at (i, j), which comes first.
+    beta.  mu, S_at and B_at come from :func:`read_multiplier`, and the
+    check is S_ij B_at = S_at B_ij (mod p), the denominators cancelling:
+    about n^3 / 2 products, stopping at the first failure.  That (i, j) is
+    also the first failing entry in storage order, since a failure at (j, i)
+    below the diagonal is mirrored at (i, j), which comes first.
     """
-    if d.family is Family.GL:
-        raise UnsupportedFamily("GL carries no form")
+    mu, s_at, b_at = read_multiplier(g, d)
     n = d.n
-    if g.rows != n or g.cols != n:
-        raise NotInGroup(f"expected a {n}x{n} matrix", position=None)
     f, p = d.field, d.field.p
     beta = d.beta
     bnum = beta.num
-    at = next(((i, j) for i, row in enumerate(bnum) for j, v in enumerate(row) if v), None)
-    if at is None:
-        raise InternalError(f"the Gram matrix of {d} is zero")
     num = g.num
     cols = list(zip(*num))
     # y[i] = B^T num_i, so that S_ij = y[i] . num_j; row c of B^T num sums
@@ -243,10 +268,6 @@ def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
             row = [u + bk * v for u, v in zip(row, num[k])]
         bt_rows.append(row)
     y = list(zip(*bt_rows))
-    a, b = at
-    b_at = bnum[a][b]
-    s_at = sum(map(mul, y[a], cols[b]))
-    mu = s_at * pow(b_at, -1, p) % p if p is not None else Fraction(s_at, g.den * g.den * b_at)
     for i in range(n):
         yi, brow = y[i], bnum[i]
         for j in range(i, n):

@@ -45,6 +45,9 @@ class IllegalToken(ValueError):
     pass
 
 
+_new_token = tuple.__new__
+
+
 class GeneratorToken(namedtuple("GeneratorToken", "kind i j t s alpha lam mu",
                                 defaults=(0, 0, None, None, None, None, None))):
     """One token: ``kind`` is "x", "w", "x1", "x2" or "torus"; the integer
@@ -72,7 +75,9 @@ class GeneratorToken(namedtuple("GeneratorToken", "kind i j t s alpha lam mu",
 
 
 def x(i: int, j: int, t: Scalar) -> GeneratorToken:
-    return GeneratorToken("x", i, j, t)
+    # the namedtuple's own __new__ is a Python function with seven defaults;
+    # the elimination builds two x-tokens per token it applies
+    return _new_token(GeneratorToken, ("x", i, j, t, None, None, None, None))
 
 
 def w(i: int) -> GeneratorToken:
@@ -239,14 +244,23 @@ def _entry_units(entries: list, d: GroupDescriptor) -> tuple:
 
 def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
     """The exact matrix of a token in the family's fixed basis: ``den * I``
-    plus the values of its units (:func:`token_units`), over ``den``."""
+    plus the values of its units (:func:`token_units`), over ``den``,
+    written in the stored form: only the unit cells are reduced mod p, and
+    over Q only a gcd of den and the unit cells other than 1 is divided out."""
     units, u, u2, den, _ = token_units(tok, d)
     m = [[0] * d.n for _ in range(d.n)]
     for k, row in enumerate(m):
         row[k] = den
     for r, c, k, sq in units:
         m[r][c] += k * (u2 if sq else u)
-    return Matrix._normal(d.field, m, den)
+    p = d.field.p
+    if p is not None:
+        for r, c, _, _ in units:
+            m[r][c] %= p
+        return Matrix._canonical(d.field, m)
+    if math.gcd(den, *(m[r][c] for r, c, _, _ in units)) != 1:
+        return Matrix._normal(d.field, m, den)
+    return Matrix._canonical(d.field, m, den)
 
 
 def _torus_entries(tok: GeneratorToken, d: GroupDescriptor) -> list:
@@ -341,7 +355,7 @@ def token_inverse(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
     x1 and x2 come back unchanged; a torus inverts its parameters."""
     f = d.field
     if tok.kind == "x":
-        return GeneratorToken("x", tok.i, tok.j, f.of(-tok.t))
+        return _new_token(GeneratorToken, ("x", tok.i, tok.j, f.of(-tok.t), None, None, None, None))
     if tok.kind != "torus":
         return tok
     lam, mu = f.inv(f.of(tok.lam)), f.inv(f.of(tok.mu))
@@ -367,7 +381,9 @@ class Word(Record):
 
     @classmethod
     def _trusted(cls, descriptor: GroupDescriptor, tokens: Iterable) -> "Word":
-        """Trusted constructor: each token, or the one it inverts, goes through :func:`token_units`, which checks it."""
+        """Trusted constructor: each token, or the one it inverts, goes
+        through :func:`token_units`, which checks it, where it is applied or
+        evaluated (the derived words) or before it is recorded."""
         word = cls.__new__(cls)
         word._init(descriptor, tuple(tokens))
         return word
@@ -405,7 +421,8 @@ def derived_w(i: int, d: GroupDescriptor) -> Word:
 
     GSp and GOodd have direct three-token expressions.  GOplus only has the
     generator at index l; lower indices conjugate it through the pair swaps
-    w_{l,i} and w_{l,-i}, each itself three tokens.
+    w_{l,i} and w_{l,-i}, each itself three tokens.  The word is not
+    checked here: applying or evaluating it checks each token.
     """
     fam = d.family
     if fam is Family.GSP:
@@ -424,11 +441,12 @@ def derived_w(i: int, d: GroupDescriptor) -> Word:
             toks += [x(i, -l, -1), x(-i, l, -1), x(i, -l, -1)]
     else:
         raise IllegalToken(f"derived swap undefined for {fam.value}")
-    return Word(d, toks)
+    return Word._trusted(d, toks)
 
 
 def derived_h(lam: Scalar, d: GroupDescriptor) -> Word:
-    """Word for diag(1,..,1,lambda,1,..,1,lambda^-1) in GSp."""
+    """Word for diag(1,..,1,lambda,1,..,1,lambda^-1) in GSp, its tokens
+    checked where it is applied or evaluated."""
     if d.family is not Family.GSP:
         raise IllegalToken("derived_h only exists for GSp")
     f = d.field
@@ -437,7 +455,7 @@ def derived_h(lam: Scalar, d: GroupDescriptor) -> Word:
         raise IllegalToken("lambda must be nonzero")
     l = d.l
     lv = f.neg(f.inv(lam))
-    return Word(d, [
+    return Word._trusted(d, [
         x(l, -l, lam), x(-l, l, lv), x(l, -l, lam),
         x(l, -l, -1), x(-l, l, 1), x(l, -l, -1),
     ])

@@ -96,7 +96,8 @@ def _apply_delta(p: int | None, vecs: list, dens: list | None, delta: tuple, lef
     backwards to rows; any other reads its sources from a copy.  Over F_p v
     is reduced and the residues are rewritten in place; over Q ``dens`` are
     the row (``left``) or column denominators, and each written vector is
-    taken over one lcm with the gcd divided out (a row through :func:`_add_scaled`)."""
+    taken over one lcm with the gcd divided out (a row through
+    :func:`_add_scaled`, a column through :func:`_add_scaled_column`)."""
     units, u, u2, bden, sequential = delta
     src, sdens = (vecs, dens) if sequential else ([list(v) for v in vecs], dens and dens.copy())
     order = reversed(units) if left else units
@@ -121,18 +122,26 @@ def _apply_delta(p: int | None, vecs: list, dens: list | None, delta: tuple, lef
             continue
         if left:
             vecs[r], dens[r] = _add_scaled(vecs[r], dens[r], v, src[c], sdens[c] * bden)
-            continue
-        # the column in place: copied out through _add_scaled and back, the Q chain ran about 17% slower
-        xden, yden = dens[c], sdens[r] * bden
-        den = math.lcm(xden, yden)
-        sx, sy = den // xden, v * (den // yden)
-        col = [row[c] * sx + sy * y[r] for row, y in zip(vecs, src)]
-        if (g := math.gcd(den, *col)) != 1:
-            den //= g
-            col = [a // g for a in col]
-        dens[c] = den
-        for row, a in zip(vecs, col):
-            row[c] = a
+        else:
+            _add_scaled_column(vecs, dens, c, v, src, r, sdens[r] * bden)
+
+
+# apart from _apply_delta, where what its comprehension reads becomes a cell made on every call
+def _add_scaled_column(vecs: list, dens: list, c: int, v: int, src: list, r: int, yden: int) -> None:
+    """Over Q, column c of the rows ``vecs`` over ``dens[c]`` plus v times
+    column r of ``src`` over ``yden``, in place: one lcm, and the gcd
+    divided out.  (Copied out through :func:`_add_scaled` and back, the Q
+    chain ran about 17% slower.)"""
+    xden = dens[c]
+    den = math.lcm(xden, yden)
+    sx, sy = den // xden, v * (den // yden)
+    col = [row[c] * sx + sy * y[r] for row, y in zip(vecs, src)]
+    if (g := math.gcd(den, *col)) != 1:
+        den //= g
+        col = [a // g for a in col]
+    dens[c] = den
+    for row, a in zip(vecs, col):
+        row[c] = a
 
 
 def _delta_of(num: tuple, den: int) -> list:

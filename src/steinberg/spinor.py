@@ -16,9 +16,12 @@
   a Gram test on the hyperplane's rows.  The closing check rebuilds g from
   the mirror records by rank-1 updates.
 
-Each route checks the form equation once.  Over Q the classes are held
-unfactored (:class:`~steinberg.field.SquareClass`), so no route factors an
-integer; only printing a class does.  All three agreeing on exhaustively
+The Wall and reflection routes check the form equation once, up front;
+the elimination route proves membership by its closing check and runs the
+full check only to name a refusal (:func:`steinberg.eliminate.decompose`).
+Over Q the classes are held unfactored
+(:class:`~steinberg.field.SquareClass`), so no route factors an integer;
+only printing a class does.  All three agreeing on exhaustively
 enumerated groups is the acceptance anchor for the whole tower.
 """
 
@@ -102,9 +105,9 @@ def spinor_norm(g: Matrix, d: GroupDescriptor) -> SquareClass:
 def spinor_decomposition(g: Matrix, d: GroupDescriptor) -> tuple:
     """(spinor norm, the decomposition it was read from): the product of
     the classes of the torus and of the x1 and x2 tokens, the only tokens
-    whose class can be nontrivial.  The form is checked once, by the
-    elimination; a multiplier other than 1 is refused with this module's
-    message."""
+    whose class can be nontrivial.  The elimination proves membership (or
+    refuses a non-member as the form check names it); a multiplier other
+    than 1 is refused with this module's message."""
     _check_orthogonal(d)
     try:
         dec = decompose(g, d)
@@ -350,6 +353,6 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
 
 def in_commutator_subgroup(g: Matrix, d: GroupDescriptor) -> bool:
     """Membership in the commutator subgroup: det 1 and square spinor norm.
-    The elimination that gives the norm is also the one form check."""
+    The elimination that gives the norm is also the membership proof."""
     theta = spinor_norm(g, d)
     return g.det() == d.field.one and theta.is_square

@@ -8,8 +8,11 @@ F_1000000007 and Q (GOminus over F_p only) at l = 1, 2 and 4 it decomposes
 a seeded member with a torus, a similitude where the family has one, and
 checks that the words reassemble it; for the orthogonal families it takes
 the spinor norm of an isometry three ways (elimination, Wall form,
-reflections), which must agree; and for GSp, GOplus and GOodd it computes
-the Siegel double-coset label of an isometry and rechecks its witnesses.
+reflections), which must agree; for GSp, GOplus and GOodd it computes
+the Siegel double-coset label of an isometry and rechecks its witnesses;
+and for every family but GL it feeds ``decompose`` a member with one entry
+changed, which must be refused with ``NotInGroup`` and the position where
+the form equation fails.
 It imports the package from ``src/`` next to this directory, prints one
 line per family and field, and exits with status 1 at the first failure.
 """
@@ -23,8 +26,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from steinberg.coset import coset_label, verify_label  # noqa: E402
 from steinberg.eliminate import decompose, decompose_gl  # noqa: E402
 from steinberg.field import QQ, Field  # noqa: E402
-from steinberg.forms import Family, build_descriptor  # noqa: E402
+from steinberg.forms import Family, NotInGroup, build_descriptor  # noqa: E402
 from steinberg.harness import random_member  # noqa: E402
+from steinberg.matrix import Matrix  # noqa: E402
 from steinberg.spinor import reflection_factorization, spinor_norm, wall_spinor_norm  # noqa: E402
 
 FIELDS = (Field(3), Field(7), Field(1000000007), QQ)
@@ -60,6 +64,16 @@ def smoke(fam: Family, field: Field) -> int:
                 label = coset_label(h, iso)
                 check(0 <= label.m <= l and verify_label(h, label, iso), f"{where}: coset label")
                 checks += 1
+    if fam is not Family.GL:
+        d = build_descriptor(fam, 2, field, similitude=True)
+        rows = random_member(d, 1, word_len=12, with_torus=True).to_lists()
+        rows[0][1] = field.add(rows[0][1], field.one)
+        try:
+            decompose(Matrix(field, rows), d)
+            check(False, f"{d}: a non-member decomposed")
+        except NotInGroup as e:
+            check(e.position is not None, f"{d}: a non-member refused without a position: {e}")
+        checks += 1
     return checks
 
 

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,13 +7,25 @@ from pathlib import Path
 
 import pytest
 
+import steinberg.eliminate as eliminate
+import steinberg.rowops as rowops
 from steinberg.coset import coset_label
 from steinberg.field import Field, QQ
-from steinberg.forms import Family, InternalError, NotInGroup, UnsupportedFamily, build_descriptor, multiplier
+from steinberg.forms import (
+    Family,
+    InternalError,
+    MultiplierNotOne,
+    NotInGroup,
+    UnsupportedFamily,
+    build_descriptor,
+    multiplier,
+    read_multiplier,
+)
 from steinberg.eliminate import decompose, decompose_gl, word_length_stats
 from steinberg.generators import Word, token_matrix, w
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix, SingularMatrix
+from steinberg.spinor import spinor_norm
 
 F3 = Field(3)
 F5 = Field(5)
@@ -371,3 +384,128 @@ def test_at_most_one_negation_per_x_token(field, monkeypatch):
                 dec = decompose_gl(g) if fam is Family.GL else decompose(g, d)
                 tokens = sum(tok.kind == "x" for tok in dec.left.tokens + dec.right.tokens)
                 assert len(negations) <= tokens, (fam, l, seed, len(negations), tokens)
+
+
+def _perturbed(g, d, rng):
+    """Matrices near the member g: one entry changed (three times), a row
+    zeroed, two rows swapped, g scaled by 2, and the singular matrices with
+    g^T beta g = 0: zero, and (with a hyperbolic pair) the rank-1 matrix
+    e_i r^T for an isotropic e_i.  Some of them stay members."""
+    f, n = d.field, d.n
+    rows = g.to_lists()
+    out = []
+    for _ in range(3):
+        m = [list(r) for r in rows]
+        i, j = rng.randrange(n), rng.randrange(n)
+        m[i][j] = f.add(m[i][j], f.of(rng.choice((1, 2, -1))))
+        out.append(m)
+    i, j = rng.sample(range(n), 2)
+    m = [list(r) for r in rows]
+    m[i] = [f.zero] * n
+    out.append(m)
+    m = [list(r) for r in rows]
+    m[i], m[j] = m[j], m[i]
+    out.append(m)
+    out.append(g.scale(2).to_lists())
+    out.append([[f.zero] * n for _ in range(n)])
+    if d.block_indices():
+        k = d.pos(d.block_indices()[0])
+        out.append([list(rows[0]) if r == k else [f.zero] * n for r in range(n)])
+    return [Matrix(f, m) for m in out]
+
+
+def _near_members(fields=(F3, F7, Field(1000000007), QQ), ranks=(1, 2, 3), seeds=(0, 1)):
+    """(descriptor, perturbed matrix) over every family, field and rank, for
+    similitude and isometry descriptors (GOminus over F_p only)."""
+    for fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS):
+        for field in fields:
+            if fam is Family.GO_MINUS and not field.is_prime:
+                continue
+            for l in ranks:
+                for similitude in (True, False):
+                    d = build_descriptor(fam, l, field, similitude=similitude)
+                    for seed in seeds:
+                        rng = random.Random(f"{fam.value} {field} {l} {similitude} {seed}")
+                        g = random_member(d, 500 + seed, word_len=4 * l + 4, with_torus=True)
+                        for h in _perturbed(g, d, rng):
+                            yield d, h
+
+
+def _outcome(route, g, d):
+    try:
+        result = route(g, d)
+    except NotInGroup as e:
+        return type(e), str(e), e.position
+    return "member", result
+
+
+def test_a_non_member_is_refused_as_the_form_check_names_it():
+    """decompose and spinor_norm run the full form check only when the
+    elimination fails, when mu reads 0 or when an isometry descriptor reads
+    mu != 1; every outcome, error type, text and position equals that of an
+    oracle that runs the form check first."""
+
+    def form_first(route):
+        def oracle(g, d):
+            multiplier(g, d)
+            return route(g, d)
+        return oracle
+
+    def words(dec):
+        return dec.left, dec.right, dec.diagonal
+
+    seen = {"member": 0, NotInGroup: 0, MultiplierNotOne: 0, "mu = 0": 0}
+    for d, h in _near_members(seeds=range(3)):
+        routes = [(decompose, words)]
+        if d.family.is_orthogonal:
+            routes.append((spinor_norm, lambda theta: theta))
+        for route, result in routes:
+            got, want = _outcome(route, h, d), _outcome(form_first(route), h, d)
+            if got[0] == "member":
+                got, want = ("member", result(got[1])), ("member", result(want[1]))
+            assert got == want, (d, h, route.__name__)
+        seen[got[0]] += 1
+        seen["mu = 0"] += got[0] is NotInGroup and got[1].startswith("multiplier is zero")
+    assert all(seen.values()), seen
+
+
+def test_the_closing_check_alone_refuses_every_non_member(monkeypatch):
+    """With every check before it made a no-op, the elimination still never
+    returns for a non-member: the closing equality W = T refuses it.  The
+    near-members that pass the mu gate decompose and reassemble."""
+    monkeypatch.setattr(rowops.WorkingMatrix, "require_zero", lambda self, positions, what: None)
+    monkeypatch.setattr(eliminate, "_check_lower_cleared", lambda b, mu: None)
+    members = refused = 0
+    for d, h in _near_members(seeds=range(4)):
+        mu = read_multiplier(h, d)[0]
+        if mu == d.field.zero or not (d.similitude or mu == d.field.one):
+            continue
+        try:
+            member = multiplier(h, d) == mu
+        except NotInGroup:
+            member = False
+        if member:
+            assert eliminate._eliminate(eliminate._Bench(h, d, None), mu).reassemble() == h
+            members += 1
+        else:
+            with pytest.raises((InternalError, ValueError, ArithmeticError)):
+                eliminate._eliminate(eliminate._Bench(h, d, None), mu)
+            refused += 1
+    assert members and refused, (members, refused)
+
+
+def test_a_member_is_decomposed_without_the_full_form_check(monkeypatch):
+    """On members decompose reads mu off one entry; the O(n^3) check runs
+    only for an isometry descriptor fed a similitude, to name its refusal."""
+    calls = []
+    monkeypatch.setattr(eliminate, "multiplier", lambda g, d: calls.append(1) or multiplier(g, d))
+    for fam in ALL:
+        for field in (F7, QQ) if fam is not Family.GO_MINUS else (F7,):
+            d, iso = build_descriptor(fam, 3, field, similitude=True), build_descriptor(fam, 3, field)
+            g = random_member(d, 9, word_len=16, with_torus=True)
+            assert read_multiplier(g, d)[0] == multiplier(g, d)
+            assert decompose(g, d).reassemble() == g and not calls
+            with pytest.raises(MultiplierNotOne):
+                decompose(random_member(iso, 9, word_len=16).scale(3), iso)
+            assert len(calls) == 1
+            calls.clear()

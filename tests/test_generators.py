@@ -202,6 +202,38 @@ def test_every_token_is_an_isometry(family, p):
         assert m @ inv == Matrix.identity(field, d.n), str(tok)
 
 
+@pytest.mark.parametrize("field", [F5, QQ], ids=str)
+def test_every_token_matrix_is_in_the_stored_form(field, monkeypatch):
+    """token_matrix reduces only the cells its units write, and divides out
+    a gcd only when there is one: its matrix equals the one built from its
+    own scalars, for every kind of token but x (which
+    ``test_compiled_x_codes_act_as_their_units`` covers), tori with
+    fractional parameters included, and for a delta whose den shares a
+    factor with its cells."""
+    half, third = field.of(Fraction(1, 2)), field.of(Fraction(2, 3))
+    for family in ALL:
+        if family is Family.GO_MINUS and not field.is_prime:
+            continue
+        d = build_descriptor(family, 2, field, similitude=True)
+        toks = []
+        if family is Family.GSP or family is Family.GO_EVEN:
+            toks += [torus(half, third), torus(third, 1)]
+        if family is Family.GO_EVEN:
+            toks.append(w(2))
+        if family is Family.GO_ODD:
+            toks += [torus(third, field.mul(half, half), alpha=half), torus(half, 1, alpha=field.of(-1))]
+        if family is Family.GO_MINUS:
+            toks += [w(2), x2(), x1(1, 0), torus(half, 1), torus(third, 1, ts=(1, 0))]
+        for tok in toks:
+            m = token_matrix(tok, d)
+            assert m == Matrix(field, m.to_lists()), str(tok)
+    # (2 I + 2 E_01 - 4 E_10) / 2 over Q, (I + 2 E_01 + E_10) over F_5
+    monkeypatch.setattr(generators, "token_units", lambda tok, d: ([(0, 1, 2, False), (1, 0, -4, False)], 1, 0,
+                                                                    1 if field.p else 2, False))
+    m = token_matrix(x(1, 2, 1), build_descriptor(Family.GSP, 1, field))
+    assert m.to_lists() == ([[1, 2], [1, 1]] if field.p else [[1, 1], [-2, 1]]) and m == Matrix(field, m.to_lists())
+
+
 @pytest.mark.parametrize("family", ALL)
 def test_one_parameter_additivity(family):
     p = 7
@@ -352,6 +384,12 @@ def test_token_repr_str_equality_hash_and_immutability():
         with pytest.raises(AttributeError):
             tok.i = 7
     assert GeneratorToken("x2") == x2() and x(1, 2, 3) != x(1, 2, 4) != x(2, 1, 4)
+    # x-tokens and their inverses are built by tuple.__new__, past the namedtuple's defaults
+    d = build_descriptor(Family.GSP, 2, QQ)
+    for tok in (x(1, -2, Fraction(3, 4)), token_inverse(x(1, -2, Fraction(3, 4)), d)):
+        assert type(tok) is GeneratorToken and tok == GeneratorToken("x", tok.i, tok.j, tok.t)
+        assert hash(tok) == hash(GeneratorToken("x", tok.i, tok.j, tok.t)) and tok.s is tok.mu is None
+    assert token_inverse(x(1, -2, Fraction(3, 4)), d).t == Fraction(-3, 4)
 
 
 def test_x_pattern_memo_keeps_families_and_ranks_apart():
@@ -395,6 +433,8 @@ def test_compiled_x_codes_act_as_their_units(fam, field, monkeypatch):
                 tok = x(i, j, t)
                 (got, den), (want, want_den) = token_entries(tok, d), x_units_delta(tok, d)
                 assert (sorted(got), den) == (sorted(want), want_den), (str(d), tok)
+                m = token_matrix(tok, d)  # written straight into the stored form
+                assert m == Matrix(field, m.to_lists()), (str(d), tok)
             assert d._xcodes[i, j][0] == x_pattern(i, j, d)
 
 

@@ -7,7 +7,7 @@ import pytest
 from steinberg.field import DivisionByZero, Field, QQ
 from steinberg.eliminate import decompose
 from steinberg.forms import Family, InternalError, build_descriptor
-from steinberg.generators import legal_x_index_pairs, token_matrix, torus, w, x, x1, x2, x_pattern
+from steinberg.generators import legal_x_index_pairs, token_matrix, token_units, torus, w, x, x1, x2, x_pattern
 from steinberg.harness import (
     _random_scalar,
     _random_token_from,
@@ -16,7 +16,7 @@ from steinberg.harness import (
     random_member,
     random_torus_token,
 )
-from steinberg.matrix import DimensionMismatch, Matrix, SingularMatrix
+from steinberg.matrix import DimensionMismatch, Matrix, SingularMatrix, _apply_delta
 from steinberg.rowops import WorkingMatrix
 from steinberg.spinor import _mirror, _reflected, reflection_matrix
 
@@ -499,3 +499,11 @@ def test_rational_kernel_builds_no_fraction(monkeypatch):
     a.rref()
     a.inverse()
     assert made == []
+
+
+def test_the_update_loop_and_token_units_make_no_cells():
+    """Every token application runs these two; a comprehension that read
+    their locals would turn each such local into a cell made on every call
+    and read through a cell load in the F_p loops."""
+    assert _apply_delta.__code__.co_cellvars == ()
+    assert token_units.__code__.co_cellvars == ()

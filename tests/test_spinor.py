@@ -497,7 +497,10 @@ def test_every_route_refuses_a_similitude_with_its_own_message():
             assert err.value.position is None
 
 
-def test_spinor_norm_and_commutator_test_check_the_form_once(monkeypatch):
+def test_spinor_norm_and_commutator_test_check_the_form_only_on_a_non_member(monkeypatch):
+    """The elimination proves a member by its closing check, so the full
+    form check runs 0 times on a member and once on a non-member, where it
+    names the refusal."""
     import steinberg.eliminate as eliminate
     import steinberg.forms as forms
     import steinberg.spinor as spinor
@@ -514,10 +517,15 @@ def test_spinor_norm_and_commutator_test_check_the_form_once(monkeypatch):
         d = build_descriptor(family, 2, F5)
         for seed in range(4):
             g = random_member(d, seed, word_len=8, with_torus=True)
+            bad = g.to_lists()
+            bad[0][1] = F5.add(bad[0][1], 1)
             for route in (spinor_norm, in_commutator_subgroup):
                 calls.clear()
                 route(g, d)
-                assert len(calls) == 1
+                assert len(calls) == 0
+                with pytest.raises(NotInGroup) as err:
+                    route(Matrix(F5, bad), d)
+                assert err.value.position is not None and len(calls) == 1
 
 
 # GO+ over Q: at l = 8 the mirror norms reach ~360 bits, and factoring them
