@@ -110,12 +110,20 @@ class GroupDescriptor(Record):
             raise ValueError(f"basis index {i} out of range for {self.family.value} with l={self.l}") from None
 
     def beta_columns(self) -> tuple:
-        """The nonzero entries ``(i, beta.num[i][j])`` of each column j, so
-        that beta^T x costs one product per nonzero; the multiplier check
-        and the reflection route read them, and they are built on first use."""
+        """The one nonzero ``(i, beta.num[i][j])`` of each column j: every
+        family's beta is monomial, a signed permutation (up to the GOodd 2
+        and the GOminus epsilon), so beta^T x is ``[b * x[i] for i, b in
+        d.beta_columns()]``, one product per entry.  The form checks, the
+        Wall form and the reflection route read it; it is built on first
+        use, and a Gram matrix that is not monomial raises InternalError."""
         if self._beta_columns is None:
-            object.__setattr__(self, "_beta_columns", tuple(
-                tuple((i, v) for i, v in enumerate(col) if v) for col in zip(*self.beta.num)))
+            cols = []
+            for j, col in enumerate(zip(*self.beta.num)):
+                nz = [(i, v) for i, v in enumerate(col) if v]
+                if len(nz) != 1:
+                    raise InternalError(f"the Gram matrix of {self} is not monomial in column {j}")
+                cols.append(nz[0])
+            object.__setattr__(self, "_beta_columns", tuple(cols))
         return self._beta_columns
 
     def basis_indices(self) -> list:
@@ -232,7 +240,7 @@ def read_multiplier(g: Matrix, d: GroupDescriptor) -> tuple:
     a, b = at
     num = g.num
     # S_ab = sum over the nonzeros (k, B_kc) of beta of num[k][a] B_kc num[c][b]
-    s_at = sum(bk * num[k][a] * num[c][b] for c, nz in enumerate(d.beta_columns()) for k, bk in nz)
+    s_at = sum(bk * num[k][a] * num[c][b] for c, (k, bk) in enumerate(d.beta_columns()))
     b_at = bnum[a][b]
     mu = s_at * pow(b_at, -1, p) % p if p is not None else Fraction(s_at, g.den * g.den * b_at)
     return mu, s_at, b_at
@@ -245,8 +253,9 @@ def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
     or skew, so only the entries j >= i are compared.  On the stored
     integers, with g = num / den and beta's integers B over its den, entry
     (i, j) is S_ij / (den^2 bden) for S_ij = (B^T num_i) . num_j, num_i
-    the i-th column of num; B^T num_i costs one product per nonzero of
-    beta.  mu, S_at and B_at come from :func:`read_multiplier`, and the
+    the i-th column of num; beta is monomial, so B^T num_i costs one
+    product per entry (:meth:`GroupDescriptor.beta_columns`).  mu, S_at
+    and B_at come from :func:`read_multiplier`, and the
     check is S_ij B_at = S_at B_ij (mod p), the denominators cancelling:
     about n^3 / 2 products, stopping at the first failure.  That (i, j) is
     also the first failing entry in storage order, since a failure at (j, i)
@@ -259,15 +268,9 @@ def multiplier(g: Matrix, d: GroupDescriptor) -> Scalar:
     bnum = beta.num
     num = g.num
     cols = list(zip(*num))
-    # y[i] = B^T num_i, so that S_ij = y[i] . num_j; row c of B^T num sums
-    # b times row k of num over the nonzeros (k, b) of beta's column c
-    bt_rows = []
-    for nz in d.beta_columns():
-        row = [0] * n
-        for k, bk in nz:
-            row = [u + bk * v for u, v in zip(row, num[k])]
-        bt_rows.append(row)
-    y = list(zip(*bt_rows))
+    # y[i] = B^T num_i, so that S_ij = y[i] . num_j
+    bc = d.beta_columns()
+    y = [[b * col[k] for k, b in bc] for col in cols]
     for i in range(n):
         yi, brow = y[i], bnum[i]
         for j in range(i, n):

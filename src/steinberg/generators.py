@@ -265,7 +265,8 @@ def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
 
 def _torus_entries(tok: GeneratorToken, d: GroupDescriptor) -> list:
     """Signed-index (row, col, scalar) triples of a torus token minus I,
-    once the torus is checked against the family's shape of torus."""
+    once the torus is checked against the family's shape of torus and, in
+    an isometry descriptor, its multiplier mu against 1."""
     f, fam = d.field, d.family
     one, lam, mu = f.one, f.of(tok.lam), f.of(tok.mu)
     if lam == f.zero or mu == f.zero:
@@ -274,6 +275,8 @@ def _torus_entries(tok: GeneratorToken, d: GroupDescriptor) -> list:
         if mu != one or tok.alpha is not None or tok.t is not None:
             raise IllegalToken("GL torus is torus(lambda;1)")
         return [(d.n, d.n, f.sub(lam, one))]
+    if mu != one and not d.similitude:
+        raise IllegalToken(f"torus with mu = {mu} != 1 in an isometry group")
     entries = []
     if fam in (Family.GSP, Family.GO_EVEN):
         if tok.alpha is not None or tok.t is not None:

@@ -14,11 +14,14 @@
   (Wall's form on the moved space); each candidate carries one mirror
   record (its anisotropy test and its norm), and the Eichler lookahead is
   a Gram test on the hyperplane's rows.  The closing check rebuilds g from
-  the mirror records by rank-1 updates.
+  the mirror records by rank-1 updates on plain integer rows.
 
-The Wall and reflection routes check the form equation once, up front;
-the elimination route proves membership by its closing check and runs the
-full check only to name a refusal (:func:`steinberg.eliminate.decompose`).
+The Wall route checks the form equation once, up front.  The elimination
+and the reflection routes read mu off one entry, prove membership by their
+closing checks and run the full check only to name a refusal
+(:func:`steinberg.eliminate.decompose`, :func:`reflection_factorization`).
+beta is monomial, so every beta^T x is read off one entry per column
+(:meth:`~steinberg.forms.GroupDescriptor.beta_columns`).
 Over Q the classes are held unfactored
 (:class:`~steinberg.field.SquareClass`), so no route factors an integer;
 only printing a class does.  All three agreeing on exhaustively
@@ -28,6 +31,7 @@ enumerated groups is the acceptance anchor for the whole tower.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from fractions import Fraction
 from operator import mul
 
 from .eliminate import decompose
@@ -40,6 +44,7 @@ from .forms import (
     NotInGroup,
     NotOrthogonalFamily,
     multiplier,
+    read_multiplier,
 )
 from .generators import GeneratorToken
 from .matrix import Matrix, _lowest, _over_lcm
@@ -149,8 +154,8 @@ def _wall(g: Matrix, d: GroupDescriptor) -> tuple:
     _check_orthogonal_isometry(g, d)
     tilde = _identity_minus(g)
     piv = tilde.pivot_columns()
-    num, nzs = tilde.num, d.beta_columns()
-    gram = [[sum(num[k][a] * v for k, v in nzs[b]) for b in piv] for a in piv]
+    num, cols = tilde.num, d.beta_columns()
+    gram = [[v * num[k][a] for k, v in (cols[b] for b in piv)] for a in piv]
     return piv, Matrix._normal(d.field, gram, tilde.den * d.beta.den)
 
 
@@ -162,14 +167,14 @@ def _mirror(x: list, den: int, d: GroupDescriptor) -> tuple | None:
     """(x, den, y, a, c, N) for v = x / den with x an integer vector, or
     None when v is isotropic.
 
-    y = beta^T x, read off the nonzeros of each column of beta, and N = x.y
-    (residues over F_p), so the reflection in v is (a I - c x y^T) / a: over
-    Q a = N and c = 2; over F_p a = 1 and c = 2 / N.  beta(v, v) = N / den^2
-    gives the mirror's norm.
+    y = beta^T x, read off the one nonzero of each column of beta, and N =
+    x.y (residues over F_p), so the reflection in v is (a I - c x y^T) / a:
+    over Q a = N and c = 2; over F_p a = 1 and c = 2 / N.  beta(v, v) = N /
+    den^2 gives the mirror's norm.
     """
     p = d.field.p
-    y = [sum(x[i] * bij for i, bij in col) for col in d.beta_columns()]
-    nv = sum(xi * yi for xi, yi in zip(x, y))
+    y = [b * x[i] for i, b in d.beta_columns()]
+    nv = sum(map(mul, x, y))
     if p is not None:
         y = [yi % p for yi in y]
         nv %= p
@@ -189,14 +194,21 @@ def reflection_matrix(v, d: GroupDescriptor) -> Matrix:
     ], a)
 
 
-def _reflected(m: tuple, h: Matrix) -> Matrix:
-    """The reflection of the mirror record m times h, as the rank-1 update
-    h - c x (y^T h) / a."""
+def _reflect_rows(m: tuple, rows: list, p: int | None) -> list:
+    """The integer rows of the reflection of the mirror record m times
+    rows / den, over a * den: the rank-1 update a rows - c x (y^T rows).
+    Over F_p a = 1 and the rows are residues; over Q nothing is reduced."""
     x, _, y, a, c, _ = m
-    z = [sum(map(mul, y, col)) for col in zip(*h.num)]
-    return Matrix._normal(h.field, [
-        [a * hij - c * xi * zj for hij, zj in zip(row, z)] for xi, row in zip(x, h.num)
-    ], a * h.den)
+    z = [sum(map(mul, y, col)) for col in zip(*rows)]
+    if p is not None:
+        return [[(hij - cx * zj) % p for hij, zj in zip(row, z)] if (cx := c * xi % p) else row
+                for xi, row in zip(x, rows)]
+    return [[a * hij - cx * zj for hij, zj in zip(row, z)] for cx, row in zip((c * xi for xi in x), rows)]
+
+
+def _reflected(m: tuple, h: Matrix) -> Matrix:
+    """The reflection of the mirror record m times h (:func:`_reflect_rows`)."""
+    return Matrix._normal(h.field, _reflect_rows(m, h.num, h.field.p), m[3] * h.den)
 
 
 def _identity_minus(h: Matrix) -> Matrix:
@@ -214,14 +226,19 @@ def _record(h: Matrix) -> tuple:
     """The moved-space record (x rows, xden, u rows, uden) of h: the nonzero
     rows x_i / xden of the rref of (I-h)^T, a basis of V_h = (I-h)V, and
     preimages (I-h) u_i / uden = x_i / xden, from one reduction of [(I-h)^T
-    | I] pivoted over its left n columns.  With I-h = num / den, the right
-    part E_i of row i gives x_i = num E_i, so u_i = den E_i (both over s)."""
-    t = _identity_minus(h).transpose()
-    n, p = t.cols, h.field.p
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(t.num)]
-    piv, _, s = t._reduce(aug)
+    | I] pivoted over its left n columns.  With h = num / den, I-h is (den I
+    - num) / den, and row i of the augmented rows is column i of den I - num
+    (residues over F_p) followed by e_i, read straight off ``h.num``.  The
+    right part E_i of reduced row i gives x_i = (den I - num) E_i, so u_i =
+    den E_i (both over s)."""
+    n, p, den = h.rows, h.field.p, h.den
+    aug = [[(den if i == j else 0) - v for j, v in enumerate(col)] + [int(i == j) for j in range(n)]
+           for i, col in enumerate(zip(*h.num))]
+    if p is not None:
+        aug = [[v % p for v in r] for r in aug]
+    piv, _, s = h._reduce(aug)
     rows = aug[:len(piv)]
-    return (*_lowest(p, [r[:n] for r in rows], s), *_lowest(p, [[t.den * v for v in r[n:]] for r in rows], s))
+    return (*_lowest(p, [r[:n] for r in rows], s), *_lowest(p, [[den * v for v in r[n:]] for r in rows], s))
 
 
 def _hyperplane(rec: tuple, u: list, d: GroupDescriptor) -> tuple:
@@ -232,13 +249,17 @@ def _hyperplane(rec: tuple, u: list, d: GroupDescriptor) -> tuple:
     0, row t goes and every other row k becomes phi_t x_k - phi_k x_t, the
     same for the u rows, normalised (over F_p by phi_t^-1).  Each row keeps
     its pivot and row t's pivot column stops being one, so the x rows are
-    again in rref, the unique rref of (I - s_v h)^T."""
+    again in rref, the unique rref of (I - s_v h)^T.  On an isometry the
+    Wall form is nondegenerate, so some phi_k is nonzero; when none is, h
+    is no isometry, and InternalError is raised."""
     p = d.field.p
-    z = [sum(u[i] * b for i, b in col) for col in d.beta_columns()]
+    z = [b * u[i] for i, b in d.beta_columns()]
     phi = [sum(map(mul, z, x)) for x in rec[0]]
     if p is not None:
         phi = [f % p for f in phi]
-    t = max(k for k, f in enumerate(phi) if f)
+    t = max((k for k, f in enumerate(phi) if f), default=None)
+    if t is None:
+        raise InternalError("the mirror's preimage is Wall-orthogonal to the whole moved space")
     ft, out = phi[t], ()
     for rows, den in (rec[:2], rec[2:]):
         top, rest = rows[t], [(r, f) for k, (r, f) in enumerate(zip(rows, phi)) if k != t]
@@ -255,7 +276,7 @@ def _isotropic(xs: list, d: GroupDescriptor) -> bool:
     0 for a <= b, up to the first entry that is not."""
     p, cols = d.field.p, d.beta_columns()
     for a, x in enumerate(xs):
-        y = [sum(x[i] * b for i, b in col) for col in cols]
+        y = [b * x[i] for i, b in cols]
         for xb in xs[a:]:
             v = sum(map(mul, y, xb))
             if v if p is None else v % p:
@@ -314,11 +335,37 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
     dim V_g + 1 to descend.  The lookahead rejects a candidate only when
     beta has rank <= 2 on V_h, and then at most two candidate lines, which
     never exhaust the candidates; so a step with none passing raises
-    InternalError.  The product equality is checked by rebuilding g from
-    the mirror records, one rank-1 update each.
+    InternalError.
+
+    A return proves membership.  mu is only read off one entry of g^T beta
+    g; the closing check (:func:`_check_mirror_product`) proves g equal to
+    the product of the reflections in the mirrors, and each mirror is
+    anisotropic (:func:`_mirror` keeps no other), so each reflection is an
+    isometry and so is their product.  Hence the full form check runs only
+    where its verdict is needed: before the descent when mu reads other
+    than 1, where a similitude is refused as no isometry, and after it when
+    the descent or the closing check fails, where a non-member raises the
+    :class:`NotInGroup` that check names, and a member's failure (an
+    :class:`InternalError`) is raised as it is.
     """
-    _check_orthogonal_isometry(g, d)
-    f = d.field
+    _check_orthogonal(d)
+    mu = read_multiplier(g, d)[0]
+    if mu != d.field.one:
+        multiplier(g, d)  # a non-member raises here, and mu = 0 always does
+        raise _not_an_isometry(mu)
+    try:
+        return _factorize(g, d)
+    except Exception:
+        try:
+            multiplier(g, d)
+        except NotInGroup as e:
+            raise e from None
+        raise
+
+
+def _factorize(g: Matrix, d: GroupDescriptor) -> tuple:
+    """The descent and the closing check of :func:`reflection_factorization`."""
+    f, p = d.field, d.field.p
     mirrors, rec = [], _record(g)
     fuel = len(rec[0]) + 2  # Scherk's bound
     while rec[0]:
@@ -338,17 +385,32 @@ def reflection_factorization(g: Matrix, d: GroupDescriptor) -> tuple:
             nxt = _record(_reflected(m, g))
         mirrors.append(m)
         rec = nxt
+    _check_mirror_product(mirrors, g)
     acc = _unit_class(f)
     for *_, nv in mirrors:
         # beta(v, v) / 2 = N / (2 den^2) = 2 N / (2 den)^2, in the class of 2 N
         acc = acc * square_class(f, f.of(2 * nv))
-    # g = rho_1 ... rho_k: rebuilt from I by rank-1 updates, last mirror first
-    h = Matrix.identity(f, d.n)
+    if p is not None:
+        vectors = [tuple(v % p for v in x) for x, *_ in mirrors]  # den is 1 over F_p
+    else:
+        vectors = [tuple(Fraction(v, den) for v in x) for x, den, *_ in mirrors]
+    return vectors, acc
+
+
+def _check_mirror_product(mirrors: list, g: Matrix) -> None:
+    """g = rho_1 ... rho_k, else InternalError: the product rebuilt from I
+    by rank-1 updates (:func:`_reflect_rows`), last mirror first, on plain
+    integer rows, residues over F_p and over Q over one running
+    denominator, the product of the mirrors' a; then compared with g once,
+    the two denominators cross-multiplied."""
+    p, n = g.field.p, g.rows
+    rows, den = [[int(i == j) for j in range(n)] for i in range(n)], 1
     for m in reversed(mirrors):
-        h = _reflected(m, h)
-    if h != g:
+        rows = _reflect_rows(m, rows, p)
+        den *= m[3]
+    gden = g.den
+    if any(u * gden != v * den for r, gr in zip(rows, g.num) for u, v in zip(r, gr)):
         raise InternalError("mirror product does not reproduce the element")
-    return [Matrix._normal(f, [x], den).row(0) for x, den, *_ in mirrors], acc
 
 
 def in_commutator_subgroup(g: Matrix, d: GroupDescriptor) -> bool:

@@ -12,7 +12,8 @@ reflections), which must agree; for GSp, GOplus and GOodd it computes
 the Siegel double-coset label of an isometry and rechecks its witnesses;
 and for every family but GL it feeds ``decompose`` a member with one entry
 changed, which must be refused with ``NotInGroup`` and the position where
-the form equation fails.
+the form equation fails, as must an isometry with one entry changed fed to
+``reflection_factorization`` for the orthogonal families.
 It imports the package from ``src/`` next to this directory, prints one
 line per family and field, and exits with status 1 at the first failure.
 """
@@ -65,15 +66,17 @@ def smoke(fam: Family, field: Field) -> int:
                 check(0 <= label.m <= l and verify_label(h, label, iso), f"{where}: coset label")
                 checks += 1
     if fam is not Family.GL:
-        d = build_descriptor(fam, 2, field, similitude=True)
-        rows = random_member(d, 1, word_len=12, with_torus=True).to_lists()
-        rows[0][1] = field.add(rows[0][1], field.one)
-        try:
-            decompose(Matrix(field, rows), d)
-            check(False, f"{d}: a non-member decomposed")
-        except NotInGroup as e:
-            check(e.position is not None, f"{d}: a non-member refused without a position: {e}")
-        checks += 1
+        routes = [(True, decompose)] + [(False, reflection_factorization)] * fam.is_orthogonal
+        for similitude, route in routes:
+            d = build_descriptor(fam, 2, field, similitude=similitude)
+            rows = random_member(d, 1, word_len=12, with_torus=True).to_lists()
+            rows[0][1] = field.add(rows[0][1], field.one)
+            try:
+                route(Matrix(field, rows), d)
+                check(False, f"{d}: {route.__name__} accepted a non-member")
+            except NotInGroup as e:
+                check(e.position is not None, f"{d}: {route.__name__} refused a non-member without a position: {e}")
+            checks += 1
     return checks
 
 

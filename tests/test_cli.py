@@ -135,6 +135,18 @@ def test_verify_empty_word_vs_identity(tmp_path, capsys):
     assert code == 0 and out.strip() == "OK"
 
 
+def test_verify_refuses_a_similitude_torus_under_an_isometry_header(tmp_path, capsys):
+    # diag(1, 3) has multiplier 3, so it is not in Sp(2, 7); the word file
+    # that multiplies out to it holds a torus no isometry group contains
+    header = "group=GSp l=1 field=7 similitude=0"
+    wpath = write(tmp_path, "w.txt", f"{header}\nL=\nD=torus(1;3)\nR=\n")
+    mpath = write(tmp_path, "m.txt", f"{header}\n1 0\n0 3\n")
+    code, out, err = run(capsys, "verify", wpath, mpath)
+    assert code != 0 and out == ""
+    assert "torus with mu = 3 != 1 in an isometry group" in err
+    assert run(capsys, "decompose", mpath)[0] == 2
+
+
 def test_spinor_command(tmp_path, capsys):
     # torus with nonsquare lambda: theta=nonsquare
     d = build_descriptor(Family.GO_EVEN, 2, F5)

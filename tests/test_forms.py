@@ -3,6 +3,8 @@ import pytest
 from steinberg.field import Field, QQ, square_class
 from steinberg.forms import (
     Family,
+    GroupDescriptor,
+    InternalError,
     NotInGroup,
     UnsupportedField,
     build_descriptor,
@@ -126,6 +128,25 @@ def test_gram_matrix_is_pinned(family, l):
     if family is not Family.GO_MINUS:
         d = build_descriptor(family, l, QQ)
         assert d.beta == Matrix(QQ, BETAS[family, l]) and d.beta.den == 1
+
+
+@pytest.mark.parametrize("family", [f for f in Family if f is not Family.GL], ids=lambda f: f.value)
+def test_beta_columns_are_the_nonzeros_of_beta(family):
+    """beta_columns() holds the one nonzero (i, beta[i][j]) of each column
+    j, for every family, rank and field; a Gram matrix with two nonzeros in
+    a column, or none, is no signed permutation and raises InternalError."""
+    for field in (F3, F5, Field(1000000007), QQ):
+        if family is Family.GO_MINUS and not field.is_prime:
+            continue
+        for l in (1, 2, 3):
+            d = build_descriptor(family, l, field)
+            nonzeros = [[(i, v) for i, v in enumerate(col) if v] for col in zip(*d.beta.num)]
+            assert [[c] for c in d.beta_columns()] == nonzeros
+    d = build_descriptor(Family.GO_EVEN, 1, F5)
+    for rows, j in (([[1, 1], [1, 0]], 0), ([[0, 0], [1, 0]], 1)):
+        odd = GroupDescriptor(d.family, d.l, d.field, d.similitude, Matrix(F5, rows), d.n)
+        with pytest.raises(InternalError, match=f"not monomial in column {j}$"):
+            odd.beta_columns()
 
 
 def test_twisted_form_p5():

@@ -304,6 +304,8 @@ ILLEGAL_TOKENS = [
     (_shape(Family.GO_MINUS, 1), torus(1, 3), "GOminus torus with identity block needs mu = 1"),
     (_shape(Family.GO_MINUS, 2), torus(2, 4, ts=(1, 1)), "GOminus torus block needs t^2+eps*s^2 = mu"),
     (_shape(Family.GO_MINUS, 1, F3), torus(1, 1, ts=(1, 1)), "GOminus torus block needs t^2+eps*s^2 = mu"),
+    (build_descriptor(Family.GSP, 1, Field(7)), torus(1, 3), "torus with mu = 3 != 1 in an isometry group"),
+    (build_descriptor(Family.GO_ODD, 2, QQ), torus(2, 4, alpha=2), "torus with mu = 4 != 1 in an isometry group"),
 ]
 
 
@@ -348,12 +350,13 @@ def test_word_checks_each_x_parameter_at_construction():
 
 
 def test_token_grammar_round_trip():
-    d = build_descriptor(Family.GO_MINUS, 2, F5)
+    # similitude descriptors: the tori with mu != 1 are in no isometry group
+    d = build_descriptor(Family.GO_MINUS, 2, F5, similitude=True)
     toks = [x(2, 1, 3), x(1, 2, 4), x(2, -1, 1), w(2), x1(2, 1), x2(),
             torus(2, 1), torus(3, 2, ts=(0, 1))]
     for tok in toks:
         assert parse_token(str(tok), d) == tok
-    dodd = build_descriptor(Family.GO_ODD, 2, F5)
+    dodd = build_descriptor(Family.GO_ODD, 2, F5, similitude=True)
     toks = [x(1, 0, 2), x(0, 2, 3), torus(2, 4, alpha=3)]
     for tok in toks:
         assert parse_token(str(tok), dodd) == tok

@@ -5,7 +5,7 @@ from itertools import islice
 import pytest
 
 from steinberg.field import QQ, CannotFactor, Field, SquareClass, square_class
-from steinberg.forms import Family, InternalError, NotInGroup, build_descriptor
+from steinberg.forms import Family, InternalError, NotInGroup, build_descriptor, multiplier, read_multiplier
 from steinberg.eliminate import decompose
 from steinberg.generators import legal_x_index_pairs, token_matrix, torus, w, x, x1, x2
 from steinberg.harness import _random_token_from, _token_pool, enumerate_group, random_member
@@ -25,6 +25,7 @@ from steinberg.spinor import (
 from gauss_oracle import oracle_det, oracle_rank, oracle_rref, oracle_solve, reduce_scalars
 from rowops_oracle import applied
 from spinor_oracle import oracle_moved_space_basis, oracle_reflection_factorization, oracle_totally_isotropic
+from test_eliminate import _near_members, _outcome
 
 F3 = Field(3)
 F5 = Field(5)
@@ -304,14 +305,14 @@ def test_mirror_product_check_raises_internal_error(monkeypatch):
 
     d = build_descriptor(Family.GO_ODD, 2, F5)
     g = random_member(d, 2, word_len=7)
-    reflected = spinor._reflected
+    reflect_rows = spinor._reflect_rows
     calls = []
 
-    def counting(m, h):
+    def counting(m, rows, p):
         calls.append(m)
-        return reflected(m, h)
+        return reflect_rows(m, rows, p)
 
-    monkeypatch.setattr(spinor, "_reflected", counting)
+    monkeypatch.setattr(spinor, "_reflect_rows", counting)
     mirrors, _ = reflection_factorization(g, d)
     assert mirrors
     total = len(calls)
@@ -319,17 +320,123 @@ def test_mirror_product_check_raises_internal_error(monkeypatch):
     assert total == len(mirrors)
     calls.clear()
 
-    def last_one_wrong(m, h):
+    def last_one_wrong(m, rows, p):
         # the check rebuilds g from I, last mirror first, so the last update
         # applies the first mirror: the last factor of the rebuilt product
         calls.append(m)
-        out = reflected(m, h)
-        return -out if len(calls) == total else out
+        out = reflect_rows(m, rows, p)
+        return [[-v % p for v in r] for r in out] if len(calls) == total else out
 
-    monkeypatch.setattr(spinor, "_reflected", last_one_wrong)
+    monkeypatch.setattr(spinor, "_reflect_rows", last_one_wrong)
     with pytest.raises(InternalError, match="mirror product"):
         reflection_factorization(g, d)
     assert len(calls) == total
+
+
+def _orthogonal_near_members(seeds):
+    return ((d, h) for d, h in _near_members(seeds=seeds) if d.family.is_orthogonal)
+
+
+def test_a_non_member_is_refused_as_the_form_check_names_it():
+    """reflection_factorization runs the full form check only when mu reads
+    other than 1 or the descent or closing check fails; every outcome, error
+    type, text and position equals that of an oracle that runs the form
+    check first."""
+
+    def form_first(g, d):
+        multiplier(g, d)
+        return reflection_factorization(g, d)
+
+    seen = {"member": 0, NotInGroup: 0, "not an isometry": 0, "mu = 0": 0}
+    for d, h in _orthogonal_near_members(seeds=range(3)):
+        got, want = _outcome(reflection_factorization, h, d), _outcome(form_first, h, d)
+        assert got == want, (d, h)
+        seen[got[0]] += 1
+        seen["not an isometry"] += got[0] is NotInGroup and got[1].endswith("not in the isometry group")
+        seen["mu = 0"] += got[0] is NotInGroup and got[1].startswith("multiplier is zero")
+    assert all(seen.values()), seen
+
+
+def test_the_closing_check_alone_refuses_every_non_member(monkeypatch):
+    """With the fallback form check made a no-op, the route still never
+    returns a factorisation for a non-member whose mu reads 1: the descent
+    or the closing check raises InternalError.  The near-members that pass
+    the mu gate are factorised, and their mirrors multiply out to them."""
+    import steinberg.spinor as spinor
+
+    monkeypatch.setattr(spinor, "multiplier", lambda g, d: None)
+    members = refused = 0
+    for d, h in _orthogonal_near_members(seeds=range(4)):
+        if read_multiplier(h, d)[0] != d.field.one:
+            continue
+        try:
+            member = multiplier(h, d) == d.field.one
+        except NotInGroup:
+            member = False
+        if member:
+            vectors, _ = reflection_factorization(h, d)
+            prod = Matrix.identity(d.field, d.n)
+            for v in vectors:
+                prod = prod @ reflection_matrix(v, d)
+            assert prod == h
+            members += 1
+        else:
+            with pytest.raises(InternalError):
+                reflection_factorization(h, d)
+            refused += 1
+    assert members and refused, (members, refused)
+
+
+def test_a_member_is_factorised_without_the_full_form_check(monkeypatch):
+    """On members the route reads mu off one entry; the O(n^3) check runs
+    only for a similitude with mu != 1, to name its refusal."""
+    import steinberg.spinor as spinor
+
+    calls = []
+    monkeypatch.setattr(spinor, "multiplier", lambda g, d: calls.append(1) or multiplier(g, d))
+    for field in (F3, Field(7), Field(1000000007), QQ):
+        for family in ORTH if field.is_prime else ORTH[:2]:
+            for l in (1, 2, 4):
+                d = build_descriptor(family, l, field)
+                for seed in range(2):
+                    g = random_member(d, seed, word_len=4 * l + 4, with_torus=True)
+                    reflection_factorization(g, d)
+                for i, j in legal_x_index_pairs(d)[:3]:
+                    reflection_factorization(token_matrix(x(i, j, 1), d), d)
+                assert calls == [], (d, calls)
+                # a similitude with mu != 1, where the family has one (GOodd
+                # multipliers are squares, so over F_3 there is none)
+                sim = build_descriptor(family, l, field, similitude=True)
+                sims = (random_member(sim, seed, word_len=4 * l, with_torus=True) for seed in range(20))
+                h = next((h for h in sims if read_multiplier(h, sim)[0] != field.one), None)
+                if h is None:
+                    continue
+                with pytest.raises(NotInGroup, match="not in the isometry group"):
+                    reflection_factorization(h, d)
+                assert calls == [1]
+                calls.clear()
+
+
+def test_a_preimage_wall_orthogonal_to_the_moved_space_raises_internal_error(monkeypatch):
+    """A mirror whose preimage has phi_k = beta(u, x_k) = 0 for every row of
+    the record leaves no hyperplane to move to: InternalError, not the bare
+    ValueError of an empty max().  On an isometry it cannot happen, so with
+    every candidate's preimage made zero the member's error is raised as it
+    is, after the form check finds g a member."""
+    import steinberg.spinor as spinor
+
+    for field in (F5, QQ):
+        d = build_descriptor(Family.GO_EVEN, 2, field)
+        g = random_member(d, 1, word_len=7)
+        rec = spinor._record(g)
+        with pytest.raises(InternalError, match="Wall-orthogonal"):
+            spinor._hyperplane(rec, [0] * d.n, d)
+        candidates = spinor._anisotropic_candidates
+        monkeypatch.setattr(spinor, "_anisotropic_candidates",
+                            lambda rec, d: ((m, [0] * len(u)) for m, u in candidates(rec, d)))
+        with pytest.raises(InternalError, match="Wall-orthogonal"):
+            reflection_factorization(g, d)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
@@ -637,10 +744,11 @@ def test_integer_descent_agrees_with_the_matrix_oracles(field, monkeypatch):
 
 def test_one_reduction_per_call_and_per_auxiliary_mirror(monkeypatch):
     # at most one auxiliary mirror, and the only dense products are its s_w g
-    # and the closing check's one rank-1 update per mirror
+    # and the closing check's one rank-1 update per mirror, both on the
+    # integer rows of _reflect_rows
     import steinberg.spinor as spinor
 
-    reduce, some, reflected = Matrix._reduce, spinor._some_anisotropic, spinor._reflected
+    reduce, some, reflect_rows = Matrix._reduce, spinor._some_anisotropic, spinor._reflect_rows
     calls = {"reduce": 0, "auxiliary": 0, "reflected": 0}
 
     def counting_reduce(self, *args, **kwargs):
@@ -651,13 +759,13 @@ def test_one_reduction_per_call_and_per_auxiliary_mirror(monkeypatch):
         calls["auxiliary"] += 1
         return some(d)
 
-    def counting_reflected(m, h):
+    def counting_reflect_rows(m, rows, p):
         calls["reflected"] += 1
-        return reflected(m, h)
+        return reflect_rows(m, rows, p)
 
     monkeypatch.setattr(Matrix, "_reduce", counting_reduce)
     monkeypatch.setattr(spinor, "_some_anisotropic", counting_some)
-    monkeypatch.setattr(spinor, "_reflected", counting_reflected)
+    monkeypatch.setattr(spinor, "_reflect_rows", counting_reflect_rows)
     auxiliary = 0
     for field in (F3, Field(7), QQ):
         for family in ORTH if field.is_prime else ORTH[:2]:
