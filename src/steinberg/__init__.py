@@ -35,7 +35,6 @@ _HOMES = {
     "Decomposition": "eliminate",
     "decompose": "eliminate",
     "decompose_gl": "eliminate",
-    "word_length_stats": "eliminate",
     "spinor_norm": "spinor",
     "wall_spinor_norm": "spinor",
     "reflection_factorization": "spinor",

@@ -8,8 +8,12 @@ Matrix files are plain text: a header line
 whitespace-separated scalars: integers mod p, or fractions like 3/4 over Q,
 in ASCII digits with an optional sign.  ``decompose`` emits a word file
 with the same header plus ``L=``, ``D=``, ``R=`` lines in the token
-grammar (ASCII digits only), which ``verify`` re-reads and multiplies
-out, naming the first differing entry on stderr when they disagree.  The
+grammar (ASCII digits only) and the ``lambda=``, ``mu=``, ``alpha=`` and
+``ops=`` lines that summarise them.  ``verify`` re-reads it, refusing a
+repeated or unknown key and a summary the word does not give, and
+multiplies it out, naming the first differing entry on stderr when they
+disagree.  Scalars may have any number of digits: a command lifts
+Python's limit on int <-> str conversions while it runs.  The
 integer flags take ASCII digits too (``--seed`` also a leading ``-``).  Exit
 codes: 0 success, 1 usage or parse error, 2 domain error (not in group,
 mismatch, unsupported family, singular GL matrix, a rational square class
@@ -155,23 +159,56 @@ def format_word_file(dec, d: GroupDescriptor) -> str:
     return "\n".join(lines) + "\n"
 
 
+_WORD_KEYS = ("L", "D", "R")
+_SUMMARY_KEYS = ("lambda", "mu", "alpha", "ops")
+
+
 def parse_word_file(text: str) -> tuple:
-    """(L word, D word, R word, descriptor) from a decompose dump."""
+    """(L word, D word, R word, descriptor) from a decompose dump.
+
+    After the header, each of ``L=``, ``D=`` and ``R=`` appears exactly
+    once.  Only ``lambda=``, ``mu=``, ``alpha=`` and ``ops=`` may join
+    them, each at most once and equal to what the word gives: the lambda,
+    mu and alpha of the one torus token on the ``D=`` line, and
+    ``len(L) + len(R)``.  Any other line is refused, naming its key."""
     lines = _lines(text, "word")
     d = parse_descriptor(lines[0])
-    parts = {"L": None, "D": None, "R": None}
+    parts = {}
     for ln in lines[1:]:
-        if "=" in ln:
-            key, rest = ln.split("=", 1)
-            if key in parts:
-                try:
-                    parts[key] = parse_word(rest, d)
-                except (ValueError, ZeroDivisionError) as e:  # includes IllegalToken
-                    raise ParseError(f"bad token in {key}= line: {e}") from e
-    missing = [k for k, v in parts.items() if v is None]
+        key, eq, rest = ln.partition("=")
+        if not eq or key not in _WORD_KEYS + _SUMMARY_KEYS:
+            raise ParseError(f"unknown word file key {key!r}")
+        if key in parts:
+            raise ParseError(f"duplicate word file key {key!r}")
+        if key in _WORD_KEYS:
+            try:
+                rest = parse_word(rest, d)
+            except (ValueError, ZeroDivisionError) as e:  # includes IllegalToken
+                raise ParseError(f"bad token in {key}= line: {e}") from e
+        parts[key] = rest
+    missing = [k for k in _WORD_KEYS if k not in parts]
     if missing:
         raise ParseError(f"word file lacks lines: {missing}")
-    return parts["L"], parts["D"], parts["R"], d
+    left, mid, right = (parts[k] for k in _WORD_KEYS)
+    torus = mid.tokens[0] if len(mid) == 1 and mid.tokens[0].kind == "torus" else None
+    for key in _SUMMARY_KEYS:
+        if key not in parts:
+            continue
+        given = parts[key].strip()
+        if key == "ops":
+            want = len(left) + len(right)
+            ok = given.isascii() and given.isdigit() and int(given) == want
+        elif torus is None:
+            raise ParseError(f"{key}= needs a D= line of one torus token")
+        else:
+            want = getattr(torus, "lam" if key == "lambda" else key)
+            try:
+                ok = want is not None and d.field.parse(given) == want
+            except (ValueError, ZeroDivisionError) as e:
+                raise ParseError(f"bad scalar in {key}= line: {e}") from e
+        if not ok:
+            raise ParseError(f"{key}={given}, but the word gives {f'no {key}' if want is None else want}")
+    return left, mid, right, d
 
 
 def _read(path: str) -> str:
@@ -297,6 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Python 3.10.7 on refuses int <-> str conversions above 4,300 digits.  A
+    # file bounds the height of its scalars, and an emitted parameter is
+    # several times taller than an input entry, so a command runs without the
+    # limit; it is restored on return, so in-process callers keep theirs.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -313,6 +357,9 @@ def main(argv=None) -> int:
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

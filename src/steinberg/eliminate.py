@@ -419,34 +419,3 @@ def decompose_gl(g: Matrix) -> Decomposition:
 @lru_cache(maxsize=64)  # one GL(n) descriptor per (n, field): it is immutable
 def _gl_descriptor(n: int, field: Field) -> GroupDescriptor:
     return build_descriptor(Family.GL, n - 1, field)
-
-
-# ---------------------------------------------------------------------------
-# word-length accounting
-
-
-def word_length_stats(d: GroupDescriptor, trials: int, seed: int) -> dict:
-    """Empirical op counts of ``decompose`` on random members of ``d``.
-
-    The check max_ops <= 40*l^3 + 60 is a regression tripwire for the
-    cubic word-length bound; the returned table is the real artifact.
-    """
-    from .harness import random_member  # imported here to avoid a module cycle
-
-    counts = []
-    for k in range(trials):
-        g = random_member(d, seed + k, word_len=4 * d.l + 4, with_torus=True)
-        counts.append(decompose(g, d).op_count)
-    max_ops = max(counts) if counts else 0
-    bound = 40 * d.l**3 + 60
-    if max_ops > bound:
-        raise InternalError(f"word length {max_ops} exceeds {bound}")
-    return {
-        "family": d.family.value,
-        "l": d.l,
-        "field": str(d.field),
-        "trials": trials,
-        "max_ops": max_ops,
-        "mean_ops": sum(counts) / len(counts) if counts else 0.0,
-        "bound": bound,
-    }

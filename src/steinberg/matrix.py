@@ -16,8 +16,10 @@ per token.  Every token update, in the chain and on the working matrix of
 it is written, over den times column r to column c (or, from the left, row
 c to row r).  Over F_p it writes residues in place, an x-token's units one
 at a time with no copy of a source; over Q a moved row is a new list and a
-moved column is rewritten in place, each over its own den.  Only the
-normalise step (:func:`_lowest`, and that loop) and the scalar view
+moved column is rewritten in place, each over its own den, the lcm of the
+two it combines, with the gcd divided out only once that den reaches
+``_REDUCE_FROM`` (one int digit).  Only the normalise step
+(:func:`_lowest`, and that loop) and the scalar view
 (``data``, ``[i, j]``, ``row``, ``col``, ``to_lists``, ``repr``: the
 residues, or ``Fraction(v, den)``) know the field.  Pivot columns, rank,
 rref, inverse and determinant go through one elimination kernel on the
@@ -32,6 +34,7 @@ are built through them, without a scalar per entry.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import compress, repeat
 from collections.abc import Iterable, Sequence
@@ -75,14 +78,22 @@ def _lowest(p: int | None, num: list, den: int) -> tuple:
     return num, den
 
 
+# CPython holds an int in digits of sys.int_info.bits_per_digit bits (30 on
+# 64-bit builds).  A written Q vector whose den is below one digit stays over
+# it unreduced: any common factor divides den, so each integer is at most one
+# digit longer than in lowest terms, and a gcd over the vector plus a division
+# per entry cost more than that digit.  From one digit on, it is reduced at once.
+_REDUCE_FROM = 1 << sys.int_info.bits_per_digit
+
+
 def _add_scaled(x: list, xden: int, v: int, y: list, yden: int) -> tuple:
     """x / xden + v * y / yden over Q for an integer v, as (integers,
-    denominator): one lcm, and the gcd divided out."""
+    denominator): one lcm, and the gcd divided out once the lcm reaches
+    ``_REDUCE_FROM``."""
     den = math.lcm(xden, yden)
     sx, sy = den // xden, v * (den // yden)
     new = [a * sx + sy * b for a, b in zip(x, y)]
-    g = math.gcd(den, *new)
-    if g == 1:
+    if den < _REDUCE_FROM or (g := math.gcd(den, *new)) == 1:
         return new, den
     return [a // g for a in new], den // g
 
@@ -96,8 +107,9 @@ def _apply_delta(p: int | None, vecs: list, dens: list | None, delta: tuple, lef
     backwards to rows; any other reads its sources from a copy.  Over F_p v
     is reduced and the residues are rewritten in place; over Q ``dens`` are
     the row (``left``) or column denominators, and each written vector is
-    taken over one lcm with the gcd divided out (a row through
-    :func:`_add_scaled`, a column through :func:`_add_scaled_column`)."""
+    taken over one lcm, with the gcd divided out once that lcm reaches
+    ``_REDUCE_FROM`` (a row through :func:`_add_scaled`, a column through
+    :func:`_add_scaled_column`)."""
     units, u, u2, bden, sequential = delta
     src, sdens = (vecs, dens) if sequential else ([list(v) for v in vecs], dens and dens.copy())
     order = reversed(units) if left else units
@@ -129,19 +141,20 @@ def _apply_delta(p: int | None, vecs: list, dens: list | None, delta: tuple, lef
 # apart from _apply_delta, where what its comprehension reads becomes a cell made on every call
 def _add_scaled_column(vecs: list, dens: list, c: int, v: int, src: list, r: int, yden: int) -> None:
     """Over Q, column c of the rows ``vecs`` over ``dens[c]`` plus v times
-    column r of ``src`` over ``yden``, in place: one lcm, and the gcd
-    divided out.  (Copied out through :func:`_add_scaled` and back, the Q
-    chain ran about 17% slower.)"""
+    column r of ``src`` over ``yden``, rewritten in place in one loop: one
+    lcm, and the gcd divided out once the lcm reaches ``_REDUCE_FROM``.
+    (Copied out through :func:`_add_scaled` and back, the Q chain ran about
+    17% slower.)"""
     xden = dens[c]
     den = math.lcm(xden, yden)
     sx, sy = den // xden, v * (den // yden)
-    col = [row[c] * sx + sy * y[r] for row, y in zip(vecs, src)]
-    if (g := math.gcd(den, *col)) != 1:
+    for row, y in zip(vecs, src):
+        row[c] = row[c] * sx + sy * y[r]
+    if den >= _REDUCE_FROM and (g := math.gcd(den, *[row[c] for row in vecs])) != 1:
         den //= g
-        col = [a // g for a in col]
+        for row in vecs:
+            row[c] //= g
     dens[c] = den
-    for row, a in zip(vecs, col):
-        row[c] = a
 
 
 def _delta_of(num: tuple, den: int) -> list:
@@ -287,14 +300,15 @@ class Matrix:
         integer rows over one denominator until a delta, from which on the
         rows are lists that each delta rewrites in place, on the columns it
         names only (:func:`_apply_delta`, the loop the working matrix of
-        :mod:`steinberg.rowops` runs too), reduced as soon as they are
-        written: residues over F_p, and over Q each column over its own
-        denominator.  Once a delta has run, a square matrix factor with at
+        :mod:`steinberg.rowops` runs too): residues over F_p, and over Q
+        each column over its own denominator, reduced only from
+        ``_REDUCE_FROM`` on.  Once a delta has run, a square matrix factor with at
         most 3n/2 nonzeros (a diagonal) has its delta read off and takes the
         same column update.  Any other matrix factor, and every factor of
         ``@``, takes the row loop on rows over one denominator and is
         normalised at once.  At the end the residues are stored as they
-        are; the columns over Q are brought over one lcm and normalised once.
+        are; the columns over Q are brought over one lcm and normalised once,
+        so the product is canonical whatever the columns' own dens were.
         """
         field, p = a.field, a.field.p
         m, n = a.rows, a.cols

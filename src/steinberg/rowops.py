@@ -6,10 +6,14 @@ coset witnesses both run on.  It keeps integer rows ``num``, as every
 ``num[i][j] / (rden[i] * cden[j])``, with one positive denominator per row
 and one per column (all 1 over F_p).  A left update rewrites one integer row
 and its ``rden``, a right update one integer column and its ``cden``, so a
-rational token never rescales the whole matrix.  Entries are read by signed
-basis index.  Zero tests read the integers; ``at`` builds one entry's
-scalar, ``ratio`` the quotient of two entries (every clearing multiplier),
-and ``matrix`` writes a :class:`Matrix` snapshot straight from the integers.
+rational token never rescales the whole matrix.  A written row or column
+stands over the lcm of the two dens it combines, and its gcd is divided out
+only once that lcm reaches ``matrix._REDUCE_FROM`` (one int digit), so the
+integers need not be in lowest terms.  Entries are read by signed basis
+index.  Only zero tests read the integers; ``at`` builds one entry's
+canonical scalar, ``ratio`` the canonical quotient of two entries (every
+clearing multiplier), and ``matrix`` writes a normalised :class:`Matrix`
+snapshot straight from the integers.
 Elimination and the coset labels share its two clearing routines, the pivot
 loop ``diagonalize`` and the pair pass ``clear_pairs``.
 

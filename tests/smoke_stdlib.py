@@ -13,21 +13,29 @@ the Siegel double-coset label of an isometry and rechecks its witnesses;
 and for every family but GL it feeds ``decompose`` a member with one entry
 changed, which must be refused with ``NotInGroup`` and the position where
 the form equation fails, as must an isometry with one entry changed fed to
-``reflection_factorization`` for the orthogonal families.
+``reflection_factorization`` for the orthogonal families.  Over Q it also
+decomposes, for GSp, GOplus, GOodd and GL, a member whose denominators
+cross ``matrix._REDUCE_FROM`` partway through the elimination, and checks
+that it reassembles and that the word is the one computed with every
+written vector reduced at once.
 It imports the package from ``src/`` next to this directory, prints one
 line per family and field, and exits with status 1 at the first failure.
 """
 
+import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from steinberg import matrix  # noqa: E402
 from steinberg.coset import coset_label, verify_label  # noqa: E402
 from steinberg.eliminate import decompose, decompose_gl  # noqa: E402
 from steinberg.field import QQ, Field  # noqa: E402
 from steinberg.forms import Family, NotInGroup, build_descriptor  # noqa: E402
+from steinberg.generators import Word, evaluate_word, legal_x_index_pairs, x  # noqa: E402
 from steinberg.harness import random_member  # noqa: E402
 from steinberg.matrix import Matrix  # noqa: E402
 from steinberg.spinor import reflection_factorization, spinor_norm, wall_spinor_norm  # noqa: E402
@@ -77,7 +85,34 @@ def smoke(fam: Family, field: Field) -> int:
             except NotInGroup as e:
                 check(e.position is not None, f"{d}: {route.__name__} refused a non-member without a position: {e}")
             checks += 1
+    if not field.is_prime and fam is not Family.GO_MINUS:
+        check(tall_round_trip(fam), f"{fam.value} over Q: a word across one int digit of denominator")
+        checks += 1
     return checks
+
+
+def tall_round_trip(fam: Family) -> bool:
+    """Decompose, at l = 3 over Q, a product of 24 x-tokens with parameters
+    a/b, |a| < 10^4, b <= 3: its den is below ``matrix._REDUCE_FROM`` and
+    some emitted parameter's den is not.  True when it reassembles and the
+    word equals the one computed with the constant at 1."""
+    d = build_descriptor(fam, 3, QQ)
+    rng = random.Random(1)
+    pairs = legal_x_index_pairs(d)
+    g = evaluate_word(Word(d, [
+        x(*rng.choice(pairs), Fraction(rng.choice((1, -1)) * rng.randrange(1, 10**4), rng.randrange(1, 4)))
+        for _ in range(24)
+    ]))
+    route = decompose_gl if fam is Family.GL else lambda g: decompose(g, d)
+    dec = route(g)
+    dens = [Fraction(tok.t).denominator for tok in dec.left.tokens + dec.right.tokens if tok.t is not None]
+    limit, matrix._REDUCE_FROM = matrix._REDUCE_FROM, 1
+    try:
+        ref = route(g)
+    finally:
+        matrix._REDUCE_FROM = limit
+    return (g.den < limit <= max(dens) and dec.reassemble() == g
+            and (dec.left, dec.torus_token(), dec.right) == (ref.left, ref.torus_token(), ref.right))
 
 
 def main() -> None:

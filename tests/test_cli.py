@@ -1,7 +1,10 @@
 import os
+import random
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,8 +14,9 @@ from steinberg.cli import (
     main,
     parse_matrix_file,
 )
-from steinberg.field import Field
+from steinberg.field import QQ, Field
 from steinberg.forms import Family, build_descriptor
+from steinberg.generators import Word, evaluate_word, legal_x_index_pairs, x
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix
 
@@ -204,6 +208,76 @@ def test_rational_round_trip(tmp_path, capsys):
     wpath = write(tmp_path, "w.txt", out)
     code, out2, _ = run(capsys, "verify", wpath, mpath)
     assert code == 0 and out2.strip() == "OK"
+
+
+def test_tall_rationals_round_trip(tmp_path, capsys):
+    """A GSp l = 2 matrix over Q from three x-tokens with 1,500-digit
+    parameters: its entries and the parameters ``decompose`` emits pass
+    4,300 digits, Python's default limit on int <-> str conversions.  A
+    command lifts the limit while it runs and restores it on return."""
+    d = build_descriptor(Family.GSP, 2, QQ, similitude=True)
+    rng = random.Random(1)
+    pairs = legal_x_index_pairs(d)
+
+    def big():
+        return rng.randrange(10**1499, 10**1500) * rng.choice((1, -1))
+
+    g = evaluate_word(Word(d, [x(*rng.choice(pairs), Fraction(big(), big())) for _ in range(3)]))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = format_matrix_file(g, d)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    mpath = write(tmp_path, "m.txt", text)
+    code, words, err = run(capsys, "decompose", mpath)
+    assert code == 0, err
+    wpath = write(tmp_path, "w.txt", words)
+    assert run(capsys, "verify", wpath, mpath) == (0, "OK\n", "")
+    for body in (text, words):
+        assert max(map(len, re.findall(r"\d+", body.split("\n", 1)[1]))) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+SUMMARY_SP = "group=GSp l=1 field=5 similitude=1\nL= \nD= torus(1;2)\nR= \n"
+
+
+@pytest.mark.parametrize("body, msg", [
+    ("lambda=1\nmu=2\nops=0\n", None),
+    ("ops=0\nmu=2\n", None),
+    ("lambda=2\n", "lambda=2, but the word gives 1"),
+    ("mu=3\n", "mu=3, but the word gives 2"),
+    ("alpha=1\n", "alpha=1, but the word gives no alpha"),
+    ("ops=1\n", "ops=1, but the word gives 0"),
+    ("ops=+0\n", "ops=+0, but the word gives 0"),
+    ("mu=1/0\n", "bad scalar in mu= line: division by zero"),
+    ("L= \n", "duplicate word file key 'L'"),
+    ("ops=0\nops=0\n", "duplicate word file key 'ops'"),
+    ("Z= x[1,-1](1)\n", "unknown word file key 'Z'"),
+    ("stray\n", "unknown word file key 'stray'"),
+    ("L = \n", "unknown word file key 'L '"),
+])
+def test_word_file_body_is_strict(tmp_path, capsys, body, msg):
+    """After the header, L=, D= and R= appear once each, and only lambda=,
+    mu=, alpha= and ops= may join them, each once and equal to what the word
+    gives; anything else is a parse error naming the key."""
+    mpath = write(tmp_path, "m.txt", "group=GSp l=1 field=5 similitude=1\n1 0\n0 2\n")
+    wpath = write(tmp_path, "w.txt", SUMMARY_SP + body)
+    want = (0, "OK\n", "") if msg is None else (1, "", f"error: {msg}\n")
+    assert run(capsys, "verify", wpath, mpath) == want
+
+
+@pytest.mark.parametrize("words, msg", [
+    ("L= \nD= torus(1;2)\n", "word file lacks lines: ['R']"),
+    ("L= \nD= torus(1;2) torus(1;1)\nR= \nmu=2\n", "mu= needs a D= line of one torus token"),
+    ("L= \nD= \nR= \nlambda=1\n", "lambda= needs a D= line of one torus token"),
+])
+def test_word_file_lines_are_required_and_summaries_need_one_torus(tmp_path, capsys, words, msg):
+    mpath = write(tmp_path, "m.txt", "group=GSp l=1 field=5 similitude=1\n1 0\n0 2\n")
+    wpath = write(tmp_path, "w.txt", f"group=GSp l=1 field=5 similitude=1\n{words}")
+    assert run(capsys, "verify", wpath, mpath) == (1, "", f"error: {msg}\n")
 
 
 def test_spinor_command_decomposes_once(tmp_path, capsys, monkeypatch):

@@ -21,7 +21,7 @@ from steinberg.forms import (
     multiplier,
     read_multiplier,
 )
-from steinberg.eliminate import decompose, decompose_gl, word_length_stats
+from steinberg.eliminate import decompose, decompose_gl
 from steinberg.generators import Word, token_matrix, w
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix, SingularMatrix
@@ -184,9 +184,12 @@ def test_decompose_gl_examples():
 
 
 def test_word_length_stats():
+    """The word-length tripwire on ten random GSp l = 1 similitudes: no
+    word is longer than 40 l^3 + 60 (criterion 6 keeps its own bound)."""
     d = build_descriptor(Family.GSP, 1, F5, similitude=True)
-    report = word_length_stats(d, trials=10, seed=0)
-    assert report["max_ops"] <= 40 + 60
+    for seed in range(10):
+        g = random_member(d, seed, word_len=4 * d.l + 4, with_torus=True)
+        assert decompose(g, d).op_count <= 40 * d.l**3 + 60, seed
     dec = decompose(Matrix.identity(F5, 2), d)
     assert dec.op_count == 0
 

@@ -13,7 +13,7 @@ HOMES = {
     "forms": ("Family", "GroupDescriptor", "build_descriptor", "is_member", "multiplier", "twisted_epsilon"),
     "generators": ("GeneratorToken", "Word", "derived_h", "derived_w", "evaluate_word", "parse_token",
                    "parse_word", "token_inverse", "token_matrix"),
-    "eliminate": ("Decomposition", "decompose", "decompose_gl", "word_length_stats"),
+    "eliminate": ("Decomposition", "decompose", "decompose_gl"),
     "spinor": ("spinor_norm", "wall_spinor_norm", "reflection_factorization", "in_commutator_subgroup"),
     "coset": ("CosetLabel", "coset_label", "coset_census", "is_in_parabolic"),
     "harness": ("Enumeration", "enumerate_group", "random_member"),

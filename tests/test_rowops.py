@@ -315,6 +315,39 @@ def _one_entry_at_a_time(g, entries, den, side):
     return Matrix(f, m)
 
 
+def watch_written(monkeypatch) -> list:
+    """Route the shared update loop, for the chain and the working matrix
+    alike, through a check of every vector it writes: residues over F_p,
+    and over Q a positive den that, from ``matrix._REDUCE_FROM`` on, has gcd
+    1 with the vector (a right update's column is read from the rows it was
+    written into, over its column den); and no delta handed over as
+    sequential has a unit whose column is the row of a later unit.  Returns
+    the list that the den of each written vector (1 over F_p) is appended to."""
+    apply_delta = matrix._apply_delta
+    written = []
+
+    def checked(p, vecs, dens, delta, left=False):
+        units, u, u2, _, sequential = delta
+        if sequential:
+            assert all(c != r for k, (_, c, _, _) in enumerate(units) for r, _, _, _ in units[k + 1:]), units
+        apply_delta(p, vecs, dens, delta, left)
+        for r, c, k, sq in units:
+            if not k * (u2 if sq else u):
+                continue  # a zero value writes nothing
+            vec, at = (vecs[r], r) if left else ([row[c] for row in vecs], c)
+            if p is not None:
+                assert all(0 <= a < p for a in vec)
+                written.append(1)
+            else:
+                assert dens[at] > 0
+                assert dens[at] < matrix._REDUCE_FROM or math.gcd(dens[at], *vec) == 1, (dens[at], vec)
+                written.append(dens[at])
+
+    monkeypatch.setattr(matrix, "_apply_delta", checked)
+    monkeypatch.setattr(rowops, "_apply_delta", checked)
+    return written
+
+
 @pytest.mark.parametrize("field", [Field(3), Field(7), Field(1000000007), QQ], ids=str)
 def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
     """For every family at l = 1, 2, 3 (GL up to n = 4):
@@ -331,31 +364,13 @@ def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
       scalar triple loop agree with the fold, and every result and token
       matrix is canonical;
     * every vector the shared update loop writes, for the chain and for the
-      working matrix from either side alike, is reduced at once (residues,
-      or gcd 1 over a positive den; a right update's column is read from
-      the rows it was written into, over its column den), and every delta
-      it is handed as sequential has no unit whose column is the row of a
-      later unit."""
-    apply_delta = matrix._apply_delta
-    written = []
-
-    def reduced(p, vecs, dens, delta, left=False):
-        units, u, u2, _, sequential = delta
-        if sequential:
-            assert all(c != r for k, (_, c, _, _) in enumerate(units) for r, _, _, _ in units[k + 1:]), units
-        apply_delta(p, vecs, dens, delta, left)
-        for r, c, k, sq in units:
-            if not k * (u2 if sq else u):
-                continue  # a zero value writes nothing
-            vec, at = (vecs[r], r) if left else ([row[c] for row in vecs], c)
-            if p is not None:
-                assert all(0 <= a < p for a in vec)
-            else:
-                assert dens[at] > 0 and math.gcd(dens[at], *vec) == 1
-            written.append((r, c))
-
-    monkeypatch.setattr(matrix, "_apply_delta", reduced)
-    monkeypatch.setattr(rowops, "_apply_delta", reduced)
+      working matrix from either side alike, is residues over F_p, and over
+      Q stands over a positive den that, from ``matrix._REDUCE_FROM`` on,
+      has gcd 1 with it (a right update's column is read from the rows it
+      was written into, over its column den), every ``Matrix`` built from
+      those vectors is canonical, and every delta the loop is handed as
+      sequential has no unit whose column is the row of a later unit."""
+    written = watch_written(monkeypatch)
     rng = random.Random(71)
     for fam in Family:
         if fam is Family.GO_MINUS and not field.is_prime:
@@ -371,7 +386,9 @@ def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
                     if tok.kind == "x":
                         assert _one_entry_at_a_time(member, *token_entries(tok, d), side) == want, (tok, side)
                     written.clear()
-                    assert applied(member, tok, side, d) == want, (tok, side)
+                    got = applied(member, tok, side, d)
+                    assert got == want, (tok, side)
+                    assert_canonical(got)
                     assert len(written) == len(token_entries(tok, d)[0]), (tok, side)
             toks += [rng.choice(toks) for _ in range(len(toks) // 2)]
             rng.shuffle(toks)
@@ -400,6 +417,7 @@ def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
                         rowops.apply(b, tok, side)
                     assert written, (fam, l, side)
                     assert b.matrix() == want, (fam, l, side)
+                    assert_canonical(b.matrix())
 
 
 def test_require_zero_names_the_first_nonzero_position():
@@ -635,3 +653,46 @@ def test_token_application_reads_canonical_parameters_without_field_of(monkeypat
     d = build_descriptor(Family.GSP, 2, F5)
     rowops.apply(WorkingMatrix(Matrix.identity(F5, d.n), d), x(1, 2, Fraction(1, 2)), LEFT)
     assert calls["of"] == 1
+
+
+def tall_member(d, seed: int) -> Matrix:
+    """A product of 8 l x-tokens of d over Q, each parameter a/b with
+    |a| < 10^4 and b <= 3: small dens in the matrix, and clearing
+    multipliers with dens far beyond one int digit."""
+    rng = random.Random(seed)
+    pairs = legal_x_index_pairs(d)
+    return evaluate_word(Word(d, [
+        x(*rng.choice(pairs), Fraction(rng.choice((1, -1)) * rng.randrange(1, 10**4), rng.randrange(1, 4)))
+        for _ in range(8 * d.l)
+    ]))
+
+
+@pytest.mark.parametrize("fam", [Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GL], ids=lambda fam: fam.value)
+def test_dens_crossing_one_digit_mid_elimination(fam, monkeypatch):
+    """A member over Q whose den is below ``matrix._REDUCE_FROM`` while its
+    elimination applies tokens whose parameters' dens are above it, so the
+    written vectors cross it partway.  Every vector is reduced from there
+    on (``watch_written``), ``decompose`` reassembles exactly, and the words
+    and, where the family has them, the coset labels and witnesses equal
+    those computed with the constant patched to 1, which reduces every
+    written vector at once."""
+    from steinberg.coset import coset_label
+    from steinberg.eliminate import decompose, decompose_gl
+
+    d = build_descriptor(fam, 3, QQ)
+    g = tall_member(d, 1)
+
+    def run():
+        dec = decompose_gl(g) if fam is Family.GL else decompose(g, d)
+        label = None if fam is Family.GL else coset_label(g, d)
+        words = [list(dec.left.tokens), dec.torus_token(), list(dec.right.tokens)]
+        return dec, words, label and (label.m, label.left_witness, label.right_witness)
+
+    written = watch_written(monkeypatch)
+    dec, words, label = run()
+    assert dec.reassemble() == g
+    dens = [Fraction(tok.t).denominator for tok in words[0] + words[2] if tok.t is not None]
+    assert g.den < matrix._REDUCE_FROM <= max(dens)
+    assert min(written) < matrix._REDUCE_FROM <= max(written)
+    monkeypatch.setattr(matrix, "_REDUCE_FROM", 1)
+    assert run()[1:] == (words, label)
