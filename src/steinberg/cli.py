@@ -12,7 +12,10 @@ grammar (ASCII digits only) and the ``lambda=``, ``mu=``, ``alpha=`` and
 ``ops=`` lines that summarise them.  ``verify`` re-reads it, refusing a
 repeated or unknown key and a summary the word does not give, and
 multiplies it out, naming the first differing entry on stderr when they
-disagree.  Scalars may have any number of digits: a command lifts
+disagree.  A parse error in either file is printed as
+``error: <file>:<line>[:<entry>]: <reason>``: the 1-based line of the file,
+blank and comment lines counted, and for a matrix row or a line of tokens
+the 1-based entry on it.  Scalars may have any number of digits: a command lifts
 Python's limit on int <-> str conversions while it runs.  The
 integer flags take ASCII digits too (``--seed`` also a leading ``-``).  Exit
 codes: 0 success, 1 usage or parse error, 2 domain error (not in group,
@@ -42,12 +45,19 @@ import sys
 from .field import CannotFactor, Field, QQ
 from .forms import (EnumerationTooLarge, Family, GroupDescriptor, InternalError, NotInGroup, NotOrthogonalFamily,
                     UnsupportedFamily, build_descriptor, dimension, first_difference)
-from .generators import IllegalToken, evaluate_word, parse_word
+from .generators import IllegalToken, Word, evaluate_word, parse_token
 from .matrix import Matrix, SingularMatrix
 
 
 class ParseError(ValueError):
-    pass
+    """A usage or file error (exit code 1).  ``line`` and ``entry`` locate it
+    in a file, 1-based, where one line or one entry of a matrix row or a
+    word line is at fault; ``path`` names the file, set by the command that
+    read it."""
+
+    def __init__(self, msg: str, line: int | None = None, entry: int | None = None, path: str | None = None):
+        super().__init__(msg)
+        self.line, self.entry, self.path = line, entry, path
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,23 +89,23 @@ def format_descriptor(d: GroupDescriptor) -> str:
     return f"group={d.family.value} l={d.l} field={field} similitude={int(d.similitude)}"
 
 
-def _parse_header(line: str) -> tuple:
+def _parse_header(line: str, lineno: int | None = None) -> tuple:
     """(family, l, field, similitude, n) of a header line, checked as the
     descriptor is, but without building its n x n Gram matrix.  Each of the
     keys ``group``, ``l``, ``field`` and ``similitude`` (0 or 1, default 0)
     may appear once, ``l`` and a prime ``field`` in ASCII digits; any other
-    key is refused."""
+    key is refused, at line ``lineno`` of its file."""
     fields = {}
     for part in line.split():
         key, eq, val = part.partition("=")
         if not eq:
-            raise ParseError(f"bad header token {part!r}")
+            raise ParseError(f"bad header token {part!r}", lineno)
         if key not in ("group", "l", "field", "similitude") or key in fields:
-            raise ParseError(f"{'duplicate' if key in fields else 'unknown'} header key {key!r}")
+            raise ParseError(f"{'duplicate' if key in fields else 'unknown'} header key {key!r}", lineno)
         if key == "similitude" and val not in ("0", "1"):
-            raise ParseError(f"header key 'similitude' must be 0 or 1, not {val!r}")
+            raise ParseError(f"header key 'similitude' must be 0 or 1, not {val!r}", lineno)
         if key in ("l", "field") and not (val.isascii() and val.isdigit() or val == "Q"):
-            raise ParseError(f"header key {key!r} needs ASCII digits, not {val!r}")
+            raise ParseError(f"header key {key!r} needs ASCII digits, not {val!r}", lineno)
         fields[key] = val
     try:
         family = _FAMILIES[fields["group"]]
@@ -103,37 +113,53 @@ def _parse_header(line: str) -> tuple:
         field = QQ if fields["field"] == "Q" else Field(int(fields["field"]))
         return family, l, field, fields.get("similitude") == "1", dimension(family, l, field)
     except (KeyError, ValueError) as e:  # includes UnsupportedField
-        raise ParseError(f"bad header {line!r}: {e}") from e
+        raise ParseError(f"bad header {line!r}: {e}", lineno) from e
 
 
-def parse_descriptor(line: str) -> GroupDescriptor:
-    family, l, field, similitude, _ = _parse_header(line)
+def parse_descriptor(line: str, lineno: int | None = None) -> GroupDescriptor:
+    family, l, field, similitude, _ = _parse_header(line, lineno)
     return build_descriptor(family, l, field, similitude=similitude)
 
 
 def _lines(text: str, what: str) -> list:
-    """The non-blank, non-comment lines of a file, stripped."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
+    """(1-based line number, stripped text) of the non-blank, non-comment
+    lines of a file."""
+    lines = [(k, ln) for k, ln in enumerate((s.strip() for s in text.splitlines()), 1)
+             if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError(f"empty {what} file")
     return lines
 
 
+def _header(text: str, what: str) -> tuple:
+    """(line number, :func:`_parse_header`) of the first line of a file."""
+    lineno, line = _lines(text, what)[0]
+    return lineno, _parse_header(line, lineno)
+
+
 def parse_matrix_file(text: str) -> tuple:
     lines = _lines(text, "matrix")
     # count the rows before the descriptor builds its n x n Gram matrix
-    family, l, field, similitude, n = _parse_header(lines[0])
+    family, l, field, similitude, n = _parse_header(lines[0][1], lines[0][0])
     if len(lines) != n + 1:
-        raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
+        # the first row too many, or the end of a file that has too few
+        at = lines[min(n + 1, len(lines) - 1)][0]
+        raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}", at)
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         entries = ln.split()
         if len(entries) != n:
-            raise ParseError(f"expected {n} entries per row, got {len(entries)}")
-        try:
-            rows.append([field.parse(e) for e in entries])
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"bad scalar in row {ln!r}: {e}") from e
+            raise ParseError(f"expected {n} entries per row, got {len(entries)}", lineno,
+                             n + 1 if len(entries) > n else None)
+        row = []
+        for k, e in enumerate(entries, 1):
+            try:
+                row.append(field.parse(e))
+            except ValueError as err:  # names the scalar
+                raise ParseError(str(err), lineno, k) from err
+            except ZeroDivisionError as err:
+                raise ParseError(f"bad scalar {e!r}: {err}", lineno, k) from err
+        rows.append(row)
     return Matrix(field, rows), build_descriptor(family, l, field, similitude=similitude)
 
 
@@ -172,20 +198,23 @@ def parse_word_file(text: str) -> tuple:
     mu and alpha of the one torus token on the ``D=`` line, and
     ``len(L) + len(R)``.  Any other line is refused, naming its key."""
     lines = _lines(text, "word")
-    d = parse_descriptor(lines[0])
-    parts = {}
-    for ln in lines[1:]:
+    d = parse_descriptor(lines[0][1], lines[0][0])
+    parts, at = {}, {}
+    for lineno, ln in lines[1:]:
         key, eq, rest = ln.partition("=")
         if not eq or key not in _WORD_KEYS + _SUMMARY_KEYS:
-            raise ParseError(f"unknown word file key {key!r}")
+            raise ParseError(f"unknown word file key {key!r}", lineno)
         if key in parts:
-            raise ParseError(f"duplicate word file key {key!r}")
+            raise ParseError(f"duplicate word file key {key!r}, first on line {at[key]}", lineno)
         if key in _WORD_KEYS:
-            try:
-                rest = parse_word(rest, d)
-            except (ValueError, ZeroDivisionError) as e:  # includes IllegalToken
-                raise ParseError(f"bad token in {key}= line: {e}") from e
-        parts[key] = rest
+            toks = []
+            for k, tok in enumerate(rest.split(), 1):
+                try:
+                    toks.append(parse_token(tok, d))
+                except (ValueError, ZeroDivisionError) as e:  # includes IllegalToken
+                    raise ParseError(f"bad token in {key}= line: {e}", lineno, k) from e
+            rest = Word(d, toks)
+        parts[key], at[key] = rest, lineno
     missing = [k for k in _WORD_KEYS if k not in parts]
     if missing:
         raise ParseError(f"word file lacks lines: {missing}")
@@ -194,20 +223,22 @@ def parse_word_file(text: str) -> tuple:
     for key in _SUMMARY_KEYS:
         if key not in parts:
             continue
-        given = parts[key].strip()
+        given, lineno = parts[key].strip(), at[key]
         if key == "ops":
             want = len(left) + len(right)
             ok = given.isascii() and given.isdigit() and int(given) == want
         elif torus is None:
-            raise ParseError(f"{key}= needs a D= line of one torus token")
+            raise ParseError(f"{key}= needs a D= line of one torus token, not line {at['D']}", lineno)
         else:
             want = getattr(torus, "lam" if key == "lambda" else key)
             try:
                 ok = want is not None and d.field.parse(given) == want
             except (ValueError, ZeroDivisionError) as e:
-                raise ParseError(f"bad scalar in {key}= line: {e}") from e
+                raise ParseError(f"bad scalar in {key}= line: {e}", lineno) from e
         if not ok:
-            raise ParseError(f"{key}={given}, but the word gives {f'no {key}' if want is None else want}")
+            gives = f"no {key}" if want is None else want
+            where = "" if key == "ops" else f" on line {at['D']}"
+            raise ParseError(f"{key}={given}, but the word gives {gives}{where}", lineno)
     return left, mid, right, d
 
 
@@ -219,6 +250,15 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e}") from e
 
 
+def _located(path: str, parse, *args):
+    """``parse(*args)``, where a :class:`ParseError` names the file at path."""
+    try:
+        return parse(*args)
+    except ParseError as e:
+        e.path = path
+        raise
+
+
 def _descriptor_from_args(args) -> GroupDescriptor:
     line = f"group={args.group} l={args.l} field={args.field} similitude={int(args.similitude)}"
     return parse_descriptor(line)
@@ -227,7 +267,7 @@ def _descriptor_from_args(args) -> GroupDescriptor:
 def cmd_decompose(args) -> int:
     from .eliminate import decompose, decompose_gl
 
-    g, d = parse_matrix_file(_read(args.matrix))
+    g, d = _located(args.matrix, parse_matrix_file, _read(args.matrix))
     dec = decompose_gl(g) if d.family is Family.GL else decompose(g, d)
     sys.stdout.write(format_word_file(dec, dec.descriptor))
     return 0
@@ -236,11 +276,12 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     word_text, matrix_text = _read(args.word), _read(args.matrix)
     # compare family, l and field before either file builds its descriptor
-    word_head = _parse_header(_lines(word_text, "word")[0])
-    if word_head[:3] != _parse_header(_lines(matrix_text, "matrix")[0])[:3]:
-        raise ParseError("word and matrix descriptors disagree")
-    g, _ = parse_matrix_file(matrix_text)
-    left, mid, right, d = parse_word_file(word_text)
+    word_line, word_head = _located(args.word, _header, word_text, "word")
+    matrix_line, matrix_head = _located(args.matrix, _header, matrix_text, "matrix")
+    if word_head[:3] != matrix_head[:3]:
+        raise ParseError(f"descriptor disagrees with {args.matrix}:{matrix_line}", word_line, path=args.word)
+    g, _ = _located(args.matrix, parse_matrix_file, matrix_text)
+    left, mid, right, d = _located(args.word, parse_word_file, word_text)
     prod = evaluate_word(left, mid, right)
     if prod == g:
         print("OK")
@@ -254,7 +295,7 @@ def cmd_verify(args) -> int:
 def cmd_spinor(args) -> int:
     from .spinor import spinor_decomposition
 
-    g, d = parse_matrix_file(_read(args.matrix))
+    g, d = _located(args.matrix, parse_matrix_file, _read(args.matrix))
     theta, dec = spinor_decomposition(g, d)
     print(f"theta={theta}")
     print(f"lambda={dec.lam}")
@@ -264,7 +305,7 @@ def cmd_spinor(args) -> int:
 def cmd_coset(args) -> int:
     from .coset import coset_label
 
-    g, d = parse_matrix_file(_read(args.matrix))
+    g, d = _located(args.matrix, parse_matrix_file, _read(args.matrix))
     label = coset_label(g, d)
     print(f"omega={label.m}")
     return 0
@@ -345,7 +386,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
+        at = ":".join(str(v) for v in (e.path, e.line, e.entry) if v is not None)
+        print(f"error: {at}: {e}" if at else f"error: {e}", file=sys.stderr)
         return 1
     except NotInGroup as e:
         print(f"not in group: {e}", file=sys.stderr)

@@ -132,10 +132,10 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
             if (t := b.ratio(0, i, -i, i)) is not None:
                 b.lmul(x(i, 0, t))  # row 0 -= t * row -i
         # the form kills the tail of X
-        b.require_zero(((0, i) for i in idxs[m:]), "X over the zero pivots")
-    b.clear_pairs(pivots, 1, 1)
+        b.require_cleared("X over the zero pivots", m)
+    b.clear_pairs(m, 1, 1)
     # one token per pair: the form kills the partner and the rest of the rows
-    b.require_zero(((i, j) for i in pivots for j in idxs), "A rows over the pivots")
+    b.require_cleared("A rows over the pivots", m)
     omega, rows, cols = _omega(d, m)
     if any(b.num[r][c] for r in rows for c in cols):
         raise InternalError(f"reduced matrix is not in omega_{m} * P")

@@ -31,7 +31,11 @@ hyperbolic pairs (0, resp. 1 and -1):
 
 What each pass clears, and what the form equation forces to vanish with it,
 is checked by :meth:`WorkingMatrix.require_zero`, which raises
-:class:`InternalError` and so survives ``python -O``.
+:class:`InternalError` and so survives ``python -O``.  Each pass names its
+block ("C", "B", "F and Y", ...), whose storage cells, like the plan of each
+pair pass, are placed once per group shape
+(:meth:`steinberg.forms.GroupDescriptor.cells`), so a call pays only for
+reading the entries.
 
 Membership is proved by construction, not checked up front: mu is read off
 one entry of g^T beta g (:func:`steinberg.forms.read_multiplier`), and the
@@ -56,7 +60,7 @@ from collections.abc import Callable
 from functools import lru_cache
 
 from . import rowops
-from .field import Field, Record, Scalar
+from .field import DivisionByZero, Field, Record, Scalar
 from .forms import (
     Family,
     GroupDescriptor,
@@ -196,15 +200,6 @@ def _normalize_pivots(b: _Bench, idxs: list, m: int) -> None:
 # clearing passes
 
 
-def _strips(d: GroupDescriptor) -> tuple:
-    """Signed indices outside the hyperbolic pairs: the X rows / E columns."""
-    if d.family is Family.GO_ODD:
-        return (0,)
-    if d.family is Family.GO_MINUS:
-        return (1, -1)
-    return ()
-
-
 def _clear_strips_odd(b: _Bench, active: list) -> None:
     """GOodd: X (row 0) from the left, then E (column 0) from the right."""
     f = b.f
@@ -231,33 +226,40 @@ def _clear_strips_twisted(b: _Bench, active: list) -> None:
                 b.rmul(x(s, i, f.neg(u := f.div(t, den))), u)
 
 
-def _clear_C(b: _Bench, active: list) -> None:
+def _clear_C(b: _Bench, m: int) -> None:
     """Kill the C rows over the invertible pivot columns.
 
-    ``active`` holds the block indices with nonzero pivots.  One token per
+    The first m block indices carry nonzero pivots.  One token per
     symmetric pair; the partner entry, and the rest of those rows, vanish by
     the form equation, which is checked rather than recleared.
     """
-    b.clear_pairs(active, -1, 1)
-    idxs = b.d.block_indices()
-    b.require_zero(((-i, j) for i in active for j in idxs), "C rows over the pivots")
+    b.clear_pairs(m, -1, 1)
+    b.require_cleared("C rows over the pivots", m)
 
 
 def _check_lower_cleared(b: _Bench, mu: Scalar) -> None:
-    """C = 0 and D = mu * A^-1 on the block indices (the form guarantees D)."""
-    f = b.f
-    idxs = b.d.block_indices()
-    b.require_zero(((-i, j) for i in idxs for j in idxs), "C")
-    b.require_zero(((-i, -j) for i in idxs for j in idxs if i != j), "D off its diagonal")
-    for i in idxs:
-        if b.at(-i, -i) != f.div(mu, b.at(i, i)):
+    """C = 0 and D = mu * A^-1 on the block indices (the form guarantees D).
+
+    D(i, i) A(i, i) = mu is compared on the stored integers, each entry
+    over its row and column dens (all 1 over F_p, where it is mod p); a zero
+    A(i, i) raises what mu / A(i, i) would."""
+    b.require_cleared("C")
+    b.require_cleared("D off its diagonal")
+    pos, num, rden, cden, p = b.d._positions, b.num, b.rden, b.cden, b.f.p
+    top, bottom = mu.numerator, mu.denominator
+    for i in b.d.block_indices():
+        r, s = pos[i], pos[-i]
+        if not (a := num[r][r]):
+            raise DivisionByZero("division by zero")
+        v = num[s][s] * a * bottom - top * rden[r] * cden[r] * rden[s] * cden[s]
+        if v % p if p is not None else v:
             raise InternalError(f"D entry ({-i},{-i}) is {b.at(-i, -i)}, not mu / A({i},{i})")
 
 
-def _clear_B(b: _Bench, idxs: list) -> None:
+def _clear_B(b: _Bench) -> None:
     """Kill B against the diagonal of D, one token per symmetric pair."""
-    b.clear_pairs(idxs, 1, -1)
-    b.require_zero(((i, -j) for i in idxs for j in idxs), "B")
+    b.clear_pairs(len(b.d.block_indices()), 1, -1)
+    b.require_cleared("B")
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +271,7 @@ def _run(b: _Bench, mu: Scalar) -> None:
     is rank-deficient, then clear B; what is left is the torus part."""
     d = b.d
     idxs = d.block_indices()
-    strips = _strips(d)
+    strips = d.strip_indices()
     clear_strips = _clear_strips_odd if d.family is Family.GO_ODD else _clear_strips_twisted
     interchanged = False
     while True:
@@ -279,8 +281,8 @@ def _run(b: _Bench, mu: Scalar) -> None:
             clear_strips(b, idxs[:m])
             b.emit("X-E-cleared")
             # the X tail over the zero pivots dies by the form equation
-            b.require_zero(((s, i) for s in strips for i in idxs[m:]), "X over the zero pivots")
-        _clear_C(b, idxs[:m])
+            b.require_cleared("X over the zero pivots", m)
+        _clear_C(b, m)
         if m == len(idxs):
             break
         if interchanged:
@@ -291,9 +293,9 @@ def _run(b: _Bench, mu: Scalar) -> None:
         b.emit("interchanged")
     b.emit("C-cleared")
     # with X, E and C gone the form forces F = 0 = Y
-    b.require_zero(((p, q) for s in strips for i in idxs for p, q in ((-i, s), (s, -i))), "F and Y")
+    b.require_cleared("F and Y")
     _check_lower_cleared(b, mu)
-    _clear_B(b, idxs)
+    _clear_B(b)
     b.emit("B-cleared")
 
 

@@ -334,7 +334,8 @@ def _factors_up_to_squares(n: int) -> list:
     same parity, or else split by Pollard-Brent rho (which would need about
     sqrt(r) steps on a prime power); or prime.  A probable prime at or above
     _MR_LIMIT, which Miller-Rabin cannot certify, raises
-    :class:`CannotFactor` (as ``Field`` does for moduli).
+    :class:`CannotFactor` (as ``Field`` does for moduli), and so does a
+    composite that rho cannot split within ``_RHO_STEPS``.
     """
     out = []
     rest, d = n, 2
@@ -355,6 +356,9 @@ def _factors_up_to_squares(n: int) -> list:
                 stack.append(root)
                 continue
             f = _rho(m)
+            if f is None:
+                raise CannotFactor(f"cannot certify the squarefree part of {n}: its composite cofactor {m} has no"
+                                   f" factor that Pollard rho finds in {_RHO_STEPS} steps")
             stack += [f, m // f]
         elif m < _MR_LIMIT:
             out.append(m)
@@ -377,13 +381,29 @@ def _odd_root(m: int) -> int:
     return m
 
 
-def _rho(n: int) -> int:
+# Rho meets a prime factor q after about sqrt(pi q / 2) iterations of the
+# map, and each doubling round of Brent's cycle search below is charged its
+# 2r evaluations before it runs.  Splitting 40 products of a prime near 2^b
+# and one near 2^(b+2) was charged 65,534 evaluations at the median and
+# 262,142 at most for b = 30, and 131,070 and 262,142 for b = 32.  A budget
+# of 2^20 evaluations keeps four times that for factors up to 2^32, while a
+# cofactor whose least prime factor is near 2^50 (some 2^25 iterations,
+# about 13 s of Python arithmetic) is refused after about 0.35 s.
+_RHO_STEPS = 1 << 20
+
+
+def _rho(n: int) -> int | None:
     """A proper factor of the odd composite n, not a square, by Pollard-Brent
-    rho (Brent, BIT 20, 1980)."""
+    rho (Brent, BIT 20, 1980), or None once ``_RHO_STEPS`` evaluations of
+    the map, over every c tried, have found none."""
+    steps = _RHO_STEPS
     for c in range(1, n):
         x = y = ys = 2
         r, q, g = 1, 1, 1
         while g == 1:
+            steps -= 2 * r
+            if steps < 0:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

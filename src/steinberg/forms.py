@@ -9,6 +9,13 @@ Each family fixes one bilinear form beta and one ordering of the basis:
 ``GroupDescriptor.pos`` maps a signed basis index to its storage position;
 every generator, row operation and elimination step goes through it, since
 the three different orderings are the main source of off-by-one mistakes.
+What depends on the group shape (family, l, n) alone is placed at storage
+positions once per shape, in a memo that every descriptor of that shape
+shares over any field: the signed basis, block and strip indices, the cells
+of each block the elimination and the coset labels check by name
+(:meth:`GroupDescriptor.cells`), the plan of each pair pass
+(:meth:`GroupDescriptor.pair_plan`) and the entry :func:`read_multiplier`
+reads.  It holds ints and tuples only, never a scalar or an input.
 
 :func:`multiplier` is the one form check.  beta is symmetric or skew, so it
 compares only the entries j >= i of g^T beta g with mu beta, on the stored
@@ -80,10 +87,49 @@ class Family(Enum):
 # decompose_gl builds per call fills one table.
 _X_CODES: dict = {}
 
+# The blocks that the elimination (:mod:`steinberg.eliminate`) and the coset
+# labels (:mod:`steinberg.coset`) check, by the name their InternalError
+# gives, as signed index pairs over the block indices b, the strip indices s
+# (outside the hyperbolic pairs) and the pivot count m.
+_BLOCKS = {
+    "C rows over the pivots": lambda b, s, m: ((-i, j) for i in b[:m] for j in b),
+    "C": lambda b, s, m: ((-i, j) for i in b for j in b),
+    "D off its diagonal": lambda b, s, m: ((-i, -j) for i in b for j in b if i != j),
+    "B": lambda b, s, m: ((i, -j) for i in b for j in b),
+    "F and Y": lambda b, s, m: ((p, q) for t in s for i in b for p, q in ((-i, t), (t, -i))),
+    "X over the zero pivots": lambda b, s, m: ((t, i) for t in s for i in b[m:]),
+    "A rows over the pivots": lambda b, s, m: ((i, j) for i in b[:m] for j in b),
+}
+
+
+class _Shape:
+    """What a group shape (family, l, n) fixes, shared by its descriptors
+    over every field: the signed basis indices in storage order and their
+    positions, the block and strip indices, and ``memo``, filled on first
+    use with storage positions keyed by what they serve."""
+
+    __slots__ = ("signed", "positions", "block", "strips", "memo")
+
+    def __init__(self, family: Family, l: int, n: int):
+        self.signed = tuple(_basis_indices(family, l, n))
+        self.positions = {i: k for k, i in enumerate(self.signed)}
+        if family is Family.GO_MINUS:
+            self.block, self.strips = tuple(range(2, l + 1)), (1, -1)
+        elif family is Family.GL:
+            self.block, self.strips = tuple(range(1, n + 1)), ()
+        else:
+            self.block, self.strips = tuple(range(1, l + 1)), (0,) if family is Family.GO_ODD else ()
+        self.memo = {}
+
+
+_SHAPES: dict = {}
+
 
 class GroupDescriptor(Record):
-    """A family at rank l over a field with its Gram matrix ``beta``; the
-    table behind :meth:`pos` is built with it.  ``_omegas`` holds the coset
+    """A family at rank l over a field with its Gram matrix ``beta``.  The
+    table behind :meth:`pos` and the index tuples come from the shape's
+    memo (``_shape``), which every descriptor of the same (family, l, n)
+    shares.  ``_omegas`` holds the coset
     representatives of :mod:`steinberg.coset` by m, filled on first use:
     they depend on the descriptor alone, and a memo on the object is not
     shared by equal descriptors built elsewhere.  ``_xcodes`` maps each
@@ -92,12 +138,14 @@ class GroupDescriptor(Record):
     by every descriptor of the same (family, l, n, epsilon)."""
 
     _fields = ("family", "l", "field", "similitude", "beta", "n", "epsilon")
-    __slots__ = _fields + ("_positions", "_beta_columns", "_omegas", "_xcodes")
+    __slots__ = _fields + ("_shape", "_positions", "_beta_columns", "_omegas", "_xcodes")
 
     def __init__(self, family: Family, l: int, field: Field, similitude: bool, beta: Matrix, n: int,
                  epsilon: Scalar | None = None):
         self._init(family, l, field, similitude, beta, n, epsilon)
-        object.__setattr__(self, "_positions", {i: k for k, i in enumerate(_basis_indices(family, l, n))})
+        shape = _SHAPES.get((family, l, n)) or _SHAPES.setdefault((family, l, n), _Shape(family, l, n))
+        object.__setattr__(self, "_shape", shape)
+        object.__setattr__(self, "_positions", shape.positions)
         object.__setattr__(self, "_beta_columns", None)
         object.__setattr__(self, "_omegas", {})
         object.__setattr__(self, "_xcodes", _X_CODES.setdefault((family, l, n, epsilon), {}))
@@ -126,17 +174,48 @@ class GroupDescriptor(Record):
             object.__setattr__(self, "_beta_columns", tuple(cols))
         return self._beta_columns
 
-    def basis_indices(self) -> list:
+    def basis_indices(self) -> tuple:
         """Signed basis indices in storage order; ``pos`` is its inverse."""
-        return _basis_indices(self.family, self.l, self.n)
+        return self._shape.signed
 
-    def block_indices(self) -> list:
+    def block_indices(self) -> tuple:
         """Signed basis indices carrying the square middle block A."""
-        if self.family is Family.GO_MINUS:
-            return list(range(2, self.l + 1))
-        if self.family is Family.GL:
-            return list(range(1, self.n + 1))
-        return list(range(1, self.l + 1))
+        return self._shape.block
+
+    def strip_indices(self) -> tuple:
+        """Signed basis indices outside the hyperbolic pairs, the rows of
+        the strip X and the columns of E: 0 for GOodd, 1 and -1 for
+        GOminus, none otherwise."""
+        return self._shape.strips
+
+    def cells(self, name: str, m: int = 0) -> tuple:
+        """The storage (row, col) cells of the block ``name`` of
+        ``_BLOCKS`` at pivot count m, in the order of its signed
+        definition; placed once per shape."""
+        memo = self._shape.memo
+        try:
+            return memo[name, m]
+        except KeyError:
+            pos, shape = self._positions, self._shape
+            cells = memo[name, m] = tuple((pos[i], pos[j]) for i, j in _BLOCKS[name](shape.block, shape.strips, m))
+            return cells
+
+    def pair_plan(self, m: int, s: int, c: int) -> tuple:
+        """The plan of :meth:`steinberg.rowops.WorkingMatrix.clear_pairs`
+        over the first m block indices: for each pair (i, j), the GSp pairs
+        i = j first, then i before j, the storage row of (s*i, c*j), the
+        storage row of its pivot (-s*j, c*j), their storage column, and the
+        indices (s*i, -s*j) of the clearing token; placed once per shape."""
+        memo = self._shape.memo
+        try:
+            return memo["pairs", m, s, c]
+        except KeyError:
+            pos, idxs = self._positions, self._shape.block[:m]
+            pairs = [(i, i) for i in idxs] if self.family is Family.GSP else []
+            pairs += [(i, j) for k, i in enumerate(idxs) for j in idxs[k + 1:]]
+            plan = memo["pairs", m, s, c] = tuple(
+                (pos[s * i], pos[-s * j], pos[c * j], s * i, -s * j) for i, j in pairs)
+            return plan
 
     def __str__(self) -> str:
         sim = "similitude" if self.similitude else "isometry"
@@ -221,7 +300,8 @@ def _gram(family: Family, l: int, n: int, field: Field, epsilon: Scalar | None) 
 
 def read_multiplier(g: Matrix, d: GroupDescriptor) -> tuple:
     """``(mu, S_ab, B_ab)``: the multiplier g has if it is a similitude, read
-    off the first nonzero (a, b) of beta alone, after the n x n shape check.
+    off the first nonzero (a, b) of beta alone, after the n x n shape check;
+    (a, b) is found once per shape and kept in its memo.
 
     With g = num / den and beta's integers B, S_ab = num_a^T B num_b is entry
     (a, b) of num^T B num, one product per nonzero of beta (O(n)), and mu =
@@ -234,9 +314,12 @@ def read_multiplier(g: Matrix, d: GroupDescriptor) -> tuple:
     if g.rows != n or g.cols != n:
         raise NotInGroup(f"expected a {n}x{n} matrix", position=None)
     p, bnum = d.field.p, d.beta.num
-    at = next(((i, j) for i, row in enumerate(bnum) for j, v in enumerate(row) if v), None)
-    if at is None:
-        raise InternalError(f"the Gram matrix of {d} is zero")
+    memo = d._shape.memo
+    if (at := memo.get("anchor")) is None:
+        at = next(((i, j) for i, row in enumerate(bnum) for j, v in enumerate(row) if v), None)
+        if at is None:
+            raise InternalError(f"the Gram matrix of {d} is zero")
+        memo["anchor"] = at
     a, b = at
     num = g.num
     # S_ab = sum over the nonzeros (k, B_kc) of beta of num[k][a] B_kc num[c][b]

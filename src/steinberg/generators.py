@@ -98,9 +98,10 @@ def torus(
     alpha: Scalar | None = None,
     ts: tuple | None = None,
 ) -> GeneratorToken:
+    # fields in the order kind i j t s alpha lam mu, as x() builds them
     if ts is None:
-        return GeneratorToken("torus", lam=lam, mu=mu, alpha=alpha)
-    return GeneratorToken("torus", lam=lam, mu=mu, t=ts[0], s=ts[1])
+        return _new_token(GeneratorToken, ("torus", 0, 0, None, None, alpha, lam, mu))
+    return _new_token(GeneratorToken, ("torus", 0, 0, ts[0], ts[1], None, lam, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +300,9 @@ def _torus_entries(tok: GeneratorToken, d: GroupDescriptor) -> list:
         elif mu != one:
             raise IllegalToken("GOminus torus with identity block needs mu = 1")
     block = d.block_indices()
+    mu1 = f.sub(mu, one)
     for i in block[:-1]:
-        entries.append((-i, -i, f.sub(mu, one)))
+        entries.append((-i, -i, mu1))
     if block:
         i = block[-1]
         entries += [(i, i, f.sub(lam, one)), (-i, -i, f.sub(f.div(mu, lam), one))]

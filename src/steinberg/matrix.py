@@ -29,13 +29,15 @@ stored form.  Rref and inverse take full Gauss-Jordan; pivot columns, rank
 and determinant stop at a row-echelon form.  The trusted constructors
 ``_canonical`` and ``_normal`` take integer rows as they are; token
 matrices and the snapshots of the working matrix (:mod:`steinberg.rowops`)
-are built through them, without a scalar per entry.
+are built through them, without a scalar per entry.  ``Matrix.identity``,
+with which every word evaluation starts, is one shared value per (field, n).
 """
 from __future__ import annotations
 
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, repeat
 from collections.abc import Iterable, Sequence
 
@@ -226,7 +228,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._canonical(field, [[int(i == j) for j in range(n)] for i in range(n)])
+        """I_n over the field, one shared value per (field, n)."""
+        return _identity(field, n)
 
     @classmethod
     def diagonal(cls, field: Field, entries: Iterable[Scalar]) -> "Matrix":
@@ -448,3 +451,11 @@ class Matrix:
         if len(pivots) != n:
             raise SingularMatrix("matrix is singular")
         return Matrix._normal(self.field, [r[n:] for r in aug], s)
+
+
+@lru_cache(maxsize=64)  # a Matrix is immutable, so I_n is built once per (field, n)
+def _identity(field: Field, n: int) -> Matrix:
+    rows = [[0] * n for _ in range(n)]
+    for k, row in enumerate(rows):
+        row[k] = 1
+    return Matrix._canonical(field, rows)

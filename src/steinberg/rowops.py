@@ -9,11 +9,16 @@ and its ``rden``, a right update one integer column and its ``cden``, so a
 rational token never rescales the whole matrix.  A written row or column
 stands over the lcm of the two dens it combines, and its gcd is divided out
 only once that lcm reaches ``matrix._REDUCE_FROM`` (one int digit), so the
-integers need not be in lowest terms.  Entries are read by signed basis
-index.  Only zero tests read the integers; ``at`` builds one entry's
-canonical scalar, ``ratio`` the canonical quotient of two entries (every
-clearing multiplier), and ``matrix`` writes a normalised :class:`Matrix`
-snapshot straight from the integers.
+integers need not be in lowest terms.  Callers read entries by signed
+basis index (``at``, ``ratio``); the scans run on storage positions that
+depend on the group shape alone and are placed once per shape
+(:class:`steinberg.forms.GroupDescriptor`): ``require_zero`` tests the
+cells of a named block, ``clear_pairs`` follows a pair plan, and
+``diagonalize`` maps its rows and columns once per call.  Only zero tests
+read the integers, and a stored zero is skipped before any scalar is
+built; ``at`` builds one entry's canonical scalar, ``ratio`` the canonical
+quotient of two entries (every clearing multiplier), and ``matrix`` writes
+a normalised :class:`Matrix` snapshot straight from the integers.
 Elimination and the coset labels share its two clearing routines, the pivot
 loop ``diagonalize`` and the pair pass ``clear_pairs``.
 
@@ -39,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .field import DivisionByZero, Scalar
-from .forms import Family, GroupDescriptor, InternalError
+from .forms import GroupDescriptor, InternalError
 from .generators import GeneratorToken, token_units, x
 from .matrix import Matrix, _apply_delta
 
@@ -88,10 +93,12 @@ class WorkingMatrix:
         when (i, j) is zero.  A zero (u, v) raises :class:`DivisionByZero`
         over F_p and ZeroDivisionError over Q."""
         pos = self.d._positions
-        r, c, ru, cv = pos[i], pos[j], pos[u], pos[v]
+        r, c = pos[i], pos[j]
         a = self.num[r][c]
-        if not a:
-            return None
+        return self._over(a, r, c, pos[u], pos[v], inv) if a else None
+
+    def _over(self, a: int, r: int, c: int, ru: int, cv: int, inv: int | None) -> Scalar:
+        """``ratio`` at storage positions, for the nonzero integer a at (r, c)."""
         b = self.num[ru][cv]
         p = self.f.p
         if p is not None:
@@ -110,62 +117,74 @@ class WorkingMatrix:
         adds it) and its inverse's parameter, or None; a column token is
         always x[src, dst](t), adding t times column src to dst."""
         pos, num, f = self.d._positions, self.num, self.f
+        prow, pcol = [pos[i] for i in rows], [pos[j] for j in cols]
         for k in range(len(cols)):
-            piv = self.first_nonzero(rows, cols, k)
+            piv = self.first_nonzero(prow, pcol, k)
             if piv is None:
                 return k
             r, c = piv
             u, v = rows[k], cols[k]
-            if r != k and not num[pos[u]][pos[cols[c]]]:
+            pu, pv = prow[k], pcol[k]
+            if r != k and not num[pu][pcol[c]]:
                 self.lmul(row_token(rows[r], u, -1)[0])  # -1 is no canonical inverse parameter
-            if c != k and not num[pos[u]][pos[v]]:
+            if c != k and not num[pu][pv]:
                 self.rmul(x(cols[c], v, 1))
-            if not (b := num[pos[u]][pos[v]]):
+            if not (b := num[pu][pv]):
                 raise InternalError(f"no pivot at ({u},{v}) after moving ({rows[r]},{cols[c]}) there")
             inv = pow(b, -1, f.p) if f.p is not None else None
-            for i in rows:
-                if i != u and (t := self.ratio(i, v, u, v, inv)) is not None:
-                    self.lmul(*row_token(u, i, t))
-            for j in cols:
-                if j != v and (t := self.ratio(u, j, u, v, inv)) is not None:
+            for i, pi in zip(rows, prow):
+                if pi != pu and (a := num[pi][pv]):
+                    self.lmul(*row_token(u, i, self._over(a, pi, pv, pu, pv, inv)))
+            for j, pj in zip(cols, pcol):
+                if pj != pv and (a := num[pu][pj]):
+                    t = self._over(a, pu, pj, pu, pv, inv)
                     self.rmul(x(v, j, f.neg(t)), t)
         return len(cols)
 
-    def clear_pairs(self, idxs: list, s: int, c: int) -> None:
+    def clear_pairs(self, m: int, s: int, c: int) -> None:
         """Clear entry (s*i, c*j) against the pivot (-s*j, c*j) with
-        x[s*i, -s*j]: the GSp pairs i = j first, then i before j in
-        ``idxs``; the form kills the partner entry, and the caller checks."""
-        f = self.f
-        pairs = [(i, i) for i in idxs] if self.d.family is Family.GSP else []
-        pairs += [(i, j) for k, i in enumerate(idxs) for j in idxs[k + 1:]]
-        for i, j in pairs:
-            t = self.ratio(s * i, c * j, -s * j, c * j)
-            if t is not None:
-                self.lmul(x(s * i, -s * j, f.neg(t)), t)
+        x[s*i, -s*j], for i, j among the first m block indices: the GSp
+        pairs i = j first, then i before j (the shape's
+        :meth:`~steinberg.forms.GroupDescriptor.pair_plan`); the form kills
+        the partner entry, and the caller checks."""
+        num, f = self.num, self.f
+        for r, pr, col, i, j in self.d.pair_plan(m, s, c):
+            if a := num[r][col]:
+                t = self._over(a, r, col, pr, col, None)
+                self.lmul(x(i, j, f.neg(t)), t)
 
-    def first_nonzero(self, row_idxs: list, col_idxs: list, k: int):
-        """(r, c) of the first nonzero entry (row_idxs[r], col_idxs[c]) with
-        r, c >= k, scanning columns left to right and, inside a column, rows
-        top to bottom; None if that trailing block is zero."""
-        pos = self.d._positions
-        rows = [self.num[pos[i]] for i in row_idxs]
-        for c in range(k, len(col_idxs)):
-            pc = pos[col_idxs[c]]
-            for r in range(k, len(rows)):
-                if rows[r][pc]:
+    def first_nonzero(self, rows: list, cols: list, k: int):
+        """(r, c) of the first nonzero entry (rows[r], cols[c]), storage
+        positions, with r, c >= k, scanning columns left to right and,
+        inside a column, rows top to bottom; None if that trailing block is
+        zero."""
+        num = self.num
+        vecs = [num[i] for i in rows]
+        for c in range(k, len(cols)):
+            pc = cols[c]
+            for r in range(k, len(vecs)):
+                if vecs[r][pc]:
                     return r, c
         return None
 
-    def require_zero(self, positions, what: str) -> None:
-        """Raise :class:`InternalError` at the first nonzero signed (i, j).
+    def require_zero(self, cells, what: str) -> None:
+        """Raise :class:`InternalError` at the first nonzero storage cell
+        (r, c), naming it by its signed indices (i, j).
 
         This is how elimination states what a pass cleared, or what the form
         equation forces to vanish; it survives ``python -O``.
         """
-        pos, num = self.d._positions, self.num
-        for i, j in positions:
-            if num[pos[i]][pos[j]]:
+        num = self.num
+        for r, c in cells:
+            if num[r][c]:
+                signed = self.d.basis_indices()
+                i, j = signed[r], signed[c]
                 raise InternalError(f"{what}: entry ({i},{j}) is {self.at(i, j)}, not 0")
+
+    def require_cleared(self, name: str, m: int = 0) -> None:
+        """:meth:`require_zero` on the block the descriptor names
+        (:meth:`~steinberg.forms.GroupDescriptor.cells`), at pivot count m."""
+        self.require_zero(self.d.cells(name, m), name)
 
     # inv, an x-token's inverse parameter if the caller holds it, is for subclasses that record inverses
     def lmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:

@@ -232,8 +232,9 @@ def _record(h: Matrix) -> tuple:
     right part E_i of reduced row i gives x_i = (den I - num) E_i, so u_i =
     den E_i (both over s)."""
     n, p, den = h.rows, h.field.p, h.den
-    aug = [[(den if i == j else 0) - v for j, v in enumerate(col)] + [int(i == j) for j in range(n)]
-           for i, col in enumerate(zip(*h.num))]
+    aug = [[(den if i == j else 0) - v for j, v in enumerate(col)] + [0] * n for i, col in enumerate(zip(*h.num))]
+    for i, row in enumerate(aug):
+        row[n + i] = 1
     if p is not None:
         aug = [[v % p for v in r] for r in aug]
     piv, _, s = h._reduce(aug)
@@ -404,7 +405,9 @@ def _check_mirror_product(mirrors: list, g: Matrix) -> None:
     denominator, the product of the mirrors' a; then compared with g once,
     the two denominators cross-multiplied."""
     p, n = g.field.p, g.rows
-    rows, den = [[int(i == j) for j in range(n)] for i in range(n)], 1
+    rows, den = [[0] * n for _ in range(n)], 1
+    for k, row in enumerate(rows):
+        row[k] = 1
     for m in reversed(mirrors):
         rows = _reflect_rows(m, rows, p)
         den *= m[3]

@@ -17,7 +17,11 @@ the form equation fails, as must an isometry with one entry changed fed to
 decomposes, for GSp, GOplus, GOodd and GL, a member whose denominators
 cross ``matrix._REDUCE_FROM`` partway through the elimination, and checks
 that it reassembles and that the word is the one computed with every
-written vector reduced at once.
+written vector reduced at once.  Before all that, at l = 3, which the
+other checks have not yet used, it decomposes one member of each family
+over F_7, F_1000000007 and Q in turn, and then in the reverse order, and
+checks that each reassembles: the positions a group shape fixes are placed
+once per shape over whichever field comes first, and read over the others.
 It imports the package from ``src/`` next to this directory, prints one
 line per family and field, and exits with status 1 at the first failure.
 """
@@ -115,9 +119,29 @@ def tall_round_trip(fam: Family) -> bool:
             and (dec.left, dec.torus_token(), dec.right) == (ref.left, ref.torus_token(), ref.right))
 
 
+def shared_shapes() -> int:
+    """Decompose one member per family at l = 3 over F_7, F_1000000007 and
+    Q, interleaved (each shape's memo filled over one field, read over the
+    others), then in the reverse field order; check each reassembles."""
+    checks = 0
+    fields = (Field(7), Field(1000000007), QQ)
+    for order in (fields, fields[::-1]):
+        for field in order:
+            for fam in Family:
+                if fam is Family.GO_MINUS and not field.is_prime:
+                    continue
+                d = build_descriptor(fam, 3, field, similitude=fam is not Family.GL)
+                g = random_member(d, 3, word_len=16, with_torus=True)
+                dec = decompose_gl(g) if fam is Family.GL else decompose(g, d)
+                check(dec.reassemble() == g, f"{d}: decompose/reassemble with a shared shape memo")
+                checks += 1
+    return checks
+
+
 def main() -> None:
     start = time.perf_counter()
-    total = 0
+    total = shared_shapes()
+    print(f"ok shared shapes at l = 3: {total} checks")
     for fam in Family:
         for field in FIELDS:
             if fam is Family.GO_MINUS and not field.is_prime:

@@ -244,40 +244,44 @@ def test_tall_rationals_round_trip(tmp_path, capsys):
 SUMMARY_SP = "group=GSp l=1 field=5 similitude=1\nL= \nD= torus(1;2)\nR= \n"
 
 
-@pytest.mark.parametrize("body, msg", [
-    ("lambda=1\nmu=2\nops=0\n", None),
-    ("ops=0\nmu=2\n", None),
-    ("lambda=2\n", "lambda=2, but the word gives 1"),
-    ("mu=3\n", "mu=3, but the word gives 2"),
-    ("alpha=1\n", "alpha=1, but the word gives no alpha"),
-    ("ops=1\n", "ops=1, but the word gives 0"),
-    ("ops=+0\n", "ops=+0, but the word gives 0"),
-    ("mu=1/0\n", "bad scalar in mu= line: division by zero"),
-    ("L= \n", "duplicate word file key 'L'"),
-    ("ops=0\nops=0\n", "duplicate word file key 'ops'"),
-    ("Z= x[1,-1](1)\n", "unknown word file key 'Z'"),
-    ("stray\n", "unknown word file key 'stray'"),
-    ("L = \n", "unknown word file key 'L '"),
-])
+# (body, the reason it names, the whole message with its location, or None)
+BODY_CASES = [
+    ("lambda=1\nmu=2\nops=0\n", None, None),
+    ("ops=0\nmu=2\n", None, None),
+    ("lambda=2\n", "lambda=2, but the word gives 1", "{w}:5: lambda=2, but the word gives 1 on line 3"),
+    ("mu=3\n", "mu=3, but the word gives 2", "{w}:5: mu=3, but the word gives 2 on line 3"),
+    ("alpha=1\n", "alpha=1, but the word gives no alpha", "{w}:5: alpha=1, but the word gives no alpha on line 3"),
+    ("ops=1\n", "ops=1, but the word gives 0", "{w}:5: ops=1, but the word gives 0"),
+    ("ops=+0\n", "ops=+0, but the word gives 0", "{w}:5: ops=+0, but the word gives 0"),
+    ("mu=1/0\n", "bad scalar in mu= line: division by zero", "{w}:5: bad scalar in mu= line: division by zero"),
+    ("L= \n", "duplicate word file key 'L'", "{w}:5: duplicate word file key 'L', first on line 2"),
+    ("ops=0\nops=0\n", "duplicate word file key 'ops'", "{w}:6: duplicate word file key 'ops', first on line 5"),
+    ("Z= x[1,-1](1)\n", "unknown word file key 'Z'", "{w}:5: unknown word file key 'Z'"),
+    ("stray\n", "unknown word file key 'stray'", "{w}:5: unknown word file key 'stray'"),
+    ("L = \n", "unknown word file key 'L '", "{w}:5: unknown word file key 'L '"),
+]
+
+
+@pytest.mark.parametrize("body, msg", [pytest.param(b, m, id=f"{b}-{r}") for b, r, m in BODY_CASES])
 def test_word_file_body_is_strict(tmp_path, capsys, body, msg):
     """After the header, L=, D= and R= appear once each, and only lambda=,
     mu=, alpha= and ops= may join them, each once and equal to what the word
-    gives; anything else is a parse error naming the key."""
+    gives; anything else is a parse error naming the key and its line."""
     mpath = write(tmp_path, "m.txt", "group=GSp l=1 field=5 similitude=1\n1 0\n0 2\n")
     wpath = write(tmp_path, "w.txt", SUMMARY_SP + body)
-    want = (0, "OK\n", "") if msg is None else (1, "", f"error: {msg}\n")
+    want = (0, "OK\n", "") if msg is None else (1, "", f"error: {msg.format(w=wpath)}\n")
     assert run(capsys, "verify", wpath, mpath) == want
 
 
 @pytest.mark.parametrize("words, msg", [
-    ("L= \nD= torus(1;2)\n", "word file lacks lines: ['R']"),
-    ("L= \nD= torus(1;2) torus(1;1)\nR= \nmu=2\n", "mu= needs a D= line of one torus token"),
-    ("L= \nD= \nR= \nlambda=1\n", "lambda= needs a D= line of one torus token"),
+    ("L= \nD= torus(1;2)\n", "{w}: word file lacks lines: ['R']"),
+    ("L= \nD= torus(1;2) torus(1;1)\nR= \nmu=2\n", "{w}:5: mu= needs a D= line of one torus token, not line 3"),
+    ("L= \nD= \nR= \nlambda=1\n", "{w}:5: lambda= needs a D= line of one torus token, not line 3"),
 ])
 def test_word_file_lines_are_required_and_summaries_need_one_torus(tmp_path, capsys, words, msg):
     mpath = write(tmp_path, "m.txt", "group=GSp l=1 field=5 similitude=1\n1 0\n0 2\n")
     wpath = write(tmp_path, "w.txt", f"group=GSp l=1 field=5 similitude=1\n{words}")
-    assert run(capsys, "verify", wpath, mpath) == (1, "", f"error: {msg}\n")
+    assert run(capsys, "verify", wpath, mpath) == (1, "", f"error: {msg.format(w=wpath)}\n")
 
 
 def test_spinor_command_decomposes_once(tmp_path, capsys, monkeypatch):
@@ -430,7 +434,7 @@ def test_word_file_denominator_vanishing_mod_p_is_a_parse_error(tmp_path, capsys
     wpath = write(tmp_path, "w.txt", "group=GL l=1 field=7 similitude=0\nL= \nD= torus(1/7;1)\nR= \n")
     code, out, err = run(capsys, "verify", wpath, mpath)
     assert code == 1 and out == ""
-    assert err.startswith("error: bad token in D= line") and "Traceback" not in err
+    assert err.startswith(f"error: {wpath}:3:1: bad token in D= line") and "Traceback" not in err
 
 
 def test_not_in_group_keeps_the_library_message(tmp_path, capsys):
@@ -464,6 +468,16 @@ def test_uncertified_squarefree_part_is_a_domain_error(tmp_path, capsys):
     assert out == f"theta=1\nlambda={sq}\n"
 
 
+def test_a_class_rho_cannot_split_is_a_domain_error(tmp_path, capsys):
+    # lambda is the product of two primes near 2^50, past rho's step budget
+    lam = 842652396128173 * 945894880035277
+    path = write(tmp_path, "m.txt", f"group=GOplus l=1 field=Q similitude=0\n{lam} 0\n0 1/{lam}\n")
+    code, out, err = run(capsys, "spinor", path)
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot certify the squarefree part of {lam}: its composite cofactor {lam} has no"
+                   f" factor that Pollard rho finds in {2**20} steps\n")
+
+
 def test_uncertified_odd_power_is_a_domain_error(tmp_path):
     # (2^89 - 1)^3 is no square; splitting it by rho alone would not finish,
     # so the command runs in a process with a time limit
@@ -478,6 +492,34 @@ def test_uncertified_odd_power_is_a_domain_error(tmp_path):
     assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("text, msg", [
+    # blank and comment lines count in the line number
+    ("# a comment\ngroup=GSp l=1 field=7 similitude=0\n\n1 0\n0 x\n", "5:2: bad scalar 'x'"),
+    ("group=GSp l=1 field=7 similitude=0\n1 0\n1/7 1\n", "3:1: bad scalar '1/7': division by zero"),
+    ("group=GSp l=1 field=7 similitude=0\n1 0 0\n0 1\n", "2:3: expected 2 entries per row, got 3"),
+    ("group=GSp l=1 field=7 similitude=0\n1\n0 1\n", "2: expected 2 entries per row, got 1"),
+    ("group=GSp l=1 field=7 similitude=0\n1 0\n0 1\n0 0\n", "4: expected 2 matrix rows, found 3"),
+    ("\ngroup=GSp l=1 field=7 similitude=2\n1 0\n0 1\n", "2: header key 'similitude' must be 0 or 1, not '2'"),
+    ("# nothing\n", "empty matrix file"),
+])
+def test_matrix_parse_errors_name_their_line_and_entry(tmp_path, capsys, text, msg):
+    path = write(tmp_path, "m.txt", text)
+    for command in ("decompose", "spinor", "coset"):
+        assert run(capsys, command, path) == (1, "", f"error: {path}:{msg}\n" if msg[0].isdigit()
+                                              else f"error: {path}: {msg}\n")
+
+
+def test_word_parse_errors_name_their_line_and_token(tmp_path, capsys):
+    mpath = write(tmp_path, "m.txt", IDENTITY_SP)
+    wpath = write(tmp_path, "w.txt", "group=GSp l=1 field=5 similitude=0\n# L first\nL= x[1,-1](1) x[1,-1](1/0)\n"
+                                     "D= torus(1;1)\nR= \n")
+    code, out, err = run(capsys, "verify", wpath, mpath)
+    assert (code, out) == (1, "") and err == f"error: {wpath}:3:2: bad token in L= line: division by zero\n"
+    wpath = write(tmp_path, "w.txt", "group=GSp l=1 field=5 similitude=0\nL= \nD= torus(1;1)\nR= w[1]\n")
+    code, out, err = run(capsys, "verify", wpath, mpath)
+    assert (code, out) == (1, "") and err.startswith(f"error: {wpath}:4:1: bad token in R= line: w tokens")
+
+
 def test_matrix_rows_are_counted_before_the_descriptor_is_built(tmp_path, capsys):
     # building the 2001 x 2001 Gram matrix first takes seconds; at l = 30000 it runs out of memory
     path = write(tmp_path, "m.txt", "group=GOodd l=1000 field=5 similitude=0\n1 0 0\n")
@@ -485,7 +527,7 @@ def test_matrix_rows_are_counted_before_the_descriptor_is_built(tmp_path, capsys
     code, out, err = run(capsys, "decompose", path)
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
-    assert err == "error: expected 2001 matrix rows, found 1\n"
+    assert err == f"error: {path}:2: expected 2001 matrix rows, found 1\n"
 
 
 def test_verify_compares_headers_before_building_descriptors(tmp_path, capsys):
@@ -493,7 +535,8 @@ def test_verify_compares_headers_before_building_descriptors(tmp_path, capsys):
     wpath = write(tmp_path, "w.txt", f"{big}\nL= \nD= torus(1;1)\nR= \n")
     short = write(tmp_path, "m.txt", f"{big}\n1 0 0\n")
     small = write(tmp_path, "m2.txt", IDENTITY_SP)
-    cases = ((short, "expected 2001 matrix rows, found 1"), (small, "word and matrix descriptors disagree"))
+    cases = ((short, f"{short}:2: expected 2001 matrix rows, found 1"),
+             (small, f"{wpath}:1: descriptor disagrees with {small}:1"))
     for mpath, msg in cases:
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", wpath, mpath)

@@ -15,22 +15,31 @@ of ``random`` and ``census`` take ASCII digits (``--seed`` an optional
 ``-`` before them) and refuse anything else with exit code 1.  Whatever the
 input, a command exits 0, 1 or 2 with at most one line on stderr and no
 traceback, and every matrix file that ``decompose`` accepts survives
-``verify``.
+``verify``.  A pair whose word file or matrix file has one line or one
+entry replaced is either refused by ``verify`` with exit code 1 at
+``<file>:<line>`` of that line (at any line of that file when the header
+was replaced, since it gives the meaning of every line after it), or
+judged by ``verify`` as the dense product of the hand-written token
+updates (``rowops_oracle``) judges it: OK exactly when that product is the
+matrix.
 """
 
 import contextlib
 import io
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from steinberg.cli import build_parser, format_matrix_file, format_word_file, main
+from rowops_oracle import oracle_apply
+from steinberg.cli import build_parser, format_matrix_file, format_word_file, main, parse_matrix_file, parse_word_file
 from steinberg.eliminate import decompose, decompose_gl
 from steinberg.field import QQ, Field
 from steinberg.forms import Family, UnsupportedField, build_descriptor
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix
+from steinberg.rowops import RIGHT
 
 FIELDS = (Field(5), Field(7), Field(1000000007), QQ)
 
@@ -221,20 +230,56 @@ def refused_files(draw):
     return "\n".join(words) + "\n", "\n".join(matrix) + "\n", target is matrix
 
 
+# a replacement line: not blank and no comment, so the line stays where it was
+replacement_lines = st.text(alphabet="=0123456789/ -Qlxw[](),;torusLDRgpmab", min_size=1, max_size=24).filter(
+    lambda t: t.strip() and not t.strip().startswith("#"))
+
+
+@st.composite
+def corrupted_pairs(draw):
+    """(word file, matrix file, which file was corrupted, its 1-based line)
+    of one member and its decomposition, with one line of either file, or
+    one entry of a matrix row or one token of an L=/D=/R= line, replaced."""
+    d, g = draw(members())
+    dec = decompose_gl(g) if d.family is Family.GL else decompose(g, d)
+    files = {"word": format_word_file(dec, dec.descriptor).splitlines(), "matrix": format_matrix_file(g, d).splitlines()}
+    which = draw(st.sampled_from(sorted(files)))
+    lines = files[which]
+    # an entry of a row (matrix lines 2 on) or a token of a word line (the L=, D= and R= lines 2-4)
+    k = draw(st.integers(1, len(lines) - 1 if which == "matrix" else 3))
+    parts = lines[k].split()
+    key, entries = ([], parts) if which == "matrix" else (parts[:1], parts[1:])
+    if entries and draw(st.integers(0, 2)):
+        # a word's own tokens are legal, so a swap mostly leaves a pair that verify must multiply out
+        own = [t for ln in files["word"][1:4] for t in ln.split()[1:]]
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(
+            scalars if which == "matrix" else st.one_of(tokens, st.sampled_from(own)))
+        lines[k] = " ".join(key + entries)
+    else:
+        k = 0 if draw(st.integers(0, 7)) == 0 else draw(st.integers(1, len(lines) - 1))  # the header one time in 8
+        lines[k] = draw(st.one_of(replacement_lines, st.sampled_from(files["word"] + files["matrix"])))
+    return "\n".join(files["word"]) + "\n", "\n".join(files["matrix"]) + "\n", which, k + 1
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def run(*argv):
-    """(exit code, stdout) of one in-process command, checking its stderr."""
+def run_err(*argv):
+    """(exit code, stdout, stderr) of one in-process command, checking its stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     err = err.getvalue()
     assert code in (0, 1, 2), (argv, code, err)
     assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
-    return code, out.getvalue()
+    return code, out.getvalue(), err
+
+
+def run(*argv):
+    """(exit code, stdout) of one in-process command, checking its stderr."""
+    return run_err(*argv)[:2]
 
 
 def check_matrix_file(workdir, text):
@@ -282,6 +327,28 @@ def test_word_files_with_degenerate_tori(workdir, files, torus_text):
     word_text, matrix_text = files
     lines = [f"D= {torus_text}" if ln.startswith("D=") else ln for ln in word_text.splitlines()]
     check_word_file(workdir, "\n".join(lines) + "\n", matrix_text)
+
+
+@FUZZ
+@given(files=corrupted_pairs())
+def test_a_corrupted_line_is_named_or_the_pair_is_judged_as_the_oracle_does(workdir, files):
+    word_text, matrix_text, which, line = files
+    paths = {"word": workdir / "w.txt", "matrix": workdir / "m.txt"}
+    paths["word"].write_text(word_text)
+    paths["matrix"].write_text(matrix_text)
+    code, out, err = run_err("verify", str(paths["word"]), str(paths["matrix"]))
+    if code == 1:
+        # the location, or a word file message naming the other line of a pair ("first on line k")
+        at = re.escape(str(paths[which])) + (":" if line == 1 else rf":{line}\b")
+        named = re.search(at, err) or (which == "word" and line > 1 and re.search(rf"\bline {line}\b", err))
+        assert out == "" and named, (files, err)
+        return
+    left, mid, right, d = parse_word_file(word_text)
+    g, _ = parse_matrix_file(matrix_text)
+    prod = Matrix.identity(d.field, d.n)
+    for tok in left.tokens + mid.tokens + right.tokens:
+        prod = oracle_apply(prod, tok, RIGHT, d)
+    assert (code, out) == ((0, "OK\n") if prod == g else (2, "MISMATCH\n")), (files, err)
 
 
 @FUZZ

@@ -10,7 +10,7 @@ import pytest
 import steinberg.eliminate as eliminate
 import steinberg.rowops as rowops
 from steinberg.coset import coset_label
-from steinberg.field import Field, QQ
+from steinberg.field import DivisionByZero, Field, QQ
 from steinberg.forms import (
     Family,
     InternalError,
@@ -22,7 +22,7 @@ from steinberg.forms import (
     read_multiplier,
 )
 from steinberg.eliminate import decompose, decompose_gl
-from steinberg.generators import Word, token_matrix, w
+from steinberg.generators import Word, token_matrix, torus, w
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix, SingularMatrix
 from steinberg.spinor import spinor_norm
@@ -512,3 +512,42 @@ def test_a_member_is_decomposed_without_the_full_form_check(monkeypatch):
                 decompose(random_member(iso, 9, word_len=16).scale(3), iso)
             assert len(calls) == 1
             calls.clear()
+
+
+@pytest.mark.parametrize("field", [F7, Field(1000000007), QQ], ids=str)
+def test_the_D_diagonal_check_reads_the_stored_integers(field):
+    """D(i, i) A(i, i) = mu is compared on the working matrix's integers,
+    over row and column dens that differ over Q; it passes, raises the
+    InternalError text or raises DivisionByZero exactly as the scalar
+    comparison D(i, i) != mu / A(i, i) does."""
+    rng = random.Random(11)
+    d = build_descriptor(Family.GSP, 2, field, similitude=True)
+    f = d.field
+    values = [0, 1, 2, -3, Fraction(3, 2), Fraction(-5, 9)]
+
+    def outcome(check, b, mu):
+        try:
+            check(b, mu)
+        except Exception as e:  # noqa: BLE001 - the type and text are what is compared
+            return type(e), str(e)
+        return None
+
+    def scalar_check(b, mu):
+        for i in b.d.block_indices():
+            if b.at(-i, -i) != f.div(mu, b.at(i, i)):
+                raise InternalError(f"D entry ({-i},{-i}) is {b.at(-i, -i)}, not mu / A({i},{i})")
+
+    seen = set()
+    for _ in range(300):
+        a, mu = [f.of(rng.choice(values)) for _ in range(2)], f.of(rng.choice(values[1:]))
+        diag = a + [f.div(mu, v) if v != f.zero and rng.random() < 0.7 else f.of(rng.choice(values)) for v in a]
+        b = eliminate._Bench(Matrix.diagonal(f, diag), d, None)
+        # diag(1, lam, m, m / lam) from both sides scales each D(i, i) A(i, i) by m^2
+        for side in (rowops.LEFT, rowops.RIGHT):
+            rowops.apply(b, torus(f.of(Fraction(3, 2)), f.of(Fraction(5, 11))), side)
+        if (prod := f.mul(b.at(-1, -1), b.at(1, 1))) != f.zero and rng.random() < 0.7:
+            mu = prod
+        got = outcome(eliminate._check_lower_cleared, b, mu)
+        assert got == outcome(scalar_check, b, mu), (diag, mu)
+        seen.add(None if got is None else got[0])
+    assert seen == {None, InternalError, DivisionByZero}

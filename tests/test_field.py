@@ -179,6 +179,20 @@ def test_squarefree_drops_square_cofactors_it_cannot_certify():
         _squarefree(-3 * q)
 
 
+def test_rho_has_a_step_budget():
+    # two primes near 2^50: rho would need some 2^25 iterations to split
+    # their product, so the cofactor is refused, named, within its budget
+    p, q = 842652396128173, 945894880035277
+    assert _is_prime(p) and _is_prime(q)
+    with pytest.raises(CannotFactor, match=f"its composite cofactor {p * q} has no factor that Pollard rho finds"):
+        _squarefree(-3 * p * q)
+    # primes near 2^30 still split within it
+    p, q = 1073741789, 1073741827
+    assert _is_prime(p) and _is_prime(q)
+    assert _squarefree(5 * p * q) == 5 * p * q
+    assert _squarefree(p**3 * q * 2**31) == 2 * p * q
+
+
 def test_squarefree_reduces_odd_powers_before_rho():
     # rho would need about 2^44 steps to split (2^89 - 1)^3; its cube root is
     # the probable prime that Miller-Rabin cannot certify

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from steinberg.field import Field, QQ, square_class
@@ -330,3 +335,110 @@ def test_half_triangle_check_loses_no_witness(field):
                 rejected += type(got) is tuple
                 accepted += type(got) is not tuple
     assert rejected and accepted
+
+
+# ---------------------------------------------------------------------------
+# the per-shape memo: named blocks, pair plans and the multiplier's anchor
+
+
+def _old_blocks(d, m):
+    """The signed blocks as the elimination and the coset labels wrote them
+    at each call site before they were placed once per shape."""
+    fam, l = d.family, d.l
+    idxs = list(range(2, l + 1)) if fam is Family.GO_MINUS else list(range(1, (d.n if fam is Family.GL else l) + 1))
+    strips = {Family.GO_ODD: (0,), Family.GO_MINUS: (1, -1)}.get(fam, ())
+    active = idxs[:m]
+    return idxs, strips, {
+        "C rows over the pivots": [(-i, j) for i in active for j in idxs],
+        "C": [(-i, j) for i in idxs for j in idxs],
+        "D off its diagonal": [(-i, -j) for i in idxs for j in idxs if i != j],
+        "B": [(i, -j) for i in idxs for j in idxs],
+        "F and Y": [(p, q) for s in strips for i in idxs for p, q in ((-i, s), (s, -i))],
+        "X over the zero pivots": [(s, i) for s in strips for i in idxs[m:]],
+        "A rows over the pivots": [(i, j) for i in active for j in idxs],
+    }
+
+
+def _old_pairs(d, m, s, c):
+    """The pair list of clear_pairs over the first m block indices as it was
+    built on every call: (entry, pivot, token indices), signed."""
+    idxs = list(d.block_indices())[:m]
+    pairs = [(i, i) for i in idxs] if d.family is Family.GSP else []
+    pairs += [(i, j) for k, i in enumerate(idxs) for j in idxs[k + 1:]]
+    return [((s * i, c * j), (-s * j, c * j), (s * i, -s * j)) for i, j in pairs]
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_named_blocks_and_pair_plans_are_the_signed_blocks_placed(family, l):
+    d = build_descriptor(family, l, Field(7))
+    pos = d.pos
+    for m in range(len(d.block_indices()) + 1):
+        idxs, strips, blocks = _old_blocks(d, m)
+        assert d.block_indices() == tuple(idxs) and d.strip_indices() == strips
+        if family is Family.GL:  # decompose_gl reads the block indices alone
+            continue
+        for name, signed in blocks.items():
+            assert d.cells(name, m) == tuple((pos(i), pos(j)) for i, j in signed), (name, m)
+        if family is Family.GO_ODD:  # the coset labels' X check, on row 0 alone
+            assert d.cells("X over the zero pivots", m) == tuple((pos(0), pos(i)) for i in idxs[m:])
+        for s, c in ((-1, 1), (1, -1), (1, 1)):
+            want = tuple((pos(a), pos(p), pos(b), ti, tj) for (a, b), (p, _), (ti, tj) in _old_pairs(d, m, s, c))
+            assert d.pair_plan(m, s, c) == want, (m, s, c)
+
+
+# the words of one member per shape and field, and the coset label of an isometry
+SHAPE_PROBE = """
+from steinberg.coset import coset_label
+from steinberg.eliminate import decompose
+from steinberg.field import QQ, Field
+from steinberg.forms import Family, build_descriptor
+from steinberg.harness import random_member
+
+def probe(fields):
+    out = []
+    for family in (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS):
+        for l in (1, 2, 3):
+            for field in fields:
+                if family is Family.GO_MINUS and field == QQ:
+                    continue
+                d = build_descriptor(family, l, field, similitude=True)
+                dec = decompose(random_member(d, 7 * l, word_len=4 * l + 4, with_torus=True), d)
+                out.append(f"{d}: {dec.left} | {dec.torus_token()} | {dec.right}")
+                if family is not Family.GO_MINUS:
+                    e = build_descriptor(family, l, field)
+                    label = coset_label(random_member(e, 7 * l + 1, word_len=4 * l + 4), e)
+                    out.append(f"{e}: {label.m} {label.left_witness} | {label.right_witness}")
+    return "\\n".join(out)
+"""
+
+
+def test_a_shape_memo_filled_over_f7_gives_a_fresh_process_words():
+    import steinberg.forms as forms
+
+    namespace = {}
+    exec(SHAPE_PROBE, namespace)
+    namespace["probe"]([Field(7)])  # fills every probed shape's memo over F_7 first
+    here = namespace["probe"]([Field(1000000007), QQ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run([sys.executable, "-c", SHAPE_PROBE + "\nprint(probe([Field(1000000007), QQ]))"],
+                           capture_output=True, text=True, env=env, timeout=300)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout == here + "\n"
+
+    def plain(v):
+        return type(v) is int or type(v) is tuple and all(map(plain, v))
+
+    for shape in forms._SHAPES.values():
+        assert all(map(plain, (shape.signed, shape.block, shape.strips, *shape.memo.values())))
+        assert all(type(k) is int and type(v) is int for k, v in shape.positions.items())
+    # the anchor is the first nonzero of beta over every field
+    for family in (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS):
+        for field in (F3, Field(7), Field(1000000007), QQ):
+            if family is Family.GO_MINUS and field == QQ:
+                continue
+            d = build_descriptor(family, 2, field)
+            multiplier(Matrix.identity(field, d.n), d)
+            first = next((i, j) for i, row in enumerate(d.beta.num) for j, v in enumerate(row) if v)
+            assert d._shape.memo["anchor"] == first

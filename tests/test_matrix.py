@@ -507,3 +507,14 @@ def test_the_update_loop_and_token_units_make_no_cells():
     and read through a cell load in the F_p loops."""
     assert _apply_delta.__code__.co_cellvars == ()
     assert token_units.__code__.co_cellvars == ()
+
+
+@pytest.mark.parametrize("field", [F5, Field(1000000007), QQ], ids=str)
+def test_identity_is_one_canonical_value_per_field_and_size(field):
+    for n in range(6):
+        eye = Matrix.identity(field, n)
+        assert eye == Matrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        assert eye.num == tuple(tuple(int(i == j) for j in range(n)) for i in range(n)) and eye.den == 1
+        assert all(type(v) is int for row in eye.num for v in row)
+        assert Matrix.identity(field, n) is eye
+        assert hash(eye) == hash(Matrix(field, eye.to_lists()))

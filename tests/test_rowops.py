@@ -421,16 +421,22 @@ def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
 
 
 def test_require_zero_names_the_first_nonzero_position():
+    """``require_zero`` takes storage cells, tests them in the order given
+    and names the first nonzero one by its signed indices."""
     d = build_descriptor(Family.GO_ODD, 2, F5)
+
+    def cells(pairs):
+        return [(d.pos(i), d.pos(j)) for i, j in pairs]
+
     rows = Matrix.identity(F5, d.n).to_lists()
     rows[d.pos(-2)][d.pos(1)] = 3
     rows[d.pos(0)][d.pos(2)] = 4
     b = WorkingMatrix(Matrix(F5, rows), d)
-    b.require_zero([(1, 2), (-1, 1), (0, 1)], "clean")
+    b.require_zero(cells([(1, 2), (-1, 1), (0, 1)]), "clean")
     with pytest.raises(InternalError, match=r"^C: entry \(-2,1\) is 3, not 0$"):
-        b.require_zero(((-i, j) for i in (1, 2) for j in (1, 2)), "C")
+        b.require_zero(cells((-i, j) for i in (1, 2) for j in (1, 2)), "C")
     with pytest.raises(InternalError, match=r"^X: entry \(0,2\) is 4, not 0$"):
-        b.require_zero([(0, 1), (0, 2), (-2, 1)], "X")
+        b.require_zero(cells([(0, 1), (0, 2), (-2, 1)]), "X")
     # over Q the value is the entry over its row and column denominators
     d = build_descriptor(Family.GO_ODD, 2, QQ)
     b = WorkingMatrix(Matrix.identity(QQ, d.n), d)
@@ -439,7 +445,7 @@ def test_require_zero_names_the_first_nonzero_position():
     assert (b.rden[d.pos(1)], b.cden[d.pos(-2)]) == (9, 5)
     assert (b.at(1, 0), b.at(1, -2)) == (Fraction(2, 3), Fraction(-2, 45))
     with pytest.raises(InternalError, match=r"^B: entry \(1,-2\) is -2/45, not 0$"):
-        b.require_zero([(2, 0), (1, -2)], "B")
+        b.require_zero(cells([(2, 0), (1, -2)]), "B")
 
 
 def test_first_nonzero_scans_columns_then_rows():
@@ -448,11 +454,12 @@ def test_first_nonzero_scans_columns_then_rows():
     for i, j in ((3, 2), (2, 3), (-3, 1)):
         rows[d.pos(i)][d.pos(j)] = 1
     b = WorkingMatrix(Matrix(F5, rows), d)
-    idxs = [1, 2, 3]
+    idxs = [d.pos(i) for i in (1, 2, 3)]
+    neg = [d.pos(-i) for i in (1, 2, 3)]
     assert b.first_nonzero(idxs, idxs, 0) == (2, 1)
     assert b.first_nonzero(idxs, idxs, 2) is None
-    assert b.first_nonzero([-i for i in idxs], idxs, 0) == (2, 0)
-    assert b.first_nonzero([-i for i in idxs], idxs, 1) is None
+    assert b.first_nonzero(neg, idxs, 0) == (2, 0)
+    assert b.first_nonzero(neg, idxs, 1) is None
 
 
 @pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
@@ -522,7 +529,7 @@ def test_diagonalize_moves_then_clears_the_first_pivot(field):
         rows[d.pos(-i)][d.pos(j)] = v
     g = Matrix(field, rows)
     idxs = [1, 2, 3]
-    assert WorkingMatrix(g, d).first_nonzero(idxs, idxs, 0) == (2, 1)
+    assert WorkingMatrix(g, d).first_nonzero([d.pos(i) for i in idxs], [d.pos(j) for j in idxs], 0) == (2, 1)
     neg = field.of(-1)
     cols = [(RIGHT, x(2, 1, 1)), (RIGHT, x(1, 2, neg)), (RIGHT, x(1, 3, field.of(-3))),
             (RIGHT, x(3, 2, 1)), (RIGHT, x(2, 3, neg))]
