@@ -213,7 +213,7 @@ def parse_word_file(text: str) -> tuple:
                     toks.append(parse_token(tok, d))
                 except (ValueError, ZeroDivisionError) as e:  # includes IllegalToken
                     raise ParseError(f"bad token in {key}= line: {e}", lineno, k) from e
-            rest = Word(d, toks)
+            rest = Word._trusted(d, toks)  # parse_token checked each token
         parts[key], at[key] = rest, lineno
     missing = [k for k in _WORD_KEYS if k not in parts]
     if missing:

@@ -505,8 +505,9 @@ def parse_token(text: str, d: GroupDescriptor) -> GeneratorToken:
 
 
 def parse_word(text: str, d: GroupDescriptor) -> Word:
-    toks = [parse_token(t, d) for t in text.split()]
-    return Word(d, toks)
+    """A word of tokens separated by whitespace, each checked once, by
+    :func:`parse_token`."""
+    return Word._trusted(d, [parse_token(t, d) for t in text.split()])
 
 
 # The order in which legal_x_index_pairs lists the x-token patterns.
@@ -516,9 +517,13 @@ _X_PATTERN_ORDER = ("gl", "pp", "pn", "np", "pnm", "npm", "i0", "0i", "i1", "1i"
 def legal_x_index_pairs(d: GroupDescriptor) -> list:
     """All legal (i,j) index pairs for x-tokens of the family: the pairs of
     basis indices that :func:`x_pattern` accepts, grouped by pattern in the
-    order of ``_X_PATTERN_ORDER`` and in basis order inside a pattern."""
-    fam, l, n = d.family, d.l, d.n
-    idx = d.basis_indices()
-    legal = [(pat, (i, j)) for i in idx for j in idx if (pat := _x_pattern(i, j, fam, l, n))]
-    legal.sort(key=lambda pat_pair: _X_PATTERN_ORDER.index(pat_pair[0]))
-    return [pair for _, pair in legal]
+    order of ``_X_PATTERN_ORDER`` and in basis order inside a pattern.
+    They depend on the group shape alone, so they are listed once per shape
+    and kept in its memo; each call returns a new list."""
+    memo = d._shape.memo
+    if (pairs := memo.get("x pairs")) is None:
+        fam, l, n, idx = d.family, d.l, d.n, d.basis_indices()
+        legal = [(pat, (i, j)) for i in idx for j in idx if (pat := _x_pattern(i, j, fam, l, n))]
+        legal.sort(key=lambda pat_pair: _X_PATTERN_ORDER.index(pat_pair[0]))
+        pairs = memo["x pairs"] = tuple(pair for _, pair in legal)
+    return list(pairs)

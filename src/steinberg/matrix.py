@@ -370,6 +370,12 @@ class Matrix:
         """Row-reduce the integer rows ``aug`` in place over this matrix's
         columns; return (pivot columns, det, s).
 
+        Each pivot column takes its first row with a nonzero entry there,
+        moved up past the rows between, which keep their order.  So the
+        pivot rows are the rows of ``aug`` that are no combination of the
+        rows above them (its first row basis), and the leftover rows end in
+        their given order.
+
         With ``full`` each pivot column is cleared above and below its pivot,
         and ``aug / s`` is the rref; without it only the rows below are
         cleared, which is all the pivot columns, rank and det need, and
@@ -392,8 +398,9 @@ class Matrix:
             if pr is None:
                 continue
             if pr != r:
-                aug[r], aug[pr] = aug[pr], aug[r]
-                sign = -sign
+                aug.insert(r, aug.pop(pr))  # the rows it passes keep their order
+                if (pr - r) & 1:
+                    sign = -sign
             piv, top = aug[r][c], aug[r]
             rows = range(m) if full else range(r + 1, m)
             if p is not None:

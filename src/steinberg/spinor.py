@@ -4,8 +4,14 @@
   diagonal's lambda, the twisted terminal block and the x1 and x2 tokens
   of the two words (every x and w token is trivial).
 * ``wall_spinor_norm``: the discriminant of the Wall form [u,v] = beta(u,y)
-  with (I-g)y = v on the moved space (I-g)V, read off (I-g)^T beta on the
-  pivot columns of I-g: no linear solve (Zassenhaus, Arch. Math. 13, 1962).
+  with (I-g)y = v on the moved space (I-g)V (Zassenhaus, Arch. Math. 13,
+  1962).  It is det C[P, P] for C = beta^T (I-g), a signed row permutation
+  of I-g, and P the pivot columns of I-g, read off one forward reduction of
+  C: no linear solve, no Gram matrix and no second determinant.  Jacobi's
+  complementary-minor identity ties det C[P, P] to the minor det C[R, P]
+  of the rows R the reduction pivots on, and on an isometry ker C^T = ker
+  C, so a reduction that keeps its rows in order pivots on R = P.  Over Q
+  the minor of C's integers is divided by (den bden)^|P|.
 * ``reflection_factorization``: a constructive orthogonal-reflection
   factorisation in Scherk's minimal number of mirrors; the classical norm
   is the product of beta(v,v)/2 over the mirrors.  The descent holds one
@@ -132,31 +138,59 @@ def spinor_decomposition(g: Matrix, d: GroupDescriptor) -> tuple:
 
 
 def wall_spinor_norm(g: Matrix, d: GroupDescriptor) -> SquareClass:
-    """disc of the Wall form on the moved space; the identity maps to 1."""
-    piv, gram = _wall(g, d)
-    f = d.field
+    """disc of the Wall form on the moved space; the identity maps to 1.
+    The form equation is checked up front, and the discriminant is det C[P,
+    P] for C = beta^T (I-g), read off one forward reduction of C
+    (:func:`_wall_discriminant`)."""
+    _check_orthogonal_isometry(g, d)
+    piv, disc = _wall_discriminant(g, d)
     if not piv:
-        return _unit_class(f)
-    det = gram.det()
-    if det == f.zero:
-        raise InternalError("the Wall form is degenerate")
-    return square_class(f, det)
+        return _unit_class(d.field)
+    return square_class(d.field, disc)
 
 
-def _wall(g: Matrix, d: GroupDescriptor) -> tuple:
-    """(the pivot columns P of I-g, the Wall gram matrix on P).
+def _wall_discriminant(g: Matrix, d: GroupDescriptor) -> tuple:
+    """(the pivot columns P of I-g, det C[P, P] for C = beta^T (I-g)), for an
+    isometry g.
 
     The columns (I-g)e_j over P are a basis of the moved space (I-g)V whose
-    preimages are the e_j themselves, so [(I-g)e_a, (I-g)e_b] = beta((I-g)e_a,
-    e_b) is the (a, b) entry of (I-g)^T beta: column a of I-g against the
-    nonzeros of beta's column b.  Only the |P|^2 entries on P are formed, and
-    no scalar basis is built."""
-    _check_orthogonal_isometry(g, d)
-    tilde = _identity_minus(g)
-    piv = tilde.pivot_columns()
-    num, cols = tilde.num, d.beta_columns()
-    gram = [[v * num[k][a] for k, v in (cols[b] for b in piv)] for a in piv]
-    return piv, Matrix._normal(d.field, gram, tilde.den * d.beta.den)
+    preimages are the e_j themselves, so its Wall Gram matrix is [(I-g)e_a,
+    (I-g)e_b] = beta((I-g)e_a, e_b) = C_ba, that is C[P, P]^T, and the
+    discriminant is the principal minor det C[P, P].  beta is monomial, so
+    row b of C is s_b times row sigma(b) of den I - num, for (sigma(b), s_b)
+    = ``d.beta_columns()[b]``: a signed row permutation of I-g, no product,
+    with the same pivot columns P.
+
+    One forward reduction of C (:meth:`Matrix._reduce`) gives P, the rows R
+    that end as pivot rows and det C[R, P] times the sign of the row order
+    R, R^c, each increasing (R^c the leftover rows, which keep their order).
+    For any such R, once ker C^T = ker C, Jacobi's complementary-minor
+    identity gives
+
+        det C[P, P] = (-1)^(sum R^c + sum Q) det C[R, P] / det X[R^c]
+
+    (0-based positions in increasing order, Q the free columns, X the basis
+    of ker C that is the identity on Q).  On an isometry the kernels
+    agree: y^T (I-g) = 0 exactly when beta^-1 y is fixed by g, so ker C^T =
+    ker C = ker(I-g).  The reduction keeps its rows in order, so R is the
+    first row basis: row i is left over exactly when some y in ker C^T has
+    its last nonzero entry at i, as column i is free exactly when some x in
+    ker C has.  So R = P, X[R^c] = X[Q] = I and the identity needs no back
+    substitution; the row order P, Q has for inversions the pairs q < p of
+    a free and a pivot column, sum P - k(k-1)/2 of them for k = |P|.  Every
+    rank takes that one path: rank n gives det C, and g = I an empty P.
+    Over Q C's integers stand over den * bden, so the minor is divided by
+    (den bden)^k.
+    """
+    p, den, num = d.field.p, g.den, g.num
+    c = [[v * ((den if j == i else 0) - e) for j, e in enumerate(num[i])] for i, v in d.beta_columns()]
+    if p is not None:
+        c = [[v % p for v in r] for r in c]
+    piv, det, _ = g._reduce(c, full=False)
+    k = len(piv)
+    if (sum(piv) - k * (k - 1) // 2) & 1:  # the row order P, Q is odd
+        det = -det
+    return piv, det % p if p is not None else Fraction(det, (den * d.beta.den) ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +243,6 @@ def _reflect_rows(m: tuple, rows: list, p: int | None) -> list:
 def _reflected(m: tuple, h: Matrix) -> Matrix:
     """The reflection of the mirror record m times h (:func:`_reflect_rows`)."""
     return Matrix._normal(h.field, _reflect_rows(m, h.num, h.field.p), m[3] * h.den)
-
-
-def _identity_minus(h: Matrix) -> Matrix:
-    """I - h built in its stored form, (den I - num) / den: reduced mod p
-    over F_p, and over Q already in lowest terms, since gcd(den, den I -
-    num) = gcd(den, num) = 1."""
-    p, den = h.field.p, h.den
-    rows = [[(den if i == j else 0) - v for j, v in enumerate(row)] for i, row in enumerate(h.num)]
-    if p is not None:
-        rows = [[v % p for v in r] for r in rows]
-    return Matrix._canonical(h.field, rows, den)
 
 
 def _record(h: Matrix) -> tuple:

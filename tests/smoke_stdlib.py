@@ -22,6 +22,9 @@ other checks have not yet used, it decomposes one member of each family
 over F_7, F_1000000007 and Q in turn, and then in the reverse order, and
 checks that each reassembles: the positions a group shape fixes are placed
 once per shape over whichever field comes first, and read over the others.
+Then, over F_7 and Q, it checks the Wall form against the elimination on
+one isometry per orthogonal family and l = 2 with I - g of rank n, one of
+rank n - 1 and one of rank at most n - 2.
 It imports the package from ``src/`` next to this directory, prints one
 line per family and field, and exits with status 1 at the first failure.
 """
@@ -119,6 +122,26 @@ def tall_round_trip(fam: Family) -> bool:
             and (dec.left, dec.torus_token(), dec.right) == (ref.left, ref.torus_token(), ref.right))
 
 
+def wall_ranks(field: Field) -> int:
+    """For each orthogonal family at l = 2 over the field, take the first
+    seeded isometries whose I - g has rank n, n - 1 and at most n - 2 (short
+    words leave large fixed spaces), and check the Wall form against the
+    elimination on each."""
+    checks = 0
+    for fam in (Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)[:3 if field.is_prime else 2]:
+        d = build_descriptor(fam, 2, field)
+        seen = set()
+        for seed in range(60):
+            g = random_member(d, seed, word_len=(1, 2, 12)[seed % 3], with_torus=seed % 2 == 0)
+            corank = min(d.n - (Matrix.identity(field, d.n) - g).rank(), 2)
+            if corank not in seen:
+                seen.add(corank)
+                check(wall_spinor_norm(g, d) == spinor_norm(g, d), f"{d} seed {seed}: Wall form at corank {corank}")
+                checks += 1
+        check(seen == {0, 1, 2}, f"{d}: Wall form members of corank 0, 1 and 2 or more, found {sorted(seen)}")
+    return checks
+
+
 def shared_shapes() -> int:
     """Decompose one member per family at l = 3 over F_7, F_1000000007 and
     Q, interleaved (each shape's memo filled over one field, read over the
@@ -142,6 +165,10 @@ def main() -> None:
     start = time.perf_counter()
     total = shared_shapes()
     print(f"ok shared shapes at l = 3: {total} checks")
+    for field in (Field(7), QQ):
+        n = wall_ranks(field)
+        total += n
+        print(f"ok Wall form at ranks n, n - 1 and <= n - 2 over {field}: {n} checks")
     for fam in Family:
         for field in FIELDS:
             if fam is Family.GO_MINUS and not field.is_prime:

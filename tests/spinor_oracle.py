@@ -9,11 +9,34 @@ below is the one it replaced, on Matrix algebra alone: a fresh rref of
 lookahead read off beta h' + (beta h')^T = 2 beta, and every candidate
 tested against the set of elements met.  It picks its mirrors by the same
 rule, so the two must give the same mirror list and norm, vector for vector.
+
+It also holds the dense Wall form, the oracle for
+:func:`steinberg.spinor.wall_spinor_norm`: the Gram matrix (I-g)^T beta on
+the pivot columns of I-g, built by Matrix products, and its determinant by
+the scalar elimination of :mod:`gauss_oracle`, where the library reads the
+discriminant off one reduction of beta^T (I-g) with no Gram matrix.
 """
 
 from steinberg.field import square_class
 from steinberg.matrix import Matrix
+from gauss_oracle import oracle_det, oracle_pivot_columns
 from steinberg.spinor import _some_anisotropic, reflection_matrix
+
+
+def oracle_wall_gram(g: Matrix, d) -> tuple:
+    """(the pivot columns P of I-g, the Wall Gram matrix on them): entry
+    (a, b) is [(I-g)e_a, (I-g)e_b] = beta((I-g)e_a, e_b), the (a, b) entry
+    of (I-g)^T beta, for a and b in P; None when P is empty."""
+    tilde = Matrix.identity(g.field, g.rows) - g
+    piv = oracle_pivot_columns(tilde)
+    full = tilde.transpose() @ d.beta
+    return piv, Matrix(g.field, [[full[a, b] for b in piv] for a in piv]) if piv else None
+
+
+def oracle_wall_discriminant(g: Matrix, d) -> tuple:
+    """(P, the determinant of the Wall Gram matrix on P), 1 when P is empty."""
+    piv, gram = oracle_wall_gram(g, d)
+    return piv, oracle_det(gram) if piv else g.field.one
 
 
 def oracle_moved_space_basis(h: Matrix) -> tuple:

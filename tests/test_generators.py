@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -588,4 +589,65 @@ def test_legal_x_index_pairs_keep_their_order(fam, l):
     d = build_descriptor(fam, l, F5)
     assert legal_x_index_pairs(d) == LEGAL_X_PAIRS[fam, l]
     assert all(x_pattern(i, j, d) for i, j in LEGAL_X_PAIRS[fam, l])
+
+
+def test_legal_x_index_pairs_are_listed_once_per_shape(monkeypatch):
+    # every family at l <= 4 over F_5 and Q lists the pairs it listed when
+    # they were classified on every call (the digest), as a new list each
+    # time, read off one tuple of int pairs in the shape memo, and a second
+    # call classifies no pair
+    listed, classified = [], []
+    real = generators._x_pattern
+
+    def counting(*args):
+        classified.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(generators, "_x_pattern", counting)
+    for fam in Family:
+        for l in (1, 2, 3, 4):
+            for field in (F5, QQ):
+                if fam is Family.GO_MINUS and field == QQ:
+                    continue
+                d = build_descriptor(fam, l, field)
+                pairs = legal_x_index_pairs(d)
+                listed.append(f"{d}: {pairs}")
+                memo = d._shape.memo["x pairs"]
+                assert type(memo) is tuple and all(type(i) is int and type(j) is int for i, j in memo)
+                pairs.clear()
+                classified.clear()
+                again = legal_x_index_pairs(d)
+                assert classified == []
+                assert again is not pairs and tuple(again) == memo
+                assert all(x_pattern(i, j, d) for i, j in again)
+    assert hashlib.sha256("\n".join(listed).encode()).hexdigest()[:16] == "80b9b867cf8b6fc9"
+
+
+def test_parsing_a_word_checks_each_token_once(monkeypatch):
+    # parse_token checks its token, and the word built from the tokens does
+    # not check them again: one token_units call per token, through the word
+    # file of the CLI and through parse_word
+    calls = []
+    real = generators.token_units
+
+    def counting(tok, d):
+        calls.append(tok)
+        return real(tok, d)
+
+    for fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS, Family.GL):
+        for field in (F5, QQ):
+            if fam is Family.GO_MINUS and field == QQ:
+                continue
+            d = build_descriptor(fam, 2, field, similitude=fam is not Family.GL)
+            g = random_member(d, 5, word_len=12, with_torus=True)
+            dec = decompose_gl(g) if fam is Family.GL else decompose(g, d)
+            text = format_word_file(dec, d)
+            monkeypatch.setattr(generators, "token_units", counting)
+            calls.clear()
+            left, mid, right, _ = parse_word_file(text)
+            assert calls == [*left.tokens, *mid.tokens, *right.tokens] and len(calls) == len(left) + len(right) + 1
+            calls.clear()
+            assert parse_word(str(left), d).tokens == left.tokens
+            assert calls == list(left.tokens)
+            monkeypatch.undo()
 

@@ -465,6 +465,37 @@ def test_echelon_only_pivots_rank_and_det(field):
             assert a.det() == _laplace_det(field, a.data)
 
 
+@pytest.mark.parametrize("field", [Field(3), F7, QQ], ids=str)
+def test_reduction_takes_the_first_row_basis_and_keeps_the_leftover_rows_in_order(field):
+    # [A | I] reduced over A's columns: the I part of each final row is its
+    # own start row plus rows taken before it, which names where it started
+    rng = random.Random(47)
+    cases = list(_kernel_cases(field, rng))
+    for n in range(2, 8):
+        for _ in range(6):
+            k = rng.randint(1, n)
+            a, b = ([[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(c)] for _ in range(r)] for r, c in ((n, k), (k, n)))
+            cases.append(Matrix(field, a) @ Matrix(field, b))
+    moved = 0
+    for a in cases:
+        m, n = a.rows, a.cols
+        aug = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(a.num)]
+        k = len(a._reduce(aug, full=False)[0])
+        starts = []
+        for row in aug:
+            new = [i for i, v in enumerate(row[n:]) if v and i not in starts]
+            assert len(new) == 1
+            starts += new
+        first = []
+        for i, row in enumerate(a.to_lists()):
+            if oracle_rank(Matrix(field, [a.row(j) for j in first] + [row])) > len(first):
+                first.append(i)
+        assert sorted(starts[:k]) == first
+        assert starts[k:] == sorted(starts[k:])
+        moved += starts != sorted(starts)
+    assert moved
+
+
 def test_negative_pivots_and_denominators_give_canonical_matrices():
     a = Matrix(QQ, [[-3, 1, Fraction(-1, 2)], [2, -5, 0], [Fraction(-7, 3), 0, -1]])
     b = Matrix(QQ, [[-2, 4, 6], [-1, 2, 3], [Fraction(-1, 3), 1, 0]])

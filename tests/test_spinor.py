@@ -13,7 +13,7 @@ from steinberg.matrix import Matrix
 from steinberg.rowops import RIGHT
 from steinberg.spinor import (
     NotOrthogonalFamily,
-    _wall,
+    _wall_discriminant,
     in_commutator_subgroup,
     reflection_factorization,
     reflection_matrix,
@@ -24,7 +24,13 @@ from steinberg.spinor import (
 
 from gauss_oracle import oracle_det, oracle_rank, oracle_rref, oracle_solve, reduce_scalars
 from rowops_oracle import applied
-from spinor_oracle import oracle_moved_space_basis, oracle_reflection_factorization, oracle_totally_isotropic
+from spinor_oracle import (
+    oracle_moved_space_basis,
+    oracle_reflection_factorization,
+    oracle_totally_isotropic,
+    oracle_wall_discriminant,
+    oracle_wall_gram,
+)
 from test_eliminate import _near_members, _outcome
 
 F3 = Field(3)
@@ -98,7 +104,8 @@ def test_wall_property_one_entrywise():
         for seed in range(6):
             g = random_member(d, seed, word_len=6)
             tilde = Matrix.identity(field, d.n) - g
-            piv, gram = _wall(g, d)
+            piv, gram = oracle_wall_gram(g, d)
+            assert piv == _wall_discriminant(g, d)[0]
             basis = [tilde.col(j) for j in piv]
             for i, u in enumerate(basis):
                 for j, v in enumerate(basis):
@@ -147,7 +154,7 @@ def test_wall_norm_independent_of_choices():
                         shifted += 1
                     assert (tilde @ Matrix(f, [[v] for v in y])).col(0) == u
                     pre.append(y)
-                wall_basis = [tilde.col(j) for j in _wall(g, d)[0]]
+                wall_basis = [tilde.col(j) for j in _wall_discriminant(g, d)[0]]
                 assert oracle_rank(Matrix(f, wall_basis + basis)) == len(wall_basis) == len(basis)
                 if not basis:
                     assert wall_spinor_norm(g, d) == square(f)
@@ -155,6 +162,70 @@ def test_wall_norm_independent_of_choices():
                 gram = Matrix(f, [[beta_pair(d.beta, u, y) for y in pre] for u in basis])
                 assert square_class(f, oracle_det(gram)) == wall_spinor_norm(g, d)
         assert shifted, (family, f)
+
+
+def _wall_members(rng):
+    """Seeded isometries at l <= 4 over F_3, F_7, F_1000000007 and Q, whose
+    short words and products of a few reflections leave large fixed spaces."""
+    for f in (F3, Field(7), Field(1000000007), QQ):
+        for family in ORTH if f.is_prime else ORTH[:2]:
+            for l in (1, 2, 3, 4):
+                d = build_descriptor(family, l, f)
+                for seed in range(6):
+                    yield d, random_member(d, seed, word_len=(1, 2, 4 * l + 4)[seed % 3], with_torus=seed % 2 == 0)
+                for _ in range(4):
+                    g = Matrix.identity(f, d.n)
+                    for _ in range(rng.randint(1, d.n)):
+                        v = [f.of(rng.randint(-2, 2)) if rng.random() < 0.5 else f.zero for _ in range(d.n)]
+                        if beta_pair(d.beta, v, v) != f.zero:
+                            g = reflection_matrix(v, d) @ g
+                    yield d, g
+
+
+def test_wall_discriminant_equals_the_dense_gram_determinant(o_plus_4_3):
+    # det C[P, P] from one reduction of beta^T (I - g) is the determinant of
+    # the dense Gram matrix (I - g)^T beta on P, exactly, with the same P:
+    # on whole groups and on seeded members of every corank
+    d, en = o_plus_4_3
+    cases = [(d, g) for g in en.elements]
+    for family in (Family.GO_EVEN, Family.GO_MINUS):
+        e = build_descriptor(family, 1, F3)
+        cases += [(e, g) for g in enumerate_group(e, method="brute", cap=10**7).elements]
+    cases += list(_wall_members(random.Random(9)))
+    coranks = {}
+    for d, g in cases:
+        got = _wall_discriminant(g, d)
+        assert got == oracle_wall_discriminant(g, d), (d, g)
+        coranks.setdefault(d.field, set()).add(min(d.n - len(got[0]), 2))
+    assert all(seen == {0, 1, 2} for seen in coranks.values()), coranks
+
+
+def test_wall_route_runs_one_reduction_and_builds_no_matrix(monkeypatch):
+    # one forward reduction of beta^T (I - g), no determinant of a Gram
+    # matrix and no Matrix built at all, at every rank, g = I included
+    reduce, store, calls = Matrix._reduce, Matrix._store, {"reduce": 0, "det": 0, "built": 0}
+
+    def counting_reduce(self, *args, **kwargs):
+        calls["reduce"] += 1
+        return reduce(self, *args, **kwargs)
+
+    def counting_det(self):
+        calls["det"] += 1
+        raise AssertionError("the Wall route took a determinant")
+
+    def counting_store(self, *args):
+        calls["built"] += 1
+        return store(self, *args)
+
+    cases = list(_wall_members(random.Random(10)))
+    cases += [(d, Matrix.identity(d.field, d.n)) for d, _ in cases[:1]]
+    monkeypatch.setattr(Matrix, "_reduce", counting_reduce)
+    monkeypatch.setattr(Matrix, "det", counting_det)
+    monkeypatch.setattr(Matrix, "_store", counting_store)
+    for d, g in cases:
+        calls.update(reduce=0, det=0, built=0)
+        wall_spinor_norm(g, d)
+        assert calls == {"reduce": 1, "det": 0, "built": 0}, (d, g)
 
 
 def test_spinor_norm_examples():
