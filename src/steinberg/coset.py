@@ -23,7 +23,7 @@ from collections import Counter
 from . import rowops
 from .field import Record, Scalar
 from .forms import Family, GroupDescriptor, InternalError, NotInGroup, UnsupportedFamily, multiplier
-from .generators import GeneratorToken, Word, derived_w, evaluate_word, x, x_code
+from .generators import GeneratorToken, Word, derived_w, evaluate_word, x, x_code, x_token_units
 from .matrix import Matrix
 
 _COSET_FAMILIES = (Family.GSP, Family.GO_EVEN, Family.GO_ODD)
@@ -96,20 +96,41 @@ def _assert_parabolic_token(tok: GeneratorToken, d: GroupDescriptor) -> Generato
 
 
 class _Witness(rowops.WorkingMatrix):
-    """The working matrix plus the two witness words, parabolic tokens only."""
+    """The working matrix plus the two witness words, parabolic tokens
+    only, each with the units it was applied with.  The left word is
+    collected in application order and reversed once, in :meth:`words`."""
 
     def __init__(self, g: Matrix, d: GroupDescriptor):
         super().__init__(g, d)
         self.left: list = []
+        self.left_units: list = []
         self.right: list = []
+        self.right_units: list = []
 
-    def lmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
-        super().lmul(_assert_parabolic_token(tok, self.d))
-        self.left.insert(0, tok)
+    # rowops.apply is called through the module, where a tracer may wrap it
+    def xmul(self, i: int, j: int, t: Scalar, side: rowops.Side, neg: bool = False) -> None:
+        """Apply x[i,j](t), or x[i,j](-t) with ``neg``, and record that token
+        with its units, once it is checked to lie in P."""
+        d = self.d
+        if neg:
+            t = d.field.neg(t)
+        tok = _assert_parabolic_token(x(i, j, t), d)
+        delta = x_token_units(i, j, t, d)
+        rowops.apply(self, delta, side)
+        if side is rowops.LEFT:
+            self.left.append(tok)
+            self.left_units.append(delta)
+        else:
+            self.right.append(tok)
+            self.right_units.append(delta)
 
-    def rmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
-        super().rmul(_assert_parabolic_token(tok, self.d))
-        self.right.append(tok)
+    def words(self) -> tuple:
+        """(left witness, right witness): the left tokens reversed, as the
+        product left * g * right reads them."""
+        d = self.d
+        self.left.reverse()
+        self.left_units.reverse()
+        return Word._trusted(d, self.left, self.left_units), Word._trusted(d, self.right, self.right_units)
 
 
 def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
@@ -125,12 +146,12 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
     _check(g, d)
     b = _Witness(g, d)
     idxs = d.block_indices()
-    m = b.diagonalize([-i for i in idxs], idxs, lambda src, dst, t: (x(-src, -dst, t), None))
+    m = b.diagonalize([-i for i in idxs], idxs, lambda src, dst: (-src, -dst, False))
     pivots = idxs[:m]
     if d.family is Family.GO_ODD:
         for i in pivots:
             if (t := b.ratio(0, i, -i, i)) is not None:
-                b.lmul(x(i, 0, t))  # row 0 -= t * row -i
+                b.xmul(i, 0, t, rowops.LEFT)  # row 0 -= t * row -i
         # the form kills the tail of X
         b.require_cleared("X over the zero pivots", m)
     b.clear_pairs(m, 1, 1)
@@ -139,12 +160,8 @@ def coset_label(g: Matrix, d: GroupDescriptor) -> CosetLabel:
     omega, rows, cols = _omega(d, m)
     if any(b.num[r][c] for r in rows for c in cols):
         raise InternalError(f"reduced matrix is not in omega_{m} * P")
-    return CosetLabel(
-        m=m,
-        omega=omega,
-        left_witness=Word._trusted(d, b.left),
-        right_witness=Word._trusted(d, b.right),
-    )
+    left, right = b.words()
+    return CosetLabel(m=m, omega=omega, left_witness=left, right_witness=right)
 
 
 def coset_census(d: GroupDescriptor, enumeration) -> dict:

@@ -8,6 +8,11 @@ row and per column), so a token costs one integer pass per row or column it
 moves, zero tests read the integers, and each clearing multiplier is one
 ``ratio`` of two stored entries.  The inverse tokens are collected so that
 ``evaluate(left) @ diagonal @ evaluate(right)`` equals the input exactly.
+Each x-step is named by its index pair and parameter (``xmul``) and
+described once: the units of the recorded inverse x[i,j](s), computed by
+:func:`steinberg.generators.x_token_units`, are applied with u negated
+and kept next to the token, and the words keep them, so reassembly reads
+them again instead of describing the token a second time.
 
 One flow serves every family.  Around the square block A on the hyperbolic
 indices sit C (below it), B (beside it), D (diagonally opposite) and, for
@@ -39,8 +44,9 @@ reading the entries.
 
 Membership is proved by construction, not checked up front: mu is read off
 one entry of g^T beta g (:func:`steinberg.forms.read_multiplier`), and the
-closing check in ``finish`` compares the whole terminal matrix with the
-claimed torus element.  Only when the elimination fails, or mu reads 0, or
+closing check in ``finish`` compares the whole terminal matrix, on its
+stored integers, with the claimed torus element, which becomes the
+diagonal.  Only when the elimination fails, or mu reads 0, or
 an isometry descriptor reads mu != 1, does the full form check
 (:func:`steinberg.forms.multiplier`) run, so a non-member is refused with the
 position where its form equation fails, as that check names it.
@@ -80,12 +86,15 @@ from .generators import (
     evaluate_word,
     token_inverse,
     token_matrix,
+    token_units,
     torus,
     x,
     x1,
     x2,
+    x_token_units,
 )
 from .matrix import Matrix, SingularMatrix
+from .rowops import LEFT, RIGHT
 
 Observer = Callable[[str, Matrix], None]
 
@@ -110,22 +119,46 @@ class Decomposition(Record):
 
 
 class _Bench(rowops.WorkingMatrix):
-    """Elimination state: the working matrix plus the two inverse words."""
+    """Elimination state: the working matrix plus the two inverse words and
+    the units each of their tokens was applied with."""
 
     def __init__(self, g: Matrix, d: GroupDescriptor, observer: Observer | None):
         super().__init__(g, d)
         self.left: list = []
+        self.left_units: list = []
         self.right: list = []
+        self.right_units: list = []
         self.observer = observer
 
     # rowops.apply is called through the module, where a tracer may wrap it
-    def lmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
-        rowops.apply(self, tok, rowops.LEFT)
-        self.left.append(token_inverse(tok, self.d) if inv is None else x(tok.i, tok.j, inv))
+    def xmul(self, i: int, j: int, t: Scalar, side: rowops.Side, neg: bool = False) -> None:
+        """Apply x[i,j](-t) with ``neg``, else x[i,j](t), and record its
+        inverse x[i,j](s): s is t as given (canonical) with ``neg``, else the
+        canonical -t, as :func:`token_inverse` gives it.  The step is the
+        units of x[i,j](s) with u negated, and the word keeps those units."""
+        s = t if neg else self.f.of(-t)
+        delta = x_token_units(i, j, s, self.d)
+        units, u, u2, den, _ = delta
+        rowops.apply(self, (units, -u, u2, den, True), side)
+        if side is LEFT:
+            self.left.append(x(i, j, s))
+            self.left_units.append(delta)
+        else:
+            self.right.append(x(i, j, s))
+            self.right_units.append(delta)
 
-    def rmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
-        rowops.apply(self, tok, rowops.RIGHT)
-        self.right.append(token_inverse(tok, self.d) if inv is None else x(tok.i, tok.j, inv))
+    def lmul(self, tok: GeneratorToken) -> None:
+        """Apply a token from the left and record its inverse: an x-token
+        as an x-step, any other (w, x1, x2) through :func:`token_units`."""
+        if tok.kind == "x":
+            self.xmul(tok.i, tok.j, tok.t, LEFT)
+            return
+        d = self.d
+        delta = token_units(tok, d)
+        rowops.apply(self, delta, LEFT)
+        inv = token_inverse(tok, d)
+        self.left.append(inv)
+        self.left_units.append(delta if inv is tok else token_units(inv, d))
 
     def lmul_word(self, word: Word) -> None:
         for tok in reversed(word.tokens):
@@ -136,22 +169,37 @@ class _Bench(rowops.WorkingMatrix):
             self.observer(phase, self.matrix())
 
     def finish(self, lam: Scalar, mu: Scalar, alpha, block) -> Decomposition:
+        """The decomposition, once the terminal working matrix is literally
+        the claimed torus element T, compared on the integers: as residues
+        over F_p, and over Q each entry cross-multiplied by its row and
+        column dens and T's den.  T becomes the diagonal."""
         d = self.d
-        dec = Decomposition(
+        tok = torus(lam, mu, alpha=alpha, ts=block)
+        diagonal = token_matrix(tok, d)
+        if d.field.p is not None:
+            same = tuple(map(tuple, self.num)) == diagonal.num
+        else:
+            tden, cden = diagonal.den, self.cden
+            same = not any(
+                (v or w) and v * tden != w * rd * cd
+                for row, rd, trow in zip(self.num, self.rden, diagonal.num)
+                for v, w, cd in zip(row, trow, cden)
+            )
+        if not same:
+            raise InternalError(f"terminal matrix is not {tok}")
+        self.right.reverse()
+        self.right_units.reverse()
+        return Decomposition(
             descriptor=d,
-            left=Word._trusted(d, self.left),
-            right=Word._trusted(d, reversed(self.right)),
-            diagonal=self.matrix(),
+            left=Word._trusted(d, self.left, self.left_units),
+            right=Word._trusted(d, self.right, self.right_units),
+            diagonal=diagonal,
             lam=lam,
             mu=mu,
             alpha=alpha,
             block=block,
             op_count=len(self.left) + len(self.right),
         )
-        # the terminal matrix must literally be the claimed torus element
-        if dec.diagonal != token_matrix(dec.torus_token(), d):
-            raise InternalError(f"terminal matrix is not {dec.torus_token()}")
-        return dec
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +209,7 @@ class _Bench(rowops.WorkingMatrix):
 def _diagonalize_block(b: _Bench, idxs: list) -> int:
     """Bring the square block on ``idxs`` to diag(1,..,1,lambda) or
     diag(1,..,1,0,..,0) using only index-pair additions; returns the rank."""
-    f = b.f
-    m = b.diagonalize(idxs, idxs, lambda src, dst, t: (x(dst, src, f.neg(t)), t))
+    m = b.diagonalize(idxs, idxs, lambda src, dst: (dst, src, True))
     _normalize_pivots(b, idxs, m)
     return m
 
@@ -178,12 +225,12 @@ def _normalize_pivots(b: _Bench, idxs: list, m: int) -> None:
             a, c = b.at(u, u), b.at(v, v)
             if a == f.one:
                 continue
-            b.lmul(x(u, v, f.inv(c)))
-            b.rmul(x(v, u, f.neg(a)), a)
-            b.lmul(x(v, u, f.neg(c)), c)
-            b.rmul(x(v, u, 1))
-            b.lmul(x(v, u, f.mul(a, c)))
-            b.rmul(x(u, v, -1))
+            b.xmul(u, v, f.inv(c), LEFT)
+            b.xmul(v, u, a, RIGHT, neg=True)
+            b.xmul(v, u, c, LEFT, neg=True)
+            b.xmul(v, u, 1, RIGHT)
+            b.xmul(v, u, f.mul(a, c), LEFT)
+            b.xmul(u, v, -1, RIGHT)
         return
     v = idxs[m]  # a zero column to play against
     for k in range(m):
@@ -191,9 +238,9 @@ def _normalize_pivots(b: _Bench, idxs: list, m: int) -> None:
         a = b.at(u, u)
         if a == f.one:
             continue
-        b.rmul(x(u, v, f.inv(a)))
-        b.rmul(x(v, u, f.sub(f.one, a)))
-        b.rmul(x(u, v, -1))
+        b.xmul(u, v, f.inv(a), RIGHT)
+        b.xmul(v, u, f.sub(f.one, a), RIGHT)
+        b.xmul(u, v, -1, RIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +252,10 @@ def _clear_strips_odd(b: _Bench, active: list) -> None:
     f = b.f
     for i in active:
         if (t := b.ratio(0, i, i, i)) is not None:
-            b.lmul(x(0, i, f.neg(t)), t)
+            b.xmul(0, i, t, LEFT, neg=True)
     for i in active:
         if (t := b.ratio(i, 0, i, i)) is not None:
-            b.rmul(x(i, 0, f.neg(u := f.div(t, f.of(2)))), u)
+            b.xmul(i, 0, f.div(t, f.of(2)), RIGHT, neg=True)
 
 
 def _clear_strips_twisted(b: _Bench, active: list) -> None:
@@ -219,11 +266,11 @@ def _clear_strips_twisted(b: _Bench, active: list) -> None:
     for i in active:
         for s in (1, -1):
             if (t := b.ratio(s, i, i, i)) is not None:
-                b.lmul(x(i, s, f.neg(u := f.div(t, two))), u)
+                b.xmul(i, s, f.div(t, two), LEFT, neg=True)
     for i in active:
         for s, den in ((1, two), (-1, two_eps)):
             if (t := b.ratio(i, s, i, i)) is not None:
-                b.rmul(x(s, i, f.neg(u := f.div(t, den))), u)
+                b.xmul(s, i, f.div(t, den), RIGHT, neg=True)
 
 
 def _clear_C(b: _Bench, m: int) -> None:

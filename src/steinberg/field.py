@@ -218,13 +218,25 @@ class Field(Record):
         return (-a) % self.p if self.p is not None else -a
 
     def inv(self, a: Scalar) -> Scalar:
-        if a == 0:
+        """1 / a, canonical: over Q a Fraction, also for an int; over F_p a
+        residue, a Fraction read through :meth:`of` first."""
+        p = self.p
+        if p is None:
+            if a == 0:
+                raise DivisionByZero("inverse of zero")
+            return Fraction(1, a) if type(a) is int else 1 / a
+        if type(a) is not int:
+            a = self.of(a)
+        if a % p == 0:
             raise DivisionByZero("inverse of zero")
-        return pow(a, -1, self.p) if self.p is not None else 1 / a
+        return pow(a, -1, p)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
+        """a / b, canonical, for int or Fraction arguments, as :meth:`inv`."""
         if b == 0:
             raise DivisionByZero("division by zero")
+        if self.p is not None and type(a) is not int:
+            a = self.of(a)
         return self.mul(a, self.inv(b))
 
     def elements(self) -> Iterator[Scalar]:

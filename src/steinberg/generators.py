@@ -20,11 +20,17 @@ k * u at (row, col) of D and the token's matrix ``(den * I + D) / den``.
 An x-token's units are a code written in :func:`_x_units`, placed at
 storage positions once per index pair (:func:`x_code`) and kept in one
 table per group shape, which every descriptor of that family, rank and
-epsilon shares, over any field; any other token's are its entries.  A
-checked :class:`Word`, the grammar, the in-place application
-(:func:`steinberg.rowops.apply`) and :func:`evaluate_word` all read them,
-the last two through the one update loop of :mod:`steinberg.matrix`;
-:func:`token_matrix` adds their values to ``den * I``.
+epsilon shares, over any field, and read with the parameter by
+:func:`x_token_units`, the only code that computes them; any other
+token's are its entries.  A checked :class:`Word` and the grammar compute
+them through :func:`token_units`; the elimination and the coset witnesses
+compute each x-token's once, through :func:`x_token_units`, for the
+parameter they record, and hand them to the in-place application
+(:func:`steinberg.rowops.apply`).  Every :class:`Word` keeps its tokens'
+units: the ones its check or its emitter computed, or else the ones its
+first evaluation computes, so :func:`evaluate_word` describes no token a
+second time; both run the one update loop of :mod:`steinberg.matrix`.
+:func:`token_matrix` adds the units' values to ``den * I``.
 """
 
 from __future__ import annotations
@@ -76,7 +82,8 @@ class GeneratorToken(namedtuple("GeneratorToken", "kind i j t s alpha lam mu",
 
 def x(i: int, j: int, t: Scalar) -> GeneratorToken:
     # the namedtuple's own __new__ is a Python function with seven defaults;
-    # the elimination builds two x-tokens per token it applies
+    # the elimination and the coset witnesses build one x-token per token
+    # they apply, the one they record, next to its units (x_token_units)
     return _new_token(GeneratorToken, ("x", i, j, t, None, None, None, None))
 
 
@@ -199,14 +206,7 @@ def token_units(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
     :meth:`Field.of`.  Any other token's units are its entries, u = 1."""
     kind = tok.kind
     if kind == "x":
-        _, squared, units = d._xcodes.get((tok.i, tok.j)) or x_code(tok.i, tok.j, d)
-        t, p = tok.t, d.field.p
-        if type(t) is not int and (p is not None or type(t) is not Fraction):
-            t = d.field.of(t)
-        if p is not None:
-            return units, t % p, t * t % p, 1, True
-        a, b = t.numerator, t.denominator
-        return (units, a * b, a * a, b * b, True) if squared else (units, a, 0, b, True)
+        return x_token_units(tok.i, tok.j, tok.t, d)
     fam = d.family
     if kind == "w":
         i = tok.i
@@ -229,6 +229,22 @@ def token_units(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
     else:
         entries = [(-1, -1, -2)]
     return _entry_units(entries, d)
+
+
+def x_token_units(i: int, j: int, t: Scalar, d: GroupDescriptor) -> tuple:
+    """The units of x[i,j](t) as :func:`token_units` gives them, and the
+    only place they are computed: the pair's compiled code (:func:`x_code`)
+    as it stands, sequential, with u, u2 and den from t = a/b.  The
+    elimination and the coset witnesses call it with the parameter they
+    record, so a token they emit is described once."""
+    _, squared, units = d._xcodes.get((i, j)) or x_code(i, j, d)
+    p = d.field.p
+    if type(t) is not int and (p is not None or type(t) is not Fraction):
+        t = d.field.of(t)
+    if p is not None:
+        return units, t % p, t * t % p, 1, True
+    a, b = t.numerator, t.denominator
+    return (units, a * b, a * a, b * b, True) if squared else (units, a, 0, b, True)
 
 
 # apart from token_units, where what a comprehension reads becomes a cell made on every call
@@ -376,21 +392,29 @@ def token_inverse(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
 
 
 class Word(Record):
-    __slots__ = _fields = ("descriptor", "tokens")
+    """The tokens of a group, in order.  ``_units``, no field, keeps each
+    token's units (:func:`token_units`) in order, as the check of
+    ``Word(d, tokens)`` or the emitting elimination computed them, or as
+    the first evaluation of any other trusted word computes them."""
+
+    _fields = ("descriptor", "tokens")
+    __slots__ = _fields + ("_units",)
 
     def __init__(self, descriptor: GroupDescriptor, tokens: tuple):
         tokens = tuple(tokens)
-        for tok in tokens:
-            token_units(tok, descriptor)
+        units = tuple([token_units(tok, descriptor) for tok in tokens])
         self._init(descriptor, tokens)
+        object.__setattr__(self, "_units", units)
 
     @classmethod
-    def _trusted(cls, descriptor: GroupDescriptor, tokens: Iterable) -> "Word":
+    def _trusted(cls, descriptor: GroupDescriptor, tokens: Iterable, units: Iterable | None = None) -> "Word":
         """Trusted constructor: each token, or the one it inverts, goes
         through :func:`token_units`, which checks it, where it is applied or
-        evaluated (the derived words) or before it is recorded."""
+        evaluated (the derived words) or before it is recorded.  ``units``,
+        if given, are the tokens' units as they were applied or checked."""
         word = cls.__new__(cls)
         word._init(descriptor, tuple(tokens))
+        object.__setattr__(word, "_units", None if units is None else tuple(units))
         return word
 
     def __len__(self) -> int:
@@ -402,9 +426,10 @@ class Word(Record):
 
 def evaluate_word(word: Word, *rest: Word | Matrix) -> Matrix:
     """The ordered product of the parts in one chain from I: a word stands
-    for its tokens' units (:func:`token_units`), in order, a matrix
-    for itself, so no token matrix is built.  The first word gives the field
-    and size; the empty word is I."""
+    for its tokens' units, in order, the ones it keeps (computed by
+    :func:`token_units` on its first evaluation if it keeps none), a
+    matrix for itself, so no token matrix is built.  The first word gives
+    the field and size; the empty word is I."""
     d = word.descriptor
     return Matrix._chain(Matrix.identity(d.field, d.n), _factors(d, (word, *rest)))
 
@@ -417,8 +442,10 @@ def _factors(d: GroupDescriptor, parts: Iterable[Word | Matrix]) -> Iterator:
         e = part.descriptor
         if (e.field, e.n) != (d.field, d.n):
             raise DimensionMismatch(f"a word of {e} in a product over {d}")
-        for tok in part.tokens:
-            yield token_units(tok, e)
+        if (units := part._units) is None:
+            units = tuple([token_units(tok, e) for tok in part.tokens])
+            object.__setattr__(part, "_units", units)
+        yield from units
 
 
 def derived_w(i: int, d: GroupDescriptor) -> Word:

@@ -22,11 +22,19 @@ a normalised :class:`Matrix` snapshot straight from the integers.
 Elimination and the coset labels share its two clearing routines, the pivot
 loop ``diagonalize`` and the pair pass ``clear_pairs``.
 
-``apply(w, tok, LEFT)`` turns ``w`` into ``token_matrix(tok) @ w`` and
-``apply(w, tok, RIGHT)`` into ``w @ token_matrix(tok)``, bit-exact.  Both
-hand the token's units (:func:`steinberg.generators.token_units`, which
-refuses a token that is not in the group: an x-token's compiled code and
-the integers of its parameter, read as they stand) to the product kernel's
+``apply(w, delta, LEFT)`` turns ``w`` into ``M @ w`` and
+``apply(w, delta, RIGHT)`` into ``w @ M``, bit-exact, for the matrix M of a
+token's units (:func:`steinberg.generators.token_units`: an x-token's
+compiled code and the integers of its parameter, read as they stand).  It
+takes the units, not the token: they are computed where a step is named,
+once per token.  ``lmul`` and ``rmul`` take a token and compute its units
+through :func:`~steinberg.generators.token_units`, which refuses a token
+that is not in the group; ``xmul`` names an x-step by its index pair and
+parameter and computes its units through
+:func:`~steinberg.generators.x_token_units`, the same description, with no
+token built.  The elimination and the coset witnesses override ``xmul``
+to keep, next to the token they record, the units they applied, which
+their words then keep.  ``apply`` hands the units to the product kernel's
 own update loop
 (:func:`steinberg.matrix._apply_delta`), which moves only the rows (LEFT)
 or columns (RIGHT) the token names, computing each value as it adds v / den
@@ -45,7 +53,7 @@ from fractions import Fraction
 
 from .field import DivisionByZero, Scalar
 from .forms import GroupDescriptor, InternalError
-from .generators import GeneratorToken, token_units, x
+from .generators import GeneratorToken, token_units, x_token_units
 from .matrix import Matrix, _apply_delta
 
 
@@ -58,17 +66,19 @@ LEFT = Side.LEFT
 RIGHT = Side.RIGHT
 
 
-def apply(w: "WorkingMatrix", tok: GeneratorToken, side: Side) -> None:
-    """Multiply the working matrix by the token on the given side, in place.
+def apply(w: "WorkingMatrix", delta: tuple, side: Side) -> None:
+    """Multiply the working matrix in place, on the given side, by a token
+    given as its units ``delta`` (:func:`steinberg.generators.token_units`),
+    computed once by the caller, which also keeps them.
 
-    A unit (r, c) of the token's delta over its den adds value / den times
+    A unit (r, c) of the delta over its den adds value / den times
     source row c to row r (LEFT, the units read backwards) or source column
     r to column c (RIGHT), in the rows and over the row or the column
     denominators; an x-token's units one at a time, any other's sources read
     before any write.
     """
     left = side is LEFT
-    _apply_delta(w.f.p, w.num, w.rden if left else w.cden, token_units(tok, w.d), left)
+    _apply_delta(w.f.p, w.num, w.rden if left else w.cden, delta, left)
 
 
 class WorkingMatrix:
@@ -108,14 +118,15 @@ class WorkingMatrix:
         rden, cden = self.rden, self.cden
         return Fraction(a * rden[ru] * cden[cv], b * rden[r] * cden[c])
 
-    def diagonalize(self, rows: list, cols: list, row_token) -> int:
+    def diagonalize(self, rows: list, cols: list, row_pair) -> int:
         """Bring the block on (rows, cols) to a leading diagonal and return
         its rank.  Step k moves the first nonzero entry of the trailing
         block to (rows[k], cols[k]) with at most one row and one column
-        token, then clears its column and row.  ``row_token(src, dst, t)``
-        gives the token that subtracts t times row src from row dst (t = -1
-        adds it) and its inverse's parameter, or None; a column token is
-        always x[src, dst](t), adding t times column src to dst."""
+        token, then clears its column and row.  ``row_pair(src, dst)``
+        gives ``(i, j, neg)``: x[i,j](-t) if ``neg``, else x[i,j](t),
+        subtracts t times row src from row dst, and the move adds row src
+        with the literal parameter 1 or -1; a column step is always
+        x[src, dst](t), adding t times column src to dst."""
         pos, num, f = self.d._positions, self.num, self.f
         prow, pcol = [pos[i] for i in rows], [pos[j] for j in cols]
         for k in range(len(cols)):
@@ -126,19 +137,20 @@ class WorkingMatrix:
             u, v = rows[k], cols[k]
             pu, pv = prow[k], pcol[k]
             if r != k and not num[pu][pcol[c]]:
-                self.lmul(row_token(rows[r], u, -1)[0])  # -1 is no canonical inverse parameter
+                ri, rj, neg = row_pair(rows[r], u)
+                self.xmul(ri, rj, 1 if neg else -1, LEFT)
             if c != k and not num[pu][pv]:
-                self.rmul(x(cols[c], v, 1))
+                self.xmul(cols[c], v, 1, RIGHT)
             if not (b := num[pu][pv]):
                 raise InternalError(f"no pivot at ({u},{v}) after moving ({rows[r]},{cols[c]}) there")
             inv = pow(b, -1, f.p) if f.p is not None else None
             for i, pi in zip(rows, prow):
                 if pi != pu and (a := num[pi][pv]):
-                    self.lmul(*row_token(u, i, self._over(a, pi, pv, pu, pv, inv)))
+                    ri, rj, neg = row_pair(u, i)
+                    self.xmul(ri, rj, self._over(a, pi, pv, pu, pv, inv), LEFT, neg)
             for j, pj in zip(cols, pcol):
                 if pj != pv and (a := num[pu][pj]):
-                    t = self._over(a, pu, pj, pu, pv, inv)
-                    self.rmul(x(v, j, f.neg(t)), t)
+                    self.xmul(v, j, self._over(a, pu, pj, pu, pv, inv), RIGHT, True)
         return len(cols)
 
     def clear_pairs(self, m: int, s: int, c: int) -> None:
@@ -147,11 +159,10 @@ class WorkingMatrix:
         pairs i = j first, then i before j (the shape's
         :meth:`~steinberg.forms.GroupDescriptor.pair_plan`); the form kills
         the partner entry, and the caller checks."""
-        num, f = self.num, self.f
+        num = self.num
         for r, pr, col, i, j in self.d.pair_plan(m, s, c):
             if a := num[r][col]:
-                t = self._over(a, r, col, pr, col, None)
-                self.lmul(x(i, j, f.neg(t)), t)
+                self.xmul(i, j, self._over(a, r, col, pr, col, None), LEFT, True)
 
     def first_nonzero(self, rows: list, cols: list, k: int):
         """(r, c) of the first nonzero entry (rows[r], cols[c]), storage
@@ -186,12 +197,23 @@ class WorkingMatrix:
         (:meth:`~steinberg.forms.GroupDescriptor.cells`), at pivot count m."""
         self.require_zero(self.d.cells(name, m), name)
 
-    # inv, an x-token's inverse parameter if the caller holds it, is for subclasses that record inverses
-    def lmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
-        apply(self, tok, LEFT)
+    def lmul(self, tok: GeneratorToken) -> None:
+        apply(self, token_units(tok, self.d), LEFT)
 
-    def rmul(self, tok: GeneratorToken, inv: Scalar | None = None) -> None:
-        apply(self, tok, RIGHT)
+    def rmul(self, tok: GeneratorToken) -> None:
+        apply(self, token_units(tok, self.d), RIGHT)
+
+    def xmul(self, i: int, j: int, t: Scalar, side: Side, neg: bool = False) -> None:
+        """Multiply by x[i,j](t), or by x[i,j](-t) with ``neg``, on the
+        given side: the units of x[i,j](t) (:func:`x_token_units`), with u
+        negated for ``neg``, which leaves u2 and den and is exact (mod p the
+        update loop reduces k * u).  The elimination and the coset witnesses
+        override it to record the step."""
+        delta = x_token_units(i, j, t, self.d)
+        if neg:
+            units, u, u2, den, _ = delta
+            delta = units, -u, u2, den, True
+        apply(self, delta, side)
 
     def matrix(self) -> Matrix:
         f = self.f

@@ -10,9 +10,9 @@ a tautology.
 Every update reads the operand rows as they were before the operation, so
 the order of the paired writes never matters.
 
-``applied`` runs the library's in-place ``apply`` on a
-:class:`WorkingMatrix` copy of a :class:`Matrix`, for tests that work with
-whole matrices.  ``x_units_delta`` is an x-token's delta built from this
+``applied`` runs the library's in-place ``apply`` of the token's units on
+a :class:`WorkingMatrix` copy of a :class:`Matrix`, for tests that work
+with whole matrices.  ``x_units_delta`` is an x-token's delta built from this
 module's own ``_x_units``, the value form of every x-token written out per
 index pattern at t = a/b: the oracle for the codes that the library writes
 in coefficient form and compiles once per index pair
@@ -26,9 +26,9 @@ from steinberg.rowops import LEFT, Side, WorkingMatrix, apply
 
 
 def applied(g: Matrix, tok: GeneratorToken, side: Side, d: GroupDescriptor) -> Matrix:
-    """The library's ``apply`` on a working copy of g."""
+    """The library's ``apply`` of the token's units on a working copy of g."""
     w = WorkingMatrix(g, d)
-    apply(w, tok, side)
+    apply(w, token_units(tok, d), side)
     return w.matrix()
 
 

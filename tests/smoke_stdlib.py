@@ -22,6 +22,10 @@ other checks have not yet used, it decomposes one member of each family
 over F_7, F_1000000007 and Q in turn, and then in the reverse order, and
 checks that each reassembles: the positions a group shape fixes are placed
 once per shape over whichever field comes first, and read over the others.
+Next, for one member of each family over F_7 and Q, it checks that fresh
+words with the decomposition's tokens, checked ones and ones that keep no
+units, reassemble it as the decomposition's own words, which keep the
+units the elimination applied, do.
 Then, over F_7 and Q, it checks the Wall form against the elimination on
 one isometry per orthogonal family and l = 2 with I - g of rank n, one of
 rank n - 1 and one of rank at most n - 2.
@@ -161,10 +165,36 @@ def shared_shapes() -> int:
     return checks
 
 
+def fresh_words() -> int:
+    """Reassemble one member of each family over F_7 and Q from fresh words
+    with the decomposition's tokens, a checked one (``Word``) and one that
+    keeps no units (``Word._trusted``): each must give the element, as the
+    decomposition's own words, which keep the units the elimination
+    applied, do."""
+    checks = 0
+    for field in (Field(7), QQ):
+        for fam in Family:
+            if fam is Family.GO_MINUS and not field.is_prime:
+                continue
+            d = build_descriptor(fam, 2, field, similitude=fam is not Family.GL)
+            g = random_member(d, 4, word_len=12, with_torus=True)
+            dec = decompose_gl(g) if fam is Family.GL else decompose(g, d)
+            e = dec.descriptor
+            for make in (Word, Word._trusted):
+                left, right = make(e, dec.left.tokens), make(e, dec.right.tokens)
+                check(evaluate_word(left, dec.diagonal, right) == dec.reassemble() == g,
+                      f"{e}: reassembly from fresh words ({make.__name__})")
+                checks += 1
+    return checks
+
+
 def main() -> None:
     start = time.perf_counter()
     total = shared_shapes()
     print(f"ok shared shapes at l = 3: {total} checks")
+    n = fresh_words()
+    total += n
+    print(f"ok reassembly from fresh words over F7 and Q: {n} checks")
     for field in (Field(7), QQ):
         n = wall_ranks(field)
         total += n

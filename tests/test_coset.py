@@ -252,9 +252,8 @@ def test_clearing_checks_raise_internal_error(monkeypatch):
     every token the label emits, whichever module built it."""
     import steinberg.coset as coset
 
-    for name in ("lmul", "rmul"):
-        mul = getattr(coset._Witness, name)
-        monkeypatch.setattr(coset._Witness, name, lambda self, tok, inv=None, mul=mul: mul(self, tok._replace(t=0)))
+    mul = coset._Witness.xmul
+    monkeypatch.setattr(coset._Witness, "xmul", lambda self, i, j, t, side, neg=False: mul(self, i, j, 0, side))
     for family in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
         d = build_descriptor(family, 2, Field(7))
         for seed in range(5):

@@ -22,7 +22,7 @@ from steinberg.forms import (
     read_multiplier,
 )
 from steinberg.eliminate import decompose, decompose_gl
-from steinberg.generators import Word, token_matrix, torus, w
+from steinberg.generators import Word, token_matrix, token_units, torus, w
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix, SingularMatrix
 from steinberg.spinor import spinor_norm
@@ -544,7 +544,7 @@ def test_the_D_diagonal_check_reads_the_stored_integers(field):
         b = eliminate._Bench(Matrix.diagonal(f, diag), d, None)
         # diag(1, lam, m, m / lam) from both sides scales each D(i, i) A(i, i) by m^2
         for side in (rowops.LEFT, rowops.RIGHT):
-            rowops.apply(b, torus(f.of(Fraction(3, 2)), f.of(Fraction(5, 11))), side)
+            rowops.apply(b, token_units(torus(f.of(Fraction(3, 2)), f.of(Fraction(5, 11))), d), side)
         if (prod := f.mul(b.at(-1, -1), b.at(1, 1))) != f.zero and rng.random() < 0.7:
             mu = prod
         got = outcome(eliminate._check_lower_cleared, b, mu)

@@ -89,6 +89,30 @@ def test_division_by_zero():
         QQ.inv(Fraction(0))
 
 
+@pytest.mark.parametrize("field", [F7, Field(1000000007), QQ], ids=str)
+def test_inv_and_div_stay_exact_for_int_and_fraction_arguments(field):
+    """``inv`` and ``div`` give the canonical scalar for int and Fraction
+    arguments alike: a Fraction over Q (never a float, also for ints), a
+    residue over F_p (a Fraction read through ``of``); a zero divisor
+    raises :class:`DivisionByZero`, whatever its type."""
+    canonical = Fraction if field.p is None else int
+    for a in (2, -3, 5, Fraction(2), Fraction(-3, 4), Fraction(5, 6)):
+        inv = field.inv(a)
+        assert type(inv) is canonical and inv == field.of(inv), a
+        assert field.mul(field.of(a), inv) == field.one, a
+        for b in (1, 3, Fraction(-2, 5)):
+            q = field.div(b, a)
+            assert type(q) is canonical and q == field.of(q), (b, a)
+            assert q == field.mul(field.of(b), inv), (b, a)
+    assert (QQ.inv(2), QQ.div(1, 3), QQ.inv(-4)) == (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4))
+    assert type(field.div(0, 3)) is canonical and field.div(0, 3) == field.zero
+    for zero in (0, Fraction(0), field.zero):
+        with pytest.raises(DivisionByZero):
+            field.inv(zero)
+        with pytest.raises(DivisionByZero):
+            field.div(1, zero)
+
+
 def test_parse_round_trip():
     assert F7.parse("12") == 5
     assert QQ.parse("3/4") == Fraction(3, 4)

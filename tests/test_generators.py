@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -322,8 +323,8 @@ def test_every_illegal_token_message(d, tok, text):
         lambda: token_units(tok, d),
         lambda: token_matrix(tok, d),
         lambda: Word(d, [lead, tok]),
-        lambda: rowops.apply(rowops.WorkingMatrix(Matrix.identity(d.field, d.n), d), tok, rowops.LEFT),
-        lambda: rowops.apply(rowops.WorkingMatrix(Matrix.identity(d.field, d.n), d), tok, rowops.RIGHT),
+        lambda: rowops.WorkingMatrix(Matrix.identity(d.field, d.n), d).lmul(tok),
+        lambda: rowops.WorkingMatrix(Matrix.identity(d.field, d.n), d).rmul(tok),
         lambda: evaluate_word(Word._trusted(d, [tok])),
     ]
     if tok.kind != "y":
@@ -554,6 +555,53 @@ def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
         chains.clear()
         assert verify_label(g, label, d)
         assert chains[0] == deltas(label.left_witness) + [g] + deltas(label.right_witness)
+
+
+@pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
+def test_words_keep_their_tokens_units(field):
+    """A word keeps its tokens' units in order, each equal to
+    ``token_units(tok, d)``: ``dec.left`` and ``dec.right`` the ones the
+    elimination applied, the coset witnesses the ones the label applied,
+    ``Word(d, tokens)`` the ones its check computed, and a trusted word such
+    as ``parse_word``'s the ones its first evaluation computed.  The slot is
+    no field: equality, hash, repr and pickling ignore it.  Reassembling
+    from fresh words, checked or keeping nothing, gives ``dec.reassemble()``."""
+    def assert_kept(word, d):
+        assert word._units is not None and len(word._units) == len(word.tokens), str(word)
+        assert list(word._units) == [token_units(tok, d) for tok in word.tokens], str(word)
+
+    for fam in ALL + (Family.GL,):
+        if fam is Family.GO_MINUS and not field.is_prime:
+            continue
+        for l in (1, 2, 3):
+            d = build_descriptor(fam, l, field, similitude=True)
+            for seed in (1, 2):
+                g = random_member(d, seed, word_len=4 * l + 4, with_torus=True)
+                dec = decompose_gl(g) if fam is Family.GL else decompose(g, d)
+                d = dec.descriptor  # decompose_gl's own GL descriptor
+                for word in (dec.left, dec.right):
+                    assert_kept(word, d)
+                    checked, bare = Word(d, word.tokens), Word._trusted(d, word.tokens)
+                    assert_kept(checked, d)
+                    assert bare._units is None and bare == word == checked and hash(bare) == hash(word)
+                    assert repr(bare) == repr(word) and pickle.loads(pickle.dumps(word)) == word
+                    parsed = parse_word(str(word), d)
+                    assert parsed == word and parsed._units is None
+                    assert evaluate_word(parsed) == evaluate_word(bare) == evaluate_word(word)
+                    assert_kept(parsed, d)
+                    assert_kept(bare, d)
+                fresh = [Word(d, dec.left.tokens), Word(d, dec.right.tokens)]
+                bare = [Word._trusted(d, dec.left.tokens), Word._trusted(d, dec.right.tokens)]
+                assert dec.reassemble() == g
+                assert evaluate_word(fresh[0], dec.diagonal, fresh[1]) == g
+                assert evaluate_word(bare[0], dec.diagonal, bare[1]) == g
+                if fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
+                    e = build_descriptor(fam, l, field)
+                    h = random_member(e, seed, word_len=4 * l + 4)
+                    label = coset_label(h, e)
+                    assert_kept(label.left_witness, e)
+                    assert_kept(label.right_witness, e)
+                    assert verify_label(h, label, e)
 
 
 # The order feeds random_member's token pool, so every seeded member and every

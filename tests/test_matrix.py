@@ -7,7 +7,9 @@ import pytest
 from steinberg.field import DivisionByZero, Field, QQ
 from steinberg.eliminate import decompose
 from steinberg.forms import Family, InternalError, build_descriptor
-from steinberg.generators import legal_x_index_pairs, token_matrix, token_units, torus, w, x, x1, x2, x_pattern
+from steinberg.generators import (
+    legal_x_index_pairs, token_matrix, token_units, torus, w, x, x1, x2, x_pattern, x_token_units,
+)
 from steinberg.harness import (
     _random_scalar,
     _random_token_from,
@@ -533,11 +535,13 @@ def test_rational_kernel_builds_no_fraction(monkeypatch):
 
 
 def test_the_update_loop_and_token_units_make_no_cells():
-    """Every token application runs these two; a comprehension that read
-    their locals would turn each such local into a cell made on every call
-    and read through a cell load in the F_p loops."""
+    """Every token application runs the update loop and one of the two
+    descriptions; a comprehension that read their locals would turn each
+    such local into a cell made on every call and read through a cell load
+    in the F_p loops."""
     assert _apply_delta.__code__.co_cellvars == ()
     assert token_units.__code__.co_cellvars == ()
+    assert x_token_units.__code__.co_cellvars == ()
 
 
 @pytest.mark.parametrize("field", [F5, Field(1000000007), QQ], ids=str)

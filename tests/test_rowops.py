@@ -414,7 +414,7 @@ def test_delta_chain_matches_the_hand_written_updates(field, monkeypatch):
                     written.clear()
                     for tok in toks:
                         want = oracle_apply(want, tok, side, d)
-                        rowops.apply(b, tok, side)
+                        rowops.apply(b, token_units(tok, d), side)
                     assert written, (fam, l, side)
                     assert b.matrix() == want, (fam, l, side)
                     assert_canonical(b.matrix())
@@ -499,15 +499,12 @@ def test_ratio_is_the_quotient_of_two_entries(field):
 
 
 def _recording(g, d):
-    """A working matrix that also records every token it applies."""
+    """A working matrix that also records every x-step it applies, as the
+    token x[i,j](t), or x[i,j](-t) for a negated step."""
     class Recording(WorkingMatrix):
-        def lmul(self, tok, inv=None):
-            super().lmul(tok)
-            self.log.append((LEFT, tok))
-
-        def rmul(self, tok, inv=None):
-            super().rmul(tok)
-            self.log.append((RIGHT, tok))
+        def xmul(self, i, j, t, side, neg=False):
+            super().xmul(i, j, t, side, neg)
+            self.log.append((side, x(i, j, self.f.neg(t) if neg else t)))
 
     b = Recording(g, d)
     b.log = []
@@ -518,10 +515,10 @@ def _recording(g, d):
 def test_diagonalize_moves_then_clears_the_first_pivot(field):
     """A block whose first column is zero and whose first nonzero entry sits
     below the first row needs a row move and a column move.  The block rows
-    1, 2, 3 of A (row tokens x[dst, src](-t)) and the rows -1, -2, -3 of C
+    1, 2, 3 of A (row steps x[dst, src](-t)) and the rows -1, -2, -3 of C
     (x[-src, -dst](t), so the move keeps its literal -1) hold the same
-    entries, so both makers emit the same steps; the result is diagonal and
-    agrees with the hand-written updates."""
+    entries, so both pair makers emit the same steps; the result is
+    diagonal and agrees with the hand-written updates."""
     d = build_descriptor(Family.GSP, 3, field)
     rows = [[0] * d.n for _ in range(d.n)]
     for i, j, v in ((2, 3, 2), (3, 2, 1), (3, 3, 3)):
@@ -534,12 +531,12 @@ def test_diagonalize_moves_then_clears_the_first_pivot(field):
     cols = [(RIGHT, x(2, 1, 1)), (RIGHT, x(1, 2, neg)), (RIGHT, x(1, 3, field.of(-3))),
             (RIGHT, x(3, 2, 1)), (RIGHT, x(2, 3, neg))]
     cases = (
-        (idxs, lambda src, dst, t: (x(dst, src, field.neg(t)), t), [(LEFT, x(1, 3, 1)), (LEFT, x(3, 1, neg))]),
-        ([-i for i in idxs], lambda src, dst, t: (x(-src, -dst, t), None), [(LEFT, x(3, 1, -1)), (LEFT, x(1, 3, 1))]),
+        (idxs, lambda src, dst: (dst, src, True), [(LEFT, x(1, 3, 1)), (LEFT, x(3, 1, neg))]),
+        ([-i for i in idxs], lambda src, dst: (-src, -dst, False), [(LEFT, x(3, 1, -1)), (LEFT, x(1, 3, 1))]),
     )
-    for block_rows, row_token, (move, clear) in cases:
+    for block_rows, row_pair, (move, clear) in cases:
         b = _recording(g, d)
-        assert b.diagonalize(block_rows, idxs, row_token) == 2
+        assert b.diagonalize(block_rows, idxs, row_pair) == 2
         assert b.log == [move, cols[0], clear] + cols[1:]
         assert str(b.log[0][1].t) == str(move[1].t)  # the literal, not p - 1
         for r, i in enumerate(block_rows):
@@ -570,7 +567,7 @@ def test_mixed_sides_never_share_a_row_list(field):
         pool = delta_tokens(d, rng)
         for _ in range(40):
             tok, side = rng.choice(pool), rng.choice((LEFT, RIGHT))
-            rowops.apply(b, tok, side)
+            rowops.apply(b, token_units(tok, d), side)
             want = token_matrix(tok, d) @ want if side is LEFT else want @ token_matrix(tok, d)
             assert len({id(row) for row in b.num}) == d.n, (fam, tok, side)
         assert b.matrix() == want, fam
@@ -614,12 +611,13 @@ def test_units_path_matches_the_oracle_for_every_x_pair(field):
 
 
 def _assert_refused(g, tok, d, error):
-    """``apply`` from either side and ``evaluate_word`` raise ``error`` for
-    tok, and the working matrix is left as it was."""
+    """The working matrix's ``lmul`` and ``rmul``, which describe the token
+    for ``apply``, and ``evaluate_word`` raise ``error`` for tok, and the
+    working matrix is left as it was."""
     for side in (LEFT, RIGHT):
         b = WorkingMatrix(g, d)
         with pytest.raises(error):
-            rowops.apply(b, tok, side)
+            (b.lmul if side is LEFT else b.rmul)(tok)
         assert b.matrix() == g, (tok, side)
     with pytest.raises(error):
         evaluate_word(Word._trusted(d, [tok]), g)
@@ -627,29 +625,40 @@ def _assert_refused(g, tok, d, error):
 
 def test_token_application_reads_canonical_parameters_without_field_of(monkeypatch):
     """Over Q every x parameter the elimination applies is an int or a
-    reduced Fraction, which the update loop reads as it stands: no
-    ``Field.of`` call inside token application during ``decompose`` and
-    ``decompose_gl``.  A Fraction over F_p is reduced through it, once."""
+    reduced Fraction, which the token's units (:func:`x_token_units`) and
+    the update loop read as they stand: no ``Field.of`` call inside token
+    application, the units and their in-place ``apply``, during
+    ``decompose`` and ``decompose_gl``.  A Fraction over F_p is reduced
+    through it, once."""
+    from steinberg import eliminate, generators
     from steinberg.eliminate import decompose, decompose_gl
 
     calls = {"of": 0, "apply": 0}
     inside = []
-    field_of, rowops_apply = Field.of, rowops.apply
+    field_of = Field.of
 
     def of(self, v):
         calls["of"] += bool(inside)
         return field_of(self, v)
 
-    def apply(w, tok, side):
-        calls["apply"] += 1
-        inside.append(tok)
-        try:
-            rowops_apply(w, tok, side)
-        finally:
-            inside.pop()
+    def within(fn, name=None):
+        def wrapped(*args):
+            if name:
+                calls[name] += 1
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapped
 
     monkeypatch.setattr(Field, "of", of)
-    monkeypatch.setattr(rowops, "apply", apply)
+    monkeypatch.setattr(rowops, "apply", within(rowops.apply, "apply"))
+    x_units, units = within(generators.x_token_units), within(generators.token_units)
+    monkeypatch.setattr(generators, "x_token_units", x_units)
+    monkeypatch.setattr(eliminate, "x_token_units", x_units)
+    monkeypatch.setattr(eliminate, "token_units", units)
+    monkeypatch.setattr(rowops, "token_units", units)
     for fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GL):
         for l in (2, 4):
             d = build_descriptor(fam, l, QQ, similitude=True)
@@ -658,7 +667,7 @@ def test_token_application_reads_canonical_parameters_without_field_of(monkeypat
             assert dec.reassemble() == g
     assert calls["apply"] > 100 and calls["of"] == 0, calls
     d = build_descriptor(Family.GSP, 2, F5)
-    rowops.apply(WorkingMatrix(Matrix.identity(F5, d.n), d), x(1, 2, Fraction(1, 2)), LEFT)
+    WorkingMatrix(Matrix.identity(F5, d.n), d).lmul(x(1, 2, Fraction(1, 2)))
     assert calls["of"] == 1
 
 
