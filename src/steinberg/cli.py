@@ -45,7 +45,7 @@ import sys
 from .field import CannotFactor, Field, QQ
 from .forms import (EnumerationTooLarge, Family, GroupDescriptor, InternalError, NotInGroup, NotOrthogonalFamily,
                     UnsupportedFamily, build_descriptor, dimension, first_difference)
-from .generators import IllegalToken, Word, evaluate_word, parse_token
+from .generators import IllegalToken, Word, _parse_token, evaluate_word
 from .matrix import Matrix, SingularMatrix
 
 
@@ -207,13 +207,15 @@ def parse_word_file(text: str) -> tuple:
         if key in parts:
             raise ParseError(f"duplicate word file key {key!r}, first on line {at[key]}", lineno)
         if key in _WORD_KEYS:
-            toks = []
-            for k, tok in enumerate(rest.split(), 1):
+            toks, units = [], []
+            for k, entry in enumerate(rest.split(), 1):
                 try:
-                    toks.append(parse_token(tok, d))
+                    tok, unit = _parse_token(entry, d)
                 except (ValueError, ZeroDivisionError) as e:  # includes IllegalToken
                     raise ParseError(f"bad token in {key}= line: {e}", lineno, k) from e
-            rest = Word._trusted(d, toks)  # parse_token checked each token
+                toks.append(tok)
+                units.append(unit)
+            rest = Word._trusted(d, toks, units)  # each token checked and described once
         parts[key], at[key] = rest, lineno
     missing = [k for k in _WORD_KEYS if k not in parts]
     if missing:

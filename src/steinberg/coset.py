@@ -13,7 +13,9 @@ The form is checked once, on g; the reduced matrix is an isometry by
 construction.  omega_m is a signed permutation, built once per descriptor
 and m, so the closing check reads P's zero block straight off the working
 matrix's integers, on the rows omega_m moves onto it, without inverting
-omega_m or forming a product.  ``verify_label`` stays the dense recheck.
+omega_m or forming a product.  ``verify_label`` stays the dense recheck: it
+evaluates omega_m^-1 as a word of inverse tokens, in the same chain as the
+witnesses, so it needs no matrix inverse and no memo.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections import Counter
 from . import rowops
 from .field import Record, Scalar
 from .forms import Family, GroupDescriptor, InternalError, NotInGroup, UnsupportedFamily, multiplier
-from .generators import GeneratorToken, Word, derived_w, evaluate_word, x, x_code, x_token_units
+from .generators import GeneratorToken, Word, derived_w, evaluate_word, token_inverse, x, x_code, x_token_units
 from .matrix import Matrix
 
 _COSET_FAMILIES = (Family.GSP, Family.GO_EVEN, Family.GO_ODD)
@@ -176,6 +178,13 @@ def coset_census(d: GroupDescriptor, enumeration) -> dict:
 
 
 def verify_label(g: Matrix, label: CosetLabel, d: GroupDescriptor) -> bool:
-    """Recheck the witness equation left * g * right in omega_m * P."""
-    prod = evaluate_word(label.left_witness, g, label.right_witness)
-    return is_in_parabolic(label.omega.inverse() @ prod, d)
+    """Recheck the witness equation left * g * right in omega_m * P, densely
+    and apart from :func:`_omega`'s memo: omega_m^-1 is evaluated as a word,
+    the inverse tokens of the swaps w_m, ..., w_1 in reverse, in one chain
+    with the witnesses and g, and the product is tested for P.  A label
+    whose m is not one of 0..l is refused."""
+    if not 0 <= label.m <= d.l:
+        return False
+    swaps = [derived_w(i, d) for i in range(label.m, 0, -1)]
+    inv = Word._trusted(d, [token_inverse(t, d) for swap in swaps for t in reversed(swap.tokens)])
+    return is_in_parabolic(evaluate_word(inv, label.left_witness, g, label.right_witness), d)

@@ -504,6 +504,12 @@ _TORUS_RE = re.compile(r"^torus\(([^)]*)\)$")
 
 def parse_token(text: str, d: GroupDescriptor) -> GeneratorToken:
     """Parse one token in the grammar emitted by ``str(token)``."""
+    return _parse_token(text, d)[0]
+
+
+def _parse_token(text: str, d: GroupDescriptor) -> tuple:
+    """(token, its units): the token parsed, then checked and described once
+    by :func:`token_units`, so a word built from it keeps the units."""
     text = text.strip()
     f = d.field
     if m := _X_RE.match(text):
@@ -527,14 +533,14 @@ def parse_token(text: str, d: GroupDescriptor) -> GeneratorToken:
             raise IllegalToken(f"bad torus arity: {text}")
     else:
         raise IllegalToken(f"cannot parse token: {text!r}")
-    token_units(tok, d)
-    return tok
+    return tok, token_units(tok, d)
 
 
 def parse_word(text: str, d: GroupDescriptor) -> Word:
-    """A word of tokens separated by whitespace, each checked once, by
-    :func:`parse_token`."""
-    return Word._trusted(d, [parse_token(t, d) for t in text.split()])
+    """A word of tokens separated by whitespace, each checked and described
+    once as it is parsed; the word keeps the units."""
+    parsed = [_parse_token(t, d) for t in text.split()]
+    return Word._trusted(d, [tok for tok, _ in parsed], [units for _, units in parsed])
 
 
 # The order in which legal_x_index_pairs lists the x-token patterns.

@@ -3,12 +3,11 @@
 One stored form for both fields: integer rows ``num`` over a positive ``den``
 (residues in 0..p-1 over 1 for F_p; over Q the least common denominator,
 with ``gcd(den, *num) == 1``).  It is canonical, so ``==`` and ``hash``
-compare it directly, and products, sums and transposes run on the
-integers alike for both fields.  The product is one kernel,
-:meth:`Matrix._chain`, which multiplies a left factor by a sequence of right
-factors in order; ``@`` is a chain of one, the plain row loop.  A right
-factor is a matrix or a token's delta, its units
-(:func:`steinberg.generators.token_units`), which stands for
+compare it directly, and products run on the integers alike for both
+fields.  The product is one kernel, :meth:`Matrix._chain`, which multiplies
+a left factor by a sequence of right factors in order; ``@`` is a chain of
+one, the plain row loop.  A right factor is a matrix or a token's delta,
+its units (:func:`steinberg.generators.token_units`), which stands for
 ``(den * I + D) / den``, so a word is multiplied without building a matrix
 per token.  Every token update, in the chain and on the working matrix of
 :mod:`steinberg.rowops` alike, runs through the one loop
@@ -19,18 +18,18 @@ at a time with no copy of a source; over Q a moved row is a new list and a
 moved column is rewritten in place, each over its own den, the lcm of the
 two it combines, with the gcd divided out only once that den reaches
 ``_REDUCE_FROM`` (one int digit).  Only the normalise step
-(:func:`_lowest`, and that loop) and the scalar view
-(``data``, ``[i, j]``, ``row``, ``col``, ``to_lists``, ``repr``: the
-residues, or ``Fraction(v, den)``) know the field.  Pivot columns, rank,
-rref, inverse and determinant go through one elimination kernel on the
-stored integers: on residues over F_p, and fraction-free over Q, where the
-reduced rows come out over one common pivot and go straight back to the
-stored form.  Rref and inverse take full Gauss-Jordan; pivot columns, rank
-and determinant stop at a row-echelon form.  The trusted constructors
-``_canonical`` and ``_normal`` take integer rows as they are; token
-matrices and the snapshots of the working matrix (:mod:`steinberg.rowops`)
-are built through them, without a scalar per entry.  ``Matrix.identity``,
-with which every word evaluation starts, is one shared value per (field, n).
+(:func:`_lowest`, and that loop) and the scalar view (``data``, ``[i, j]``,
+``row``, ``to_lists``, ``repr``: the residues, or ``Fraction(v, den)``)
+know the field.  Pivot columns, rank and determinant go through one
+elimination kernel on the stored integers, :meth:`Matrix._reduce`, on
+residues over F_p and fraction-free over Q, and stop at a row-echelon form.
+Its full Gauss-Jordan serves the moved-space record of
+:mod:`steinberg.spinor`, whose reduced rows come out over one common pivot.
+The trusted constructors ``_canonical`` and ``_normal`` take integer rows as
+they are; token matrices and the snapshots of the working matrix
+(:mod:`steinberg.rowops`) are built through them, without a scalar per
+entry.  ``Matrix.identity``, with which every word evaluation starts, is one
+shared value per (field, n).
 """
 from __future__ import annotations
 
@@ -231,15 +230,6 @@ class Matrix:
         """I_n over the field, one shared value per (field, n)."""
         return _identity(field, n)
 
-    @classmethod
-    def diagonal(cls, field: Field, entries: Iterable[Scalar]) -> "Matrix":
-        entries = [field.of(e) for e in entries]
-        n = len(entries)
-        zero = field.zero
-        return cls._canonical(field, *_over_lcm([
-            [entries[i] if i == j else zero for j in range(n)] for i in range(n)
-        ]))
-
     # -- the scalar view -----------------------------------------------------
 
     def _view(self, ints: Iterable[int]) -> tuple:
@@ -258,9 +248,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple:
         return self._view(self.num[i])
-
-    def col(self, j: int) -> tuple:
-        return self._view(r[j] for r in self.num)
 
     def to_lists(self) -> list:
         return [list(self._view(r)) for r in self.num]
@@ -341,29 +328,6 @@ class Matrix:
             return Matrix._normal(field, *_rows_over_lcm(vecs, dens))
         return Matrix._canonical(field, rows if vecs is None else vecs, den)  # residues already over F_p
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape or field mismatch")
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        return Matrix._normal(self.field, [
-            [a * sa + b * sb for a, b in zip(ra, rb)] for ra, rb in zip(self.num, other.num)
-        ], den)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + -other
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._normal(self.field, [[-v for v in r] for r in self.num], self.den)
-
-    def scale(self, c: Scalar) -> "Matrix":
-        c = self.field.of(c)
-        top = c.numerator
-        return Matrix._normal(self.field, [[top * v for v in r] for r in self.num], c.denominator * self.den)
-
-    def transpose(self) -> "Matrix":
-        return Matrix._canonical(self.field, zip(*self.num), self.den) if self.num else self
-
     # -- exact elimination kernel on the stored integers ----------------------
 
     def _reduce(self, aug: list, full: bool = True) -> tuple:
@@ -433,12 +397,6 @@ class Matrix:
     def rank(self) -> int:
         return len(self.pivot_columns())
 
-    def rref(self) -> "Matrix":
-        """Reduced row-echelon form."""
-        rows = list(map(list, self.num))
-        s = self._reduce(rows)[2]
-        return Matrix._normal(self.field, rows, s)
-
     def det(self) -> Scalar:
         if not self.is_square:
             raise DimensionMismatch("determinant of non-square matrix")
@@ -447,17 +405,6 @@ class Matrix:
         if len(pivots) != self.rows:
             return f.zero
         return det % f.p if f.is_prime else Fraction(det, self.den ** self.rows)
-
-    def inverse(self) -> "Matrix":
-        if not self.is_square:
-            raise DimensionMismatch("inverse of non-square matrix")
-        n, den = self.rows, self.den
-        # [num | den I] reduces to s [I | den num^-1], and den num^-1 is the inverse
-        aug = [list(r) + [den if j == i else 0 for j in range(n)] for i, r in enumerate(self.num)]
-        pivots, _, s = self._reduce(aug)
-        if len(pivots) != n:
-            raise SingularMatrix("matrix is singular")
-        return Matrix._normal(self.field, [r[n:] for r in aug], s)
 
 
 @lru_cache(maxsize=64)  # a Matrix is immutable, so I_n is built once per (field, n)

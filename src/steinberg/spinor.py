@@ -217,6 +217,9 @@ def _mirror(x: list, den: int, d: GroupDescriptor) -> tuple | None:
     return (x, den, y, 1, 2 * pow(nv, -1, p), nv) if p is not None else (x, den, y, nv, 2, nv)
 
 
+# No library code calls this; benchmarks/tracing.py binds it when a traced run
+# installs, so removing it would break every --trace run.  It goes once the
+# tracer points its reflection metrics at _record, _hyperplane and the mirror checks.
 def reflection_matrix(v, d: GroupDescriptor) -> Matrix:
     """The reflection in the hyperplane orthogonal to an anisotropic v."""
     m = _mirror(_over_lcm([v])[0][0], 1, d)

@@ -1,14 +1,24 @@
-"""Gauss-Jordan elimination on field scalars: the oracle for the library's
-integer kernel :meth:`steinberg.matrix.Matrix._reduce`.
+"""Dense linear algebra on field scalars: the oracle for the library's
+integer kernels, :meth:`steinberg.matrix.Matrix._chain` (products) and
+:meth:`steinberg.matrix.Matrix._reduce` (elimination).
 
-The library eliminates on the stored integers (residues over F_p, and
-fraction-free over Q).  The elimination below runs on the scalar view with
-the :class:`~steinberg.field.Field` arithmetic, one ``Fraction`` per entry
-over Q, and normalises every pivot row, so agreement with it is a test
-rather than a tautology.  Each ``oracle_*`` function but the last mirrors
-the :class:`~steinberg.matrix.Matrix` method of the same name;
-``oracle_solve`` has no library counterpart and finds the preimages of the
-Wall form by its definition in ``test_spinor``.
+The library computes on the stored integers (residues over F_p, and over Q
+integer rows over a common denominator, eliminated fraction-free).  The
+helpers below run on lists of field scalars, the scalar view
+``Matrix.to_lists()``, with the :class:`~steinberg.field.Field` arithmetic,
+one ``Fraction`` per entry over Q, and go back to a :class:`Matrix` only
+through its public constructor.  They share no code with the kernels, so
+agreement with them is a test rather than a tautology.
+
+``identity``, ``product``, ``difference``, ``transposed`` and ``rref_rows``
+(Gauss-Jordan through :func:`reduce_scalars`, which normalises every pivot
+row) work on scalar lists; ``diagonal`` and ``scaled`` build test fixtures
+from scalars.  The ``oracle_*`` functions take and give
+matrices: pivot columns, rank and determinant mirror the ``Matrix`` methods
+of those names; ``oracle_rref`` and ``oracle_inverse`` are what
+``_reduce`` gives on ``[A | I]``; ``oracle_solve`` has no library
+counterpart and finds the preimages of the Wall form by its definition in
+``test_spinor``.
 """
 
 from steinberg.matrix import Matrix, SingularMatrix
@@ -50,6 +60,55 @@ def reduce_scalars(f, n: int, aug: list) -> tuple:
     return pivots, det
 
 
+# -- dense scalar matrices: lists of rows of field scalars ---------------------
+
+
+def identity(f, n: int) -> list:
+    return [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+
+
+def product(f, a: list, b: list) -> list:
+    """a times b by the triple loop."""
+    out = []
+    for row in a:
+        acc = []
+        for col in zip(*b):
+            s = f.zero
+            for u, v in zip(row, col):
+                s = f.add(s, f.mul(u, v))
+            acc.append(s)
+        out.append(acc)
+    return out
+
+
+def difference(f, a: list, b: list) -> list:
+    return [[f.sub(u, v) for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def transposed(a: list) -> list:
+    return [list(col) for col in zip(*a)]
+
+
+def rref_rows(f, a: list) -> list:
+    """The reduced row-echelon form of a, as a new list."""
+    rows = [list(r) for r in a]
+    reduce_scalars(f, len(rows[0]) if rows else 0, rows)
+    return rows
+
+
+def diagonal(f, entries) -> Matrix:
+    entries = list(entries)
+    return Matrix(f, [[e if i == j else 0 for j in range(len(entries))] for i, e in enumerate(entries)])
+
+
+def scaled(g: Matrix, c) -> Matrix:
+    f = g.field
+    return Matrix(f, [[f.mul(f.of(c), v) for v in r] for r in g.to_lists()])
+
+
+# -- oracles on matrices -------------------------------------------------------
+
+
 def oracle_pivot_columns(g: Matrix) -> list:
     return reduce_scalars(g.field, g.cols, g.to_lists())[0]
 
@@ -59,9 +118,7 @@ def oracle_rank(g: Matrix) -> int:
 
 
 def oracle_rref(g: Matrix) -> Matrix:
-    rows = g.to_lists()
-    reduce_scalars(g.field, g.cols, rows)
-    return Matrix(g.field, rows)
+    return Matrix(g.field, rref_rows(g.field, g.to_lists()))
 
 
 def oracle_det(g: Matrix):
@@ -71,7 +128,7 @@ def oracle_det(g: Matrix):
 
 def oracle_inverse(g: Matrix) -> Matrix:
     f, n = g.field, g.rows
-    aug = [r + e for r, e in zip(g.to_lists(), Matrix.identity(f, n).to_lists())]
+    aug = [r + e for r, e in zip(g.to_lists(), identity(f, n))]
     pivots, _ = reduce_scalars(f, n, aug)
     if len(pivots) != n:
         raise SingularMatrix("matrix is singular")

@@ -137,7 +137,9 @@ def wall_ranks(field: Field) -> int:
         seen = set()
         for seed in range(60):
             g = random_member(d, seed, word_len=(1, 2, 12)[seed % 3], with_torus=seed % 2 == 0)
-            corank = min(d.n - (Matrix.identity(field, d.n) - g).rank(), 2)
+            rows = enumerate(g.to_lists())
+            moved = [[field.sub(field.of(int(i == j)), v) for j, v in enumerate(r)] for i, r in rows]  # I - g
+            corank = min(d.n - Matrix(field, moved).rank(), 2)
             if corank not in seen:
                 seen.add(corank)
                 check(wall_spinor_norm(g, d) == spinor_norm(g, d), f"{d} seed {seed}: Wall form at corank {corank}")

@@ -37,6 +37,7 @@ from steinberg.spinor import (
     wall_spinor_norm,
 )
 
+from gauss_oracle import diagonal, oracle_inverse
 from rowops_oracle import applied, oracle_apply
 
 F3, F5, F7 = Field(3), Field(5), Field(7)
@@ -160,7 +161,7 @@ def test_criterion_3_word_identities():
         for _ in range(20):
             lam = rng.randrange(1, 7)
             diag = [1] * (l - 1) + [lam] + [1] * (l - 1) + [pow(lam, -1, 7)]
-            assert evaluate_word(derived_h(lam, d)) == Matrix.diagonal(F7, diag)
+            assert evaluate_word(derived_h(lam, d)) == diagonal(F7, diag)
             checks += 1
     report(3, f"swap and torus word identities exact, {checks} checks")
 
@@ -287,7 +288,7 @@ def test_criterion_9_commutator_membership():
         for seed in range(200):
             a = random_member(d, seed, word_len=5, with_torus=True)
             b = random_member(d, seed + 10**6, word_len=5, with_torus=True)
-            comm = a @ b @ a.inverse() @ b.inverse()
+            comm = a @ b @ oracle_inverse(a) @ oracle_inverse(b)
             assert in_commutator_subgroup(comm, d)
         nonsquares = [c for c in range(1, 5) if not square_class(F5, c).is_square]
         rng = random.Random(9)
@@ -297,6 +298,6 @@ def test_criterion_9_commutator_membership():
             g = token_matrix(torus(lam, 1, alpha=alpha), d)
             # dress the torus in a random unipotent conjugator
             u = random_member(d, k, word_len=3)
-            g = u @ g @ u.inverse()
+            g = u @ g @ oracle_inverse(u)
             assert not in_commutator_subgroup(g, d)
     report(9, "commutators pass membership, nonsquare-lambda tori fail it")

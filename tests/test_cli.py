@@ -20,6 +20,8 @@ from steinberg.generators import Word, evaluate_word, legal_x_index_pairs, x
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix
 
+from gauss_oracle import diagonal
+
 F5 = Field(5)
 
 
@@ -154,7 +156,7 @@ def test_verify_refuses_a_similitude_torus_under_an_isometry_header(tmp_path, ca
 def test_spinor_command(tmp_path, capsys):
     # torus with nonsquare lambda: theta=nonsquare
     d = build_descriptor(Family.GO_EVEN, 2, F5)
-    g = Matrix.diagonal(F5, [1, 2, 1, 3])  # lambda = 2, a nonsquare mod 5
+    g = diagonal(F5, [1, 2, 1, 3])  # lambda = 2, a nonsquare mod 5
     mpath = write(tmp_path, "m.txt", format_matrix_file(g, d))
     code, out, _ = run(capsys, "spinor", mpath)
     assert code == 0

@@ -32,6 +32,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gauss_oracle import diagonal
 from rowops_oracle import oracle_apply
 from steinberg.cli import build_parser, format_matrix_file, format_word_file, main, parse_matrix_file, parse_word_file
 from steinberg.eliminate import decompose, decompose_gl
@@ -177,7 +178,7 @@ def torus_matrix_files(draw):
     diag = [f.one] * d.n
     for k in draw(st.sets(st.integers(0, d.n - 1), min_size=1)):
         diag[k] = f.of(draw(st.sampled_from([0, 1, -1, 2, Fraction(1, 2)])))
-    return format_matrix_file(g @ Matrix.diagonal(f, diag), d)
+    return format_matrix_file(g @ diagonal(f, diag), d)
 
 
 @st.composite

@@ -5,19 +5,20 @@ import pytest
 from steinberg.field import QQ, Field
 from steinberg.forms import Family, InternalError, NotInGroup, UnsupportedFamily, build_descriptor
 from steinberg.coset import (
+    CosetLabel,
     coset_census,
     coset_label,
     is_in_parabolic,
     omega_matrix,
     verify_label,
 )
-from steinberg.generators import evaluate_word, legal_x_index_pairs, token_matrix, w, x, x_pattern
+from steinberg.generators import Word, evaluate_word, legal_x_index_pairs, token_matrix, w, x, x_pattern
 from steinberg.harness import enumerate_group, random_member
 from steinberg.matrix import Matrix
-from steinberg.rowops import RIGHT
+from steinberg.rowops import LEFT, RIGHT
 
-from gauss_oracle import oracle_rank
-from rowops_oracle import applied
+from gauss_oracle import diagonal, oracle_inverse, oracle_rank
+from rowops_oracle import applied, oracle_apply
 
 F3 = Field(3)
 F5 = Field(5)
@@ -186,7 +187,7 @@ def test_rejected_families_and_similitudes():
         is_in_parabolic(Matrix.identity(F5, 3), dgl)
     dsim = build_descriptor(Family.GSP, 1, F5, similitude=True)
     with pytest.raises(NotInGroup):
-        coset_label(Matrix.diagonal(F5, [2, 1]), dsim)
+        coset_label(diagonal(F5, [2, 1]), dsim)
 
 
 def test_non_parabolic_witness_token_raises_internal_error():
@@ -265,8 +266,8 @@ def test_clearing_checks_raise_internal_error(monkeypatch):
 @pytest.mark.parametrize("field", [F7, Field(1000000007), QQ], ids=str)
 @pytest.mark.parametrize("family", COSET_FAMILIES)
 def test_every_label_passes_the_dense_recheck(family, field):
-    # the label's own check reads the working matrix; verify_label inverts
-    # omega_m and multiplies the witnesses out densely
+    # the label's own check reads the working matrix; verify_label
+    # multiplies omega_m^-1, as a word, and the witnesses out densely
     for l in range(1, 5):
         d = build_descriptor(family, l, field)
         for seed in range(6):
@@ -274,6 +275,64 @@ def test_every_label_passes_the_dense_recheck(family, field):
             label = coset_label(g, d)
             assert label.omega == omega_matrix(d, label.m)
             assert verify_label(g, label, d)
+
+
+def _equation_holds(label, g, d) -> bool:
+    """Whether left * g * right lies in omega_m * P, decided apart from the
+    library's product: the witnesses are applied by the hand-written token
+    updates, and omega_m^-1 b is in P exactly when b vanishes on the rows
+    omega_m moves onto P's zero block (row i for i <= m, row -i for i > m,
+    and row 0 in odd rank) over the columns 1..l, since omega_m swaps e_i
+    and e_-i up to sign for i <= m and fixes the other basis lines."""
+    b = g
+    for tok in reversed(label.left_witness.tokens):
+        b = oracle_apply(b, tok, LEFT, d)
+    for tok in label.right_witness.tokens:
+        b = oracle_apply(b, tok, RIGHT, d)
+    rows = [d.pos(i if i <= label.m else -i) for i in d.block_indices()]
+    rows += [d.pos(0)] if d.family is Family.GO_ODD else []
+    return all(b[r, d.pos(j)] == d.field.zero for r in rows for j in d.block_indices())
+
+
+@pytest.mark.parametrize("field", [F7, Field(1000000007), QQ], ids=str)
+@pytest.mark.parametrize("family", COSET_FAMILIES)
+def test_verify_label_refuses_a_wrong_label(family, field):
+    # the true label passes.  Any other m is refused, whatever g is: omega_k^-1
+    # omega_m swaps e_i and e_-i for i between k and m, and an m outside
+    # 0..l names no omega.  A witness with one token's parameter t moved to
+    # t + 1 is refused exactly when the equation then fails.  That is not
+    # every time: the change multiplies left * g * right by a conjugate q of
+    # x(1) in P, which omega_m^-1 may carry back into P (always when m = 0)
+    rng = random.Random(53)
+    f = field
+    refused = kept = 0
+    for l in (1, 2, 3):
+        d = build_descriptor(family, l, field)
+        pairs = parabolic_pairs(d)
+
+        def parabolic():
+            return Word(d, [x(*rng.choice(pairs), rng.randint(1, 6)) for _ in range(3 if pairs else 0)])
+
+        members = [random_member(d, seed, word_len=4 * l + 4, with_torus=True) for seed in range(3)]
+        members += [evaluate_word(parabolic(), omega_matrix(d, m), parabolic()) for m in range(l + 1)]
+        for g in members:
+            label = coset_label(g, d)
+            assert verify_label(g, label, d) and _equation_holds(label, g, d)
+            for k in range(-1, l + 2):
+                if k != label.m:
+                    assert not verify_label(g, CosetLabel(k, label.omega, label.left_witness, label.right_witness), d)
+            for side in (0, 1):
+                words = [label.left_witness, label.right_witness]
+                for at, tok in enumerate(words[side].tokens):
+                    toks = list(words[side].tokens)
+                    toks[at] = x(tok.i, tok.j, f.add(f.of(tok.t), f.one))
+                    words[side] = Word(d, toks)
+                    bent = CosetLabel(label.m, label.omega, *words)
+                    holds = _equation_holds(bent, g, d)
+                    assert verify_label(g, bent, d) is holds
+                    refused += not holds
+                    kept += holds
+    assert refused and kept
 
 
 @pytest.mark.parametrize("family", COSET_FAMILIES)
@@ -294,7 +353,7 @@ def test_a_wrong_omega_raises_internal_error(family, monkeypatch):
             if pairs:
                 bent = label.omega @ token_matrix(x(*pairs[0], 1), d)
                 reduced = evaluate_word(label.left_witness, g, label.right_witness)
-                assert is_in_parabolic(bent.inverse() @ reduced, d)
+                assert is_in_parabolic(oracle_inverse(bent) @ reduced, d)
                 subs.append(bent)
             for sub in subs:
                 monkeypatch.setattr(coset, "omega_matrix", lambda dd, k, sub=sub: sub)

@@ -27,6 +27,8 @@ from steinberg.harness import random_member
 from steinberg.matrix import Matrix, SingularMatrix
 from steinberg.spinor import spinor_norm
 
+from gauss_oracle import diagonal, scaled
+
 F3 = Field(3)
 F5 = Field(5)
 F7 = Field(7)
@@ -54,7 +56,7 @@ def test_symplectic_torus_absorbed():
     for l in (1, 2, 3):
         d = build_descriptor(Family.GSP, l, F5)
         diag = [1] * (l - 1) + [3] + [1] * (l - 1) + [pow(3, -1, 5)]
-        dec = decompose(Matrix.diagonal(F5, diag), d)
+        dec = decompose(diagonal(F5, diag), d)
         assert dec.diagonal == Matrix.identity(F5, d.n)
         assert dec.lam == 1 and dec.mu == 1
         assert dec.op_count > 0
@@ -108,7 +110,7 @@ def test_rejects_non_members():
     assert err.value.position is not None
     with pytest.raises(NotInGroup):
         # similitude fed to an isometry descriptor
-        decompose(Matrix.diagonal(F5, [2, 2, 1, 1]), build_descriptor(Family.GSP, 1, F5))
+        decompose(diagonal(F5, [2, 2, 1, 1]), build_descriptor(Family.GSP, 1, F5))
     with pytest.raises(UnsupportedFamily):
         decompose(Matrix.identity(F5, 3), build_descriptor(Family.GL, 2, F5))
 
@@ -168,15 +170,15 @@ def test_decompose_gl_examples():
     dec = decompose_gl(Matrix.identity(F7, 3))
     assert len(dec.left) == 0 and len(dec.right) == 0 and dec.diagonal == Matrix.identity(F7, 3)
 
-    g = Matrix.diagonal(F7, [2, 3])
+    g = diagonal(F7, [2, 3])
     dec = decompose_gl(g)
-    assert dec.diagonal == Matrix.diagonal(F7, [1, 6])  # det = 6
+    assert dec.diagonal == diagonal(F7, [1, 6])  # det = 6
     assert dec.reassemble() == g
 
     swap = Matrix(F7, [[0, 1], [1, 0]])
     dec = decompose_gl(swap)
     assert dec.op_count == 3
-    assert dec.diagonal == Matrix.diagonal(F7, [1, 6])
+    assert dec.diagonal == diagonal(F7, [1, 6])
     assert dec.reassemble() == swap
 
     with pytest.raises(SingularMatrix):
@@ -409,7 +411,7 @@ def _perturbed(g, d, rng):
     m = [list(r) for r in rows]
     m[i], m[j] = m[j], m[i]
     out.append(m)
-    out.append(g.scale(2).to_lists())
+    out.append(scaled(g, 2).to_lists())
     out.append([[f.zero] * n for _ in range(n)])
     if d.block_indices():
         k = d.pos(d.block_indices()[0])
@@ -509,7 +511,7 @@ def test_a_member_is_decomposed_without_the_full_form_check(monkeypatch):
             assert read_multiplier(g, d)[0] == multiplier(g, d)
             assert decompose(g, d).reassemble() == g and not calls
             with pytest.raises(MultiplierNotOne):
-                decompose(random_member(iso, 9, word_len=16).scale(3), iso)
+                decompose(scaled(random_member(iso, 9, word_len=16), 3), iso)
             assert len(calls) == 1
             calls.clear()
 
@@ -541,7 +543,7 @@ def test_the_D_diagonal_check_reads_the_stored_integers(field):
     for _ in range(300):
         a, mu = [f.of(rng.choice(values)) for _ in range(2)], f.of(rng.choice(values[1:]))
         diag = a + [f.div(mu, v) if v != f.zero and rng.random() < 0.7 else f.of(rng.choice(values)) for v in a]
-        b = eliminate._Bench(Matrix.diagonal(f, diag), d, None)
+        b = eliminate._Bench(diagonal(f, diag), d, None)
         # diag(1, lam, m, m / lam) from both sides scales each D(i, i) A(i, i) by m^2
         for side in (rowops.LEFT, rowops.RIGHT):
             rowops.apply(b, token_units(torus(f.of(Fraction(3, 2)), f.of(Fraction(5, 11))), d), side)

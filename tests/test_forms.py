@@ -21,6 +21,8 @@ from steinberg.generators import token_matrix, w
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix
 
+from gauss_oracle import diagonal, product, scaled, transposed
+
 F3 = Field(3)
 F5 = Field(5)
 
@@ -191,7 +193,7 @@ def test_multiplier_identity_and_scalar():
         d = build_descriptor(Family.GSP, l, F5, similitude=True)
         assert multiplier(Matrix.identity(F5, d.n), d) == 1
         c = 3
-        assert multiplier(Matrix.diagonal(F5, [c] * d.n), d) == c * c % 5
+        assert multiplier(diagonal(F5, [c] * d.n), d) == c * c % 5
 
 
 def test_multiplier_witness_position():
@@ -216,14 +218,14 @@ def test_is_member_examples():
     d = build_descriptor(Family.GO_EVEN, 2, F3)
     assert is_member(token_matrix(w(2), d), d)
     dsp = build_descriptor(Family.GSP, 1, F5)
-    assert not is_member(Matrix.diagonal(F5, [2, 1]), dsp)
+    assert not is_member(diagonal(F5, [2, 1]), dsp)
     assert is_member(Matrix.identity(F5, 2), dsp)
 
 
 def test_isometry_flag_rejects_similitudes():
     d_sim = build_descriptor(Family.GSP, 1, F5, similitude=True)
     d_iso = build_descriptor(Family.GSP, 1, F5, similitude=False)
-    g = Matrix.diagonal(F5, [2, 1])  # multiplier 2
+    g = diagonal(F5, [2, 1])  # multiplier 2
     assert is_member(g, d_sim)
     assert not is_member(g, d_iso)
 
@@ -240,11 +242,8 @@ def test_multiplier_is_multiplicative(family):
 @pytest.mark.parametrize("family", [Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS])
 def test_beta_symmetry_and_regularity(family):
     d = build_descriptor(family, 3, F5)
-    bt = d.beta.transpose()
-    if family is Family.GSP:
-        assert bt == -d.beta
-    else:
-        assert bt == d.beta
+    bt = Matrix(F5, transposed(d.beta.to_lists()))
+    assert bt == (scaled(d.beta, -1) if family is Family.GSP else d.beta)
     assert d.beta.det() != 0
 
 
@@ -262,18 +261,20 @@ def test_out_of_range_index_is_a_value_error():
 
 
 def oracle_multiplier(g: Matrix, d) -> object:
-    """The dense form of the check: build mu beta and compare matrices."""
-    from steinberg.forms import first_difference
-
-    n, f, beta = d.n, d.field, d.beta
+    """The dense form of the check on scalars: build g^T beta g and mu beta
+    and compare them entry by entry."""
+    n, f = d.n, d.field
     if g.rows != n or g.cols != n:
         raise NotInGroup(f"expected a {n}x{n} matrix", position=None)
-    m = g.transpose() @ beta @ g
-    at = next((i, j) for i in range(n) for j in range(n) if beta[i, j] != f.zero)
-    mu = f.div(m[at], beta[at])
-    want = beta.scale(mu)
+    beta, rows = d.beta.to_lists(), g.to_lists()
+    m = product(f, product(f, transposed(rows), beta), rows)
+    i, j = next((i, j) for i in range(n) for j in range(n) if beta[i][j] != f.zero)
+    mu = f.div(m[i][j], beta[i][j])
+    want = [[f.mul(mu, v) for v in r] for r in beta]
     if m != want:
-        at, got, expected = first_difference(m, want, d)
+        signed = d.basis_indices()
+        at, got, expected = next(((signed[i], signed[j]), u, v) for i in range(n) for j in range(n)
+                                 if (u := m[i][j]) != (v := want[i][j]))
         raise NotInGroup(f"g^T beta g = mu beta fails at {at} for mu = {mu}: entry {got}, expected {expected}",
                          position=at)
     if mu == f.zero:
@@ -304,7 +305,7 @@ def test_multiplier_agrees_with_the_dense_oracle(field):
                 rows = g.to_lists()
                 i, j = rng.randrange(d.n), rng.randrange(d.n)
                 rows[i][j] = field.add(rows[i][j], field.of(rng.choice([1, -1, 2])))
-                for h in (g, Matrix(field, rows), g.scale(3), Matrix(field, [[0] * d.n] * d.n)):
+                for h in (g, Matrix(field, rows), scaled(g, 3), Matrix(field, [[0] * d.n] * d.n)):
                     got = outcome(multiplier, h, d)
                     assert got == outcome(oracle_multiplier, h, d)
                     rejected += type(got) is tuple

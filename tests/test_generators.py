@@ -35,6 +35,7 @@ from steinberg.generators import (
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix
 
+from gauss_oracle import diagonal, identity
 from rowops_oracle import x_units_delta
 from test_rowops import token_entries
 
@@ -44,21 +45,17 @@ F5 = Field(5)
 ALL = (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
 
 
-def unit(d, i, j, c):
-    m = [[0] * d.n for _ in range(d.n)]
-    m[d.pos(i)][d.pos(j)] = d.field.of(c)
-    return Matrix(d.field, m)
+def identity_plus(d, *units):
+    """I plus c at each signed position (i, j, c)."""
+    f, m = d.field, identity(d.field, d.n)
+    for i, j, c in units:
+        m[d.pos(i)][d.pos(j)] = f.add(m[d.pos(i)][d.pos(j)], f.of(c))
+    return Matrix(f, m)
 
 
 def test_w_l_matrix():
     d = build_descriptor(Family.GO_EVEN, 2, F5)
-    expected = (
-        Matrix.identity(F5, 4)
-        - unit(d, 2, 2, 1)
-        - unit(d, -2, -2, 1)
-        - unit(d, 2, -2, 1)
-        - unit(d, -2, 2, 1)
-    )
+    expected = identity_plus(d, (2, 2, -1), (-2, -2, -1), (2, -2, -1), (-2, 2, -1))
     assert token_matrix(w(2), d) == expected
 
 
@@ -69,7 +66,7 @@ def test_zero_parameter_is_identity():
 
 def test_x2_matrix():
     d = build_descriptor(Family.GO_MINUS, 2, F5)
-    assert token_matrix(x2(), d) == Matrix.identity(F5, 4) - unit(d, -1, -1, 2)
+    assert token_matrix(x2(), d) == identity_plus(d, (-1, -1, -2))
 
 
 def test_token_inverse_negates_parameter():
@@ -110,13 +107,7 @@ def test_empty_word_is_identity():
 def test_symplectic_swap_word():
     d = build_descriptor(Family.GSP, 2, F5)
     word = Word(d, [x(1, -1, 1), x(-1, 1, -1), x(1, -1, 1)])
-    expected = (
-        Matrix.identity(F5, 4)
-        + unit(d, 1, -1, 1)
-        - unit(d, -1, 1, 1)
-        - unit(d, 1, 1, 1)
-        - unit(d, -1, -1, 1)
-    )
+    expected = identity_plus(d, (1, -1, 1), (-1, 1, -1), (1, 1, -1), (-1, -1, -1))
     assert evaluate_word(word) == expected
     assert evaluate_word(derived_w(1, d)) == expected
 
@@ -124,14 +115,7 @@ def test_symplectic_swap_word():
 def test_odd_swap_word():
     d = build_descriptor(Family.GO_ODD, 2, F5)
     word = Word(d, [x(0, 1, -1), x(1, 0, 1), x(0, 1, -1)])
-    expected = (
-        Matrix.identity(F5, 5)
-        - unit(d, 0, 0, 2)
-        - unit(d, 1, -1, 1)
-        - unit(d, -1, 1, 1)
-        - unit(d, 1, 1, 1)
-        - unit(d, -1, -1, 1)
-    )
+    expected = identity_plus(d, (0, 0, -2), (1, -1, -1), (-1, 1, -1), (1, 1, -1), (-1, -1, -1))
     assert evaluate_word(word) == expected
     assert evaluate_word(derived_w(1, d)) == expected
 
@@ -177,7 +161,7 @@ def test_derived_h():
         assert evaluate_word(derived_h(1, d)) == Matrix.identity(F5, d.n)
         for lam in (2, 3, 4):
             diag = [1] * (l - 1) + [lam] + [1] * (l - 1) + [pow(lam, -1, 5)]
-            assert evaluate_word(derived_h(lam, d)) == Matrix.diagonal(F5, diag)
+            assert evaluate_word(derived_h(lam, d)) == diagonal(F5, diag)
 
 
 @pytest.mark.parametrize("family", ALL)
@@ -497,8 +481,9 @@ def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
     matrix: each check is one chain through the product kernel whose factors
     are the tokens' deltas in the update loop's form (:func:`token_units`,
     an x-token's compiled units read as they stand, flagged sequential), in
-    order (with the diagonal, or the element, between two words), and
-    nothing of the in-place token application runs."""
+    order (with the diagonal, or the element, between two words; a label's
+    check starts with omega_m^-1 as a word), and nothing of the in-place
+    token application runs."""
     cases = []
     for fam in ALL:
         d = build_descriptor(fam, 2, F5, similitude=True)
@@ -552,9 +537,12 @@ def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
             chains.clear()
             omega_matrix(d, m)
             assert chains == [deltas(*(derived_w(i, d) for i in range(1, m + 1)))]
+        # omega_m^-1 as the inverse tokens of the swaps, in the same chain
+        swaps = [derived_w(i, d) for i in range(label.m, 0, -1)]
+        inv = [token_units(token_inverse(t, d), d) for swap in swaps for t in reversed(swap.tokens)]
         chains.clear()
         assert verify_label(g, label, d)
-        assert chains[0] == deltas(label.left_witness) + [g] + deltas(label.right_witness)
+        assert chains == [inv + deltas(label.left_witness) + [g] + deltas(label.right_witness)]
 
 
 @pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
@@ -562,8 +550,9 @@ def test_words_keep_their_tokens_units(field):
     """A word keeps its tokens' units in order, each equal to
     ``token_units(tok, d)``: ``dec.left`` and ``dec.right`` the ones the
     elimination applied, the coset witnesses the ones the label applied,
-    ``Word(d, tokens)`` the ones its check computed, and a trusted word such
-    as ``parse_word``'s the ones its first evaluation computed.  The slot is
+    ``Word(d, tokens)`` the ones its check computed, ``parse_word``'s the
+    ones its parse computed, and a trusted word built with none the ones its
+    first evaluation computed.  The slot is
     no field: equality, hash, repr and pickling ignore it.  Reassembling
     from fresh words, checked or keeping nothing, gives ``dec.reassemble()``."""
     def assert_kept(word, d):
@@ -586,9 +575,9 @@ def test_words_keep_their_tokens_units(field):
                     assert bare._units is None and bare == word == checked and hash(bare) == hash(word)
                     assert repr(bare) == repr(word) and pickle.loads(pickle.dumps(word)) == word
                     parsed = parse_word(str(word), d)
-                    assert parsed == word and parsed._units is None
-                    assert evaluate_word(parsed) == evaluate_word(bare) == evaluate_word(word)
+                    assert parsed == word
                     assert_kept(parsed, d)
+                    assert evaluate_word(parsed) == evaluate_word(bare) == evaluate_word(word)
                     assert_kept(bare, d)
                 fresh = [Word(d, dec.left.tokens), Word(d, dec.right.tokens)]
                 bare = [Word._trusted(d, dec.left.tokens), Word._trusted(d, dec.right.tokens)]
@@ -672,9 +661,10 @@ def test_legal_x_index_pairs_are_listed_once_per_shape(monkeypatch):
 
 
 def test_parsing_a_word_checks_each_token_once(monkeypatch):
-    # parse_token checks its token, and the word built from the tokens does
-    # not check them again: one token_units call per token, through the word
-    # file of the CLI and through parse_word
+    # parsing checks and describes each token once, and the word built from
+    # the tokens keeps those units: one token_units call per token, through
+    # the word file of the CLI and through parse_word, and none more when the
+    # words are evaluated
     calls = []
     real = generators.token_units
 
@@ -693,9 +683,11 @@ def test_parsing_a_word_checks_each_token_once(monkeypatch):
             monkeypatch.setattr(generators, "token_units", counting)
             calls.clear()
             left, mid, right, _ = parse_word_file(text)
+            assert evaluate_word(left, mid, right) == g
             assert calls == [*left.tokens, *mid.tokens, *right.tokens] and len(calls) == len(left) + len(right) + 1
             calls.clear()
-            assert parse_word(str(left), d).tokens == left.tokens
+            word = parse_word(str(left), d)
+            assert word.tokens == left.tokens and evaluate_word(word) == evaluate_word(left)
             assert calls == list(left.tokens)
             monkeypatch.undo()
 
