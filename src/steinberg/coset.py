@@ -15,7 +15,7 @@ and m, so the closing check reads P's zero block straight off the working
 matrix's integers, on the rows omega_m moves onto it, without inverting
 omega_m or forming a product.  ``verify_label`` stays the dense recheck: it
 evaluates omega_m^-1 as a word of inverse tokens, in the same chain as the
-witnesses, so it needs no matrix inverse and no memo.
+witnesses, and omega_m afresh, so it needs no matrix inverse and no memo.
 """
 
 from __future__ import annotations
@@ -178,12 +178,12 @@ def coset_census(d: GroupDescriptor, enumeration) -> dict:
 
 
 def verify_label(g: Matrix, label: CosetLabel, d: GroupDescriptor) -> bool:
-    """Recheck the witness equation left * g * right in omega_m * P, densely
-    and apart from :func:`_omega`'s memo: omega_m^-1 is evaluated as a word,
-    the inverse tokens of the swaps w_m, ..., w_1 in reverse, in one chain
-    with the witnesses and g, and the product is tested for P.  A label
-    whose m is not one of 0..l is refused."""
-    if not 0 <= label.m <= d.l:
+    """Recheck a label densely and apart from :func:`_omega`'s memo: its
+    ``omega`` is the product of the swaps w_1, ..., w_m, evaluated afresh,
+    and left * g * right lies in omega_m * P, tested with omega_m^-1 as a
+    word (the inverse tokens of w_m, ..., w_1 in reverse) in one chain with
+    the witnesses and g.  A label whose m is not one of 0..l is refused."""
+    if not 0 <= label.m <= d.l or label.omega != omega_matrix(d, label.m):
         return False
     swaps = [derived_w(i, d) for i in range(label.m, 0, -1)]
     inv = Word._trusted(d, [token_inverse(t, d) for swap in swaps for t in reversed(swap.tokens)])

@@ -45,11 +45,12 @@ reading the entries.
 Membership is proved by construction, not checked up front: mu is read off
 one entry of g^T beta g (:func:`steinberg.forms.read_multiplier`), and the
 closing check in ``finish`` compares the whole terminal matrix, on its
-stored integers, with the claimed torus element, which becomes the
-diagonal.  Only when the elimination fails, or mu reads 0, or
-an isometry descriptor reads mu != 1, does the full form check
-(:func:`steinberg.forms.multiplier`) run, so a non-member is refused with the
-position where its form equation fails, as that check names it.
+stored integers, with the claimed torus element, written from its units,
+which the decomposition keeps for reassembly.  Only when the elimination
+fails, or mu reads 0, or an isometry descriptor reads mu != 1, does the
+full form check (:func:`steinberg.forms.multiplier`) run, so a non-member
+is refused with the position where its form equation fails, as that check
+names it.
 
 The optional ``observer(phase, matrix)`` callback fires at phase boundaries
 with a :class:`Matrix` snapshot of the working matrix, so tests can pin the
@@ -81,11 +82,11 @@ from .forms import (
 from .generators import (
     GeneratorToken,
     Word,
+    _units_matrix,
     derived_h,
     derived_w,
     evaluate_word,
     token_inverse,
-    token_matrix,
     token_units,
     torus,
     x,
@@ -103,19 +104,25 @@ class Decomposition(Record):
     """g = evaluate(left) @ diagonal @ evaluate(right), exactly.
 
     ``block`` holds the GOminus terminal 2x2 block params (t, s), if any.
+    ``_torus_units``, no field, are the torus units ``reassemble`` chains:
+    the ones ``finish`` wrote ``diagonal`` from, else its first call's.
     """
 
-    __slots__ = _fields = ("descriptor", "left", "right", "diagonal", "lam", "mu", "alpha", "block", "op_count")
+    _fields = ("descriptor", "left", "right", "diagonal", "lam", "mu", "alpha", "block", "op_count")
+    __slots__ = _fields + ("_torus_units",)
 
     def __init__(self, descriptor: GroupDescriptor, left: Word, right: Word, diagonal: Matrix, lam: Scalar,
                  mu: Scalar, alpha: Scalar | None, block: tuple | None, op_count: int):
         self._init(descriptor, left, right, diagonal, lam, mu, alpha, block, op_count)
+        object.__setattr__(self, "_torus_units", None)
 
     def torus_token(self) -> GeneratorToken:
         return torus(self.lam, self.mu, alpha=self.alpha, ts=self.block)
 
     def reassemble(self) -> Matrix:
-        return evaluate_word(self.left, self.diagonal, self.right)
+        if self._torus_units is None:
+            object.__setattr__(self, "_torus_units", token_units(self.torus_token(), self.descriptor))
+        return evaluate_word(self.left, self._torus_units, self.right)
 
 
 class _Bench(rowops.WorkingMatrix):
@@ -172,10 +179,11 @@ class _Bench(rowops.WorkingMatrix):
         """The decomposition, once the terminal working matrix is literally
         the claimed torus element T, compared on the integers: as residues
         over F_p, and over Q each entry cross-multiplied by its row and
-        column dens and T's den.  T becomes the diagonal."""
+        column dens and T's den.  T's units write the diagonal and are kept."""
         d = self.d
         tok = torus(lam, mu, alpha=alpha, ts=block)
-        diagonal = token_matrix(tok, d)
+        delta = token_units(tok, d)
+        diagonal = _units_matrix(delta, d)
         if d.field.p is not None:
             same = tuple(map(tuple, self.num)) == diagonal.num
         else:
@@ -189,7 +197,7 @@ class _Bench(rowops.WorkingMatrix):
             raise InternalError(f"terminal matrix is not {tok}")
         self.right.reverse()
         self.right_units.reverse()
-        return Decomposition(
+        dec = Decomposition(
             descriptor=d,
             left=Word._trusted(d, self.left, self.left_units),
             right=Word._trusted(d, self.right, self.right_units),
@@ -200,6 +208,8 @@ class _Bench(rowops.WorkingMatrix):
             block=block,
             op_count=len(self.left) + len(self.right),
         )
+        object.__setattr__(dec, "_torus_units", delta)
+        return dec
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,9 @@ def token_units(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
     (:func:`x_code`) as it stands, sequential, and t = a/b gives u = a over
     b or, for the patterns with t^2, u = ab and u2 = a^2 over b^2; an int,
     or a Fraction over Q, is read as it is, anything else through
-    :meth:`Field.of`.  Any other token's units are its entries, u = 1."""
+    :meth:`Field.of`.  Any other token's units are its entries, u = 1,
+    sequential when all lie on the diagonal (a torus without a GOminus
+    block, x2), where each reads and writes only its own row or column."""
     kind = tok.kind
     if kind == "x":
         return x_token_units(tok.i, tok.j, tok.t, d)
@@ -253,18 +255,23 @@ def _entry_units(entries: list, d: GroupDescriptor) -> tuple:
     integers over their one den, or residues over F_p; zeros are dropped."""
     pos, p = d._positions, d.field.p
     if p is not None:
-        return [(pos[a], pos[b], r, False) for a, b, v in entries if (r := v % p)], 1, 0, 1, False
-    den = math.lcm(*(v.denominator for _, _, v in entries))
-    units = [(pos[a], pos[b], k, False) for a, b, v in entries if (k := v.numerator * (den // v.denominator))]
-    return units, 1, 0, den, False
+        units, den = [(pos[a], pos[b], r, False) for a, b, v in entries if (r := v % p)], 1
+    else:
+        den = math.lcm(*(v.denominator for _, _, v in entries))
+        units = [(pos[a], pos[b], k, False) for a, b, v in entries if (k := v.numerator * (den // v.denominator))]
+    return units, 1, 0, den, all(r == c for r, c, _, _ in units)
 
 
 def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
-    """The exact matrix of a token in the family's fixed basis: ``den * I``
-    plus the values of its units (:func:`token_units`), over ``den``,
-    written in the stored form: only the unit cells are reduced mod p, and
-    over Q only a gcd of den and the unit cells other than 1 is divided out."""
-    units, u, u2, den, _ = token_units(tok, d)
+    """The exact matrix of a token in the family's fixed basis."""
+    return _units_matrix(token_units(tok, d), d)
+
+
+def _units_matrix(delta: tuple, d: GroupDescriptor) -> Matrix:
+    """``den * I`` plus the values of a token's units, over ``den``, written
+    in the stored form: only the unit cells are reduced mod p, and over Q
+    only a gcd of den and the unit cells other than 1 is divided out."""
+    units, u, u2, den, _ = delta
     m = [[0] * d.n for _ in range(d.n)]
     for k, row in enumerate(m):
         row[k] = den
@@ -424,19 +431,19 @@ class Word(Record):
         return " ".join(str(t) for t in self.tokens)
 
 
-def evaluate_word(word: Word, *rest: Word | Matrix) -> Matrix:
+def evaluate_word(word: Word, *rest: Word | Matrix | tuple) -> Matrix:
     """The ordered product of the parts in one chain from I: a word stands
     for its tokens' units, in order, the ones it keeps (computed by
     :func:`token_units` on its first evaluation if it keeps none), a
-    matrix for itself, so no token matrix is built.  The first word gives
-    the field and size; the empty word is I."""
+    matrix or one token's units for itself, so no token matrix is built.
+    The first word gives the field and size; the empty word is I."""
     d = word.descriptor
     return Matrix._chain(Matrix.identity(d.field, d.n), _factors(d, (word, *rest)))
 
 
-def _factors(d: GroupDescriptor, parts: Iterable[Word | Matrix]) -> Iterator:
+def _factors(d: GroupDescriptor, parts: Iterable[Word | Matrix | tuple]) -> Iterator:
     for part in parts:
-        if isinstance(part, Matrix):
+        if not isinstance(part, Word):
             yield part
             continue
         e = part.descriptor

@@ -8,15 +8,16 @@ fields.  The product is one kernel, :meth:`Matrix._chain`, which multiplies
 a left factor by a sequence of right factors in order; ``@`` is a chain of
 one, the plain row loop.  A right factor is a matrix or a token's delta,
 its units (:func:`steinberg.generators.token_units`), which stands for
-``(den * I + D) / den``, so a word is multiplied without building a matrix
-per token.  Every token update, in the chain and on the working matrix of
-:mod:`steinberg.rowops` alike, runs through the one loop
-:func:`_apply_delta` on the rows: a unit (r, c) adds its value, computed as
-it is written, over den times column r to column c (or, from the left, row
-c to row r).  Over F_p it writes residues in place, an x-token's units one
-at a time with no copy of a source; over Q a moved row is a new list and a
-moved column is rewritten in place, each over its own den, the lcm of the
-two it combines, with the gcd divided out only once that den reaches
+``(den * I + D) / den``, so a word, its torus included, is multiplied
+without building a matrix per token.  Every token update, in the chain and
+on the working matrix of :mod:`steinberg.rowops` alike, runs through the
+one loop :func:`_apply_delta` on the rows: a unit (r, c) adds its value,
+computed as it is written, over den times column r to column c (or, from
+the left, row c to row r).  Over F_p it writes residues in place, a
+sequential delta (an x-token's, or a diagonal one) one unit at a time with
+no copy of a source; over Q a moved row is a new list and a moved column
+is rewritten in place, each over its own den, the lcm of the two it
+combines, with the gcd divided out only once that den reaches
 ``_REDUCE_FROM`` (one int digit).  Only the normalise step
 (:func:`_lowest`, and that loop) and the scalar view (``data``, ``[i, j]``,
 ``row``, ``to_lists``, ``repr``: the residues, or ``Fraction(v, den)``)
@@ -37,7 +38,6 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
 from collections.abc import Iterable, Sequence
 
 from .field import Field, InternalError, Scalar
@@ -104,13 +104,13 @@ def _apply_delta(p: int | None, vecs: list, dens: list | None, delta: tuple, lef
     delta ``(units, u, u2, den, sequential)``: a unit (r, c, k, sq) of value
     v = k * u2 when ``sq``, else k * u, adds v / den times column r to
     column c or, with ``left``, row c to row r.  A ``sequential`` delta (an
-    x-token's) is applied one unit at a time, forwards to columns and
-    backwards to rows; any other reads its sources from a copy.  Over F_p v
-    is reduced and the residues are rewritten in place; over Q ``dens`` are
-    the row (``left``) or column denominators, and each written vector is
-    taken over one lcm, with the gcd divided out once that lcm reaches
-    ``_REDUCE_FROM`` (a row through :func:`_add_scaled`, a column through
-    :func:`_add_scaled_column`)."""
+    x-token's, or a diagonal one) is applied one unit at a time, forwards to
+    columns and backwards to rows; any other reads its sources from a copy.
+    Over F_p v is reduced and the residues are rewritten in place; over Q
+    ``dens`` are the row (``left``) or column denominators, and each written
+    vector is taken over one lcm, with the gcd divided out once that lcm
+    reaches ``_REDUCE_FROM`` (a row through :func:`_add_scaled`, a column
+    through :func:`_add_scaled_column`)."""
     units, u, u2, bden, sequential = delta
     src, sdens = (vecs, dens) if sequential else ([list(v) for v in vecs], dens and dens.copy())
     order = reversed(units) if left else units
@@ -156,17 +156,6 @@ def _add_scaled_column(vecs: list, dens: list, c: int, v: int, src: list, r: int
         for row in vecs:
             row[c] //= g
     dens[c] = den
-
-
-def _delta_of(num: tuple, den: int) -> list:
-    """A square matrix ``num / den`` as the units of a delta over ``den``,
-    each value k standing alone: the nonzero entries of ``num - den * I``."""
-    out = []
-    for k, row in enumerate(num):
-        if row[k] != den:
-            out.append((k, k, row[k] - den, False))
-        out += [(k, j, row[j], False) for j in compress(range(len(row)), row) if j != k]
-    return out
 
 
 def _rows_over_lcm(rows: list, dens: list) -> tuple:
@@ -292,9 +281,7 @@ class Matrix:
         names only (:func:`_apply_delta`, the loop the working matrix of
         :mod:`steinberg.rowops` runs too): residues over F_p, and over Q
         each column over its own denominator, reduced only from
-        ``_REDUCE_FROM`` on.  Once a delta has run, a square matrix factor with at
-        most 3n/2 nonzeros (a diagonal) has its delta read off and takes the
-        same column update.  Any other matrix factor, and every factor of
+        ``_REDUCE_FROM`` on.  A matrix factor, and so every factor of
         ``@``, takes the row loop on rows over one denominator and is
         normalised at once.  At the end the residues are stored as they
         are; the columns over Q are brought over one lcm and normalised once,
@@ -310,17 +297,12 @@ class Matrix:
                     raise DimensionMismatch("fields differ")
                 if b.rows != n:
                     raise DimensionMismatch(f"{m}x{n} @ {b.rows}x{b.cols}")
-                bnum, bden = b.num, b.den
-                # Measured on n = 4..17: a factor takes the column form while it
-                # has at most about 1.5 nonzeros per row (beyond, it loses up to 2x)
-                if vecs is None or b.cols != n or 2 * (n * n - sum(map(tuple.count, bnum, repeat(0)))) > 3 * n:
-                    if vecs is not None:
-                        rows, den = (vecs, 1) if p is not None else _rows_over_lcm(vecs, dens)
-                        vecs = None
-                    rows, den = _lowest(p, _row_loop(rows, bnum, b.cols), den * bden)
-                    n = b.cols
-                    continue
-                b = (_delta_of(bnum, bden), 1, 0, bden, False)
+                if vecs is not None:
+                    rows, den = (vecs, 1) if p is not None else _rows_over_lcm(vecs, dens)
+                    vecs = None
+                rows, den = _lowest(p, _row_loop(rows, b.num, b.cols), den * b.den)
+                n = b.cols
+                continue
             if vecs is None:
                 vecs, dens = [list(r) for r in rows], None if p is not None else [den] * n
             _apply_delta(p, vecs, dens, b)

@@ -299,7 +299,8 @@ def _equation_holds(label, g, d) -> bool:
 def test_verify_label_refuses_a_wrong_label(family, field):
     # the true label passes.  Any other m is refused, whatever g is: omega_k^-1
     # omega_m swaps e_i and e_-i for i between k and m, and an m outside
-    # 0..l names no omega.  A witness with one token's parameter t moved to
+    # 0..l names no omega.  So is the true m with any other omega_k as its
+    # omega, which is not the product of the swaps w_1..w_m.  A witness with one token's parameter t moved to
     # t + 1 is refused exactly when the equation then fails.  That is not
     # every time: the change multiplies left * g * right by a conjugate q of
     # x(1) in P, which omega_m^-1 may carry back into P (always when m = 0)
@@ -321,6 +322,9 @@ def test_verify_label_refuses_a_wrong_label(family, field):
             for k in range(-1, l + 2):
                 if k != label.m:
                     assert not verify_label(g, CosetLabel(k, label.omega, label.left_witness, label.right_witness), d)
+                    if 0 <= k <= l:
+                        wrong = CosetLabel(label.m, omega_matrix(d, k), label.left_witness, label.right_witness)
+                        assert not verify_label(g, wrong, d)
             for side in (0, 1):
                 words = [label.left_witness, label.right_witness]
                 for at, tok in enumerate(words[side].tokens):

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import steinberg.eliminate as eliminate
+import steinberg.generators as generators
 import steinberg.rowops as rowops
 from steinberg.coset import coset_label
 from steinberg.field import DivisionByZero, Field, QQ
@@ -214,14 +216,79 @@ def test_twisted_terminal_blocks():
 
 
 def test_terminal_torus_check_raises_internal_error(monkeypatch):
-    """The check is a raise, not an assert, so it also holds under -O."""
-    import steinberg.eliminate as eliminate
-
+    """The check is a raise, not an assert, so it also holds under -O: a
+    torus described with one wrong unit is refused."""
     d = build_descriptor(Family.GSP, 2, F5, similitude=True)
     g = random_member(d, 1, word_len=6, with_torus=True)
-    monkeypatch.setattr(eliminate, "token_matrix", lambda tok, d: Matrix(d.field, [[0] * d.n] * d.n))
+    describe = eliminate.token_units
+
+    def wrong_torus(tok, d):
+        units, u, u2, den, sequential = describe(tok, d)
+        if tok.kind == "torus":
+            units = [*units, (0, 1, 1, False)]
+        return units, u, u2, den, sequential
+
+    monkeypatch.setattr(eliminate, "token_units", wrong_torus)
     with pytest.raises(InternalError, match="terminal matrix"):
         decompose(g, d)
+
+
+def _members(field, seeds=(5,)):
+    """(descriptor, member) pairs for every family over ``field``, GOminus
+    over a prime field only."""
+    for fam in ALL + (Family.GL,):
+        if fam is Family.GO_MINUS and not field.is_prime:
+            continue
+        d = build_descriptor(fam, 2, field, similitude=True)
+        for seed in seeds:
+            yield d, random_member(d, seed, word_len=10, with_torus=True)
+
+
+def _decompose(g, d):
+    return decompose_gl(g) if d.family is Family.GL else decompose(g, d)
+
+
+@pytest.mark.parametrize("field", [F7, Field(1000000007), QQ], ids=str)
+def test_the_torus_is_described_once_and_no_token_matrix_is_built(field, monkeypatch):
+    """``decompose`` describes its terminal torus once, through
+    :func:`token_units`, and ``reassemble`` chains the units it kept: the
+    pair builds no token matrix, and a second reassembly describes nothing."""
+    tori = []
+    describe, build = generators.token_units, generators.token_matrix
+
+    def counting(tok, d):
+        if tok.kind == "torus":
+            tori.append(tok)
+        return describe(tok, d)
+
+    def forbidden(*args):
+        raise AssertionError("a token matrix was built")
+
+    for mod in (generators, eliminate, rowops):
+        if getattr(mod, "token_units", None) is describe:
+            monkeypatch.setattr(mod, "token_units", counting)
+        if getattr(mod, "token_matrix", None) is build:
+            monkeypatch.setattr(mod, "token_matrix", forbidden)
+    for d, g in _members(field, seeds=range(3)):
+        tori.clear()
+        dec = _decompose(g, d)
+        assert dec.reassemble() == g and dec.reassemble() == g
+        assert tori == [dec.torus_token()], d
+
+
+@pytest.mark.parametrize("field", [F7, Field(1000000007), QQ], ids=str)
+def test_a_rebuilt_or_unpickled_decomposition_reassembles(field):
+    """A decomposition built by its constructor, or through a pickle round
+    trip, keeps no torus units: it is equal to the original, hashes and
+    prints alike, and its reassembly describes the torus and gives g."""
+    for d, g in _members(field):
+        dec = _decompose(g, d)
+        rebuilt = eliminate.Decomposition(*(getattr(dec, n) for n in dec._fields))
+        for other in (rebuilt, pickle.loads(pickle.dumps(dec))):
+            assert other._torus_units is None
+            assert other == dec and hash(other) == hash(dec) and repr(other) == repr(dec)
+            assert other.reassemble() == g == dec.reassemble()
+            assert other._torus_units == dec._torus_units == token_units(dec.torus_token(), d)
 
 
 # One rank-deficient member per family over F_7 (similitude groups, l = 2):

@@ -481,9 +481,10 @@ def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
     matrix: each check is one chain through the product kernel whose factors
     are the tokens' deltas in the update loop's form (:func:`token_units`,
     an x-token's compiled units read as they stand, flagged sequential), in
-    order (with the diagonal, or the element, between two words; a label's
-    check starts with omega_m^-1 as a word), and nothing of the in-place
-    token application runs."""
+    order (with the torus's units, or the element, between two words; a
+    label's check evaluates its omega_m afresh, then starts with
+    omega_m^-1 as a word), and nothing of the in-place token application
+    runs."""
     cases = []
     for fam in ALL:
         d = build_descriptor(fam, 2, F5, similitude=True)
@@ -527,7 +528,7 @@ def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
         assert evaluate_word(Word(d, [])) == Matrix.identity(d.field, d.n) and chains == [[]]
         chains.clear()
         assert dec.reassemble() == g
-        assert chains == [deltas(dec.left) + [dec.diagonal] + deltas(dec.right)]
+        assert chains == [deltas(dec.left) + [token_units(dec.torus_token(), d)] + deltas(dec.right)]
         left, mid, right, _ = parse_word_file(Path(wpath).read_text())
         chains.clear()
         assert cli_main(["verify", wpath, mpath]) == 0
@@ -542,7 +543,8 @@ def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
         inv = [token_units(token_inverse(t, d), d) for swap in swaps for t in reversed(swap.tokens)]
         chains.clear()
         assert verify_label(g, label, d)
-        assert chains == [inv + deltas(label.left_witness) + [g] + deltas(label.right_witness)]
+        omega = deltas(*(derived_w(i, d) for i in range(1, label.m + 1)))
+        assert chains == [omega, inv + deltas(label.left_witness) + [g] + deltas(label.right_witness)]
 
 
 @pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)

@@ -252,7 +252,7 @@ def test_matmul_is_the_row_loop_on_sparse_factors(field, monkeypatch):
     """``@`` takes the row loop whatever its right factor: a token matrix, a
     diagonal or a signed permutation gives the triple loop's product and
     runs no delta update.  In a chain, the same factors after a token's
-    delta take the column update and give the same product."""
+    delta take the row loop too and give the same product."""
     from steinberg import matrix
     from steinberg.generators import Word, evaluate_word
 
@@ -277,10 +277,15 @@ def test_matmul_is_the_row_loop_on_sparse_factors(field, monkeypatch):
     assert delta_updates == []
     word = Word(d, [x(1, 2, 3)])
     tok = evaluate_word(word)
+    row_loops = []
+    row_loop = matrix._row_loop
+    monkeypatch.setattr(matrix, "_row_loop", lambda *args: (row_loops.append(args[1]), row_loop(*args))[1])
     for b in (diag, signed):
         delta_updates.clear()
+        row_loops.clear()
         assert evaluate_word(word, b) == naive_product(tok, b)
-        assert [delta[4] for delta in delta_updates] == [True, False]  # the x-token's units, then b's
+        assert [delta[4] for delta in delta_updates] == [True]  # the x-token's units
+        assert row_loops == [b.num]
 
 
 def test_rational_chain_reuses_the_integer_view():

@@ -26,7 +26,7 @@ from steinberg.matrix import Matrix
 from steinberg.rowops import LEFT, RIGHT, WorkingMatrix
 
 from rowops_oracle import applied, oracle_apply
-from test_matrix import assert_canonical, naive_chain
+from test_matrix import assert_canonical, naive_chain, rand_matrix
 
 F5 = Field(5)
 ALL = (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
@@ -623,12 +623,54 @@ def _assert_refused(g, tok, d, error):
         evaluate_word(Word._trusted(d, [tok]), g)
 
 
+@pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
+def test_a_delta_is_sequential_exactly_when_its_units_lie_on_the_diagonal(field):
+    """:func:`token_units` marks a non-x delta sequential exactly when all
+    its units lie on the diagonal: every torus without a GOminus block, the
+    GL torus and x2 are, w, x1 and a torus with a GOminus block are not.
+    Each is applied in place on both sides of a working matrix through
+    ``rowops.apply`` and chained through ``evaluate_word`` between other
+    tokens and a matrix, and each result is the triple loop's product."""
+    rng = random.Random(83)
+    f = field
+    lam, mu = f.of(Fraction(-3, 2)), f.of(Fraction(5, 3))
+    two = f.of(2)
+    cases = []  # (descriptor, token, sequential)
+    for l in (2, 3):
+        gsp, goplus, goodd, gl = (build_descriptor(fam, l, f, similitude=True)
+                                  for fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GL))
+        cases += [(gsp, torus(lam, mu), True), (goplus, torus(lam, mu), True), (goplus, w(l), False),
+                  (goodd, torus(lam, f.mul(two, two), alpha=two), True), (goodd, w(l), False),
+                  (gl, torus(lam, 1), True)]
+        if f.is_prime:
+            gominus = build_descriptor(Family.GO_MINUS, l, f, similitude=True)
+            block = f.add(f.one, f.mul(gominus.epsilon, f.mul(two, two)))  # t, s = 1, 2
+            cases += [(gominus, torus(lam, 1), True), (gominus, torus(lam, block, ts=(f.one, two)), False),
+                      (gominus, x2(), True), (gominus, x1(*_reflection_params(gominus, f.one, two)), False),
+                      (gominus, w(2), False)]
+    for d, tok, sequential in cases:
+        delta = token_units(tok, d)
+        assert delta[4] is sequential and sequential == all(r == c for r, c, _, _ in delta[0]), tok
+        tm = token_matrix(tok, d)
+        g = rand_matrix(rng, f, d.n)
+        for side, want in ((LEFT, naive_chain(tm, [g])), (RIGHT, naive_chain(g, [tm]))):
+            b = WorkingMatrix(g, d)
+            rowops.apply(b, delta, side)
+            assert b.matrix() == want, (tok, side)
+        step = x(*legal_x_index_pairs(d)[0], two)
+        sm = token_matrix(step, d)
+        got = evaluate_word(Word(d, [step, tok]), g, Word(d, [tok, tok, step]))
+        assert got == naive_chain(Matrix.identity(f, d.n), [sm, tm, g, tm, tm, sm]), tok
+        assert_canonical(got)
+
+
 def test_token_application_reads_canonical_parameters_without_field_of(monkeypatch):
     """Over Q every x parameter the elimination applies is an int or a
     reduced Fraction, which the token's units (:func:`x_token_units`) and
     the update loop read as they stand: no ``Field.of`` call inside token
     application, the units and their in-place ``apply``, during
-    ``decompose`` and ``decompose_gl``.  A Fraction over F_p is reduced
+    ``decompose`` and ``decompose_gl``; describing the terminal torus in
+    the closing check applies no token.  A Fraction over F_p is reduced
     through it, once."""
     from steinberg import eliminate, generators
     from steinberg.eliminate import decompose, decompose_gl
@@ -657,7 +699,8 @@ def test_token_application_reads_canonical_parameters_without_field_of(monkeypat
     x_units, units = within(generators.x_token_units), within(generators.token_units)
     monkeypatch.setattr(generators, "x_token_units", x_units)
     monkeypatch.setattr(eliminate, "x_token_units", x_units)
-    monkeypatch.setattr(eliminate, "token_units", units)
+    describe = generators.token_units
+    monkeypatch.setattr(eliminate, "token_units", lambda tok, d: (describe if tok.kind == "torus" else units)(tok, d))
     monkeypatch.setattr(rowops, "token_units", units)
     for fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD, Family.GL):
         for l in (2, 4):
