@@ -82,6 +82,7 @@ from .forms import (
 from .generators import (
     GeneratorToken,
     Word,
+    _new_token,
     _units_matrix,
     derived_h,
     derived_w,
@@ -89,7 +90,6 @@ from .generators import (
     token_inverse,
     token_units,
     torus,
-    x,
     x1,
     x2,
     x_token_units,
@@ -142,16 +142,18 @@ class _Bench(rowops.WorkingMatrix):
         """Apply x[i,j](-t) with ``neg``, else x[i,j](t), and record its
         inverse x[i,j](s): s is t as given (canonical) with ``neg``, else the
         canonical -t, as :func:`token_inverse` gives it.  The step is the
-        units of x[i,j](s) with u negated, and the word keeps those units."""
+        units of x[i,j](s) with u negated, and the word keeps those units.
+        The token is built as :func:`x` builds it, without the call."""
         s = t if neg else self.f.of(-t)
         delta = x_token_units(i, j, s, self.d)
         units, u, u2, den, _ = delta
         rowops.apply(self, (units, -u, u2, den, True), side)
+        tok = _new_token(GeneratorToken, ("x", i, j, s, None, None, None, None))
         if side is LEFT:
-            self.left.append(x(i, j, s))
+            self.left.append(tok)
             self.left_units.append(delta)
         else:
-            self.right.append(x(i, j, s))
+            self.right.append(tok)
             self.right_units.append(delta)
 
     def lmul(self, tok: GeneratorToken) -> None:
@@ -197,17 +199,9 @@ class _Bench(rowops.WorkingMatrix):
             raise InternalError(f"terminal matrix is not {tok}")
         self.right.reverse()
         self.right_units.reverse()
-        dec = Decomposition(
-            descriptor=d,
-            left=Word._trusted(d, self.left, self.left_units),
-            right=Word._trusted(d, self.right, self.right_units),
-            diagonal=diagonal,
-            lam=lam,
-            mu=mu,
-            alpha=alpha,
-            block=block,
-            op_count=len(self.left) + len(self.right),
-        )
+        dec = Decomposition(d, Word._trusted(d, self.left, self.left_units),
+                            Word._trusted(d, self.right, self.right_units), diagonal, lam, mu, alpha, block,
+                            len(self.left) + len(self.right))
         object.__setattr__(dec, "_torus_units", delta)
         return dec
 

@@ -29,7 +29,8 @@ parameter they record, and hand them to the in-place application
 (:func:`steinberg.rowops.apply`).  Every :class:`Word` keeps its tokens'
 units: the ones its check or its emitter computed, or else the ones its
 first evaluation computes, so :func:`evaluate_word` describes no token a
-second time; both run the one update loop of :mod:`steinberg.matrix`.
+second time and hands the product kernel each word's units as one run;
+both run the one update loop of :mod:`steinberg.matrix`.
 :func:`token_matrix` adds the units' values to ``den * I``.
 """
 
@@ -201,7 +202,8 @@ def token_units(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
     k * u2 when ``sq``, else k * u, at (row, col) of D (mod p over F_p,
     where den is 1).  An x-token's units are its compiled code
     (:func:`x_code`) as it stands, sequential, and t = a/b gives u = a over
-    b or, for the patterns with t^2, u = ab and u2 = a^2 over b^2; an int,
+    b with u2 = 0 or, for the patterns with t^2, u = ab and u2 = a^2 over
+    b^2 (over F_p u = t and u2 = t^2, or 0 without t^2); an int,
     or a Fraction over Q, is read as it is, anything else through
     :meth:`Field.of`.  Any other token's units are its entries, u = 1,
     sequential when all lie on the diagonal (a torus without a GOminus
@@ -236,15 +238,16 @@ def token_units(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
 def x_token_units(i: int, j: int, t: Scalar, d: GroupDescriptor) -> tuple:
     """The units of x[i,j](t) as :func:`token_units` gives them, and the
     only place they are computed: the pair's compiled code (:func:`x_code`)
-    as it stands, sequential, with u, u2 and den from t = a/b.  The
-    elimination and the coset witnesses call it with the parameter they
-    record, so a token they emit is described once."""
+    as it stands, sequential, with u, u2 and den from t = a/b, where u2,
+    the t^2 part, is computed only for a code that carries t^2 and is 0
+    otherwise.  The elimination and the coset witnesses call it with the
+    parameter they record, so a token they emit is described once."""
     _, squared, units = d._xcodes.get((i, j)) or x_code(i, j, d)
     p = d.field.p
     if type(t) is not int and (p is not None or type(t) is not Fraction):
         t = d.field.of(t)
     if p is not None:
-        return units, t % p, t * t % p, 1, True
+        return units, t % p, t * t % p if squared else 0, 1, True
     a, b = t.numerator, t.denominator
     return (units, a * b, a * a, b * b, True) if squared else (units, a, 0, b, True)
 
@@ -269,12 +272,14 @@ def token_matrix(tok: GeneratorToken, d: GroupDescriptor) -> Matrix:
 
 def _units_matrix(delta: tuple, d: GroupDescriptor) -> Matrix:
     """``den * I`` plus the values of a token's units, over ``den``, written
-    in the stored form: only the unit cells are reduced mod p, and over Q
-    only a gcd of den and the unit cells other than 1 is divided out."""
+    in the stored form from the rows of the shared identity: only the unit
+    cells are reduced mod p, and over Q only a gcd of den and the unit
+    cells other than 1 is divided out."""
     units, u, u2, den, _ = delta
-    m = [[0] * d.n for _ in range(d.n)]
-    for k, row in enumerate(m):
-        row[k] = den
+    m = [list(r) for r in Matrix.identity(d.field, d.n).num]
+    if den != 1:
+        for k, row in enumerate(m):
+            row[k] = den
     for r, c, k, sq in units:
         m[r][c] += k * (u2 if sq else u)
     p = d.field.p
@@ -434,17 +439,21 @@ class Word(Record):
 def evaluate_word(word: Word, *rest: Word | Matrix | tuple) -> Matrix:
     """The ordered product of the parts in one chain from I: a word stands
     for its tokens' units, in order, the ones it keeps (computed by
-    :func:`token_units` on its first evaluation if it keeps none), a
-    matrix or one token's units for itself, so no token matrix is built.
-    The first word gives the field and size; the empty word is I."""
+    :func:`token_units` on its first evaluation if it keeps none), handed
+    to the kernel as one run; a matrix stands for itself and one token's
+    units for a run of one, so no token matrix is built.  The first word
+    gives the field and size; the empty word is I."""
     d = word.descriptor
     return Matrix._chain(Matrix.identity(d.field, d.n), _factors(d, (word, *rest)))
 
 
 def _factors(d: GroupDescriptor, parts: Iterable[Word | Matrix | tuple]) -> Iterator:
+    """The kernel's parts (:meth:`Matrix._chain`), one per part given: a
+    word's kept units tuple as it is, a run; one token's units as a run of
+    one; a matrix as it is."""
     for part in parts:
         if not isinstance(part, Word):
-            yield part
+            yield (part,) if type(part) is tuple else part
             continue
         e = part.descriptor
         if (e.field, e.n) != (d.field, d.n):
@@ -452,7 +461,7 @@ def _factors(d: GroupDescriptor, parts: Iterable[Word | Matrix | tuple]) -> Iter
         if (units := part._units) is None:
             units = tuple([token_units(tok, e) for tok in part.tokens])
             object.__setattr__(part, "_units", units)
-        yield from units
+        yield units
 
 
 def derived_w(i: int, d: GroupDescriptor) -> Word:

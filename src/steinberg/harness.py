@@ -8,9 +8,14 @@ sampling is not uniform over the group and does not try to be; it only
 needs to cover it.
 
 Enumeration is either brute force over all n x n matrices (tiny fields
-only) or breadth-first closure over all generator matrices plus isometry
-torus elements.  The two agreeing on a family is a desk-scale witness that
-the elementary matrices together with the torus generate the group.
+only) or breadth-first closure under every generator token plus the torus
+elements.  The closure describes each generator once, by its units
+(:func:`~steinberg.generators.token_units`), and multiplies an element by
+it through the product kernel's update loop on a copy of the element's
+residue rows, keyed by those rows; a :class:`Matrix` is built only for a
+new element, and no generator matrix is built at all.  The two agreeing
+on a family is a desk-scale witness that the elementary matrices together
+with the torus generate the group.
 """
 
 from __future__ import annotations
@@ -25,15 +30,15 @@ from .generators import (
     GeneratorToken,
     Word,
     evaluate_word,
-    token_matrix,
     legal_x_index_pairs,
+    token_units,
     torus,
     w,
     x,
     x1,
     x2,
 )
-from .matrix import Matrix
+from .matrix import Matrix, _apply_delta
 
 
 class Enumeration(Record):
@@ -130,21 +135,23 @@ def random_member(d: GroupDescriptor, seed: int, word_len: int, with_torus: bool
 # enumeration
 
 
-def closure_generator_matrices(d: GroupDescriptor) -> list:
-    """All token matrices (every parameter value) plus torus elements."""
+def closure_generators(d: GroupDescriptor) -> list:
+    """Every token the closure multiplies by, in order: each x-token at
+    every nonzero parameter, the w's, x2 and every x1 reflection of
+    GOminus, then the torus elements."""
     f = d.field
     if not f.is_prime:
         raise EnumerationTooLarge("cannot sweep parameters over Q")
     gens = []
     for (i, j) in legal_x_index_pairs(d):
         for t in f.nonzero_elements():
-            gens.append(token_matrix(x(i, j, t), d))
+            gens.append(x(i, j, t))
     if d.family in (Family.GO_EVEN, Family.GO_ODD):
-        gens.append(token_matrix(w(d.l), d))
+        gens.append(w(d.l))
     if d.family is Family.GO_MINUS:
         for i in range(2, d.l + 1):
-            gens.append(token_matrix(w(i), d))
-        gens.append(token_matrix(x2(), d))
+            gens.append(w(i))
+        gens.append(x2())
         seen = set()
         for v1 in f.elements():
             for v2 in f.elements():
@@ -153,7 +160,7 @@ def closure_generator_matrices(d: GroupDescriptor) -> list:
                 ts = _reflection_params(d, v1, v2)
                 if ts not in seen:
                     seen.add(ts)
-                    gens.append(token_matrix(x1(*ts), d))
+                    gens.append(x1(*ts))
     gens += _torus_sweep(d)
     return gens
 
@@ -163,28 +170,28 @@ def _torus_sweep(d: GroupDescriptor) -> list:
     out = []
     lams = list(f.nonzero_elements())
     if d.family is Family.GL:
-        return [token_matrix(torus(lam, 1), d) for lam in lams]
+        return [torus(lam, 1) for lam in lams]
     if d.family is Family.GO_ODD:
         alphas = list(f.nonzero_elements()) if d.similitude else [f.one, f.neg(f.one)]
         for lam in lams:
             for a in alphas:
-                out.append(token_matrix(torus(lam, f.mul(a, a), alpha=a), d))
+                out.append(torus(lam, f.mul(a, a), alpha=a))
         return out
     if d.family is Family.GO_MINUS:
         if d.l == 1:
             lams = [f.one]
         for lam in lams:
-            out.append(token_matrix(torus(lam, 1), d))
+            out.append(torus(lam, 1))
             if d.similitude:
                 for v1 in f.elements():
                     for v2 in f.elements():
                         if v1 == 0 and v2 == 0:
                             continue
                         mu = f.add(f.mul(v1, v1), f.mul(d.epsilon, f.mul(v2, v2)))
-                        out.append(token_matrix(torus(lam, mu, ts=(v1, v2)), d))
+                        out.append(torus(lam, mu, ts=(v1, v2)))
         return out
     mus = list(f.nonzero_elements()) if d.similitude else [f.one]
-    return [token_matrix(torus(lam, mu), d) for lam in lams for mu in mus]
+    return [torus(lam, mu) for lam in lams for mu in mus]
 
 
 def enumerate_group(d: GroupDescriptor, method: str = "auto", cap: int = 10**6) -> Enumeration:
@@ -214,19 +221,27 @@ def _enumerate_brute(d: GroupDescriptor, cap: int) -> Enumeration:
 
 
 def _enumerate_closure(d: GroupDescriptor, cap: int) -> Enumeration:
-    gens = closure_generator_matrices(d)
-    ident = Matrix.identity(d.field, d.n)
-    seen = {ident: None}  # a dict keeps the discovery order
-    frontier = [ident]
+    """Breadth-first closure from I under :func:`closure_generators`, each
+    described once by its units and applied on the right to a copy of an
+    element's residue rows by the update loop (:func:`_apply_delta`);
+    ``seen`` is keyed on the residue tuples, in discovery order, and holds
+    the :class:`Matrix` built for each new element."""
+    field, p = d.field, d.field.p
+    gens = [token_units(tok, d) for tok in closure_generators(d)]
+    ident = Matrix.identity(field, d.n)
+    seen = {ident.num: ident}  # a dict keeps the discovery order
+    frontier = [ident.num]
     while frontier:
         nxt = []
-        for m in frontier:
-            for gmat in gens:
-                prod = m @ gmat
-                if prod not in seen:
+        for rows in frontier:
+            for delta in gens:
+                vecs = [list(r) for r in rows]
+                _apply_delta(p, vecs, None, delta)
+                key = tuple(map(tuple, vecs))
+                if key not in seen:
                     if len(seen) >= cap:
                         raise EnumerationTooLarge(f"closure exceeded cap {cap}")
-                    seen[prod] = None
-                    nxt.append(prod)
+                    seen[key] = Matrix._canonical(field, key)
+                    nxt.append(key)
         frontier = nxt
-    return Enumeration(d, tuple(seen), "closure")
+    return Enumeration(d, tuple(seen.values()), "closure")

@@ -5,19 +5,20 @@ One stored form for both fields: integer rows ``num`` over a positive ``den``
 with ``gcd(den, *num) == 1``).  It is canonical, so ``==`` and ``hash``
 compare it directly, and products run on the integers alike for both
 fields.  The product is one kernel, :meth:`Matrix._chain`, which multiplies
-a left factor by a sequence of right factors in order; ``@`` is a chain of
-one, the plain row loop.  A right factor is a matrix or a token's delta,
-its units (:func:`steinberg.generators.token_units`), which stands for
-``(den * I + D) / den``, so a word, its torus included, is multiplied
-without building a matrix per token.  Every token update, in the chain and
-on the working matrix of :mod:`steinberg.rowops` alike, runs through the
-one loop :func:`_apply_delta` on the rows: a unit (r, c) adds its value,
-computed as it is written, over den times column r to column c (or, from
-the left, row c to row r).  Over F_p it writes residues in place, a
-sequential delta (an x-token's, or a diagonal one) one unit at a time with
-no copy of a source; over Q a moved row is a new list and a moved column
-is rewritten in place, each over its own den, the lcm of the two it
-combines, with the gcd divided out only once that den reaches
+a left factor by a sequence of parts in order; ``@`` is a chain of one, the
+plain row loop.  A part is a matrix or a run of deltas: tokens' units
+(:func:`steinberg.generators.token_units`), each standing for
+``(den * I + D) / den``, so a word, its torus included, is multiplied as
+one part without building a matrix per token.  Every token update, in the
+chain and on the working matrix of :mod:`steinberg.rowops` alike, runs
+through the one loop :func:`_apply_delta` on the rows: a unit (r, c) adds
+its value, computed as it is written, over den times column r to column c
+(or, from the left, row c to row r).  Over F_p it writes residues in place,
+a sequential delta (an x-token's, or a diagonal one) one unit at a time with
+no copy of a source, and an x-code of two or three units in one pass over
+the rows or the target rows' columns; over Q a moved row is a new list and
+a moved column is rewritten in place, each over its own den, the lcm of the
+two it combines, with the gcd divided out only once that den reaches
 ``_REDUCE_FROM`` (one int digit).  Only the normalise step
 (:func:`_lowest`, and that loop) and the scalar view (``data``, ``[i, j]``,
 ``row``, ``to_lists``, ``repr``: the residues, or ``Fraction(v, den)``)
@@ -106,12 +107,55 @@ def _apply_delta(p: int | None, vecs: list, dens: list | None, delta: tuple, lef
     column c or, with ``left``, row c to row r.  A ``sequential`` delta (an
     x-token's, or a diagonal one) is applied one unit at a time, forwards to
     columns and backwards to rows; any other reads its sources from a copy.
-    Over F_p v is reduced and the residues are rewritten in place; over Q
-    ``dens`` are the row (``left``) or column denominators, and each written
-    vector is taken over one lcm, with the gcd divided out once that lcm
-    reaches ``_REDUCE_FROM`` (a row through :func:`_add_scaled`, a column
-    through :func:`_add_scaled_column`)."""
+    Over F_p v is reduced and the residues are rewritten in place, and an
+    off-diagonal sequential delta of two or three units (an x-code) is
+    applied in one pass: on the right each row takes the units in that
+    forward order, and from the left each column of the target rows takes
+    them in that backward order, which is exact because right
+    multiplication transforms each row on its own and left multiplication
+    each column.  Over Q ``dens`` are the row (``left``) or column
+    denominators, and each written vector is taken over one lcm, with the
+    gcd divided out once that lcm reaches ``_REDUCE_FROM`` (a row through
+    :func:`_add_scaled`, a column through :func:`_add_scaled_column`)."""
     units, u, u2, bden, sequential = delta
+    if p is not None and sequential and 1 < len(units) < 4 and units[0][0] != units[0][1]:
+        if len(units) == 2:
+            (r1, c1, k1, s1), (r2, c2, k2, s2) = units
+            v1, v2 = k1 * (u2 if s1 else u) % p, k2 * (u2 if s2 else u) % p
+            if left:
+                t1, f1, t2, f2 = vecs[r1], vecs[c1], vecs[r2], vecs[c2]
+                for j in range(len(t1)):
+                    if b := f2[j]:
+                        t2[j] = (t2[j] + v2 * b) % p
+                    if b := f1[j]:
+                        t1[j] = (t1[j] + v1 * b) % p
+            else:
+                for row in vecs:
+                    if b := row[r1]:
+                        row[c1] = (row[c1] + v1 * b) % p
+                    if b := row[r2]:
+                        row[c2] = (row[c2] + v2 * b) % p
+            return
+        (r1, c1, k1, s1), (r2, c2, k2, s2), (r3, c3, k3, s3) = units
+        v1, v2, v3 = k1 * (u2 if s1 else u) % p, k2 * (u2 if s2 else u) % p, k3 * (u2 if s3 else u) % p
+        if left:
+            t1, f1, t2, f2, t3, f3 = vecs[r1], vecs[c1], vecs[r2], vecs[c2], vecs[r3], vecs[c3]
+            for j in range(len(t1)):
+                if b := f3[j]:
+                    t3[j] = (t3[j] + v3 * b) % p
+                if b := f2[j]:
+                    t2[j] = (t2[j] + v2 * b) % p
+                if b := f1[j]:
+                    t1[j] = (t1[j] + v1 * b) % p
+        else:
+            for row in vecs:
+                if b := row[r1]:
+                    row[c1] = (row[c1] + v1 * b) % p
+                if b := row[r2]:
+                    row[c2] = (row[c2] + v2 * b) % p
+                if b := row[r3]:
+                    row[c3] = (row[c3] + v3 * b) % p
+        return
     src, sdens = (vecs, dens) if sequential else ([list(v) for v in vecs], dens and dens.copy())
     order = reversed(units) if left else units
     if p is not None:
@@ -270,18 +314,19 @@ class Matrix:
         return Matrix._chain(self, (other,))
 
     @staticmethod
-    def _chain(a: "Matrix", factors: Iterable) -> "Matrix":
+    def _chain(a: "Matrix", parts: Iterable) -> "Matrix":
         """``a @ f_1 @ f_2 @ ...``, in order: the one product kernel.
 
-        A factor is a :class:`Matrix` or a token's delta ``(units, u, u2,
-        den, sequential)`` (:func:`steinberg.generators.token_units`),
-        standing for ``(den * I + D) / den``.  The running product is held as
-        integer rows over one denominator until a delta, from which on the
-        rows are lists that each delta rewrites in place, on the columns it
-        names only (:func:`_apply_delta`, the loop the working matrix of
-        :mod:`steinberg.rowops` runs too): residues over F_p, and over Q
-        each column over its own denominator, reduced only from
-        ``_REDUCE_FROM`` on.  A matrix factor, and so every factor of
+        A part is a :class:`Matrix` or a run of deltas, a tuple of tokens'
+        units ``(units, u, u2, den, sequential)``
+        (:func:`steinberg.generators.token_units`), each standing for
+        ``(den * I + D) / den`` and applied in order.  The running product
+        is held as integer rows over one denominator until a run, from
+        which on the rows are lists that each delta rewrites in place, on
+        the columns it names only (:func:`_apply_delta`, the loop the
+        working matrix of :mod:`steinberg.rowops` runs too): residues over
+        F_p, and over Q each column over its own denominator, reduced only
+        from ``_REDUCE_FROM`` on.  A matrix part, and so every factor of
         ``@``, takes the row loop on rows over one denominator and is
         normalised at once.  At the end the residues are stored as they
         are; the columns over Q are brought over one lcm and normalised once,
@@ -291,7 +336,7 @@ class Matrix:
         m, n = a.rows, a.cols
         rows, den = a.num, a.den
         vecs = dens = None  # the rows a delta rewrites in place, and over Q their column dens
-        for b in factors:
+        for b in parts:
             if type(b) is not tuple:
                 if b.field != field:
                     raise DimensionMismatch("fields differ")
@@ -305,7 +350,8 @@ class Matrix:
                 continue
             if vecs is None:
                 vecs, dens = [list(r) for r in rows], None if p is not None else [den] * n
-            _apply_delta(p, vecs, dens, b)
+            for delta in b:
+                _apply_delta(p, vecs, dens, delta)
         if vecs is not None and p is None:
             return Matrix._normal(field, *_rows_over_lcm(vecs, dens))
         return Matrix._canonical(field, rows if vecs is None else vecs, den)  # residues already over F_p

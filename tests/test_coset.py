@@ -148,9 +148,9 @@ def assert_census_closed_form(family, census, order, q):
     (Family.GO_ODD, 2, 3, {0: 2592, 1: 31104, 2: 69984}),
     (Family.GO_EVEN, 2, 5, {0: 2400, 1: 14400, 2: 12000}),
 ])
-def test_census_closed_form_large(family, l, p, expected):
-    d = build_descriptor(family, l, Field(p))
-    en = enumerate_group(d, method="closure", cap=10**6)
+def test_census_closed_form_large(family, l, p, expected, whole_group):
+    d, en = whole_group(family, l, p)
+    assert en.method == "closure"
     census = coset_census(d, en)
     assert census == expected
     assert_census_closed_form(family, census, len(en.elements), p)

@@ -31,13 +31,15 @@ from steinberg.generators import (
     x1,
     x2,
     x_pattern,
+    x_token_units,
 )
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix
 
 from gauss_oracle import diagonal, identity
 from rowops_oracle import x_units_delta
-from test_rowops import token_entries
+from test_matrix import assert_canonical, naive_chain
+from test_rowops import delta_tokens, token_entries
 
 F3 = Field(3)
 F5 = Field(5)
@@ -478,10 +480,12 @@ def test_an_illegal_pair_raises_the_same_text_on_every_call(monkeypatch):
 
 def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
     """Verification stays independent of the elimination and builds no token
-    matrix: each check is one chain through the product kernel whose factors
-    are the tokens' deltas in the update loop's form (:func:`token_units`,
-    an x-token's compiled units read as they stand, flagged sequential), in
-    order (with the torus's units, or the element, between two words; a
+    matrix: each check is one chain through the product kernel whose parts
+    are runs of the tokens' deltas in the update loop's form
+    (:func:`token_units`, an x-token's compiled units read as they stand,
+    flagged sequential), one run per word, in order: the word's kept units
+    tuple itself, not a copy (with the torus's units as a run of one, or the
+    element, between two words, so ``reassemble`` hands over three parts; a
     label's check evaluates its omega_m afresh, then starts with
     omega_m^-1 as a word), and nothing of the in-place token application
     runs."""
@@ -508,43 +512,100 @@ def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
     chains = []
     chain = Matrix._chain
 
-    def counting(a, factors):
-        factors = list(factors)
-        chains.append(factors)
-        return chain(a, factors)
+    def counting(a, parts):
+        parts = list(parts)
+        chains.append(parts)
+        return chain(a, parts)
 
     monkeypatch.setattr(Matrix, "_chain", staticmethod(counting))
 
-    def deltas(*words):
-        return [token_units(tok, word.descriptor) for word in words for tok in word.tokens]
+    def run(word):
+        return tuple(token_units(tok, word.descriptor) for tok in word.tokens)
 
     for d, g, dec, mpath, wpath in cases:
         word = derived_w(2, d)
         word = Word(d, word.tokens + (x(1, 2, 3),) + word.tokens)
         chains.clear()
         evaluate_word(word)
-        assert chains == [deltas(word)]
+        assert chains == [[run(word)]] and chains[0][0] is word._units
         chains.clear()
-        assert evaluate_word(Word(d, [])) == Matrix.identity(d.field, d.n) and chains == [[]]
+        assert evaluate_word(Word(d, [])) == Matrix.identity(d.field, d.n) and chains == [[()]]
         chains.clear()
         assert dec.reassemble() == g
-        assert chains == [deltas(dec.left) + [token_units(dec.torus_token(), d)] + deltas(dec.right)]
+        assert chains == [[run(dec.left), (token_units(dec.torus_token(), d),), run(dec.right)]]
+        assert chains[0][0] is dec.left._units and chains[0][2] is dec.right._units
         left, mid, right, _ = parse_word_file(Path(wpath).read_text())
         chains.clear()
         assert cli_main(["verify", wpath, mpath]) == 0
-        assert chains == [deltas(left, mid, right)]
+        assert chains == [[run(left), run(mid), run(right)]]
     for d, g, label in labelled:
         for m in range(d.l + 1):
             chains.clear()
             omega_matrix(d, m)
-            assert chains == [deltas(*(derived_w(i, d) for i in range(1, m + 1)))]
+            assert chains == [[()] + [run(derived_w(i, d)) for i in range(1, m + 1)]]
         # omega_m^-1 as the inverse tokens of the swaps, in the same chain
         swaps = [derived_w(i, d) for i in range(label.m, 0, -1)]
-        inv = [token_units(token_inverse(t, d), d) for swap in swaps for t in reversed(swap.tokens)]
+        inv = tuple(token_units(token_inverse(t, d), d) for swap in swaps for t in reversed(swap.tokens))
         chains.clear()
         assert verify_label(g, label, d)
-        omega = deltas(*(derived_w(i, d) for i in range(1, label.m + 1)))
-        assert chains == [omega, inv + deltas(label.left_witness) + [g] + deltas(label.right_witness)]
+        omega = [()] + [run(derived_w(i, d)) for i in range(1, label.m + 1)]
+        assert chains == [omega, [inv, run(label.left_witness), g, run(label.right_witness)]]
+
+
+@pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
+def test_evaluate_word_over_runs_equals_the_token_by_token_chain(field):
+    """Words that mix x, w, x1, x2 and torus tokens (x1 and x2 where
+    GOminus is, over F_p), evaluated as one run each, alone and around a
+    member and a lone token's units (a run of one), equal the chain that
+    takes one token per part and the triple loop over the token matrices,
+    for every family at l = 1, 2, 3."""
+    rng = random.Random(43)
+    for fam in Family:
+        if fam is Family.GO_MINUS and not field.is_prime:
+            continue
+        for l in (1, 2, 3):
+            d = build_descriptor(fam, l, field, similitude=True)
+            toks = delta_tokens(d, rng)
+            toks += [rng.choice(toks) for _ in range(len(toks))]
+            rng.shuffle(toks)
+            half = len(toks) // 2
+            first, second = Word(d, toks[:half]), Word(d, toks[half:])
+            lone = token_units(toks[0], d)
+            member = random_member(d, l, word_len=6, with_torus=True)
+            ident = Matrix.identity(field, d.n)
+            mats = [token_matrix(tok, d) for tok in toks]
+            one_by_one = [(token_units(tok, d),) for tok in toks]
+            got = evaluate_word(first, second)
+            assert got == Matrix._chain(ident, one_by_one) == naive_chain(ident, mats), (fam, l)
+            assert_canonical(got)
+            got = evaluate_word(first, member, lone, second)
+            parts = one_by_one[:half] + [member, (lone,)] + one_by_one[half:]
+            want = naive_chain(ident, mats[:half] + [member, token_matrix(toks[0], d)] + mats[half:])
+            assert got == Matrix._chain(ident, parts) == want, (fam, l)
+            assert_canonical(got)
+
+
+@pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
+def test_x_token_units_compute_t_squared_only_for_codes_with_it(field):
+    """u2 is t^2 (a^2 over b^2 over Q) for a code with a t^2 unit, and 0
+    for every other code; u is t (a over b, or ab over b^2 with t^2)."""
+    for fam in Family:
+        if fam is Family.GO_MINUS and not field.is_prime:
+            continue
+        for l in (1, 2, 3):
+            d = build_descriptor(fam, l, field)
+            for i, j in legal_x_index_pairs(d):
+                for t in (2, -3, Fraction(5, 3)):
+                    units, u, u2, den, sequential = x_token_units(i, j, t, d)
+                    squared = any(sq for _, _, _, sq in units)
+                    assert squared == (x_pattern(i, j, d) in ("i0", "0i", "i1", "1i", "in1", "n1i")), (i, j)
+                    v = field.of(t)
+                    if field.is_prime:
+                        assert (u, u2, den) == (v, v * v % field.p if squared else 0, 1), (i, j, t)
+                    else:
+                        a, b = v.numerator, v.denominator
+                        assert (u, u2, den) == ((a * b, a * a, b * b) if squared else (a, 0, b)), (i, j, t)
+                    assert sequential is True
 
 
 @pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)

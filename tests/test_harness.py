@@ -5,6 +5,7 @@ from steinberg.forms import Family, build_descriptor, is_member, multiplier
 from steinberg.generators import token_matrix, torus, w
 from steinberg.harness import (
     EnumerationTooLarge,
+    closure_generators,
     enumerate_group,
     random_member,
 )
@@ -63,6 +64,37 @@ def test_cap_trips():
         enumerate_group(d, method="closure", cap=10)
     with pytest.raises(EnumerationTooLarge):
         enumerate_group(d, method="brute", cap=10)
+
+
+def dense_closure(d):
+    """The closure as dense products, ``m @ token_matrix(tok, d)``, each new
+    element recorded in discovery order: the oracle for the closure through
+    token units."""
+    gens = [token_matrix(tok, d) for tok in closure_generators(d)]
+    ident = Matrix.identity(d.field, d.n)
+    seen = {ident: None}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for gmat in gens:
+                prod = m @ gmat
+                if prod not in seen:
+                    seen[prod] = None
+                    nxt.append(prod)
+        frontier = nxt
+    return tuple(seen)
+
+
+# every group the default run enumerates by closure, directly or through enumerate_group's "auto"
+@pytest.mark.parametrize("family, l, similitude", [(Family.GO_EVEN, 2, False), (Family.GO_MINUS, 2, False)] + [
+    (family, 1, similitude) for family in ALL for similitude in (False, True)
+], ids=str)
+def test_closure_by_units_keeps_the_dense_closure_order(family, l, similitude):
+    d = build_descriptor(family, l, F3, similitude=similitude)
+    en = enumerate_group(d, method="closure", cap=10**6)
+    assert en.elements == dense_closure(d)
+    assert all(type(g) is Matrix and g.den == 1 for g in en.elements)
 
 
 @pytest.mark.parametrize("family", ALL)

@@ -623,6 +623,53 @@ def _assert_refused(g, tok, d, error):
         evaluate_word(Word._trusted(d, [tok]), g)
 
 
+class _LoggedRow(list):
+    """A row of integers that logs each write as (its row number, column)."""
+
+    def __init__(self, values, at, log):
+        super().__init__(values)
+        self.at, self.log = at, log
+
+    def __setitem__(self, j, v):
+        self.log.append((self.at, j))
+        super().__setitem__(j, v)
+
+
+@pytest.mark.parametrize("field", [Field(7), Field(1000000007)], ids=str)
+def test_x_codes_apply_in_one_pass(field):
+    """Every x-code of every family at l = 1, 2, 3 (GL up to n = 4), for
+    several parameters, through the update loop from either side on a
+    member's residues: the result equals the hand-written updates and the
+    triple loop with the dense token matrix, and a code of two or three
+    units is applied in one pass.  Its writes sweep the rows once, in
+    order, on the right, and the columns once, in order, from the left;
+    the one-unit loop would sweep once per unit."""
+    p = field.p
+    swept = 0
+    for fam in Family:
+        for l in (1, 2, 3):
+            d = build_descriptor(fam, l, field, similitude=True)
+            member = random_member(d, 7 * l, word_len=4 * l + 4, with_torus=True)
+            for i, j in legal_x_index_pairs(d):
+                for t in (1, -1, 2, p - 3):
+                    tok = x(i, j, t)
+                    delta = token_units(tok, d)
+                    units = delta[0]
+                    assert 1 <= len(units) <= 3 and all(r != c for r, c, _, _ in units), tok
+                    tm = token_matrix(tok, d)
+                    for side in (LEFT, RIGHT):
+                        log = []
+                        vecs = [_LoggedRow(row, k, log) for k, row in enumerate(member.num)]
+                        matrix._apply_delta(p, vecs, None, delta, side is LEFT)
+                        want = naive_chain(tm, [member]) if side is LEFT else naive_chain(member, [tm])
+                        assert Matrix._canonical(field, vecs) == want == oracle_apply(member, tok, side, d), (tok, side)
+                        if len(units) > 1:
+                            sweep = [c for _, c in log] if side is LEFT else [r for r, _ in log]
+                            assert sweep == sorted(sweep), (tok, side)
+                            swept += len({r for r, _ in log} if side is LEFT else {c for _, c in log}) > 1
+    assert swept  # some one-pass application wrote with more than one unit
+
+
 @pytest.mark.parametrize("field", [Field(7), Field(1000000007), QQ], ids=str)
 def test_a_delta_is_sequential_exactly_when_its_units_lie_on_the_diagonal(field):
     """:func:`token_units` marks a non-x delta sequential exactly when all

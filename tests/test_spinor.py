@@ -887,7 +887,7 @@ def test_descent_equals_the_dense_oracle_on_whole_groups(family, l):
     (Family.GO_EVEN, 1, 5, 8, 0), (Family.GO_MINUS, 1, 5, 12, 0), (Family.GO_ODD, 1, 5, 240, 0),
     (Family.GO_EVEN, 2, 5, 28800, 48), (Family.GO_MINUS, 2, 5, 31200, 0), (Family.GO_ODD, 2, 3, 103680, 80),
 ], ids=str)
-def test_some_candidate_passes_the_lookahead_on_whole_groups(family, l, p, size, isotropic):
+def test_some_candidate_passes_the_lookahead_on_whole_groups(family, l, p, size, isotropic, whole_group):
     """Every element of each orthogonal group at l <= 2 over F_5, and of
     O(5,3) (the F_3 groups at l <= 2 are in the default run), descends in
     Scherk's length without a step that finds no passing candidate, which
@@ -910,8 +910,8 @@ def test_some_candidate_passes_the_lookahead_on_whole_groups(family, l, p, size,
     lines of that plane makes chi vanish from the plane to R, and chi,
     alternating on R, is then degenerate.
     """
-    d = build_descriptor(family, l, Field(p))
-    elements = enumerate_group(d).elements
+    d, en = whole_group(family, l, p)
+    elements = en.elements
     met = 0
     for g in elements:
         mirrors, _ = reflection_factorization(g, d)
