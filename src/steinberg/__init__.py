@@ -15,7 +15,6 @@ _HOMES = {
     "QQ": "field",
     "SquareClass": "field",
     "square_class": "field",
-    "canonical_nonsquare": "field",
     "Matrix": "matrix",
     "Family": "forms",
     "GroupDescriptor": "forms",

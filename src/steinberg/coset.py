@@ -25,7 +25,7 @@ from collections import Counter
 from . import rowops
 from .field import Record, Scalar
 from .forms import Family, GroupDescriptor, InternalError, NotInGroup, UnsupportedFamily, multiplier
-from .generators import GeneratorToken, Word, derived_w, evaluate_word, token_inverse, x, x_code, x_token_units
+from .generators import GeneratorToken, Word, derived_w, evaluate_word, token_inverse, x, x_pattern, x_token_units
 from .matrix import Matrix
 
 _COSET_FAMILIES = (Family.GSP, Family.GO_EVEN, Family.GO_ODD)
@@ -90,9 +90,9 @@ _P_LEGAL_PATTERNS = {"pp", "pn", "pnm", "i0"}
 
 def _assert_parabolic_token(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
     """The token, if it is an x-token of P; the pattern is read from the
-    pair's compiled code, which applying the token and validating the
-    witness word look up too, so each pair is classified once."""
-    if tok.kind != "x" or (d._xcodes.get((tok.i, tok.j)) or x_code(tok.i, tok.j, d))[0] not in _P_LEGAL_PATTERNS:
+    pair's code in the shape's table, which applying the token and
+    validating the witness word read too."""
+    if tok.kind != "x" or x_pattern(tok.i, tok.j, d) not in _P_LEGAL_PATTERNS:
         raise InternalError(f"witness token {tok} does not lie in P")
     return tok
 

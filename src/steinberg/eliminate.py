@@ -87,7 +87,6 @@ from .generators import (
     derived_h,
     derived_w,
     evaluate_word,
-    token_inverse,
     token_units,
     torus,
     x1,
@@ -158,16 +157,15 @@ class _Bench(rowops.WorkingMatrix):
 
     def lmul(self, tok: GeneratorToken) -> None:
         """Apply a token from the left and record its inverse: an x-token
-        as an x-step, any other (w, x1, x2) through :func:`token_units`."""
+        as an x-step, any other (w, x1, x2, each an involution) through
+        :func:`token_units`, recorded as itself with the units applied."""
         if tok.kind == "x":
             self.xmul(tok.i, tok.j, tok.t, LEFT)
             return
-        d = self.d
-        delta = token_units(tok, d)
+        delta = token_units(tok, self.d)
         rowops.apply(self, delta, LEFT)
-        inv = token_inverse(tok, d)
-        self.left.append(inv)
-        self.left_units.append(delta if inv is tok else token_units(inv, d))
+        self.left.append(tok)
+        self.left_units.append(delta)
 
     def lmul_word(self, word: Word) -> None:
         for tok in reversed(word.tokens):

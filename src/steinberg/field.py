@@ -450,16 +450,3 @@ def square_class(field: Field, a: Scalar) -> SquareClass:
     if field.p is not None:
         return SquareClass(1 if pow(a, (field.p - 1) // 2, field.p) == 1 else -1, True)
     return SquareClass(a.numerator * a.denominator, False)
-
-
-def canonical_nonsquare(p: int) -> int:
-    """Smallest integer >= 2 that is a non-square mod p.
-
-    Fixing the representative this way keeps twisted forms (and hence the
-    words produced over them) reproducible across runs.
-    """
-    field = Field(p)
-    for c in range(2, p):
-        if not square_class(field, c).is_square:
-            return c
-    raise ValueError(f"no nonsquare mod {p}")

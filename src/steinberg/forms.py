@@ -9,13 +9,16 @@ Each family fixes one bilinear form beta and one ordering of the basis:
 ``GroupDescriptor.pos`` maps a signed basis index to its storage position;
 every generator, row operation and elimination step goes through it, since
 the three different orderings are the main source of off-by-one mistakes.
-What depends on the group shape (family, l, n) alone is placed at storage
-positions once per shape, in a memo that every descriptor of that shape
-shares over any field: the signed basis, block and strip indices, the cells
-of each block the elimination and the coset labels check by name
+What depends on the group shape (family, l, n, epsilon) alone is placed at
+storage positions once per shape, in a record that every descriptor of that
+shape shares over any field: the signed basis, block and strip indices, the
+code of each legal x-token index pair (:func:`_x_classify`, the one place
+that says which x[i,j] a family has and how each acts), the cells of each
+block the elimination and the coset labels check by name
 (:meth:`GroupDescriptor.cells`), the plan of each pair pass
 (:meth:`GroupDescriptor.pair_plan`) and the entry :func:`read_multiplier`
-reads.  It holds ints and tuples only, never a scalar or an input.
+reads.  It holds ints, bools, tuples and the pattern names only, never a
+scalar or an input.
 
 :func:`multiplier` is the one form check.  beta is symmetric or skew, so it
 compares only the entries j >= i of g^T beta g with mu beta, on the stored
@@ -81,12 +84,6 @@ class Family(Enum):
         return self in (Family.GO_EVEN, Family.GO_ODD, Family.GO_MINUS)
 
 
-# The compiled x-token actions of :mod:`steinberg.generators`, one table per
-# group shape: they read the family, l, n and epsilon, never the field, so
-# the same shape over F_7, over F_1000000007 and in every descriptor that
-# decompose_gl builds per call fills one table.
-_X_CODES: dict = {}
-
 # The blocks that the elimination (:mod:`steinberg.eliminate`) and the coset
 # labels (:mod:`steinberg.coset`) check, by the name their InternalError
 # gives, as signed index pairs over the block indices b, the strip indices s
@@ -102,23 +99,81 @@ _BLOCKS = {
 }
 
 
+# The order in which the x-token table, and so legal_x_index_pairs, lists
+# the patterns of :func:`_x_classify`.
+_X_PATTERN_ORDER = ("gl", "pp", "pn", "np", "pnm", "npm", "i0", "0i", "i1", "1i", "in1", "n1i")
+
+
+def _x_classify(i: int, j: int, family: Family, epsilon: Scalar | None) -> tuple | None:
+    """``(pattern, squared, units)`` of x[i,j](t) - I for basis indices i and
+    j of the family, or None for an illegal pair: the pattern names the
+    flavour of the pair, each unit ``(row, col, k, sq)`` at signed indices
+    stands for k * t^2 when ``sq``, else k * t, and ``squared`` says that
+    some unit carries t^2.  The integers k are not yet reduced mod p, and
+    no unit's column is the row of a later one: the update loop applies
+    them one at a time."""
+    if family is Family.GL:
+        return ("gl", False, ((i, j, 1, False),)) if i != j else None
+    if family is Family.GO_ODD and 0 in (i, j):
+        if i == 0 and j > 0:
+            return "0i", True, ((0, j, 1, False), (-j, 0, -2, False), (-j, j, -1, True))
+        if j == 0 and i > 0:
+            return "i0", True, ((0, -i, -1, False), (i, 0, 2, False), (i, -i, -1, True))
+        return None
+    if family is Family.GO_MINUS and (abs(i) == 1 or abs(j) == 1):
+        # Twisted pairs against the anisotropic plane, normalised so they are
+        # isometries of diag(1,eps) + hyperbolic (beta(e_1,e_1)=1, not 2).
+        if j == 1 and i > 1:
+            return "i1", True, ((1, i, 2, False), (-i, 1, -2, False), (-i, i, -2, True))
+        if i == 1 and j > 1:
+            return "1i", True, ((1, -j, -2, False), (j, 1, 2, False), (j, -j, -2, True))
+        if j == -1 and i > 1:
+            return "in1", True, ((-1, i, 2, False), (-i, -1, -2 * epsilon, False), (-i, i, -2 * epsilon, True))
+        if i == -1 and j > 1:
+            return "n1i", True, ((-1, -j, -2, False), (j, -1, 2 * epsilon, False), (j, -j, -2 * epsilon, True))
+        return None
+    # the hyperbolic pairs, over 1..l (2..l for GOminus)
+    if i > 0 and j > 0 and i != j:
+        return "pp", False, ((i, j, 1, False), (-j, -i, -1, False))
+    if (i > 0) != (j > 0):
+        pattern = "pn" if i > 0 else "np"
+        if abs(i) < abs(j):
+            # the short pairs: the partner unit carries +t for GSp, -t otherwise
+            return pattern, False, ((i, j, 1, False), (-j, -i, 1 if family is Family.GSP else -1, False))
+        if i == -j and family is Family.GSP:
+            return pattern + "m", False, ((i, j, 1, False),)
+    return None
+
+
 class _Shape:
-    """What a group shape (family, l, n) fixes, shared by its descriptors
-    over every field: the signed basis indices in storage order and their
-    positions, the block and strip indices, and ``memo``, filled on first
-    use with storage positions keyed by what they serve."""
+    """What a group shape (family, l, n, epsilon) fixes, shared by its
+    descriptors over every field: the signed basis indices in storage order
+    and their positions, the block and strip indices, ``xcodes`` and
+    ``memo``, filled on first use with storage positions keyed by what
+    they serve.
 
-    __slots__ = ("signed", "positions", "block", "strips", "memo")
+    ``xcodes`` maps each legal x-token index pair (i, j) to its code
+    ``(pattern, squared, units)``, :func:`_x_classify`'s with the units at
+    storage positions.  It is built here, once per shape, from one
+    classification of every basis pair, and lists the pairs grouped by
+    pattern in the order of ``_X_PATTERN_ORDER`` and in basis order inside
+    a pattern; an illegal pair has no entry."""
 
-    def __init__(self, family: Family, l: int, n: int):
-        self.signed = tuple(_basis_indices(family, l, n))
-        self.positions = {i: k for k, i in enumerate(self.signed)}
+    __slots__ = ("signed", "positions", "block", "strips", "xcodes", "memo")
+
+    def __init__(self, family: Family, l: int, n: int, epsilon: Scalar | None):
+        self.signed = signed = tuple(_basis_indices(family, l, n))
+        self.positions = pos = {i: k for k, i in enumerate(signed)}
         if family is Family.GO_MINUS:
             self.block, self.strips = tuple(range(2, l + 1)), (1, -1)
         elif family is Family.GL:
             self.block, self.strips = tuple(range(1, n + 1)), ()
         else:
             self.block, self.strips = tuple(range(1, l + 1)), (0,) if family is Family.GO_ODD else ()
+        legal = [((i, j), code) for i in signed for j in signed if (code := _x_classify(i, j, family, epsilon))]
+        legal.sort(key=lambda pair_code: _X_PATTERN_ORDER.index(pair_code[1][0]))
+        self.xcodes = {pair: (pattern, squared, tuple((pos[r], pos[c], k, sq) for r, c, k, sq in units))
+                       for pair, (pattern, squared, units) in legal}
         self.memo = {}
 
 
@@ -127,15 +182,13 @@ _SHAPES: dict = {}
 
 class GroupDescriptor(Record):
     """A family at rank l over a field with its Gram matrix ``beta``.  The
-    table behind :meth:`pos` and the index tuples come from the shape's
-    memo (``_shape``), which every descriptor of the same (family, l, n)
-    shares.  ``_omegas`` holds the coset
+    table behind :meth:`pos`, the index tuples and ``_xcodes``, the table
+    of x-token codes (:func:`steinberg.generators.x_code`), come from the
+    shape (``_shape``), which every descriptor of the same (family, l, n,
+    epsilon) shares.  ``_omegas`` holds the coset
     representatives of :mod:`steinberg.coset` by m, filled on first use:
     they depend on the descriptor alone, and a memo on the object is not
-    shared by equal descriptors built elsewhere.  ``_xcodes`` maps each
-    legal x-token index pair (i, j) to its compiled action
-    (:func:`steinberg.generators.x_code`), filled on first use and shared
-    by every descriptor of the same (family, l, n, epsilon)."""
+    shared by equal descriptors built elsewhere."""
 
     _fields = ("family", "l", "field", "similitude", "beta", "n", "epsilon")
     __slots__ = _fields + ("_shape", "_positions", "_beta_columns", "_omegas", "_xcodes")
@@ -143,12 +196,13 @@ class GroupDescriptor(Record):
     def __init__(self, family: Family, l: int, field: Field, similitude: bool, beta: Matrix, n: int,
                  epsilon: Scalar | None = None):
         self._init(family, l, field, similitude, beta, n, epsilon)
-        shape = _SHAPES.get((family, l, n)) or _SHAPES.setdefault((family, l, n), _Shape(family, l, n))
+        key = (family, l, n, epsilon)
+        shape = _SHAPES.get(key) or _SHAPES.setdefault(key, _Shape(*key))
         object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_positions", shape.positions)
         object.__setattr__(self, "_beta_columns", None)
         object.__setattr__(self, "_omegas", {})
-        object.__setattr__(self, "_xcodes", _X_CODES.setdefault((family, l, n, epsilon), {}))
+        object.__setattr__(self, "_xcodes", shape.xcodes)
 
     def pos(self, i: int) -> int:
         """Storage position of signed basis index i (0 only for GOodd)."""

@@ -17,12 +17,14 @@ A token is described once, by :func:`token_units`, which refuses a token
 that is not in the group (:class:`IllegalToken`) and gives units
 ``(row, col, k, sq)`` at storage positions, with k * u2 (when ``sq``) or
 k * u at (row, col) of D and the token's matrix ``(den * I + D) / den``.
-An x-token's units are a code written in :func:`_x_units`, placed at
-storage positions once per index pair (:func:`x_code`) and kept in one
+An x-token's units are its pair's code (:func:`x_code`), read from one
 table per group shape, which every descriptor of that family, rank and
-epsilon shares, over any field, and read with the parameter by
-:func:`x_token_units`, the only code that computes them; any other
-token's are its entries.  A checked :class:`Word` and the grammar compute
+epsilon shares, over any field: one function,
+:func:`steinberg.forms._x_classify`, says which pairs are legal and how
+each acts, and the table is built from it once, with the shape.  The code
+is read with the parameter by :func:`x_token_units`, the only code that
+computes an x-token's units; any other token's are its entries.  A
+checked :class:`Word` and the grammar compute
 them through :func:`token_units`; the elimination and the coset witnesses
 compute each x-token's once, through :func:`x_token_units`, for the
 parameter they record, and hand them to the in-place application
@@ -41,7 +43,6 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from functools import lru_cache
 
 from .field import Record, Scalar
 from .matrix import DimensionMismatch, Matrix
@@ -113,82 +114,40 @@ def torus(
 
 
 # ---------------------------------------------------------------------------
-# x-token index pairs and their compiled codes
-
-
-def x_pattern(i: int, j: int, d: GroupDescriptor) -> str:
-    """Classify a legal x-token index pair for the family, or raise."""
-    pat = _x_pattern(i, j, d.family, d.l, d.n)
-    if pat is None:
-        group = f"GL({d.n})" if d.family is Family.GL else f"{d.family.value}(l={d.l})"
-        raise IllegalToken(f"x[{i},{j}] illegal for {group}")
-    return pat
-
-
-# Keyed on what the classification reads rather than on the descriptor, which
-# callers such as decompose_gl build afresh per call; an illegal pair is None.
-@lru_cache(maxsize=4096)
-def _x_pattern(i: int, j: int, fam: Family, l: int, n: int) -> str | None:
-    if fam is Family.GL:
-        if i != j and 1 <= i <= n and 1 <= j <= n:
-            return "gl"
-        return None
-    if fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
-        lo, hi = 1, l
-        if fam is Family.GO_ODD:
-            if i == 0 and lo <= j <= hi:
-                return "0i"
-            if j == 0 and lo <= i <= hi:
-                return "i0"
-        if lo <= i <= hi and lo <= j <= hi and i != j:
-            return "pp"
-        if lo <= i <= hi and -hi <= j <= -lo:
-            if i < -j:
-                return "pn"
-            if i == -j and fam is Family.GSP:
-                return "pnm"
-        if -hi <= i <= -lo and lo <= j <= hi:
-            if -i < j:
-                return "np"
-            if -i == j and fam is Family.GSP:
-                return "npm"
-        return None
-    # GO_MINUS: generic indices run over 2..l, the pair (1,-1) is special
-    if 2 <= i <= l and j == 1:
-        return "i1"
-    if i == 1 and 2 <= j <= l:
-        return "1i"
-    if 2 <= i <= l and j == -1:
-        return "in1"
-    if i == -1 and 2 <= j <= l:
-        return "n1i"
-    if 2 <= i <= l and 2 <= j <= l and i != j:
-        return "pp"
-    if 2 <= i <= l and -l <= j <= -2 and i < -j:
-        return "pn"
-    if -l <= i <= -2 and 2 <= j <= l and -i < j:
-        return "np"
-    return None
+# x-token index pairs and their codes
 
 
 def x_code(i: int, j: int, d: GroupDescriptor) -> tuple:
-    """Compile how x[i,j] acts in the shape of ``d``, store it in the
-    shape's table ``d._xcodes`` and return it; raise :class:`IllegalToken`
-    for an illegal pair, which is never stored.  Callers look the pair up
-    in ``d._xcodes`` first and come here on a miss.
+    """How x[i,j] acts in the shape of ``d``: its entry in the shape's table
+    ``d._xcodes``, built once per shape with the shape itself, or
+    :class:`IllegalToken` for an illegal pair, which has no entry.  Hot
+    callers look the pair up in ``d._xcodes`` first and come here on a miss.
 
     The code is ``(pattern, squared, units)``: the :func:`x_pattern` name,
     whether the values of x[i,j](a/b) stand over b^2 (else over b), and the
-    ``(row, col, k, sq)`` units of :func:`_x_units` at storage positions,
-    whose value is k * a^2 when ``sq``, else k * ab over b^2 or k * a over b.
-    The units keep the order of :func:`_x_units`, in which no unit's column
+    ``(row, col, k, sq)`` units at storage positions, whose value is k * a^2
+    when ``sq``, else k * ab over b^2 or k * a over b.  The units keep the
+    order of :func:`steinberg.forms._x_classify`, in which no unit's column
     is the row of a later one: the update loop applies them one at a time.
     """
-    pat = x_pattern(i, j, d)
-    squared, units = _x_units(i, j, pat, d)
-    pos = d._positions
-    code = d._xcodes[i, j] = (pat, squared, tuple((pos[r], pos[c], k, sq) for r, c, k, sq in units))
+    code = d._xcodes.get((i, j))
+    if code is None:
+        group = f"GL({d.n})" if d.family is Family.GL else f"{d.family.value}(l={d.l})"
+        raise IllegalToken(f"x[{i},{j}] illegal for {group}")
     return code
+
+
+def x_pattern(i: int, j: int, d: GroupDescriptor) -> str:
+    """The pattern of a legal x-token index pair for the family, or raise."""
+    return x_code(i, j, d)[0]
+
+
+def legal_x_index_pairs(d: GroupDescriptor) -> list:
+    """All legal (i,j) index pairs for x-tokens of the family, as the
+    shape's code table lists them: grouped by pattern in the order of
+    ``forms._X_PATTERN_ORDER`` and in basis order inside a pattern.  Each
+    call returns a new list."""
+    return list(d._xcodes)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +159,7 @@ def token_units(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
     or :class:`IllegalToken` if it is not in the group of ``d``.  Its matrix
     is ``(den * I + D) / den``, each unit ``(row, col, k, sq)`` putting
     k * u2 when ``sq``, else k * u, at (row, col) of D (mod p over F_p,
-    where den is 1).  An x-token's units are its compiled code
+    where den is 1).  An x-token's units are its code
     (:func:`x_code`) as it stands, sequential, and t = a/b gives u = a over
     b with u2 = 0 or, for the patterns with t^2, u = ab and u2 = a^2 over
     b^2 (over F_p u = t and u2 = t^2, or 0 without t^2); an int,
@@ -237,11 +196,12 @@ def token_units(tok: GeneratorToken, d: GroupDescriptor) -> tuple:
 
 def x_token_units(i: int, j: int, t: Scalar, d: GroupDescriptor) -> tuple:
     """The units of x[i,j](t) as :func:`token_units` gives them, and the
-    only place they are computed: the pair's compiled code (:func:`x_code`)
-    as it stands, sequential, with u, u2 and den from t = a/b, where u2,
-    the t^2 part, is computed only for a code that carries t^2 and is 0
-    otherwise.  The elimination and the coset witnesses call it with the
-    parameter they record, so a token they emit is described once."""
+    only place they are computed: the pair's code as it stands in the
+    shape's table, looked up inline (:func:`x_code` only on a miss, to
+    raise), sequential, with u, u2 and den from t = a/b, where u2, the t^2
+    part, is computed only for a code that carries t^2 and is 0 otherwise.
+    The elimination and the coset witnesses call it with the parameter they
+    record, so a token they emit is described once."""
     _, squared, units = d._xcodes.get((i, j)) or x_code(i, j, d)
     p = d.field.p
     if type(t) is not int and (p is not None or type(t) is not Fraction):
@@ -350,36 +310,6 @@ def _plane_entries(tok: GeneratorToken, norm: Scalar, why: str, d: GroupDescript
         (-1, 1, s),
         (-1, -1, f.neg(f.add(t, f.one))),
     ]
-
-
-def _x_units(i: int, j: int, pat: str, d: GroupDescriptor) -> tuple:
-    """``(squared, units)`` of x[i,j](t) - I for the index pattern ``pat``:
-    each unit ``(row, col, k, sq)`` at signed indices stands for k * t^2
-    when ``sq``, else k * t, and ``squared`` says that some unit carries
-    t^2.  The integers k are not yet reduced mod p; the order counts (:func:`x_code`)."""
-    if pat in ("gl", "pnm", "npm"):
-        return False, [(i, j, 1, False)]
-    if pat == "pp":
-        return False, [(i, j, 1, False), (-j, -i, -1, False)]
-    if pat in ("pn", "np"):
-        # the short pairs: the partner unit carries +t for GSp, -t otherwise
-        return False, [(i, j, 1, False), (-j, -i, 1 if d.family is Family.GSP else -1, False)]
-    if pat == "i0":
-        return True, [(0, -i, -1, False), (i, 0, 2, False), (i, -i, -1, True)]
-    if pat == "0i":
-        return True, [(0, j, 1, False), (-j, 0, -2, False), (-j, j, -1, True)]
-    # Twisted pairs against the anisotropic plane, normalised so they are
-    # isometries of diag(1,eps) + hyperbolic (beta(e_1,e_1)=1, not 2).
-    eps = d.epsilon
-    if pat == "i1":
-        return True, [(1, i, 2, False), (-i, 1, -2, False), (-i, i, -2, True)]
-    if pat == "1i":
-        return True, [(1, -j, -2, False), (j, 1, 2, False), (j, -j, -2, True)]
-    if pat == "in1":
-        return True, [(-1, i, 2, False), (-i, -1, -2 * eps, False), (-i, i, -2 * eps, True)]
-    if pat == "n1i":
-        return True, [(-1, -j, -2, False), (j, -1, 2 * eps, False), (j, -j, -2 * eps, True)]
-    raise IllegalToken(pat)  # pragma: no cover
 
 
 def token_inverse(tok: GeneratorToken, d: GroupDescriptor) -> GeneratorToken:
@@ -557,22 +487,3 @@ def parse_word(text: str, d: GroupDescriptor) -> Word:
     once as it is parsed; the word keeps the units."""
     parsed = [_parse_token(t, d) for t in text.split()]
     return Word._trusted(d, [tok for tok, _ in parsed], [units for _, units in parsed])
-
-
-# The order in which legal_x_index_pairs lists the x-token patterns.
-_X_PATTERN_ORDER = ("gl", "pp", "pn", "np", "pnm", "npm", "i0", "0i", "i1", "1i", "in1", "n1i")
-
-
-def legal_x_index_pairs(d: GroupDescriptor) -> list:
-    """All legal (i,j) index pairs for x-tokens of the family: the pairs of
-    basis indices that :func:`x_pattern` accepts, grouped by pattern in the
-    order of ``_X_PATTERN_ORDER`` and in basis order inside a pattern.
-    They depend on the group shape alone, so they are listed once per shape
-    and kept in its memo; each call returns a new list."""
-    memo = d._shape.memo
-    if (pairs := memo.get("x pairs")) is None:
-        fam, l, n, idx = d.family, d.l, d.n, d.basis_indices()
-        legal = [(pat, (i, j)) for i in idx for j in idx if (pat := _x_pattern(i, j, fam, l, n))]
-        legal.sort(key=lambda pat_pair: _X_PATTERN_ORDER.index(pat_pair[0]))
-        pairs = memo["x pairs"] = tuple(pair for _, pair in legal)
-    return list(pairs)

@@ -25,7 +25,7 @@ loop ``diagonalize`` and the pair pass ``clear_pairs``.
 ``apply(w, delta, LEFT)`` turns ``w`` into ``M @ w`` and
 ``apply(w, delta, RIGHT)`` into ``w @ M``, bit-exact, for the matrix M of a
 token's units (:func:`steinberg.generators.token_units`: an x-token's
-compiled code and the integers of its parameter, read as they stand).  It
+code and the integers of its parameter, read as they stand).  It
 takes the units, not the token: they are computed where a step is named,
 once per token.  ``lmul`` and ``rmul`` take a token and compute its units
 through :func:`~steinberg.generators.token_units`, which refuses a token

@@ -15,8 +15,8 @@ a :class:`WorkingMatrix` copy of a :class:`Matrix`, for tests that work
 with whole matrices.  ``x_units_delta`` is an x-token's delta built from this
 module's own ``_x_units``, the value form of every x-token written out per
 index pattern at t = a/b: the oracle for the codes that the library writes
-in coefficient form and compiles once per index pair
-(:func:`steinberg.generators.x_code`).
+in coefficient form, classifying each basis pair once per group shape, and
+keeps in the shape's table (:func:`steinberg.generators.x_code`).
 """
 
 from steinberg.forms import Family, GroupDescriptor

@@ -202,27 +202,30 @@ def test_non_parabolic_witness_token_raises_internal_error():
 
 def test_witness_tokens_are_classified_once_per_pair(monkeypatch):
     """The parabolic check, the token's application and the witness word's
-    validation all read one compiled code per index pair, so across many
-    labels ``x_pattern`` runs at most once per pair and shape."""
+    validation all read one code per index pair from the shape's table, so
+    across many labels each pair of a shape is classified once, when the
+    shape is built, and the labels classify none."""
     from collections import Counter
 
-    from steinberg import forms, generators
+    from steinberg import forms
 
-    monkeypatch.setattr(forms, "_X_CODES", {})
+    monkeypatch.setattr(forms, "_SHAPES", {})
     calls = Counter()
-    classify = generators.x_pattern
+    classify = forms._x_classify
 
-    def counting(i, j, d):
-        calls[d.family, d.l, i, j] += 1
-        return classify(i, j, d)
+    def counting(i, j, family, epsilon):
+        calls[family, i, j] += 1
+        return classify(i, j, family, epsilon)
 
-    monkeypatch.setattr(generators, "x_pattern", counting)
+    monkeypatch.setattr(forms, "_x_classify", counting)
     for fam in (Family.GSP, Family.GO_EVEN, Family.GO_ODD):
         for field in (F5, QQ):
             d = build_descriptor(fam, 3, field)
+            built = sum(calls.values())
             for seed in range(4):
                 g = random_member(d, seed, word_len=12)
                 assert verify_label(g, coset_label(g, d), d)
+            assert sum(calls.values()) == built
     assert calls and max(calls.values()) == 1
 
 

@@ -24,7 +24,7 @@ from steinberg.forms import (
     read_multiplier,
 )
 from steinberg.eliminate import decompose, decompose_gl
-from steinberg.generators import Word, token_matrix, token_units, torus, w
+from steinberg.generators import Word, token_matrix, token_units, torus, w, x1, x2
 from steinberg.harness import random_member
 from steinberg.matrix import Matrix, SingularMatrix
 from steinberg.spinor import spinor_norm
@@ -620,3 +620,24 @@ def test_the_D_diagonal_check_reads_the_stored_integers(field):
         assert got == outcome(scalar_check, b, mu), (diag, mu)
         seen.add(None if got is None else got[0])
     assert seen == {None, InternalError, DivisionByZero}
+
+
+def test_lmul_records_each_involution_with_the_units_it_applied(monkeypatch):
+    # w, x1 and x2 are involutions: the left word records the token itself
+    # and keeps the very units object the application took
+    applied = []
+    real = rowops.apply
+
+    def recording(wm, delta, side):
+        applied.append(delta)
+        return real(wm, delta, side)
+
+    monkeypatch.setattr(rowops, "apply", recording)
+    goplus, gominus = build_descriptor(Family.GO_EVEN, 2, F7), build_descriptor(Family.GO_MINUS, 2, F7)
+    eps = gominus.epsilon
+    t, s = next((t, s) for s in range(1, 7) for t in range(7) if (t * t + eps * s * s) % 7 == 1)
+    for d, tok in ((goplus, w(2)), (gominus, w(2)), (gominus, x1(t, s)), (gominus, x2())):
+        b = eliminate._Bench(Matrix.identity(d.field, d.n), d, None)
+        b.lmul(tok)
+        assert len(applied) == len(b.left) == len(b.left_units) == 1
+        assert b.left[0] is tok and b.left_units[0] is applied.pop()

@@ -19,7 +19,6 @@ from steinberg.field import (
     _MR_LIMIT,
     _is_prime,
     _squarefree,
-    canonical_nonsquare,
     square_class,
 )
 from steinberg.forms import Family, build_descriptor
@@ -238,13 +237,6 @@ def test_rational_class_product_is_the_squarefree_product(a, b):
         return
     prod = SquareClass(_squarefree(a), False) * SquareClass(_squarefree(b), False)
     assert prod.rep == trial_squarefree(a * b)
-
-
-@pytest.mark.parametrize("p,expected", [(3, 2), (5, 2), (7, 3), (11, 2), (13, 2)])
-def test_canonical_nonsquare(p, expected):
-    # oracle: first c >= 2 outside the set of squares
-    squares = {x * x % p for x in range(p)}
-    assert canonical_nonsquare(p) == expected == min(c for c in range(2, p) if c not in squares)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])

@@ -403,13 +403,13 @@ CODE_FIELDS = (F3, Field(7), Field(1000000007), QQ)
     (fam, field) for fam in Family for field in CODE_FIELDS if field.is_prime or fam is not Family.GO_MINUS
 ], ids=lambda v: getattr(v, "value", str(v)))
 def test_compiled_x_codes_act_as_their_units(fam, field, monkeypatch):
-    """Every legal pair's compiled code gives the delta that ``_x_units``
-    gives on the pair's ``x_pattern``, at t = 0, 1, -1 and a random t (over
-    Q also one over 6), on the call that compiles it and on every later
-    call, and it names that pattern.  The entries are compared as a set:
-    the code keeps its own order, which the delta-chain test of
+    """Every legal pair's code in a fresh shape's table gives the delta that
+    the oracle's ``_x_units`` gives on the pair's ``x_pattern``, at t = 0,
+    1, -1 and a random t (over Q also one over 6), the same code object on
+    every call, and it names that pattern.  The entries are compared as a
+    set: the code keeps its own order, which the delta-chain test of
     ``test_rowops.py`` checks.  GOminus exists over F_p only."""
-    monkeypatch.setattr(forms, "_X_CODES", {})
+    monkeypatch.setattr(forms, "_SHAPES", {})
     rng = random.Random(10 * list(Family).index(fam) + CODE_FIELDS.index(field))
     for l in (1, 2, 3, 4):
         d = build_descriptor(fam, l, field, similitude=True)
@@ -419,48 +419,52 @@ def test_compiled_x_codes_act_as_their_units(fam, field, monkeypatch):
                 ts.append(rng.randrange(2, field.p))
             else:
                 ts += [Fraction(rng.randint(-99, 99), rng.randint(1, 99)), Fraction(rng.choice([-7, -5, 1, 5]), 6)]
-            assert (i, j) not in d._xcodes
+            code = d._xcodes[i, j]
             for t in ts:
                 tok = x(i, j, t)
                 (got, den), (want, want_den) = token_entries(tok, d), x_units_delta(tok, d)
                 assert (sorted(got), den) == (sorted(want), want_den), (str(d), tok)
                 m = token_matrix(tok, d)  # written straight into the stored form
                 assert m == Matrix(field, m.to_lists()), (str(d), tok)
-            assert d._xcodes[i, j][0] == x_pattern(i, j, d)
+                assert token_units(tok, d)[0] is code[2]
+            assert d._xcodes[i, j] is code and code[0] == x_pattern(i, j, d)
 
 
 def test_one_code_table_per_group_shape(monkeypatch):
-    """Descriptors of one family, rank, n and epsilon share their x-token
-    codes whatever the field or similitude flag: a table filled over F_7
-    serves F_1000000007 and Q, and ``decompose_gl``, which builds one
-    descriptor per (n, field) and reuses it, adds one table."""
-    monkeypatch.setattr(forms, "_X_CODES", {})
-    eliminate._gl_descriptor.cache_clear()  # an earlier test's descriptor holds an earlier table
+    """Descriptors of one family, rank, n and epsilon share one table of
+    x-token codes, the shape's, whatever the field or similitude flag: it
+    holds one code per legal pair from the start, describing tokens over
+    F_7 adds and changes nothing that F_1000000007 and Q read, and
+    ``decompose_gl``, which builds one descriptor per (n, field) and
+    reuses it, adds one shape."""
+    monkeypatch.setattr(forms, "_SHAPES", {})
+    eliminate._gl_descriptor.cache_clear()  # an earlier test's descriptor holds an earlier shape
     for fam in Family:
         for l in (1, 3):
             small = build_descriptor(fam, l, Field(7))
             large = build_descriptor(fam, l, Field(1000000007), similitude=True)
-            assert small._xcodes is large._xcodes  # GOminus: epsilon is 2 for both
+            assert small._xcodes is large._xcodes is small._shape.xcodes  # GOminus: epsilon is 2 for both
+            before = dict(small._xcodes)
             for i, j in legal_x_index_pairs(small):
                 token_units(x(i, j, 1), small)
-            assert set(large._xcodes) == set(legal_x_index_pairs(large))
+            assert large._xcodes == before and list(large._xcodes) == legal_x_index_pairs(large)
             if fam is not Family.GO_MINUS:
                 assert build_descriptor(fam, l, QQ)._xcodes is small._xcodes
     # each shape keeps its own: the rank, and GOminus's epsilon (1 over F_3)
     assert build_descriptor(Family.GSP, 2, F5)._xcodes is not build_descriptor(Family.GSP, 3, F5)._xcodes
     assert build_descriptor(Family.GO_MINUS, 3, F3)._xcodes is not build_descriptor(Family.GO_MINUS, 3, F5)._xcodes
-    tables = len(forms._X_CODES)
+    shapes = len(forms._SHAPES)
     g = Matrix(F5, [[1, 2, 0], [3, 1, 1], [2, 0, 4]])
     first, second = decompose_gl(g), decompose_gl(g)
     assert first.op_count == second.op_count and first.descriptor is second.descriptor
-    assert len(forms._X_CODES) == tables + 1
+    assert len(forms._SHAPES) == shapes + 1
 
 
 def test_an_illegal_pair_raises_the_same_text_on_every_call(monkeypatch):
     """An illegal pair is never stored, so it raises the same
-    ``IllegalToken`` on its first call, on later calls, beside compiled
+    ``IllegalToken`` on its first call, on later calls, beside described
     legal pairs and on a fresh descriptor of the same shape."""
-    monkeypatch.setattr(forms, "_X_CODES", {})
+    monkeypatch.setattr(forms, "_SHAPES", {})
     cases = (
         ((Family.GL, 1, F5), x(1, 3, 1), x(1, 2, 1), "x[1,3] illegal for GL(2)"),
         ((Family.GO_EVEN, 2, F5), x(1, -1, 1), x(1, -2, 1), "x[1,-1] illegal for GOplus(l=2)"),
@@ -482,7 +486,7 @@ def test_evaluate_word_chains_token_deltas(monkeypatch, tmp_path):
     """Verification stays independent of the elimination and builds no token
     matrix: each check is one chain through the product kernel whose parts
     are runs of the tokens' deltas in the update loop's form
-    (:func:`token_units`, an x-token's compiled units read as they stand,
+    (:func:`token_units`, the units of an x-token's code read as they stand,
     flagged sequential), one run per word, in order: the word's kept units
     tuple itself, not a copy (with the torus's units as a run of one, or the
     element, between two words, so ``reassemble`` hands over three parts; a
@@ -694,33 +698,124 @@ def test_legal_x_index_pairs_keep_their_order(fam, l):
 def test_legal_x_index_pairs_are_listed_once_per_shape(monkeypatch):
     # every family at l <= 4 over F_5 and Q lists the pairs it listed when
     # they were classified on every call (the digest), as a new list each
-    # time, read off one tuple of int pairs in the shape memo, and a second
-    # call classifies no pair
+    # time, read off the int pairs of the shape's code table, and listing
+    # them classifies no pair
     listed, classified = [], []
-    real = generators._x_pattern
+    real = forms._x_classify
 
     def counting(*args):
         classified.append(args)
         return real(*args)
 
-    monkeypatch.setattr(generators, "_x_pattern", counting)
+    monkeypatch.setattr(forms, "_SHAPES", {})
+    monkeypatch.setattr(forms, "_x_classify", counting)
     for fam in Family:
         for l in (1, 2, 3, 4):
             for field in (F5, QQ):
                 if fam is Family.GO_MINUS and field == QQ:
                     continue
                 d = build_descriptor(fam, l, field)
+                classified.clear()
                 pairs = legal_x_index_pairs(d)
                 listed.append(f"{d}: {pairs}")
-                memo = d._shape.memo["x pairs"]
-                assert type(memo) is tuple and all(type(i) is int and type(j) is int for i, j in memo)
+                assert pairs == list(d._shape.xcodes)
+                assert all(type(i) is int and type(j) is int for i, j in pairs)
                 pairs.clear()
-                classified.clear()
                 again = legal_x_index_pairs(d)
                 assert classified == []
-                assert again is not pairs and tuple(again) == memo
+                assert again is not pairs and again == list(d._shape.xcodes)
                 assert all(x_pattern(i, j, d) for i, j in again)
     assert hashlib.sha256("\n".join(listed).encode()).hexdigest()[:16] == "80b9b867cf8b6fc9"
+
+
+def _illegal_text(i, j, d):
+    group = f"GL({d.n})" if d.family is Family.GL else f"{d.family.value}(l={d.l})"
+    return f"x[{i},{j}] illegal for {group}"
+
+
+# the closed forms: 2l^2, the roots of C_l and B_l; 2l(l-1), the roots of
+# D_l, and for GOminus the 2(l-1)(l-2) pairs of its hyperbolic part plus
+# 4(l-1) twisted pairs against e_1 and e_-1; n(n-1) for GL(n), n = l + 1
+LEGAL_PAIR_COUNTS = {
+    Family.GSP: lambda l: 2 * l * l,
+    Family.GO_ODD: lambda l: 2 * l * l,
+    Family.GO_EVEN: lambda l: 2 * l * (l - 1),
+    Family.GO_MINUS: lambda l: 2 * l * (l - 1),
+    Family.GL: lambda l: (l + 1) * l,
+}
+
+
+@pytest.mark.parametrize("fam, field", [
+    (fam, field) for fam in Family for field in (Field(7), QQ) if field.is_prime or fam is not Family.GO_MINUS
+], ids=lambda v: getattr(v, "value", str(v)))
+def test_legal_pairs_count_the_roots(fam, field):
+    for l in range(1, 9):
+        d = build_descriptor(fam, l, field)
+        pairs = legal_x_index_pairs(d)
+        assert len(pairs) == len(set(pairs)) == LEGAL_PAIR_COUNTS[fam](l), (str(d), pairs)
+        assert set(pairs) <= {(i, j) for i in d.basis_indices() for j in d.basis_indices()}
+
+
+@pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
+def test_every_other_basis_pair_is_illegal(fam):
+    # at l <= 3, every basis pair outside the table raises the pinned text
+    # through each way in: the code, the pattern, the units and a word
+    for l in (1, 2, 3):
+        for field in (F5, QQ):
+            if fam is Family.GO_MINUS and field == QQ:
+                continue
+            d = build_descriptor(fam, l, field)
+            legal = set(legal_x_index_pairs(d))
+            idx = d.basis_indices()
+            illegal = [(i, j) for i in idx for j in idx if (i, j) not in legal]
+            assert len(illegal) == d.n * d.n - len(legal)
+            for i, j in illegal:
+                for call in (lambda: generators.x_code(i, j, d), lambda: x_pattern(i, j, d),
+                             lambda: token_units(x(i, j, 1), d), lambda: Word(d, [x(i, j, 1)])):
+                    with pytest.raises(IllegalToken) as err:
+                        call()
+                    assert str(err.value) == _illegal_text(i, j, d)
+
+
+def test_each_shape_classifies_its_pairs_once(monkeypatch):
+    """One classification pass per group shape: every basis pair of a shape
+    is classified exactly once, when the first descriptor of the shape is
+    built, and never again, however many descriptors, fields, lookups and
+    refusals follow; GOplus and GOminus at l = 1, which have no legal pair,
+    are no exception."""
+    classified, passes = [], {}
+    real = forms._x_classify
+
+    def counting(i, j, family, epsilon):
+        classified.append((family, epsilon, i, j))
+        return real(i, j, family, epsilon)
+
+    monkeypatch.setattr(forms, "_SHAPES", {})
+    monkeypatch.setattr(forms, "_x_classify", counting)
+    for _ in range(2):
+        for fam in Family:
+            for l in (1, 2, 3):
+                for field in (F3, F5, Field(7), QQ):
+                    if fam is Family.GO_MINUS and field == QQ:
+                        continue
+                    start = len(classified)
+                    d = build_descriptor(fam, l, field, similitude=field == F5)
+                    built = classified[start:]
+                    if built:
+                        assert (fam, l, d.epsilon) not in passes
+                        idx = d.basis_indices()
+                        assert built == [(fam, d.epsilon, i, j) for i in idx for j in idx]
+                        passes[fam, l, d.epsilon] = legal_x_index_pairs(d)
+                    for i, j in legal_x_index_pairs(d):
+                        token_units(x(i, j, 2), d)
+                        x_pattern(i, j, d)
+                    for tok in (x(1, 1, 1), x(-1, -1, 1), x(1, -1, 1)):
+                        if (tok.i, tok.j) not in d._xcodes:
+                            with pytest.raises(IllegalToken):
+                                token_units(tok, d)
+                    assert len(classified) == start + len(built)
+    assert len(passes) == 18  # 5 families at 3 ranks; GOminus again with epsilon 1 over F_3
+    assert passes[Family.GO_EVEN, 1, None] == passes[Family.GO_MINUS, 1, 1] == passes[Family.GO_MINUS, 1, 2] == []
 
 
 def test_parsing_a_word_checks_each_token_once(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 import steinberg
 
 HOMES = {
-    "field": ("Field", "QQ", "SquareClass", "square_class", "canonical_nonsquare"),
+    "field": ("Field", "QQ", "SquareClass", "square_class"),
     "matrix": ("Matrix",),
     "forms": ("Family", "GroupDescriptor", "build_descriptor", "is_member", "multiplier", "twisted_epsilon"),
     "generators": ("GeneratorToken", "Word", "derived_h", "derived_w", "evaluate_word", "parse_token",
@@ -52,3 +52,11 @@ def test_submodule_imports_still_work():
     import steinberg.spinor
 
     assert cli.main and coset.coset_label and steinberg.spinor.spinor_norm is steinberg.spinor_norm
+
+
+def test_canonical_nonsquare_is_gone():
+    # GOminus takes twisted_epsilon, which differs from the smallest
+    # nonsquare when p = 3 mod 4; nothing called the plain one
+    with pytest.raises(AttributeError):
+        steinberg.canonical_nonsquare
+    assert not hasattr(importlib.import_module("steinberg.field"), "canonical_nonsquare")

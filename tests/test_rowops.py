@@ -578,7 +578,7 @@ def test_mixed_sides_never_share_a_row_list(field):
 def test_units_path_matches_the_oracle_for_every_x_pair(field):
     """Every legal x pair of every family at l = 1, 2, 3 (GL up to n = 4),
     with t in {1, -1, 2, p - 1, p + 3, 1/2, -7/3} (p = 7 over Q): ``apply``,
-    which reads the pair's compiled units and t as they stand, equals the
+    which reads the units of the pair's code and t as they stand, equals the
     hand-written updates from either side, and ``evaluate_word`` equals the
     triple-loop product with the dense ``token_matrix``.  Over F_3, where
     -7/3 has no value, both raise :class:`DivisionByZero` and leave the
